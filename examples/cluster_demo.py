@@ -2,10 +2,10 @@
 
 Run with: PYTHONPATH=src python examples/cluster_demo.py
 
-Demonstrates :class:`repro.cluster.ClusterService` — the same surface
-as :class:`repro.service.GraphService`, but each query's start-node
-space is partitioned into balanced cells and evaluated shard-by-shard
-on an executor backend (serial here for the equivalence check, a
+Demonstrates :class:`repro.cluster.ClusterService` — a
+:class:`repro.service.GraphService` whose execute step is
+scatter/gather: each query's start-node space is partitioned into
+balanced cells and evaluated shard-by-shard on an executor backend (serial here for the equivalence check, a
 process pool for real CPU parallelism). GPC's set semantics makes the
 merge lossless: answers from disjoint seed cells are disjoint and
 union to exactly the unsharded answer set.

@@ -11,7 +11,8 @@ between workers — snapshots are immutable and each worker sees the
 same graph version.
 
 - :mod:`repro.cluster.service` — the :class:`ClusterService` façade
-  (same surface as :class:`~repro.service.GraphService`);
+  (a :class:`~repro.service.GraphService` whose execute step is
+  scatter/gather);
 - :mod:`repro.cluster.partitioner` — :class:`SeedPartitioner`
   (planner-pruned seed universe, degree-balanced LPT cells);
 - :mod:`repro.cluster.backends` — :class:`SerialBackend`,
@@ -19,8 +20,9 @@ same graph version.
   warm-worker snapshot shipping);
 - :mod:`repro.cluster.router` — :class:`ScatterGatherRouter`
   (deterministic merge, per-shard failure surfacing);
-- :mod:`repro.cluster.stats` — :class:`ClusterStats` (per-worker
-  latency percentiles + aggregate).
+- :mod:`repro.cluster.stats` — :class:`ClusterStats`
+  (:class:`~repro.service.ServiceStats` plus per-worker latency
+  percentiles and shard counters).
 """
 
 from repro.cluster.backends import (

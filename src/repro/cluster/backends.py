@@ -50,6 +50,7 @@ from repro.gpc.engine import EngineConfig
 from repro.graph.delta import DEFAULT_SNAPSHOT_DELTA_THRESHOLD, GraphDelta
 from repro.graph.ids import NodeId
 from repro.obs import EvalCounters, deadline_scope, remote_span, use_counters
+from repro.service.cache import LRUCache
 from repro.service.prepared import PreparedQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -126,44 +127,11 @@ class ShardOutcome:
 PLAN_CACHE_CAPACITY = 256
 
 
-def _evict_oldest(plans: dict) -> None:
-    """FIFO eviction down to capacity (dicts preserve insert order)."""
-    while len(plans) > PLAN_CACHE_CAPACITY:
-        del plans[next(iter(plans))]
-
-
-def _cached_prepared(
-    plans: dict, call: ShardCall, lock: Optional[threading.Lock] = None
-) -> PreparedQuery:
-    """The memoised prepared query for a call's (query, config).
-
-    Construction runs outside the lock (compilation may be expensive);
-    concurrent misses may both build, first writer wins — plans are
-    idempotently recomputable, same policy as the service LRU.
-    """
-    key = (call.query, call.config)
-    if lock is None:
-        prepared = plans.get(key)
-        if prepared is None:
-            prepared = plans[key] = PreparedQuery(call.query, call.config)
-            _evict_oldest(plans)
-        return prepared
-    with lock:
-        prepared = plans.get(key)
-    if prepared is None:
-        built = PreparedQuery(call.query, call.config)
-        with lock:
-            prepared = plans.setdefault(key, built)
-            _evict_oldest(plans)
-    return prepared
-
-
 def _evaluate_shard(
     snapshot: "GraphSnapshot",
-    plans: dict,
+    plans: LRUCache,
     call: ShardCall,
     worker: str,
-    lock: Optional[threading.Lock] = None,
 ) -> ShardOutcome:
     """Shared evaluation kernel for all backends.
 
@@ -179,11 +147,15 @@ def _evaluate_shard(
     with remote_span("cluster.shard", call.carrier, worker=worker) as shard:
         try:
             with deadline_scope(call.deadline_s), use_counters(counters):
-                prepared = _cached_prepared(plans, call, lock)
+                prepared = plans.get_or_create(
+                    (call.query, call.config),
+                    lambda: PreparedQuery(call.query, call.config),
+                )
                 result = prepared.execute(
                     snapshot, start_restriction=call.restriction
                 )
-        except Exception as exc:
+        # Captured as ``ShardOutcome.error``; the router re-raises it.
+        except Exception as exc:  # lint: allow-broad-except
             error = exc
             shard.record_error(exc)
         if shard:
@@ -247,7 +219,7 @@ class SerialBackend(ExecutorBackend):
     name = "serial"
 
     def __init__(self):
-        self._plans: dict = {}
+        self._plans = LRUCache(PLAN_CACHE_CAPACITY)
 
     def run(self, snapshot, calls, delta_source=None):
         return [
@@ -263,8 +235,7 @@ class ThreadBackend(ExecutorBackend):
 
     def __init__(self, max_workers: int = 4):
         self._max_workers = max_workers
-        self._plans: dict = {}
-        self._plans_lock = threading.Lock()
+        self._plans = LRUCache(PLAN_CACHE_CAPACITY)
         self._executor: Optional[ThreadPoolExecutor] = None
         #: Guards executor lifecycle and submission against concurrent
         #: run()/close() (duplicate pools, submit-after-shutdown).
@@ -280,11 +251,7 @@ class ThreadBackend(ExecutorBackend):
 
     def _call(self, snapshot, call: ShardCall) -> ShardOutcome:
         return _evaluate_shard(
-            snapshot,
-            self._plans,
-            call,
-            threading.current_thread().name,
-            self._plans_lock,
+            snapshot, self._plans, call, threading.current_thread().name
         )
 
     def run(self, snapshot, calls, delta_source=None):
@@ -314,7 +281,7 @@ class ThreadBackend(ExecutorBackend):
 #: function.
 _WORKER_SNAPSHOT: "Optional[GraphSnapshot]" = None
 _WORKER_DERIVED: "Optional[tuple[int, GraphSnapshot]]" = None
-_WORKER_PLANS: dict = {}
+_WORKER_PLANS = LRUCache(PLAN_CACHE_CAPACITY)
 
 
 def _init_process_worker(snapshot_blob: bytes) -> None:
@@ -363,7 +330,8 @@ def _run_process_shard(call: ShardCall, ship=None) -> ShardOutcome:
     worker = f"pid-{os.getpid()}"
     try:
         snapshot = _resolve_worker_snapshot(ship)
-    except Exception as exc:  # pragma: no cover - defensive
+    # Captured as ``ShardOutcome.error``; the router re-raises it.
+    except Exception as exc:  # pragma: no cover - lint: allow-broad-except
         return ShardOutcome(None, exc, worker, 0.0)
     return _evaluate_shard(snapshot, _WORKER_PLANS, call, worker)
 
@@ -513,9 +481,9 @@ class ProcessBackend(ExecutorBackend):
         for future in futures:
             try:
                 outcomes.append(future.result())
-            except Exception as exc:
-                # Transport-level failure (e.g. a worker died); shard
-                # evaluation errors are already captured in-outcome.
+            except Exception as exc:  # lint: allow-broad-except
+                # Transport-level failure (e.g. a worker died), captured
+                # as the shard's outcome like an evaluation error is.
                 outcomes.append(ShardOutcome(None, exc, self.name, 0.0))
         return outcomes
 

@@ -1,10 +1,9 @@
 """The :class:`ClusterService` façade — sharded scatter/gather serving.
 
-``ClusterService`` presents the same surface as
-:class:`~repro.service.service.GraphService` — ``prepare`` /
-``evaluate`` / ``evaluate_batch`` / ``explain`` / ``stats`` plus the
-mutation delegations — but evaluates each query by *partitioning its
-seed space* across N workers instead of running it whole:
+``ClusterService`` is :class:`~repro.service.service.GraphService` with
+one step of the serving pipeline replaced: where the base class
+*executes* a prepared query by running it whole, the cluster
+*partitions its seed space* across N workers:
 
 1. the :class:`~repro.cluster.partitioner.SeedPartitioner` splits the
    query's viable start nodes (pruned by the planner's leading-endpoint
@@ -17,45 +16,36 @@ seed space* across N workers instead of running it whole:
    semantics: disjoint seed cells produce disjoint answer sets whose
    union is exactly the unsharded answer set.
 
-Every backend returns frozenset-identical answers; the process backend
-adds true CPU parallelism, shipping each snapshot once per graph
-version into warm workers (see
+Snapshots, mutations, both caches, failure accounting, insights,
+``explain`` and ``lint`` are the inherited ones, so answers, cache
+behaviour and stats match ``GraphService`` on the same graph version
+whatever the backend. Every backend returns frozenset-identical
+answers; the process backend adds true CPU parallelism, shipping each
+snapshot once per graph version into warm workers (see
 :class:`~repro.cluster.backends.ProcessBackend`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
-from repro.cluster.backends import ExecutorBackend, make_backend
+from repro.cluster.backends import ExecutorBackend, ShardCall, make_backend
 from repro.cluster.partitioner import SeedPartitioner
 from repro.cluster.router import ScatterGatherRouter
 from repro.cluster.stats import ClusterStats
-from repro.gpc import ast
 from repro.gpc.answers import Answer
-from repro.gpc.engine import DEFAULT_CONFIG, EngineConfig
-from repro.graph.ids import (
-    DirectedEdgeId,
-    GraphElementId,
-    NodeId,
-    UndirectedEdgeId,
-)
-from repro.graph.property_graph import Constant, PropertyGraph
+from repro.gpc.engine import EngineConfig
+from repro.graph.property_graph import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
-from repro.errors import DeadlineExceededError, GPCError
-from repro.gpc.analysis import lint_query
-from repro.gpc.explain import explain_counters, explain_estimates
-from repro.obs import EvalCounters, InsightsRegistry, current_span
-from repro.obs import span as trace_span
-from repro.service.cache import LRUCache, SemanticResultCache
+from repro.obs import EvalCounters, InsightsRegistry, span
 from repro.service.prepared import PreparedQuery
+from repro.service.service import GraphService
 
 __all__ = ["ClusterService"]
 
 
-class ClusterService:
+class ClusterService(GraphService):
     """Serve GPC queries by scatter/gather over partitioned seeds.
 
     Example
@@ -68,6 +58,11 @@ class ClusterService:
     ...     len(cluster.evaluate("TRAIL (x:P) -[:knows]-> (y:P)"))
     1
     """
+
+    #: ``cluster.cache_probe``, ``cluster.plan``, ``cluster.eval`` (with
+    #: one adopted ``cluster.shard`` per shard call under the last).
+    _span_prefix = "cluster."
+    _stats_type = ClusterStats
 
     def __init__(
         self,
@@ -83,17 +78,17 @@ class ClusterService:
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        self._graph = graph if graph is not None else PropertyGraph()
-        self.config = config or DEFAULT_CONFIG
+        # The inherited plan cache is the router's: it drives seed
+        # partitioning and ``explain`` without shipping anything;
+        # workers keep their own.
+        super().__init__(
+            graph,
+            config,
+            plan_cache_size=plan_cache_size,
+            result_cache_size=result_cache_size,
+            insights=insights,
+        )
         self.num_workers = num_workers
-        self.stats = ClusterStats()
-        # Same contract as GraphService: a registry instance is used
-        # directly, a bool builds an enabled/disabled one.
-        if isinstance(insights, InsightsRegistry):
-            self.insights = insights
-        else:
-            self.insights = InsightsRegistry(enabled=bool(insights))
-        self.stats.insights = self.insights
         self.backend = make_backend(backend, num_workers, self.stats)
         self.partitioner = (
             partitioner
@@ -101,532 +96,171 @@ class ClusterService:
             else SeedPartitioner(num_workers)
         )
         self.router = ScatterGatherRouter(self.stats)
-        self._plan_cache = LRUCache(plan_cache_size, self.stats.plan_cache)
-        self._result_cache = SemanticResultCache(
-            result_cache_size,
-            self.stats.result_cache,
-            delta_source=self._graph.deltas_since,
-        )
-        self._lock = threading.RLock()
-        self._last_snapshot_version: Optional[int] = None
 
     # ------------------------------------------------------------------
-    # Graph access and mutation (same contract as GraphService)
+    # The execute step: scatter → run → gather
     # ------------------------------------------------------------------
 
-    @property
-    def graph(self) -> PropertyGraph:
-        """The underlying graph; mutate through the delegations below
-        when serving concurrently (they hold the service lock)."""
-        return self._graph
-
-    @property
-    def version(self) -> int:
-        return self._graph.version
-
-    def snapshot(self) -> GraphSnapshot:
-        """The memoised snapshot of the current graph version.
-
-        Tracks ``stats.snapshots_built`` / ``stats.snapshots_derived``
-        exactly as :meth:`GraphService.snapshot` does, so cluster
-        dashboards see the same build/derive ratio as single-service
-        ones.
-        """
-        with self._lock:
-            snap = self._graph.snapshot()
-            if snap.version != self._last_snapshot_version:
-                self._last_snapshot_version = snap.version
-                self.stats.count(
-                    snapshots_built=1,
-                    snapshots_derived=1 if snap.derived else 0,
-                    snapshot_build_s=snap.build_s,
-                    csr_rows_patched=snap.csr_rows_patched,
-                )
-            return snap
-
-    def add_node(
+    def _execute(
         self,
-        key: Hashable,
-        labels: Iterable[str] = (),
-        properties: Optional[Mapping[str, Constant]] = None,
-    ) -> NodeId:
-        with self._lock:
-            return self._graph.add_node(key, labels, properties)
-
-    def add_edge(
-        self,
-        key: Hashable,
-        source: NodeId,
-        target: NodeId,
-        labels: Iterable[str] = (),
-        properties: Optional[Mapping[str, Constant]] = None,
-    ) -> DirectedEdgeId:
-        with self._lock:
-            return self._graph.add_edge(key, source, target, labels, properties)
-
-    def add_undirected_edge(
-        self,
-        key: Hashable,
-        endpoint_a: NodeId,
-        endpoint_b: NodeId,
-        labels: Iterable[str] = (),
-        properties: Optional[Mapping[str, Constant]] = None,
-    ) -> UndirectedEdgeId:
-        with self._lock:
-            return self._graph.add_undirected_edge(
-                key, endpoint_a, endpoint_b, labels, properties
-            )
-
-    def set_property(
-        self, element: GraphElementId, key: str, value: Constant
-    ) -> None:
-        with self._lock:
-            self._graph.set_property(element, key, value)
-
-    def remove_node(self, node: NodeId) -> None:
-        with self._lock:
-            self._graph.remove_node(node)
-
-    def remove_edge(self, edge: DirectedEdgeId) -> None:
-        with self._lock:
-            self._graph.remove_edge(edge)
-
-    def remove_undirected_edge(self, edge: UndirectedEdgeId) -> None:
-        with self._lock:
-            self._graph.remove_undirected_edge(edge)
-
-    # ------------------------------------------------------------------
-    # Prepared queries and explain
-    # ------------------------------------------------------------------
-
-    def prepare(
-        self,
-        query: "str | ast.Query",
-        config: Optional[EngineConfig] = None,
-    ) -> PreparedQuery:
-        """Router-side compilation, memoised per (query, config).
-
-        Workers keep their own plan caches; this one drives seed
-        partitioning and ``explain`` without shipping anything.
-        """
-        config = config or self.config
-        key = (query, config)
-        return self._plan_cache.get_or_create(
-            key, lambda: PreparedQuery(query, config)
-        )
-
-    def explain(
-        self,
-        query: "str | ast.Query",
-        config: Optional[EngineConfig] = None,
-        *,
-        analyze: bool = False,
-    ) -> str:
-        """The engine plan plus the cluster's sharding decision.
-
-        ``analyze=True`` also scatters the query (cache-bypassed) and
-        appends the observed execution counters summed over all shards.
-        """
-        config = config or self.config
-        prepared = self.prepare(query, config)
-        snap = self.snapshot()
-        report = "\n".join(
-            [
-                prepared.explain(snap),
-                f"cluster: backend={self.backend.name}, "
-                f"workers={self.num_workers}; "
-                + self.partitioner.describe(snap, prepared),
-            ]
-        )
-        if not analyze:
-            return report
-        started = time.perf_counter()
-        _, calls = self._scatter_one(query, config, snap)
-        outcomes = (
-            self.backend.run(
-                snap, calls, delta_source=self._graph.deltas_since
-            )
-            if calls
-            else []
-        )
-        result = self.router.gather(outcomes)
-        elapsed = time.perf_counter() - started
-        counters = EvalCounters()
-        for outcome in outcomes:
-            counters.merge(outcome.counters)
-        observed = explain_counters(
-            counters, answers=len(result), elapsed_s=elapsed
-        )
-        sections = [report, observed]
-        estimates = self._plan_estimates(prepared, snap)
-        if estimates is not None:
-            sections.append(
-                explain_estimates(
-                    estimates, answers=len(result), counters=counters
-                )
-            )
-        return "\n".join(sections)
-
-    def lint(
-        self,
-        query: "str | ast.Query",
-        config: Optional[EngineConfig] = None,
-    ):
-        """Static-analysis diagnostics for ``query`` (router-side —
-        nothing is shipped to workers). Total: parse/type failures
-        yield ``GPC000``/``GPC001`` diagnostics instead of raising.
-        Returns a tuple of :class:`~repro.gpc.analysis.Diagnostic`.
-        """
-        try:
-            prepared = self.prepare(query, config)
-        except GPCError:
-            return lint_query(query)
-        return prepared.diagnostics
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-
-    def evaluate(
-        self,
-        query: "str | ast.Query",
-        config: Optional[EngineConfig] = None,
-        *,
-        use_cache: bool = True,
+        prepared: PreparedQuery,
+        snap: GraphSnapshot,
+        counters: EvalCounters,
     ) -> frozenset[Answer]:
-        """Scatter ``query`` across seed partitions, gather the union.
+        """Scatter ``prepared`` across seed partitions, gather the
+        union; ``counters`` sums the engine work of every shard."""
+        with span(self._span_prefix + "eval") as eval_span:
+            calls = self._scatter(prepared, snap)
+            eval_span.set_attr("shards", len(calls))
+            return self._gather(self._run(snap, calls), counters, eval_span)
 
-        Results are frozenset-identical to
-        :meth:`GraphService.evaluate` on the same graph version,
-        whatever the backend — including the footprint-aware result
-        cache (entries survive footprint-disjoint mutations) and its
-        ``use_cache`` bypass.
+    def _scatter(
+        self, prepared: PreparedQuery, snap: GraphSnapshot
+    ) -> list[ShardCall]:
+        """One shard call per seed cell of ``prepared`` at ``snap``."""
+        cells = self.partitioner.partition(snap, prepared)
+        # Ship what the caller sent (text stays text): workers key
+        # their own plan caches by it.
+        query = prepared.text if prepared.text is not None else prepared.query
+        return self.router.scatter(query, prepared.config, cells)
+
+    def _run(self, snap: GraphSnapshot, calls: list[ShardCall]) -> list:
+        # The partitioner guarantees at least one cell per query, but
+        # an empty scatter (an all-hit batch) must never reach the
+        # backend: on the process backend run() warms the pool and
+        # ships the snapshot even for zero calls.
+        if not calls:
+            return []
+        return self.backend.run(
+            snap, calls, delta_source=self._graph.deltas_since
+        )
+
+    def _gather(self, outcomes, counters: EvalCounters, eval_span):
+        # Re-parent each shard's serialised span under the eval stage
+        # *before* gathering, so a failed gather still leaves the shard
+        # spans in the request trace and the partial work in counters.
+        for outcome in outcomes:
+            eval_span.adopt(outcome.span)
+            counters.merge(outcome.counters)
+        return self.router.gather(outcomes)
+
+    def _plan_report(self, prepared: PreparedQuery, snap: GraphSnapshot) -> str:
+        """The engine plan plus the cluster's sharding decision."""
+        return (
+            f"{super()._plan_report(prepared, snap)}\n"
+            f"cluster: backend={self.backend.name}, "
+            f"workers={self.num_workers}; "
+            + self.partitioner.describe(snap, prepared)
+        )
+
+    # ------------------------------------------------------------------
+    # Batches: one scatter for every member
+    # ------------------------------------------------------------------
+
+    def _evaluate_all(
+        self, queries, config: EngineConfig, use_cache: bool, contexts
+    ) -> list:
+        """Each member sharded, all members in one scatter.
+
+        All shards of all (uncached) queries go to the backend
+        together, so the worker pool pipelines across queries; every
+        shard completes and sibling results are fully merged before a
+        failing member surfaces. Each query's probe/scatter and gather
+        stages run in its own context, so every shard span lands in
+        the right request's trace and every insight cross-links the
+        right trace id.
         """
-        config = config or self.config
         started = time.perf_counter()
         snap = self.snapshot()
-        result_key = (query, config)
-        cache_outcome = "bypass"
-        if use_cache:
-            with trace_span("cluster.cache_probe") as probe:
-                cached, cache_outcome = self._result_cache.get_with_outcome(
-                    result_key, snap.version
-                )
-                probe.set_attr("hit", cached is not None)
+        calls: list[ShardCall] = []
+
+        def in_context(index, stage, *args):
+            if contexts is None:
+                return stage(*args)
+            return contexts[index].run(stage, *args)
+
+        def scatter(query):
+            """Cached answers, a pre-scatter exception, or the member's
+            pending state: its window into ``calls`` and what the
+            gather stage records."""
+            cached, cache_outcome = self._probe(query, config, snap, use_cache)
             if cached is not None:
-                self._record_query(started)
                 self._record_insight(
                     query, started, answers=len(cached), cache=cache_outcome
                 )
                 return cached
-        else:
-            self._count_bypass()
-        with trace_span("cluster.plan"):
-            prepared, calls = self._scatter_one(query, config, snap)
-        estimates = self._plan_estimates(prepared, snap)
-        # The partitioner guarantees at least one cell today, but an
-        # empty scatter must never reach the backend regardless: on the
-        # process backend run() warms the pool and ships the snapshot
-        # even for zero calls.
-        counters = EvalCounters()
-        try:
-            with trace_span("cluster.eval", shards=len(calls)) as eval_span:
-                outcomes = (
-                    self.backend.run(
-                        snap, calls, delta_source=self._graph.deltas_since
-                    )
-                    if calls
-                    else []
-                )
-                # Re-parent each shard's serialised span under this
-                # stage *before* gathering, so a failed gather still
-                # leaves the shard spans in the request trace.
-                for outcome in outcomes:
-                    eval_span.adopt(outcome.span)
-                    counters.merge(outcome.counters)
-                result = self.router.gather(outcomes)
-        except Exception as exc:
-            # A failed gather still served the query's shards: count it
-            # and record its latency, as evaluate_batch does, so error
-            # rates computed from queries/shard_failures stay honest.
-            self._record_query(started)
-            self._record_insight(
-                query,
-                started,
-                cache=cache_outcome,
-                counters=counters,
-                error=True,
-                timeout=isinstance(exc, DeadlineExceededError),
-            )
-            raise
-        if use_cache:
-            self._result_cache.put(
-                result_key, snap.version, prepared.footprint, result
-            )
-        self._record_query(started)
-        self._record_insight(
-            query,
-            started,
-            answers=len(result),
-            cache=cache_outcome,
-            counters=counters,
-            estimates=estimates,
-        )
-        return result
-
-    def evaluate_batch(
-        self,
-        queries: Sequence["str | ast.Query"],
-        config: Optional[EngineConfig] = None,
-        *,
-        use_cache: bool = True,
-        return_exceptions: bool = False,
-        contexts=None,
-    ) -> list:
-        """Evaluate independent queries, each sharded, in one scatter.
-
-        All shards of all (uncached) queries go to the backend
-        together, so the worker pool pipelines across queries. Results
-        come back in input order. A raising query never loses its
-        siblings: every shard completes and sibling results are fully
-        merged; with ``return_exceptions=True`` the failing positions
-        hold the exception, otherwise the first failure is raised
-        afterwards (same contract as
-        :meth:`GraphService.evaluate_batch`).
-
-        ``contexts`` (one distinct :class:`contextvars.Context` copy
-        per query) carries each caller's trace span and deadline into
-        that query's probe/scatter and gather stages, so every shard
-        span lands in the right request's trace.
-        """
-        config = config or self.config
-        if contexts is not None and len(contexts) != len(queries):
-            raise ValueError(
-                f"contexts ({len(contexts)}) must match "
-                f"queries ({len(queries)})"
-            )
-        self.stats.count(batches=1)
-        if not queries:
-            return []
-        started = time.perf_counter()
-        snap = self.snapshot()
-        calls: list = []
-
-        def _probe_and_scatter(query):
-            """Cache probe + scatter for one query, in its context.
-
-            Returns a cached frozenset, a pre-scatter exception, or a
-            ``(begin, end, footprint, estimates, cache_outcome)``
-            window into ``calls``.
-            """
-            cache_outcome = "bypass"
-            if use_cache:
-                with trace_span("cluster.cache_probe") as probe:
-                    cached, cache_outcome = (
-                        self._result_cache.get_with_outcome(
-                            (query, config), snap.version
-                        )
-                    )
-                    probe.set_attr("hit", cached is not None)
-                if cached is not None:
-                    # Recorded here, inside the query's own context, so
-                    # the insight cross-links the right trace id.
-                    self._record_insight(
-                        query,
-                        started,
-                        answers=len(cached),
-                        cache=cache_outcome,
-                    )
-                    return cached
-            else:
-                self._count_bypass()
             try:
-                with trace_span("cluster.plan"):
-                    prepared, shard_calls = self._scatter_one(
-                        query, config, snap
-                    )
-            except Exception as exc:
+                with span(self._span_prefix + "plan"):
+                    prepared = self.prepare(query, config)
+                    shard_calls = self._scatter(prepared, snap)
+            # The exception is the member's outcome, not swallowed.
+            except Exception as exc:  # lint: allow-broad-except
                 return exc
-            window = (
-                len(calls),
-                len(calls) + len(shard_calls),
-                prepared.footprint,
-                self._plan_estimates(prepared, snap),
-                cache_outcome,
-            )
+            window = slice(len(calls), len(calls) + len(shard_calls))
             calls.extend(shard_calls)
-            return window
+            estimates = self._plan_estimates(prepared, snap)
+            return window, prepared, estimates, cache_outcome
 
-        def _gather_window(begin, end, query, estimates, cache_outcome):
-            """Adopt and merge one query's shard outcomes, in its
-            context (exceptions propagate to the caller)."""
-            chunk = outcomes[begin:end]
+        def gather(query, window, prepared, estimates, cache_outcome):
+            chunk = outcomes[window]
             counters = EvalCounters()
-            with trace_span("cluster.eval", shards=end - begin) as eval_span:
-                for outcome in chunk:
-                    eval_span.adopt(outcome.span)
-                    counters.merge(outcome.counters)
-                try:
-                    merged = self.router.gather(chunk)
-                except Exception as exc:
-                    self._record_insight(
-                        query,
-                        started,
-                        cache=cache_outcome,
-                        counters=counters,
-                        error=True,
-                        timeout=isinstance(exc, DeadlineExceededError),
-                    )
-                    raise
+            try:
+                with span(
+                    self._span_prefix + "eval", shards=len(chunk)
+                ) as eval_span:
+                    merged = self._gather(chunk, counters, eval_span)
+            # The exception is the member's outcome, not swallowed.
+            except Exception as exc:  # lint: allow-broad-except
                 self._record_insight(
                     query,
                     started,
-                    answers=len(merged),
                     cache=cache_outcome,
                     counters=counters,
-                    estimates=estimates,
+                    error=exc,
                 )
-                return merged
-
-        # Per query: a (start, end, footprint, estimates, cache
-        # outcome) window into calls, a cached frozenset, or a
-        # pre-scatter exception.
-        windows: list = []
-        for index, query in enumerate(queries):
-            if contexts is None:
-                windows.append(_probe_and_scatter(query))
-            else:
-                windows.append(contexts[index].run(_probe_and_scatter, query))
-        # All-hit (or all-failed-pre-scatter) batches scatter nothing:
-        # skip the backend entirely rather than paying a process-pool
-        # spin-up / snapshot ship for an empty call list.
-        outcomes = (
-            self.backend.run(
-                snap, calls, delta_source=self._graph.deltas_since
-            )
-            if calls
-            else []
-        )
-        results: list = []
-        evaluated = 0
-        for index, (query, window) in enumerate(zip(queries, windows)):
-            if isinstance(window, Exception):
-                results.append(window)
-                continue
-            if isinstance(window, frozenset):
-                results.append(window)
-                evaluated += 1
-                continue
-            begin, end, footprint, estimates, cache_outcome = window
-            evaluated += 1
-            gather_args = (begin, end, query, estimates, cache_outcome)
-            try:
-                if contexts is None:
-                    merged = _gather_window(*gather_args)
-                else:
-                    merged = contexts[index].run(_gather_window, *gather_args)
-            except Exception as exc:
-                results.append(exc)
-                continue
+                return exc
             if use_cache:
                 self._result_cache.put(
-                    (query, config), snap.version, footprint, merged
+                    (query, config), snap.version, prepared.footprint, merged
                 )
-            results.append(merged)
+            self._record_insight(
+                query,
+                started,
+                answers=len(merged),
+                cache=cache_outcome,
+                counters=counters,
+                estimates=estimates,
+            )
+            return merged
+
+        results = [
+            in_context(index, scatter, query)
+            for index, query in enumerate(queries)
+        ]
+        outcomes = self._run(snap, calls)
+        # Members that failed before any shard ran are not counted —
+        # the same accounting as `evaluate`, which raises before
+        # recording.
+        served = sum(not isinstance(r, Exception) for r in results)
+        for index, pending in enumerate(results):
+            if isinstance(pending, tuple):
+                results[index] = in_context(
+                    index, gather, queries[index], *pending
+                )
         # One latency sample for the whole pipelined batch (per-query
-        # wall clock is not separable once shards interleave). Queries
-        # that failed before any shard ran are not counted — the same
-        # accounting as `evaluate`, which raises before recording.
+        # wall clock is not separable once shards interleave).
         self.stats.latency.record(time.perf_counter() - started)
-        self.stats.count(queries=evaluated)
-        if not return_exceptions:
-            for item in results:
-                if isinstance(item, Exception):
-                    raise item
+        self.stats.count(queries=served)
         return results
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def clear_caches(self) -> None:
-        """Drop the router-side plan and result caches (stats kept)."""
-        self._plan_cache.clear()
-        self._result_cache.clear()
-
     def close(self) -> None:
         """Shut the executor backend down (idempotent)."""
+        super().close()
         self.backend.close()
-
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-
-    def _scatter_one(
-        self, query, config: EngineConfig, snap: GraphSnapshot
-    ) -> "tuple[PreparedQuery, list]":
-        """Prepare, partition and build the shard calls for one query;
-        the prepared query rides along so callers can stamp cached
-        results with its footprint."""
-        prepared = self.prepare(query, config)
-        cells = self.partitioner.partition(snap, prepared)
-        return prepared, self.router.scatter(query, config, cells)
-
-    def _plan_estimates(self, prepared: PreparedQuery, snap: GraphSnapshot):
-        """The planner's pre-execution estimates, or ``None`` (insights
-        disabled, or the query shape defeats estimation) — same
-        contract as :meth:`GraphService._plan_estimates`."""
-        if not self.insights.enabled:
-            return None
-        try:
-            return prepared.estimates(snap)
-        except Exception:
-            return None
-
-    def _record_insight(
-        self,
-        query,
-        started: float,
-        *,
-        answers: "int | None" = None,
-        cache: "str | None" = None,
-        counters: "EvalCounters | None" = None,
-        estimates=None,
-        error: bool = False,
-        timeout: bool = False,
-    ) -> None:
-        """Fold one evaluation into the insights registry, stamping the
-        fingerprint onto the active span for slow-log cross-linking."""
-        if not self.insights.enabled:
-            return
-        root = current_span()
-        fingerprint = self.insights.record(
-            query,
-            latency_s=time.perf_counter() - started,
-            answers=answers,
-            cache=cache,
-            counters=counters,
-            estimates=estimates,
-            error=error,
-            timeout=timeout,
-            trace_id=root.trace_id if root else None,
-        )
-        if root and fingerprint is not None:
-            root.set_attr("fingerprint", fingerprint)
-
-    def _record_query(self, started: float) -> None:
-        self.stats.latency.record(time.perf_counter() - started)
-        self.stats.count(queries=1)
-
-    def _count_bypass(self) -> None:
-        # Deliberate cache skips are bypasses, not misses — same
-        # accounting as GraphService (hit_rate reflects real probes).
-        with self._lock:
-            self.stats.result_cache.bypasses += 1
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,9 @@
 """Serving metrics for the sharded cluster runtime.
 
-:class:`ClusterStats` mirrors :class:`~repro.service.stats.ServiceStats`
-in spirit but tracks the quantities that matter for scatter/gather
-serving: how many shard tasks were scattered, how often snapshots were
-shipped to process workers, per-worker latency reservoirs (one
+:class:`ClusterStats` is :class:`~repro.service.stats.ServiceStats`
+plus the quantities that only exist for scatter/gather serving: how
+many shard tasks were scattered, how often snapshots were shipped to
+process workers, per-worker latency reservoirs (one
 :class:`~repro.service.stats.LatencyRecorder` per worker tag) next to
 the aggregate, and shard failure counts. ``as_dict()`` is the metrics
 payload, exactly like the single-service stats.
@@ -11,59 +11,33 @@ payload, exactly like the single-service stats.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
-from repro.obs.counters import EvalCounters
-from repro.service.stats import CacheStats, LatencyRecorder
+from repro.service.stats import LatencyRecorder, ServiceStats
 
 __all__ = ["ClusterStats"]
 
 
 @dataclass
-class ClusterStats:
+class ClusterStats(ServiceStats):
     """Aggregate metrics exposed by :class:`ClusterService.stats`.
 
-    ``latency`` records router-level wall clock per query (scatter +
-    evaluate + gather); ``shard_latency`` records in-worker evaluation
+    The inherited ``latency`` records router-level wall clock per query
+    (scatter + evaluate + gather) and the inherited ``engine`` the work
+    of every shard task (merged from each outcome's per-shard counters
+    at gather time); ``shard_latency`` records in-worker evaluation
     time per shard task, with :attr:`per_worker` breaking the same
     samples down by worker tag (thread name or worker pid).
     """
 
-    plan_cache: CacheStats = field(default_factory=CacheStats)
-    result_cache: CacheStats = field(default_factory=CacheStats)
-    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     shard_latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     per_worker: dict[str, LatencyRecorder] = field(default_factory=dict)
-    queries: int = 0
-    batches: int = 0
     scatters: int = 0
     shard_failures: int = 0
     snapshots_shipped: int = 0
     #: Version advances served by shipping a pickled delta chain to the
     #: warm workers instead of rebuilding the pool with a new snapshot.
     deltas_shipped: int = 0
-    #: Router-side snapshot materialisations, with the same meaning as
-    #: :attr:`ServiceStats.snapshots_built` / ``snapshots_derived`` —
-    #: of the versions snapshotted, how many were derived incrementally.
-    snapshots_built: int = 0
-    snapshots_derived: int = 0
-    #: Cumulative seconds spent interning ids and building (or
-    #: patching) CSR snapshot columns, and the CSR adjacency rows
-    #: patched copy-on-write by derivations — same meaning as the
-    #: :class:`ServiceStats` counters.
-    snapshot_build_s: float = 0.0
-    csr_rows_patched: int = 0
-    #: Aggregate engine work across every shard task (merged from each
-    #: outcome's per-shard counters at gather time).
-    engine: EvalCounters = field(default_factory=EvalCounters)
-    #: The cluster's fingerprint-aggregated workload registry
-    #: (:class:`repro.obs.insights.InsightsRegistry`), set by
-    #: ``ClusterService``; ``None`` for stats objects built standalone.
-    insights: object | None = None
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
 
     def record_shard(self, worker: str, seconds: float) -> None:
         """Record one completed shard task attributed to ``worker``."""
@@ -74,36 +48,29 @@ class ClusterStats:
                 recorder = self.per_worker[worker] = LatencyRecorder()
         recorder.record(seconds)
 
-    def count(self, **deltas: float) -> None:
-        """Atomically bump the named numeric counters."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
     def as_dict(self) -> dict[str, object]:
-        """A JSON-serialisable flattening of every metric."""
+        """:meth:`ServiceStats.as_dict` with the per-shard entries
+        spliced in after the shared key each has always followed, so
+        the payload's key order stays what dashboards were built on."""
         with self._lock:
             workers = dict(self.per_worker)
-        result = {
-            "queries": self.queries,
-            "batches": self.batches,
-            "scatters": self.scatters,
-            "shard_failures": self.shard_failures,
-            "snapshots_shipped": self.snapshots_shipped,
-            "deltas_shipped": self.deltas_shipped,
-            "snapshots_built": self.snapshots_built,
-            "snapshots_derived": self.snapshots_derived,
-            "snapshot_build_s": self.snapshot_build_s,
-            "csr_rows_patched": self.csr_rows_patched,
-            "plan_cache": self.plan_cache.as_dict(),
-            "result_cache": self.result_cache.as_dict(),
-            "latency": self.latency.summary(),
-            "shard_latency": self.shard_latency.summary(),
-            "engine": self.engine.as_dict(),
-            "per_worker": {
-                tag: recorder.summary() for tag, recorder in sorted(workers.items())
+        shard_section = {
+            "batches": {
+                "scatters": self.scatters,
+                "shard_failures": self.shard_failures,
+                "snapshots_shipped": self.snapshots_shipped,
+                "deltas_shipped": self.deltas_shipped,
+            },
+            "latency": {"shard_latency": self.shard_latency.summary()},
+            "engine": {
+                "per_worker": {
+                    tag: recorder.summary()
+                    for tag, recorder in sorted(workers.items())
+                }
             },
         }
-        if self.insights is not None:
-            result["insights"] = self.insights.counters()
+        result: dict[str, object] = {}
+        for key, value in super().as_dict().items():
+            result[key] = value
+            result.update(shard_section.get(key, ()))
         return result

@@ -22,6 +22,15 @@ supports:
 
 :class:`~repro.service.stats.ServiceStats` records cache hits, misses,
 evictions and latency percentiles for observability.
+
+Serving a query is one pipeline — snapshot → cache probe → prepare →
+*execute* → cache put → record — and :meth:`GraphService._execute` is
+the step a subclass replaces: here it runs the prepared query
+locally, :class:`~repro.cluster.service.ClusterService` scatters it
+over seed cells and unions the parts (and, being a scatter, spreads a
+batch differently and adds a line to ``explain``). Everything around
+that step (mutations, caches, failure accounting, insights,
+``explain``, ``lint``) exists once, in this module.
 """
 
 from __future__ import annotations
@@ -79,6 +88,13 @@ class GraphService:
     1
     """
 
+    #: Prefix of every span the pipeline opens (``service.cache_probe``,
+    #: ``service.plan``, ``service.eval``); a subclass re-labels its
+    #: traces by overriding it.
+    _span_prefix = "service."
+    #: The stats record this façade fills.
+    _stats_type = ServiceStats
+
     def __init__(
         self,
         graph: PropertyGraph | None = None,
@@ -91,7 +107,7 @@ class GraphService:
     ):
         self._graph = graph if graph is not None else PropertyGraph()
         self.config = config or DEFAULT_CONFIG
-        self.stats = ServiceStats()
+        self.stats = self._stats_type()
         # ``insights`` accepts a pre-built registry (shared or tuned)
         # or a bool; a disabled registry keeps record() a cheap no-op
         # so call sites never branch.
@@ -143,11 +159,12 @@ class GraphService:
             snap = self._graph.snapshot()
             if snap.version != self._last_snapshot_version:
                 self._last_snapshot_version = snap.version
-                self.stats.snapshots_built += 1
-                if snap.derived:
-                    self.stats.snapshots_derived += 1
-                self.stats.snapshot_build_s += snap.build_s
-                self.stats.csr_rows_patched += snap.csr_rows_patched
+                self.stats.count(
+                    snapshots_built=1,
+                    snapshots_derived=1 if snap.derived else 0,
+                    snapshot_build_s=snap.build_s,
+                    csr_rows_patched=snap.csr_rows_patched,
+                )
             return snap
 
     def add_node(
@@ -233,22 +250,21 @@ class GraphService:
         current graph version (joins, shared variables, cardinality
         estimates, ``shortest`` start/end pruning).
 
-        ``analyze=True`` additionally *runs* the query (cache-bypassed)
-        and appends the observed execution counters — answer count,
-        elapsed time, NFA/join/deepening work — so the planner's
-        estimates can be compared against what actually happened.
+        ``analyze=True`` additionally *runs* the query through the
+        pipeline's execute step (cache-bypassed) and appends the
+        observed execution counters — answer count, elapsed time,
+        NFA/join/deepening work — so the planner's estimates can be
+        compared against what actually happened.
         """
         prepared = self.prepare(query, config)
         snap = self.snapshot()
-        report = prepared.explain(snap)
+        report = self._plan_report(prepared, snap)
         if not analyze:
             return report
         counters = EvalCounters()
         started = time.perf_counter()
-        with use_counters(counters):
-            result = prepared.execute(snap)
+        result = self._execute(prepared, snap, counters)
         elapsed = time.perf_counter() - started
-        self.stats.engine.merge(counters)
         observed = explain_counters(
             counters, answers=len(result), elapsed_s=elapsed
         )
@@ -261,6 +277,10 @@ class GraphService:
                 )
             )
         return "\n".join(sections)
+
+    def _plan_report(self, prepared: PreparedQuery, snap: GraphSnapshot) -> str:
+        """The strategy summary :meth:`explain` opens with."""
+        return prepared.explain(snap)
 
     def lint(
         self, query: str | ast.Query, config: EngineConfig | None = None
@@ -309,42 +329,36 @@ class GraphService:
         # version mismatch (resolved by the delta/footprint check)
         # rather than a stale entry served as current.
         snap = self.snapshot()
-        result_key = (query, config)
-        cache_outcome = "bypass"
-        if use_cache:
-            with span("service.cache_probe") as probe:
-                cached, cache_outcome = self._result_cache.get_with_outcome(
-                    result_key, snap.version
-                )
-                probe.set_attr("hit", cached is not None)
-            if cached is not None:
-                self._record_query(started)
-                self._record_insight(
-                    query, started, answers=len(cached), cache=cache_outcome
-                )
-                return cached
-        else:
-            # A deliberate cache skip is not a lookup: count it as a
-            # bypass so hit_rate only reflects real cache probes.
-            with self._lock:
-                self.stats.result_cache.bypasses += 1
-        with span("service.plan"):
+        cached, cache_outcome = self._probe(query, config, snap, use_cache)
+        if cached is not None:
+            self._record_query(started)
+            self._record_insight(
+                query, started, answers=len(cached), cache=cache_outcome
+            )
+            return cached
+        # Failures up to here (parse, typecheck) are the caller's and
+        # go uncounted; from the execute step on, a failure is a served
+        # query: counted, timed, and recorded with the work done so far
+        # — so error rates derived from ``queries`` stay honest.
+        with span(self._span_prefix + "plan"):
             prepared = self.prepare(query, config)
         estimates = self._plan_estimates(prepared, snap)
+        counters = EvalCounters()
         try:
-            result, counters = self._execute(prepared, snap)
+            result = self._execute(prepared, snap, counters)
         except Exception as exc:
+            self._record_query(started)
             self._record_insight(
                 query,
                 started,
                 cache=cache_outcome,
-                error=True,
-                timeout=isinstance(exc, DeadlineExceededError),
+                counters=counters,
+                error=exc,
             )
             raise
         if use_cache:
             self._result_cache.put(
-                result_key, snap.version, prepared.footprint, result
+                (query, config), snap.version, prepared.footprint, result
             )
         self._record_query(started)
         self._record_insight(
@@ -355,6 +369,48 @@ class GraphService:
             counters=counters,
             estimates=estimates,
         )
+        return result
+
+    def _probe(
+        self, query, config: EngineConfig, snap: GraphSnapshot, use_cache: bool
+    ) -> "tuple[frozenset[Answer] | None, str]":
+        """The pipeline's result-cache step: ``(answers, outcome)`` at
+        ``snap``'s version, with ``answers`` ``None`` unless the
+        outcome is a hit or a restamp."""
+        if not use_cache:
+            # A deliberate cache skip is not a lookup: count it as a
+            # bypass so hit_rate only reflects real cache probes.
+            with self._lock:
+                self.stats.result_cache.bypasses += 1
+            return None, "bypass"
+        with span(self._span_prefix + "cache_probe") as probe:
+            cached, outcome = self._result_cache.get_with_outcome(
+                (query, config), snap.version
+            )
+            probe.set_attr("hit", cached is not None)
+        return cached, outcome
+
+    def _execute(
+        self,
+        prepared: PreparedQuery,
+        snap: GraphSnapshot,
+        counters: EvalCounters,
+    ) -> frozenset[Answer]:
+        """The pipeline's execute step: the answers of ``prepared`` at
+        ``snap``, with the engine work they cost accounted into
+        ``counters`` (also when it raises — the caller records partial
+        work), into the service-wide aggregate and — when a trace is
+        active — onto the ``eval`` span. Here: one local run.
+        """
+        with span(self._span_prefix + "eval") as eval_span:
+            try:
+                with use_counters(counters):
+                    result = prepared.execute(snap)
+            finally:
+                self.stats.engine.merge(counters)
+                if eval_span:
+                    eval_span.set_attrs(counters.as_dict())
+            eval_span.set_attr("answers", len(result))
         return result
 
     def _plan_estimates(self, prepared: PreparedQuery, snap: GraphSnapshot):
@@ -368,7 +424,9 @@ class GraphService:
             return None
         try:
             return prepared.estimates(snap)
-        except Exception:
+        # Whatever estimation raised is dropped on purpose; a deadline
+        # that expired here resurfaces in the execute step.
+        except Exception:  # lint: allow-broad-except
             return None
 
     def _record_insight(
@@ -380,10 +438,10 @@ class GraphService:
         cache: str | None = None,
         counters: EvalCounters | None = None,
         estimates=None,
-        error: bool = False,
-        timeout: bool = False,
+        error: BaseException | None = None,
     ) -> None:
-        """Fold one evaluation into the insights registry.
+        """Fold one evaluation (``error``: what its execute step
+        raised) into the insights registry.
 
         Stamps the fingerprint onto the active root span so slow-log
         entries in the trace store cross-link to ``GET /insights``.
@@ -398,41 +456,12 @@ class GraphService:
             cache=cache,
             counters=counters,
             estimates=estimates,
-            error=error,
-            timeout=timeout,
+            error=error is not None,
+            timeout=isinstance(error, DeadlineExceededError),
             trace_id=root.trace_id if root else None,
         )
         if root and fingerprint is not None:
             root.set_attr("fingerprint", fingerprint)
-
-    def _execute(
-        self,
-        prepared: PreparedQuery,
-        snap: GraphSnapshot,
-        *,
-        start_restriction=None,
-    ) -> tuple[frozenset[Answer], EvalCounters]:
-        """Run one prepared execution with engine work accounting.
-
-        A fresh :class:`EvalCounters` is made ambient for the call, then
-        merged into the service-wide aggregate and — when a trace is
-        active — attached to the ``service.eval`` span. Returns the
-        answers together with the per-call counters (the observed side
-        of insight plan-quality accounting).
-        """
-        counters = EvalCounters()
-        with span("service.eval") as eval_span:
-            try:
-                with use_counters(counters):
-                    result = prepared.execute(
-                        snap, start_restriction=start_restriction
-                    )
-            finally:
-                self.stats.engine.merge(counters)
-                if eval_span:
-                    eval_span.set_attrs(counters.as_dict())
-            eval_span.set_attr("answers", len(result))
-        return result, counters
 
     def evaluate_batch(
         self,
@@ -450,10 +479,10 @@ class GraphService:
         :meth:`evaluate` (answers are frozensets, so the outcome is
         deterministic regardless of thread scheduling).
 
-        A raising query never takes its siblings down: every future is
-        drained before anything is re-raised, so sibling queries run to
-        completion, their results are cached and their stats recorded.
-        With ``return_exceptions=True`` the failing positions hold the
+        A raising query never takes its siblings down: every member is
+        run to completion before anything is re-raised, so sibling
+        results are cached and their stats recorded. With
+        ``return_exceptions=True`` the failing positions hold the
         exception object (so callers keep sibling results); otherwise
         the first failure is raised after the full drain.
 
@@ -470,10 +499,24 @@ class GraphService:
                 f"contexts ({len(contexts)}) must match "
                 f"queries ({len(queries)})"
             )
-        with self._lock:
-            self.stats.batches += 1
+        self.stats.count(batches=1)
         if not queries:
             return []
+        outcomes = self._evaluate_all(
+            queries, config or self.config, use_cache, contexts
+        )
+        if not return_exceptions:
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    raise outcome
+        return outcomes
+
+    def _evaluate_all(
+        self, queries, config: EngineConfig, use_cache: bool, contexts
+    ) -> list:
+        """One outcome — answers or the exception raised — per query of
+        a non-empty batch, in input order. Here: :meth:`evaluate` per
+        query on the thread pool."""
         # Submit inside the same lock window that resolves the
         # executor: close() swaps the executor out under this lock and
         # only then shuts it down, so a concurrent close can never
@@ -504,12 +547,9 @@ class GraphService:
         for future in futures:
             try:
                 outcomes.append(future.result())
-            except Exception as exc:
+            # The exception is the member's outcome, not swallowed.
+            except Exception as exc:  # lint: allow-broad-except
                 outcomes.append(exc)
-        if not return_exceptions:
-            for outcome in outcomes:
-                if isinstance(outcome, Exception):
-                    raise outcome
         return outcomes
 
     # ------------------------------------------------------------------
@@ -545,8 +585,7 @@ class GraphService:
 
     def _record_query(self, started: float) -> None:
         self.stats.latency.record(time.perf_counter() - started)
-        with self._lock:
-            self.stats.queries += 1
+        self.stats.count(queries=1)
 
     def __repr__(self) -> str:
         return (

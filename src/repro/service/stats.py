@@ -2,10 +2,11 @@
 
 :class:`ServiceStats` aggregates cache hit/miss/eviction counters, a
 bounded latency reservoir with percentile estimation, and coarse
-throughput counters. All updates go through methods that the owning
-:class:`~repro.service.service.GraphService` serialises with its own
-lock, so the recorded numbers stay consistent under concurrent batch
-evaluation.
+throughput counters. The plain numeric counters are bumped through
+:meth:`ServiceStats.count` (one lock, any number of fields per call),
+so the recorded numbers stay consistent under concurrent batch
+evaluation; :class:`~repro.cluster.stats.ClusterStats` extends the
+same record with its per-shard section.
 """
 
 from __future__ import annotations
@@ -220,6 +221,15 @@ class ServiceStats:
     #: (:class:`repro.obs.insights.InsightsRegistry`), set by
     #: ``GraphService``; ``None`` for stats objects built standalone.
     insights: object | None = None
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def count(self, **deltas: float) -> None:
+        """Atomically bump the named numeric counters."""
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
 
     def as_dict(self) -> dict[str, object]:
         """A JSON-serialisable flattening of every metric."""

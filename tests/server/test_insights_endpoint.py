@@ -15,6 +15,7 @@ from repro.service import GraphService
 
 QUERY = "TRAIL (x:Person) -[:knows]-> (y:Person)"
 OTHER = "SIMPLE (x:Person) <-[:knows]- (y:Person)"
+SLOW = "SHORTEST (x:Person) -[:knows]->{1,} (y:Person)"
 
 
 def _graph(seed: int = 11, people: int = 12):
@@ -59,6 +60,20 @@ class TestInsightsEndpoint:
         assert entry["plan"]["samples"] == 1
         assert entry["plan"]["misestimate_factor"] >= 1.0
         assert "engine" in entry
+
+    def test_execution_failure_is_a_counted_call(self, serve):
+        # One failure-accounting rule for both facades: a query that
+        # fails in the execute step (here: a blown deadline) is a
+        # served query — counted, and recorded as an erroring call.
+        with serve() as handle:
+            with HttpServiceClient(*handle.address) as client:
+                with pytest.raises(HttpServiceError):
+                    client.query(SLOW, deadline_ms=0.001)
+                (entry,) = client.insights()["insights"]
+                stats = client.stats()
+        assert entry["calls"] == 1
+        assert entry["errors"] == 1
+        assert stats["service"]["queries"] == 1
 
     def test_sort_and_limit_parameters(self, serve):
         with serve() as handle:

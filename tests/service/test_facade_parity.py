@@ -1,0 +1,198 @@
+"""One serving pipeline, three façades: the same script must observe
+the same thing through ``GraphService`` and through ``ClusterService``
+on the serial and thread backends.
+
+Each scenario drives a fresh service and returns what a caller can
+see — answers, error kinds, diagnostics. The test compares that, plus
+every ``as_dict()`` value the two stats classes share, with a
+``GraphService`` run of the same scenario; the absolute assertions
+inside the scenarios keep the ``GraphService`` row from being a
+comparison with itself (the execution-failure ones fail on a façade
+that drops failed queries from ``queries`` / ``latency`` / insights).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cluster import ClusterService
+from repro.errors import (
+    ClusterError,
+    DeadlineExceededError,
+    EvaluationLimitError,
+    GPCTypeError,
+)
+from repro.gpc.engine import EngineConfig
+from repro.graph.generators import social_network
+from repro.obs import deadline_scope
+from repro.service import GraphService
+
+CHEAP = "TRAIL (x:Person) -[:knows]-> (y:Person)"
+COSTLY = "TRAIL (x:Person) -[:knows]->{1,4} (y:Person)"
+SHORTEST = "SHORTEST (x:Person) -[:knows]->{1,} (y:Person)"
+ILL_TYPED = "TRAIL [ -[e]->{1,3} ] << e.k = 1 >>"
+MALFORMED = "TRAIL (x:Person"
+
+#: Lets CHEAP through and stops COSTLY in the execute step.
+TIGHT = EngineConfig(max_intermediate_results=100)
+TINY = EngineConfig(max_intermediate_results=1)
+
+FACADES = {
+    "graph": lambda graph: GraphService(graph),
+    "cluster-serial": lambda graph: ClusterService(
+        graph, backend="serial", num_workers=2
+    ),
+    "cluster-thread": lambda graph: ClusterService(
+        graph, backend="thread", num_workers=2
+    ),
+}
+
+SHARED_STATS = (
+    "queries",
+    "batches",
+    "snapshots_built",
+    "snapshots_derived",
+    "plan_cache",
+    "result_cache",
+)
+
+
+def _graph():
+    return social_network(num_people=12, friend_degree=2, seed=11)
+
+
+def _kind(outcome):
+    """Answers as they are; a failure as the name of what the engine
+    raised (the cluster wraps shard errors in ``ClusterError``)."""
+    if isinstance(outcome, ClusterError):
+        outcome = outcome.__cause__
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__
+    return outcome
+
+
+def _raised(call, *args, **kwargs):
+    with pytest.raises((EvaluationLimitError, DeadlineExceededError, ClusterError)) as info:
+        call(*args, **kwargs)
+    return _kind(info.value)
+
+
+def hit_miss_bypass(service):
+    miss = service.evaluate(CHEAP)
+    hit = service.evaluate(CHEAP)
+    bypass = service.evaluate(CHEAP, use_cache=False)
+    assert hit is miss and bypass == miss and bypass is not miss
+    cache = service.stats.result_cache
+    assert (cache.misses, cache.hits, cache.bypasses) == (1, 1, 1)
+    assert service.stats.queries == 3
+    return miss
+
+
+def disjoint_mutation_restamps(service):
+    before = service.evaluate(CHEAP)
+    city = next(iter(service.graph.nodes_with_label("City")))
+    service.set_property(city, "mayor", "nobody")
+    after = service.evaluate(CHEAP)
+    assert after is before
+    cache = service.stats.result_cache
+    assert (cache.restamps, cache.invalidations) == (1, 0)
+    return after
+
+
+def intersecting_mutation_invalidates(service):
+    before = service.evaluate(CHEAP)
+    first, second, *_ = sorted(service.graph.nodes_with_label("Person"))
+    service.add_edge("parity-edge", second, first, ["knows"])
+    after = service.evaluate(CHEAP)
+    assert len(after) == len(before) + 1
+    cache = service.stats.result_cache
+    assert (cache.restamps, cache.invalidations) == (0, 1)
+    assert service.stats.snapshots_built == 2
+    return after
+
+
+def batch_with_failing_members(service):
+    results = service.evaluate_batch(
+        [CHEAP, COSTLY, ILL_TYPED], TIGHT, return_exceptions=True
+    )
+    kinds = [_kind(result) for result in results]
+    assert kinds[1:] == [EvaluationLimitError.__name__, GPCTypeError.__name__]
+    # The member that failed in the execute step was served and is
+    # counted; the one that never typechecked is not.
+    assert service.stats.queries == 2
+    # Siblings of a failing member are cached all the same.
+    assert service.evaluate(CHEAP, TIGHT) is results[0]
+    with pytest.raises(GPCTypeError):
+        service.evaluate_batch([CHEAP, ILL_TYPED], TIGHT)
+    return kinds
+
+
+def lint_malformed(service):
+    diagnostics = [
+        [diagnostic.code for diagnostic in service.lint(text)]
+        for text in (MALFORMED, ILL_TYPED, CHEAP)
+    ]
+    assert diagnostics == [["GPC000"], ["GPC001"], []]
+    assert service.stats.queries == 0
+    return diagnostics
+
+
+def explain_analyze(service):
+    text = service.explain(SHORTEST, analyze=True)
+    assert text.startswith(f"plan: {SHORTEST}")
+    assert "estimated vs actual:" in text
+    answers = len(service.evaluate(SHORTEST))
+    assert f"observed execution:\n  answers: {answers}\n" in text
+    # The analyzed run went through the execute step: its engine work
+    # is in the aggregate, and it is not a served query.
+    assert service.stats.engine.nfa_states_expanded > 0
+    assert service.stats.queries == 1
+    assert service.stats.result_cache.misses == 1
+    return answers
+
+
+def execution_failures(service):
+    kinds = [_raised(service.evaluate, COSTLY, TINY)]
+    with deadline_scope(1e-9):
+        kinds.append(_raised(service.evaluate, SHORTEST))
+    assert kinds == [
+        EvaluationLimitError.__name__,
+        DeadlineExceededError.__name__,
+    ]
+    # Failed in the execute step: counted, timed, and recorded in
+    # insights as erroring calls — not silently dropped.
+    assert service.stats.queries == 2
+    assert service.stats.latency.count == 2
+    entries = service.insights.top(sort="errors")
+    assert [entry["errors"] for entry in entries] == [1, 1]
+    # A query that never reaches the execute step is the caller's.
+    with pytest.raises(GPCTypeError):
+        service.evaluate(ILL_TYPED)
+    assert service.stats.queries == 2
+    assert service.insights.counters()["records"] == 2
+    return kinds
+
+
+SCENARIOS = [
+    hit_miss_bypass,
+    disjoint_mutation_restamps,
+    intersecting_mutation_invalidates,
+    batch_with_failing_members,
+    lint_malformed,
+    explain_analyze,
+    execution_failures,
+]
+
+
+def _shared_stats(service):
+    payload = service.stats.as_dict()
+    return {key: payload[key] for key in SHARED_STATS}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
+@pytest.mark.parametrize("facade", FACADES)
+def test_same_script_same_observations(facade, scenario):
+    with FACADES[facade](_graph()) as service:
+        with GraphService(_graph()) as reference:
+            assert scenario(service) == scenario(reference)
+            assert _shared_stats(service) == _shared_stats(reference)

@@ -55,6 +55,28 @@ class TestBroadExcept:
     def test_out_of_scope_files_skip_broad_except(self):
         assert codes(self.BROAD, scope_broad_except=False) == []
 
+    def test_record_then_reraise_swallows_nothing(self):
+        reraise = (
+            "try:\n    pass\n"
+            "except Exception as exc:\n    log(exc)\n    raise\n"
+        )
+        assert codes(reraise) == []
+        # Only a *bare* trailing raise counts: raising something else
+        # (or raising early and falling through) can still swallow.
+        wrapped = reraise.replace("    raise\n", "    raise Other()\n")
+        assert codes(wrapped) == ["INV001"]
+        early = (
+            "try:\n    pass\n"
+            "except Exception:\n    if x:\n        raise\n    pass\n"
+        )
+        assert codes(early) == ["INV001"]
+
+    def test_serving_layer_is_in_scope(self):
+        src = lint_invariants.SRC_ROOT
+        for package in ("gpc", "graph", "service", "cluster"):
+            assert lint_invariants._in_broad_scope(src / package / "x.py")
+        assert not lint_invariants._in_broad_scope(src / "server" / "app.py")
+
 
 class TestMutableDefaults:
     def test_list_default(self):

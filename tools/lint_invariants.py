@@ -4,13 +4,16 @@
 Three invariants that generic linters don't enforce the way this
 codebase needs them:
 
-- **No bare/broad ``except`` in the engine core** (``src/repro/gpc``
-  and ``src/repro/graph``): a ``try: ... except Exception`` in the
-  evaluation path swallows :class:`DeadlineExceededError` /
-  :class:`EvaluationLimitError` and turns a cancelled request into a
-  silently-wrong answer. A deliberately-defensive site must carry the
-  waiver comment ``lint: allow-broad-except`` on the ``except`` line
-  (and should re-raise budget errors first).
+- **No bare/broad ``except`` in the engine core or the serving layer**
+  (``src/repro/gpc``, ``graph``, ``service`` and ``cluster``): a
+  ``try: ... except Exception`` in the evaluation path swallows
+  :class:`DeadlineExceededError` / :class:`EvaluationLimitError` and
+  turns a cancelled request into a silently-wrong answer. A handler
+  that ends in a bare ``raise`` swallows nothing (record, then
+  re-raise) and is allowed; a deliberately-defensive site — or one
+  that captures the exception as a value for its caller — must carry
+  the waiver comment ``lint: allow-broad-except`` on the ``except``
+  line (and should re-raise budget errors first).
 - **No mutable default arguments** anywhere in ``src/repro``: the
   classic shared-``[]`` bug, but also a cache-poisoning hazard in a
   library whose plans are memoised and shared across threads.
@@ -34,7 +37,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 
 #: Packages where broad excepts are banned (the evaluation path).
-BROAD_EXCEPT_SCOPES = ("gpc", "graph")
+BROAD_EXCEPT_SCOPES = ("gpc", "graph", "service", "cluster")
 
 BROAD_EXCEPT_WAIVER = "lint: allow-broad-except"
 ASSERT_WAIVER = "lint: allow-assert"
@@ -66,6 +69,12 @@ def _is_broad_exception(node: "ast.expr | None") -> bool:
     return False
 
 
+def _reraises(handler: ast.ExceptHandler) -> bool:
+    """Whether the handler's last statement is a bare ``raise``."""
+    last = handler.body[-1]
+    return isinstance(last, ast.Raise) and last.exc is None
+
+
 def _is_mutable_default(node: "ast.expr | None") -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
                          ast.DictComp, ast.SetComp)):
@@ -92,6 +101,7 @@ class _Checker(ast.NodeVisitor):
         if (
             self.scope_broad
             and _is_broad_exception(node.type)
+            and not _reraises(node)
             and BROAD_EXCEPT_WAIVER not in self._line(node.lineno)
         ):
             caught = "bare except" if node.type is None else "except Exception"
