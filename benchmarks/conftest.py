@@ -1,10 +1,10 @@
 """Benchmark-suite configuration.
 
-Each ``bench_e*.py`` file regenerates one experiment from DESIGN.md's
-index (the analogue of a paper table/figure): it prints the measured
-series as an ASCII table — captured into ``bench_output.txt`` and
-summarised in EXPERIMENTS.md — and registers a representative kernel
-with pytest-benchmark for timing.
+Each ``bench_e*.py`` file regenerates one of the paper's formal results
+(the analogue of a paper table/figure): it prints the measured series
+as an ASCII table — and, with ``REPRO_BENCH_JSON`` set, writes it as
+``BENCH_<slug>.json`` — and registers a representative kernel with
+pytest-benchmark for timing.
 """
 
 collect_ignore_glob: list[str] = []

@@ -3,8 +3,7 @@
 Each benchmark regenerates one of the paper's formal results as a
 printed table (the analogue of the paper's "figures"); pytest-benchmark
 supplies the timing machinery, and :class:`Table` renders the measured
-series so the run log doubles as the experiment report captured in
-``EXPERIMENTS.md``.
+series so the run log doubles as the experiment report.
 
 For machine-readable tracking across PRs, set the environment variable
 ``REPRO_BENCH_JSON`` to a directory: every :meth:`Table.show` then also

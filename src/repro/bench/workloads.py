@@ -1,7 +1,7 @@
 """Shared workloads for the experiment suite.
 
-Central definitions keep the benchmarks, the tests that sanity-check
-them, and EXPERIMENTS.md in agreement about what exactly was run.
+Central definitions keep the benchmarks and the tests that sanity-check
+them in agreement about what exactly was run.
 """
 
 from __future__ import annotations

@@ -1,14 +1,19 @@
 """Matching a pattern against a fixed path — the Lemma 18/19 routine.
 
 Given a path ``p = u0 e1 u1 ... en un`` of a graph, this module
-computes, for every span ``(i, j)`` of node positions, the set of
+computes, for a start position ``i``, the end positions ``j`` and the
 assignments ``mu`` with ``(p[i..j], mu) in [[pi]]_G`` — the dynamic
 program behind Lemma 18 (variable-free patterns in PTIME) and Lemma 19
-(fixed patterns in PSPACE).
+(fixed patterns in PSPACE), evaluated top-down and *start-anchored*:
+:func:`match_on_path` wants only the matches spanning the whole path,
+so it asks for start ``0`` and every sub-pattern is evaluated at the
+starts actually reached from there, not at all ``n + 1`` of them.
+:func:`span_matches` is the same matcher asked for every start.
 
-Besides powering the Theorem 12 enumerator, this is a *second,
-independent* implementation of the pattern semantics: the differential
-tests check it against the compositional engine on random inputs.
+Besides powering the Theorem 12 enumerator and the engine's
+``shortest`` route, this is a *second, independent* implementation of
+the pattern semantics: the differential tests check it against the
+compositional engine on random inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ __all__ = ["span_matches", "match_on_path"]
 
 Span = tuple[int, int]
 SpanTable = dict[Span, frozenset[Assignment]]
+#: What one start matches: end position -> assignments.
+Ends = dict[int, frozenset[Assignment]]
 
 _MAX_POWERS = 10_000
 
@@ -40,7 +47,11 @@ def span_matches(
 ) -> SpanTable:
     """All ``(span, mu)`` such that the subpath at ``span`` matches."""
     matcher = _SpanMatcher(path, graph, collect_mode)
-    return matcher.eval(pattern)
+    return {
+        (i, j): mus
+        for i in range(len(path) + 1)
+        for j, mus in matcher.matches_from(pattern, i).items()
+    }
 
 
 def match_on_path(
@@ -51,8 +62,12 @@ def match_on_path(
 ) -> frozenset[Assignment]:
     """The assignments ``mu`` with ``(path, mu) in [[pattern]]_G`` —
     i.e. matches spanning the *whole* path."""
-    table = span_matches(pattern, path, graph, collect_mode)
-    return table.get((0, len(path)), frozenset())
+    ends = _SpanMatcher(path, graph, collect_mode).matches_from(pattern, 0)
+    return ends.get(len(path), frozenset())
+
+
+def _frozen(out: dict[int, set[Assignment]]) -> Ends:
+    return {j: frozenset(mus) for j, mus in out.items()}
 
 
 class _SpanMatcher:
@@ -61,29 +76,43 @@ class _SpanMatcher:
         self.graph = graph
         self.collect_mode = collect_mode
         self.n = len(path)
-        self._memo: dict[ast.Pattern, SpanTable] = {}
+        self.nodes = path.nodes
+        self.edges = path.edges
+        # Keyed by the sub-pattern's identity, not its value: the AST
+        # outlives the matcher, and hashing a deep frozen dataclass per
+        # lookup would cost more than the lookup saves.
+        self._memo: dict[tuple[int, int], Ends] = {}
+        self._domains: dict[int, frozenset[str]] = {}
 
-    def eval(self, pattern: ast.Pattern) -> SpanTable:
-        if pattern not in self._memo:
-            self._memo[pattern] = self._dispatch(pattern)
-        return self._memo[pattern]
+    def matches_from(self, pattern: ast.Pattern, i: int) -> Ends:
+        """``{j: {mu}}`` with ``(path[i..j], mu)`` matching ``pattern``."""
+        key = (id(pattern), i)
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = self._dispatch(pattern, i)
+        return found
+
+    def _domain(self, pattern: ast.Pattern) -> frozenset[str]:
+        found = self._domains.get(id(pattern))
+        if found is None:
+            found = self._domains[id(pattern)] = frozenset(infer_schema(pattern))
+        return found
 
     # ------------------------------------------------------------------
 
-    def _dispatch(self, pattern: ast.Pattern) -> SpanTable:
+    def _dispatch(self, pattern: ast.Pattern, i: int) -> Ends:
         if isinstance(pattern, ast.NodePattern):
-            return self._eval_node(pattern)
+            return self._node_from(pattern, i)
         if isinstance(pattern, ast.EdgePattern):
-            return self._eval_edge(pattern)
+            return self._edge_from(pattern, i)
         if isinstance(pattern, ast.Concat):
-            return self._eval_concat(pattern)
+            return self._concat_from(pattern, i)
         if isinstance(pattern, ast.Union):
-            return self._eval_union(pattern)
+            return self._union_from(pattern, i)
         if isinstance(pattern, ast.Conditioned):
-            inner = self.eval(pattern.pattern)
             return {
-                span: kept
-                for span, mus in inner.items()
+                j: kept
+                for j, mus in self.matches_from(pattern.pattern, i).items()
                 if (
                     kept := frozenset(
                         mu
@@ -93,124 +122,103 @@ class _SpanMatcher:
                 )
             }
         if isinstance(pattern, ast.Repeat):
-            return self._eval_repeat(pattern)
+            return self._repeat_from(pattern, i)
         raise EvaluationLimitError(
             f"span matcher does not support extension node {pattern!r}"
         )
 
-    def _eval_node(self, pattern: ast.NodePattern) -> SpanTable:
-        table: SpanTable = {}
-        nodes = self.path.nodes
-        for i, node in enumerate(nodes):
-            if pattern.label is not None and pattern.label not in self.graph.labels(
-                node
-            ):
-                continue
-            mu = (
-                Assignment({pattern.variable: node})
-                if pattern.variable
-                else EMPTY_ASSIGNMENT
-            )
-            table[(i, i)] = frozenset({mu})
-        return table
+    def _node_from(self, pattern: ast.NodePattern, i: int) -> Ends:
+        node = self.nodes[i]
+        if pattern.label is not None and pattern.label not in self.graph.labels(node):
+            return {}
+        mu = (
+            Assignment({pattern.variable: node})
+            if pattern.variable
+            else EMPTY_ASSIGNMENT
+        )
+        return {i: frozenset({mu})}
 
-    def _eval_edge(self, pattern: ast.EdgePattern) -> SpanTable:
-        table: SpanTable = {}
+    def _edge_from(self, pattern: ast.EdgePattern, i: int) -> Ends:
+        if i == self.n:
+            return {}
         graph = self.graph
-        # ``edge in graph.directed_edges`` would scan the snapshot's
-        # carrier tuple — O(E) per path step.
-        has_directed = getattr(graph, "has_directed_edge", None)
-        for i, (before, edge, after) in enumerate(self.path.steps()):
-            if pattern.label is not None and pattern.label not in graph.labels(edge):
-                continue
-            if (
-                has_directed(edge)
-                if has_directed is not None
-                else edge in graph.directed_edges
-            ):
-                if pattern.direction is ast.Direction.FORWARD:
-                    ok = graph.source(edge) == before and graph.target(edge) == after
-                elif pattern.direction is ast.Direction.BACKWARD:
-                    ok = graph.source(edge) == after and graph.target(edge) == before
-                else:
-                    ok = False
+        before, edge, after = self.nodes[i], self.edges[i], self.nodes[i + 1]
+        if pattern.label is not None and pattern.label not in graph.labels(edge):
+            return {}
+        if graph.has_directed_edge(edge):
+            if pattern.direction is ast.Direction.FORWARD:
+                ok = graph.source(edge) == before and graph.target(edge) == after
+            elif pattern.direction is ast.Direction.BACKWARD:
+                ok = graph.source(edge) == after and graph.target(edge) == before
             else:
-                ok = pattern.direction is ast.Direction.UNDIRECTED
-            if not ok:
-                continue
-            mu = (
-                Assignment({pattern.variable: edge})
-                if pattern.variable
-                else EMPTY_ASSIGNMENT
-            )
-            table.setdefault((i, i + 1), set())
-            table[(i, i + 1)] = frozenset(set(table[(i, i + 1)]) | {mu})
-        return table
+                ok = False
+        else:
+            ok = pattern.direction is ast.Direction.UNDIRECTED
+        if not ok:
+            return {}
+        mu = (
+            Assignment({pattern.variable: edge})
+            if pattern.variable
+            else EMPTY_ASSIGNMENT
+        )
+        return {i + 1: frozenset({mu})}
 
-    def _eval_concat(self, pattern: ast.Concat) -> SpanTable:
-        left = self.eval(pattern.left)
-        right = self.eval(pattern.right)
-        by_start: dict[int, list[tuple[int, frozenset[Assignment]]]] = {}
-        for (k, j), mus in right.items():
-            by_start.setdefault(k, []).append((j, mus))
-        out: dict[Span, set[Assignment]] = {}
-        for (i, k), left_mus in left.items():
-            for j, right_mus in by_start.get(k, ()):
+    def _concat_from(self, pattern: ast.Concat, i: int) -> Ends:
+        out: dict[int, set[Assignment]] = {}
+        for k, left_mus in self.matches_from(pattern.left, i).items():
+            for j, right_mus in self.matches_from(pattern.right, k).items():
                 for left_mu in left_mus:
                     for right_mu in right_mus:
                         merged = left_mu.unify(right_mu)
                         if merged is not None:
-                            out.setdefault((i, j), set()).add(merged)
-        return {span: frozenset(mus) for span, mus in out.items()}
+                            out.setdefault(j, set()).add(merged)
+        return _frozen(out)
 
-    def _eval_union(self, pattern: ast.Union) -> SpanTable:
-        domain = frozenset(infer_schema(pattern))
-        out: dict[Span, set[Assignment]] = {}
+    def _union_from(self, pattern: ast.Union, i: int) -> Ends:
+        domain = self._domain(pattern)
+        out: dict[int, set[Assignment]] = {}
         for branch in (pattern.left, pattern.right):
-            table = self.eval(branch)
-            missing = domain - frozenset(infer_schema(branch))
-            for span, mus in table.items():
+            missing = domain - self._domain(branch)
+            for j, mus in self.matches_from(branch, i).items():
                 for mu in mus:
                     if missing:
                         padded = dict(mu)
                         padded.update({v: Nothing for v in missing})
                         mu = Assignment(padded)
-                    out.setdefault(span, set()).add(mu)
-        return {span: frozenset(mus) for span, mus in out.items()}
+                    out.setdefault(j, set()).add(mu)
+        return _frozen(out)
 
-    def _eval_repeat(self, pattern: ast.Repeat) -> SpanTable:
-        body = self.eval(pattern.pattern)
-        domain = tuple(sorted(infer_schema(pattern.pattern)))
-        out: dict[Span, set[Assignment]] = {}
+    def _repeat_from(self, pattern: ast.Repeat, i: int) -> Ends:
+        body = pattern.pattern
+        domain = tuple(sorted(self._domain(body)))
+        out: dict[int, set[Assignment]] = {}
         if pattern.lower == 0:
-            zero = empty_group_assignment(domain)
-            for i in range(self.n + 1):
-                out.setdefault((i, i), set()).add(zero)
+            out[i] = {empty_group_assignment(domain)}
         if pattern.upper == 0:
-            return {span: frozenset(mus) for span, mus in out.items()}
+            return _frozen(out)
 
-        # Power iteration over (span, accumulator) states.
-        State = tuple[int, int, CollectAccumulator]
+        # Power iteration over (end, accumulator) states. The sequence
+        # of state sets reached from one start does not depend on any
+        # other start, so the period detection and the power cap below
+        # are per start.
+        State = tuple[int, CollectAccumulator]
         subpath = self.path.subpath
-        by_start: dict[int, list[tuple[int, frozenset[Assignment]]]] = {}
-        for (i, j), mus in body.items():
-            by_start.setdefault(i, []).append((j, mus))
         seed = CollectAccumulator(mode=self.collect_mode)
         current: set[State] = set()
-        for (i, j), mus in body.items():
+        for j, mus in self.matches_from(body, i).items():
             for mu in mus:
                 extended = seed.extend(subpath(i, j), mu)
                 if extended is not None:
-                    current.add((i, j, extended))
-        cap = self._power_cap(pattern, body)
+                    current.add((j, extended))
+        cap = self._power_cap(pattern, i)
         power = 1
         history: dict[frozenset, int] = {}
         while current:
             if power >= pattern.lower and (
                 pattern.upper is None or power <= pattern.upper
             ):
-                for i, j, accumulator in current:
-                    out.setdefault((i, j), set()).add(accumulator.finalize(domain))
+                for j, accumulator in current:
+                    out.setdefault(j, set()).add(accumulator.finalize(domain))
             if pattern.upper is not None and power >= pattern.upper:
                 break
             if power >= cap and power >= pattern.lower:
@@ -226,34 +234,34 @@ class _SpanMatcher:
                         reachable += period
                     if pattern.upper is not None and reachable > pattern.upper:
                         continue
-                    for i, j, accumulator in by_index[index]:
-                        out.setdefault((i, j), set()).add(
-                            accumulator.finalize(domain)
-                        )
+                    for j, accumulator in by_index[index]:
+                        out.setdefault(j, set()).add(accumulator.finalize(domain))
                 break
             history[frozen] = power
             if power >= _MAX_POWERS:
                 raise EvaluationLimitError("span matcher power iteration diverged")
             next_states: set[State] = set()
-            for i, j, accumulator in current:
-                for j2, mus in by_start.get(j, ()):
+            for j, accumulator in current:
+                for j2, mus in self.matches_from(body, j).items():
                     for mu in mus:
                         extended = accumulator.extend(subpath(j, j2), mu)
                         if extended is not None:
-                            next_states.add((i, j2, extended))
+                            next_states.add((j2, extended))
             current = next_states
             power += 1
-        return {span: frozenset(mus) for span, mus in out.items()}
+        return _frozen(out)
 
-    def _power_cap(self, pattern: ast.Repeat, body: SpanTable) -> int:
+    def _power_cap(self, pattern: ast.Repeat, i: int) -> int:
+        """The Lemma 15 bound for the suffix the start ``i`` can reach:
+        the largest power that can still contribute new answers."""
+        body = pattern.pattern
         if (
             self.collect_mode is not CollectMode.GROUPING
-            or min_path_length(pattern.pattern) >= 1
+            or min_path_length(body) >= 1
         ):
             return self.n + 1
-        per_position: dict[int, int] = {}
-        for (i, j), mus in body.items():
-            if i == j:
-                per_position[i] = per_position.get(i, 0) + len(mus)
-        m = max(per_position.values(), default=0)
+        m = max(
+            len(self.matches_from(body, k).get(k, ()))
+            for k in range(i, self.n + 1)
+        )
         return (self.n + 1) * (m + 1)

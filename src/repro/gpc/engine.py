@@ -56,6 +56,7 @@ from repro.gpc.register_nfa import (
     compile_register_nfa,
     dense_shortest_pair_lengths,
     enumerate_exact_length_walks,
+    enumerate_shortest_witnesses,
     flat_shortest_pair_lengths,
     shortest_pair_lengths,
 )
@@ -537,7 +538,8 @@ class Evaluator:
         The main route compiles the pattern to a register NFA
         (:mod:`repro.gpc.register_nfa`), computes the *exact* minimum
         match length per endpoint pair, and materialises only the
-        witnesses of that length. Patterns using extension constructs
+        witnesses of that length — one enumeration per seed serves all
+        of the seed's pairs. Patterns using extension constructs
         without register compilation fall back to bounded iterative
         deepening.
         """
@@ -547,6 +549,7 @@ class Evaluator:
         from repro.enumeration.span_matcher import match_on_path
 
         limit = self.config.shortest_deepening_limit
+        collect_mode = self.config.collect_mode
         answers: set[Match] = set()
         counters = active_counters()
         starts, end_filter = self._shortest_candidates(pattern, restriction)
@@ -566,8 +569,8 @@ class Evaluator:
         if counters is not None:
             counters.conditions_pushed += rnfa.pushed_atoms
         for start in starts:
-            # The per-seed search dominates shortest evaluation, so the
-            # request deadline is checked once per seed.
+            # Checked once per seed here; the witness enumeration checks
+            # again every fixed number of edge expansions.
             check_deadline()
             if flat is not None:
                 best = flat_shortest_pair_lengths(view, flat, start)
@@ -577,10 +580,15 @@ class Evaluator:
                 )
             else:
                 best = shortest_pair_lengths(view, rnfa, start)
-            for end in sorted(best):
-                if end_filter is not None and end not in end_filter:
-                    continue
-                length = best[end]
+            targets = {
+                end: length
+                for end, length in best.items()
+                if end_filter is None or end in end_filter
+            }
+            # One enumeration serves every target of the seed.
+            walks = enumerate_shortest_witnesses(view, rnfa, start, targets)
+            for end, length in targets.items():
+                witnesses = walks.get(end, ())
                 # The register search can under-estimate in one corner:
                 # an accepted run whose every factorization fails
                 # collect unification. Probe upward until a witness
@@ -590,12 +598,9 @@ class Evaluator:
                         counters.deepening_rounds += 1
                     check_deadline()
                     found = False
-                    for witness in enumerate_exact_length_walks(
-                        self._view, rnfa, start, end, length
-                    ):
+                    for witness in witnesses:
                         for mu in match_on_path(
-                            pattern, witness, self._view,
-                            self.config.collect_mode,
+                            pattern, witness, view, collect_mode
                         ):
                             answers.add((witness, mu))
                             found = True
@@ -611,6 +616,9 @@ class Evaluator:
                             f"raise EngineConfig.shortest_deepening_limit "
                             f"or set lenient_shortest=True"
                         )
+                    witnesses = enumerate_exact_length_walks(
+                        view, rnfa, start, end, length
+                    )
         return frozenset(answers)
 
     def _shortest_candidates(

@@ -20,9 +20,10 @@ This module compiles patterns into *register* NFAs instead:
 
 A 0-1 BFS over ``(node, state, registers)`` then yields the *exact*
 minimum match length per endpoint pair, in time polynomial in the
-product size (registers stay few in practice). Witness paths of that
-exact length are enumerated with product-guided DFS, and the span
-matcher reconstructs the full assignments (including group values).
+product size (registers stay few in practice). Witness paths of those
+exact lengths are enumerated by one product-guided DFS per seed, and
+the span matcher reconstructs the full assignments (including group
+values).
 
 One caveat, handled by the engine: under the GROUPING collect mode an
 accepted run can exist while every factorization's ``collect`` is
@@ -35,6 +36,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.direction import Direction
@@ -52,6 +54,7 @@ from repro.gpc.conditions import satisfies
 from repro.gpc.conditions_ast import And, Condition, PropertyEqualsConst
 from repro.gpc.planner import split_pushdown
 from repro.obs.counters import active_counters
+from repro.obs.deadline import check_deadline
 
 __all__ = [
     "RegisterNFA",
@@ -64,6 +67,7 @@ __all__ = [
     "FlatProgram",
     "compile_flat_program",
     "flat_shortest_pair_lengths",
+    "enumerate_shortest_witnesses",
     "enumerate_exact_length_walks",
 ]
 
@@ -127,6 +131,27 @@ class RegisterNFA:
     #: condition atoms the compiler attached to bind/step sites instead
     #: of leaving them in a final CHECK (0 without pushdown)
     pushed_atoms: int = 0
+
+    @cached_property
+    def backward_distances(self) -> tuple[int, ...]:
+        """Per state, the fewest edge steps to the final state,
+        register-free: the lower bound the witness enumeration prunes
+        with (-1 = unreachable). Computed on first use, once per NFA."""
+        arcs: list[list[tuple[int, int]]] = [[] for _ in range(self.num_states)]
+        for q in range(self.num_states):
+            for _op, target in self.zero[q]:
+                arcs[target].append((q, 0))
+            for _step, target in self.steps[q]:
+                arcs[target].append((q, 1))
+        dist = {self.final: 0}
+        queue: deque[int] = deque([self.final])
+        while queue:  # 0-1 BFS over the reversed arcs
+            q = queue.popleft()
+            for p, weight in arcs[q]:
+                if dist.get(p, self.num_states) > dist[q] + weight:
+                    dist[p] = dist[q] + weight
+                    (queue.append if weight else queue.appendleft)(p)
+        return tuple(dist.get(q, -1) for q in range(self.num_states))
 
 
 @dataclass
@@ -1093,51 +1118,98 @@ def flat_shortest_pair_lengths(
 # Witness enumeration
 # ---------------------------------------------------------------------------
 
+#: Edge expansions between two deadline checks inside the witness pass.
+_DEADLINE_STRIDE = 1024
 
-def _register_free_state_sets(
-    nfa: RegisterNFA, graph: PropertyGraph, node: NodeId, states: frozenset[int]
-) -> frozenset[int]:
-    """Closure under zero-weight ops, ignoring registers (binds/checks
-    optimistically succeed) — an over-approximation used for pruning."""
+
+def _register_free_closure(
+    nfa: RegisterNFA, graph: PropertyGraph, node: NodeId, states
+) -> set[int]:
+    """Closure of ``states`` at ``node`` under zero-weight ops, ignoring
+    registers (checks and variable joins optimistically succeed; a
+    missing label or a failing pushed atom needs no register and does
+    block) — an over-approximation used for pruning."""
     closure = set(states)
-    stack = list(states)
+    stack = list(closure)
     while stack:
         q = stack.pop()
         for op, target in nfa.zero[q]:
+            if target in closure:
+                continue
             if isinstance(op, _NodeTest) and op.label not in graph.labels(node):
                 continue
-            if target not in closure:
-                closure.add(target)
-                stack.append(target)
-    return frozenset(closure)
+            if isinstance(op, _Bind) and not _props_hold(graph, node, op.props):
+                continue
+            closure.add(target)
+            stack.append(target)
+    return closure
 
 
-def _backward_distances(nfa: RegisterNFA) -> list[int]:
-    """Min remaining edge steps from each state to the final state,
-    register-free (a lower bound for pruning)."""
-    INF = float("inf")
-    dist = [INF] * nfa.num_states
-    dist[nfa.final] = 0
-    # Reverse adjacency.
-    zero_rev: list[list[int]] = [[] for _ in range(nfa.num_states)]
-    step_rev: list[list[int]] = [[] for _ in range(nfa.num_states)]
-    for q in range(nfa.num_states):
-        for _op, target in nfa.zero[q]:
-            zero_rev[target].append(q)
-        for _step, target in nfa.steps[q]:
-            step_rev[target].append(q)
-    queue: deque[int] = deque([nfa.final])
-    while queue:
-        q = queue.popleft()
-        for p in zero_rev[q]:
-            if dist[p] > dist[q]:
-                dist[p] = dist[q]
-                queue.appendleft(p)
-        for p in step_rev[q]:
-            if dist[p] > dist[q] + 1:
-                dist[p] = dist[q] + 1
-                queue.append(p)
-    return [int(d) if d != INF else -1 for d in dist]
+def enumerate_shortest_witnesses(
+    graph: PropertyGraph,
+    nfa: RegisterNFA,
+    start: NodeId,
+    targets: dict[NodeId, int],
+) -> dict[NodeId, list[Path]]:
+    """One seed's witness walks, for all its targets in one pass.
+
+    ``targets`` maps each wanted end node to the exact walk length
+    wanted for it. One iterative DFS from ``start``, bounded by the
+    largest wanted length, shares every prefix between the targets: a
+    walk is accepted at depth ``d`` on node ``v`` iff ``targets[v] ==
+    d`` and the final state is in the register-free state set (the
+    span matcher re-checks the match). Pruned by that closure and by
+    the remaining-steps lower bound, so it explores little beyond the
+    true witnesses. The walk is one element list that moves push onto
+    and pop off; a :class:`Path` is built per accepted walk only. The
+    ambient deadline is checked every :data:`_DEADLINE_STRIDE` edge
+    expansions. Returns the accepted walks per end node.
+    """
+    found: dict[NodeId, list[Path]] = {}
+    horizon = max(targets.values(), default=-1)
+    back = nfa.backward_distances
+    tried = accepted = 0
+    next_check = _DEADLINE_STRIDE
+    node = start
+    states = _register_free_closure(nfa, graph, start, (nfa.initial,))
+    elements: list = [start]
+    #: Per depth, the moves not yet taken: (edge, successor, states).
+    frames: list[list] = []
+    try:
+        while True:
+            depth = len(frames)
+            if targets.get(node) == depth and nfa.final in states:
+                found.setdefault(node, []).append(Path(elements))
+                accepted += 1
+            remaining = horizon - depth - 1
+            moves: dict[tuple[object, NodeId], set[int]] = {}
+            if remaining >= 0:
+                for q in states:
+                    for step, target in nfa.steps[q]:
+                        for move in _step_targets(step, node, graph):
+                            moves.setdefault(move, set()).add(target)
+            tried += len(moves)
+            if tried >= next_check:
+                check_deadline()
+                next_check = tried + _DEADLINE_STRIDE
+            frame = []
+            for (edge, successor), reached in moves.items():
+                closure = _register_free_closure(nfa, graph, successor, reached)
+                if any(0 <= back[q] <= remaining for q in closure):
+                    frame.append((edge, successor, closure))
+            frames.append(frame)
+            while frames and not frames[-1]:
+                frames.pop()
+                del elements[-2:]
+            if not frames:
+                return found
+            edge, node, states = frames[-1].pop()
+            elements += (edge, node)
+    finally:
+        counters = active_counters()
+        if counters is not None:
+            counters.witness_steps += tried
+            counters.witnesses += accepted
 
 
 def enumerate_exact_length_walks(
@@ -1149,48 +1221,6 @@ def enumerate_exact_length_walks(
 ) -> list[Path]:
     """All graph walks from ``start`` to ``end`` of exactly ``length``
     edges that are plausible under the register-free projection of
-    ``nfa`` (final matching is re-checked by the span matcher).
-
-    The DFS is pruned by register-free reachability and by the
-    remaining-steps lower bound, so it explores little beyond the true
-    witnesses.
-    """
-    back = _backward_distances(nfa)
-    results: list[Path] = []
-
-    def viable(states: frozenset[int], remaining: int) -> bool:
-        return any(0 <= back[q] <= remaining for q in states)
-
-    initial_states = _register_free_state_sets(
-        nfa, graph, start, frozenset({nfa.initial})
-    )
-
-    def dfs(path: Path, states: frozenset[int], remaining: int) -> None:
-        if remaining == 0:
-            if path.tgt == end and any(q == nfa.final for q in states):
-                results.append(path)
-            return
-        node = path.tgt
-        # One edge step in every direction the NFA allows from here.
-        moves: dict[tuple[object, NodeId], set[int]] = {}
-        for q in states:
-            for step, target in nfa.steps[q]:
-                for edge, successor in _step_targets(step, node, graph):
-                    moves.setdefault((edge, successor), set()).add(target)
-        for (edge, successor), targets in sorted(
-            moves.items(), key=lambda kv: (repr(kv[0][0]), repr(kv[0][1]))
-        ):
-            next_states = _register_free_state_sets(
-                nfa, graph, successor, frozenset(targets)
-            )
-            if not viable(next_states, remaining - 1):
-                continue
-            dfs(
-                Path(path.elements + (edge, successor)),
-                next_states,
-                remaining - 1,
-            )
-
-    if viable(initial_states, length):
-        dfs(Path.node(start), initial_states, length)
-    return results
+    ``nfa``: :func:`enumerate_shortest_witnesses` for one target."""
+    walks = enumerate_shortest_witnesses(graph, nfa, start, {end: length})
+    return walks.get(end, [])

@@ -37,8 +37,13 @@ class EvalCounters:
     - ``nfa_transitions`` — relaxations pushed onto that queue (zero-
       cost register/check ops and cost-1 edge steps);
     - ``deepening_rounds`` — iterative-deepening rounds: witness-length
-      probes on the NFA route plus bound-doubling rounds of the
-      abstraction fallback;
+      probes on the NFA route, one per (endpoint pair, probed length),
+      plus bound-doubling rounds of the abstraction fallback;
+    - ``witness_steps`` — edge expansions tried by the per-seed witness
+      enumeration (distinct ``(edge, successor)`` moves out of a walk
+      prefix, before register-free pruning);
+    - ``witnesses`` — walks that enumeration accepted and handed to the
+      span matcher;
     - ``join_build_rows`` / ``join_probe_rows`` — rows hashed into /
       probed against join tables (nested-loop joins count both sides);
     - ``seeds_pruned`` — start nodes the planner's candidate analysis
@@ -66,6 +71,8 @@ class EvalCounters:
     nfa_states_expanded: int = 0
     nfa_transitions: int = 0
     deepening_rounds: int = 0
+    witness_steps: int = 0
+    witnesses: int = 0
     join_build_rows: int = 0
     join_probe_rows: int = 0
     seeds_pruned: int = 0

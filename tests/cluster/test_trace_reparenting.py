@@ -82,6 +82,7 @@ def test_engine_counters_aggregate_into_cluster_stats(backend):
     assert engine["nfa_states_expanded"] > 0
     assert engine["nfa_transitions"] > 0
     assert engine["deepening_rounds"] > 0
+    assert engine["witness_steps"] >= engine["witnesses"] > 0
 
 
 def test_untraced_evaluation_ships_no_spans():

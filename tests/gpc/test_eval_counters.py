@@ -29,6 +29,10 @@ class TestCounterSources:
         assert counters.nfa_states_expanded > 0
         assert counters.nfa_transitions > 0
         assert counters.deepening_rounds > 0
+        # Every accepted walk took at least one edge expansion, and
+        # every probed pair got at least one walk.
+        assert counters.witness_steps >= counters.witnesses > 0
+        assert counters.witnesses >= counters.deepening_rounds
 
     def test_multi_pattern_counts_join_rows(self):
         counters = _evaluate(
@@ -93,5 +97,6 @@ class TestServiceAggregation:
         assert "observed execution" not in plain
         assert "observed execution" in analyzed
         assert "nfa_states_expanded" in analyzed
+        assert "witness_steps" in analyzed
         assert "answers:" in analyzed
         service.close()

@@ -1,25 +1,39 @@
 """The register-NFA shortest engine: exact pair lengths and witness
 enumeration."""
 
+import time
+
 import pytest
 
+from repro.enumeration.radix import iter_paths_radix
+from repro.enumeration.span_matcher import match_on_path
 from repro.errors import (
     DeadlineExceededError,
     EvaluationError,
     EvaluationLimitError,
 )
 from repro.graph.builder import GraphBuilder
-from repro.graph.generators import chain_graph, cycle_graph, theorem13_gadget
+from repro.graph.generators import (
+    chain_graph,
+    complete_graph,
+    cycle_graph,
+    theorem13_gadget,
+)
 from repro.graph.ids import NodeId as N
 from repro.graph.snapshot import GraphSnapshot
-from repro.gpc.parser import parse_pattern
+from repro.gpc.collect import CollectMode
+from repro.gpc.engine import EngineConfig, Evaluator
+from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.register_nfa import (
     UnsupportedPattern,
     compile_register_nfa,
     dense_shortest_pair_lengths,
     enumerate_exact_length_walks,
+    enumerate_shortest_witnesses,
     shortest_pair_lengths,
 )
+from repro.obs import EvalCounters, use_counters
+from repro.obs.deadline import deadline_scope
 
 
 class TestPairLengths:
@@ -141,6 +155,147 @@ class TestWitnessEnumeration:
         nfa = compile_register_nfa(parse_pattern("<-{1,}"))
         walks = enumerate_exact_length_walks(graph, nfa, N("n2"), N("n0"), 2)
         assert len(walks) == 1
+
+
+def _walks_by_definition(graph, pattern, start, end, length):
+    """The documented contract, by brute force: every walk of exactly
+    ``length`` edges from ``start`` to ``end`` that the pattern matches
+    (for register-free patterns "plausible" and "matches" coincide)."""
+    return {
+        path
+        for path in iter_paths_radix(graph, length)
+        if len(path) == length
+        and path.src == start
+        and path.tgt == end
+        and match_on_path(pattern, path, graph)
+    }
+
+
+class TestPerSeedWitnessPass:
+    """One enumeration per seed serves every ``(end, length)`` target;
+    ``enumerate_exact_length_walks`` is its single-target call."""
+
+    CASES = [
+        (lambda: chain_graph(3), "->{1,}", "n0"),
+        (theorem13_gadget, "->{3,3}", "u"),
+        (lambda: chain_graph(3), "<-{1,}", "n2"),
+        (lambda: cycle_graph(3), "->{1,}", "n0"),
+        (lambda: complete_graph(4), "->{1,3}", "n1"),
+    ]
+
+    @pytest.mark.parametrize("build, text, seed", CASES)
+    def test_one_pass_equals_single_target_calls_and_the_contract(
+        self, build, text, seed
+    ):
+        graph, pattern, start = build(), parse_pattern(text), N(seed)
+        nfa = compile_register_nfa(pattern)
+        best = shortest_pair_lengths(graph, nfa, start)
+        assert best
+        walks = enumerate_shortest_witnesses(graph, nfa, start, best)
+        for end, length in best.items():
+            single = enumerate_exact_length_walks(graph, nfa, start, end, length)
+            assert len(single) == len(set(single))
+            assert set(walks[end]) == set(single)
+            assert set(single) == _walks_by_definition(
+                graph, pattern, start, end, length
+            )
+        assert set(walks) == set(best)
+
+    def test_single_target_at_other_lengths(self):
+        # Lengths other than the minimum are part of the contract: the
+        # engine probes ``length + 1`` with the single-target call.
+        graph, pattern = cycle_graph(3), parse_pattern("->{1,}")
+        nfa = compile_register_nfa(pattern)
+        for length in range(0, 8):
+            for end in ("n0", "n1", "n2"):
+                found = enumerate_exact_length_walks(
+                    graph, nfa, N("n0"), N(end), length
+                )
+                assert set(found) == _walks_by_definition(
+                    graph, pattern, N("n0"), N(end), length
+                )
+
+    def test_zero_length_target(self):
+        graph = chain_graph(2)
+        nfa = compile_register_nfa(parse_pattern("->{0,}"))
+        walks = enumerate_shortest_witnesses(
+            graph, nfa, N("n0"), {N("n0"): 0, N("n2"): 2}
+        )
+        assert [len(p) for p in walks[N("n0")]] == [0]
+        assert [len(p) for p in walks[N("n2")]] == [2]
+
+    def test_pushed_bind_atoms_prune_the_walk(self):
+        # (m) is the first hop; only one of the fan-out has k = 1.
+        builder = GraphBuilder().node("s", "S")
+        for i in range(5):
+            builder = builder.node(f"m{i}", k=1 if i == 3 else 0)
+            builder = builder.edge("s", f"m{i}").edge(f"m{i}", "t")
+        graph = builder.build()
+        pattern = parse_pattern("[(x:S) -> (m) -> (y)] << m.k = 1 >>")
+        counters = EvalCounters()
+        with use_counters(counters):
+            walks = enumerate_exact_length_walks(
+                graph,
+                compile_register_nfa(pattern, pushdown=True),
+                N("s"),
+                N("t"),
+                2,
+            )
+        assert [p.nodes[1] for p in walks] == [N("m3")]
+        # 5 first hops tried, 4 die at the bind, 1 second hop.
+        assert (counters.witness_steps, counters.witnesses) == (6, 1)
+
+    def test_counters_share_prefixes(self):
+        graph = chain_graph(8)
+        query = parse_query("SHORTEST (x) ->{1,8} (y)")
+        counters = EvalCounters()
+        with use_counters(counters):
+            answers = Evaluator(graph).evaluate(
+                query, start_restriction={N("n0")}
+            )
+        assert len(answers) == 8
+        # 8 edge expansions for 8 targets, not 1 + 2 + ... + 8.
+        assert counters.witness_steps == 8
+        assert counters.witnesses == 8
+        assert counters.deepening_rounds == 8
+
+    def test_collect_failure_probes_upward(self):
+        # Under RUNTIME collect an edgeless factor is undefined, so the
+        # NFA's length 0 for the pair has no collectible witness, nor
+        # has length 1 (one edge factor, one edgeless); length 2 has.
+        graph = cycle_graph(1)
+        pattern = parse_pattern("[(x) + ->]{2,2}")
+        nfa = compile_register_nfa(pattern)
+        node = N("n0")
+        assert shortest_pair_lengths(graph, nfa, node) == {node: 0}
+        runtime = CollectMode.RUNTIME
+        collectible = []
+        for length in range(3):
+            (walk,) = enumerate_exact_length_walks(graph, nfa, node, node, length)
+            assert len(walk) == length
+            collectible.append(bool(match_on_path(pattern, walk, graph, runtime)))
+        assert collectible == [False, False, True]
+        counters = EvalCounters()
+        with use_counters(counters):
+            answers = Evaluator(
+                graph, EngineConfig(collect_mode=runtime)
+            ).evaluate(parse_query("SHORTEST [(x) + ->]{2,2}"))
+        assert [len(a.path) for a in answers] == [2]
+        assert counters.deepening_rounds == 3  # probed 0, 1, 2
+
+
+class TestDeadlineInsideTheWitnessPass:
+    def test_high_fan_out_seed_stops_at_the_deadline(self):
+        # 5^11 walks of length 11 from one seed: the per-seed and
+        # per-round checks alone would let the DFS run for hours.
+        graph = complete_graph(6)
+        query = parse_query("SHORTEST (x) ->{11,11} (y)")
+        evaluator = Evaluator(graph)
+        began = time.monotonic()
+        with deadline_scope(0.05):
+            with pytest.raises(DeadlineExceededError):
+                evaluator.evaluate(query, start_restriction={N("n0")})
+        assert time.monotonic() - began < 5.0
 
 
 class TestCheckErrorPropagation:

@@ -357,6 +357,8 @@ class TestEvalCounters:
             "nfa_states_expanded",
             "nfa_transitions",
             "deepening_rounds",
+            "witness_steps",
+            "witnesses",
             "join_build_rows",
             "join_probe_rows",
             "seeds_pruned",

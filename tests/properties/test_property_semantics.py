@@ -5,17 +5,25 @@ from pathlib import Path as _P
 
 sys.path.insert(0, str(_P(__file__).parent))
 
+import random
+from itertools import islice
+
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import small_graphs, well_typed_patterns
 
+from repro.graph import GraphSnapshot
 from repro.graph.paths import is_simple, is_trail, path_in_graph
 from repro.gpc import ast
 from repro.gpc.engine import EngineConfig, Evaluator, evaluate
 from repro.gpc.collect import CollectMode
+from repro.gpc.parser import parse_pattern
+from repro.gpc.semantics import BoundedEvaluator
 from repro.gpc.typing import infer_schema
 
 _BOUND = 3
+_MATCHER_BOUND = 4
 
 
 @settings(max_examples=80, deadline=None)
@@ -57,12 +65,15 @@ def test_union_answers_commutative(graph, left, right):
 @given(small_graphs(), well_typed_patterns(max_depth=2))
 def test_trail_simple_answers_are_subsets(graph, pattern):
     """simple answers are trails; both filter the bounded denotation."""
+    # With the default guard (2M intermediate results) an adversarial
+    # repetition runs for minutes before it fires.
+    config = EngineConfig(max_intermediate_results=20_000)
     try:
         trail_answers = evaluate(
-            ast.PatternQuery(ast.Restrictor.TRAIL, pattern), graph
+            ast.PatternQuery(ast.Restrictor.TRAIL, pattern), graph, config
         )
         simple_answers = evaluate(
-            ast.PatternQuery(ast.Restrictor.SIMPLE, pattern), graph
+            ast.PatternQuery(ast.Restrictor.SIMPLE, pattern), graph, config
         )
     except Exception:
         # Engine resource guards may fire on adversarial repetitions.
@@ -118,19 +129,181 @@ def test_collect_modes_agree_on_positive_bodies(graph, pattern):
     assert results[0] == results[1] == results[2]
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_graphs(), well_typed_patterns(max_depth=2))
-def test_span_matcher_agrees_with_engine(graph, pattern):
-    """Differential: the Lemma 19 span matcher reproduces the engine's
-    per-path assignment sets."""
-    from repro.enumeration.span_matcher import match_on_path
+#: Shapes the random generator rarely reaches: repeat bodies that can
+#: match edgeless paths (the per-start period detection and Lemma 15
+#: cap of the span matcher) and repeats nested in repeats.
+_REPEAT_SHAPES = tuple(
+    parse_pattern(text)
+    for text in (
+        "[(x)]{1,}",
+        "[(x:A)]{0,} ->",
+        "[(x) + ->]{2,}",
+        "[(x) + (y)]{1,3} -> (z)",
+        "[[(x)]{0,1}]{2,}",
+        "[[(x)]{0,2} ->{0,1}]{1,}",
+        "[[-[e]->]{1,2}]{1,2}",
+        "[[-> (x)]{1,} [<-]{0,1}]{1,2}",
+        "[->{0,} (x:A)]{1,}",
+        "(u) [[~[e]~]{1,2} (x)]{0,} (v)",
+    )
+)
 
-    matches = Evaluator(graph).eval_pattern(pattern, max_length=2)
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_graphs(),
+    well_typed_patterns(max_depth=3) | st.sampled_from(_REPEAT_SHAPES),
+    st.sampled_from(list(CollectMode)),
+)
+def test_span_matcher_agrees_with_engine(graph, pattern, mode):
+    """Differential: the Lemma 19 span matcher reproduces the bounded
+    evaluator's per-path assignment sets — on the paths that match and,
+    with the empty set, on the paths that do not."""
+    from repro.enumeration.radix import iter_paths_radix
+    from repro.enumeration.span_matcher import match_on_path, span_matches
+    from repro.errors import CollectError, EvaluationLimitError
+
+    # A tight resource guard: adversarial nested repetitions blow up
+    # the bounded denotation, and those examples are skipped, not sat
+    # through.
+    config = EngineConfig(collect_mode=mode, max_intermediate_results=1_500)
+    try:
+        matches = Evaluator(graph, config).eval_pattern(
+            pattern, max_length=_MATCHER_BOUND
+        )
+    except (CollectError, EvaluationLimitError):
+        # SYNTACTIC rejects edgeless repeat bodies upfront.
+        return
     by_path = {}
     for path, mu in matches:
         by_path.setdefault(path, set()).add(mu)
     for path, mus in by_path.items():
-        assert match_on_path(pattern, path, graph) == frozenset(mus)
+        assert match_on_path(pattern, path, graph, mode) == frozenset(mus)
+    for path in islice(iter_paths_radix(graph, _MATCHER_BOUND), 300):
+        expected = frozenset(by_path.get(path, ()))
+        assert match_on_path(pattern, path, graph, mode) == expected
+    # ``span_matches`` is the same matcher asked for every start: each
+    # cell is what the anchored call finds on that subpath alone.
+    for path in islice(by_path, 5):
+        table = span_matches(pattern, path, graph, mode)
+        assert all(table.values())
+        for i in range(len(path) + 1):
+            for j in range(i, len(path) + 1):
+                assert table.get((i, j), frozenset()) == match_on_path(
+                    pattern, path.subpath(i, j), graph, mode
+                )
+
+
+def _reference_shortest(view, pattern, mode, horizon):
+    """``shortest`` by the book: the Section 5 bounded denotation up to
+    ``horizon``, then the minimum length per endpoint pair."""
+    matches = BoundedEvaluator(view, collect_mode=mode).evaluate(pattern, horizon)
+    minima = {}
+    for path, _ in matches:
+        key = (path.src, path.tgt)
+        minima[key] = min(minima.get(key, horizon), len(path))
+    return {
+        (path, mu)
+        for path, mu in matches
+        if len(path) == minima[(path.src, path.tgt)]
+    }
+
+
+#: ``shortest`` patterns: group variables, end-constrained (label and
+#: pushed atom), a two-variable residue, a union, an undirected step,
+#: and an edgeless repeat body.
+_SHORTEST_SHAPES = tuple(
+    parse_pattern(text)
+    for text in (
+        "(x) ->{1,} (y)",
+        "(x:A) -[e:a]->{1,3} (y)",
+        "(x) ->{1,} (y:B)",
+        "[(x) -> (m) ->{0,} (y)] << y.k = 1 >>",
+        "[(x:A) -> (m) ->{1,} (y)] << m.k = 1 >>",
+        "[(x) ->{1,} (y)] << x.k = y.k >>",
+        "(x) [-[e:a]-> + <-[e:b]-]{1,} (y:A)",
+        "(x) [~[e]~ (z)]{1,2} -> (y)",
+        "(x) [(z:A)]{1,} -> (y)",
+    )
+)
+_ALL_OFF = EngineConfig(use_planner=False, use_pushdown=False, use_analysis=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_graphs(),
+    st.sampled_from(_SHORTEST_SHAPES),
+    st.integers(min_value=0, max_value=10_000),
+    st.booleans(),
+)
+def test_shortest_equals_the_bounded_reference_on_every_view(
+    graph, pattern, seed, restrict
+):
+    """``SHORTEST`` through the per-seed witness pass equals the
+    specification on a plain graph, a pristine snapshot, a snapshot at
+    the end of a derive chain and the non-columnar legacy view, with
+    and without a start restriction."""
+    from repro.graph.snapshot_legacy import LegacyGraphSnapshot
+
+    rng = random.Random(seed)
+    graph.snapshot()  # later versions are derived, not rebuilt
+    for _ in range(rng.randrange(1, 5)):
+        _mutate(rng, graph)
+        graph.snapshot()
+    derived = graph.snapshot()
+    plain = graph.copy()
+    pristine = GraphSnapshot(plain)
+    assert pristine.pristine
+    horizon = 4
+    reference = _reference_shortest(plain, pattern, CollectMode.GROUPING, horizon)
+    nodes = sorted(plain.nodes)
+    restriction = (
+        frozenset(rng.sample(nodes, rng.randrange(len(nodes) + 1)))
+        if restrict
+        else None
+    )
+    if restriction is not None:
+        reference = {m for m in reference if m[0].src in restriction}
+    query = ast.PatternQuery(ast.Restrictor.SHORTEST, pattern)
+    views = {
+        "plain": (plain, None),
+        "pristine": (pristine, None),
+        "derived": (derived, None),
+        "legacy": (LegacyGraphSnapshot(plain), None),
+        "all-off": (pristine, _ALL_OFF),
+    }
+    for name, (view, config) in views.items():
+        answers = Evaluator(view, config).evaluate(
+            query, start_restriction=restriction
+        )
+        # Pairs whose minimum lies beyond the horizon are outside the
+        # bounded reference; below it the two must coincide.
+        got = {
+            (a.path, a.assignment) for a in answers if len(a.path) <= horizon
+        }
+        assert got == reference, name
+
+
+def _mutate(rng, graph):
+    """One small mutation that keeps the graph non-empty."""
+    nodes = sorted(graph.nodes)
+    edges = sorted(graph.directed_edges)
+    op = rng.randrange(5)
+    if op == 0:
+        graph.set_property(rng.choice(nodes), "k", rng.randrange(3))
+    elif op == 1 and edges:
+        graph.remove_edge(rng.choice(edges))
+    elif op == 2 and len(nodes) > 2:
+        graph.remove_node(rng.choice(nodes))
+    elif op == 3:
+        graph.add_node(f"m{graph.version}", labels=("A",), properties={"k": 1})
+    else:
+        graph.add_edge(
+            f"me{graph.version}",
+            rng.choice(nodes),
+            rng.choice(nodes),
+            labels=(rng.choice("ab"),),
+        )
 
 
 @settings(max_examples=50, deadline=None)

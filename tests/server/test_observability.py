@@ -13,7 +13,7 @@ import logging
 import pytest
 
 from repro.cluster import ClusterService
-from repro.graph.generators import social_network
+from repro.graph.generators import complete_graph, social_network
 from repro.server import HttpServiceClient, HttpServiceError, serve_background
 from repro.service import GraphService
 
@@ -184,6 +184,20 @@ class TestDeadlines:
         assert stats["timeouts"] == 1
         assert stats["server_errors"] == 1
 
+    def test_deadline_inside_the_witness_loop_is_504_and_frees_the_slot(self):
+        # 5^11 walks per seed: the deadline has to fire inside the
+        # enumeration. With a single in-flight slot, the follow-up is
+        # only answered if the timed-out evaluation gave its slot back.
+        service = GraphService(complete_graph(6))
+        with serve_background(service, max_in_flight=1) as handle:
+            with HttpServiceClient(*handle.address) as client:
+                with pytest.raises(HttpServiceError) as info:
+                    client.query("SHORTEST (x) ->{11,11} (y)", deadline_ms=50)
+                assert info.value.status == 504
+                assert len(client.query("TRAIL (x) -> (y)")) == 30
+                stats = client.stats()
+        assert stats["timeouts"] == 1
+
     def test_generous_deadline_does_not_interfere(self):
         with serve_background(GraphService(_graph())) as handle:
             with HttpServiceClient(*handle.address) as client:
@@ -223,6 +237,8 @@ class TestMetricsEndpoint:
         assert metrics["repro_server_queries"] == "1"
         assert metrics["repro_service_queries"] == "1"
         assert int(metrics["repro_engine_nfa_states_expanded"]) > 0
+        assert int(metrics["repro_engine_witness_steps"]) > 0
+        assert int(metrics["repro_engine_witnesses"]) > 0
         assert int(metrics["repro_traces_recorded"]) >= 1
         assert metrics["repro_server_request_latency_seconds_count"] >= "1"
         assert "# TYPE repro_server_request_latency_seconds histogram" in text
