@@ -25,9 +25,11 @@ touching the snapshot.
 tautologies are dropped — the simplified condition reaches
 :func:`repro.gpc.planner.split_pushdown` with a cleaner positive
 spine, so more atoms become bitmask probes. Provably-dead ``Union``
-branches are pruned; a repetition with an empty body and ``lower = 0``
-is rewritten to its zero-iteration form. Every rewrite preserves the
-answer set exactly (a hypothesis differential suite gates this).
+branches are pruned (unless the branch binds a variable the live one
+does not: the answers carry it as ``Nothing``); a repetition with an
+empty body and ``lower = 0`` is rewritten to its zero-iteration form.
+Every rewrite preserves the answer set exactly (a hypothesis
+differential suite gates this).
 
 **Diagnostics.** Structured :class:`Diagnostic` records with a stable
 code, severity, message and a pretty-printed span pointer — the lint
@@ -412,17 +414,20 @@ def _rewrite_union(
             if left_facts.empty
             else (pattern.right, left, left_facts)
         )
-        diagnostics.append(
-            Diagnostic(
-                DEAD_UNION_BRANCH,
-                "warning",
-                "union branch is provably empty and was pruned; every "
-                "answer comes from the other branch",
-                _span(dead),
+        # A variable only the dead branch binds is ``Nothing`` in every
+        # answer of the union; pruning the branch would drop it.
+        if ast.variables(dead) <= ast.variables(live):
+            diagnostics.append(
+                Diagnostic(
+                    DEAD_UNION_BRANCH,
+                    "warning",
+                    "union branch is provably empty and was pruned; every "
+                    "answer comes from the other branch",
+                    _span(dead),
+                )
             )
-        )
-        stats.dead_branches_pruned += 1
-        return live, live_facts
+            stats.dead_branches_pruned += 1
+            return live, live_facts
     if left_facts.empty and right_facts.empty:
         rebuilt = (
             pattern

@@ -32,6 +32,7 @@ from repro.graph.property_graph import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
 from repro.gpc import ast
 from repro.gpc.answers import Answer
+from repro.gpc.assignments import Assignment
 from repro.gpc.collect import CollectMode
 from repro.gpc.minlength import max_path_length, validate_approach1
 from repro.gpc.planner import (
@@ -46,16 +47,17 @@ from repro.gpc.planner import (
 from repro.gpc.analysis import QueryAnalysis, analyze_query, render_diagnostics
 from repro.gpc.semantics import BoundedEvaluator, Match, _Limits
 from repro.gpc.typing import infer_schema
+from repro.gpc.values import Nothing
 from repro.gpc.abstraction import compile_pattern_abstraction
 from repro.automata.nfa import NFA
 from repro.gpc.register_nfa import (
     RegisterNFA,
     UnsupportedPattern,
+    collect_requirement,
     compile_dense_program,
     compile_flat_program,
     compile_register_nfa,
     dense_shortest_pair_lengths,
-    enumerate_exact_length_walks,
     enumerate_shortest_witnesses,
     flat_shortest_pair_lengths,
     shortest_pair_lengths,
@@ -144,6 +146,9 @@ class QueryPlan:
         #: ``None`` records that the register compiler rejected the
         #: pattern, so the fallback is chosen without recompiling.
         self._register_nfas: dict[ast.Pattern, RegisterNFA | None] = {}
+        self._assignment_sources: dict[
+            ast.Pattern, tuple[str | None, dict[str, object]]
+        ] = {}
         self._abstractions: dict[ast.Pattern, NFA] = {}
         self._typechecked: set[ast.Expression] = set()
         self._join_variables: dict[ast.Join, tuple[str, ...]] = {}
@@ -191,6 +196,25 @@ class QueryPlan:
                 rnfa = None
             self._register_nfas[pattern] = rnfa
         return self._register_nfas[pattern]
+
+    def assignment_source(
+        self, pattern: ast.Pattern
+    ) -> tuple[str | None, dict[str, object]]:
+        """Where a ``shortest`` witness of ``pattern`` gets its
+        assignments: ``(requirement, padding)``. ``requirement`` is
+        ``None`` when the registers of an accepting run are the
+        assignment once padded with ``padding`` (``Nothing`` for every
+        schema variable, which the run's union branches may not
+        mention); otherwise it says why the pattern needs ``collect``,
+        i.e. the span matcher (see
+        :func:`repro.gpc.register_nfa.collect_requirement`)."""
+        found = self._assignment_sources.get(pattern)
+        if found is None:
+            found = self._assignment_sources[pattern] = (
+                collect_requirement(pattern, self.config.collect_mode),
+                {variable: Nothing for variable in infer_schema(pattern)},
+            )
+        return found
 
     def abstraction(self, pattern: ast.Pattern) -> NFA:
         """The pattern's condition-free regular abstraction."""
@@ -262,6 +286,7 @@ class QueryPlan:
             restrictor = pattern_query.restrictor
             if restrictor.shortest and restrictor.mode is None:
                 self.shortest_plan(pattern_query.pattern)
+                self.assignment_source(pattern_query.pattern)
                 if self.register_nfa(pattern_query.pattern) is None:
                     # Fallback path: the abstraction is only consulted
                     # when the pattern's length is syntactically
@@ -539,7 +564,11 @@ class Evaluator:
         (:mod:`repro.gpc.register_nfa`), computes the *exact* minimum
         match length per endpoint pair, and materialises only the
         witnesses of that length — one enumeration per seed serves all
-        of the seed's pairs. Patterns using extension constructs
+        of the seed's pairs and runs the NFA exactly, so a witness
+        arrives with the registers of its accepting runs. Those are the
+        assignments unless the pattern needs ``collect``
+        (:meth:`QueryPlan.assignment_source`); only then is the witness
+        handed to the span matcher. Patterns using extension constructs
         without register compilation fall back to bounded iterative
         deepening.
         """
@@ -550,7 +579,9 @@ class Evaluator:
 
         limit = self.config.shortest_deepening_limit
         collect_mode = self.config.collect_mode
+        needs_collect, padding = self.plan.assignment_source(pattern)
         answers: set[Match] = set()
+        matched = 0
         counters = active_counters()
         starts, end_filter = self._shortest_candidates(pattern, restriction)
         view = self._view
@@ -568,57 +599,69 @@ class Evaluator:
         )
         if counters is not None:
             counters.conditions_pushed += rnfa.pushed_atoms
-        for start in starts:
-            # Checked once per seed here; the witness enumeration checks
-            # again every fixed number of edge expansions.
-            check_deadline()
-            if flat is not None:
-                best = flat_shortest_pair_lengths(view, flat, start)
-            elif use_dense:
-                best = dense_shortest_pair_lengths(
-                    view, rnfa, start, program=program
-                )
-            else:
-                best = shortest_pair_lengths(view, rnfa, start)
-            targets = {
-                end: length
-                for end, length in best.items()
-                if end_filter is None or end in end_filter
-            }
-            # One enumeration serves every target of the seed.
-            walks = enumerate_shortest_witnesses(view, rnfa, start, targets)
-            for end, length in targets.items():
-                witnesses = walks.get(end, ())
-                # The register search can under-estimate in one corner:
-                # an accepted run whose every factorization fails
-                # collect unification. Probe upward until a witness
-                # with a defined assignment appears.
-                while True:
-                    if counters is not None:
-                        counters.deepening_rounds += 1
-                    check_deadline()
-                    found = False
-                    for witness in witnesses:
-                        for mu in match_on_path(
-                            pattern, witness, view, collect_mode
-                        ):
-                            answers.add((witness, mu))
-                            found = True
-                    if found:
-                        break
-                    length += 1
-                    if length > limit:
-                        if self.config.lenient_shortest:
-                            break
-                        raise EvaluationLimitError(
-                            f"shortest: no collectible witness for pair "
-                            f"({start!r}, {end!r}) up to length {limit}; "
-                            f"raise EngineConfig.shortest_deepening_limit "
-                            f"or set lenient_shortest=True"
-                        )
-                    witnesses = enumerate_exact_length_walks(
-                        view, rnfa, start, end, length
+        try:
+            for start in starts:
+                # Checked once per seed here; the witness enumeration
+                # checks again every fixed number of edge expansions.
+                check_deadline()
+                if flat is not None:
+                    best = flat_shortest_pair_lengths(view, flat, start)
+                elif use_dense:
+                    best = dense_shortest_pair_lengths(
+                        view, rnfa, start, program=program
                     )
+                else:
+                    best = shortest_pair_lengths(view, rnfa, start)
+                targets = {
+                    end: length
+                    for end, length in best.items()
+                    if end_filter is None or end in end_filter
+                }
+                # One enumeration serves every target of the seed.
+                walks = enumerate_shortest_witnesses(view, rnfa, start, targets)
+                for end, length in targets.items():
+                    witnesses = walks.get(end, ())
+                    # The register search can under-estimate in one
+                    # corner: an accepted run whose every factorization
+                    # fails collect unification. Probe upward until a
+                    # witness with a defined assignment appears.
+                    while True:
+                        if counters is not None:
+                            counters.deepening_rounds += 1
+                        check_deadline()
+                        found = False
+                        for witness, runs in witnesses:
+                            if needs_collect is None:
+                                mus = [
+                                    Assignment(padding | dict(registers))
+                                    for registers in runs
+                                ]
+                            else:
+                                matched += 1
+                                mus = match_on_path(
+                                    pattern, witness, view, collect_mode
+                                )
+                            for mu in mus:
+                                answers.add((witness, mu))
+                                found = True
+                        if found:
+                            break
+                        length += 1
+                        if length > limit:
+                            if self.config.lenient_shortest:
+                                break
+                            raise EvaluationLimitError(
+                                f"shortest: no collectible witness for pair "
+                                f"({start!r}, {end!r}) up to length {limit}; "
+                                f"raise EngineConfig.shortest_deepening_limit "
+                                f"or set lenient_shortest=True"
+                            )
+                        witnesses = enumerate_shortest_witnesses(
+                            view, rnfa, start, {end: length}
+                        ).get(end, ())
+        finally:
+            if counters is not None:
+                counters.witnesses_matched += matched
         return frozenset(answers)
 
     def _shortest_candidates(

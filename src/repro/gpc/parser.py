@@ -54,7 +54,23 @@ from repro.gpc.conditions_ast import (
     PropertyEqualsProperty,
 )
 
-__all__ = ["parse_pattern", "parse_query", "parse_condition", "tokenize"]
+__all__ = [
+    "MAX_NESTING_DEPTH",
+    "parse_pattern",
+    "parse_query",
+    "parse_condition",
+    "tokenize",
+]
+
+#: Deepest nesting the parser accepts: of brackets and of parenthesised
+#: or negated conditions while it recurses, and of the expression tree
+#: it returns (a 300-hop chain nests 600 concatenations without a
+#: single bracket). The parser and the passes behind it — typing,
+#: analysis, planning, footprints, register compilation — recurse over
+#: that tree with up to four interpreter frames per level; from a
+#: server worker thread they survive about 230 levels under the default
+#: recursion limit, so the door closes well before that.
+MAX_NESTING_DEPTH = 100
 
 
 class _T(enum.Enum):
@@ -191,6 +207,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.nesting = 0
 
     # -- token helpers ---------------------------------------------------
 
@@ -213,6 +230,13 @@ class _Parser:
 
     def at_keyword(self, *keywords: str) -> bool:
         return self.current.kind is _T.IDENT and self.current.upper in keywords
+
+    def enter_nested(self) -> None:
+        """Consume a token that opens one more level of recursion."""
+        opening = self.advance()
+        self.nesting += 1
+        if self.nesting > MAX_NESTING_DEPTH:
+            raise _too_deep(opening.position)
 
     # -- queries -----------------------------------------------------------
 
@@ -332,8 +356,9 @@ class _Parser:
         if kind is _T.LPAREN:
             return self._node_pattern()
         if kind is _T.LBRACKET:
-            self.advance()
+            self.enter_nested()
             pattern = self.parse_pattern()
+            self.nesting -= 1
             self.expect(_T.RBRACKET)
             return pattern
         if kind is _T.ARROW_RIGHT:
@@ -404,11 +429,14 @@ class _Parser:
 
     def _negation(self) -> Condition:
         if self.at_keyword("NOT"):
-            self.advance()
-            return Not(self._negation())
+            self.enter_nested()
+            condition = Not(self._negation())
+            self.nesting -= 1
+            return condition
         if self.current.kind is _T.LPAREN:
-            self.advance()
+            self.enter_nested()
             condition = self._boolean()
+            self.nesting -= 1
             self.expect(_T.RPAREN)
             return condition
         return self._comparison()
@@ -457,25 +485,57 @@ class _Parser:
             )
 
 
+def _too_deep(position: int | None = None) -> ParseError:
+    return ParseError(
+        f"expression nests deeper than {MAX_NESTING_DEPTH} levels", position
+    )
+
+
+_NESTING = (
+    ast.Join,
+    ast.PatternQuery,
+    ast.Union,
+    ast.Concat,
+    ast.Conditioned,
+    ast.Repeat,
+    And,
+    Or,
+    Not,
+)
+
+
+def _parse(text: str, production):
+    """Run one production of a fresh parser over the whole of ``text``
+    and reject a tree higher than :data:`MAX_NESTING_DEPTH`. The loops
+    that parse unions, concatenations, postfixes, joins and boolean
+    connectives build left-deep spines without recursing, so the
+    counter inside the parser does not see them."""
+    parser = _Parser(tokenize(text))
+    root = production(parser)
+    parser.finish()
+    # A tree has fewer levels than its text has tokens.
+    if len(parser.tokens) > MAX_NESTING_DEPTH:
+        stack = [(root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > MAX_NESTING_DEPTH:
+                raise _too_deep()
+            for child in vars(node).values():
+                if isinstance(child, _NESTING):
+                    stack.append((child, depth + 1))
+    return root
+
+
 def parse_pattern(text: str) -> ast.Pattern:
     """Parse a GPC pattern from concrete syntax."""
-    parser = _Parser(tokenize(text))
-    pattern = parser.parse_pattern()
-    parser.finish()
-    return pattern
+    return _parse(text, _Parser.parse_pattern)
 
 
 def parse_query(text: str) -> ast.Query:
     """Parse a GPC query (restrictor required, joins with ``,``)."""
-    parser = _Parser(tokenize(text))
-    query = parser.parse_query()
-    parser.finish()
-    return query
+    return _parse(text, _Parser.parse_query)
 
 
 def parse_condition(text: str) -> Condition:
     """Parse a bare condition (the part between ``<<`` and ``>>``)."""
-    parser = _Parser(tokenize(text))
-    condition = parser._boolean()
-    parser.finish()
-    return condition
+    return _parse(text, _Parser._boolean)

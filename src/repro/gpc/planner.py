@@ -625,12 +625,21 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
                 if plan is not None
                 else plan_shortest(q.pattern)
             )
-            lines.append(
+            line = (
                 f"{indent}- {restrictor} {pretty(q.pattern)}: "
                 f"register-NFA shortest; "
                 f"starts: {shortest.start.describe(view)}; "
                 f"ends: {shortest.end.describe(view)}"
             )
+            if plan is not None:
+                # Depends on the plan's collect mode.
+                requirement, _padding = plan.assignment_source(q.pattern)
+                line += "; assignments: " + (
+                    "register run"
+                    if requirement is None
+                    else f"span matcher ({requirement})"
+                )
+            lines.append(line)
         else:
             lines.append(
                 f"{indent}- {restrictor} {pretty(q.pattern)}: "

@@ -21,9 +21,11 @@ This module compiles patterns into *register* NFAs instead:
 A 0-1 BFS over ``(node, state, registers)`` then yields the *exact*
 minimum match length per endpoint pair, in time polynomial in the
 product size (registers stay few in practice). Witness paths of those
-exact lengths are enumerated by one product-guided DFS per seed, and
-the span matcher reconstructs the full assignments (including group
-values).
+exact lengths are enumerated by one DFS per seed that runs the same
+product, so each witness comes with the register files of its
+accepting runs. Those are the assignments whenever no repetition has
+anything to ``collect`` (:func:`collect_requirement`); otherwise the
+span matcher factorises the witness and builds the group values.
 
 One caveat, handled by the engine: under the GROUPING collect mode an
 accepted run can exist while every factorization's ``collect`` is
@@ -50,8 +52,10 @@ from repro.graph.paths import Path
 from repro.graph.property_graph import PropertyGraph
 from repro.gpc import ast
 from repro.gpc.assignments import Assignment
+from repro.gpc.collect import CollectMode
 from repro.gpc.conditions import satisfies
 from repro.gpc.conditions_ast import And, Condition, PropertyEqualsConst
+from repro.gpc.minlength import may_match_edgeless
 from repro.gpc.planner import split_pushdown
 from repro.obs.counters import active_counters
 from repro.obs.deadline import check_deadline
@@ -60,6 +64,7 @@ __all__ = [
     "RegisterNFA",
     "UnsupportedPattern",
     "compile_register_nfa",
+    "collect_requirement",
     "shortest_pair_lengths",
     "DenseProgram",
     "compile_dense_program",
@@ -377,11 +382,51 @@ def _compile_repeat(pattern: ast.Repeat, builder: _Builder) -> tuple[int, int]:
     return start, end
 
 
+def collect_requirement(
+    pattern: ast.Pattern, collect_mode: CollectMode
+) -> Optional[str]:
+    """Why an accepting run's registers do not determine the assignment
+    of the walk it accepts, or ``None`` when they do (the pattern is
+    *run-complete*).
+
+    A repetition body that binds a variable needs ``collect`` to build
+    the group value (and the resets above forget its registers). A
+    body that binds nothing contributes nothing to the assignment, but
+    outside ``GROUPING`` ``collect`` is undefined on an edgeless factor
+    whatever it binds, so such a body must always consume an edge.
+    Extension constructs are opaque."""
+    for sub in ast.iter_subpatterns(pattern):
+        if isinstance(sub, ast.PatternExtension):
+            return f"extension {type(sub).__name__}"
+        if isinstance(sub, ast.Repeat):
+            bound = ast.variables(sub.pattern)
+            if bound:
+                return f"repeat body binds {', '.join(sorted(bound))}"
+            if collect_mode is not CollectMode.GROUPING and may_match_edgeless(
+                sub.pattern
+            ):
+                return "repeat body may match an edgeless path"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
 
 Registers = tuple[tuple[str, object], ...]  # sorted (variable, id) pairs
+
+
+def _bind_register(
+    registers: Registers, variable: str, value: object
+) -> Optional[Registers]:
+    """Bind ``variable`` to ``value``, or join with what it already
+    holds; ``None`` when the join fails."""
+    current = dict(registers)
+    bound = current.get(variable)
+    if bound is None:
+        current[variable] = value
+        return tuple(sorted(current.items()))
+    return registers if bound == value else None
 
 
 def _apply_zero(
@@ -400,12 +445,7 @@ def _apply_zero(
             value = graph.get_property(node, key)
             if value is None or value != const:
                 return None
-        current = dict(registers)
-        bound = current.get(op.variable)
-        if bound is None:
-            current[op.variable] = node
-            return tuple(sorted(current.items()))
-        return registers if bound == node else None
+        return _bind_register(registers, op.variable, node)
     if isinstance(op, _Check):
         mu = Assignment({v: value for v, value in registers})
         try:
@@ -1121,27 +1161,28 @@ def flat_shortest_pair_lengths(
 #: Edge expansions between two deadline checks inside the witness pass.
 _DEADLINE_STRIDE = 1024
 
+#: A run's position at a node: ``(state, registers)``.
+_Config = tuple[int, Registers]
 
-def _register_free_closure(
-    nfa: RegisterNFA, graph: PropertyGraph, node: NodeId, states
-) -> set[int]:
-    """Closure of ``states`` at ``node`` under zero-weight ops, ignoring
-    registers (checks and variable joins optimistically succeed; a
-    missing label or a failing pushed atom needs no register and does
-    block) — an over-approximation used for pruning."""
-    closure = set(states)
+
+def _closure(
+    nfa: RegisterNFA, graph: PropertyGraph, node: NodeId, configs
+) -> set[_Config]:
+    """Closure of ``configs`` at ``node`` under the zero-weight ops,
+    each applied for real: binds join, checks read the registers."""
+    closure = set(configs)
     stack = list(closure)
+    zero = nfa.zero
     while stack:
-        q = stack.pop()
-        for op, target in nfa.zero[q]:
-            if target in closure:
+        q, registers = stack.pop()
+        for op, target in zero[q]:
+            updated = _apply_zero(op, node, registers, graph)
+            if updated is None:
                 continue
-            if isinstance(op, _NodeTest) and op.label not in graph.labels(node):
-                continue
-            if isinstance(op, _Bind) and not _props_hold(graph, node, op.props):
-                continue
-            closure.add(target)
-            stack.append(target)
+            config = (target, updated)
+            if config not in closure:
+                closure.add(config)
+                stack.append(config)
     return closure
 
 
@@ -1150,52 +1191,76 @@ def enumerate_shortest_witnesses(
     nfa: RegisterNFA,
     start: NodeId,
     targets: dict[NodeId, int],
-) -> dict[NodeId, list[Path]]:
+) -> dict[NodeId, list[tuple[Path, frozenset[Registers]]]]:
     """One seed's witness walks, for all its targets in one pass.
 
     ``targets`` maps each wanted end node to the exact walk length
     wanted for it. One iterative DFS from ``start``, bounded by the
-    largest wanted length, shares every prefix between the targets: a
-    walk is accepted at depth ``d`` on node ``v`` iff ``targets[v] ==
-    d`` and the final state is in the register-free state set (the
-    span matcher re-checks the match). Pruned by that closure and by
-    the remaining-steps lower bound, so it explores little beyond the
-    true witnesses. The walk is one element list that moves push onto
-    and pop off; a :class:`Path` is built per accepted walk only. The
-    ambient deadline is checked every :data:`_DEADLINE_STRIDE` edge
-    expansions. Returns the accepted walks per end node.
+    largest wanted length, shares every prefix between the targets and
+    runs the register NFA exactly along the way: a frame holds the
+    ``(state, registers)`` configurations of every run over the walk so
+    far. A walk is accepted at depth ``d`` on node ``v`` iff
+    ``targets[v] == d`` and some configuration is in the final state;
+    it is returned with the register files of those accepting runs.
+    Pruned by the runs that survive and by the remaining-steps lower
+    bound on their states, so it explores nothing a join, a check or a
+    pushed atom rejects. The walk is one element list that moves push
+    onto and pop off; a :class:`Path` is built per accepted walk only.
+    The ambient deadline is checked every :data:`_DEADLINE_STRIDE` edge
+    expansions. Returns ``(walk, register files)`` per end node.
     """
-    found: dict[NodeId, list[Path]] = {}
-    horizon = max(targets.values(), default=-1)
+    found: dict[NodeId, list[tuple[Path, frozenset[Registers]]]] = {}
+    if not targets:
+        return found  # the seed reaches nothing: no walk to look for
+    horizon = max(targets.values())
     back = nfa.backward_distances
+    final = nfa.final
+    steps = nfa.steps
     tried = accepted = 0
     next_check = _DEADLINE_STRIDE
     node = start
-    states = _register_free_closure(nfa, graph, start, (nfa.initial,))
+    configs = _closure(nfa, graph, start, ((nfa.initial, ()),))
     elements: list = [start]
-    #: Per depth, the moves not yet taken: (edge, successor, states).
+    #: Per depth, the moves not yet taken: (edge, successor, configs).
     frames: list[list] = []
     try:
         while True:
             depth = len(frames)
-            if targets.get(node) == depth and nfa.final in states:
-                found.setdefault(node, []).append(Path(elements))
-                accepted += 1
+            if targets.get(node) == depth:
+                runs = frozenset(
+                    registers for q, registers in configs if q == final
+                )
+                if runs:
+                    found.setdefault(node, []).append((Path(elements), runs))
+                    accepted += 1
             remaining = horizon - depth - 1
-            moves: dict[tuple[object, NodeId], set[int]] = {}
+            moves: dict[tuple[object, NodeId], set[_Config]] = {}
             if remaining >= 0:
-                for q in states:
-                    for step, target in nfa.steps[q]:
-                        for move in _step_targets(step, node, graph):
-                            moves.setdefault(move, set()).add(target)
+                takers: dict[_EdgeStep, list[_Config]] = {}
+                for q, registers in configs:
+                    for step, target in steps[q]:
+                        takers.setdefault(step, []).append((target, registers))
+                for step, entering in takers.items():
+                    variable = step.variable
+                    for move in _step_targets(step, node, graph):
+                        for target, registers in entering:
+                            if variable is not None:
+                                registers = _bind_register(
+                                    registers, variable, move[0]
+                                )
+                                if registers is None:
+                                    continue
+                            moves.setdefault(move, set()).add(
+                                (target, registers)
+                            )
             tried += len(moves)
             if tried >= next_check:
                 check_deadline()
                 next_check = tried + _DEADLINE_STRIDE
             frame = []
             for (edge, successor), reached in moves.items():
-                closure = _register_free_closure(nfa, graph, successor, reached)
-                if any(0 <= back[q] <= remaining for q in closure):
+                closure = _closure(nfa, graph, successor, reached)
+                if any(0 <= back[q] <= remaining for q, _ in closure):
                     frame.append((edge, successor, closure))
             frames.append(frame)
             while frames and not frames[-1]:
@@ -1203,7 +1268,7 @@ def enumerate_shortest_witnesses(
                 del elements[-2:]
             if not frames:
                 return found
-            edge, node, states = frames[-1].pop()
+            edge, node, configs = frames[-1].pop()
             elements += (edge, node)
     finally:
         counters = active_counters()
@@ -1220,7 +1285,8 @@ def enumerate_exact_length_walks(
     length: int,
 ) -> list[Path]:
     """All graph walks from ``start`` to ``end`` of exactly ``length``
-    edges that are plausible under the register-free projection of
-    ``nfa``: :func:`enumerate_shortest_witnesses` for one target."""
+    edges accepted by the register NFA:
+    :func:`enumerate_shortest_witnesses` for one target, registers
+    dropped."""
     walks = enumerate_shortest_witnesses(graph, nfa, start, {end: length})
-    return walks.get(end, [])
+    return [walk for walk, _runs in walks.get(end, ())]

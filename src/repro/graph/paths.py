@@ -43,6 +43,16 @@ class Path:
         object.__setattr__(self, "_elements", elements)
         object.__setattr__(self, "_hash", hash(elements))
 
+    @classmethod
+    def _trusted(cls, elements: tuple[NodeId | EdgeId, ...]) -> "Path":
+        """A path over ``elements`` without re-validating them: for
+        node-to-node slices, joins and reversals of paths that were
+        validated when they were built."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "_elements", elements)
+        object.__setattr__(path, "_hash", hash(elements))
+        return path
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Path is immutable")
 
@@ -132,7 +142,7 @@ class Path:
             raise PathError(
                 f"paths do not concatenate: tgt {self.tgt!r} != src {other.src!r}"
             )
-        return Path(self._elements + other._elements[1:])
+        return Path._trusted(self._elements + other._elements[1:])
 
     def concatenates_with(self, other: "Path") -> bool:
         """Whether ``self . other`` is defined."""
@@ -144,7 +154,7 @@ class Path:
         n = len(self)
         if not (0 <= start <= stop <= n):
             raise PathError(f"invalid subpath bounds {start}..{stop} for length {n}")
-        return Path(self._elements[2 * start : 2 * stop + 1])
+        return Path._trusted(self._elements[2 * start : 2 * stop + 1])
 
     def reversed(self) -> "Path":
         """The reverse sequence (useful for backward traversal checks).
@@ -153,7 +163,7 @@ class Path:
         its directed edges can be traversed in the opposite direction,
         which the walk relation in Section 2 permits.
         """
-        return Path(tuple(reversed(self._elements)))
+        return Path._trusted(self._elements[::-1])
 
     # -- dunders ----------------------------------------------------------
 

@@ -40,10 +40,14 @@ class EvalCounters:
       probes on the NFA route, one per (endpoint pair, probed length),
       plus bound-doubling rounds of the abstraction fallback;
     - ``witness_steps`` — edge expansions tried by the per-seed witness
-      enumeration (distinct ``(edge, successor)`` moves out of a walk
-      prefix, before register-free pruning);
-    - ``witnesses`` — walks that enumeration accepted and handed to the
-      span matcher;
+      enumeration (distinct ``(edge, successor)`` moves some run can
+      take out of a walk prefix, before the closure at the successor
+      prunes);
+    - ``witnesses`` — walks that enumeration accepted (some run of the
+      register NFA over the walk ends in the final state);
+    - ``witnesses_matched`` — witnesses ``shortest`` evaluation handed
+      to the span matcher because the pattern needs ``collect``; the
+      others got their assignments from the accepting runs' registers;
     - ``join_build_rows`` / ``join_probe_rows`` — rows hashed into /
       probed against join tables (nested-loop joins count both sides);
     - ``seeds_pruned`` — start nodes the planner's candidate analysis
@@ -73,6 +77,7 @@ class EvalCounters:
     deepening_rounds: int = 0
     witness_steps: int = 0
     witnesses: int = 0
+    witnesses_matched: int = 0
     join_build_rows: int = 0
     join_probe_rows: int = 0
     seeds_pruned: int = 0

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.errors import WireError
+from repro.errors import EvaluationError, PathError, WireError
 from repro.gpc.answers import Answer, sort_answers
 from repro.gpc.assignments import Assignment
 from repro.gpc.values import GroupValue, Nothing, NothingType, Value
@@ -118,9 +118,7 @@ def _decode_path(data: Any) -> Path:
         raise WireError(f"path elements must be a list: {data!r}")
     try:
         return Path([decode_id(element) for element in elements])
-    except WireError:
-        raise
-    except Exception as exc:  # broken alternation, empty path, ...
+    except PathError as exc:  # broken alternation, empty path
         raise WireError(f"invalid path {data!r}: {exc}") from exc
 
 
@@ -192,9 +190,7 @@ def decode_answer(data: Any) -> Answer:
                 {variable: decode_value(value) for variable, value in mu.items()}
             ),
         )
-    except WireError:
-        raise
-    except Exception as exc:  # e.g. zero paths
+    except EvaluationError as exc:  # zero paths
         raise WireError(f"invalid answer {data!r}: {exc}") from exc
 
 

@@ -79,10 +79,15 @@ def test_engine_counters_aggregate_into_cluster_stats(backend):
     ) as cluster:
         cluster.evaluate(QUERY, use_cache=False)
         engine = cluster.stats.as_dict()["engine"]
+        cluster.evaluate(QUERY.replace("[:knows]", "[e:knows]"), use_cache=False)
+        grouped = cluster.stats.as_dict()["engine"]
     assert engine["nfa_states_expanded"] > 0
     assert engine["nfa_transitions"] > 0
     assert engine["deepening_rounds"] > 0
     assert engine["witness_steps"] >= engine["witnesses"] > 0
+    # Only the query with a group variable needs the span matcher.
+    assert engine["witnesses_matched"] == 0
+    assert grouped["witnesses_matched"] == engine["witnesses"]
 
 
 def test_untraced_evaluation_ships_no_spans():

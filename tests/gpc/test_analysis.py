@@ -287,6 +287,21 @@ class TestEngineIntegration:
             Evaluator(small_graph()).evaluate(parse_query(self.DEAD_BRANCH))
         assert counters.dead_branches_pruned == 1
 
+    def test_dead_branch_with_its_own_variable_is_kept(self):
+        # z is Nothing in every answer of the union; pruning the dead
+        # branch would drop it from the assignments.
+        query = parse_query(
+            "TRAIL [(z:P) << z.k = 0 AND z.k = 1 >> + (x:P)] -[:r]-> (y)"
+        )
+        counters = EvalCounters()
+        with use_counters(counters):
+            answers = Evaluator(small_graph()).evaluate(query)
+        assert counters.dead_branches_pruned == 0
+        assert answers == Evaluator(
+            small_graph(), EngineConfig(use_analysis=False)
+        ).evaluate(query)
+        assert answers and all("z" in a.assignment for a in answers)
+
     def test_analysis_off_counts_nothing(self):
         counters = EvalCounters()
         evaluator = Evaluator(small_graph(), EngineConfig(use_analysis=False))

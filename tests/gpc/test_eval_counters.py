@@ -33,6 +33,14 @@ class TestCounterSources:
         # every probed pair got at least one walk.
         assert counters.witness_steps >= counters.witnesses > 0
         assert counters.witnesses >= counters.deepening_rounds
+        # Nothing to collect: every assignment came off a register run.
+        assert counters.witnesses_matched == 0
+
+    def test_group_variable_sends_every_witness_to_the_matcher(self):
+        counters = _evaluate(
+            "SHORTEST (x:Person) -[e:knows]->{1,} (y:Person)"
+        )
+        assert counters.witnesses_matched == counters.witnesses > 0
 
     def test_multi_pattern_counts_join_rows(self):
         counters = _evaluate(
@@ -98,5 +106,7 @@ class TestServiceAggregation:
         assert "observed execution" in analyzed
         assert "nfa_states_expanded" in analyzed
         assert "witness_steps" in analyzed
+        assert "witnesses_matched: 0" in analyzed
+        assert "assignments: register run" in plain
         assert "answers:" in analyzed
         service.close()

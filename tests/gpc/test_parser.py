@@ -11,7 +11,13 @@ from repro.gpc.conditions_ast import (
     PropertyEqualsConst,
     PropertyEqualsProperty,
 )
-from repro.gpc.parser import parse_condition, parse_pattern, parse_query, tokenize
+from repro.gpc.parser import (
+    MAX_NESTING_DEPTH,
+    parse_condition,
+    parse_pattern,
+    parse_query,
+    tokenize,
+)
 
 
 class TestNodePatterns:
@@ -232,6 +238,70 @@ class TestErrors:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_query("TRAIL (x) extra_tokens =")
+
+
+def _nested(depth):
+    """Texts that nest ``depth`` levels, one per way of nesting."""
+    ands = " AND ".join(f"x.k{i} = 1" for i in range(depth - 1))
+    return {
+        "brackets": "SHORTEST " + "[" * depth + "(x)" + "]" * depth,
+        "concat": "SHORTEST (x)" + " -> ()" * ((depth - 1) // 2),
+        "union": "SHORTEST (x)" + " + (x)" * (depth - 2),
+        "repeat": "SHORTEST (x) ->" + "{1,1}" * (depth - 2),
+        "conditioned": "SHORTEST (x)" + " << x.k = 1 >>" * (depth - 1),
+        "and": f"SHORTEST (x) << {ands} >>",
+        "not": "SHORTEST (x) << " + "NOT " * (depth - 2) + "x.k = 1 >>",
+        "parens": "SHORTEST (x) << " + "(" * depth + "x.k = 1" + ")" * depth + " >>",
+        "join": ", ".join(["TRAIL (x)"] * depth),
+    }
+
+
+class TestNestingGuard:
+    """Hostile nesting is a ``ParseError`` at the door, not a
+    ``RecursionError`` somewhere behind it."""
+
+    HOSTILE = [
+        "SHORTEST " + "[" * 1000 + "(x)" + "]" * 1000,
+        "SHORTEST (x)" + " -> ()" * 300,
+    ]
+
+    @pytest.mark.parametrize("text", HOSTILE + list(_nested(400).values()))
+    def test_too_deep_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_query(text)
+
+    def test_bare_patterns_and_conditions_are_guarded_too(self):
+        with pytest.raises(ParseError):
+            parse_pattern("[" * 1000 + "(x)" + "]" * 1000)
+        with pytest.raises(ParseError):
+            parse_condition("NOT " * 1000 + "x.k = 1")
+
+    @pytest.mark.parametrize("shape", sorted(_nested(3)))
+    def test_the_limit_itself_survives_the_prepare_pipeline(self, shape):
+        import threading
+
+        from repro.service.prepared import PreparedQuery
+
+        text = _nested(MAX_NESTING_DEPTH)[shape]
+        with pytest.raises(ParseError):
+            parse_query(_nested(MAX_NESTING_DEPTH + 2)[shape])
+        outcome = []
+
+        def prepare():
+            # A thread starts from a shallow stack, as a server worker
+            # does; pytest's own frames would eat into the margin.
+            try:
+                prepared = PreparedQuery(text)
+                prepared.plan.precompile(prepared.query)
+                prepared.footprint
+                outcome.append(prepared.plan.explain(prepared.query))
+            except BaseException as error:  # noqa: BLE001 - reported below
+                outcome.append(error)
+
+        worker = threading.Thread(target=prepare)
+        worker.start()
+        worker.join(timeout=60)
+        assert isinstance(outcome[0], str), outcome[0]
 
 
 class TestTokenizer:

@@ -250,6 +250,28 @@ class TestExplainPlan:
         text = explain_plan(query)
         assert ":City" in text and "nodes)" not in text
 
+    def test_shortest_names_its_source_of_assignments(self):
+        from repro.gpc.collect import CollectMode
+        from repro.gpc.engine import EngineConfig, QueryPlan
+
+        flat = parse_query("SHORTEST (x) ->{1,8} (y)")
+        group = parse_query("SHORTEST (x) -[e]->{1,8} (y)")
+        edgeless = parse_query("SHORTEST (x) [() + ->]{1,1} (y)")
+        plan = QueryPlan()
+        assert "assignments: register run" in plan.explain(flat)
+        assert "assignments: span matcher (repeat body binds e)" in plan.explain(
+            group
+        )
+        # Depends on the plan's collect mode, so a bare explain_plan
+        # (no plan, no mode) does not say.
+        assert "assignments: register run" in plan.explain(edgeless)
+        runtime = QueryPlan(EngineConfig(collect_mode=CollectMode.RUNTIME))
+        assert (
+            "assignments: span matcher (repeat body may match an edgeless path)"
+            in runtime.explain(edgeless)
+        )
+        assert "assignments" not in explain_plan(flat)
+
     def test_cross_product_named(self):
         query = parse_query("TRAIL (x) -> (y), TRAIL (a) -> (b)")
         assert "cross product" in explain_plan(query)

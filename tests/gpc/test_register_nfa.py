@@ -21,8 +21,9 @@ from repro.graph.generators import (
 )
 from repro.graph.ids import NodeId as N
 from repro.graph.snapshot import GraphSnapshot
+from repro.gpc import ast
 from repro.gpc.collect import CollectMode
-from repro.gpc.engine import EngineConfig, Evaluator
+from repro.gpc.engine import EngineConfig, Evaluator, _keep_shortest
 from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.register_nfa import (
     UnsupportedPattern,
@@ -32,6 +33,7 @@ from repro.gpc.register_nfa import (
     enumerate_shortest_witnesses,
     shortest_pair_lengths,
 )
+from repro.gpc.semantics import BoundedEvaluator
 from repro.obs import EvalCounters, use_counters
 from repro.obs.deadline import deadline_scope
 
@@ -160,7 +162,8 @@ class TestWitnessEnumeration:
 def _walks_by_definition(graph, pattern, start, end, length):
     """The documented contract, by brute force: every walk of exactly
     ``length`` edges from ``start`` to ``end`` that the pattern matches
-    (for register-free patterns "plausible" and "matches" coincide)."""
+    (under ``GROUPING`` collect the register NFA accepts exactly
+    those)."""
     return {
         path
         for path in iter_paths_radix(graph, length)
@@ -195,7 +198,7 @@ class TestPerSeedWitnessPass:
         for end, length in best.items():
             single = enumerate_exact_length_walks(graph, nfa, start, end, length)
             assert len(single) == len(set(single))
-            assert set(walks[end]) == set(single)
+            assert {walk for walk, _runs in walks[end]} == set(single)
             assert set(single) == _walks_by_definition(
                 graph, pattern, start, end, length
             )
@@ -221,8 +224,8 @@ class TestPerSeedWitnessPass:
         walks = enumerate_shortest_witnesses(
             graph, nfa, N("n0"), {N("n0"): 0, N("n2"): 2}
         )
-        assert [len(p) for p in walks[N("n0")]] == [0]
-        assert [len(p) for p in walks[N("n2")]] == [2]
+        assert [len(p) for p, _runs in walks[N("n0")]] == [0]
+        assert [len(p) for p, _runs in walks[N("n2")]] == [2]
 
     def test_pushed_bind_atoms_prune_the_walk(self):
         # (m) is the first hop; only one of the fan-out has k = 1.
@@ -245,6 +248,51 @@ class TestPerSeedWitnessPass:
         # 5 first hops tried, 4 die at the bind, 1 second hop.
         assert (counters.witness_steps, counters.witnesses) == (6, 1)
 
+    def test_every_accepting_run_is_returned(self):
+        # One walk for the pair (n0, n2), three runs over it: one per
+        # position of (m).
+        graph = chain_graph(2)
+        nfa = compile_register_nfa(parse_pattern("(x) ->{0,} (m) ->{0,} (y)"))
+        walks = enumerate_shortest_witnesses(graph, nfa, N("n0"), {N("n2"): 2})
+        ((walk, runs),) = walks[N("n2")]
+        assert walk.nodes == (N("n0"), N("n1"), N("n2"))
+        assert runs == {
+            (("m", N(m)), ("x", N("n0")), ("y", N("n2")))
+            for m in ("n0", "n1", "n2")
+        }
+
+    def test_variable_join_enforced_during_the_walk(self):
+        # a <-> b plus b -> c0..c2: (x) -> (y) -> (x) must come back.
+        builder = GraphBuilder().edge("a", "b").edge("b", "a")
+        for i in range(3):
+            builder = builder.edge("b", f"c{i}")
+        graph = builder.build()
+        nfa = compile_register_nfa(parse_pattern("(x) -> (y) -> (x)"))
+        assert not enumerate_exact_length_walks(graph, nfa, N("a"), N("c1"), 2)
+        counters = EvalCounters()
+        with use_counters(counters):
+            (walk,) = enumerate_exact_length_walks(graph, nfa, N("a"), N("a"), 2)
+        assert walk.nodes == (N("a"), N("b"), N("a"))
+        # a -> b, then all four moves out of b; three die at the join.
+        assert (counters.witness_steps, counters.witnesses) == (5, 1)
+
+    def test_residual_check_rejects_where_it_becomes_decidable(self):
+        # x.k = m.k is decidable at the first hop: only m1 survives it,
+        # so only m1's onward edge is ever tried.
+        builder = GraphBuilder().node("s", k=1)
+        for i in range(4):
+            builder = builder.node(f"m{i}", k=i)
+            builder = builder.edge("s", f"m{i}").edge(f"m{i}", "t")
+        graph = builder.build()
+        pattern = parse_pattern("[[(x) -> (m)] << x.k = m.k >>] -> (y)")
+        counters = EvalCounters()
+        with use_counters(counters):
+            walks = enumerate_exact_length_walks(
+                graph, compile_register_nfa(pattern), N("s"), N("t"), 2
+            )
+        assert [p.nodes[1] for p in walks] == [N("m1")]
+        assert (counters.witness_steps, counters.witnesses) == (5, 1)
+
     def test_counters_share_prefixes(self):
         graph = chain_graph(8)
         query = parse_query("SHORTEST (x) ->{1,8} (y)")
@@ -258,6 +306,15 @@ class TestPerSeedWitnessPass:
         assert counters.witness_steps == 8
         assert counters.witnesses == 8
         assert counters.deepening_rounds == 8
+        # No repeat body binds a variable: the runs are the answers.
+        assert counters.witnesses_matched == 0
+        grouped = EvalCounters()
+        with use_counters(grouped):
+            Evaluator(graph).evaluate(
+                parse_query("SHORTEST (x) -[e]->{1,8} (y)"),
+                start_restriction={N("n0")},
+            )
+        assert (grouped.witnesses, grouped.witnesses_matched) == (8, 8)
 
     def test_collect_failure_probes_upward(self):
         # Under RUNTIME collect an edgeless factor is undefined, so the
@@ -282,6 +339,30 @@ class TestPerSeedWitnessPass:
             ).evaluate(parse_query("SHORTEST [(x) + ->]{2,2}"))
         assert [len(a.path) for a in answers] == [2]
         assert counters.deepening_rounds == 3  # probed 0, 1, 2
+        assert counters.witnesses_matched == 3
+
+    @pytest.mark.parametrize(
+        "mode, edgeless_pairs", [(CollectMode.RUNTIME, 0), (CollectMode.GROUPING, 3)]
+    )
+    def test_edgeless_body_needs_the_matcher_outside_grouping(
+        self, mode, edgeless_pairs
+    ):
+        # The body binds nothing, yet RUNTIME collect is undefined on
+        # its edgeless factor: only the matcher can tell.
+        graph = chain_graph(2)
+        pattern = parse_pattern("(x) [() + ->]{1,1} (y)")
+        config = EngineConfig(collect_mode=mode, lenient_shortest=True)
+        counters = EvalCounters()
+        with use_counters(counters):
+            answers = Evaluator(graph, config).evaluate(
+                ast.PatternQuery(ast.Restrictor.SHORTEST, pattern)
+            )
+        lengths = sorted(len(a.path) for a in answers)
+        assert lengths == [0] * edgeless_pairs + [1, 1]
+        assert (counters.witnesses_matched == 0) == (mode is CollectMode.GROUPING)
+        assert {(a.path, a.assignment) for a in answers} == _keep_shortest(
+            BoundedEvaluator(graph, mode).evaluate(pattern, 2)
+        )
 
 
 class TestDeadlineInsideTheWitnessPass:

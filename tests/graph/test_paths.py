@@ -105,6 +105,46 @@ class TestSubpathAndReverse:
         assert path.reversed() == p(N("b"), E("1"), N("a"))
 
 
+class TestDerivedPathsSkipRevalidation:
+    """``subpath``, ``concat`` and ``reversed`` slice already validated
+    paths; every constructor that takes outside elements still checks
+    them."""
+
+    def test_derived_paths_equal_publicly_constructed_ones(self):
+        import pickle
+
+        elements = (N("u"), E("e1"), N("v"), E("e2"), N("w"))
+        path = Path(elements)
+        derived = {
+            path.subpath(1, 2): Path(elements[2:]),
+            path.subpath(1, 1): Path.node(N("v")),
+            path.subpath(0, 1).concat(path.subpath(1, 2)): Path.of(*elements),
+            path.reversed(): Path(elements[::-1]),
+        }
+        for got, expected in derived.items():
+            assert got == expected and hash(got) == hash(expected)
+            assert got.elements == expected.elements
+            assert pickle.loads(pickle.dumps(got)) == expected
+
+    @pytest.mark.parametrize(
+        "elements",
+        [(), (E("e"),), (N("u"), N("v")), (N("u"), E("e")), (N("u"), E("e"), E("f"))],
+    )
+    def test_malformed_elements_still_raise_everywhere_public(self, elements):
+        from repro.errors import WireError
+        from repro.server import wire
+
+        with pytest.raises(PathError):
+            Path(elements)
+        with pytest.raises(PathError):
+            Path.of(*elements)
+        if len(elements) == 1:
+            with pytest.raises(PathError):
+                Path.node(elements[0])
+        with pytest.raises(WireError):
+            wire._decode_path({"p": [wire.encode_id(e) for e in elements]})
+
+
 class TestPredicates:
     def test_trail_rejects_repeated_edge(self):
         path = p(N("a"), E("1"), N("b"), E("1"), N("a"))

@@ -239,6 +239,7 @@ class TestMetricsEndpoint:
         assert int(metrics["repro_engine_nfa_states_expanded"]) > 0
         assert int(metrics["repro_engine_witness_steps"]) > 0
         assert int(metrics["repro_engine_witnesses"]) > 0
+        assert metrics["repro_engine_witnesses_matched"] == "0"
         assert int(metrics["repro_traces_recorded"]) >= 1
         assert metrics["repro_server_request_latency_seconds_count"] >= "1"
         assert "# TYPE repro_server_request_latency_seconds histogram" in text

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
+from urllib.parse import quote
 
 import pytest
 
@@ -169,6 +170,46 @@ class TestEndpointRoundTrips:
         reply = client.request("POST", "/query", {"query": "TRAIL (x"})
         assert reply.status == 400
         assert "ParseError" in reply.payload["error"]
+
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            "SHORTEST " + "[" * 1000 + "(x)" + "]" * 1000,
+            "SHORTEST (x)" + " -> ()" * 300,
+        ],
+    )
+    def test_hostile_nesting_is_400_and_the_connection_lives(
+        self, served, hostile
+    ):
+        handle, client, _ = served
+        for method, path, body in [
+            ("POST", "/query", {"query": hostile}),
+            ("GET", f"/explain?query={quote(hostile)}", None),
+        ]:
+            reply = client.request(method, path, body)
+            assert reply.status == 400, reply.payload
+            assert "ParseError" in reply.payload["error"]
+            assert client.request("GET", "/healthz").status == 200
+        results = client.batch([QUERY, hostile])
+        assert not isinstance(results[0], HttpServiceError)
+        assert "ParseError" in str(results[1])
+        # /lint is total: a parse error is a diagnostic, not a status.
+        codes = [d["code"] for d in client.lint(hostile)["diagnostics"]]
+        assert codes == ["GPC000"]
+        assert client.query(QUERY)
+        assert handle.server.stats.connections == 1
+
+    def test_nesting_at_the_limit_is_served(self, served):
+        from repro.gpc.parser import MAX_NESTING_DEPTH as depth
+
+        _, client, service = served
+        for text in [
+            "SHORTEST " + "[" * depth + "(x:City)" + "]" * depth,
+            "SHORTEST (x:City)" + " (x)" * (depth - 1),
+            "SHORTEST (x:City)" + " << x.name = 'c0' >>" * (depth - 1),
+        ]:
+            assert client.query(text) == service.evaluate(text)
+            assert "plan:" in client.explain(text)
 
     def test_keep_alive_connection_reused(self, served):
         handle, client, _ = served

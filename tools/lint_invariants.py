@@ -37,7 +37,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 
 #: Packages where broad excepts are banned (the evaluation path).
-BROAD_EXCEPT_SCOPES = ("gpc", "graph", "service", "cluster")
+BROAD_EXCEPT_SCOPES = ("gpc", "graph", "service", "cluster", "server")
 
 BROAD_EXCEPT_WAIVER = "lint: allow-broad-except"
 ASSERT_WAIVER = "lint: allow-assert"
