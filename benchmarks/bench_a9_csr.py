@@ -1,25 +1,23 @@
-"""Ablation A9 — columnar CSR snapshot core vs the seed layout.
+"""Ablation A9 — the columnar CSR snapshot's shipping payload.
 
 Design choice under study: the interned-id + array-backed CSR
-snapshot (:class:`GraphSnapshot`) versus the seed tuple-dict layout
-preserved verbatim as :class:`LegacyGraphSnapshot`.
+snapshot (:class:`GraphSnapshot`) versus the seed tuple-dict layout it
+replaced. The seed layout is gone from the tree, so its side of the
+comparison is a number frozen when it was last measurable.
 
-Three measurements on one 10k-node graph:
+Two measurements on one 10k-node graph (a segmented ring of ``next``
+edges plus ``CHORDS`` random ``chord`` out-edges per node — the same
+ring whose absolute ``shortest`` latencies the ``layers`` benchmark
+records as ``ring_shortest``):
 
-- **shortest-heavy evaluation**: a segmented ring of ``next`` edges
-  (broken every ``SEG`` nodes so each ``Probe`` start reaches exactly
-  one ``Adj`` witness six hops away) plus ``CHORDS`` random ``chord``
-  out-edges per node. The chords are pure label-filtering work for
-  the register-NFA search — the part the dense CSR fast path
-  accelerates. Asserted: >= 1.5x over the seed layout, identical
-  answer frozensets.
 - **pickled snapshot size**: the derived-column codec (endpoint
   columns + run-length-encoded labelsets and property indexes; CSR
-  rebuilt on load) must shrink the process-pool shipping payload by
-  >= 3x versus pickling the seed dict layout.
-- **resident footprint** of the column arrays versus the seed dicts,
-  summed with ``sys.getsizeof`` — logged for the record, not
-  asserted (CPython container overhead varies across versions).
+  rebuilt on load) must keep the process-pool shipping payload >= 3x
+  smaller than the pickled seed dict layout, and the shipped snapshot
+  must answer identically after the round trip.
+- **resident footprint** of the column arrays, summed with
+  ``sys.getsizeof`` — logged for the record, not asserted (CPython
+  container overhead varies across versions).
 """
 
 from __future__ import annotations
@@ -31,21 +29,25 @@ from array import array
 
 import pytest
 
-from repro.bench.harness import Table, emit_json, time_call
+from repro.bench.harness import Table, emit_json
 from repro.gpc.engine import Evaluator
 from repro.gpc.parser import parse_query
 from repro.graph import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
-from repro.graph.snapshot_legacy import LegacyGraphSnapshot
 
 N = 10_000
 SEG = 250
 CHORDS = 16
 QUERY = "SHORTEST (x:Probe) -[:next]->{1,} (y:Adj)"
 
+#: ``len(pickle.dumps(...))`` of the seed tuple-dict snapshot of the
+#: graph below, in bytes: measured at commit 0a56e44 (PR 14), the last
+#: one that shipped that layout (CPython 3.11, pickle protocol 4).
+SEED_LAYOUT_PICKLE_BYTES = 11_874_243
+
 
 @pytest.fixture(scope="module")
-def views() -> tuple[GraphSnapshot, LegacyGraphSnapshot]:
+def snapshot() -> GraphSnapshot:
     rng = random.Random(9)
     graph = PropertyGraph()
     handles = []
@@ -66,21 +68,13 @@ def views() -> tuple[GraphSnapshot, LegacyGraphSnapshot]:
             graph.add_edge(
                 f"c{i}_{c}", handles[i], handles[rng.randrange(N)], ["chord"]
             )
-    return GraphSnapshot(graph), LegacyGraphSnapshot(graph)
-
-
-def _best_of(fn, repeats: int = 3) -> tuple[object, float]:
-    result, best = fn(), float("inf")
-    for _ in range(repeats):
-        _, elapsed = time_call(fn)
-        best = min(best, elapsed)
-    return result, best
+    return GraphSnapshot(graph)
 
 
 def _footprint(obj: object) -> int:
     """Shallow-ish resident bytes: containers plus one level of values
-    (covers dict-of-tuples in the seed layout and dict-of-arrays in
-    the columnar core without chasing shared element ids)."""
+    (covers dict-of-arrays in the columnar core without chasing shared
+    element ids)."""
     total = sys.getsizeof(obj)
     if isinstance(obj, dict):
         for value in obj.values():
@@ -89,88 +83,41 @@ def _footprint(obj: object) -> int:
     return total
 
 
-def test_a9_shortest_speedup(views):
-    csr, legacy = views
-    query = parse_query(QUERY)
-
-    dense_answers, dense_s = _best_of(
-        lambda: Evaluator(csr).evaluate(query)
-    )
-    seed_answers, seed_s = _best_of(
-        lambda: Evaluator(legacy).evaluate(query)
-    )
-    assert dense_answers == seed_answers
-    assert len(dense_answers) == N // SEG  # one witness per segment
-
-    csr_bytes = sum(
-        _footprint(getattr(csr._core, slot))
-        for slot in type(csr._core).__slots__
-    )
-    seed_slots = (
-        "_node_labels", "_dedge_labels", "_uedge_labels", "_src", "_tgt",
-        "_endpoints", "_properties", "_out", "_in", "_undirected_at",
-        "_nodes", "_dedges", "_uedges", "_nodes_by_label",
-        "_dedges_by_label", "_uedges_by_label",
-    )
-    seed_bytes = sum(
-        _footprint(getattr(legacy, slot)) for slot in seed_slots
-    )
-
-    speedup = seed_s / dense_s
-    table = Table(
-        "A9: SHORTEST over 10k-node segmented ring + chords",
-        ["layout", "ms / query", "index bytes (getsizeof)"],
-    )
-    table.add("seed tuple-dict", seed_s * 1000, seed_bytes)
-    table.add("columnar CSR", dense_s * 1000, csr_bytes)
-    table.show()
-    print(
-        f"A9 footprint: csr columns {csr_bytes / 1e6:.1f} MB vs seed "
-        f"dicts {seed_bytes / 1e6:.1f} MB "
-        f"({seed_bytes / csr_bytes:.1f}x, logged not asserted)"
-    )
-    emit_json(
-        "a9_csr_shortest",
-        {
-            "nodes": N,
-            "seed_ms": seed_s * 1000,
-            "csr_ms": dense_s * 1000,
-            "speedup": speedup,
-            "csr_index_bytes": csr_bytes,
-            "seed_index_bytes": seed_bytes,
-        },
-    )
-    # Acceptance criterion: dense CSR >= 1.5x on the shortest-heavy
-    # workload (in practice 4-6x; the floor absorbs CI noise).
-    assert speedup >= 1.5, f"CSR layout only {speedup:.2f}x vs seed"
-
-
-def test_a9_pickle_size(views):
-    csr, legacy = views
-    csr_blob = pickle.dumps(csr)
-    seed_blob = pickle.dumps(legacy)
-    ratio = len(seed_blob) / len(csr_blob)
+def test_a9_pickle_size(snapshot):
+    csr_blob = pickle.dumps(snapshot)
+    ratio = SEED_LAYOUT_PICKLE_BYTES / len(csr_blob)
 
     # The shipped snapshot still answers identically after the
     # column-codec round trip (CSR and label indexes rebuilt on load).
     clone = pickle.loads(csr_blob)
     query = parse_query(QUERY)
-    assert Evaluator(clone).evaluate(query) == Evaluator(csr).evaluate(query)
+    answers = Evaluator(clone).evaluate(query)
+    assert answers == Evaluator(snapshot).evaluate(query)
+    assert len(answers) == N // SEG  # one witness per segment
 
+    csr_index_bytes = sum(
+        _footprint(getattr(snapshot._core, slot))
+        for slot in type(snapshot._core).__slots__
+    )
     table = Table(
         "A9: pickled snapshot payload (process-pool shipping)",
         ["layout", "bytes", "reduction"],
     )
-    table.add("seed tuple-dict", len(seed_blob), "1x")
+    table.add("seed tuple-dict (frozen)", SEED_LAYOUT_PICKLE_BYTES, "1x")
     table.add("columnar codec", len(csr_blob), f"{ratio:.2f}x")
     table.show()
+    print(
+        f"A9 footprint: csr columns {csr_index_bytes / 1e6:.1f} MB resident "
+        f"(getsizeof, logged not asserted)"
+    )
     emit_json(
         "a9_csr_pickle",
         {
             "nodes": N,
-            "seed_bytes": len(seed_blob),
+            "seed_bytes": SEED_LAYOUT_PICKLE_BYTES,
             "csr_bytes": len(csr_blob),
             "reduction": ratio,
+            "csr_index_bytes": csr_index_bytes,
         },
     )
     # Acceptance criterion: >= 3x smaller on a 10k-node graph.

@@ -8,8 +8,6 @@ exactly, local semantics returns no answer, and the anomaly frequency
 over perturbed random graphs.
 """
 
-import random
-
 from repro.bench.harness import Table
 from repro.extensions.mixed_restrictors import section7_anomaly
 from repro.gpc.engine import evaluate

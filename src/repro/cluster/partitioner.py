@@ -33,7 +33,6 @@ import heapq
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.gpc import ast
-from repro.gpc.planner import plan_shortest
 from repro.graph.ids import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

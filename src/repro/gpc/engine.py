@@ -60,7 +60,6 @@ from repro.gpc.register_nfa import (
     dense_shortest_pair_lengths,
     enumerate_shortest_witnesses,
     flat_shortest_pair_lengths,
-    shortest_pair_lengths,
 )
 from repro.automata.product import pairs_and_distances
 
@@ -239,7 +238,7 @@ class QueryPlan:
     def estimates(self, query: ast.Query, view) -> PlanEstimates:
         """The planner's :class:`PlanEstimates` for ``query`` over
         ``view`` (a snapshot or graph), memoised per graph version."""
-        key = (query, getattr(view, "version", None))
+        key = (query, view.version)
         found = self._estimates.get(key)
         if found is None:
             if len(self._estimates) >= 8:
@@ -253,11 +252,7 @@ class QueryPlan:
         ``query`` (see :func:`repro.gpc.planner.explain_plan`); pass a
         graph or snapshot to include cardinality estimates."""
         self.ensure_typechecked(query)
-        view = (
-            graph.snapshot()
-            if graph is not None and hasattr(graph, "snapshot")
-            else graph
-        )
+        view = None if graph is None else graph.snapshot()
         report = explain_plan(query, view, plan=self)
         analysis = self.analysis(query)
         if analysis.provably_empty and self.config.use_analysis:
@@ -337,7 +332,7 @@ class Evaluator:
             config = plan.config if plan is not None else DEFAULT_CONFIG
         self.config = config
         self.plan = plan if plan is not None else QueryPlan(config)
-        self._view = graph.snapshot() if hasattr(graph, "snapshot") else graph
+        self._view = graph.snapshot()
         limits = _Limits(
             max_intermediate_results=self.config.max_intermediate_results,
             max_power_iterations=self.config.max_power_iterations,
@@ -585,18 +580,16 @@ class Evaluator:
         counters = active_counters()
         starts, end_filter = self._shortest_candidates(pattern, restriction)
         view = self._view
-        # Columnar snapshots get the dense-id search: the register
-        # program is lowered onto the snapshot's interning tables once
-        # and shared across every seed. When pushdown left the program
-        # register-free and the snapshot is pristine, the flat-array
-        # lane replaces the dict-state search entirely.
-        use_dense = isinstance(view, GraphSnapshot)
-        program = compile_dense_program(rnfa, view) if use_dense else None
+        # The register program is lowered onto the snapshot's interning
+        # tables once and shared across every seed: onto the flat-array
+        # lane when pushdown left it register-free and the snapshot is
+        # pristine, onto the dense program when that lowering refuses.
         flat = (
             compile_flat_program(rnfa, view)
-            if use_dense and self.config.use_pushdown
+            if self.config.use_pushdown
             else None
         )
+        program = compile_dense_program(rnfa, view) if flat is None else None
         if counters is not None:
             counters.conditions_pushed += rnfa.pushed_atoms
         try:
@@ -606,12 +599,10 @@ class Evaluator:
                 check_deadline()
                 if flat is not None:
                     best = flat_shortest_pair_lengths(view, flat, start)
-                elif use_dense:
+                else:
                     best = dense_shortest_pair_lengths(
                         view, rnfa, start, program=program
                     )
-                else:
-                    best = shortest_pair_lengths(view, rnfa, start)
                 targets = {
                     end: length
                     for end, length in best.items()
@@ -693,8 +684,7 @@ class Evaluator:
         else:
             starts = ends = None
         if starts is None:
-            nodes = self._view.nodes
-            starts = nodes if isinstance(nodes, tuple) else tuple(sorted(nodes))
+            starts = self._view.nodes
         if restriction is not None:
             # ``starts`` is already sorted; filtering preserves order.
             starts = tuple(n for n in starts if n in restriction)
@@ -787,42 +777,34 @@ def _hash_join(
     left: frozenset[Answer],
     right: frozenset[Answer],
     shared: tuple[str, ...],
-    view: object | None = None,
+    view: GraphSnapshot,
 ) -> frozenset[Answer]:
     """Combine two answer sets, bucketing on the shared variables.
 
     The hash table is built on the smaller side; path-tuple order in
     the combined answers always follows the query's left-to-right join
-    order, so the result is identical to the nested loop's. Over a
-    columnar snapshot, element-id key components are replaced by their
-    interned dense ints — hashing a few small ints per row instead of
-    ``_Id`` wrappers. The mapping is deterministic per snapshot (equal
-    elements always get equal keys) and any accidental bucket collision
-    is filtered by ``combine()``'s full re-unification.
+    order, so the result is identical to the nested loop's. Element-id
+    key components are replaced by the snapshot's interned dense ints —
+    hashing a few small ints per row instead of ``_Id`` wrappers. The
+    mapping is deterministic per snapshot (equal elements always get
+    equal keys) and any accidental bucket collision is filtered by
+    ``combine()``'s full re-unification.
     """
     if not left or not right:
         return frozenset()
     if not shared:
         # Disjoint schemas: the join is a plain cross product.
         return _nested_loop_join(left, right)
-    dense_key = (
-        view.dense_key if isinstance(view, GraphSnapshot) else None
-    )
-    if dense_key is None:
+    dense_key = view.dense_key
 
-        def key_of(answer: Answer) -> tuple:
-            return tuple(answer.assignment.get(v) for v in shared)
-
-    else:
-
-        def key_of(answer: Answer) -> tuple:
-            get = answer.assignment.get
-            return tuple(
-                dense_key(value)
-                if isinstance(value, _ELEMENT_IDS)
-                else value
-                for value in (get(v) for v in shared)
-            )
+    def key_of(answer: Answer) -> tuple:
+        get = answer.assignment.get
+        return tuple(
+            dense_key(value)
+            if isinstance(value, _ELEMENT_IDS)
+            else value
+            for value in (get(v) for v in shared)
+        )
 
     if len(left) <= len(right):
         build, probe, build_is_left = left, right, True

@@ -48,6 +48,7 @@ from repro.gpc import ast
 from repro.gpc.conditions_ast import And, Condition, PropertyEqualsConst
 from repro.gpc.minlength import max_path_length
 from repro.gpc.typing import infer_schema
+from repro.graph.statistics import compute_label_cardinalities
 
 __all__ = [
     "NodeConstraint",
@@ -357,14 +358,6 @@ def join_shared_variables(join: ast.Join) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _cardinalities(view):
-    """The per-label count summary for a graph or snapshot
-    (:class:`repro.graph.statistics.LabelCardinalities`)."""
-    if hasattr(view, "label_cardinalities"):
-        return view.label_cardinalities()
-    return view.snapshot().label_cardinalities()
-
-
 def estimate_pattern_cardinality(pattern: ast.Pattern, view) -> float:
     """A cheap estimate of how many matches ``pattern`` has in ``view``.
 
@@ -376,7 +369,7 @@ def estimate_pattern_cardinality(pattern: ast.Pattern, view) -> float:
     memoised :class:`~repro.graph.statistics.LabelCardinalities`, so
     the recursion is pure arithmetic.
     """
-    return _estimate_pattern(pattern, _cardinalities(view))
+    return _estimate_pattern(pattern, compute_label_cardinalities(view))
 
 
 def _estimate_pattern(pattern: ast.Pattern, cards) -> float:
@@ -450,7 +443,7 @@ def estimate_query_cardinality(query: ast.Query, view, plan=None) -> float:
     shared variables of each join, so repeated estimation — the engine
     estimates per execution — never re-runs schema inference.
     """
-    return _estimate_query(query, _cardinalities(view), plan)
+    return _estimate_query(query, compute_label_cardinalities(view), plan)
 
 
 def _estimate_query(query: ast.Query, cards, plan=None) -> float:
@@ -549,7 +542,7 @@ def estimate_plan(query: ast.Query, view, plan=None) -> PlanEstimates:
     against what the cost model predicted. ``plan`` (a
     :class:`~repro.gpc.engine.QueryPlan`) reuses memoised analyses.
     """
-    cards = _cardinalities(view)
+    cards = compute_label_cardinalities(view)
     joins: list[JoinEstimate] = []
 
     def walk(q: ast.Query) -> None:

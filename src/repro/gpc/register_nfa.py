@@ -46,6 +46,7 @@ from repro.errors import (
     DeadlineExceededError,
     EvaluationError,
     EvaluationLimitError,
+    UnknownIdError,
 )
 from repro.graph.ids import NodeId
 from repro.graph.paths import Path
@@ -65,7 +66,6 @@ __all__ = [
     "UnsupportedPattern",
     "compile_register_nfa",
     "collect_requirement",
-    "shortest_pair_lengths",
     "DenseProgram",
     "compile_dense_program",
     "dense_shortest_pair_lengths",
@@ -502,84 +502,23 @@ def _step_targets(
     return out
 
 
-def shortest_pair_lengths(
-    graph: PropertyGraph,
-    nfa: RegisterNFA,
-    start: NodeId,
-    state_budget: int = 2_000_000,
-) -> dict[NodeId, int]:
-    """Exact minimum accepted path length from ``start`` to every
-    reachable end node, via 0-1 BFS over (node, state, registers)."""
-    initial = (start, nfa.initial, ())
-    dist: dict[tuple, int] = {initial: 0}
-    queue: deque[tuple] = deque([initial])
-    best: dict[NodeId, int] = {}
-    # Work accounting stays in local ints inside the hot loop; the
-    # ambient EvalCounters (if any) is updated once on the way out.
-    expanded = 0
-    relaxed = 0
-    try:
-        while queue:
-            state = queue.popleft()
-            expanded += 1
-            node, q, registers = state
-            d = dist[state]
-            if q == nfa.final and (node not in best or d < best[node]):
-                best[node] = d
-            for op, target in nfa.zero[q]:
-                updated = _apply_zero(op, node, registers, graph)
-                if updated is None:
-                    continue
-                key = (node, target, updated)
-                if key not in dist or dist[key] > d:
-                    dist[key] = d
-                    queue.appendleft(key)
-                    relaxed += 1
-            for step, target in nfa.steps[q]:
-                for edge, successor in _step_targets(step, node, graph):
-                    updated = registers
-                    if step.variable is not None:
-                        current = dict(registers)
-                        bound = current.get(step.variable)
-                        if bound is None:
-                            current[step.variable] = edge
-                            updated = tuple(sorted(current.items()))
-                        elif bound != edge:
-                            continue
-                    key = (successor, target, updated)
-                    if key not in dist or dist[key] > d + 1:
-                        dist[key] = d + 1
-                        queue.append(key)
-                        relaxed += 1
-            if len(dist) > state_budget:
-                raise EvaluationLimitError(
-                    f"register search exceeded {state_budget} states"
-                )
-    finally:
-        counters = active_counters()
-        if counters is not None:
-            counters.nfa_states_expanded += expanded
-            counters.nfa_transitions += relaxed
-    return best
-
-
 # ---------------------------------------------------------------------------
-# Dense-id fast path
+# Dense-id search
 # ---------------------------------------------------------------------------
 #
-# When the view is a columnar :class:`~repro.graph.snapshot.GraphSnapshot`
-# the 0-1 BFS can run on interned integer ids and CSR slices instead of
-# ``_Id`` wrappers and adjacency tuples: node/edge identity becomes an
-# ``int``, label tests become membership in a pre-interned frozenset of
-# label ints, and neighbour expansion is a contiguous slice of two
-# parallel ``array('i')`` columns. Search states whose node lives only
+# Over a columnar :class:`~repro.graph.snapshot.GraphSnapshot` the 0-1
+# BFS runs on interned integer ids and CSR slices instead of ``_Id``
+# wrappers and adjacency tuples: node/edge identity becomes an ``int``,
+# label tests become one bit of a per-label bitmask over dense ids, and
+# neighbour expansion is a contiguous slice of two parallel
+# ``array('i')`` columns. Search states whose node lives only
 # in a derive overlay (or whose CSR row was patched) step through the
 # snapshot's view accessors instead, translating successors back into
 # dense keys, so mixed core/overlay graphs stay exact. The key
 # invariant is that the dense-key translation is deterministic per
 # snapshot — each element is keyed either always by its int or always
 # by its ``_Id`` — so register equality and ``dist`` dedup behave
-# exactly as in :func:`shortest_pair_lengths`.
+# exactly as they would on the real ids.
 
 _OP_EPS = 0
 _OP_TEST = 1
@@ -702,11 +641,11 @@ def dense_shortest_pair_lengths(
     state_budget: int = 2_000_000,
     program: Optional[DenseProgram] = None,
 ) -> dict[NodeId, int]:
-    """:func:`shortest_pair_lengths` specialised to a columnar
-    :class:`~repro.graph.snapshot.GraphSnapshot`.
+    """Exact minimum accepted path length from ``start`` to every
+    reachable end node, via 0-1 BFS over (node, state, registers) on a
+    columnar :class:`~repro.graph.snapshot.GraphSnapshot`.
 
-    Semantically identical (same 0-1 BFS, same budget, same counters);
-    returns real element ids. Core nodes with unpatched CSR rows expand
+    Returns real element ids. Core nodes with unpatched CSR rows expand
     via integer column slices; overlay, shadowed, and dirty nodes fall
     back to the view accessors."""
     if program is None:
@@ -1086,8 +1025,8 @@ def flat_shortest_pair_lengths(
     a flat distance array (-1 = undiscovered) instead of dict-keyed
     tuples, and the compile-time epsilon closures leave only weight-1
     transitions — a plain FIFO BFS, where first discovery is final.
-    Only call with the pristine snapshot the program was compiled for;
-    seeds are core nodes by construction."""
+    Only call with the pristine snapshot the program was compiled for,
+    where every node is a core node."""
     core = snapshot._core
     elements = core.elements
     ns = flat.num_states
@@ -1096,8 +1035,8 @@ def flat_shortest_pair_lengths(
     final = flat.final
 
     start_dense = snapshot.dense_start_key(start)
-    if type(start_dense) is not int:  # pragma: no cover - pristine guard
-        raise ValueError("flat lane requires a core seed node")
+    if type(start_dense) is not int:
+        raise UnknownIdError(f"unknown node {start!r}")
     dist = array("i", [-1]) * (core.n_nodes * ns)
     initial = start_dense * ns + flat.initial
     dist[initial] = 0

@@ -413,9 +413,9 @@ def _unrle_ascending(encoded: tuple[bool, bytes]) -> array:
 def build_columns(graph: "PropertyGraph") -> SnapshotColumns:
     """Intern and columnarise one version of a mutable graph.
 
-    Reads the same internal mappings the legacy snapshot copied
-    (``_node_labels``, ``_out``, …) but flattens them into the dense
-    layout described in the module docstring.
+    Reads the graph's internal mappings (``_node_labels``, ``_out``,
+    …) and flattens them into the dense layout described in the module
+    docstring.
     """
     core = object.__new__(SnapshotColumns)
 
@@ -472,8 +472,8 @@ def build_columns(graph: "PropertyGraph") -> SnapshotColumns:
     core.labelsets_int = tuple(labelsets_int)
     core.labelset_of = labelset_of
 
-    # CSR adjacency. Rows are sorted by edge id, matching the legacy
-    # tuple layout, so the thin view reproduces iteration order exactly.
+    # CSR adjacency. Rows are sorted by edge id, so the thin view
+    # iterates a node's edges in id order on every build.
     out_off = array(DENSE_TYPECODE, [0])
     out_edge = array(DENSE_TYPECODE)
     out_tgt = array(DENSE_TYPECODE)

@@ -241,25 +241,15 @@ def path_in_graph(path: Path, graph: PropertyGraph) -> bool:
         return False
     # ``edge in graph.directed_edges`` would scan a snapshot's carrier
     # tuple — O(E) per path step; the membership methods are O(1).
-    has_directed = getattr(graph, "has_directed_edge", None)
-    has_undirected = getattr(graph, "has_undirected_edge", None)
     for before, edge, after in path.steps():
         if not graph.has_node(before) or not graph.has_node(after):
             return False
-        if (
-            has_directed(edge)
-            if has_directed is not None
-            else edge in graph.directed_edges
-        ):
+        if graph.has_directed_edge(edge):
             forward = graph.source(edge) == before and graph.target(edge) == after
             backward = graph.source(edge) == after and graph.target(edge) == before
             if not (forward or backward):
                 return False
-        elif (
-            has_undirected(edge)
-            if has_undirected is not None
-            else edge in graph.undirected_edges
-        ):
+        elif graph.has_undirected_edge(edge):
             if graph.endpoints(edge) != frozenset({before, after}):
                 return False
         else:

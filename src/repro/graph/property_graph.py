@@ -213,7 +213,7 @@ class PropertyGraph:
                 # work crosses the budget, a rebuild re-interns
                 # everything into fresh columns.
                 if deltas is not None and (
-                    getattr(cached, "overlay_ops", 0)
+                    cached.overlay_ops
                     + sum(d.size for d in deltas)
                     <= self._delta_budget()
                 ):

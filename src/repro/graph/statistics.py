@@ -137,8 +137,7 @@ def compute_label_cardinalities(graph) -> LabelCardinalities:
     Mutable graphs are snapshotted first (memoised per version), so
     repeated calls against an unchanged graph are free.
     """
-    snapshot = graph.snapshot() if hasattr(graph, "snapshot") else graph
-    return snapshot.label_cardinalities()
+    return graph.snapshot().label_cardinalities()
 
 
 def compute_statistics(graph: PropertyGraph) -> GraphStatistics:

@@ -32,8 +32,8 @@ class EvalCounters:
     Field meanings:
 
     - ``nfa_states_expanded`` — configurations popped from the 0-1 BFS
-      queue in ``shortest_pair_lengths`` (the register-NFA product
-      search);
+      queue in ``dense_shortest_pair_lengths`` /
+      ``flat_shortest_pair_lengths`` (the register-NFA product search);
     - ``nfa_transitions`` — relaxations pushed onto that queue (zero-
       cost register/check ops and cost-1 edge steps);
     - ``deepening_rounds`` — iterative-deepening rounds: witness-length
@@ -61,7 +61,7 @@ class EvalCounters:
     - ``mask_probes`` — single-bit bitmask tests performed by the
       dense search in place of full condition/label evaluations;
     - ``dense_fast_lane`` — per-seed shortest searches served by the
-      register-free flat-array lane instead of the dict-state search;
+      register-free flat-array lane instead of the dense search;
     - ``queries_proven_empty`` — evaluations the static analyzer
       short-circuited to the empty answer set without touching the
       snapshot (the query is provably empty on every graph);

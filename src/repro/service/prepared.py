@@ -101,8 +101,7 @@ class PreparedQuery:
         this query over ``graph`` (memoised per graph version on the
         plan). The pre-execution half of estimate-vs-actual insight
         accounting."""
-        view = graph.snapshot() if hasattr(graph, "snapshot") else graph
-        return self.plan.estimates(self.query, view)
+        return self.plan.estimates(self.query, graph.snapshot())
 
     def explain(self, graph: PropertyGraph | GraphSnapshot | None = None) -> str:
         """The planner's strategy summary for this query.

@@ -1,9 +1,16 @@
-"""Shared fixtures: the small graphs used across the suite."""
+"""Shared fixtures: the small graphs used across the suite, and the
+served ``shortest`` length lanes run side by side."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.errors import GPCError
+from repro.gpc.register_nfa import (
+    compile_flat_program,
+    dense_shortest_pair_lengths,
+    flat_shortest_pair_lengths,
+)
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import (
     chain_graph,
@@ -12,6 +19,7 @@ from repro.graph.generators import (
     theorem13_gadget,
 )
 from repro.graph.property_graph import PropertyGraph
+from repro.graph.snapshot import GraphSnapshot
 
 
 @pytest.fixture
@@ -84,3 +92,53 @@ def gadget13() -> PropertyGraph:
 @pytest.fixture
 def graph_s7() -> PropertyGraph:
     return section7_counterexample()
+
+
+def _overlay_snapshot(graph: PropertyGraph) -> GraphSnapshot:
+    """A snapshot of the same graph derived over patched CSR rows: after
+    a first ``snapshot()`` a scratch node every node points at is added
+    and removed again, so each row is an overlay row and the dense
+    search steps through the view accessors."""
+    base = graph.snapshot()
+    scratch = graph.add_node(f"scratch{graph.version}")
+    for node in base.nodes:
+        graph.add_edge(f"scratch{graph.version}", node, scratch)
+    graph.remove_node(scratch)
+    derived = GraphSnapshot.derive(base, graph.deltas_since(base.version))
+    assert not derived.pristine
+    return derived
+
+
+@pytest.fixture(params=["pristine", "overlay"])
+def pair_lengths(request):
+    """``pair_lengths(graph, nfa, start)``: the ``shortest`` length
+    search as served — the dense lane on a pristine snapshot of
+    ``graph`` or (second parameter) on an overlay-derived one, and the
+    flat lane beside it wherever ``compile_flat_program`` accepts the
+    NFA. The lanes must agree, on the lengths or on the typed error;
+    the common outcome is returned or raised."""
+
+    def run(graph, nfa, start):
+        view = (
+            GraphSnapshot(graph)
+            if request.param == "pristine"
+            else _overlay_snapshot(graph)
+        )
+        lanes = [lambda: dense_shortest_pair_lengths(view, nfa, start)]
+        flat = compile_flat_program(nfa, view)
+        if flat is not None:
+            lanes.append(lambda: flat_shortest_pair_lengths(view, flat, start))
+        outcomes = []
+        for search in lanes:
+            try:
+                outcomes.append(search())
+            except GPCError as error:
+                outcomes.append(error)
+        outcome = outcomes[0]
+        if isinstance(outcome, GPCError):
+            assert all(type(other) is type(outcome) for other in outcomes)
+            raise outcome
+        assert all(other == outcome for other in outcomes)
+        return outcome
+
+    return run

@@ -97,11 +97,8 @@ class TestUndirectedInComposites:
         answer = next(iter(answers))
         assert answer["m"] == N("b") and answer["n"] == N("c")
 
-    def test_register_engine_handles_undirected(self):
-        from repro.gpc.register_nfa import (
-            compile_register_nfa,
-            shortest_pair_lengths,
-        )
+    def test_register_engine_handles_undirected(self, pair_lengths):
+        from repro.gpc.register_nfa import compile_register_nfa
 
         graph = (
             GraphBuilder()
@@ -110,7 +107,7 @@ class TestUndirectedInComposites:
             .build()
         )
         nfa = compile_register_nfa(parse_pattern("~[:u]~{1,}"))
-        best = shortest_pair_lengths(graph, nfa, N("a"))
+        best = pair_lengths(graph, nfa, N("a"))
         assert best == {N("a"): 2, N("b"): 1, N("c"): 2}
 
     def test_undirected_self_loop_trail(self, mixed_graph):

@@ -1,15 +1,18 @@
-"""Differential equivalence: predicate pushdown on vs off vs seed.
+"""Differential equivalence: predicate pushdown on vs off vs the
+specification.
 
 Pushdown rewrites condition-bearing ``shortest`` plans — atoms lifted
 to bind/step sites, bitmask probes, the register-free flat lane — and
 every rewrite must be answer-preserving. Random graphs and mutation
 chains are generated from a hypothesis-drawn seed; each query runs
-three ways — pushdown on (masks + flat lane), pushdown off (the seed
-dense search), and the tuple-dict :class:`LegacyGraphSnapshot` — and
-the answer frozensets are compared for exact equality.
+with pushdown on (masks + flat lane) and off (residual checks on the
+dense search), on a rebuilt snapshot and on the graph's own (derived)
+one, and every answer set is compared with the paper's Section 5
+semantics on the plain graph (:mod:`reference`) for exact equality.
 
 The mutation chains matter: ``derive`` patches masked rows copy-on-
-write, so stale bitmask bits would surface here as on/off divergence.
+write, so stale bitmask bits would surface here as a divergence from
+the reference.
 """
 
 from __future__ import annotations
@@ -19,10 +22,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpc.engine import EngineConfig, Evaluator
+from reference import (
+    assert_equal_reference,
+    mutate,
+    random_graph,
+    reference_answers,
+)
+from repro.gpc.engine import EngineConfig
 from repro.gpc.parser import parse_query
 from repro.graph import GraphSnapshot, PropertyGraph
-from repro.graph.snapshot_legacy import LegacyGraphSnapshot
 
 #: Condition-bearing and register-free shapes: pushable single-variable
 #: atoms (on nodes and edges, at bind sites and step sites), residues
@@ -46,101 +54,40 @@ QUERIES = tuple(parse_query(text) for text in QUERY_TEXTS)
 PUSH_ON = EngineConfig(use_pushdown=True)
 PUSH_OFF = EngineConfig(use_pushdown=False)
 
-
-def random_graph(rng: random.Random) -> PropertyGraph:
-    graph = PropertyGraph()
-    handles = [
-        graph.add_node(
-            f"n{i}",
-            labels=rng.choice([(), ("P",), ("Q",), ("P", "Q")]),
-            properties=rng.choice([None, {"k": rng.randrange(3)}]),
-        )
-        for i in range(rng.randrange(3, 10))
-    ]
-    for i in range(rng.randrange(2, 18)):
-        graph.add_edge(
-            f"e{i}",
-            rng.choice(handles),
-            rng.choice(handles),
-            labels=rng.choice([("r",), ("s",), ("r", "s"), ()]),
-            properties=rng.choice([None, {"w": rng.randrange(3)}]),
-        )
-    for i in range(rng.randrange(0, 4)):
-        graph.add_undirected_edge(
-            f"u{i}", rng.choice(handles), rng.choice(handles), labels=("m",)
-        )
-    return graph
+#: ``shortest`` pairs further apart than this are outside the bounded
+#: reference (and outside the comparison).
+HORIZON = 4
 
 
-def mutate(rng: random.Random, graph: PropertyGraph) -> None:
-    """Mutations biased toward masked state: property writes/removals
-    flip mask bits, node removal clears them, re-add shadows rows."""
-    nodes = sorted(graph.nodes)
-    dedges = sorted(graph.directed_edges)
-    op = rng.randrange(7)
-    if op == 0 and nodes:
-        graph.set_property(rng.choice(nodes), "k", rng.randrange(3))
-    elif op == 1 and dedges:
-        graph.set_property(rng.choice(dedges), "w", rng.randrange(3))
-    elif op == 2 and nodes:
-        victim = rng.choice(nodes)
-        if graph.get_property(victim, "k") is not None:
-            graph.remove_property(victim, "k")
-    elif op == 3 and len(nodes) > 3:
-        graph.remove_node(rng.choice(nodes))
-    elif op == 4:
-        graph.add_node(
-            f"m{graph.version}",
-            labels=rng.choice([("P",), ("Q",)]),
-            properties={"k": rng.randrange(3)},
-        )
-    elif op == 5 and len(nodes) >= 2:
-        graph.add_edge(
-            f"me{graph.version}",
-            rng.choice(nodes),
-            rng.choice(nodes),
-            labels=rng.choice([("r",), ("s",)]),
-            properties={"w": rng.randrange(3)},
-        )
-    else:
-        victim = rng.choice(nodes)
-        graph.remove_node(victim)
-        graph.add_node(
-            victim.key,
-            labels=rng.choice([(), ("P",)]),
-            properties={"k": rng.randrange(3)},
-        )
-
-
-def assert_same_answers(graph: PropertyGraph, csr_view=None) -> None:
-    csr = csr_view if csr_view is not None else GraphSnapshot(graph)
-    legacy = LegacyGraphSnapshot(graph)
-    pushed = Evaluator(csr, PUSH_ON)
-    unpushed = Evaluator(csr, PUSH_OFF)
-    seed_eval = Evaluator(legacy, PUSH_OFF)
-    for text, query in zip(QUERY_TEXTS, QUERIES):
-        on = pushed.evaluate(query)
-        off = unpushed.evaluate(query)
-        seed = seed_eval.evaluate(query)
-        assert on == off, f"pushdown changed answers: {text}"
-        assert on == seed, f"dense diverged from seed layout: {text}"
+def assert_matches_reference(graph: PropertyGraph) -> None:
+    rebuilt = GraphSnapshot(graph)
+    views = {
+        "rebuilt, pushdown on": (rebuilt, PUSH_ON),
+        "rebuilt, pushdown off": (rebuilt, PUSH_OFF),
+        "snapshot, pushdown on": (graph.snapshot(), PUSH_ON),
+        "snapshot, pushdown off": (graph.snapshot(), PUSH_OFF),
+    }
+    for query in QUERIES:
+        reference = reference_answers(graph, query, HORIZON)
+        assert_equal_reference(reference, query, views, HORIZON)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_pushdown_matches_on_static_snapshots(seed):
     rng = random.Random(seed)
-    assert_same_answers(random_graph(rng))
+    assert_matches_reference(random_graph(rng))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
 def test_pushdown_matches_across_mutation_chains(seed):
     """Derived snapshots patch cached masks copy-on-write; answers
-    must stay equal after chains that rewrite masked rows."""
+    must stay equal to the reference after chains that rewrite masked
+    rows."""
     rng = random.Random(seed)
     graph = random_graph(rng)
     graph.snapshot()  # force the derive path for later versions
     for _ in range(rng.randrange(1, 6)):
         mutate(rng, graph)
-        assert_same_answers(graph, graph.snapshot())
+        assert_matches_reference(graph)

@@ -11,6 +11,7 @@ from repro.errors import (
     DeadlineExceededError,
     EvaluationError,
     EvaluationLimitError,
+    UnknownIdError,
 )
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import (
@@ -20,7 +21,6 @@ from repro.graph.generators import (
     theorem13_gadget,
 )
 from repro.graph.ids import NodeId as N
-from repro.graph.snapshot import GraphSnapshot
 from repro.gpc import ast
 from repro.gpc.collect import CollectMode
 from repro.gpc.engine import EngineConfig, Evaluator, _keep_shortest
@@ -28,10 +28,8 @@ from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.register_nfa import (
     UnsupportedPattern,
     compile_register_nfa,
-    dense_shortest_pair_lengths,
     enumerate_exact_length_walks,
     enumerate_shortest_witnesses,
-    shortest_pair_lengths,
 )
 from repro.gpc.semantics import BoundedEvaluator
 from repro.obs import EvalCounters, use_counters
@@ -39,10 +37,10 @@ from repro.obs.deadline import deadline_scope
 
 
 class TestPairLengths:
-    def test_chain_distances(self):
+    def test_chain_distances(self, pair_lengths):
         graph = chain_graph(4)
         nfa = compile_register_nfa(parse_pattern("->{1,}"))
-        best = shortest_pair_lengths(graph, nfa, N("n0"))
+        best = pair_lengths(graph, nfa, N("n0"))
         assert best == {
             N("n1"): 1,
             N("n2"): 2,
@@ -50,13 +48,13 @@ class TestPairLengths:
             N("n4"): 4,
         }
 
-    def test_star_includes_zero(self):
+    def test_star_includes_zero(self, pair_lengths):
         graph = chain_graph(2)
         nfa = compile_register_nfa(parse_pattern("->{0,}"))
-        best = shortest_pair_lengths(graph, nfa, N("n0"))
+        best = pair_lengths(graph, nfa, N("n0"))
         assert best[N("n0")] == 0
 
-    def test_label_constraints_respected(self):
+    def test_label_constraints_respected(self, pair_lengths):
         graph = (
             GraphBuilder()
             .edge("a", "b", "x")
@@ -64,10 +62,10 @@ class TestPairLengths:
             .build()
         )
         nfa = compile_register_nfa(parse_pattern("-[:x]-> -[:y]->"))
-        best = shortest_pair_lengths(graph, nfa, N("a"))
+        best = pair_lengths(graph, nfa, N("a"))
         assert best == {N("c"): 2}
 
-    def test_node_label_test(self):
+    def test_node_label_test(self, pair_lengths):
         graph = (
             GraphBuilder()
             .node("a", "A")
@@ -78,36 +76,36 @@ class TestPairLengths:
             .build()
         )
         nfa = compile_register_nfa(parse_pattern("(:A) ->{1,} (:A)"))
-        best = shortest_pair_lengths(graph, nfa, N("a"))
+        best = pair_lengths(graph, nfa, N("a"))
         assert best == {N("c"): 2}
-        assert shortest_pair_lengths(graph, nfa, N("b")) == {}
+        assert pair_lengths(graph, nfa, N("b")) == {}
 
-    def test_variable_join_enforced(self):
+    def test_variable_join_enforced(self, pair_lengths):
         # (z) -> () -> (z): must return to the starting node.
         graph = cycle_graph(3)
         nfa = compile_register_nfa(parse_pattern("(z) -> () -> (z)"))
-        assert shortest_pair_lengths(graph, nfa, N("n0")) == {}
+        assert pair_lengths(graph, nfa, N("n0")) == {}
         two_cycle = cycle_graph(2)
-        assert shortest_pair_lengths(two_cycle, nfa, N("n0")) == {N("n0"): 2}
+        assert pair_lengths(two_cycle, nfa, N("n0")) == {N("n0"): 2}
 
-    def test_edge_variable_join(self):
+    def test_edge_variable_join(self, pair_lengths):
         # -[e]-> <-[e]-: traverse the same edge out and back.
         graph = (
             GraphBuilder().edge("a", "b", key="e1").edge("a", "b", key="e2").build()
         )
         nfa = compile_register_nfa(parse_pattern("-[e]-> <-[e]-"))
-        best = shortest_pair_lengths(graph, nfa, N("a"))
+        best = pair_lengths(graph, nfa, N("a"))
         assert best == {N("a"): 2}
 
-    def test_registers_reset_between_iterations(self):
+    def test_registers_reset_between_iterations(self, pair_lengths):
         # [(z) -> (z)]{2,2} would need two self-loops; with the reset,
         # [(z) ->]{2,2} allows different z per iteration.
         graph = chain_graph(2)
         nfa = compile_register_nfa(parse_pattern("[(z) ->]{2,2}"))
-        best = shortest_pair_lengths(graph, nfa, N("n0"))
+        best = pair_lengths(graph, nfa, N("n0"))
         assert best == {N("n2"): 2}
 
-    def test_condition_checked(self):
+    def test_condition_checked(self, pair_lengths):
         graph = (
             GraphBuilder()
             .node("a", k=1)
@@ -120,8 +118,14 @@ class TestPairLengths:
         nfa = compile_register_nfa(
             parse_pattern("[(x) ->{1,} (y)] << x.k = y.k >>")
         )
-        best = shortest_pair_lengths(graph, nfa, N("a"))
+        best = pair_lengths(graph, nfa, N("a"))
         assert best == {N("c"): 2}
+
+    def test_unknown_seed_is_a_typed_error(self, pair_lengths):
+        # Both lanes: the flat lane accepts this NFA on the pristine view.
+        nfa = compile_register_nfa(parse_pattern("->{1,}"))
+        with pytest.raises(UnknownIdError):
+            pair_lengths(chain_graph(2), nfa, N("nowhere"))
 
     def test_unsupported_extension_raises(self):
         from repro.extensions.arithmetic import ArithConditioned, Count, TermConst
@@ -188,11 +192,11 @@ class TestPerSeedWitnessPass:
 
     @pytest.mark.parametrize("build, text, seed", CASES)
     def test_one_pass_equals_single_target_calls_and_the_contract(
-        self, build, text, seed
+        self, build, text, seed, pair_lengths
     ):
         graph, pattern, start = build(), parse_pattern(text), N(seed)
         nfa = compile_register_nfa(pattern)
-        best = shortest_pair_lengths(graph, nfa, start)
+        best = pair_lengths(graph, nfa, start)
         assert best
         walks = enumerate_shortest_witnesses(graph, nfa, start, best)
         for end, length in best.items():
@@ -316,7 +320,7 @@ class TestPerSeedWitnessPass:
             )
         assert (grouped.witnesses, grouped.witnesses_matched) == (8, 8)
 
-    def test_collect_failure_probes_upward(self):
+    def test_collect_failure_probes_upward(self, pair_lengths):
         # Under RUNTIME collect an edgeless factor is undefined, so the
         # NFA's length 0 for the pair has no collectible witness, nor
         # has length 1 (one edge factor, one edgeless); length 2 has.
@@ -324,7 +328,7 @@ class TestPerSeedWitnessPass:
         pattern = parse_pattern("[(x) + ->]{2,2}")
         nfa = compile_register_nfa(pattern)
         node = N("n0")
-        assert shortest_pair_lengths(graph, nfa, node) == {node: 0}
+        assert pair_lengths(graph, nfa, node) == {node: 0}
         runtime = CollectMode.RUNTIME
         collectible = []
         for length in range(3):
@@ -407,32 +411,36 @@ class TestCheckErrorPropagation:
     @pytest.mark.parametrize(
         "error", [DeadlineExceededError, EvaluationLimitError]
     )
-    def test_generic_search_propagates(self, error, monkeypatch):
+    def test_length_search_propagates(self, error, monkeypatch, pair_lengths):
         def boom(graph, assignment, condition):
             raise error("expired inside a CHECK")
 
         monkeypatch.setattr("repro.gpc.register_nfa.satisfies", boom)
         with pytest.raises(error):
-            shortest_pair_lengths(self._graph(), self._nfa(), N("a"))
+            pair_lengths(self._graph(), self._nfa(), N("a"))
 
     @pytest.mark.parametrize(
         "error", [DeadlineExceededError, EvaluationLimitError]
     )
-    def test_dense_search_propagates(self, error, monkeypatch):
+    def test_witness_pass_propagates(self, error, monkeypatch):
         def boom(graph, assignment, condition):
             raise error("expired inside a CHECK")
 
         monkeypatch.setattr("repro.gpc.register_nfa.satisfies", boom)
-        snapshot = GraphSnapshot(self._graph())
         with pytest.raises(error):
-            dense_shortest_pair_lengths(snapshot, self._nfa(), N("a"))
+            enumerate_exact_length_walks(
+                self._graph(), self._nfa(), N("a"), N("b"), 1
+            )
 
-    def test_plain_evaluation_errors_still_swallowed(self, monkeypatch):
+    def test_plain_evaluation_errors_still_swallowed(
+        self, monkeypatch, pair_lengths
+    ):
         def boom(graph, assignment, condition):
             raise EvaluationError("malformed condition")
 
         monkeypatch.setattr("repro.gpc.register_nfa.satisfies", boom)
         graph = self._graph()
-        assert shortest_pair_lengths(graph, self._nfa(), N("a")) == {}
-        snapshot = GraphSnapshot(graph)
-        assert dense_shortest_pair_lengths(snapshot, self._nfa(), N("a")) == {}
+        assert pair_lengths(graph, self._nfa(), N("a")) == {}
+        assert not enumerate_exact_length_walks(
+            graph, self._nfa(), N("a"), N("b"), 1
+        )

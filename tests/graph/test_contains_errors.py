@@ -4,9 +4,8 @@
 simply "not an element") but must *not* swallow anything else — most
 importantly the deadline/limit errors the engine uses as control flow.
 These used to be eaten by a broad ``except Exception`` on
-:class:`PropertyGraph`, :class:`GraphSnapshot` and
-:class:`LegacyGraphSnapshot`, turning a fired deadline into a silent
-``False``. The same narrowing applies to the footprint module's
+:class:`PropertyGraph` and :class:`GraphSnapshot`, turning a fired
+deadline into a silent ``False``. The same narrowing applies to the footprint module's
 defensive guards around ``min_path_length``.
 """
 
@@ -19,7 +18,6 @@ from repro.gpc import footprint as footprint_module
 from repro.gpc.footprint import pattern_footprint, query_footprint
 from repro.gpc.parser import parse_query
 from repro.graph import GraphBuilder
-from repro.graph.snapshot_legacy import LegacyGraphSnapshot
 
 
 class _ExplodingHash:
@@ -38,7 +36,7 @@ def _graph():
 
 def _views():
     graph = _graph()
-    return [graph, graph.snapshot(), LegacyGraphSnapshot(graph)]
+    return [graph, graph.snapshot()]
 
 
 class TestContainsNarrowing:

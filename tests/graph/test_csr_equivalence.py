@@ -1,11 +1,14 @@
-"""Differential equivalence: columnar CSR snapshot vs seed layout.
+"""Differential equivalence: the columnar CSR snapshot vs the
+specification.
 
-The columnar :class:`GraphSnapshot` (interned ids + CSR adjacency)
-must answer every query byte-identically to the seed tuple-dict
-implementation preserved as :class:`LegacyGraphSnapshot`. Random
-graphs and mutation chains are generated from a hypothesis-drawn
-seed; each query runs through both views and the answer frozensets
-are compared for exact equality — same paths, same assignments, same
+The columnar :class:`GraphSnapshot` (interned ids + CSR adjacency),
+fresh or at the end of a copy-on-write derive chain, must answer every
+query as the paper's Section 5 semantics does on the plain
+:class:`PropertyGraph` (:mod:`reference`). Random graphs and mutation
+chains are generated from a hypothesis-drawn seed; each query runs
+through ``Evaluator(graph)``, a rebuilt snapshot and the graph's own
+(derived) snapshot, and the answer sets are compared with the
+reference for exact equality — same paths, same assignments, same
 real ids.
 """
 
@@ -16,10 +19,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpc.engine import Evaluator
+from reference import (
+    assert_equal_reference,
+    mutate,
+    random_graph,
+    reference_answers,
+)
 from repro.gpc.parser import parse_query
 from repro.graph import GraphSnapshot, PropertyGraph
-from repro.graph.snapshot_legacy import LegacyGraphSnapshot
 
 #: Covers the engine paths the columnar core accelerates: the dense
 #: register-NFA shortest search (labelled, bounded/deepening, union,
@@ -34,85 +41,38 @@ QUERY_TEXTS = (
 )
 QUERIES = tuple(parse_query(text) for text in QUERY_TEXTS)
 
-
-def random_graph(rng: random.Random) -> PropertyGraph:
-    graph = PropertyGraph()
-    handles = [
-        graph.add_node(
-            f"n{i}",
-            labels=rng.choice([(), ("P",), ("Q",), ("P", "Q")]),
-            properties=rng.choice([None, {"k": rng.randrange(3)}]),
-        )
-        for i in range(rng.randrange(3, 10))
-    ]
-    for i in range(rng.randrange(2, 18)):
-        graph.add_edge(
-            f"e{i}",
-            rng.choice(handles),
-            rng.choice(handles),
-            labels=rng.choice([("r",), ("s",), ("r", "s"), ()]),
-            properties=rng.choice([None, {"w": rng.randrange(3)}]),
-        )
-    for i in range(rng.randrange(0, 4)):
-        graph.add_undirected_edge(
-            f"u{i}", rng.choice(handles), rng.choice(handles), labels=("m",)
-        )
-    return graph
+#: ``shortest`` pairs further apart than this are outside the bounded
+#: reference (and outside the comparison).
+HORIZON = 4
 
 
-def mutate(rng: random.Random, graph: PropertyGraph) -> None:
-    nodes = sorted(graph.nodes)
-    dedges = sorted(graph.directed_edges)
-    op = rng.randrange(6)
-    if op == 0:
-        graph.add_node(
-            f"m{graph.version}", labels=rng.choice([("P",), ("Q",)])
-        )
-    elif op == 1 and len(nodes) >= 2:
-        graph.add_edge(
-            f"me{graph.version}",
-            rng.choice(nodes),
-            rng.choice(nodes),
-            labels=rng.choice([("r",), ("s",)]),
-        )
-    elif op == 2 and dedges:
-        graph.remove_edge(rng.choice(dedges))
-    elif op == 3 and len(nodes) > 3:
-        graph.remove_node(rng.choice(nodes))
-    elif op == 4 and nodes:
-        graph.set_property(rng.choice(nodes), "k", rng.randrange(3))
-    else:
-        # Remove-then-re-add exercises the shadow/dirty overlay paths.
-        victim = rng.choice(nodes)
-        graph.remove_node(victim)
-        graph.add_node(victim.key, labels=rng.choice([(), ("P",)]))
-
-
-def assert_same_answers(graph: PropertyGraph, csr_view=None) -> None:
-    csr = csr_view if csr_view is not None else GraphSnapshot(graph)
-    legacy = LegacyGraphSnapshot(graph)
-    for text, query in zip(QUERY_TEXTS, QUERIES):
-        dense = Evaluator(csr).evaluate(query)
-        seed = Evaluator(legacy).evaluate(query)
-        assert dense == seed, text
+def assert_matches_reference(graph: PropertyGraph) -> None:
+    views = {
+        "graph": (graph, None),
+        "rebuilt": (GraphSnapshot(graph), None),
+        "snapshot": (graph.snapshot(), None),
+    }
+    for query in QUERIES:
+        reference = reference_answers(graph, query, HORIZON)
+        assert_equal_reference(reference, query, views, HORIZON)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
-def test_static_snapshot_matches_seed_layout(seed):
+def test_static_snapshot_matches_the_reference(seed):
     rng = random.Random(seed)
-    assert_same_answers(random_graph(rng))
+    assert_matches_reference(random_graph(rng))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
-def test_derived_snapshot_matches_seed_layout(seed):
+def test_derived_snapshot_matches_the_reference(seed):
     """The copy-on-write overlay path (derived snapshots, including
-    shadowed re-adds and dirty adjacency rows) answers identically."""
+    shadowed re-adds and dirty adjacency rows) answers as the
+    specification does on the mutated graph."""
     rng = random.Random(seed)
     graph = random_graph(rng)
     graph.snapshot()
     for _ in range(rng.randrange(1, 6)):
         mutate(rng, graph)
-    derived = graph.snapshot()
-    assert_same_answers(graph, derived)
+    assert_matches_reference(graph)

@@ -35,13 +35,19 @@ def build_mixed() -> PropertyGraph:
     )
 
 
-def assert_snapshots_identical(left: GraphSnapshot, right: GraphSnapshot):
+def assert_snapshots_identical(
+    left: GraphSnapshot, right: GraphSnapshot, graph: PropertyGraph
+):
     """Observable equality over the full snapshot API.
 
     A derived snapshot (columnar core + copy-on-write overlays) and a
     fresh rebuild organise their internals differently by design, so
     equality is asserted accessor by accessor: carriers, adjacency
-    rows, endpoints, labels, properties, label indexes, counts."""
+    rows, endpoints, labels, properties, label indexes, counts.
+    ``graph`` — the mutable graph at the same version — is the third
+    party: both snapshots index it, neither is trusted on the other's
+    word."""
+    assert_snapshot_matches_graph(left, graph)
     assert left.version == right.version
     assert left.nodes == right.nodes
     assert left.directed_edges == right.directed_edges
@@ -76,6 +82,58 @@ def assert_snapshots_identical(left: GraphSnapshot, right: GraphSnapshot):
             label
         ) == right.undirected_edges_with_label(label)
     assert left.label_cardinalities() == right.label_cardinalities()
+
+
+def assert_snapshot_matches_graph(snapshot: GraphSnapshot, graph: PropertyGraph):
+    """Set equality, accessor by accessor, between a snapshot's indexes
+    and the mutable graph they were built (or derived) from."""
+    assert snapshot.version == graph.version
+    carriers = (
+        (snapshot.nodes, graph.nodes, snapshot.num_nodes),
+        (
+            snapshot.directed_edges,
+            graph.directed_edges,
+            snapshot.num_directed_edges,
+        ),
+        (
+            snapshot.undirected_edges,
+            graph.undirected_edges,
+            snapshot.num_undirected_edges,
+        ),
+    )
+    for carrier, truth, count in carriers:
+        assert set(carrier) == truth
+        assert len(carrier) == count == len(truth)
+    for node in graph.nodes:
+        assert set(snapshot.out_edges(node)) == graph.out_edges(node), node
+        assert set(snapshot.in_edges(node)) == graph.in_edges(node), node
+        assert set(snapshot.undirected_edges_at(node)) == (
+            graph.undirected_edges_at(node)
+        ), node
+        assert snapshot.num_edges_at(node) == graph.num_edges_at(node), node
+    for edge in graph.directed_edges:
+        assert snapshot.source(edge) == graph.source(edge), edge
+        assert snapshot.target(edge) == graph.target(edge), edge
+    for edge in graph.undirected_edges:
+        assert snapshot.endpoints(edge) == graph.endpoints(edge), edge
+    for element in graph.nodes | graph.directed_edges | graph.undirected_edges:
+        assert snapshot.labels(element) == graph.labels(element), element
+        assert dict(snapshot.properties(element)) == dict(
+            graph.properties(element)
+        ), element
+    assert snapshot.all_labels() == graph.all_labels()
+    cards = snapshot.label_cardinalities()
+    for label in graph.all_labels():
+        nodes = graph.nodes_with_label(label)
+        dedges = graph.directed_edges_with_label(label)
+        uedges = graph.undirected_edges_with_label(label)
+        assert set(snapshot.nodes_with_label(label)) == nodes, label
+        assert set(snapshot.directed_edges_with_label(label)) == dedges, label
+        assert set(snapshot.undirected_edges_with_label(label)) == uedges, label
+        assert snapshot.num_nodes_with_label(label) == len(nodes), label
+        assert cards.nodes_with_label(label) == len(nodes), label
+        assert cards.directed_edges_with_label(label) == len(dedges), label
+        assert cards.undirected_edges_with_label(label) == len(uedges), label
 
 
 class TestDeltaRecording:
@@ -180,7 +238,7 @@ class TestRemovalCascade:
         assert graph.snapshot_derivations == 1
         assert derived is not base
         rebuilt = GraphSnapshot(graph)
-        assert_snapshots_identical(derived, rebuilt)
+        assert_snapshots_identical(derived, rebuilt, graph)
         cards = derived.label_cardinalities()
         assert cards.nodes_with_label("P") == 1
         assert cards.directed_edges_with_label("knows") == 0
@@ -243,7 +301,7 @@ class TestDerivation:
         derived = graph.snapshot()
         assert graph.snapshot_derivations == 1
         clone = pickle.loads(pickle.dumps(derived))
-        assert_snapshots_identical(clone, GraphSnapshot(graph))
+        assert_snapshots_identical(clone, GraphSnapshot(graph), graph)
 
     def test_deltas_since_safe_against_concurrent_mutators(self):
         """Regression: reading the bounded delta log while another
@@ -350,7 +408,7 @@ class TestGhostLabels:
         derived = graph.snapshot()
         assert "Q" in derived.all_labels()
         assert derived.nodes_with_label("Q") == (d,)
-        assert_snapshots_identical(derived, GraphSnapshot(graph))
+        assert_snapshots_identical(derived, GraphSnapshot(graph), graph)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +513,9 @@ def test_derived_equals_rebuild_on_random_mutation_sequences(seed):
             continue
         derivable = derivable or _derive_in_budget(graph, previous)
         previous = graph.snapshot()
-        assert_snapshots_identical(previous, GraphSnapshot(graph))
+        assert_snapshots_identical(previous, GraphSnapshot(graph), graph)
     derivable = derivable or _derive_in_budget(graph, previous)
-    assert_snapshots_identical(graph.snapshot(), GraphSnapshot(graph))
+    assert_snapshots_identical(graph.snapshot(), GraphSnapshot(graph), graph)
     # Vacuity guard: whenever the sequence offered an in-budget delta
     # chain, at least one snapshot must have taken the derive path.
     # (Rare sequences — e.g. every chain blown past the budget by

@@ -12,6 +12,7 @@ from itertools import islice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import assert_equal_reference, reference_answers
 from strategies import small_graphs, well_typed_patterns
 
 from repro.graph import GraphSnapshot
@@ -20,7 +21,6 @@ from repro.gpc import ast
 from repro.gpc.engine import EngineConfig, Evaluator, evaluate
 from repro.gpc.collect import CollectMode
 from repro.gpc.parser import parse_pattern
-from repro.gpc.semantics import BoundedEvaluator
 from repro.gpc.typing import infer_schema
 
 _BOUND = 3
@@ -195,20 +195,6 @@ def test_span_matcher_agrees_with_engine(graph, pattern, mode):
                 )
 
 
-def _keep_shortest(matches, horizon):
-    """``shortest`` by the book, given the Section 5 bounded denotation
-    up to ``horizon``: the minimum length per endpoint pair."""
-    minima = {}
-    for path, _ in matches:
-        key = (path.src, path.tgt)
-        minima[key] = min(minima.get(key, horizon), len(path))
-    return {
-        (path, mu)
-        for path, mu in matches
-        if len(path) == minima[(path.src, path.tgt)]
-    }
-
-
 #: ``shortest`` patterns: group variables, end-constrained (label and
 #: pushed atom), a two-variable residue, a union, an undirected step,
 #: and an edgeless repeat body; then the shapes whose assignments are
@@ -243,7 +229,6 @@ def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
     """One example of the test below; ``None`` when the example is
     outside it, else whether the pattern was run-complete."""
     from repro.errors import CollectError, EvaluationLimitError
-    from repro.graph.snapshot_legacy import LegacyGraphSnapshot
     from repro.gpc.minlength import validate_approach1
     from repro.gpc.register_nfa import collect_requirement
     from repro.gpc.semantics import _Limits
@@ -263,24 +248,21 @@ def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
     pristine = GraphSnapshot(plain)
     assert pristine.pristine
     horizon = _SHORTEST_HORIZON
+    query = ast.PatternQuery(ast.Restrictor.SHORTEST, pattern)
     try:
         # Adversarial nested repetitions blow up the bounded
         # denotation; those examples are skipped, not sat through.
-        matches = BoundedEvaluator(
-            plain, mode, _Limits(max_intermediate_results=3_000)
-        ).evaluate(pattern, horizon)
+        reference = reference_answers(
+            plain, query, horizon, mode, _Limits(max_intermediate_results=3_000)
+        )
     except EvaluationLimitError:
         return None
-    reference = _keep_shortest(matches, horizon)
     nodes = sorted(plain.nodes)
     restriction = (
         frozenset(rng.sample(nodes, rng.randrange(len(nodes) + 1)))
         if restrict
         else None
     )
-    if restriction is not None:
-        reference = {m for m in reference if m[0].src in restriction}
-    query = ast.PatternQuery(ast.Restrictor.SHORTEST, pattern)
     # Where collect is undefined on every witness the engine probes
     # longer walks; past the horizon that is outside the reference.
     config = EngineConfig(
@@ -295,28 +277,18 @@ def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
         "plain": (plain, config),
         "pristine": (pristine, config),
         "derived": (derived, config),
-        "legacy": (LegacyGraphSnapshot(plain), config),
         "all-off": (pristine, all_off),
     }
-    for name, (view, view_config) in views.items():
-        answers = Evaluator(view, view_config).evaluate(
-            query, start_restriction=restriction
-        )
-        # Pairs whose minimum lies beyond the horizon are outside the
-        # bounded reference; below it the two must coincide.
-        got = {
-            (a.path, a.assignment) for a in answers if len(a.path) <= horizon
-        }
-        assert got == reference, name
+    assert_equal_reference(reference, query, views, horizon, restriction)
     return collect_requirement(pattern, mode) is None
 
 
 def test_shortest_equals_the_bounded_reference_on_every_view():
     """``SHORTEST`` equals the specification on a plain graph, a
-    pristine snapshot, a snapshot at the end of a derive chain and the
-    non-columnar legacy view, with and without a start restriction,
-    under every collect mode — for patterns whose assignments are read
-    off the register run and for patterns that need the span matcher."""
+    pristine snapshot and a snapshot at the end of a derive chain, with
+    and without a start restriction, under every collect mode — for
+    patterns whose assignments are read off the register run and for
+    patterns that need the span matcher."""
     run_complete = set()
 
     @settings(max_examples=120, deadline=None)
