@@ -10,6 +10,8 @@ the calculus' set semantics directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 from repro.errors import EvaluationError
@@ -18,6 +20,8 @@ from repro.gpc.assignments import Assignment
 from repro.gpc.values import Value
 
 __all__ = ["Answer", "project", "sort_answers"]
+
+_FIRST = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,28 @@ def project(
     )
 
 
-def sort_answers(answers: Iterable[Answer]) -> list[Answer]:
-    """Deterministic order for tests and reports: radix order on the
-    path tuple, then on the assignment's repr."""
-    return sorted(
-        answers,
-        key=lambda a: (
-            tuple((len(p), tuple(repr(e) for e in p.elements)) for p in a.paths),
-            repr(a.assignment),
-        ),
+def _paths_key(answer: Answer) -> tuple:
+    return tuple(
+        [
+            (len(path.elements), tuple([repr(e) for e in path.elements]))
+            for path in answer.paths
+        ]
     )
+
+
+def sort_answers(answers: Iterable[Answer]) -> list[Answer]:
+    """Deterministic order for tests, reports and the wire: radix order
+    on the path tuple, then on the assignment's repr.
+
+    The assignment's repr is only taken where it decides — between
+    answers that share their whole path tuple — which is rare, and
+    otherwise half the cost of the sort.
+    """
+    keyed = sorted([(_paths_key(a), a) for a in answers], key=_FIRST)
+    ordered: list[Answer] = []
+    for _, run in groupby(keyed, key=_FIRST):
+        tied = [a for _, a in run]
+        if len(tied) > 1:
+            tied.sort(key=lambda a: repr(a.assignment))
+        ordered.extend(tied)
+    return ordered

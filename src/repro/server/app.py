@@ -56,7 +56,10 @@ Two observability behaviours ride every request:
 
 Answers travel in the canonical :mod:`repro.server.wire` encoding, so
 an HTTP client can reconstruct the exact ``frozenset[Answer]`` the
-service computed.
+service computed. That encoding is a function of the answer set alone,
+so its bytes are kept beside the set in the service's result cache
+(:meth:`~repro.service.GraphService.rendered`): a cache hit is answered
+by writing those bytes plus the current ``"version"``.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ _STOP = object()
 
 #: Answer sets up to this size are JSON-encoded inline on the event
 #: loop (cheaper than a thread hop); larger ones serialise in a
-#: worker thread so one fat response never stalls other connections.
+#: worker thread — once, see ``_fragment`` — so one fat response never
+#: stalls other connections.
 ENCODE_INLINE_LIMIT = 64
 
 
@@ -467,16 +471,19 @@ class GraphServer:
             )
         result = await future
         version = self.service.version
-        # Small payloads encode inline; big answer sets hop to a
-        # worker thread so serialisation never stalls the event loop
-        # (and every other connection) for milliseconds.
-        if len(result) <= ENCODE_INLINE_LIMIT:
-            payload = wire.encode_answers(result)
-            payload["version"] = version
-            return 200, payload
-        return 200, await asyncio.to_thread(
-            self._render_answers, result, version
-        )
+        # Cached bytes and small sets cost microseconds: stay on the
+        # event loop. A big set nobody has serialised yet hops to a
+        # worker thread, so one fat response never stalls the loop (and
+        # every other connection) for milliseconds.
+        query = body["query"]
+        if (
+            len(result) <= ENCODE_INLINE_LIMIT
+            or self.service.rendered(query, result) is not None
+        ):
+            fragment = self._fragment(query, result)
+        else:
+            fragment = await asyncio.to_thread(self._fragment, query, result)
+        return 200, PreRendered(wire.with_version(fragment, version))
 
     async def _handle_batch(self, request: HttpRequest) -> tuple[int, Any]:
         with span("server.parse"):
@@ -506,7 +513,7 @@ class GraphServer:
         # Batches can carry arbitrarily many answer sets: always
         # serialise off the event loop.
         return 200, await asyncio.to_thread(
-            self._render_batch, outcomes, version
+            self._render_batch, queries, outcomes, version
         )
 
     async def _handle_mutate(self, request: HttpRequest) -> tuple[int, Any]:
@@ -564,26 +571,36 @@ class GraphServer:
             "version": self.service.version,
         }
 
-    def _render_answers(self, result, version: int) -> PreRendered:
-        payload = wire.encode_answers(result)
-        payload["version"] = version
-        return PreRendered(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
-
-    def _render_batch(self, outcomes, version: int) -> PreRendered:
-        results: list[Any] = []
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                results.append(
-                    {"error": f"{type(outcome).__name__}: {outcome}"}
+    def _fragment(self, query: str, answers) -> bytes:
+        """One answer set's reply bytes, short of ``"version"``: the
+        bytes cached beside the set when there are some, else rendered
+        now (and cached with the set, if the result cache holds it)."""
+        with span("server.encode", answers=len(answers)) as encode:
+            fragment = self.service.rendered(query, answers)
+            reused = fragment is not None
+            if not reused:
+                fragment = self.service.rendered(
+                    query, answers, wire.render_answers
                 )
-            else:
-                results.append(wire.encode_answers(outcome))
-        return PreRendered(
+            encode.set_attrs({"bytes": len(fragment), "reused": reused})
+        if reused:
+            self.stats.count(bodies_reused=1)
+        else:
+            self.stats.count(bodies_encoded=1)
+        return fragment
+
+    def _render_batch(self, queries, outcomes, version: int) -> PreRendered:
+        members = [
             json.dumps(
-                {"results": results, "version": version}, sort_keys=True
+                {"error": f"{type(outcome).__name__}: {outcome}"}
             ).encode("utf-8")
+            if isinstance(outcome, Exception)
+            else self._fragment(query, outcome)
+            for query, outcome in zip(queries, outcomes)
+        ]
+        return PreRendered(
+            b'{"results": [%b], "version": %d}'
+            % (b", ".join(members), version)
         )
 
     # ------------------------------------------------------------------

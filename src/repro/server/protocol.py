@@ -55,11 +55,11 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 class PreRendered:
     """A response body already serialised to bytes.
 
-    Large answer payloads are encoded off the event loop (in a worker
-    thread); wrapping the bytes in this marker lets
-    :func:`render_response` skip the on-loop ``json.dumps``. A
-    non-JSON ``content_type`` (the ``/metrics`` text exposition) rides
-    the same marker.
+    Answer payloads are serialised once per cached answer set (large
+    ones off the event loop, in a worker thread); wrapping the bytes
+    in this marker lets :func:`render_response` skip the on-loop
+    ``json.dumps``. A non-JSON ``content_type`` (the ``/metrics`` text
+    exposition) rides the same marker.
     """
 
     __slots__ = ("data", "content_type")

@@ -2,9 +2,11 @@
 
 :class:`ServerStats` covers what the transport layer adds on top of
 the service runtime: request/response counts per endpoint outcome,
-admission-control sheds, micro-batch coalescing effectiveness, and
-end-to-end request latency (queueing + coalescing + evaluation +
-serialisation — a superset of the service-level evaluation latency).
+admission-control sheds, micro-batch coalescing effectiveness, how
+many answer-set bodies were serialised versus served from cached
+bytes, and end-to-end request latency (queueing + coalescing +
+evaluation + serialisation — a superset of the service-level
+evaluation latency).
 
 ``as_dict()`` composes the owning service's own
 :meth:`~repro.service.stats.ServiceStats.as_dict` /
@@ -59,6 +61,11 @@ class ServerStats:
     mutations: int = 0
     #: ``/lint`` requests answered (static analysis only, no evaluation).
     lints: int = 0
+    #: Answer-set bodies serialised for a reply...
+    bodies_encoded: int = 0
+    #: ...and replies that wrote the bytes cached beside the answer set
+    #: instead (:meth:`~repro.service.GraphService.rendered`).
+    bodies_reused: int = 0
     draining: bool = False
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     _lock: threading.Lock = field(
@@ -103,6 +110,8 @@ class ServerStats:
                 "batches": self.batches,
                 "mutations": self.mutations,
                 "lints": self.lints,
+                "bodies_encoded": self.bodies_encoded,
+                "bodies_reused": self.bodies_reused,
                 "draining": self.draining,
             }
         payload["latency"] = self.latency.summary()

@@ -1,32 +1,48 @@
-"""Deterministic JSON wire encoding for GPC answers.
+"""Deterministic JSON wire encoding for GPC answers (``repro/answers@2``).
 
 GPC's set semantics is what makes its results transportable: an answer
 set is a frozenset of immutable :class:`~repro.gpc.answers.Answer`
 values (path tuples plus assignments), so serialising it is a pure
 function of the set — no cursors, no iteration state, no server-side
-affinity. This module fixes one canonical JSON form for that function:
+affinity. And every value in an answer is drawn from the paths of that
+answer set (Definition 7), so the wire form *references* graph elements
+instead of copying them:
 
-- **ids** are single-key tagged objects — ``{"n": key}`` (node),
-  ``{"d": key}`` (directed edge), ``{"u": key}`` (undirected edge) —
+- **elements** — one table per answer set listing each distinct node
+  or edge id once, as a single-key tagged object ``{"n": key}`` (node),
+  ``{"d": key}`` (directed edge) or ``{"u": key}`` (undirected edge)
   whose key is a JSON scalar or a tagged tuple ``{"t": [...]}``, so
-  non-string keys round-trip exactly;
-- **paths** are ``{"p": [id, id, ...]}`` with the alternating
-  node/edge element sequence (re-validated on decode);
-- **values** add ``{"nothing": true}`` and groups
-  ``{"g": [[path, value], ...]}``;
-- **answers** are ``{"paths": [...], "mu": {var: value}}``;
+  non-string keys round-trip exactly. Everything below names an
+  element by its index in this table;
+- **paths** are index lists ``[i, j, k, ...]`` in the alternating
+  node/edge order (re-validated on decode through the public
+  :class:`~repro.graph.paths.Path` constructor);
+- **values** are an index (a node or edge), ``{"p": [i, ...]}`` (a
+  path), ``{"nothing": true}`` or a group
+  ``{"g": [[[i, ...], value], ...]}``;
+- **answers** are ``{"paths": [[i, ...], ...], "mu": {var: value}}``;
 - **answer sets** serialise in :func:`~repro.gpc.answers.sort_answers`
-  order, so equal frozensets produce byte-identical payloads (cacheable
-  and diffable) regardless of hash seeds or worker scheduling.
+  order and the table in first-appearance order of that listing, so
+  equal frozensets produce byte-identical payloads (cacheable and
+  diffable) regardless of hash seeds or worker scheduling.
 
 :func:`decode_answers` is the exact inverse of :func:`encode_answers`:
 ``decode_answers(encode_answers(s)) == s`` for every answer set the
-engine can produce.
+engine can produce. It trusts nothing: indices must be ``int`` (not
+``bool``) within the table, ``count`` must match, keys must be finite.
+
+Because the encoding is a function of the set alone,
+:func:`render_answers` — the payload's bytes *without* ``"version"`` —
+can be computed once and kept beside a cached answer set
+(:meth:`repro.service.GraphService.rendered`); :func:`with_version`
+splices the one field that changes between replies onto those bytes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+import json
+import math
+from typing import Any, Iterable, Sequence, Union
 
 from repro.errors import EvaluationError, PathError, WireError
 from repro.gpc.answers import Answer, sort_answers
@@ -50,13 +66,24 @@ __all__ = [
     "decode_answer",
     "encode_answers",
     "decode_answers",
+    "render_answers",
+    "with_version",
 ]
 
 #: Format marker carried by full answer-set payloads.
-FORMAT = "repro/answers@1"
+FORMAT = "repro/answers@2"
 
-_ID_TAGS = {NodeId: "n", DirectedEdgeId: "d", UndirectedEdgeId: "u"}
-_TAG_IDS = {tag: sort for sort, tag in _ID_TAGS.items()}
+_IdSort = Union[type[NodeId], type[DirectedEdgeId], type[UndirectedEdgeId]]
+_ID_TAGS: dict[_IdSort, str] = {
+    NodeId: "n",
+    DirectedEdgeId: "d",
+    UndirectedEdgeId: "u",
+}
+_TAG_IDS: dict[str, _IdSort] = {tag: sort for sort, tag in _ID_TAGS.items()}
+
+#: The encoder's element table: each distinct id to its index, in
+#: first-appearance order (which is the order the payload lists them).
+ElementIndex = dict[GraphElementId, int]
 
 
 # ---------------------------------------------------------------------------
@@ -64,27 +91,34 @@ _TAG_IDS = {tag: sort for sort, tag in _ID_TAGS.items()}
 # ---------------------------------------------------------------------------
 
 
-def _encode_key(key: Any) -> Any:
+def _checked_key(key: Any, direction: str) -> Any:
+    """``key`` if it is a scalar both JSON and ``==`` can carry."""
+    if isinstance(key, float) and not math.isfinite(key):
+        raise WireError(f"cannot {direction} non-finite id key {key!r}")
     if key is None or isinstance(key, (str, bool, int, float)):
         return key
+    raise WireError(
+        f"cannot {direction} id key {key!r} ({type(key).__name__})"
+    )
+
+
+def _encode_key(key: Any) -> Any:
     if isinstance(key, tuple):
         return {"t": [_encode_key(item) for item in key]}
-    raise WireError(f"cannot encode id key {key!r} ({type(key).__name__})")
+    return _checked_key(key, "encode")
 
 
 def _decode_key(data: Any) -> Any:
-    if data is None or isinstance(data, (str, bool, int, float)):
-        return data
     if isinstance(data, dict) and set(data) == {"t"}:
         items = data["t"]
         if not isinstance(items, list):
             raise WireError(f"tagged tuple key must hold a list: {data!r}")
         return tuple(_decode_key(item) for item in items)
-    raise WireError(f"cannot decode id key {data!r}")
+    return _checked_key(data, "decode")
 
 
 # ---------------------------------------------------------------------------
-# Ids, paths, values
+# Ids (the table's rows; also what /mutate speaks)
 # ---------------------------------------------------------------------------
 
 
@@ -106,58 +140,74 @@ def decode_id(data: Any) -> GraphElementId:
     return sort(_decode_key(key))
 
 
-def _encode_path(path: Path) -> dict[str, Any]:
-    return {"p": [encode_id(element) for element in path.elements]}
+# ---------------------------------------------------------------------------
+# Paths and values, as references into the element table
+# ---------------------------------------------------------------------------
 
 
-def _decode_path(data: Any) -> Path:
-    if not (isinstance(data, dict) and set(data) == {"p"}):
-        raise WireError(f"malformed path: {data!r}")
-    elements = data["p"]
-    if not isinstance(elements, list):
-        raise WireError(f"path elements must be a list: {data!r}")
+def _encode_path(path: Path, index: ElementIndex) -> list[int]:
+    return [index.setdefault(element, len(index)) for element in path.elements]
+
+
+def _decode_path(data: Any, elements: Sequence[GraphElementId]) -> Path:
+    if not isinstance(data, list):
+        raise WireError(f"path must be a list of element indices: {data!r}")
+    size = len(elements)
+    for item in data:
+        # ``type is int`` keeps ``true`` and ``1.0`` out; the range
+        # check keeps ``-1`` from wrapping around to the last element.
+        if type(item) is not int or not 0 <= item < size:
+            raise WireError(f"bad element index {item!r} in path {data!r}")
     try:
-        return Path([decode_id(element) for element in elements])
+        return Path([elements[item] for item in data])
     except PathError as exc:  # broken alternation, empty path
         raise WireError(f"invalid path {data!r}: {exc}") from exc
 
 
-def encode_value(value: Value) -> Any:
-    """One semantic value (Definition 7) in canonical wire form."""
+def encode_value(value: Value, index: ElementIndex) -> Any:
+    """One semantic value (Definition 7) in canonical wire form,
+    entering the ids it mentions into ``index``."""
     if isinstance(value, (NodeId, DirectedEdgeId, UndirectedEdgeId)):
-        return encode_id(value)
+        return index.setdefault(value, len(index))
     if isinstance(value, Path):
-        return _encode_path(value)
+        return {"p": _encode_path(value, index)}
     if isinstance(value, NothingType):
         return {"nothing": True}
     if isinstance(value, GroupValue):
         return {
             "g": [
-                [_encode_path(path), encode_value(inner)]
+                [_encode_path(path, index), encode_value(inner, index)]
                 for path, inner in value.entries
             ]
         }
     raise WireError(f"cannot encode value {value!r} ({type(value).__name__})")
 
 
-def decode_value(data: Any) -> Value:
-    if not (isinstance(data, dict) and data):
+def decode_value(data: Any, elements: Sequence[GraphElementId]) -> Value:
+    if type(data) is int:
+        if not 0 <= data < len(elements):
+            raise WireError(f"element index {data!r} out of range")
+        return elements[data]
+    if not (isinstance(data, dict) and len(data) == 1):
         raise WireError(f"malformed value: {data!r}")
-    if "nothing" in data:
+    tag, body = next(iter(data.items()))
+    if tag == "p":
+        return _decode_path(body, elements)
+    if tag == "nothing" and body is True:
         return Nothing
-    if "p" in data:
-        return _decode_path(data)
-    if "g" in data:
-        entries = data["g"]
-        if not isinstance(entries, list):
-            raise WireError(f"group entries must be a list: {data!r}")
-        decoded = []
-        for entry in entries:
+    if tag == "g" and isinstance(body, list):
+        entries = []
+        for entry in body:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise WireError(f"group entry must be a pair: {entry!r}")
-            decoded.append((_decode_path(entry[0]), decode_value(entry[1])))
-        return GroupValue(tuple(decoded))
-    return decode_id(data)
+            entries.append(
+                (
+                    _decode_path(entry[0], elements),
+                    decode_value(entry[1], elements),
+                )
+            )
+        return GroupValue(tuple(entries))
+    raise WireError(f"malformed value: {data!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +215,18 @@ def decode_value(data: Any) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def encode_answer(answer: Answer) -> dict[str, Any]:
+def encode_answer(answer: Answer, index: ElementIndex) -> dict[str, Any]:
     """One ``(p-bar, mu)`` pair in canonical wire form."""
     return {
-        "paths": [_encode_path(path) for path in answer.paths],
+        "paths": [_encode_path(path, index) for path in answer.paths],
         "mu": {
-            variable: encode_value(value)
+            variable: encode_value(value, index)
             for variable, value in sorted(answer.assignment.items())
         },
     }
 
 
-def decode_answer(data: Any) -> Answer:
+def decode_answer(data: Any, elements: Sequence[GraphElementId]) -> Answer:
     if not (isinstance(data, dict) and "paths" in data and "mu" in data):
         raise WireError(f"malformed answer: {data!r}")
     paths = data["paths"]
@@ -185,9 +235,12 @@ def decode_answer(data: Any) -> Answer:
         raise WireError(f"malformed answer: {data!r}")
     try:
         return Answer(
-            tuple(_decode_path(path) for path in paths),
+            tuple([_decode_path(path, elements) for path in paths]),
             Assignment(
-                {variable: decode_value(value) for variable, value in mu.items()}
+                {
+                    variable: decode_value(value, elements)
+                    for variable, value in mu.items()
+                }
             ),
         )
     except EvaluationError as exc:  # zero paths
@@ -200,23 +253,49 @@ def encode_answers(answers: Iterable[Answer]) -> dict[str, Any]:
     Equal frozensets encode to identical payloads: answers are listed
     in :func:`~repro.gpc.answers.sort_answers` order (radix order on
     the path tuple, then assignment repr), which is independent of set
-    iteration order.
+    iteration order, and the element table follows that listing.
     """
-    ordered = sort_answers(answers)
+    index: ElementIndex = {}
+    encoded = [encode_answer(answer, index) for answer in sort_answers(answers)]
     return {
         "format": FORMAT,
-        "count": len(ordered),
-        "answers": [encode_answer(answer) for answer in ordered],
+        "count": len(encoded),
+        "elements": [encode_id(element) for element in index],
+        "answers": encoded,
     }
 
 
 def decode_answers(data: Any) -> frozenset[Answer]:
-    """Inverse of :func:`encode_answers` (format-checked)."""
+    """Inverse of :func:`encode_answers` (format- and count-checked)."""
     if not isinstance(data, dict):
         raise WireError(f"malformed answer set: {data!r}")
     if data.get("format") != FORMAT:
         raise WireError(f"unsupported answer format {data.get('format')!r}")
+    table = data.get("elements")
     answers = data.get("answers")
-    if not isinstance(answers, list):
-        raise WireError(f"answer set must hold a list: {data!r}")
-    return frozenset(decode_answer(answer) for answer in answers)
+    if not isinstance(table, list) or not isinstance(answers, list):
+        raise WireError("answer set must hold an element table and a list")
+    count = data.get("count")
+    if type(count) is not int or count != len(answers):
+        raise WireError(
+            f"answer set announces {count!r} answers, carries {len(answers)}"
+        )
+    elements = [decode_id(element) for element in table]
+    return frozenset([decode_answer(answer, elements) for answer in answers])
+
+
+# ---------------------------------------------------------------------------
+# Rendered bytes: the part of a reply that only depends on the set
+# ---------------------------------------------------------------------------
+
+
+def render_answers(answers: Iterable[Answer]) -> bytes:
+    """The answer set's payload as JSON bytes, without ``"version"``."""
+    return json.dumps(encode_answers(answers), sort_keys=True).encode("utf-8")
+
+
+def with_version(rendered: bytes, version: int) -> bytes:
+    """``rendered`` plus ``"version"``: the bytes ``json.dumps(...,
+    sort_keys=True)`` gives for the payload with that field set
+    (``"version"`` sorts after every key :func:`encode_answers` emits)."""
+    return b'%b, "version": %d}' % (memoryview(rendered)[:-1], version)

@@ -145,14 +145,21 @@ class LRUCache:
 
 
 class _ResultEntry:
-    """One cached answer set with its version stamp and footprint."""
+    """One cached answer set with its version stamp and footprint.
 
-    __slots__ = ("version", "footprint", "result")
+    ``rendered`` is whatever byte form of ``result`` a caller asked to
+    keep beside it (:meth:`SemanticResultCache.rendered`): a function of
+    the answer set alone, so it survives a restamp and dies with the
+    entry.
+    """
+
+    __slots__ = ("version", "footprint", "result", "rendered")
 
     def __init__(self, version: int, footprint, result):
         self.version = version
         self.footprint = footprint
         self.result = result
+        self.rendered: bytes | None = None
 
 
 class SemanticResultCache:
@@ -284,6 +291,40 @@ class SemanticResultCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
+
+    def rendered(
+        self,
+        key: Hashable,
+        result,
+        render: Callable[[object], bytes] | None = None,
+    ) -> bytes | None:
+        """The bytes kept beside ``result`` under ``key``.
+
+        Only an entry holding that very object (``is``) counts: its
+        bytes are returned, or — given ``render`` — made by
+        ``render(result)`` outside the lock and kept if the entry still
+        holds ``result`` by then. A ``result`` the cache does not hold
+        (evaluated with the cache off, or since invalidated, evicted or
+        recomputed) is rendered and returned but never kept. Without
+        ``render`` this only looks: ``None`` when there are no bytes.
+        Not a lookup — hit/miss counters and LRU order stay untouched.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if (
+                entry is not None
+                and entry.result is result
+                and entry.rendered is not None
+            ):
+                return entry.rendered
+        if render is None:
+            return None
+        data = render(result)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.result is result:
+                entry.rendered = data
+        return data
 
     def clear(self) -> None:
         with self._lock:

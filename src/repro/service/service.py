@@ -39,7 +39,7 @@ import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.gpc import ast
 from repro.gpc.answers import Answer
@@ -370,6 +370,29 @@ class GraphService:
             estimates=estimates,
         )
         return result
+
+    def rendered(
+        self,
+        query: str | ast.Query,
+        answers: frozenset[Answer],
+        render: Callable[[frozenset[Answer]], bytes] | None = None,
+    ) -> bytes | None:
+        """A byte form of ``answers`` kept beside them in the result
+        cache, so a front end serialises a cached answer set once.
+
+        ``answers`` must be what :meth:`evaluate` returned for
+        ``query`` (under the service's own config): the cached entry's
+        bytes are served — or, with ``render``, made by
+        ``render(answers)`` and kept — only while the entry holds that
+        very frozenset, so they live exactly as long as it does (a
+        restamp keeps them; invalidation, eviction and
+        :meth:`clear_caches` drop them). Without ``render``, the kept
+        bytes or ``None``. See
+        :meth:`~repro.service.cache.SemanticResultCache.rendered`.
+        """
+        return self._result_cache.rendered(
+            (query, self.config), answers, render
+        )
 
     def _probe(
         self, query, config: EngineConfig, snap: GraphSnapshot, use_cache: bool

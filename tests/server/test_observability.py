@@ -65,6 +65,7 @@ class TestTraceRoundTrip:
             "service.cache_probe",
             "service.plan",
             "service.eval",
+            "server.encode",
         } <= names
         # All stages belong to the client's trace, and the sequential
         # stages sum within the recorded end-to-end duration
@@ -77,6 +78,21 @@ class TestTraceRoundTrip:
             if c["name"] != "server.dispatch"
         )
         assert 0 < stage_sum <= tree["duration_s"]
+
+    def test_encode_span_says_what_was_rendered_and_what_reused(self):
+        with serve_background(GraphService(_graph())) as handle:
+            with HttpServiceClient(*handle.address) as client:
+                spans = []
+                for trace_id in ("aaaaaaaaaaaaaaa1", "aaaaaaaaaaaaaaa2"):
+                    answers = client.query(QUERY, trace_id=trace_id)
+                    tree = client.trace(trace_id)["trace"]
+                    (encode,) = [
+                        c for c in tree["children"] if c["name"] == "server.encode"
+                    ]
+                    spans.append(encode["attributes"])
+        assert spans[0]["reused"] is False and spans[1]["reused"] is True
+        assert spans[0]["answers"] == spans[1]["answers"] == len(answers)
+        assert spans[0]["bytes"] == spans[1]["bytes"] > 0
 
     def test_every_request_gets_an_id_echoed(self):
         with serve_background(GraphService(_graph())) as handle:

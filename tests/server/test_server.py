@@ -8,8 +8,10 @@ drain semantics.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
+from http.client import HTTPConnection
 from urllib.parse import quote
 
 import pytest
@@ -21,6 +23,7 @@ from repro.server import (
     HttpServiceClient,
     HttpServiceError,
     serve_background,
+    wire,
 )
 from repro.service import GraphService
 
@@ -254,6 +257,178 @@ class TestAnswerEquality:
                 results = client.batch(QUERIES)
                 for text, result in zip(QUERIES, results):
                     assert result == expected[text]
+
+
+def _post_raw(address, path: str, body: dict) -> bytes:
+    """One POST, the reply's body exactly as it came off the socket."""
+    connection = HTTPConnection(*address, timeout=30.0)
+    try:
+        connection.request(
+            "POST",
+            path,
+            body=json.dumps(body),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        assert response.status == 200
+        return response.read()
+    finally:
+        connection.close()
+
+
+def _bodies(handle) -> tuple[int, int]:
+    stats = handle.server.stats
+    return stats.bodies_encoded, stats.bodies_reused
+
+
+class TestEncodeOnce:
+    """A cached answer set is serialised once: a hit writes the bytes
+    kept beside it plus the current version."""
+
+    #: 24 answers — encoded inline on the event loop — and 120, past
+    #: ENCODE_INLINE_LIMIT, first encoded in a worker thread.
+    GRAPHS = {
+        "inline": lambda: _graph(),
+        "threaded": lambda: social_network(
+            num_people=40, friend_degree=3, seed=11
+        ),
+    }
+    FACADES = {
+        "graph": GraphService,
+        "cluster": lambda graph: ClusterService(
+            graph, backend="thread", num_workers=2
+        ),
+    }
+
+    @pytest.mark.parametrize("facade", FACADES)
+    @pytest.mark.parametrize("size", GRAPHS)
+    def test_a_hit_is_byte_identical_to_a_fresh_render(self, size, facade):
+        service = self.FACADES[facade](self.GRAPHS[size]())
+        with serve_background(service) as handle:
+            miss = _post_raw(handle.address, "/query", {"query": QUERY})
+            assert _bodies(handle) == (1, 0)
+            hit = _post_raw(handle.address, "/query", {"query": QUERY})
+            assert _bodies(handle) == (1, 1)
+            answers = service.evaluate(QUERY)
+            assert (len(answers) > 64) == (size == "threaded")
+            fresh = wire.encode_answers(answers)
+            fresh["version"] = service.version
+            assert (
+                miss
+                == hit
+                == json.dumps(fresh, sort_keys=True).encode("utf-8")
+            )
+            assert wire.decode_answers(json.loads(hit)) == answers
+
+    def test_restamp_keeps_the_bytes_and_changes_only_version(self, served):
+        handle, client, service = served
+        before = _post_raw(handle.address, "/query", {"query": QUERY})
+        city = sorted(service.graph.nodes_with_label("City"))[0]
+        client.mutate(
+            [
+                {
+                    "op": "set_property",
+                    "element": wire.encode_id(city),
+                    "key": "mayor",
+                    "value": "nobody",
+                }
+            ]
+        )
+        after = _post_raw(handle.address, "/query", {"query": QUERY})
+        assert service.stats.result_cache.restamps == 1
+        assert _bodies(handle) == (1, 1)
+        assert before != after
+        stem, _, old = before.rpartition(b'"version": ')
+        assert after == stem + b'"version": %d}' % service.version
+        assert int(old[:-1]) == service.version - 1
+
+    def test_invalidating_write_encodes_again(self, served):
+        handle, client, service = served
+        before = client.query(QUERY)
+        one, two, *_ = sorted(service.graph.nodes_with_label("Person"))
+        client.mutate(
+            [
+                {
+                    "op": "add_edge",
+                    "key": "fresh",
+                    "source": two.key,
+                    "target": one.key,
+                    "labels": ["knows"],
+                }
+            ]
+        )
+        after = client.query(QUERY)
+        assert service.stats.result_cache.invalidations == 1
+        assert _bodies(handle) == (2, 0)
+        assert len(after) == len(before) + 1
+        assert after == service.evaluate(QUERY)
+        assert client.query(QUERY) == after
+        assert _bodies(handle) == (2, 1)
+
+    def test_eviction_and_clear_caches_encode_again(self):
+        service = GraphService(_graph(), result_cache_size=1)
+        with serve_background(service) as handle:
+            with HttpServiceClient(*handle.address) as client:
+                client.query(QUERY)
+                client.query(QUERIES[1])  # evicts QUERY's entry
+                client.query(QUERY)
+                assert _bodies(handle) == (3, 0)
+                client.query(QUERY)
+                assert _bodies(handle) == (3, 1)
+                service.clear_caches()
+                client.query(QUERY)
+                assert _bodies(handle) == (4, 1)
+
+    def test_use_cache_false_never_attaches_or_reuses(self, served):
+        handle, client, service = served
+        for _ in range(2):
+            assert client.query(QUERY, use_cache=False) == service.evaluate(
+                QUERY, use_cache=False
+            )
+        assert _bodies(handle) == (2, 0)
+        cached = service.evaluate(QUERY)
+        assert service.rendered(QUERY, cached) is None
+        client.query(QUERY)
+        assert _bodies(handle) == (3, 0)
+        assert service.rendered(QUERY, cached) is not None
+        client.query(QUERY, use_cache=False)
+        assert _bodies(handle) == (4, 0)
+
+    def test_batch_members_reuse_and_match_query_bytes(self, served):
+        handle, client, service = served
+        texts = [QUERY, "TRAIL (broken", QUERIES[1], QUERY]
+        first = _post_raw(handle.address, "/batch", {"queries": texts})
+        assert _bodies(handle) == (2, 1)  # the repeated member is a hit
+        second = _post_raw(handle.address, "/batch", {"queries": texts})
+        assert _bodies(handle) == (2, 4)
+        assert first == second
+        payload = json.loads(second)
+        members = [
+            {"error": payload["results"][1]["error"]}
+            if text == "TRAIL (broken"
+            else wire.encode_answers(service.evaluate(text))
+            for text in texts
+        ]
+        assert "ParseError" in members[1]["error"]
+        whole = {"results": members, "version": service.version}
+        assert second == json.dumps(whole, sort_keys=True).encode("utf-8")
+        # /query serves the bytes /batch left on the entry.
+        single = _post_raw(handle.address, "/query", {"query": QUERY})
+        assert _bodies(handle) == (2, 5)
+        assert json.loads(single) == {
+            **payload["results"][0],
+            "version": service.version,
+        }
+
+    def test_counters_show_in_stats_and_metrics(self, served):
+        _, client, _ = served
+        client.query(QUERY)
+        client.query(QUERY)
+        stats = client.stats()
+        assert (stats["bodies_encoded"], stats["bodies_reused"]) == (1, 1)
+        lines = client.metrics().splitlines()
+        assert "repro_server_bodies_encoded 1" in lines
+        assert "repro_server_bodies_reused 1" in lines
 
 
 class _BlockingService(GraphService):

@@ -173,6 +173,51 @@ def execution_failures(service):
     return kinds
 
 
+def rendered_bytes_live_with_the_entry(service):
+    """``rendered`` keeps bytes beside the cached answers and nowhere
+    else; ``render`` stands in for a wire encoder and counts its calls."""
+    calls = []
+
+    def render(answers):
+        calls.append(answers)
+        return b"%d answers" % len(answers)
+
+    answers = service.evaluate(CHEAP)
+    assert service.rendered(CHEAP, answers) is None  # looking renders nothing
+    first = service.rendered(CHEAP, answers, render)
+    assert service.rendered(CHEAP, answers, render) is first
+    assert service.rendered(CHEAP, service.evaluate(CHEAP)) is first
+    # A restamp keeps them ...
+    city = next(iter(service.graph.nodes_with_label("City")))
+    service.set_property(city, "mayor", "nobody")
+    assert service.rendered(CHEAP, service.evaluate(CHEAP), render) is first
+    assert len(calls) == 1
+    # ... answers the cache does not hold are rendered and not kept ...
+    bypass = service.evaluate(CHEAP, use_cache=False)
+    assert service.rendered(CHEAP, bypass, render) == first
+    assert service.rendered(CHEAP, bypass) is None
+    assert len(calls) == 2
+    # ... and an invalidating write drops them with the entry: the
+    # cache now holds other answers, and bytes made for the old ones
+    # (a render racing the write) are never kept beside the new.
+    one, two, *_ = sorted(service.graph.nodes_with_label("Person"))
+    service.add_edge("parity-edge", two, one, ["knows"])
+    after = service.evaluate(CHEAP)
+    assert service.rendered(CHEAP, answers, render) == first
+    assert service.rendered(CHEAP, answers) is None
+    assert service.rendered(CHEAP, after) is None
+    kept = service.rendered(CHEAP, after, render)
+    assert kept == b"%d answers" % len(after) != first
+    assert service.rendered(CHEAP, after) is kept
+    assert len(calls) == 4
+    service.clear_caches()
+    assert service.rendered(CHEAP, after) is None
+    # None of this was a cache lookup.
+    cache = service.stats.result_cache
+    assert (cache.hits, cache.misses, cache.bypasses) == (2, 2, 1)
+    return len(calls), first
+
+
 SCENARIOS = [
     hit_miss_bypass,
     disjoint_mutation_restamps,
@@ -181,6 +226,7 @@ SCENARIOS = [
     lint_malformed,
     explain_analyze,
     execution_failures,
+    rendered_bytes_live_with_the_entry,
 ]
 
 

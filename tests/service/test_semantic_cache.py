@@ -133,6 +133,113 @@ class TestSemanticInvalidation:
             SemanticResultCache(0)
 
 
+class TestRenderedBytes:
+    """The lazily filled ``rendered`` slot: bytes of an answer set live
+    on its entry — nowhere else — and die with it."""
+
+    def test_rendered_once_then_served_from_the_entry(self):
+        cache = SemanticResultCache(8, CacheStats())
+        answers = frozenset({"a"})
+        cache.put("q", 1, None, answers)
+        calls = []
+
+        def render(result):
+            calls.append(result)
+            return b"bytes of a"
+
+        assert cache.rendered("q", answers) is None
+        first = cache.rendered("q", answers, render)
+        assert first == b"bytes of a"
+        assert cache.rendered("q", answers, render) is first
+        assert cache.rendered("q", answers) is first
+        assert calls == [answers]
+        # Not lookups: no hit, no miss, no LRU movement.
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+
+    def test_only_the_very_frozenset_the_entry_holds(self):
+        cache = SemanticResultCache(8, CacheStats())
+        held = frozenset({"a", "b"})
+        equal_copy = frozenset(["b", "a"])
+        assert equal_copy == held and equal_copy is not held
+        cache.put("q", 1, None, held)
+        assert cache.rendered("q", equal_copy, lambda r: b"copy") == b"copy"
+        assert cache.rendered("q", held) is None  # nothing was kept
+        assert cache.rendered("other", held, lambda r: b"x") == b"x"
+        assert cache.rendered("q", held) is None
+
+    def test_entry_replaced_while_rendering_keeps_nothing(self):
+        # The `is` check under the lock: a write lands between the
+        # evaluation and the end of the render.
+        cache = SemanticResultCache(8, CacheStats())
+        old, new = frozenset({"old"}), frozenset({"new"})
+        cache.put("q", 1, None, old)
+
+        def render(result):
+            cache.put("q", 2, None, new)  # the racing recompute
+            return b"bytes of old"
+
+        assert cache.rendered("q", old, render) == b"bytes of old"
+        assert cache.rendered("q", new) is None
+        assert cache.rendered("q", old) is None
+
+    def test_restamp_keeps_invalidation_drops(self):
+        service = two_worlds_service()
+        answers = service.evaluate(PERSON_QUERY)
+        kept = service.rendered(PERSON_QUERY, answers, lambda r: b"people")
+        devices = sorted(service.graph.nodes_with_label("Device"))
+        service.add_edge("g2", devices[1], devices[0], ["pings"])
+        assert service.evaluate(PERSON_QUERY) is answers  # restamped
+        assert service.rendered(PERSON_QUERY, answers) is kept
+        people = sorted(service.graph.nodes_with_label("Person"))
+        service.add_edge("k2", people[1], people[0], ["knows"])
+        fresh = service.evaluate(PERSON_QUERY)  # invalidated, recomputed
+        assert fresh is not answers
+        assert service.rendered(PERSON_QUERY, fresh) is None
+        assert service.rendered(PERSON_QUERY, answers) is None
+
+    def test_eviction_and_clear_drop_the_bytes(self):
+        import gc
+        import weakref
+
+        class Body:
+            """Stands in for the bytes, which cannot be weakly referenced."""
+
+            def __init__(self, data: bytes):
+                self.data = data
+
+        cache = SemanticResultCache(2, CacheStats())
+        answers = frozenset({"a"})
+        cache.put("q0", 1, None, answers)
+        body = cache.rendered("q0", answers, lambda r: Body(b"q0"))
+        alive = weakref.ref(body)
+        del body
+        assert alive() is not None
+        cache.put("q1", 1, None, frozenset({"b"}))
+        cache.put("q2", 1, None, frozenset({"c"}))  # evicts q0
+        gc.collect()
+        assert alive() is None and cache.rendered("q0", answers) is None
+
+        held = frozenset({"b2"})
+        cache.put("q1", 1, None, held)
+        alive = weakref.ref(cache.rendered("q1", held, lambda r: Body(b"q1")))
+        assert alive() is not None
+        cache.clear()
+        gc.collect()
+        assert alive() is None and cache.rendered("q1", held) is None
+
+    def test_use_cache_false_never_attaches(self):
+        service = two_worlds_service()
+        cached = service.evaluate(PERSON_QUERY)
+        bypass = service.evaluate(PERSON_QUERY, use_cache=False)
+        assert bypass == cached and bypass is not cached
+        assert service.rendered(PERSON_QUERY, bypass, lambda r: b"x") == b"x"
+        assert service.rendered(PERSON_QUERY, cached) is None
+        # ... also when the cache holds nothing for the query at all.
+        lone = service.evaluate(DEVICE_QUERY, use_cache=False)
+        assert service.rendered(DEVICE_QUERY, lone, lambda r: b"y") == b"y"
+        assert service.rendered(DEVICE_QUERY, lone) is None
+
+
 class TestSingleFlight:
     def test_concurrent_misses_share_one_factory_run(self):
         cache = LRUCache(8)

@@ -133,7 +133,8 @@ class TestLatencyRecorder:
                 summary = recorder.summary()
                 assert summary["count"] >= 0
                 assert 0.0 <= summary["p50_s"] <= summary["p99_s"] <= 0.1
-                assert recorder.count == recorder.count  # locked read
+                # Writers keep going between two reads: only monotone.
+                assert recorder.count >= summary["count"]
         finally:
             stop.set()
             for thread in threads:
