@@ -1,24 +1,24 @@
-"""Ablation A11 — predicate pushdown and the register-free flat lane.
+"""Ablation A11 — predicate pushdown.
 
 Design choice under study: lifting single-variable ``x.key = const``
 condition atoms out of end-of-run ``_Check`` evaluation and into the
-bind/step sites of the dense register search (tested against
-per-(key, const) bitmask indexes), plus the register-free flat-array
-lane the elision unlocks (states packed as ``node * num_states + q``
-ints when no register constraint survives).
+bind/step sites of the register search (tested against per-(key,
+const) bitmask indexes) — which also frees the search from carrying
+the variable's register.
 
-Two measurements on one 10k-node graph — the A9 segmented ring +
-chords topology, with a node property ``k`` that is 1 exactly on each
+One measurement on one 10k-node graph — the A9 segmented ring + chords
+topology, with a node property ``k`` that is 1 exactly on each
 segment's second node:
 
 - **condition-heavy shortest**: ``<< m.k = 1 >>`` over a mid-pattern
   variable. Unpushed, every chord branch survives until the final
   check; pushed, the bitmask kills it at the bind site. Asserted:
   >= 2x pushdown-on vs pushdown-off, identical answer frozensets.
-- **register-free RPQ**: the plain A9 label-reachability query. Both
-  sides use bitmask probes; the ablation isolates the flat packed-int
-  lane versus the dict-keyed dense program. Asserted: >= 1.5x,
-  identical answer frozensets.
+
+``use_pushdown`` used to select a search lane as well, and a second
+measurement compared the two lanes on a register-free RPQ. There is one
+lane now (PR 17); its absolute numbers are ``class.rpq_flat`` and
+``class.twovar_dense`` in ``benchmarks/layers``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ CHORDS = 16
 COND_QUERY = (
     "SHORTEST [(x:Probe) -> (m) -[:next]->{1,} (y:Adj)] << m.k = 1 >>"
 )
-RPQ_QUERY = "SHORTEST (x:Probe) -[:next]->{1,} (y:Adj)"
 
 PUSH_ON = EngineConfig(use_pushdown=True)
 PUSH_OFF = EngineConfig(use_pushdown=False)
@@ -111,36 +110,3 @@ def test_a11_condition_pushdown_speedup(snapshot):
     )
     # Acceptance criterion: >= 2x on the condition-heavy workload.
     assert speedup >= 2, f"pushdown only {speedup:.2f}x vs check-at-accept"
-
-
-def test_a11_flat_lane_speedup(snapshot):
-    query = parse_query(RPQ_QUERY)
-
-    flat_answers, flat_s = _best_of(
-        lambda: Evaluator(snapshot, PUSH_ON).evaluate(query)
-    )
-    dict_answers, dict_s = _best_of(
-        lambda: Evaluator(snapshot, PUSH_OFF).evaluate(query)
-    )
-    assert flat_answers == dict_answers
-    assert len(flat_answers) == N // SEG  # one witness per segment
-
-    speedup = dict_s / flat_s
-    table = Table(
-        "A11: register-free RPQ (flat packed-int lane vs dict states)",
-        ["lane", "ms / query"],
-    )
-    table.add("dict-keyed dense program", dict_s * 1000)
-    table.add("flat packed-int arrays", flat_s * 1000)
-    table.show()
-    emit_json(
-        "a11_pushdown_flat_lane",
-        {
-            "nodes": N,
-            "dict_ms": dict_s * 1000,
-            "flat_ms": flat_s * 1000,
-            "speedup": speedup,
-        },
-    )
-    # Acceptance criterion: >= 1.5x on the register-free workload.
-    assert speedup >= 1.5, f"flat lane only {speedup:.2f}x vs dict states"

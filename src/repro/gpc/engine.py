@@ -54,12 +54,10 @@ from repro.gpc.register_nfa import (
     RegisterNFA,
     UnsupportedPattern,
     collect_requirement,
-    compile_dense_program,
-    compile_flat_program,
     compile_register_nfa,
-    dense_shortest_pair_lengths,
-    enumerate_shortest_witnesses,
-    flat_shortest_pair_lengths,
+    lower_program,
+    shortest_pair_lengths,
+    shortest_witnesses,
 )
 from repro.automata.product import pairs_and_distances
 
@@ -97,8 +95,8 @@ class EngineConfig:
         Enables predicate pushdown in the ``shortest`` register
         compiler: ``x.key = const`` atoms move from final CHECK ops to
         the bind/step sites of ``x`` (bitmask probes over the columnar
-        core), and fully register-free programs run on the flat-array
-        fast lane. Answer-preserving by construction; the flag exists
+        core), which also frees the search from carrying ``x``'s
+        register. Answer-preserving by construction; the flag exists
         for differential testing and A/B benchmarks.
     ``use_analysis``
         Enables the static analyzer (:mod:`repro.gpc.analysis`):
@@ -580,16 +578,16 @@ class Evaluator:
         counters = active_counters()
         starts, end_filter = self._shortest_candidates(pattern, restriction)
         view = self._view
-        # The register program is lowered onto the snapshot's interning
-        # tables once and shared across every seed: onto the flat-array
-        # lane when pushdown left it register-free and the snapshot is
-        # pristine, onto the dense program when that lowering refuses.
-        flat = (
-            compile_flat_program(rnfa, view)
-            if self.config.use_pushdown
-            else None
+        # Lowered onto the snapshot once and shared across every seed.
+        # Run-complete, the registers of a witness's runs *are* its
+        # assignments, so the witness pass tracks every variable; the
+        # search carries only those that can constrain a run.
+        program = lower_program(rnfa, view)
+        walker = (
+            program.retracked(rnfa.sites)
+            if needs_collect is None
+            else program
         )
-        program = compile_dense_program(rnfa, view) if flat is None else None
         if counters is not None:
             counters.conditions_pushed += rnfa.pushed_atoms
         try:
@@ -597,19 +595,14 @@ class Evaluator:
                 # Checked once per seed here; the witness enumeration
                 # checks again every fixed number of edge expansions.
                 check_deadline()
-                if flat is not None:
-                    best = flat_shortest_pair_lengths(view, flat, start)
-                else:
-                    best = dense_shortest_pair_lengths(
-                        view, rnfa, start, program=program
-                    )
+                best = shortest_pair_lengths(program, start)
                 targets = {
                     end: length
                     for end, length in best.items()
                     if end_filter is None or end in end_filter
                 }
                 # One enumeration serves every target of the seed.
-                walks = enumerate_shortest_witnesses(view, rnfa, start, targets)
+                walks = shortest_witnesses(walker, start, targets)
                 for end, length in targets.items():
                     witnesses = walks.get(end, ())
                     # The register search can under-estimate in one
@@ -647,8 +640,8 @@ class Evaluator:
                                 f"raise EngineConfig.shortest_deepening_limit "
                                 f"or set lenient_shortest=True"
                             )
-                        witnesses = enumerate_shortest_witnesses(
-                            view, rnfa, start, {end: length}
+                        witnesses = shortest_witnesses(
+                            walker, start, {end: length}
                         ).get(end, ())
         finally:
             if counters is not None:

@@ -625,6 +625,11 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
                 f"ends: {shortest.end.describe(view)}"
             )
             if plan is not None:
+                rnfa = plan.register_nfa(q.pattern)
+                if rnfa is not None:
+                    line += "; search: " + _describe_registers(
+                        rnfa.constraining
+                    )
                 # Depends on the plan's collect mode.
                 requirement, _padding = plan.assignment_source(q.pattern)
                 line += "; assignments: " + (
@@ -641,3 +646,19 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
 
     walk(query, 1)
     return "\n".join(lines)
+
+
+def _describe_registers(constraining: dict) -> str:
+    """The registers a ``shortest`` length search carries and why (see
+    :attr:`repro.gpc.register_nfa.RegisterNFA.constraining`)."""
+    from repro.gpc.pretty import pretty_condition
+
+    if not constraining:
+        return "register-free"
+    reasons = dict.fromkeys(
+        f"{variable} bound at {why} sites"
+        if isinstance(why, int)
+        else f"read by << {pretty_condition(why)} >>"
+        for variable, why in constraining.items()
+    )
+    return f"registers {', '.join(constraining)} ({'; '.join(reasons)})"

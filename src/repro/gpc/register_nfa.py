@@ -18,14 +18,19 @@ This module compiles patterns into *register* NFAs instead:
 - ``reset(V)`` transitions clear a repetition body's registers between
   iterations (group variables impose no cross-iteration constraints).
 
-A 0-1 BFS over ``(node, state, registers)`` then yields the *exact*
-minimum match length per endpoint pair, in time polynomial in the
-product size (registers stay few in practice). Witness paths of those
+The NFA is lowered once per evaluation onto the snapshot it runs on
+(:func:`lower_program`, one :class:`ShortestProgram`), keeping at run
+time only the registers that can constrain a run. A 0-1 BFS over
+``(registers, node, state)`` (:func:`shortest_pair_lengths`) then
+yields the *exact* minimum match length per endpoint pair, in time
+polynomial in the product size (registers stay few in practice —
+``EvalCounters.register_files`` counts them). Witness paths of those
 exact lengths are enumerated by one DFS per seed that runs the same
-product, so each witness comes with the register files of its
-accepting runs. Those are the assignments whenever no repetition has
-anything to ``collect`` (:func:`collect_requirement`); otherwise the
-span matcher factorises the witness and builds the group values.
+program (:func:`shortest_witnesses`), so each witness comes with the
+register files of its accepting runs. Those are the assignments
+whenever no repetition has anything to ``collect``
+(:func:`collect_requirement`); otherwise the span matcher factorises
+the witness and builds the group values.
 
 One caveat, handled by the engine: under the GROUPING collect mode an
 accepted run can exist while every factorization's ``collect`` is
@@ -35,11 +40,10 @@ lower bound in that corner; the engine then probes longer lengths.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import Any, Iterable, Optional, Union
 
 from repro.direction import Direction
 from repro.errors import (
@@ -48,14 +52,20 @@ from repro.errors import (
     EvaluationLimitError,
     UnknownIdError,
 )
+from repro.graph.columns import and_masks
 from repro.graph.ids import NodeId
 from repro.graph.paths import Path
-from repro.graph.property_graph import PropertyGraph
+from repro.graph.snapshot import GraphSnapshot
 from repro.gpc import ast
 from repro.gpc.assignments import Assignment
 from repro.gpc.collect import CollectMode
 from repro.gpc.conditions import satisfies
-from repro.gpc.conditions_ast import And, Condition, PropertyEqualsConst
+from repro.gpc.conditions_ast import (
+    And,
+    Condition,
+    PropertyEqualsConst,
+    condition_variables,
+)
 from repro.gpc.minlength import may_match_edgeless
 from repro.gpc.planner import split_pushdown
 from repro.obs.counters import active_counters
@@ -66,10 +76,12 @@ __all__ = [
     "UnsupportedPattern",
     "compile_register_nfa",
     "collect_requirement",
-    "DenseProgram",
+    "ShortestProgram",
+    "lower_program",
+    "shortest_pair_lengths",
+    "shortest_witnesses",
     "compile_dense_program",
     "dense_shortest_pair_lengths",
-    "FlatProgram",
     "compile_flat_program",
     "flat_shortest_pair_lengths",
     "enumerate_shortest_witnesses",
@@ -130,7 +142,7 @@ class RegisterNFA:
     initial: int
     final: int
     #: zero-weight transitions per state: (op, target)
-    zero: tuple[tuple[tuple[object, int], ...], ...]
+    zero: tuple[tuple[tuple[Any, int], ...], ...]
     #: edge-step (weight 1) transitions per state
     steps: tuple[tuple[tuple[_EdgeStep, int], ...], ...]
     #: condition atoms the compiler attached to bind/step sites instead
@@ -157,6 +169,42 @@ class RegisterNFA:
                     dist[p] = dist[q] + weight
                     (queue.append if weight else queue.appendleft)(p)
         return tuple(dist.get(q, -1) for q in range(self.num_states))
+
+    @cached_property
+    def sites(self) -> dict[str, int]:
+        """Per variable, how many bind and step sites bind it."""
+        bound: list[Optional[str]] = [
+            op.variable
+            for transitions in self.zero
+            for op, _target in transitions
+            if type(op) is _Bind
+        ]
+        bound += [step.variable for row in self.steps for step, _target in row]
+        counts: dict[str, int] = {}
+        for variable in bound:
+            if variable is not None:
+                counts[variable] = counts.get(variable, 0) + 1
+        return counts
+
+    @cached_property
+    def constraining(self) -> dict[str, Union[Condition, int]]:
+        """The variables whose registers can constrain a run, each with
+        why: the residual check that reads it, else its number of sites
+        when that is more than one. Every other variable has a single
+        site that a run reaches with the register unbound (re-entering
+        a repetition body passes its reset first), so its bind never
+        fails and nothing ever reads it: the length search need not
+        carry it."""
+        out: dict[str, Union[Condition, int]] = {}
+        for transitions in self.zero:
+            for op, _target in transitions:
+                if type(op) is _Check:
+                    for variable in sorted(condition_variables(op.condition)):
+                        out.setdefault(variable, op.condition)
+        for variable, count in self.sites.items():
+            if count > 1:
+                out.setdefault(variable, count)
+        return out
 
 
 @dataclass
@@ -256,19 +304,16 @@ def _compile(
     if isinstance(pattern, ast.EdgePattern):
         start = builder.new_state()
         end = builder.new_state()
-        props = (
-            pushed.get(pattern.variable)
-            if pattern.variable is not None
-            else None
-        )
-        if props:
-            builder.note_attached(pattern.variable)
+        variable = pattern.variable
+        props = pushed.get(variable) if variable is not None else None
+        if props and variable is not None:
+            builder.note_attached(variable)
         builder.add_step(
             start,
             _EdgeStep(
                 pattern.direction,
                 pattern.label,
-                pattern.variable,
+                variable,
                 props or frozenset(),
             ),
             end,
@@ -409,435 +454,541 @@ def collect_requirement(
     return None
 
 
+
 # ---------------------------------------------------------------------------
-# Search
+# The lowered program
 # ---------------------------------------------------------------------------
+#
+# Node and edge identity is a dense int, a label test or pushed atom
+# one bit of a bitmask over dense ids, neighbour expansion a slice of a
+# label-filtered CSR row. What a run *remembers* is data too: a bind of
+# a variable that cannot constrain a run (:attr:`RegisterNFA.constraining`)
+# fires on an unbound register and its reset clears nothing a run looks
+# at, so those ops — with the epsilons and node tests — fold at
+# lowering time into per-state masked closures, and only binds, checks
+# and resets of *tracked* registers remain as run-time zero-weight
+# arcs. With nothing tracked the product is ``(node, state)`` and the
+# search a plain BFS; with registers it is ``(file, node, state)`` over
+# register files interned per search.
+#
+# Derived snapshots run in the same loops: a node that is overlay-only,
+# shadowed or has a patched adjacency row reads the same tables through
+# the view accessors (:meth:`ShortestProgram.at`). The key translation
+# is deterministic per snapshot — an element is keyed always by the
+# same int, or (an overlay-only edge) always by its id — so register
+# equality and state dedup behave exactly as on the real ids.
 
 Registers = tuple[tuple[str, object], ...]  # sorted (variable, id) pairs
 
+#: Kinds of lowered zero-weight op. ``_ARC_FREE`` touches no register
+#: (epsilon, node test, and after folding every op on untracked ones).
+_ARC_FREE = 0
+_ARC_BIND = 1
+_ARC_CHECK = 2
+_ARC_RESET = 3
 
-def _bind_register(
-    registers: Registers, variable: str, value: object
-) -> Optional[Registers]:
-    """Bind ``variable`` to ``value``, or join with what it already
-    holds; ``None`` when the join fails."""
-    current = dict(registers)
-    bound = current.get(variable)
-    if bound is None:
-        current[variable] = value
-        return tuple(sorted(current.items()))
-    return registers if bound == value else None
+_CSR_KIND = {
+    Direction.FORWARD: "out",
+    Direction.BACKWARD: "in",
+    Direction.UNDIRECTED: "und",
+}
+
+_NO_PROPS: PushedProps = frozenset()
+
+#: Closure pairs per state beyond which a state stops folding — the
+#: backstop against 2^k mask lattices (a chain of k node-test unions).
+_CLOSURE_LIMIT = 64
 
 
-def _apply_zero(
-    op: object,
-    node: NodeId,
-    registers: Registers,
-    graph: PropertyGraph,
-) -> Optional[Registers]:
-    """Apply a zero-weight op at ``node``; ``None`` when blocked."""
-    if isinstance(op, _Eps):
-        return registers
-    if isinstance(op, _NodeTest):
-        return registers if op.label in graph.labels(node) else None
-    if isinstance(op, _Bind):
-        for key, const in op.props:
-            value = graph.get_property(node, key)
-            if value is None or value != const:
-                return None
-        return _bind_register(registers, op.variable, node)
-    if isinstance(op, _Check):
-        mu = Assignment({v: value for v, value in registers})
-        try:
-            ok = satisfies(graph, mu, op.condition)
-        except (DeadlineExceededError, EvaluationLimitError):
-            # Resource errors must surface (deadline_ms -> 504); only a
-            # condition that is *undefined* here blocks the transition.
-            raise
-        except EvaluationError:
-            return None
-        return registers if ok else None
-    if isinstance(op, _Reset):
-        kept = tuple(
-            (v, value) for v, value in registers if v not in op.variables
+@dataclass(frozen=True, eq=False)
+class ShortestProgram:
+    """A register NFA lowered onto one snapshot for one set of tracked
+    registers. Build with :func:`lower_program`; valid only for that
+    snapshot.
+
+    ``ops`` and ``rows`` are the lowering proper, shared by every
+    :meth:`retracked` copy. ``ops`` holds per state
+    ``(kind, operand, mask, label, props, target)``: ``kind`` an
+    ``_ARC_*`` code, ``operand`` the variable (bind), condition (check)
+    or variable set (reset), ``mask`` the dense-id bitmask of the op's
+    node test or pushed atoms (``None`` = unconditional) and
+    ``label``/``props`` the same test for nodes that have no valid bit.
+    ``rows`` holds per state ``(off, edge, other, prop_mask, slot,
+    target, step)``: the CSR triple of the arc's direction and label
+    (:meth:`SnapshotColumns.filtered_csr`, so a labelled traversal
+    walks only matching edges), the pushed-atom mask probed per
+    surviving edge, ``None``, and the :class:`_EdgeStep` itself.
+
+    The other tables depend on ``tracked``, the sorted variables whose
+    registers a run carries (slot = position). ``arcs`` holds per state
+    the run-time zero-weight arcs, shaped like ``ops`` with variables
+    replaced by slots: binds, checks and resets of tracked registers,
+    plus the free ops of any state whose closure would exceed
+    :data:`_CLOSURE_LIMIT` (such a state's closure is itself alone).
+    ``free`` holds what was folded, ``(mask, label, props, target)``
+    per state, and ``closure`` its fixed point: per state a run can
+    stand in (others hold ``None``) the pairs ``(mask, r)``, ``live``
+    state ``r`` being reachable through folded ops whose tests
+    AND-combine to ``mask``, unconditional pairs first. A state is
+    ``live`` when it can do something — it has a step or a run-time
+    arc, or is final; the rest are passed through. ``steps`` is
+    ``rows`` with the ``slot`` of each tracked edge variable filled in.
+    """
+
+    snapshot: GraphSnapshot
+    nfa: RegisterNFA
+    ops: tuple
+    rows: tuple
+    #: Nodes that exist only in the overlay (added, or re-added over a
+    #: shadowed core id) are keyed past the dense ids, by position.
+    overlay_nodes: tuple
+    overlay_keys: dict
+    #: Node keys are ``< span``.
+    span: int
+    tracked: tuple[str, ...]
+    closure: tuple
+    arcs: tuple
+    free: tuple
+    live: tuple
+    steps: tuple
+    #: Memo of :meth:`at`.
+    slow: dict = field(default_factory=dict)
+
+    def retracked(self, variables: Iterable[str]) -> "ShortestProgram":
+        """This program tracking ``variables`` instead: the lowering is
+        shared, only the tracked-dependent tables are folded again."""
+        tracked = tuple(sorted(variables))
+        if tracked == self.tracked:
+            return self
+        return replace(
+            self, slow={}, **_fold(self.nfa, self.ops, self.rows, tracked)
         )
-        return kept
-    raise TypeError(f"unknown op {op!r}")
+
+    def node_key(self, node: NodeId) -> Optional[int]:
+        """The int the loops key ``node`` by, ``None`` when it is not a
+        current node of the snapshot."""
+        key = self.snapshot.dense_start_key(node)
+        return key if type(key) is int else self.overlay_keys.get(node)
+
+    def start_key(self, start: NodeId) -> int:
+        key = self.node_key(start)
+        if key is None:
+            raise UnknownIdError(f"unknown node {start!r}")
+        return key
+
+    def element(self, key: Any) -> Any:
+        """The real id behind a node or edge key."""
+        if type(key) is not int:
+            return key  # an overlay-only edge is keyed by its id
+        elements = self.snapshot._core.elements
+        if key < len(elements):
+            return elements[key]
+        return self.overlay_nodes[key - len(elements)]
+
+    def registers(self, file: tuple) -> Registers:
+        """A register file as sorted ``(variable, real id)`` pairs."""
+        return tuple(
+            (variable, self.element(key))
+            for variable, key in zip(self.tracked, file)
+            if key is not None
+        )
+
+    def at(self, node: int) -> tuple:
+        """``(closure, arcs, steps)`` as they read at ``node``. A clean
+        core node reads the tables themselves. One that has no valid
+        mask bit or CSR row (overlay-only, shadowed or dirty) gets them
+        with every test put to the accessors — an op that fails is
+        gone, one that passes is unconditional — and every row read
+        through them, as key tuples under offsets ``{node: 0, node + 1:
+        len}``; memoised per node."""
+        snapshot = self.snapshot
+        if node < snapshot._core.n_nodes and node not in snapshot._dirty:
+            return self.closure, self.arcs, self.steps
+        found = self.slow.get(node)
+        if found is None:
+            real = self.element(node)
+            dense = snapshot._core.dense
+
+            def passes(
+                mask: Optional[bytes], label: Optional[str], props: PushedProps
+            ) -> bool:
+                return mask is None or _holds(snapshot, real, label, props)
+
+            closure: list[Optional[tuple]] = []
+            for state, pairs in enumerate(self.closure):
+                reached = {state}
+                stack = [state] if pairs is not None else []
+                while stack:
+                    for mask, label, props, target in self.free[stack.pop()]:
+                        if target not in reached and passes(mask, label, props):
+                            reached.add(target)
+                            stack.append(target)
+                closure.append(
+                    pairs and tuple((None, r) for r in reached if self.live[r])
+                )
+            arcs = tuple(
+                tuple(
+                    arc[:2] + (None,) + arc[3:]
+                    for arc in state_arcs
+                    if passes(*arc[2:5])
+                )
+                for state_arcs in self.arcs
+            )
+            adjacency: dict[Direction, tuple[Any, Any]] = {
+                Direction.FORWARD: (snapshot.out_edges, snapshot.target),
+                Direction.BACKWARD: (snapshot.in_edges, snapshot.source),
+                Direction.UNDIRECTED: (
+                    snapshot.undirected_edges_at,
+                    lambda edge: snapshot.other_endpoint(edge, real),
+                ),
+            }
+            steps: list[tuple] = []
+            for state_steps in self.steps:
+                row: list[tuple] = []
+                for _off, _edge, _other, _mask, slot, target, step in state_steps:
+                    edges_at, other = adjacency[step.direction]
+                    edges = [
+                        edge
+                        for edge in edges_at(real)
+                        if _holds(snapshot, edge, step.label, step.props)
+                    ]
+                    row.append(
+                        (
+                            {node: 0, node + 1: len(edges)},
+                            tuple(dense.get(edge, edge) for edge in edges),
+                            tuple(self.node_key(other(e)) for e in edges),
+                            None,
+                            slot,
+                            target,
+                            step,
+                        )
+                    )
+                steps.append(tuple(row))
+            found = self.slow[node] = (tuple(closure), arcs, tuple(steps))
+        return found
 
 
-def _props_hold(graph, element, props: PushedProps) -> bool:
-    """Whether every pushed ``key = const`` atom holds on ``element``
-    (defined and equal — the exact truth ``satisfies`` computes)."""
+def _holds(
+    snapshot: GraphSnapshot, element: Any, label: Optional[str], props: PushedProps
+) -> bool:
+    """Whether ``element`` carries ``label`` and every pushed
+    ``key = const`` atom holds on it (defined and equal — the truth
+    :func:`repro.gpc.conditions.satisfies` computes), through the view
+    accessors."""
+    if label is not None and label not in snapshot.labels(element):
+        return False
     for key, const in props:
-        value = graph.get_property(element, key)
+        value = snapshot.get_property(element, key)
         if value is None or value != const:
             return False
     return True
 
 
-def _step_targets(
-    step: _EdgeStep, node: NodeId, graph: PropertyGraph
-) -> list[tuple[object, NodeId]]:
-    """Edges usable from ``node`` under ``step``: (edge, next node)."""
-    out = []
-    props = step.props
-    if step.direction is Direction.FORWARD:
-        for edge in graph.out_edges(node):
-            if step.label is None or step.label in graph.labels(edge):
-                if props and not _props_hold(graph, edge, props):
-                    continue
-                out.append((edge, graph.target(edge)))
-    elif step.direction is Direction.BACKWARD:
-        for edge in graph.in_edges(node):
-            if step.label is None or step.label in graph.labels(edge):
-                if props and not _props_hold(graph, edge, props):
-                    continue
-                out.append((edge, graph.source(edge)))
-    else:
-        for edge in graph.undirected_edges_at(node):
-            if step.label is None or step.label in graph.labels(edge):
-                if props and not _props_hold(graph, edge, props):
-                    continue
-                out.append((edge, graph.other_endpoint(edge, node)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Dense-id search
-# ---------------------------------------------------------------------------
-#
-# Over a columnar :class:`~repro.graph.snapshot.GraphSnapshot` the 0-1
-# BFS runs on interned integer ids and CSR slices instead of ``_Id``
-# wrappers and adjacency tuples: node/edge identity becomes an ``int``,
-# label tests become one bit of a per-label bitmask over dense ids, and
-# neighbour expansion is a contiguous slice of two parallel
-# ``array('i')`` columns. Search states whose node lives only
-# in a derive overlay (or whose CSR row was patched) step through the
-# snapshot's view accessors instead, translating successors back into
-# dense keys, so mixed core/overlay graphs stay exact. The key
-# invariant is that the dense-key translation is deterministic per
-# snapshot — each element is keyed either always by its int or always
-# by its ``_Id`` — so register equality and ``dist`` dedup behave
-# exactly as they would on the real ids.
-
-_OP_EPS = 0
-_OP_TEST = 1
-_OP_BIND = 2
-_OP_CHECK = 3
-_OP_RESET = 4
-
-_STEP_FORWARD = 0
-_STEP_BACKWARD = 1
-_STEP_UNDIRECTED = 2
-
-
-@dataclass(frozen=True)
-class DenseProgram:
-    """A register NFA lowered onto one snapshot's interning tables.
-
-    ``zero`` holds per-state tuples ``(kind, payload, target)`` with
-    ``kind`` one of the ``_OP_*`` codes. TEST payloads are
-    ``(label, label_mask)`` and BIND payloads
-    ``(variable, prop_mask, props)``; the masks are dense-id bitmasks
-    baked from the snapshot's column indexes (``prop_mask`` is ``None``
-    when the bind carries no pushed atoms), so the hot loop probes one
-    bit instead of materialising label sets or assignments. ``steps``
-    holds per-state tuples
-    ``(direction_code, label, label_mask, variable, prop_mask, props,
-    target)`` with the same conventions (``label_mask`` is ``None`` for
-    unlabelled steps). The string/frozenset halves of each payload
-    drive the overlay fallback for elements that are not dense ints."""
-
-    zero: tuple
-    steps: tuple
-
-
-def _pushed_prop_mask(snapshot, props: PushedProps):
+def _pushed_prop_mask(
+    snapshot: GraphSnapshot, props: PushedProps
+) -> Optional[bytes]:
     """AND-combine the snapshot's per-atom bitmasks (``None`` when the
     site has no pushed atoms)."""
-    mask = None
+    mask: Optional[bytes] = None
     for key, const in sorted(props, key=repr):
-        atom_mask = snapshot.property_mask(key, const)
-        if mask is None:
-            mask = atom_mask
-        else:
-            mask = bytes(a & b for a, b in zip(mask, atom_mask))
+        mask = and_masks(mask, snapshot.property_mask(key, const))
     return mask
 
 
-def compile_dense_program(nfa: RegisterNFA, snapshot) -> DenseProgram:
-    """Lower ``nfa``'s ops onto ``snapshot``'s column indexes.
-
-    Compile once per (pattern, snapshot) pair and reuse across seeds —
-    the result is only valid for the snapshot whose label interning and
-    bitmask indexes it captured."""
-    zero = []
+def lower_program(
+    nfa: RegisterNFA, view: Any, tracked: Optional[Iterable[str]] = None
+) -> ShortestProgram:
+    """Lower ``nfa`` onto the snapshot of ``view`` (a snapshot is its
+    own), tracking the registers of ``tracked`` (default: those that
+    constrain a run, so the program serves the length search). Lower
+    once per evaluation and share the program across seeds. A label no
+    core element carries may still live in the overlay, so its arcs
+    stay: clean nodes read an all-zero mask or an empty row."""
+    snapshot = view.snapshot()
+    core = snapshot._core
+    arc: tuple
+    ops: list[tuple] = []
     for transitions in nfa.zero:
-        row = []
+        row: list[tuple] = []
         for op, target in transitions:
-            if isinstance(op, _Eps):
-                row.append((_OP_EPS, None, target))
-            elif isinstance(op, _NodeTest):
-                row.append(
-                    (
-                        _OP_TEST,
-                        (op.label, snapshot.label_mask(op.label)),
-                        target,
-                    )
-                )
-            elif isinstance(op, _Bind):
-                row.append(
-                    (
-                        _OP_BIND,
-                        (
-                            op.variable,
-                            _pushed_prop_mask(snapshot, op.props),
-                            op.props,
-                        ),
-                        target,
-                    )
-                )
-            elif isinstance(op, _Check):
-                row.append((_OP_CHECK, op.condition, target))
-            elif isinstance(op, _Reset):
-                row.append((_OP_RESET, op.variables, target))
+            kind = type(op)
+            if kind is _Eps:
+                arc = (_ARC_FREE, None, None, None, _NO_PROPS)
+            elif kind is _NodeTest:
+                label_mask = snapshot.label_mask(op.label)
+                arc = (_ARC_FREE, None, label_mask, op.label, _NO_PROPS)
+            elif kind is _Bind:
+                prop_mask = _pushed_prop_mask(snapshot, op.props)
+                arc = (_ARC_BIND, op.variable, prop_mask, None, op.props)
+            elif kind is _Check:
+                arc = (_ARC_CHECK, op.condition, None, None, _NO_PROPS)
+            elif kind is _Reset:
+                arc = (_ARC_RESET, op.variables, None, None, _NO_PROPS)
             else:
                 raise TypeError(f"unknown op {op!r}")
-        zero.append(tuple(row))
-    steps = []
-    for transitions in nfa.steps:
+            row.append(arc + (target,))
+        ops.append(tuple(row))
+    rows: list[tuple] = []
+    for steps in nfa.steps:
         row = []
-        for step, target in transitions:
-            if step.direction is Direction.FORWARD:
-                code = _STEP_FORWARD
-            elif step.direction is Direction.BACKWARD:
-                code = _STEP_BACKWARD
+        for step, target in steps:
+            adjacency = _CSR_KIND[step.direction]
+            if step.label is None:
+                triple = core.csr(adjacency)
             else:
-                code = _STEP_UNDIRECTED
-            label_mask = (
-                None
-                if step.label is None
-                else snapshot.label_mask(step.label)
-            )
-            row.append(
-                (
-                    code,
-                    step.label,
-                    label_mask,
-                    step.variable,
-                    _pushed_prop_mask(snapshot, step.props),
-                    step.props,
-                    target,
+                triple = core.filtered_csr(
+                    adjacency, core.label_index.get(step.label, -1)
                 )
+            prop_mask = _pushed_prop_mask(snapshot, step.props)
+            row.append(triple + (prop_mask, None, target, step))
+        rows.append(tuple(row))
+    lowered = (tuple(ops), tuple(rows))
+    overlay_nodes = tuple(snapshot._ovl_node_labels)
+    first = len(core.elements)
+    if tracked is None:
+        tracked = nfa.constraining
+    return ShortestProgram(
+        snapshot,
+        nfa,
+        *lowered,
+        overlay_nodes=overlay_nodes,
+        overlay_keys={
+            node: first + i for i, node in enumerate(overlay_nodes)
+        },
+        span=first + len(overlay_nodes),
+        **_fold(nfa, *lowered, tuple(sorted(tracked))),
+    )
+
+
+def _fold(
+    nfa: RegisterNFA, ops: tuple, rows: tuple, tracked: tuple[str, ...]
+) -> dict[str, Any]:
+    """The ``tracked``-dependent tables of a :class:`ShortestProgram`
+    (as its constructor's keywords) from the lowered ``ops``/``rows``."""
+    slots = {variable: slot for slot, variable in enumerate(tracked)}
+    free: list[tuple] = []
+    arcs: list[tuple] = []
+    for row in ops:
+        folded: list[tuple] = []
+        kept: list[tuple] = []
+        for arc in row:
+            kind, operand, mask, label, props, target = arc
+            if kind == _ARC_BIND:
+                if operand in slots:
+                    kept.append((kind, slots[operand]) + arc[2:])
+                    continue
+            elif kind == _ARC_CHECK:
+                kept.append(arc)
+                continue
+            elif kind == _ARC_RESET:
+                cleared = frozenset(slots[v] for v in operand if v in slots)
+                if cleared:
+                    kept.append((kind, cleared) + arc[2:])
+                    continue
+            folded.append((mask, label, props, target))
+        free.append(tuple(folded))
+        arcs.append(tuple(kept))
+    # A run only ever *stands* in the initial state and in the targets
+    # of step and run-time arcs, so only those states need a closure;
+    # and a closure need only name the states that can *do* something.
+    live = [bool(rows[q] or arcs[q]) for q in range(len(ops))]
+    live[nfa.final] = True
+    entered = [nfa.initial]
+    entered += [row[5] for state_rows in rows for row in state_rows]
+    entered += [arc[5] for state_arcs in arcs for arc in state_arcs]
+    closure: list[Optional[tuple]] = [None] * len(ops)
+    while entered:
+        q = entered.pop()
+        if closure[q] is None:
+            closure[q] = _masked_closure(q, free, live)
+            if closure[q] is None:  # too wide: q's free ops stay run-time arcs
+                arcs[q] += tuple((_ARC_FREE, None) + arc for arc in free[q])
+                entered += [arc[3] for arc in free[q]]
+                free[q] = ()
+                live[q] = True
+                closure[q] = ((None, q),)
+    return dict(
+        tracked=tracked,
+        closure=tuple(closure),
+        arcs=tuple(arcs),
+        free=tuple(free),
+        live=tuple(live),
+        steps=tuple(
+            tuple(
+                row[:4] + (slots.get(row[6].variable),) + row[5:]
+                for row in state_rows
             )
-        steps.append(tuple(row))
-    return DenseProgram(zero=tuple(zero), steps=tuple(steps))
+            for state_rows in rows
+        )
+        if slots
+        else rows,
+    )
 
 
-def dense_shortest_pair_lengths(
-    snapshot,
-    nfa: RegisterNFA,
-    start: NodeId,
-    state_budget: int = 2_000_000,
-    program: Optional[DenseProgram] = None,
+def _masked_closure(q: int, free: list, live: list) -> Optional[tuple]:
+    """The ``live`` states of the masked closure of ``q`` under
+    ``free``, unconditional pairs first (the per-pop settled set then
+    settles each state via its cheapest, mask-free derivation), or
+    ``None`` when the closure has more than :data:`_CLOSURE_LIMIT`
+    pairs. AND-ing along paths is monotone, so the fixed point always
+    terminates (eps cycles re-derive existing pairs)."""
+    plain: list[tuple] = []
+    masked: list[tuple] = []
+    seen: set[tuple] = {(None, q)}
+    frontier: list[tuple] = [(None, q)]
+    while frontier:
+        pair = frontier.pop()
+        mask, r = pair
+        if live[r]:
+            (plain if mask is None else masked).append(pair)
+        for arc_mask, _label, _props, target in free[r]:
+            pair = (and_masks(mask, arc_mask), target)
+            if pair not in seen:
+                if len(seen) == _CLOSURE_LIMIT:
+                    return None
+                seen.add(pair)
+                frontier.append(pair)
+    return tuple(plain + masked)
+
+
+def _fire(
+    program: ShortestProgram,
+    files: list,
+    file_id: dict,
+    fid: int,
+    kind: int,
+    operand: Any,
+    value: Any,
+) -> int:
+    """Apply a run-time arc to file ``fid`` — ``value`` is the key of
+    the element a bind sees — and return the id of the resulting file,
+    interning it, or -1 when the arc is blocked."""
+    if kind == _ARC_FREE:
+        return fid
+    registers = files[fid]
+    if kind == _ARC_BIND:
+        bound = registers[operand]
+        if bound is not None:  # a join with what the register holds
+            return fid if bound == value else -1
+        updated = registers[:operand] + (value,) + registers[operand + 1 :]
+    elif kind == _ARC_CHECK:
+        mu = Assignment(program.registers(registers))
+        try:
+            return fid if satisfies(program.snapshot, mu, operand) else -1
+        except (DeadlineExceededError, EvaluationLimitError):
+            # Resource errors must surface (deadline_ms -> 504); only a
+            # condition that is *undefined* here blocks the transition.
+            raise
+        except EvaluationError:
+            return -1
+    else:  # _ARC_RESET
+        updated = tuple(
+            None if slot in operand else key
+            for slot, key in enumerate(registers)
+        )
+    found = file_id.get(updated)
+    if found is None:
+        found = file_id[updated] = len(files)
+        files.append(updated)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Length search
+# ---------------------------------------------------------------------------
+
+
+def shortest_pair_lengths(
+    program: ShortestProgram, start: NodeId, state_budget: int = 2_000_000
 ) -> dict[NodeId, int]:
     """Exact minimum accepted path length from ``start`` to every
-    reachable end node, via 0-1 BFS over (node, state, registers) on a
-    columnar :class:`~repro.graph.snapshot.GraphSnapshot`.
-
-    Returns real element ids. Core nodes with unpatched CSR rows expand
-    via integer column slices; overlay, shadowed, and dirty nodes fall
-    back to the view accessors."""
-    if program is None:
-        program = compile_dense_program(nfa, snapshot)
-    core = snapshot._core
-    dense = core.dense
-    elements = core.elements
-    out_off, out_edge, out_tgt = core.out_off, core.out_edge, core.out_tgt
-    in_off, in_edge, in_src = core.in_off, core.in_edge, core.in_src
-    und_off, und_edge, und_other = (
-        core.und_off,
-        core.und_edge,
-        core.und_other,
-    )
+    reachable end node: 0-1 BFS over the product ``(file, node,
+    state)``, one packed int ``(file * span + node) * num_states +
+    state`` per product state, ``dist`` a dict keyed by it. Step arcs
+    go to the back of the queue and run-time zero-weight arcs to the
+    front; a program without the latter runs a plain FIFO BFS."""
+    snapshot = program.snapshot
+    ns = program.nfa.num_states
+    final = program.nfa.final
+    span = program.span
+    n_nodes = snapshot._core.n_nodes
     dirty = snapshot._dirty
-    shadow = snapshot._shadow
-    zero_prog = program.zero
-    step_prog = program.steps
-    final = nfa.final
+    tables = (program.closure, program.arcs, program.steps)
 
-    initial = (snapshot.dense_start_key(start), nfa.initial, ())
-    dist: dict[tuple, int] = {initial: 0}
-    queue: deque[tuple] = deque([initial])
-    best: dict = {}
-    expanded = 0
-    relaxed = 0
-    probes = 0
+    files = [(None,) * len(program.tracked)]
+    file_id = {files[0]: 0}
+    initial = program.start_key(start) * ns + program.nfa.initial
+    dist = {initial: 0}
+    queue = deque([initial])
+    best: dict[int, int] = {}
+    expanded = relaxed = probes = 0
     try:
         while queue:
-            state = queue.popleft()
+            packed = queue.popleft()
             expanded += 1
-            node, q, registers = state
-            d = dist[state]
-            if q == final and (node not in best or d < best[node]):
-                best[node] = d
-            node_is_int = type(node) is int
-            for kind, payload, target in zero_prog[q]:
-                if kind == _OP_EPS:
-                    updated = registers
-                elif kind == _OP_TEST:
-                    if node_is_int:
-                        probes += 1
-                        if not payload[1][node >> 3] & (1 << (node & 7)):
-                            continue
-                    elif payload[0] not in snapshot.labels(node):
+            d = dist[packed]
+            nd = d + 1
+            rest, q = divmod(packed, ns)
+            fid, node = divmod(rest, span)
+            onward = packed - q - node * ns  # the product state (file, 0, 0)
+            if node < n_nodes and not (dirty and node in dirty):
+                # A clean node: program.at(node), without the call.
+                closure_here, arcs_here, steps_here = tables
+                byte = node >> 3
+                bit = 1 << (node & 7)
+            else:  # no mask survives the accessors: nothing to probe
+                closure_here, arcs_here, steps_here = program.at(node)
+            settled = 0
+            for cmask, r in closure_here[q]:
+                if cmask is not None:
+                    probes += 1
+                    if not cmask[byte] & bit:
                         continue
-                    updated = registers
-                elif kind == _OP_BIND:
-                    variable, prop_mask, props = payload
-                    if prop_mask is not None:
-                        if node_is_int:
-                            probes += 1
-                            if not prop_mask[node >> 3] & (1 << (node & 7)):
-                                continue
-                        elif not _props_hold(snapshot, node, props):
-                            continue
-                    current = dict(registers)
-                    bound = current.get(variable)
-                    if bound is None:
-                        current[variable] = node
-                        updated = tuple(sorted(current.items()))
-                    elif bound == node:
-                        updated = registers
-                    else:
-                        continue
-                elif kind == _OP_CHECK:
-                    mu = Assignment(
-                        {
-                            v: elements[value] if type(value) is int else value
-                            for v, value in registers
-                        }
-                    )
-                    try:
-                        ok = satisfies(snapshot, mu, payload)
-                    except (DeadlineExceededError, EvaluationLimitError):
-                        raise
-                    except EvaluationError:
-                        continue
-                    if not ok:
-                        continue
-                    updated = registers
-                else:  # _OP_RESET
-                    updated = tuple(
-                        (v, value)
-                        for v, value in registers
-                        if v not in payload
-                    )
-                key = (node, target, updated)
-                if key not in dist or dist[key] > d:
-                    dist[key] = d
-                    queue.appendleft(key)
-                    relaxed += 1
-            steps_here = step_prog[q]
-            if steps_here and node_is_int and not (dirty and node in dirty):
+                if settled >> r & 1:
+                    continue  # already settled via a cheaper derivation
+                settled |= 1 << r
+                if r == final and best.get(node, nd) > d:
+                    best[node] = d
                 for (
-                    code,
-                    _label,
-                    label_mask,
-                    variable,
-                    prop_mask,
-                    _props,
-                    target,
-                ) in steps_here:
-                    if code == _STEP_FORWARD:
-                        lo, hi = out_off[node], out_off[node + 1]
-                        edge_col, succ_col = out_edge, out_tgt
-                    elif code == _STEP_BACKWARD:
-                        lo, hi = in_off[node], in_off[node + 1]
-                        edge_col, succ_col = in_edge, in_src
-                    else:
-                        lo, hi = und_off[node], und_off[node + 1]
-                        edge_col, succ_col = und_edge, und_other
-                    for i in range(lo, hi):
-                        edge = edge_col[i]
-                        if label_mask is not None:
-                            probes += 1
-                            if not label_mask[edge >> 3] & (1 << (edge & 7)):
-                                continue
+                    off, edge_col, succ_col, prop_mask, slot, target, _step
+                ) in steps_here[r]:
+                    for i in range(off[node], off[node + 1]):
                         if prop_mask is not None:
+                            edge = edge_col[i]
                             probes += 1
                             if not prop_mask[edge >> 3] & (1 << (edge & 7)):
                                 continue
-                        updated = registers
-                        if variable is not None:
-                            current = dict(registers)
-                            bound = current.get(variable)
-                            if bound is None:
-                                current[variable] = edge
-                                updated = tuple(sorted(current.items()))
-                            elif bound != edge:
-                                continue
-                        key = (succ_col[i], target, updated)
-                        if key not in dist or dist[key] > d + 1:
-                            dist[key] = d + 1
-                            queue.append(key)
-                            relaxed += 1
-            elif steps_here:
-                real = elements[node] if node_is_int else node
-                for (
-                    code,
-                    label,
-                    _label_mask,
-                    variable,
-                    _prop_mask,
-                    props,
-                    target,
-                ) in steps_here:
-                    if code == _STEP_FORWARD:
-                        pairs = [
-                            (e, snapshot.target(e))
-                            for e in snapshot.out_edges(real)
-                        ]
-                    elif code == _STEP_BACKWARD:
-                        pairs = [
-                            (e, snapshot.source(e))
-                            for e in snapshot.in_edges(real)
-                        ]
-                    else:
-                        pairs = [
-                            (e, snapshot.other_endpoint(e, real))
-                            for e in snapshot.undirected_edges_at(real)
-                        ]
-                    for edge, successor in pairs:
-                        if (
-                            label is not None
-                            and label not in snapshot.labels(edge)
-                        ):
-                            continue
-                        if props and not _props_hold(snapshot, edge, props):
-                            continue
-                        updated = registers
-                        if variable is not None:
-                            edge_key = dense.get(edge, edge)
-                            current = dict(registers)
-                            bound = current.get(variable)
-                            if bound is None:
-                                current[variable] = edge_key
-                                updated = tuple(sorted(current.items()))
-                            elif bound != edge_key:
-                                continue
-                        succ_dense = dense.get(successor)
-                        if succ_dense is None or (
-                            shadow and succ_dense in shadow
-                        ):
-                            succ_key = successor
+                        if slot is None:
+                            key = onward + succ_col[i] * ns + target
                         else:
-                            succ_key = succ_dense
-                        key = (succ_key, target, updated)
-                        if key not in dist or dist[key] > d + 1:
-                            dist[key] = d + 1
+                            bound = _fire(
+                                program, files, file_id, fid,
+                                _ARC_BIND, slot, edge_col[i],
+                            )
+                            if bound < 0:
+                                continue
+                            key = (bound * span + succ_col[i]) * ns + target
+                        old = dist.get(key)
+                        if old is None or old > nd:
+                            dist[key] = nd
                             queue.append(key)
                             relaxed += 1
+                for kind, operand, mask, _label, _props, target in arcs_here[r]:
+                    if mask is not None:
+                        probes += 1
+                        if not mask[byte] & bit:
+                            continue
+                    updated = _fire(
+                        program, files, file_id, fid, kind, operand, node
+                    )
+                    if updated < 0:
+                        continue
+                    key = (updated * span + node) * ns + target
+                    old = dist.get(key)
+                    if old is None or old > d:
+                        dist[key] = d
+                        queue.appendleft(key)
+                        relaxed += 1
             if len(dist) > state_budget:
                 raise EvaluationLimitError(
                     f"register search exceeded {state_budget} states"
@@ -848,249 +999,10 @@ def dense_shortest_pair_lengths(
             counters.nfa_states_expanded += expanded
             counters.nfa_transitions += relaxed
             counters.mask_probes += probes
-    return {
-        (elements[node] if type(node) is int else node): d
-        for node, d in best.items()
-    }
-
-
-# ---------------------------------------------------------------------------
-# Register-free flat-array fast lane
-# ---------------------------------------------------------------------------
-#
-# The common RPQ-shaped case — after pushdown elided every CHECK and no
-# variable is repeated — never consults registers at all: every bind
-# fires on an unbound register (single static site per variable, and
-# repetition resets clear body registers before their site is reached
-# again), so the product state collapses to ``(node, nfa_state)``. On a
-# pristine snapshot both halves are small ints, so the whole search can
-# run over a flat ``array('i')`` distance table indexed by
-# ``node * num_states + state`` with a deque of packed ints: no tuple
-# hashing, no register dicts, no per-state allocations. Labelled step
-# arcs resolve to label-restricted CSR rows (only matching edges are
-# walked); pushed property atoms stay per-edge bitmask probes; arcs on
-# labels absent from the core are dropped at compile time.
-
-
-@dataclass(frozen=True)
-class FlatProgram:
-    """A :class:`DenseProgram` specialised to the register-free case.
-
-    ``closure`` holds, per state ``q``, the masked epsilon closure:
-    tuples ``(mask, r)`` meaning state ``r`` is reachable from ``q``
-    through zero-weight ops whose node tests and pushed-prop binds
-    AND-combine to ``mask`` (``None`` = unconditional; pairs with
-    ``None`` masks sort first). Folding the closure at compile time
-    leaves only weight-1 transitions at run time, so the search is a
-    plain FIFO BFS with no zero-weight re-relaxation. ``steps`` holds
-    per-state tuples ``(off, edge, other, prop_mask, target)`` — a CSR
-    triple already restricted to the arc's direction and label (via
-    :meth:`SnapshotColumns.filtered_csr`, so a labelled traversal walks
-    only matching edges) plus an optional pushed-prop bitmask probed
-    per surviving edge. Only valid for the pristine snapshot it was
-    compiled against."""
-
-    num_states: int
-    initial: int
-    final: int
-    closure: tuple
-    steps: tuple
-
-
-def _and_masks(left, right):
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return bytes(a & b for a, b in zip(left, right))
-
-
-#: Closure pairs per state beyond which the flat lane bails out to the
-#: dense program — a backstop against pathological eps/mask lattices.
-_CLOSURE_LIMIT = 64
-
-
-def _masked_closures(zero_rows: tuple) -> Optional[tuple]:
-    """Per-state masked epsilon closures of lowered ``(mask, target)``
-    zero rows, or ``None`` when a closure exceeds :data:`_CLOSURE_LIMIT`
-    distinct pairs. AND-ing along paths is monotone, so the fixed point
-    always terminates (eps cycles re-derive existing pairs)."""
-    closures = []
-    for q in range(len(zero_rows)):
-        pairs = {(None, q)}
-        frontier = [(None, q)]
-        while frontier:
-            mask, r = frontier.pop()
-            for arc_mask, target in zero_rows[r]:
-                pair = (_and_masks(mask, arc_mask), target)
-                if pair not in pairs:
-                    pairs.add(pair)
-                    frontier.append(pair)
-                    if len(pairs) > _CLOSURE_LIMIT:
-                        return None
-        # Unconditional pairs first: the runner's per-pop seen set then
-        # settles each state via its cheapest (mask-free) derivation.
-        closures.append(
-            tuple(sorted(pairs, key=lambda pair: pair[0] is not None))
-        )
-    return tuple(closures)
-
-
-def compile_flat_program(nfa: RegisterNFA, snapshot) -> Optional[FlatProgram]:
-    """Lower ``nfa`` to a :class:`FlatProgram`, or ``None`` when the
-    register-free collapse would not be sound.
-
-    Eligibility: the snapshot is pristine (no overlays — every element
-    is a live core element with authoritative columns), the program has
-    no residual CHECK (registers are never *read*), and no variable has
-    more than one bind/step site (registers never *constrain*: each
-    site binds fresh, loop re-entry passes a reset first)."""
-    if not snapshot.pristine:
-        return None
-    sites: dict[str, int] = {}
-    for transitions in nfa.zero:
-        for op, _target in transitions:
-            if isinstance(op, _Check):
-                return None
-            if isinstance(op, _Bind):
-                sites[op.variable] = sites.get(op.variable, 0) + 1
-    for transitions in nfa.steps:
-        for step, _target in transitions:
-            if step.variable is not None:
-                sites[step.variable] = sites.get(step.variable, 0) + 1
-    if any(count > 1 for count in sites.values()):
-        return None
-    label_index = snapshot._core.label_index
-    zero = []
-    for transitions in nfa.zero:
-        row = []
-        for op, target in transitions:
-            if isinstance(op, (_Eps, _Reset)):
-                row.append((None, target))
-            elif isinstance(op, _NodeTest):
-                if op.label not in label_index:
-                    continue  # no core element carries it: dead arc
-                row.append((snapshot.label_mask(op.label), target))
-            elif isinstance(op, _Bind):
-                row.append((_pushed_prop_mask(snapshot, op.props), target))
-            else:  # pragma: no cover - _Check rejected above
-                return None
-        zero.append(tuple(row))
-    closures = _masked_closures(tuple(zero))
-    if closures is None:
-        return None
-    core = snapshot._core
-    steps = []
-    for transitions in nfa.steps:
-        row = []
-        for step, target in transitions:
-            if step.label is not None and step.label not in label_index:
-                continue  # dead arc
-            if step.direction is Direction.FORWARD:
-                kind = "out"
-            elif step.direction is Direction.BACKWARD:
-                kind = "in"
-            else:
-                kind = "und"
-            if step.label is None:
-                if kind == "out":
-                    triple = (core.out_off, core.out_edge, core.out_tgt)
-                elif kind == "in":
-                    triple = (core.in_off, core.in_edge, core.in_src)
-                else:
-                    triple = (core.und_off, core.und_edge, core.und_other)
-            else:
-                triple = core.filtered_csr(kind, label_index[step.label])
-            prop_mask = _pushed_prop_mask(snapshot, step.props)
-            row.append(triple + (prop_mask, target))
-        steps.append(tuple(row))
-    return FlatProgram(
-        num_states=nfa.num_states,
-        initial=nfa.initial,
-        final=nfa.final,
-        closure=closures,
-        steps=tuple(steps),
-    )
-
-
-def flat_shortest_pair_lengths(
-    snapshot,
-    flat: FlatProgram,
-    start: NodeId,
-    state_budget: int = 2_000_000,
-) -> dict[NodeId, int]:
-    """:func:`dense_shortest_pair_lengths` for a :class:`FlatProgram`.
-
-    Same search and budget semantics, but states are packed ints over
-    a flat distance array (-1 = undiscovered) instead of dict-keyed
-    tuples, and the compile-time epsilon closures leave only weight-1
-    transitions — a plain FIFO BFS, where first discovery is final.
-    Only call with the pristine snapshot the program was compiled for,
-    where every node is a core node."""
-    core = snapshot._core
-    elements = core.elements
-    ns = flat.num_states
-    closure_prog = flat.closure
-    step_prog = flat.steps
-    final = flat.final
-
-    start_dense = snapshot.dense_start_key(start)
-    if type(start_dense) is not int:
-        raise UnknownIdError(f"unknown node {start!r}")
-    dist = array("i", [-1]) * (core.n_nodes * ns)
-    initial = start_dense * ns + flat.initial
-    dist[initial] = 0
-    queue: deque[int] = deque([initial])
-    best: dict[int, int] = {}
-    expanded = 0
-    relaxed = 0
-    probes = 0
-    discovered = 1
-    try:
-        while queue:
-            packed = queue.popleft()
-            expanded += 1
-            node, q = divmod(packed, ns)
-            d = dist[packed]
-            nd = d + 1
-            byte = node >> 3
-            bit = 1 << (node & 7)
-            settled = 0
-            for cmask, r in closure_prog[q]:
-                if cmask is not None:
-                    probes += 1
-                    if not cmask[byte] & bit:
-                        continue
-                if settled >> r & 1:
-                    continue  # already settled via a cheaper derivation
-                settled |= 1 << r
-                if r == final and node not in best:
-                    best[node] = d
-                for off, edge_col, succ_col, prop_mask, target in step_prog[r]:
-                    for i in range(off[node], off[node + 1]):
-                        if prop_mask is not None:
-                            edge = edge_col[i]
-                            probes += 1
-                            if not prop_mask[edge >> 3] & (1 << (edge & 7)):
-                                continue
-                        key = succ_col[i] * ns + target
-                        if dist[key] < 0:
-                            dist[key] = nd
-                            queue.append(key)
-                            relaxed += 1
-                            discovered += 1
-            if discovered > state_budget:
-                raise EvaluationLimitError(
-                    f"register search exceeded {state_budget} states"
-                )
-    finally:
-        counters = active_counters()
-        if counters is not None:
-            counters.nfa_states_expanded += expanded
-            counters.nfa_transitions += relaxed
-            counters.mask_probes += probes
-            counters.dense_fast_lane += 1
-    return {elements[node]: d for node, d in best.items()}
+            counters.register_files += len(files) - 1
+            if not program.tracked:
+                counters.dense_fast_lane += 1
+    return {program.element(node): d for node, d in best.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1100,97 +1012,113 @@ def flat_shortest_pair_lengths(
 #: Edge expansions between two deadline checks inside the witness pass.
 _DEADLINE_STRIDE = 1024
 
-#: A run's position at a node: ``(state, registers)``.
-_Config = tuple[int, Registers]
 
-
-def _closure(
-    nfa: RegisterNFA, graph: PropertyGraph, node: NodeId, configs
-) -> set[_Config]:
-    """Closure of ``configs`` at ``node`` under the zero-weight ops,
-    each applied for real: binds join, checks read the registers."""
-    closure = set(configs)
-    stack = list(closure)
-    zero = nfa.zero
-    while stack:
-        q, registers = stack.pop()
-        for op, target in zero[q]:
-            updated = _apply_zero(op, node, registers, graph)
-            if updated is None:
-                continue
-            config = (target, updated)
-            if config not in closure:
-                closure.add(config)
-                stack.append(config)
-    return closure
-
-
-def enumerate_shortest_witnesses(
-    graph: PropertyGraph,
-    nfa: RegisterNFA,
-    start: NodeId,
-    targets: dict[NodeId, int],
+def shortest_witnesses(
+    program: ShortestProgram, start: NodeId, targets: dict[NodeId, int]
 ) -> dict[NodeId, list[tuple[Path, frozenset[Registers]]]]:
     """One seed's witness walks, for all its targets in one pass.
 
     ``targets`` maps each wanted end node to the exact walk length
-    wanted for it. One iterative DFS from ``start``, bounded by the
-    largest wanted length, shares every prefix between the targets and
-    runs the register NFA exactly along the way: a frame holds the
-    ``(state, registers)`` configurations of every run over the walk so
-    far. A walk is accepted at depth ``d`` on node ``v`` iff
-    ``targets[v] == d`` and some configuration is in the final state;
-    it is returned with the register files of those accepting runs.
-    Pruned by the runs that survive and by the remaining-steps lower
-    bound on their states, so it explores nothing a join, a check or a
-    pushed atom rejects. The walk is one element list that moves push
-    onto and pop off; a :class:`Path` is built per accepted walk only.
-    The ambient deadline is checked every :data:`_DEADLINE_STRIDE` edge
-    expansions. Returns ``(walk, register files)`` per end node.
+    wanted for it. One iterative DFS from ``start`` over the program's
+    keys and step rows, bounded by the largest wanted length, shares
+    every prefix between the targets and runs the register NFA exactly
+    along the way: a frame holds the ``(state, file)`` configurations
+    of every run over the walk so far, closed under the folded closures
+    and the run-time arcs. A walk is accepted at depth ``d`` on node
+    ``v`` iff ``targets[v] == d`` and some configuration is in the
+    final state; it is returned with the tracked registers of those
+    accepting runs — the assignment, when the program tracks every
+    variable. Pruned by the runs that survive and by the
+    remaining-steps lower bound on their states, so it explores nothing
+    a join, a check or a pushed atom rejects. The walk is one key list
+    that moves push onto and pop off; real ids and a :class:`Path` are
+    built per accepted walk only. The ambient deadline is checked every
+    :data:`_DEADLINE_STRIDE` edge expansions. Returns ``(walk, register
+    files)`` per end node.
     """
     found: dict[NodeId, list[tuple[Path, frozenset[Registers]]]] = {}
     if not targets:
         return found  # the seed reaches nothing: no walk to look for
+    final = program.nfa.final
+    back = program.nfa.backward_distances
+    files = [(None,) * len(program.tracked)]
+    file_id = {files[0]: 0}
+
+    def close(
+        node: int, configs: Iterable[tuple[int, int]]
+    ) -> set[tuple[int, int]]:
+        """Closure of ``(state, file)`` ``configs`` at ``node`` under
+        the zero-weight ops, each applied for real: binds join, checks
+        read the registers."""
+        closure_here, arcs_here, _steps = program.at(node)
+        byte = node >> 3
+        bit = 1 << (node & 7)
+        closed: set[tuple[int, int]] = set()
+        stack = list(configs)
+        while stack:
+            q, fid = stack.pop()
+            for cmask, r in closure_here[q]:
+                if (r, fid) in closed or (
+                    cmask is not None and not cmask[byte] & bit
+                ):
+                    continue
+                closed.add((r, fid))
+                for kind, operand, mask, _label, _props, target in arcs_here[r]:
+                    if mask is not None and not mask[byte] & bit:
+                        continue
+                    fired = _fire(
+                        program, files, file_id, fid, kind, operand, node
+                    )
+                    if fired >= 0:
+                        stack.append((target, fired))
+        return closed
+
+    wanted = {program.node_key(end): length for end, length in targets.items()}
     horizon = max(targets.values())
-    back = nfa.backward_distances
-    final = nfa.final
-    steps = nfa.steps
     tried = accepted = 0
     next_check = _DEADLINE_STRIDE
-    node = start
-    configs = _closure(nfa, graph, start, ((nfa.initial, ()),))
-    elements: list = [start]
+    node = program.start_key(start)
+    configs = close(node, ((program.nfa.initial, 0),))
+    walk: list = [node]
     #: Per depth, the moves not yet taken: (edge, successor, configs).
     frames: list[list] = []
     try:
         while True:
             depth = len(frames)
-            if targets.get(node) == depth:
+            if wanted.get(node) == depth:
                 runs = frozenset(
-                    registers for q, registers in configs if q == final
+                    program.registers(files[fid])
+                    for q, fid in configs
+                    if q == final
                 )
                 if runs:
-                    found.setdefault(node, []).append((Path(elements), runs))
+                    path = Path([program.element(key) for key in walk])
+                    found.setdefault(path.tgt, []).append((path, runs))
                     accepted += 1
             remaining = horizon - depth - 1
-            moves: dict[tuple[object, NodeId], set[_Config]] = {}
+            moves: dict[tuple, set[tuple[int, int]]] = {}
             if remaining >= 0:
-                takers: dict[_EdgeStep, list[_Config]] = {}
-                for q, registers in configs:
-                    for step, target in steps[q]:
-                        takers.setdefault(step, []).append((target, registers))
-                for step, entering in takers.items():
-                    variable = step.variable
-                    for move in _step_targets(step, node, graph):
-                        for target, registers in entering:
-                            if variable is not None:
-                                registers = _bind_register(
-                                    registers, variable, move[0]
+                steps_here = program.at(node)[2]
+                for q, fid in configs:
+                    for (
+                        off, edge_col, succ_col, prop_mask, slot, target, _step
+                    ) in steps_here[q]:
+                        for i in range(off[node], off[node + 1]):
+                            edge = edge_col[i]
+                            if prop_mask is not None and not (
+                                prop_mask[edge >> 3] & (1 << (edge & 7))
+                            ):
+                                continue
+                            bound = fid
+                            if slot is not None:
+                                bound = _fire(
+                                    program, files, file_id, fid,
+                                    _ARC_BIND, slot, edge,
                                 )
-                                if registers is None:
+                                if bound < 0:
                                     continue
-                            moves.setdefault(move, set()).add(
-                                (target, registers)
+                            moves.setdefault((edge, succ_col[i]), set()).add(
+                                (target, bound)
                             )
             tried += len(moves)
             if tried >= next_check:
@@ -1198,17 +1126,17 @@ def enumerate_shortest_witnesses(
                 next_check = tried + _DEADLINE_STRIDE
             frame = []
             for (edge, successor), reached in moves.items():
-                closure = _closure(nfa, graph, successor, reached)
-                if any(0 <= back[q] <= remaining for q, _ in closure):
-                    frame.append((edge, successor, closure))
+                closed = close(successor, reached)
+                if any(0 <= back[q] <= remaining for q, _ in closed):
+                    frame.append((edge, successor, closed))
             frames.append(frame)
             while frames and not frames[-1]:
                 frames.pop()
-                del elements[-2:]
+                del walk[-2:]
             if not frames:
                 return found
             edge, node, configs = frames[-1].pop()
-            elements += (edge, node)
+            walk += (edge, node)
     finally:
         counters = active_counters()
         if counters is not None:
@@ -1216,16 +1144,53 @@ def enumerate_shortest_witnesses(
             counters.witnesses += accepted
 
 
-def enumerate_exact_length_walks(
-    graph: PropertyGraph,
+# ---------------------------------------------------------------------------
+# The names the layers benchmark and the tests resolve
+# ---------------------------------------------------------------------------
+#
+# Each lowers at the door (``view`` is a graph or a snapshot); the
+# engine lowers once per evaluation and calls the functions above.
+
+compile_dense_program = lower_program
+
+
+def compile_flat_program(
+    nfa: RegisterNFA, view: Any
+) -> Optional[ShortestProgram]:
+    """The program iff its search tracks no register."""
+    return None if nfa.constraining else lower_program(nfa, view)
+
+
+def dense_shortest_pair_lengths(
+    view: Any,
     nfa: RegisterNFA,
     start: NodeId,
-    end: NodeId,
-    length: int,
+    state_budget: int = 2_000_000,
+    program: Optional[ShortestProgram] = None,
+) -> dict[NodeId, int]:
+    program = program or lower_program(nfa, view)
+    return shortest_pair_lengths(program, start, state_budget)
+
+
+def flat_shortest_pair_lengths(
+    view: Any, flat: ShortestProgram, start: NodeId, state_budget: int = 2_000_000
+) -> dict[NodeId, int]:
+    return shortest_pair_lengths(flat, start, state_budget)
+
+
+def enumerate_shortest_witnesses(
+    view: Any, nfa: RegisterNFA, start: NodeId, targets: dict[NodeId, int]
+) -> dict[NodeId, list[tuple[Path, frozenset[Registers]]]]:
+    """:func:`shortest_witnesses` with every variable tracked, so the
+    register files are the runs' full assignments."""
+    program = lower_program(nfa, view, tracked=nfa.sites)
+    return shortest_witnesses(program, start, targets)
+
+
+def enumerate_exact_length_walks(
+    view: Any, nfa: RegisterNFA, start: NodeId, end: NodeId, length: int
 ) -> list[Path]:
     """All graph walks from ``start`` to ``end`` of exactly ``length``
-    edges accepted by the register NFA:
-    :func:`enumerate_shortest_witnesses` for one target, registers
-    dropped."""
-    walks = enumerate_shortest_witnesses(graph, nfa, start, {end: length})
+    edges accepted by the register NFA."""
+    walks = enumerate_shortest_witnesses(view, nfa, start, {end: length})
     return [walk for walk, _runs in walks.get(end, ())]

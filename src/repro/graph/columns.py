@@ -44,11 +44,24 @@ from repro.obs.counters import active_counters as _active_counters
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.property_graph import PropertyGraph
 
-__all__ = ["SnapshotColumns", "build_columns"]
+__all__ = ["SnapshotColumns", "and_masks", "build_columns"]
 
 #: Typecode for every dense-id column. ``'i'`` (4 bytes) halves pickle
 #: size versus platform longs; dense ids are bounded by element count.
 DENSE_TYPECODE = "i"
+
+
+def and_masks(left: "bytes | None", right: "bytes | None") -> "bytes | None":
+    """Bitwise AND of two dense-id bitmasks over the same id space
+    (``None`` = no constraint). Masks span nodes *and* edges, so the
+    AND goes through one big-int operation, not a per-byte loop."""
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return (
+        int.from_bytes(left, "little") & int.from_bytes(right, "little")
+    ).to_bytes(len(left), "little")
 
 
 class SnapshotColumns:
@@ -153,39 +166,53 @@ class SnapshotColumns:
                 counters.masks_built += 1
         return mask
 
+    def csr(self, kind: str) -> tuple:
+        """The full ``(off, edge, other)`` CSR triple of one adjacency
+        (``"out"``/``"in"``/``"und"``)."""
+        if kind == "out":
+            return self.out_off, self.out_edge, self.out_tgt
+        if kind == "in":
+            return self.in_off, self.in_edge, self.in_src
+        return self.und_off, self.und_edge, self.und_other
+
     def filtered_csr(self, kind: str, label_int: int) -> tuple:
         """CSR triple restricted to edges carrying ``label_int``.
 
-        ``kind`` selects the adjacency (``"out"``/``"in"``/``"und"``);
-        the result is an ``(off, edge, other)`` triple shaped exactly
-        like the full CSR but containing only the label's edges, so a
-        labelled traversal walks matching edges contiguously instead of
-        probing a bitmask per edge. Built lazily in one pass over the
-        full CSR against :meth:`label_mask` and cached forever (the
-        core is immutable; overlays never reach this index because the
-        flat lane requires a pristine snapshot).
+        ``kind`` selects the adjacency as in :meth:`csr`; the result is
+        an ``(off, edge, other)`` triple shaped exactly like the full
+        CSR but containing only the label's edges, so a labelled
+        traversal walks matching edges contiguously instead of probing
+        a bitmask per edge. A negative ``label_int`` (label not
+        interned) yields all-empty rows. Built lazily in one pass over
+        the full CSR against :meth:`label_mask` and cached forever.
+
+        The index knows the immutable core only, so on a derived
+        snapshot **only the row of a clean core node may be read from
+        it** — a node that is neither shadowed nor in the snapshot's
+        ``_dirty`` set. Every edge a derive chain adds, removes or
+        relabels patches the rows of its endpoints, so a clean node's
+        row is exactly its current labelled adjacency; any other node's
+        row must come through the snapshot's accessors.
         """
         cache = self._filtered_csr
         cache_key = (kind, label_int)
         hit = cache.get(cache_key)
         if hit is None:
-            if kind == "out":
-                off, edge, other = self.out_off, self.out_edge, self.out_tgt
-            elif kind == "in":
-                off, edge, other = self.in_off, self.in_edge, self.in_src
-            else:
-                off, edge, other = self.und_off, self.und_edge, self.und_other
-            mask = self.label_mask(label_int)
-            new_off = array(DENSE_TYPECODE, [0])
             new_edge = array(DENSE_TYPECODE)
             new_other = array(DENSE_TYPECODE)
-            for node in range(self.n_nodes):
-                for i in range(off[node], off[node + 1]):
-                    e = edge[i]
-                    if mask[e >> 3] & (1 << (e & 7)):
-                        new_edge.append(e)
-                        new_other.append(other[i])
-                new_off.append(len(new_edge))
+            if label_int < 0:
+                new_off = array(DENSE_TYPECODE, [0]) * (self.n_nodes + 1)
+            else:
+                off, edge, other = self.csr(kind)
+                mask = self.label_mask(label_int)
+                new_off = array(DENSE_TYPECODE, [0])
+                for node in range(self.n_nodes):
+                    for i in range(off[node], off[node + 1]):
+                        e = edge[i]
+                        if mask[e >> 3] & (1 << (e & 7)):
+                            new_edge.append(e)
+                            new_other.append(other[i])
+                    new_off.append(len(new_edge))
             hit = cache[cache_key] = (new_off, new_edge, new_other)
             counters = _active_counters()
             if counters is not None:

@@ -601,39 +601,13 @@ class GraphSnapshot:
             return node
         return d
 
-    @property
-    def pristine(self) -> bool:
-        """True when no overlay masks the core.
-
-        Every element is then a live core element whose columns (and
-        bitmask indexes) are authoritative, so register-free searches
-        may run entirely on dense ints without per-element fallbacks.
-        """
-        return not (
-            self._removed
-            or self._shadow
-            or self._dirty
-            or self._ovl_node_labels
-            or self._ovl_dedge_labels
-            or self._ovl_uedge_labels
-            or self._ovl_src
-            or self._ovl_tgt
-            or self._ovl_endpoints
-            or self._ovl_props
-            or self._row_out
-            or self._row_in
-            or self._row_und
-            or self._ovl_nodes_by_label
-            or self._ovl_dedges_by_label
-            or self._ovl_uedges_by_label
-        )
-
     def label_mask(self, label: str) -> bytes:
         """Dense-id bitmask of core label membership for ``label``.
 
         Valid for any *non-shadowed* dense id: label edits always force
         the element into the shadow/overlay path, so the core mask is
-        never stale for ids the dense search keeps as ints. Unknown
+        never stale for the nodes the ``shortest`` program probes
+        (clean core nodes; the rest go through the accessors). Unknown
         labels yield the cached all-zero mask.
         """
         core = self._core

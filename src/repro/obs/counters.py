@@ -31,9 +31,9 @@ class EvalCounters:
 
     Field meanings:
 
-    - ``nfa_states_expanded`` — configurations popped from the 0-1 BFS
-      queue in ``dense_shortest_pair_lengths`` /
-      ``flat_shortest_pair_lengths`` (the register-NFA product search);
+    - ``nfa_states_expanded`` — product states popped from the 0-1 BFS
+      queue in ``register_nfa.shortest_pair_lengths`` (the register-NFA
+      length search);
     - ``nfa_transitions`` — relaxations pushed onto that queue (zero-
       cost register/check ops and cost-1 edge steps);
     - ``deepening_rounds`` — iterative-deepening rounds: witness-length
@@ -59,9 +59,12 @@ class EvalCounters:
       indexes materialised (core builds plus per-snapshot overlay
       patches; cache hits do not count);
     - ``mask_probes`` — single-bit bitmask tests performed by the
-      dense search in place of full condition/label evaluations;
-    - ``dense_fast_lane`` — per-seed shortest searches served by the
-      register-free flat-array lane instead of the dense search;
+      length search in place of full condition/label evaluations;
+    - ``dense_fast_lane`` — per-seed length searches whose program
+      tracked no register (product states are ``(node, state)``);
+    - ``register_files`` — distinct non-empty register files the
+      length searches interned, summed over seeds (0 for a
+      register-free program);
     - ``queries_proven_empty`` — evaluations the static analyzer
       short-circuited to the empty answer set without touching the
       snapshot (the query is provably empty on every graph);
@@ -86,6 +89,7 @@ class EvalCounters:
     masks_built: int = 0
     mask_probes: int = 0
     dense_fast_lane: int = 0
+    register_files: int = 0
     queries_proven_empty: int = 0
     conditions_simplified: int = 0
     dead_branches_pruned: int = 0

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict, deque
 from typing import Optional
 

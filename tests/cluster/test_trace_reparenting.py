@@ -85,9 +85,14 @@ def test_engine_counters_aggregate_into_cluster_stats(backend):
     assert engine["nfa_transitions"] > 0
     assert engine["deepening_rounds"] > 0
     assert engine["witness_steps"] >= engine["witnesses"] > 0
-    # Only the query with a group variable needs the span matcher.
+    # Only the query with a group variable needs the span matcher —
+    # and, its variable having two sites, a search that carries
+    # registers.
     assert engine["witnesses_matched"] == 0
     assert grouped["witnesses_matched"] == engine["witnesses"]
+    assert engine["dense_fast_lane"] > 0 == engine["register_files"]
+    assert grouped["dense_fast_lane"] == engine["dense_fast_lane"]
+    assert grouped["register_files"] > 0
 
 
 def test_untraced_evaluation_ships_no_spans():

@@ -105,8 +105,15 @@ def _overlay_snapshot(graph: PropertyGraph) -> GraphSnapshot:
         graph.add_edge(f"scratch{graph.version}", node, scratch)
     graph.remove_node(scratch)
     derived = GraphSnapshot.derive(base, graph.deltas_since(base.version))
-    assert not derived.pristine
+    assert derived.overlay_ops
     return derived
+
+
+@pytest.fixture(params=["pristine", "overlay"])
+def view_of(request):
+    """``view_of(graph)``: a pristine snapshot of ``graph``, or (second
+    parameter) one derived over patched CSR rows."""
+    return GraphSnapshot if request.param == "pristine" else _overlay_snapshot
 
 
 @pytest.fixture(params=["pristine", "overlay"])

@@ -272,6 +272,36 @@ class TestExplainPlan:
         )
         assert "assignments" not in explain_plan(flat)
 
+    def test_shortest_names_the_registers_its_search_carries(self):
+        from repro.gpc.engine import EngineConfig, QueryPlan
+
+        def search_of(text, plan):
+            line = plan.explain(parse_query(text)).splitlines()[1]
+            return line.partition("; search: ")[2].partition("; assign")[0]
+
+        plan = QueryPlan()
+        assert search_of("SHORTEST (x) ->{1,8} (y)", plan) == "register-free"
+        assert (
+            search_of("SHORTEST [(x) ->{1,} (y)] << x.k = y.k >>", plan)
+            == "registers x, y (read by << x.k = y.k >>)"
+        )
+        assert (
+            search_of("SHORTEST (x) -[e]->{1,8} (y)", plan)
+            == "registers e (e bound at 8 sites)"
+        )
+        assert search_of(
+            "SHORTEST [(x) -[e]->{2} (y) -> (x)] << x.k = y.k >>", plan
+        ) == (
+            "registers x, y, e "
+            "(read by << x.k = y.k >>; e bound at 2 sites)"
+        )
+        # A pushed atom is not read by any check; unpushed, it is.
+        atom = "SHORTEST [(x) ->{1,} (y)] << x.k = 1 >>"
+        assert search_of(atom, plan) == "register-free"
+        unpushed = QueryPlan(EngineConfig(use_pushdown=False))
+        assert search_of(atom, unpushed) == "registers x (read by << x.k = 1 >>)"
+        assert "search" not in explain_plan(parse_query(atom))
+
     def test_cross_product_named(self):
         query = parse_query("TRAIL (x) -> (y), TRAIL (a) -> (b)")
         assert "cross product" in explain_plan(query)

@@ -2,13 +2,14 @@
 specification.
 
 Pushdown rewrites condition-bearing ``shortest`` plans — atoms lifted
-to bind/step sites, bitmask probes, the register-free flat lane — and
-every rewrite must be answer-preserving. Random graphs and mutation
-chains are generated from a hypothesis-drawn seed; each query runs
-with pushdown on (masks + flat lane) and off (residual checks on the
-dense search), on a rebuilt snapshot and on the graph's own (derived)
-one, and every answer set is compared with the paper's Section 5
-semantics on the plain graph (:mod:`reference`) for exact equality.
+to bind/step sites, bitmask probes, fewer registers for the search to
+carry — and every rewrite must be answer-preserving. Random graphs and
+mutation chains are generated from a hypothesis-drawn seed; each query
+runs with pushdown on (masks, register-free where nothing else reads a
+variable) and off (residual checks, their variables tracked), on a
+rebuilt snapshot and on the graph's own (derived) one, and every answer
+set is compared with the paper's Section 5 semantics on the plain
+graph (:mod:`reference`) for exact equality.
 
 The mutation chains matter: ``derive`` patches masked rows copy-on-
 write, so stale bitmask bits would surface here as a divergence from
@@ -35,7 +36,7 @@ from repro.graph import GraphSnapshot, PropertyGraph
 #: Condition-bearing and register-free shapes: pushable single-variable
 #: atoms (on nodes and edges, at bind sites and step sites), residues
 #: the pushdown must keep (two-variable, repeat-scoped, negated),
-#: unions, undirected steps, and pure RPQs that ride the flat lane.
+#: unions, undirected steps, and pure RPQs whose search tracks nothing.
 QUERY_TEXTS = (
     "SHORTEST [(x:P) -> (m) ->{1,} (y)] << m.k = 1 >>",
     "SHORTEST [(x) -[e:r]-> (y)] << e.w = 1 >>",

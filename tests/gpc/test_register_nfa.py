@@ -122,7 +122,8 @@ class TestPairLengths:
         assert best == {N("c"): 2}
 
     def test_unknown_seed_is_a_typed_error(self, pair_lengths):
-        # Both lanes: the flat lane accepts this NFA on the pristine view.
+        # Through every entry point: nothing is tracked, so the fixture
+        # also runs the ``flat_`` names.
         nfa = compile_register_nfa(parse_pattern("->{1,}"))
         with pytest.raises(UnknownIdError):
             pair_lengths(chain_graph(2), nfa, N("nowhere"))
@@ -296,6 +297,24 @@ class TestPerSeedWitnessPass:
             )
         assert [p.nodes[1] for p in walks] == [N("m1")]
         assert (counters.witness_steps, counters.witnesses) == (5, 1)
+
+    def test_only_live_states_hold_a_prefix_open(self):
+        # After n0 -> n1 the run stands before (:A), zero steps from
+        # the end, and before -> ->, two steps from it. n1 is no A, so
+        # with one step left nothing can finish: the prefix is cut
+        # there, where the op-by-op oracle goes on to try n1 -> n2.
+        from reference import reference_witnesses
+
+        graph = chain_graph(4)
+        nfa = compile_register_nfa(parse_pattern("(x) -> [(:A) + -> ->]"))
+        served, oracle = EvalCounters(), EvalCounters()
+        with use_counters(served):
+            assert not enumerate_exact_length_walks(
+                graph, nfa, N("n0"), N("n2"), 2
+            )
+        with use_counters(oracle):
+            assert not reference_witnesses(graph, nfa, N("n0"), {N("n2"): 2})
+        assert (served.witness_steps, oracle.witness_steps) == (1, 2)
 
     def test_counters_share_prefixes(self):
         graph = chain_graph(8)

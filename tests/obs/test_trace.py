@@ -368,6 +368,7 @@ class TestEvalCounters:
             "masks_built",
             "mask_probes",
             "dense_fast_lane",
+            "register_files",
             "queries_proven_empty",
             "conditions_simplified",
             "dead_branches_pruned",

@@ -12,7 +12,11 @@ from itertools import islice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import assert_equal_reference, reference_answers
+from reference import (
+    assert_equal_reference,
+    reference_answers,
+    reference_witnesses,
+)
 from strategies import small_graphs, well_typed_patterns
 
 from repro.graph import GraphSnapshot
@@ -21,7 +25,14 @@ from repro.gpc import ast
 from repro.gpc.engine import EngineConfig, Evaluator, evaluate
 from repro.gpc.collect import CollectMode
 from repro.gpc.parser import parse_pattern
+from repro.gpc.register_nfa import (
+    compile_register_nfa,
+    lower_program,
+    shortest_pair_lengths,
+    shortest_witnesses,
+)
 from repro.gpc.typing import infer_schema
+from repro.obs import EvalCounters, use_counters
 
 _BOUND = 3
 _MATCHER_BOUND = 4
@@ -246,7 +257,7 @@ def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
     derived = graph.snapshot()
     plain = graph.copy()
     pristine = GraphSnapshot(plain)
-    assert pristine.pristine
+    assert not pristine.overlay_ops
     horizon = _SHORTEST_HORIZON
     query = ast.PatternQuery(ast.Restrictor.SHORTEST, pattern)
     try:
@@ -290,6 +301,8 @@ def test_shortest_equals_the_bounded_reference_on_every_view():
     patterns whose assignments are read off the register run and for
     patterns that need the span matcher."""
     run_complete = set()
+    tracked = set()
+    unions = set()
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -300,12 +313,99 @@ def test_shortest_equals_the_bounded_reference_on_every_view():
         st.booleans(),
     )
     def check(graph, pattern, mode, seed, restrict):
-        run_complete.add(
-            _shortest_equals_reference(graph, pattern, mode, seed, restrict)
-        )
+        verdict = _shortest_equals_reference(graph, pattern, mode, seed, restrict)
+        run_complete.add(verdict)
+        if verdict is not None:
+            nfa = compile_register_nfa(pattern, pushdown=True)
+            tracked.add(bool(nfa.constraining))
+            unions.add(
+                any(
+                    isinstance(sub, ast.Union)
+                    for sub in ast.iter_subpatterns(pattern)
+                )
+            )
 
     check()
     assert {True, False} <= run_complete
+    # Searches that carry registers and searches that carry none, and
+    # closures that fold a union's branches.
+    assert tracked == {True, False} and True in unions
+
+
+def test_lowered_search_and_witness_pass_equal_the_accessor_oracle(view_of):
+    """The lowered program against the register NFA run op by op over
+    real ids (:func:`reference.reference_witnesses`): the same minimum
+    lengths, the same walks with the same register files, and no more
+    ``witness_steps`` — on a pristine or overlay snapshot (the fixture)
+    and on one at the end of a derive chain, with and without pushed
+    atoms."""
+    horizon = 3
+
+    def oracle_lengths(graph, nfa, start):
+        best = {}
+        for length in range(horizon + 1):
+            targets = {node: length for node in graph.nodes if node not in best}
+            for end in reference_witnesses(graph, nfa, start, targets):
+                best[end] = length
+        return best
+
+    def compare(graph, view, nfa):
+        search = lower_program(nfa, view)
+        walker = search.retracked(nfa.sites)
+        for start in view.nodes:
+            best = shortest_pair_lengths(search, start)
+            assert {
+                end: length for end, length in best.items() if length <= horizon
+            } == oracle_lengths(graph, nfa, start)
+            for targets in (
+                best,
+                {end: length + 1 for end, length in best.items()},
+            ):
+                targets = {
+                    end: length
+                    for end, length in targets.items()
+                    if length <= horizon
+                }
+                served, oracle = EvalCounters(), EvalCounters()
+                with use_counters(served):
+                    found = shortest_witnesses(walker, start, targets)
+                with use_counters(oracle):
+                    expected = reference_witnesses(graph, nfa, start, targets)
+                assert {end: set(w) for end, w in found.items()} == expected
+                # The folded closures name live states only, so the
+                # remaining-steps bound can cut a prefix the oracle
+                # still expands — never the other way round.
+                assert served.witnesses == oracle.witnesses
+                assert served.witness_steps <= oracle.witness_steps
+                # Tracking only what constrains a run accepts the same
+                # walks.
+                narrow = shortest_witnesses(search, start, targets)
+                assert {
+                    end: {walk for walk, _runs in walks}
+                    for end, walks in narrow.items()
+                } == {
+                    end: {walk for walk, _runs in walks}
+                    for end, walks in expected.items()
+                }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_graphs(),
+        well_typed_patterns(max_depth=3) | st.sampled_from(_SHORTEST_SHAPES),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def check(graph, pattern, pushdown, seed):
+        nfa = compile_register_nfa(pattern, pushdown=pushdown)
+        compare(graph, view_of(graph), nfa)
+        rng = random.Random(seed)
+        graph.snapshot()  # later versions are derived, not rebuilt
+        for _ in range(rng.randrange(1, 5)):
+            _mutate(rng, graph)
+            graph.snapshot()
+        compare(graph, graph.snapshot(), nfa)
+
+    check()
 
 
 def _mutate(rng, graph):

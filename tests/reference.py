@@ -9,20 +9,45 @@ snapshot at the end of a derive chain, optimisations on or off — is
 compared with that, not with another optimised configuration.
 
 Also here: the random graph and mutation generators the CSR and
-pushdown suites draw from.
+pushdown suites draw from, and the witness oracle — the register NFA
+run over real ids through a view's accessors, with no lowering, no
+masks and no folded closures (it was the served witness pass until
+PR 17 and is what the lowered one must equal).
 """
 
 from __future__ import annotations
 
 import random
+from typing import Optional
 
+from repro.direction import Direction
+from repro.errors import (
+    DeadlineExceededError,
+    EvaluationError,
+    EvaluationLimitError,
+)
 from repro.graph import PropertyGraph
-from repro.graph.paths import is_simple, is_trail
+from repro.graph.ids import NodeId
+from repro.graph.paths import Path, is_simple, is_trail
 from repro.gpc import ast
 from repro.gpc.answers import Answer
+from repro.gpc.assignments import Assignment
 from repro.gpc.collect import CollectMode
+from repro.gpc.conditions import satisfies
 from repro.gpc.engine import Evaluator
+from repro.gpc.register_nfa import (
+    PushedProps,
+    RegisterNFA,
+    Registers,
+    _Bind,
+    _Check,
+    _EdgeStep,
+    _Eps,
+    _NodeTest,
+    _Reset,
+)
 from repro.gpc.semantics import BoundedEvaluator
+from repro.obs.counters import active_counters
 
 
 def keep_shortest(matches):
@@ -164,3 +189,194 @@ def mutate(rng: random.Random, graph: PropertyGraph) -> None:
             labels=rng.choice([(), ("P",)]),
             properties={"k": rng.randrange(3)},
         )
+
+
+# ---------------------------------------------------------------------------
+# The witness oracle: the register NFA over real ids and accessors
+# ---------------------------------------------------------------------------
+
+def _bind_register(
+    registers: Registers, variable: str, value: object
+) -> Optional[Registers]:
+    """Bind ``variable`` to ``value``, or join with what it already
+    holds; ``None`` when the join fails."""
+    current = dict(registers)
+    bound = current.get(variable)
+    if bound is None:
+        current[variable] = value
+        return tuple(sorted(current.items()))
+    return registers if bound == value else None
+
+
+def _apply_zero(
+    op: object,
+    node: NodeId,
+    registers: Registers,
+    graph: PropertyGraph,
+) -> Optional[Registers]:
+    """Apply a zero-weight op at ``node``; ``None`` when blocked."""
+    if isinstance(op, _Eps):
+        return registers
+    if isinstance(op, _NodeTest):
+        return registers if op.label in graph.labels(node) else None
+    if isinstance(op, _Bind):
+        for key, const in op.props:
+            value = graph.get_property(node, key)
+            if value is None or value != const:
+                return None
+        return _bind_register(registers, op.variable, node)
+    if isinstance(op, _Check):
+        mu = Assignment({v: value for v, value in registers})
+        try:
+            ok = satisfies(graph, mu, op.condition)
+        except (DeadlineExceededError, EvaluationLimitError):
+            # Resource errors must surface (deadline_ms -> 504); only a
+            # condition that is *undefined* here blocks the transition.
+            raise
+        except EvaluationError:
+            return None
+        return registers if ok else None
+    if isinstance(op, _Reset):
+        kept = tuple(
+            (v, value) for v, value in registers if v not in op.variables
+        )
+        return kept
+    raise TypeError(f"unknown op {op!r}")
+
+
+def _props_hold(graph, element, props: PushedProps) -> bool:
+    """Whether every pushed ``key = const`` atom holds on ``element``
+    (defined and equal — the exact truth ``satisfies`` computes)."""
+    for key, const in props:
+        value = graph.get_property(element, key)
+        if value is None or value != const:
+            return False
+    return True
+
+
+def _step_targets(
+    step: _EdgeStep, node: NodeId, graph: PropertyGraph
+) -> list[tuple[object, NodeId]]:
+    """Edges usable from ``node`` under ``step``: (edge, next node)."""
+    out = []
+    props = step.props
+    if step.direction is Direction.FORWARD:
+        for edge in graph.out_edges(node):
+            if step.label is None or step.label in graph.labels(edge):
+                if props and not _props_hold(graph, edge, props):
+                    continue
+                out.append((edge, graph.target(edge)))
+    elif step.direction is Direction.BACKWARD:
+        for edge in graph.in_edges(node):
+            if step.label is None or step.label in graph.labels(edge):
+                if props and not _props_hold(graph, edge, props):
+                    continue
+                out.append((edge, graph.source(edge)))
+    else:
+        for edge in graph.undirected_edges_at(node):
+            if step.label is None or step.label in graph.labels(edge):
+                if props and not _props_hold(graph, edge, props):
+                    continue
+                out.append((edge, graph.other_endpoint(edge, node)))
+    return out
+
+
+#: A run's position at a node: ``(state, registers)``.
+_Config = tuple[int, Registers]
+
+
+def _closure(
+    nfa: RegisterNFA, graph: PropertyGraph, node: NodeId, configs
+) -> set[_Config]:
+    """Closure of ``configs`` at ``node`` under the zero-weight ops,
+    each applied for real: binds join, checks read the registers."""
+    closure = set(configs)
+    stack = list(closure)
+    zero = nfa.zero
+    while stack:
+        q, registers = stack.pop()
+        for op, target in zero[q]:
+            updated = _apply_zero(op, node, registers, graph)
+            if updated is None:
+                continue
+            config = (target, updated)
+            if config not in closure:
+                closure.add(config)
+                stack.append(config)
+    return closure
+
+
+def reference_witnesses(
+    graph: PropertyGraph,
+    nfa: RegisterNFA,
+    start: NodeId,
+    targets: dict[NodeId, int],
+) -> dict[NodeId, set[tuple[Path, frozenset[Registers]]]]:
+    """One seed's witness walks by the definition: every walk from
+    ``start`` that ends on a node ``v`` of ``targets`` after exactly
+    ``targets[v]`` edges and that some run of ``nfa`` accepts, with the
+    register files of its accepting runs. One DFS running the NFA op by
+    op through ``graph``'s accessors; counts ``witness_steps`` and
+    ``witnesses`` the way the served pass does."""
+    found: dict[NodeId, set[tuple[Path, frozenset[Registers]]]] = {}
+    if not targets:
+        return found
+    horizon = max(targets.values())
+    back = nfa.backward_distances
+    final = nfa.final
+    steps = nfa.steps
+    tried = accepted = 0
+    node = start
+    configs = _closure(nfa, graph, start, ((nfa.initial, ()),))
+    elements: list = [start]
+    #: Per depth, the moves not yet taken: (edge, successor, configs).
+    frames: list[list] = []
+    try:
+        while True:
+            depth = len(frames)
+            if targets.get(node) == depth:
+                runs = frozenset(
+                    registers for q, registers in configs if q == final
+                )
+                if runs:
+                    found.setdefault(node, set()).add((Path(elements), runs))
+                    accepted += 1
+            remaining = horizon - depth - 1
+            moves: dict[tuple[object, NodeId], set[_Config]] = {}
+            if remaining >= 0:
+                takers: dict[_EdgeStep, list[_Config]] = {}
+                for q, registers in configs:
+                    for step, target in steps[q]:
+                        takers.setdefault(step, []).append((target, registers))
+                for step, entering in takers.items():
+                    variable = step.variable
+                    for move in _step_targets(step, node, graph):
+                        for target, registers in entering:
+                            if variable is not None:
+                                registers = _bind_register(
+                                    registers, variable, move[0]
+                                )
+                                if registers is None:
+                                    continue
+                            moves.setdefault(move, set()).add(
+                                (target, registers)
+                            )
+            tried += len(moves)
+            frame = []
+            for (edge, successor), reached in moves.items():
+                closure = _closure(nfa, graph, successor, reached)
+                if any(0 <= back[q] <= remaining for q, _ in closure):
+                    frame.append((edge, successor, closure))
+            frames.append(frame)
+            while frames and not frames[-1]:
+                frames.pop()
+                del elements[-2:]
+            if not frames:
+                return found
+            edge, node, configs = frames[-1].pop()
+            elements += (edge, node)
+    finally:
+        counters = active_counters()
+        if counters is not None:
+            counters.witness_steps += tried
+            counters.witnesses += accepted

@@ -256,6 +256,10 @@ class TestMetricsEndpoint:
         assert int(metrics["repro_engine_witness_steps"]) > 0
         assert int(metrics["repro_engine_witnesses"]) > 0
         assert metrics["repro_engine_witnesses_matched"] == "0"
+        # SLOW_QUERY reads no register: every per-seed search counts as
+        # register-free and interns no file.
+        assert int(metrics["repro_engine_dense_fast_lane"]) > 0
+        assert metrics["repro_engine_register_files"] == "0"
         assert int(metrics["repro_traces_recorded"]) >= 1
         assert metrics["repro_server_request_latency_seconds_count"] >= "1"
         assert "# TYPE repro_server_request_latency_seconds histogram" in text

@@ -132,6 +132,69 @@ class TestAsserts:
         ) == ["INV002", "INV003"]
 
 
+class TestUnusedImports:
+    def test_unused_import_flagged(self):
+        assert codes("import os\nimport sys\nprint(sys.argv)\n") == ["INV004"]
+        assert codes("from a import b, c\nc()\n") == ["INV004"]
+
+    def test_each_binding_is_judged_by_the_name_it_binds(self):
+        assert codes("import a.b\na.b.f()\n") == []
+        assert codes("import a.b as c\na.b.f()\n") == ["INV004"]
+        assert codes("from a import b as c\nb()\n") == ["INV004"]
+        assert codes("from a import b as c\nc()\n") == []
+
+    def test_use_inside_a_function_counts(self):
+        assert codes("import os\ndef f():\n    return os.sep\n") == []
+
+    def test_all_names_are_exempt(self):
+        assert codes("from a import b\n__all__ = ['b']\n") == []
+        assert codes("from a import b\n__all__ = ['c']\n") == ["INV004"]
+
+    def test_init_files_re_export(self):
+        findings = lint_invariants.check_source(
+            "from a import b\n", Path("pkg/__init__.py")
+        )
+        assert findings == []
+
+    def test_string_annotations_count(self):
+        guarded = (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from a import B\n"
+            "def f(x: 'B | None') -> 'list[B]':\n"
+            "    return [x]\n"
+        )
+        assert codes(guarded) == []
+        assert codes(guarded.replace("B | None", "int").replace("[B]", "")) == [
+            "INV004"
+        ]
+
+    def test_future_and_star_imports_are_not_bindings(self):
+        assert codes("from __future__ import annotations\nfrom a import *\n") == []
+
+    def test_function_local_imports_are_out_of_scope(self):
+        assert codes("def f():\n    import os\n") == []
+
+    def test_guarded_module_level_imports_are_in_scope(self):
+        source = "try:\n    import fast\nexcept ImportError:\n    fast = None\n"
+        assert codes(source) == ["INV004"]
+        assert codes(source + "print(fast)\n") == []
+
+    def test_waiver_comment_suppresses(self):
+        waived = "import plugin  # lint: allow-unused-import\n"
+        assert codes(waived) == []
+        multi = "from a import (\n    b,  # lint: allow-unused-import\n    c,\n)\n"
+        assert [
+            (f.code, f.line)
+            for f in lint_invariants.check_source(multi, Path("probe.py"))
+        ] == [("INV004", 3)]
+
+    def test_imports_are_all_that_is_checked_outside_the_library(self):
+        source = "import os\ndef f(x=[]):\n    assert x\n"
+        assert codes(source) == ["INV004", "INV002", "INV003"]  # by line
+        assert codes(source, library=False) == ["INV004"]
+
+
 class TestMain:
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "good.py"
@@ -165,3 +228,26 @@ class TestMain:
         # The invariant the CI job enforces: the committed tree lints
         # clean with default roots.
         assert lint_invariants.main([]) == 0
+
+    def test_default_roots_cover_the_test_and_benchmark_trees(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A tree shaped like the repo: the library gets every check,
+        # tests/ only the imports (asserting is what tests do).
+        library = tmp_path / "src" / "repro"
+        library.mkdir(parents=True)
+        (library / "m.py").write_text("assert True\n", encoding="utf-8")
+        for name in lint_invariants.IMPORT_ONLY_ROOTS:
+            (tmp_path / name).mkdir()
+        (tmp_path / "tests" / "test_m.py").write_text(
+            "import os\nassert True\n", encoding="utf-8"
+        )
+        monkeypatch.setattr(lint_invariants, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(lint_invariants, "SRC_ROOT", library)
+        assert lint_invariants.main([]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "src/repro/m.py:1: INV003 assert used for control flow vanishes "
+            "under python -O; raise a typed repro.errors exception instead",
+            "tests/test_m.py:1: INV004 unused import 'os'; remove it or "
+            "waive with 'lint: allow-unused-import'",
+        ]

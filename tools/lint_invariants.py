@@ -2,7 +2,8 @@
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
 Three invariants that generic linters don't enforce the way this
-codebase needs them:
+codebase needs them, and one that a generic linter does enforce but
+that is checked here too because ruff is not in every build container:
 
 - **No bare/broad ``except`` in the engine core or the serving layer**
   (``src/repro/gpc``, ``graph``, ``service`` and ``cluster``): a
@@ -21,6 +22,16 @@ codebase needs them:
   ``src/repro``: asserts vanish under ``python -O``; library-side
   validation must raise typed :mod:`repro.errors` exceptions.
   ``lint: allow-assert`` waives a site (e.g. a typing-only narrow).
+- **No unused module-level imports** (pyflakes' F401) in ``src``,
+  ``tests``, ``benchmarks`` and ``tools``: a deleted code path leaves
+  its imports behind, and an orphan import keeps a dead module alive.
+  ``__init__.py`` files (re-exports) and names listed in ``__all__``
+  are exempt; ``lint: allow-unused-import`` on the import's line waives
+  one kept for its side effect or for importers of the module.
+
+The first three apply to ``src/repro`` (tests assert, that is their
+job); with no arguments the tool lints ``src/repro`` for all four and
+the other three trees for the imports.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -39,8 +50,12 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 #: Packages where broad excepts are banned (the evaluation path).
 BROAD_EXCEPT_SCOPES = ("gpc", "graph", "service", "cluster", "server")
 
+#: Trees linted for unused imports only (repo-relative).
+IMPORT_ONLY_ROOTS = ("tests", "benchmarks", "tools")
+
 BROAD_EXCEPT_WAIVER = "lint: allow-broad-except"
 ASSERT_WAIVER = "lint: allow-assert"
+UNUSED_IMPORT_WAIVER = "lint: allow-unused-import"
 
 #: Exception names considered "broad" when caught directly.
 BROAD_NAMES = frozenset({"Exception", "BaseException"})
@@ -84,12 +99,101 @@ def _is_mutable_default(node: "ast.expr | None") -> bool:
     return False
 
 
+def _module_level_imports(tree: ast.Module) -> "list[tuple[str, ast.alias]]":
+    """``(bound name, alias node)`` of every import statement outside a
+    function or class body (``if``/``try``/``with`` blocks at module
+    level count: a guarded import still binds a module global)."""
+    found = []
+    pending: list[ast.stmt] = list(tree.body)
+    while pending:
+        statement = pending.pop()
+        if isinstance(statement, ast.Import):
+            for alias in statement.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                found.append((bound, alias))
+        elif isinstance(statement, ast.ImportFrom):
+            if statement.module == "__future__":
+                continue
+            for alias in statement.names:
+                if alias.name != "*":
+                    found.append((alias.asname or alias.name, alias))
+        elif not isinstance(
+            statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            for field in ("body", "orelse", "finalbody"):
+                pending.extend(getattr(statement, field, ()))
+            for handler in getattr(statement, "handlers", ()):
+                pending.extend(handler.body)
+    return found
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name the module reads: ``Name`` nodes, the names inside
+    string annotations, and the strings of ``__all__``."""
+    used: set[str] = set()
+    strings: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            strings += _string_constants(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            strings += _string_constants(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            strings += _string_constants(node.annotation)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                used.update(_string_constants(node.value))
+    for text in strings:
+        try:
+            annotation = ast.parse(text, mode="eval")
+        except SyntaxError:
+            continue
+        used.update(
+            node.id for node in ast.walk(annotation) if isinstance(node, ast.Name)
+        )
+    return used
+
+
+def _string_constants(node: "ast.AST | None") -> list[str]:
+    if node is None:
+        return []
+    return [
+        sub.value
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    ]
+
+
 class _Checker(ast.NodeVisitor):
-    def __init__(self, path: str, lines: list[str], scope_broad: bool):
+    def __init__(
+        self, path: str, lines: list[str], scope_broad: bool, library: bool
+    ):
         self.path = path
         self.lines = lines
         self.scope_broad = scope_broad
+        #: Whether INV001-003 apply (``src/repro``, and files named
+        #: explicitly); INV004 applies everywhere.
+        self.library = library
         self.findings: list[Finding] = []
+
+    def check(self, tree: ast.Module) -> None:
+        if self.library:
+            self.visit(tree)
+        if Path(self.path).name == "__init__.py":
+            return
+        used = _names_used(tree)
+        for bound, alias in _module_level_imports(tree):
+            if bound not in used and UNUSED_IMPORT_WAIVER not in self._line(
+                alias.lineno
+            ):
+                self._add(
+                    alias,
+                    "INV004",
+                    f"unused import '{bound}'; remove it or waive with "
+                    f"'{UNUSED_IMPORT_WAIVER}'",
+                )
 
     def _line(self, lineno: int) -> str:
         return self.lines[lineno - 1] if 0 < lineno <= len(self.lines) else ""
@@ -149,12 +253,19 @@ class _Checker(ast.NodeVisitor):
 
 
 def check_source(
-    source: str, path: str = "<string>", *, scope_broad_except: bool = True
+    source: str,
+    path: str = "<string>",
+    *,
+    scope_broad_except: bool = True,
+    library: bool = True,
 ) -> list[Finding]:
-    """Lint one module's source text (the unit-testable core)."""
+    """Lint one module's source text (the unit-testable core).
+    ``library=False`` checks the imports only."""
     tree = ast.parse(source, filename=path)
-    checker = _Checker(path, source.splitlines(), scope_broad_except)
-    checker.visit(tree)
+    checker = _Checker(
+        str(path), source.splitlines(), scope_broad_except, library
+    )
+    checker.check(tree)
     return sorted(checker.findings)
 
 
@@ -164,7 +275,11 @@ def _in_broad_scope(path: Path) -> bool:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    roots = [Path(arg) for arg in (argv or [])] or [SRC_ROOT]
+    roots = [Path(arg) for arg in (argv or [])] or [
+        SRC_ROOT,
+        *(REPO_ROOT / name for name in IMPORT_ONLY_ROOTS),
+    ]
+    import_only = tuple(REPO_ROOT / name for name in IMPORT_ONLY_ROOTS)
     findings: list[Finding] = []
     for root in roots:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
@@ -189,6 +304,9 @@ def main(argv: "list[str] | None" = None) -> int:
                         if file.is_relative_to(REPO_ROOT)
                         else str(file),
                         scope_broad_except=scoped,
+                        library=not any(
+                            file.is_relative_to(root) for root in import_only
+                        ),
                     )
                 )
             except SyntaxError as exc:
