@@ -715,8 +715,11 @@ def _shape_diagnostics(
                     "warning",
                     "repetition body may match an edgeless path — "
                     "rejected under Approach 1 (the GQL rule, "
-                    "CollectMode.SYNTACTIC) and a source of duplicate "
-                    "single-node matches elsewhere",
+                    "CollectMode.SYNTACTIC), a source of duplicate "
+                    "single-node matches elsewhere, and under `shortest` "
+                    "a body that also binds a variable sends every "
+                    "witness through the span matcher (a register run "
+                    "cannot regroup edgeless iterations)",
                     _span(sub),
                 )
             )

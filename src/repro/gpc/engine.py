@@ -580,11 +580,12 @@ class Evaluator:
         view = self._view
         # Lowered onto the snapshot once and shared across every seed.
         # Run-complete, the registers of a witness's runs *are* its
-        # assignments, so the witness pass tracks every variable; the
-        # search carries only those that can constrain a run.
+        # assignments, so the witness pass tracks every variable and
+        # every group register; the search carries only the variables
+        # that can constrain a run.
         program = lower_program(rnfa, view)
         walker = (
-            program.retracked(rnfa.sites)
+            program.retracked((*rnfa.sites, *rnfa.groups))
             if needs_collect is None
             else program
         )

@@ -632,11 +632,21 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
                     )
                 # Depends on the plan's collect mode.
                 requirement, _padding = plan.assignment_source(q.pattern)
-                line += "; assignments: " + (
-                    "register run"
-                    if requirement is None
-                    else f"span matcher ({requirement})"
-                )
+                if requirement is not None:
+                    source = f"span matcher ({requirement})"
+                else:
+                    grouped = sorted(
+                        {
+                            variable
+                            for sub in ast.iter_subpatterns(q.pattern)
+                            if isinstance(sub, ast.Repeat)
+                            for variable in ast.variables(sub.pattern)
+                        }
+                    )
+                    source = "register run" + (
+                        f" (groups {', '.join(grouped)})" if grouped else ""
+                    )
+                line += "; assignments: " + source
             lines.append(line)
         else:
             lines.append(

@@ -16,7 +16,10 @@ This module compiles patterns into *register* NFAs instead:
   the bound registers (well-typedness guarantees the variables are
   bound by then);
 - ``reset(V)`` transitions clear a repetition body's registers between
-  iterations (group variables impose no cross-iteration constraints).
+  iterations (group variables impose no cross-iteration constraints)
+  and, with the ``open``/``close`` transitions that bracket the
+  repetition, mark where each iteration begins and ends — what
+  ``collect`` needs to build the body variables' lists.
 
 The NFA is lowered once per evaluation onto the snapshot it runs on
 (:func:`lower_program`, one :class:`ShortestProgram`), keeping at run
@@ -27,10 +30,12 @@ polynomial in the product size (registers stay few in practice —
 ``EvalCounters.register_files`` counts them). Witness paths of those
 exact lengths are enumerated by one DFS per seed that runs the same
 program (:func:`shortest_witnesses`), so each witness comes with the
-register files of its accepting runs. Those are the assignments
-whenever no repetition has anything to ``collect``
-(:func:`collect_requirement`); otherwise the span matcher factorises
-the witness and builds the group values.
+register files of its accepting runs — lists included, read off the
+iteration boundaries the run passed. Those are the assignments unless
+some repetition body may match an edgeless path
+(:func:`collect_requirement`): consecutive edgeless iterations regroup
+(Figure 3), which a run cannot know, so the span matcher factorises
+those witnesses and builds the group values.
 
 One caveat, handled by the engine: under the GROUPING collect mode an
 accepted run can exist while every factorization's ``collect`` is
@@ -68,6 +73,7 @@ from repro.gpc.conditions_ast import (
 )
 from repro.gpc.minlength import may_match_edgeless
 from repro.gpc.planner import split_pushdown
+from repro.gpc.values import GroupValue, Nothing
 from repro.obs.counters import active_counters
 from repro.obs.deadline import check_deadline
 
@@ -125,6 +131,25 @@ class _Check:
 
 @dataclass(frozen=True)
 class _Reset:
+    """The end of one iteration of the repetition that owns group
+    register ``group``: forget the body's ``variables``."""
+
+    variables: frozenset[str]
+    group: str
+
+
+@dataclass(frozen=True)
+class _Open:
+    """Entering the repetition that owns group register ``group``."""
+
+    group: str
+
+
+@dataclass(frozen=True)
+class _Close:
+    """Leaving it: each of the body's ``variables`` takes its list."""
+
+    group: str
     variables: frozenset[str]
 
 
@@ -148,6 +173,10 @@ class RegisterNFA:
     #: condition atoms the compiler attached to bind/step sites instead
     #: of leaving them in a final CHECK (0 without pushdown)
     pushed_atoms: int = 0
+    #: per bound variable, how many bind and step sites bind it — the
+    #: unrolled copies of a repetition body counted once, each copy
+    #: being cut off from the next by the body's reset
+    sites: dict[str, int] = field(default_factory=dict)
 
     @cached_property
     def backward_distances(self) -> tuple[int, ...]:
@@ -171,20 +200,22 @@ class RegisterNFA:
         return tuple(dist.get(q, -1) for q in range(self.num_states))
 
     @cached_property
-    def sites(self) -> dict[str, int]:
-        """Per variable, how many bind and step sites bind it."""
-        bound: list[Optional[str]] = [
-            op.variable
-            for transitions in self.zero
-            for op, _target in transitions
-            if type(op) is _Bind
-        ]
-        bound += [step.variable for row in self.steps for step, _target in row]
-        counts: dict[str, int] = {}
-        for variable in bound:
-            if variable is not None:
-                counts[variable] = counts.get(variable, 0) + 1
-        return counts
+    def groups(self) -> tuple[str, ...]:
+        """The group registers, one per nesting depth of repetitions
+        whose body binds variables (sibling repetitions are never open
+        at once, so they share one). A program that tracks them beside
+        every variable of :attr:`sites` reads group values off its runs
+        — sound only when :func:`collect_requirement` is ``None``."""
+        return tuple(
+            sorted(
+                {
+                    op.group
+                    for transitions in self.zero
+                    for op, _target in transitions
+                    if type(op) is _Open
+                }
+            )
+        )
 
     @cached_property
     def constraining(self) -> dict[str, Union[Condition, int]]:
@@ -192,9 +223,9 @@ class RegisterNFA:
         why: the residual check that reads it, else its number of sites
         when that is more than one. Every other variable has a single
         site that a run reaches with the register unbound (re-entering
-        a repetition body passes its reset first), so its bind never
-        fails and nothing ever reads it: the length search need not
-        carry it."""
+        a repetition body, or entering its next unrolled copy, passes
+        its reset first), so its bind never fails and nothing ever
+        reads it: the length search need not carry it."""
         out: dict[str, Union[Condition, int]] = {}
         for transitions in self.zero:
             for op, _target in transitions:
@@ -219,6 +250,12 @@ class _Builder:
     #: site carries the test).
     attached: dict[str, int] = field(default_factory=dict)
     pushed_atoms: int = 0
+    #: :attr:`RegisterNFA.sites`; ``counting`` is off inside the second
+    #: and later unrolled copies of a repetition body.
+    sites: dict[str, int] = field(default_factory=dict)
+    counting: bool = True
+    #: how many variable-binding repetitions enclose the current node
+    depth: int = 0
 
     def new_state(self) -> int:
         if len(self.zero) >= self.state_limit:
@@ -238,6 +275,9 @@ class _Builder:
 
     def note_attached(self, variable: str) -> None:
         self.attached[variable] = self.attached.get(variable, 0) + 1
+
+    def note_site(self, variable: str) -> None:
+        self.sites[variable] = self.sites.get(variable, 0) + self.counting
 
 
 #: Compile-time environment: variable -> pushed (key, const) atoms the
@@ -275,6 +315,7 @@ def compile_register_nfa(
         zero=tuple(tuple(z) for z in builder.zero),
         steps=tuple(tuple(s) for s in builder.steps),
         pushed_atoms=builder.pushed_atoms,
+        sites=builder.sites,
     )
 
 
@@ -290,6 +331,7 @@ def _compile(
             builder.add_zero(current, _NodeTest(pattern.label), mid)
             current = mid
         if pattern.variable is not None:
+            builder.note_site(pattern.variable)
             props = pushed.get(pattern.variable)
             if props:
                 builder.add_zero(
@@ -306,8 +348,10 @@ def _compile(
         end = builder.new_state()
         variable = pattern.variable
         props = pushed.get(variable) if variable is not None else None
-        if props and variable is not None:
-            builder.note_attached(variable)
+        if variable is not None:
+            builder.note_site(variable)
+            if props:
+                builder.note_attached(variable)
         builder.add_step(
             start,
             _EdgeStep(
@@ -392,8 +436,33 @@ def _compile_conditioned(
 
 
 def _compile_repeat(pattern: ast.Repeat, builder: _Builder) -> tuple[int, int]:
+    """``pi{n,m}``. A body that binds variables is bracketed by the
+    boundary ops ``collect`` needs — :class:`_Open`, the
+    :class:`_Reset` after each iteration, :class:`_Close`; a body that
+    binds nothing gets no op at all."""
     body_vars = frozenset(ast.variables(pattern.pattern))
-    reset = _Reset(body_vars)
+    if not body_vars:
+        return _compile_copies(pattern, builder, _Eps())
+    for variable in body_vars:
+        builder.sites.setdefault(variable, 0)  # ``{0,0}`` compiles no copy
+    group = f"#{builder.depth}"
+    builder.depth += 1
+    first, last = _compile_copies(pattern, builder, _Reset(body_vars, group))
+    builder.depth -= 1
+    start, end = builder.new_state(), builder.new_state()
+    builder.add_zero(start, _Open(group), first)
+    builder.add_zero(last, _Close(group, body_vars), end)
+    return start, end
+
+
+def _compile_copies(
+    pattern: ast.Repeat, builder: _Builder, after_body: object
+) -> tuple[int, int]:
+    """``n`` copies of the body, then ``m - n`` optional ones or a
+    loop, ``after_body`` closing each. Only the first copy's sites
+    count: a run enters every later one through ``after_body``, the
+    body's registers unbound."""
+    counting = builder.counting
 
     def body_copy(source: int) -> int:
         """One body iteration followed by a register reset.
@@ -405,9 +474,10 @@ def _compile_repeat(pattern: ast.Repeat, builder: _Builder) -> tuple[int, int]:
         change which runs survive.
         """
         b_start, b_end = _compile(pattern.pattern, builder, {})
+        builder.counting = False
         builder.add_zero(source, _Eps(), b_start)
         after = builder.new_state()
-        builder.add_zero(b_end, reset if body_vars else _Eps(), after)
+        builder.add_zero(b_end, after_body, after)
         return after
 
     start = builder.new_state()
@@ -424,35 +494,45 @@ def _compile_repeat(pattern: ast.Repeat, builder: _Builder) -> tuple[int, int]:
         for _ in range(pattern.upper - pattern.lower):
             current = body_copy(current)
             builder.add_zero(current, _Eps(), end)
+    builder.counting = counting
     return start, end
 
 
 def collect_requirement(
     pattern: ast.Pattern, collect_mode: CollectMode
 ) -> Optional[str]:
-    """Why an accepting run's registers do not determine the assignment
-    of the walk it accepts, or ``None`` when they do (the pattern is
+    """Why an accepting run does not determine the assignment of the
+    walk it accepts, or ``None`` when it does (the pattern is
     *run-complete*).
 
-    A repetition body that binds a variable needs ``collect`` to build
-    the group value (and the resets above forget its registers). A
-    body that binds nothing contributes nothing to the assignment, but
-    outside ``GROUPING`` ``collect`` is undefined on an edgeless factor
-    whatever it binds, so such a body must always consume an edge.
-    Extension constructs are opaque."""
+    A run records where each iteration of a repetition begins and ends,
+    and when every iteration consumes an edge ``collect`` is equation
+    (3) under all three modes: the list of what the iterations bound. A
+    body that may match an edgeless path is what the run cannot know.
+    If it binds variables (lint ``GPC022``), consecutive edgeless
+    iterations regroup (Figure 3), and a run could go round it for ever
+    without consuming an edge, appending a boundary each time. If it
+    binds nothing it contributes nothing to the assignment, but outside
+    ``GROUPING`` ``collect`` is undefined on an edgeless factor
+    whatever it binds. ``pi{0,0}`` never iterates, so any body is fine
+    there. Extension constructs are opaque."""
     for sub in ast.iter_subpatterns(pattern):
         if isinstance(sub, ast.PatternExtension):
             return f"extension {type(sub).__name__}"
-        if isinstance(sub, ast.Repeat):
+        if (
+            isinstance(sub, ast.Repeat)
+            and sub.upper != 0
+            and may_match_edgeless(sub.pattern)
+        ):
             bound = ast.variables(sub.pattern)
             if bound:
-                return f"repeat body binds {', '.join(sorted(bound))}"
-            if collect_mode is not CollectMode.GROUPING and may_match_edgeless(
-                sub.pattern
-            ):
+                return (
+                    f"GPC022: repeat body binds {', '.join(sorted(bound))} "
+                    f"and may match an edgeless path"
+                )
+            if collect_mode is not CollectMode.GROUPING:
                 return "repeat body may match an edgeless path"
     return None
-
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +544,13 @@ def collect_requirement(
 # label-filtered CSR row. What a run *remembers* is data too: a bind of
 # a variable that cannot constrain a run (:attr:`RegisterNFA.constraining`)
 # fires on an unbound register and its reset clears nothing a run looks
-# at, so those ops — with the epsilons and node tests — fold at
-# lowering time into per-state masked closures, and only binds, checks
-# and resets of *tracked* registers remain as run-time zero-weight
-# arcs. With nothing tracked the product is ``(node, state)`` and the
-# search a plain BFS; with registers it is ``(file, node, state)`` over
-# register files interned per search.
+# at, so those ops — with the epsilons, node tests and the iteration
+# boundaries nobody reads — fold at lowering time into per-state masked
+# closures, and only binds, checks, resets and boundary ops of
+# *tracked* registers remain as run-time zero-weight arcs. With nothing
+# tracked the product is ``(node, state)`` and the search a plain BFS;
+# with registers it is ``(file, node, state)`` over register files
+# interned per search.
 #
 # Derived snapshots run in the same loops: a node that is overlay-only,
 # shadowed or has a patched adjacency row reads the same tables through
@@ -478,14 +559,17 @@ def collect_requirement(
 # same int, or (an overlay-only edge) always by its id — so register
 # equality and state dedup behave exactly as on the real ids.
 
-Registers = tuple[tuple[str, object], ...]  # sorted (variable, id) pairs
+Registers = tuple[tuple[str, object], ...]  # sorted (variable, value) pairs
 
 #: Kinds of lowered zero-weight op. ``_ARC_FREE`` touches no register
-#: (epsilon, node test, and after folding every op on untracked ones).
+#: (epsilon, node test, and after folding every op on untracked ones —
+#: the boundary ops of an untracked group register included).
 _ARC_FREE = 0
 _ARC_BIND = 1
 _ARC_CHECK = 2
 _ARC_RESET = 3
+_ARC_OPEN = 4
+_ARC_CLOSE = 5
 
 _CSR_KIND = {
     Direction.FORWARD: "out",
@@ -519,12 +603,19 @@ class ShortestProgram:
     walks only matching edges), the pushed-atom mask probed per
     surviving edge, ``None``, and the :class:`_EdgeStep` itself.
 
-    The other tables depend on ``tracked``, the sorted variables whose
-    registers a run carries (slot = position). ``arcs`` holds per state
-    the run-time zero-weight arcs, shaped like ``ops`` with variables
-    replaced by slots: binds, checks and resets of tracked registers,
-    plus the free ops of any state whose closure would exceed
-    :data:`_CLOSURE_LIMIT` (such a state's closure is itself alone).
+    The other tables depend on ``tracked``, the sorted registers a run
+    carries (slot = position): variables, and — for a witness pass that
+    reads lists off its runs — the group registers of
+    :attr:`RegisterNFA.groups`. ``arcs`` holds per state the run-time
+    zero-weight arcs, shaped like ``ops`` with registers replaced by
+    slots: binds, checks and resets of tracked registers, the boundary
+    ops of tracked group registers, plus the free ops of any state
+    whose closure would exceed :data:`_CLOSURE_LIMIT` (such a state's
+    closure is itself alone). Boundary arcs note the run's depth in the
+    register file, so a cycle of zero-weight arcs through one would
+    never close: track a group register only for a pattern whose
+    :func:`collect_requirement` is ``None`` — every iteration then
+    consumes an edge.
     ``free`` holds what was folded, ``(mask, label, props, target)``
     per state, and ``closure`` its fixed point: per state a run can
     stand in (others hold ``None``) the pairs ``(mask, r)``, ``live``
@@ -585,13 +676,37 @@ class ShortestProgram:
             return elements[key]
         return self.overlay_nodes[key - len(elements)]
 
-    def registers(self, file: tuple) -> Registers:
-        """A register file as sorted ``(variable, real id)`` pairs."""
-        return tuple(
-            (variable, self.element(key))
-            for variable, key in zip(self.tracked, file)
-            if key is not None
+    def group(self, triples: tuple, walk: Path) -> GroupValue:
+        """The list a register holds as ``(begin, end, key)`` triples,
+        built over ``walk``: one entry per iteration, a variable the
+        iteration took no branch with being ``Nothing`` there."""
+        return GroupValue(
+            tuple(
+                (
+                    walk.subpath(begin, end),
+                    Nothing
+                    if key is None
+                    else self.group(key, walk)
+                    if type(key) is tuple
+                    else self.element(key),
+                )
+                for begin, end, key in triples
+            )
         )
+
+    def registers(self, file: tuple, walk: Optional[Path] = None) -> Registers:
+        """A register file as sorted ``(variable, value)`` pairs. A
+        register holding a list is built over ``walk``; without a walk
+        it is left out, as is an open group register — both are tuples,
+        which no element key is, and no condition can read either."""
+        pairs = []
+        for variable, key in zip(self.tracked, file):
+            if type(key) is tuple:
+                if walk is not None:
+                    pairs.append((variable, self.group(key, walk)))
+            elif key is not None:
+                pairs.append((variable, self.element(key)))
+        return tuple(pairs)
 
     def at(self, node: int) -> tuple:
         """``(closure, arcs, steps)`` as they read at ``node``. A clean
@@ -723,7 +838,11 @@ def lower_program(
             elif kind is _Check:
                 arc = (_ARC_CHECK, op.condition, None, None, _NO_PROPS)
             elif kind is _Reset:
-                arc = (_ARC_RESET, op.variables, None, None, _NO_PROPS)
+                arc = (_ARC_RESET, op, None, None, _NO_PROPS)
+            elif kind is _Open:
+                arc = (_ARC_OPEN, op.group, None, None, _NO_PROPS)
+            elif kind is _Close:
+                arc = (_ARC_CLOSE, op, None, None, _NO_PROPS)
             else:
                 raise TypeError(f"unknown op {op!r}")
             row.append(arc + (target,))
@@ -773,17 +892,20 @@ def _fold(
         kept: list[tuple] = []
         for arc in row:
             kind, operand, mask, label, props, target = arc
-            if kind == _ARC_BIND:
+            if kind == _ARC_BIND or kind == _ARC_OPEN:
                 if operand in slots:
                     kept.append((kind, slots[operand]) + arc[2:])
                     continue
             elif kind == _ARC_CHECK:
                 kept.append(arc)
                 continue
-            elif kind == _ARC_RESET:
-                cleared = frozenset(slots[v] for v in operand if v in slots)
-                if cleared:
-                    kept.append((kind, cleared) + arc[2:])
+            elif kind == _ARC_RESET or kind == _ARC_CLOSE:
+                body = tuple(
+                    slots[v] for v in sorted(operand.variables) if v in slots
+                )
+                group = slots.get(operand.group)
+                if group is not None or (body and kind == _ARC_RESET):
+                    kept.append((kind, (body, group)) + arc[2:])
                     continue
             folded.append((mask, label, props, target))
         free.append(tuple(folded))
@@ -859,10 +981,20 @@ def _fire(
     kind: int,
     operand: Any,
     value: Any,
+    depth: int = 0,
 ) -> int:
     """Apply a run-time arc to file ``fid`` — ``value`` is the key of
-    the element a bind sees — and return the id of the resulting file,
-    interning it, or -1 when the arc is blocked."""
+    the element a bind sees, ``depth`` the number of edges the run has
+    consumed, which only the boundary ops of a tracked group register
+    read — and return the id of the resulting file, interning it, or
+    -1 when the arc is blocked.
+
+    An open group register holds ``(begin, (end, values), ...)``: the
+    depth at which its repetition was entered, then per finished
+    iteration the depth it ended at and what the body's registers held
+    there. On leaving, each body variable's register takes its list as
+    ``(begin, end, value)`` triples — the next iteration end of an
+    enclosing repetition captures it like any other value."""
     if kind == _ARC_FREE:
         return fid
     registers = files[fid]
@@ -881,11 +1013,28 @@ def _fire(
             raise
         except EvaluationError:
             return -1
-    else:  # _ARC_RESET
-        updated = tuple(
-            None if slot in operand else key
-            for slot, key in enumerate(registers)
-        )
+    elif kind == _ARC_OPEN:
+        updated = registers[:operand] + ((depth,),) + registers[operand + 1 :]
+    else:
+        body, group = operand
+        changed = list(registers)
+        if kind == _ARC_RESET:
+            if group is not None:
+                values = tuple(registers[slot] for slot in body)
+                changed[group] += ((depth, values),)
+            for slot in body:
+                changed[slot] = None
+        else:  # _ARC_CLOSE
+            begin, *iterations = registers[group]
+            changed[group] = None
+            lists: list[list] = [[] for _ in body]
+            for end, values in iterations:
+                for triples, value in zip(lists, values):
+                    triples.append((begin, end, value))
+                begin = end
+            for slot, triples in zip(body, lists):
+                changed[slot] = tuple(triples)
+        updated = tuple(changed)
     found = file_id.get(updated)
     if found is None:
         found = file_id[updated] = len(files)
@@ -1027,12 +1176,13 @@ def shortest_witnesses(
     and the run-time arcs. A walk is accepted at depth ``d`` on node
     ``v`` iff ``targets[v] == d`` and some configuration is in the
     final state; it is returned with the tracked registers of those
-    accepting runs — the assignment, when the program tracks every
-    variable. Pruned by the runs that survive and by the
-    remaining-steps lower bound on their states, so it explores nothing
-    a join, a check or a pushed atom rejects. The walk is one key list
-    that moves push onto and pop off; real ids and a :class:`Path` are
-    built per accepted walk only. The ambient deadline is checked every
+    accepting runs — the assignment, lists included, when the program
+    tracks every variable and every group register. Pruned by the runs
+    that survive and by the remaining-steps lower bound on their
+    states, so it explores nothing a join, a check or a pushed atom
+    rejects. The walk is one key list that moves push onto and pop off;
+    real ids, a :class:`Path` and the lists over it are built per
+    accepted walk only. The ambient deadline is checked every
     :data:`_DEADLINE_STRIDE` edge expansions. Returns ``(walk, register
     files)`` per end node.
     """
@@ -1045,11 +1195,12 @@ def shortest_witnesses(
     file_id = {files[0]: 0}
 
     def close(
-        node: int, configs: Iterable[tuple[int, int]]
+        node: int, depth: int, configs: Iterable[tuple[int, int]]
     ) -> set[tuple[int, int]]:
-        """Closure of ``(state, file)`` ``configs`` at ``node`` under
-        the zero-weight ops, each applied for real: binds join, checks
-        read the registers."""
+        """Closure of ``(state, file)`` ``configs`` at ``node``,
+        ``depth`` edges into the walk, under the zero-weight ops, each
+        applied for real: binds join, checks read the registers,
+        boundary ops note ``depth``."""
         closure_here, arcs_here, _steps = program.at(node)
         byte = node >> 3
         bit = 1 << (node & 7)
@@ -1067,7 +1218,7 @@ def shortest_witnesses(
                     if mask is not None and not mask[byte] & bit:
                         continue
                     fired = _fire(
-                        program, files, file_id, fid, kind, operand, node
+                        program, files, file_id, fid, kind, operand, node, depth
                     )
                     if fired >= 0:
                         stack.append((target, fired))
@@ -1078,7 +1229,7 @@ def shortest_witnesses(
     tried = accepted = 0
     next_check = _DEADLINE_STRIDE
     node = program.start_key(start)
-    configs = close(node, ((program.nfa.initial, 0),))
+    configs = close(node, 0, ((program.nfa.initial, 0),))
     walk: list = [node]
     #: Per depth, the moves not yet taken: (edge, successor, configs).
     frames: list[list] = []
@@ -1086,13 +1237,12 @@ def shortest_witnesses(
         while True:
             depth = len(frames)
             if wanted.get(node) == depth:
-                runs = frozenset(
-                    program.registers(files[fid])
-                    for q, fid in configs
-                    if q == final
-                )
-                if runs:
+                accepting = {fid for q, fid in configs if q == final}
+                if accepting:
                     path = Path([program.element(key) for key in walk])
+                    runs = frozenset(
+                        program.registers(files[fid], path) for fid in accepting
+                    )
                     found.setdefault(path.tgt, []).append((path, runs))
                     accepted += 1
             remaining = horizon - depth - 1
@@ -1126,7 +1276,7 @@ def shortest_witnesses(
                 next_check = tried + _DEADLINE_STRIDE
             frame = []
             for (edge, successor), reached in moves.items():
-                closed = close(successor, reached)
+                closed = close(successor, depth + 1, reached)
                 if any(0 <= back[q] <= remaining for q, _ in closed):
                     frame.append((edge, successor, closed))
             frames.append(frame)

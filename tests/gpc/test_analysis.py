@@ -154,6 +154,21 @@ class TestDiagnosticCodes:
     def test_edgeless_repeat_body(self):
         codes = self.lint("TRAIL [(x)]{1,2} (y)")
         assert an.EDGELESS_REPEAT_BODY in codes
+        # The code `explain` cites when it refuses the register read-off.
+        (message,) = {
+            d.message
+            for d in lint_query("SHORTEST (x:P) [(z)]{1,2} -> (y)")
+            if d.code == an.EDGELESS_REPEAT_BODY
+        }
+        assert message.endswith(
+            "under `shortest` a body that also binds a variable sends every "
+            "witness through the span matcher (a register run cannot regroup "
+            "edgeless iterations)"
+        )
+        # It never iterates: no warning, and no refusal either.
+        assert an.EDGELESS_REPEAT_BODY not in self.lint(
+            "SHORTEST (x:P) [(z)]{0,0} -> (y)"
+        )
 
     def test_repeat_only_zero(self):
         codes = self.lint(

@@ -37,10 +37,16 @@ class TestCounterSources:
         assert counters.witnesses_matched == 0
 
     def test_group_variable_sends_every_witness_to_the_matcher(self):
+        # ... only when an iteration may consume no edge (GPC022). A
+        # body that always takes one has its lists read off the run.
         counters = _evaluate(
             "SHORTEST (x:Person) -[e:knows]->{1,} (y:Person)"
         )
-        assert counters.witnesses_matched == counters.witnesses > 0
+        assert counters.witnesses > 0 == counters.witnesses_matched
+        edgeless = _evaluate(
+            "SHORTEST (x) [(z:Person)]{1,} -[:knows]-> (y)"
+        )
+        assert edgeless.witnesses_matched == edgeless.witnesses > 0
 
     def test_multi_pattern_counts_join_rows(self):
         counters = _evaluate(

@@ -257,10 +257,21 @@ class TestExplainPlan:
         flat = parse_query("SHORTEST (x) ->{1,8} (y)")
         group = parse_query("SHORTEST (x) -[e]->{1,8} (y)")
         edgeless = parse_query("SHORTEST (x) [() + ->]{1,1} (y)")
+        binding_edgeless = parse_query("SHORTEST (x) [(z:A)]{1,} -> (y)")
+        nested = parse_query("SHORTEST (x) [[-[e]->]{1,2} (z)]{1,2} (y)")
+
+        def source_of(query, plan):
+            line = plan.explain(query).splitlines()[1]
+            return line.partition("; assignments: ")[2]
+
         plan = QueryPlan()
-        assert "assignments: register run" in plan.explain(flat)
-        assert "assignments: span matcher (repeat body binds e)" in plan.explain(
-            group
+        assert source_of(flat, plan) == "register run"
+        assert source_of(group, plan) == "register run (groups e)"
+        assert source_of(nested, plan) == "register run (groups e, z)"
+        # The one thing a run cannot know, by its lint code.
+        assert source_of(binding_edgeless, plan) == (
+            "span matcher (GPC022: repeat body binds z and may match an "
+            "edgeless path)"
         )
         # Depends on the plan's collect mode, so a bare explain_plan
         # (no plan, no mode) does not say.
@@ -270,7 +281,8 @@ class TestExplainPlan:
             "assignments: span matcher (repeat body may match an edgeless path)"
             in runtime.explain(edgeless)
         )
-        assert "assignments" not in explain_plan(flat)
+        for query in (flat, group, binding_edgeless):
+            assert "assignments" not in explain_plan(query)
 
     def test_shortest_names_the_registers_its_search_carries(self):
         from repro.gpc.engine import EngineConfig, QueryPlan
@@ -285,12 +297,10 @@ class TestExplainPlan:
             search_of("SHORTEST [(x) ->{1,} (y)] << x.k = y.k >>", plan)
             == "registers x, y (read by << x.k = y.k >>)"
         )
-        assert (
-            search_of("SHORTEST (x) -[e]->{1,8} (y)", plan)
-            == "registers e (e bound at 8 sites)"
-        )
+        # Unrolled copies of a body are one site.
+        assert search_of("SHORTEST (x) -[e]->{1,8} (y)", plan) == "register-free"
         assert search_of(
-            "SHORTEST [(x) -[e]->{2} (y) -> (x)] << x.k = y.k >>", plan
+            "SHORTEST [(x) -[e]-> (y) <-[e]- (x)] << x.k = y.k >>", plan
         ) == (
             "registers x, y, e "
             "(read by << x.k = y.k >>; e bound at 2 sites)"

@@ -337,7 +337,9 @@ class TestPerSeedWitnessPass:
                 parse_query("SHORTEST (x) -[e]->{1,8} (y)"),
                 start_restriction={N("n0")},
             )
-        assert (grouped.witnesses, grouped.witnesses_matched) == (8, 8)
+        # Every iteration consumes an edge: the lists come off the run.
+        assert (grouped.witnesses, grouped.witnesses_matched) == (8, 0)
+        assert grouped.witness_steps == 8
 
     def test_collect_failure_probes_upward(self, pair_lengths):
         # Under RUNTIME collect an edgeless factor is undefined, so the

@@ -6,21 +6,28 @@ import time
 
 import pytest
 
-from reference import reference_answers, reference_witnesses
+from reference import (
+    assert_runs_equal_the_matcher,
+    reference_answers,
+    reference_witnesses,
+)
 from repro.errors import (
     DeadlineExceededError,
     EvaluationLimitError,
     UnknownIdError,
 )
 from repro.gpc import register_nfa
+from repro.gpc.collect import CollectMode
 from repro.gpc.engine import EngineConfig, Evaluator
 from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.register_nfa import (
+    collect_requirement,
     compile_register_nfa,
     lower_program,
     shortest_pair_lengths,
     shortest_witnesses,
 )
+from repro.gpc.values import GroupValue, Nothing
 from repro.graph import GraphSnapshot, PropertyGraph
 from repro.graph.builder import GraphBuilder
 from repro.graph.columns import and_masks
@@ -61,8 +68,24 @@ class TestTrackedRegisters:
         assert _tracked("(x) [-[e]-> (z)]{0,} (y)") == {}
 
     def test_repeat_copies_are_sites(self):
-        assert _tracked("(x) -[e]->{1,8} (y)") == {"e": 8}
-        assert _tracked("(x) -[e]->{1,} (y)") == {"e": 2}
+        # ... of which only the first counts: unrolled copies are one
+        # syntactic site, and a run enters each through the reset of
+        # the one before, register unbound.
+        for text in ("(x) -[e]->{1,8} (y)", "(x) -[e]->{1,} (y)"):
+            assert _tracked(text) == {}
+        nfa = compile_register_nfa(parse_pattern("(x) -[e]->{1,8} (y)"))
+        assert nfa.sites == {"x": 1, "e": 1, "y": 1}
+        # Nested repeats compose: 2 x 3 copies of one site.
+        assert _tracked("[[-[e]-> (z)]{1,3}]{2,2}") == {}
+        # A variable without any site is still a key.
+        nfa = compile_register_nfa(parse_pattern("(x) -[e]->{0,0} (y)"))
+        assert nfa.sites == {"x": 1, "e": 0, "y": 1}
+
+    def test_two_sites_in_one_body_are_two_sites(self):
+        # Counted once per body, not once per copy.
+        assert _tracked("[(z) -> (z)]{1,2}") == {"z": 2}
+        assert _tracked("[-[e]-> + <-[e]-]{1,}") == {"e": 2}
+        assert _tracked("[[(z) -> (z)]{1,3}]{2,2}") == {"z": 2}
 
     def test_union_branches_are_sites(self):
         assert _tracked("[(x:A) -> (y) + (x:B) <- (y)]") == {"x": 2, "y": 2}
@@ -70,16 +93,21 @@ class TestTrackedRegisters:
 
     def test_the_search_lowers_with_exactly_that_set(self):
         graph = chain_graph(3)
-        nfa = compile_register_nfa(parse_pattern("(x) -[e]->{2,2} (x)"))
+        nfa = compile_register_nfa(parse_pattern("(x) [(z) -[e]-> (z)]{2,2} (x)"))
         program = lower_program(nfa, graph.snapshot())
-        assert program.tracked == ("e", "x")
+        assert program.tracked == ("x", "z")
         everything = program.retracked(nfa.sites)
-        assert everything is program
-        nfa = compile_register_nfa(parse_pattern("(x) ->{1,} (y)"))
+        assert everything.tracked == ("e", "x", "z")
+        nfa = compile_register_nfa(parse_pattern("(x) -> (x) <- (x)"))
         program = lower_program(nfa, graph.snapshot())
+        assert program.tracked == ("x",)
+        assert program.retracked(nfa.sites) is program
+        nfa = compile_register_nfa(parse_pattern("(x) -[e]->{1,8} (y)"))
+        program = lower_program(nfa, graph.snapshot())
+        # Nothing tracked: the boundary ops of the repeat fold away too.
         assert program.tracked == () and not any(program.arcs)
         everything = program.retracked(nfa.sites)
-        assert everything.tracked == ("x", "y")
+        assert everything.tracked == ("e", "x", "y")
         # The lowering is shared, only the folding is redone.
         assert everything.ops is program.ops
         assert everything.rows is program.rows
@@ -187,6 +215,215 @@ class TestFilteredCsrContract:
             assert not edges and not any(off)  # no core edge carries it
             masks = {op[2] for ops in program.ops for op in ops} - {None}
             assert masks == {bytes(len(view.label_mask("next")))}
+
+
+_READ_OFF_QUERIES = (
+    # an ambiguous factorisation: [1][1], [2], [1][2]...
+    "SHORTEST (x:Probe) [-[e]-> + -[e]-> -[f]->]{1,} (y:Adj)",
+    # a repeat nested in a repeat
+    "SHORTEST (x:Probe) [[-[e:next]->]{1,2} (z)]{1,2} (y)",
+    # a variable, and a whole inner list, only one union branch binds
+    "SHORTEST (x:Probe) [-[e:next]-> + -[f:chord]->]{1,3} (y)",
+    "SHORTEST (x:Probe) [[-[e:next]->]{1,2} + -[f:chord]->]{1,2} (y)",
+    # no bind site at all, alone and inside a body
+    "SHORTEST (x:Probe) -[e]->{0,0} (y)",
+    "SHORTEST (x:Probe) [[-[e]->]{0,0} -[f:chord]->]{1,2} (y)",
+    # zero iterations of {0,}
+    "SHORTEST (x:Probe) [-[e:next]-> (z)]{0,} (y)",
+    # a condition inside the body, a list inside a two-variable wrapper
+    "SHORTEST (x:Probe) [[-[e]-> (z)] << z.k = 1 >>]{1,3} (y)",
+    "SHORTEST [(x:Probe) -[e:chord]->{1,3} (y)] << x.k = y.k >>",
+    # undirected steps
+    "SHORTEST (x:Probe) ~[e]~{2,3} (y)",
+)
+
+
+class TestGroupReadOff:
+    """Iteration boundaries ride the run: a repetition whose every
+    iteration consumes an edge yields its lists with the registers."""
+
+    @staticmethod
+    def _graph() -> PropertyGraph:
+        graph = _segment()
+        nodes = {n.key: n for n in graph.nodes}
+        graph.add_undirected_edge("u0", nodes["n0"], nodes["n1"], ["link"])
+        graph.add_undirected_edge("u1", nodes["n1"], nodes["n3"], ["link"])
+        return graph
+
+    @pytest.mark.parametrize("text", _READ_OFF_QUERIES)
+    def test_answers_and_runs_equal_the_specification(self, text, view_of):
+        query = parse_query(text)
+        graph = self._graph()
+        views = [view_of(graph), _derived(graph, _add_an_overlay_only_label)]
+        horizon = graph.num_nodes
+        nfa = compile_register_nfa(query.pattern, pushdown=True)
+        for view in views:
+            walks = assert_runs_equal_the_matcher(view, query.pattern, nfa, horizon)
+            assert set(walks) == set(CollectMode) and all(walks.values())
+        for mode in CollectMode:
+            expected = reference_answers(graph, query, horizon, mode)
+            counters = EvalCounters()
+            with use_counters(counters):
+                served = Evaluator(
+                    views[-1], EngineConfig(collect_mode=mode)
+                ).evaluate(query)
+            assert expected and set(served) == expected
+            assert counters.witnesses == len({a.path for a in served})
+            assert counters.witnesses_matched == 0
+
+    def test_an_iteration_is_the_portion_of_the_walk_it_consumed(self):
+        graph = chain_graph(3)
+        query = parse_query("SHORTEST (x) [-[e]-> -[f]-> + -[e]->]{2,2} (y)")
+        answers = Evaluator(graph).evaluate(
+            query, start_restriction={N("n0")}
+        )
+        by_length = {len(a.path): a for a in answers}
+        assert sorted(by_length) == [2, 3] and len(answers) == 3
+        # Length 2 is [1][1]; length 3 is [2][1] and [1][2] — told
+        # apart by the boundaries alone.
+        e = by_length[2]["e"]
+        assert [len(portion) for portion in e.paths] == [1, 1]
+        assert e.paths[0].tgt == e.paths[1].src == N("n1")
+        splits = {
+            tuple(len(portion) for portion in a["f"].paths)
+            for a in answers
+            if len(a.path) == 3
+        }
+        assert splits == {(2, 1), (1, 2)}
+        for answer in answers:
+            for variable in "ef":
+                portions = answer[variable].paths
+                assert portions[0].src == N("n0")
+                assert portions[-1].tgt == answer.path.tgt
+                assert portions[0].tgt == portions[1].src
+
+    def test_a_branch_that_does_not_bind_is_a_nothing_entry(self):
+        graph = self._graph()
+        query = parse_query(
+            "SHORTEST (x:Probe) [-[e:next]-> + -[f:chord]->]{2,2} (y)"
+        )
+        (mixed,) = [
+            a
+            for a in Evaluator(graph).evaluate(query)
+            if a.path.tgt == N("n3") and a.path.nodes[1] == N("n1")
+        ]
+        next0, chord1 = mixed.path.edges
+        assert mixed["e"].values == (next0, Nothing)
+        assert mixed["f"].values == (Nothing, chord1)
+        assert mixed["e"].paths == mixed["f"].paths
+
+    def test_a_variable_without_a_bind_site_is_the_empty_list(self):
+        graph = chain_graph(2)
+        (alone,) = Evaluator(graph).evaluate(
+            parse_query("SHORTEST (x) -[e]->{0,0} (y)"),
+            start_restriction={N("n0")},
+        )
+        assert alone["e"] == GroupValue() and "e" in alone.assignment
+        inside = Evaluator(graph).evaluate(
+            parse_query("SHORTEST (x) [[-[e]->]{0,0} -[f]->]{2,2} (y)"),
+            start_restriction={N("n0")},
+        )
+        (answer,) = inside
+        assert answer["e"].values == (GroupValue(), GroupValue())
+        assert answer["e"].paths == answer["f"].paths
+        # Zero iterations of {0,}: every body variable, the empty list.
+        nothing = min(
+            Evaluator(graph).evaluate(
+                parse_query("SHORTEST (x) [-[e]-> (z)]{0,} (y)"),
+                start_restriction={N("n0")},
+            ),
+            key=lambda a: len(a.path),
+        )
+        assert nothing["e"] == nothing["z"] == GroupValue()
+
+    def test_an_overlay_only_edge_inside_a_list(self):
+        # Keyed by its id object, not a dense int — and no list.
+        graph = _segment()
+        derived = _derived(graph, _add_an_overlay_only_label)
+        query = parse_query(
+            "SHORTEST (x:Probe) [-[e:next]-> + -[e:fresh]->]{1,} (y:Fresh)"
+        )
+        counters = EvalCounters()
+        with use_counters(counters):
+            (answer,) = Evaluator(derived).evaluate(query)
+        assert counters.witnesses_matched == 0
+        assert [edge.key for edge in answer["e"].values] == ["next0", "fresh0"]
+        assert {answer} == reference_answers(graph, query, graph.num_nodes)
+
+    def test_what_a_run_cannot_know_stays_with_the_matcher(self, view_of):
+        graph = self._graph()
+        for text, mode, reason in (
+            # Zero inner iterations make an outer one edgeless: Figure 3
+            # regroups them, and a run could go round for ever.
+            (
+                "SHORTEST (x:Probe) [[-[e:next]->]{0,2}]{1,} (y:Adj)",
+                CollectMode.GROUPING,
+                "GPC022: repeat body binds e and may match an edgeless path",
+            ),
+            (
+                "SHORTEST (x:Probe) [(z)]{1,} -[:next]-> (y)",
+                CollectMode.RUNTIME,
+                "GPC022: repeat body binds z and may match an edgeless path",
+            ),
+            (
+                "SHORTEST (x:Probe) [()]{1,} -[:next]-> (y)",
+                CollectMode.RUNTIME,
+                "repeat body may match an edgeless path",
+            ),
+        ):
+            query = parse_query(text)
+            assert collect_requirement(query.pattern, mode) == reason
+            counters = EvalCounters()
+            config = EngineConfig(
+                collect_mode=mode, shortest_deepening_limit=8, lenient_shortest=True
+            )
+            with use_counters(counters):
+                served = Evaluator(view_of(graph), config).evaluate(query)
+            assert counters.witnesses_matched == counters.witnesses > 0
+            assert set(served) == reference_answers(graph, query, 8, mode)
+        # ... and what never iterates, or binds nothing, does not.
+        for text, mode in (
+            ("(x) [(z)]{0,0} (y)", CollectMode.RUNTIME),
+            ("(x) [()]{1,} -> (y)", CollectMode.GROUPING),
+            ("(x) [[(:A)]{0,} -[e]->]{1,} (y)", CollectMode.GROUPING),
+        ):
+            assert collect_requirement(parse_pattern(text), mode) is None
+
+    def test_a_body_that_binds_nothing_compiles_no_boundary_op(self):
+        def ops(text):
+            nfa = compile_register_nfa(parse_pattern(text))
+            return nfa, [
+                type(op).__name__ for row in nfa.zero for op, _target in row
+            ]
+
+        flat, flat_ops = ops("(x:Probe) -[:next]->{1,8} (y)")
+        assert set(flat_ops) == {"_Eps", "_NodeTest", "_Bind"}
+        assert flat.groups == ()
+        grouped, grouped_ops = ops("(x:Probe) -[e:next]->{1,8} (y)")
+        assert grouped_ops.count("_Open") == grouped_ops.count("_Close") == 1
+        assert grouped_ops.count("_Reset") == 8
+        assert grouped.num_states == flat.num_states + 2
+        assert grouped.groups == ("#0",)
+        # One register per nesting depth, shared by siblings.
+        nested, _ops = ops("[[-[e]->]{1,2} [-[f]->]{1,2}]{1,2} -[g]->{1,2}")
+        assert nested.groups == ("#0", "#1")
+
+    def test_the_search_does_not_see_the_boundaries(self, view_of):
+        graph = self._graph()
+        flat, grouped = (
+            parse_query(f"SHORTEST (x:Probe) -[{e}:next]->{{1,8}} (y)")
+            for e in ("", "e")
+        )
+        counted = []
+        view = view_of(graph)
+        Evaluator(view).evaluate(flat)  # builds the masks
+        for query in (flat, grouped):
+            counters = EvalCounters()
+            with use_counters(counters):
+                Evaluator(view).evaluate(query)
+            counted.append(counters)
+        assert counted[0] == counted[1]
+        assert counted[1].register_files == 0 < counted[1].dense_fast_lane
 
 
 class TestMaskAnd:

@@ -9,23 +9,26 @@ import random
 from dataclasses import replace
 from itertools import islice
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
     assert_equal_reference,
+    assert_runs_equal_the_matcher,
     reference_answers,
     reference_witnesses,
 )
 from strategies import small_graphs, well_typed_patterns
 
 from repro.graph import GraphSnapshot
+from repro.graph.generators import random_multigraph
 from repro.graph.paths import is_simple, is_trail, path_in_graph
 from repro.gpc import ast
 from repro.gpc.engine import EngineConfig, Evaluator, evaluate
 from repro.gpc.collect import CollectMode
 from repro.gpc.parser import parse_pattern
 from repro.gpc.register_nfa import (
+    collect_requirement,
     compile_register_nfa,
     lower_program,
     shortest_pair_lengths,
@@ -233,7 +236,41 @@ _SHORTEST_SHAPES = tuple(
         "(x) [() ()]{1,} -> (y)",
     )
 )
+
+#: Shapes whose group values are read off the run: an ambiguous
+#: factorisation, a repeat nested in a repeat, a variable only one
+#: union branch of the body binds (and a whole inner list that way),
+#: ``{0,0}`` alone and inside a body, zero iterations of ``{0,}``, a
+#: condition inside the body, an undirected step, a list inside a
+#: two-variable wrapper — and two bodies that bind a variable and may
+#: match an edgeless path, which stay with the span matcher.
+_READ_OFF_SHAPES = tuple(
+    parse_pattern(text)
+    for text in (
+        "(x) [-[e]-> + -[e]-> -[f]->]{1,} (y)",
+        "(x) [[-[e]->]{1,2} (z)]{1,2} (y)",
+        "(x) [-[e:a]-> + <-[f]-]{1,3} (y)",
+        "(x) [[-[e]->]{1,2} + -[f]->]{1,2} (y)",
+        "(x) -[e]->{0,0} (y)",
+        "(x) [[-[e]->]{0,0} -[f]->]{1,2} (y)",
+        "(x) [-[e]-> (z)]{0,} (y)",
+        "(x) [[-[e]-> (z)] << z.k = 1 >>]{1,3} (y)",
+        "(x) ~[e]~{2,3} (y)",
+        "[(x) -[e]->{1,3} (y)] << x.k = y.k >>",
+        "(x) [[-[e]->]{0,2}]{1,} (y)",
+        "(x) [(z) + -[e]->]{1,2} (y)",
+    )
+)
+_SHORTEST_SHAPES += _READ_OFF_SHAPES
 _SHORTEST_HORIZON = 4
+
+
+def _a_graph():
+    """A fixed :func:`small_graphs` draw, for the examples a test must
+    not depend on the generator to reach."""
+    return random_multigraph(
+        4, 7, 1, ("A", "B"), ("a", "b"), ("k", "m"), value_range=3, seed=0
+    )
 
 
 def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
@@ -241,7 +278,6 @@ def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
     outside it, else whether the pattern was run-complete."""
     from repro.errors import CollectError, EvaluationLimitError
     from repro.gpc.minlength import validate_approach1
-    from repro.gpc.register_nfa import collect_requirement
     from repro.gpc.semantics import _Limits
 
     if mode is CollectMode.SYNTACTIC:
@@ -250,11 +286,7 @@ def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
         except CollectError:
             return None
     rng = random.Random(seed)
-    graph.snapshot()  # later versions are derived, not rebuilt
-    for _ in range(rng.randrange(1, 5)):
-        _mutate(rng, graph)
-        graph.snapshot()
-    derived = graph.snapshot()
+    derived = _derive_chain(rng, graph)
     plain = graph.copy()
     pristine = GraphSnapshot(plain)
     assert not pristine.overlay_ops
@@ -303,6 +335,7 @@ def test_shortest_equals_the_bounded_reference_on_every_view():
     run_complete = set()
     tracked = set()
     unions = set()
+    sources = set()
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -312,6 +345,9 @@ def test_shortest_equals_the_bounded_reference_on_every_view():
         st.integers(min_value=0, max_value=10_000),
         st.booleans(),
     )
+    # Always drawn: nested lists off the run, and the refusal that stays.
+    @example(_a_graph(), _READ_OFF_SHAPES[1], CollectMode.SYNTACTIC, 1, False)
+    @example(_a_graph(), _READ_OFF_SHAPES[-1], CollectMode.GROUPING, 2, True)
     def check(graph, pattern, mode, seed, restrict):
         verdict = _shortest_equals_reference(graph, pattern, mode, seed, restrict)
         run_complete.add(verdict)
@@ -324,12 +360,20 @@ def test_shortest_equals_the_bounded_reference_on_every_view():
                     for sub in ast.iter_subpatterns(pattern)
                 )
             )
+            requirement = collect_requirement(pattern, mode)
+            if requirement is not None:
+                sources.add(requirement.partition(":")[0])
+            else:
+                sources.add("lists off the run" if nfa.groups else "run")
 
     check()
     assert {True, False} <= run_complete
     # Searches that carry registers and searches that carry none, and
     # closures that fold a union's branches.
     assert tracked == {True, False} and True in unions
+    # Group values read off a run, and a body that binds a variable and
+    # may match an edgeless path still refused.
+    assert {"run", "lists off the run", "GPC022"} <= sources
 
 
 def test_lowered_search_and_witness_pass_equal_the_accessor_oracle(view_of):
@@ -398,14 +442,54 @@ def test_lowered_search_and_witness_pass_equal_the_accessor_oracle(view_of):
     def check(graph, pattern, pushdown, seed):
         nfa = compile_register_nfa(pattern, pushdown=pushdown)
         compare(graph, view_of(graph), nfa)
-        rng = random.Random(seed)
-        graph.snapshot()  # later versions are derived, not rebuilt
-        for _ in range(rng.randrange(1, 5)):
-            _mutate(rng, graph)
-            graph.snapshot()
-        compare(graph, graph.snapshot(), nfa)
+        compare(graph, _derive_chain(random.Random(seed), graph), nfa)
 
     check()
+
+
+def test_group_read_off_equals_the_span_matcher(view_of):
+    """Walk by walk, what the witness pass reads off its runs — lists
+    included — is what the span matcher finds on that walk, under every
+    collect mode in which the pattern is run-complete: on a pristine or
+    overlay snapshot (the fixture) and on one at the end of a derive
+    chain, with and without pushed atoms."""
+    compared = {mode: 0 for mode in CollectMode}
+    lists = set()
+
+    def compare(graph, pattern, pushdown, seed):
+        nfa = compile_register_nfa(pattern, pushdown=pushdown)
+        views = [view_of(graph)]
+        views.append(_derive_chain(random.Random(seed), graph))
+        for view in views:
+            counts = assert_runs_equal_the_matcher(view, pattern, nfa, horizon=3)
+            for mode, walks in counts.items():
+                compared[mode] += walks
+                lists.add(bool(walks and nfa.groups))
+
+    for shape in _READ_OFF_SHAPES:
+        before = sum(compared.values())
+        compare(_a_graph(), shape, True, 7)
+        refused = collect_requirement(shape, CollectMode.GROUPING)
+        assert (sum(compared.values()) > before) == (refused is None), shape
+    assert all(compared.values()) and True in lists
+    settings(max_examples=60, deadline=None)(
+        given(
+            small_graphs(),
+            well_typed_patterns(max_depth=3) | st.sampled_from(_SHORTEST_SHAPES),
+            st.booleans(),
+            st.integers(min_value=0, max_value=10_000),
+        )(compare)
+    )()
+
+
+def _derive_chain(rng, graph):
+    """Mutate ``graph`` one to four times, a snapshot per version, and
+    return the snapshot at the end of that derive chain."""
+    graph.snapshot()  # later versions are derived, not rebuilt
+    for _ in range(rng.randrange(1, 5)):
+        _mutate(rng, graph)
+        graph.snapshot()
+    return graph.snapshot()
 
 
 def _mutate(rng, graph):

@@ -9,10 +9,12 @@ snapshot at the end of a derive chain, optimisations on or off — is
 compared with that, not with another optimised configuration.
 
 Also here: the random graph and mutation generators the CSR and
-pushdown suites draw from, and the witness oracle — the register NFA
+pushdown suites draw from, the witness oracle — the register NFA
 run over real ids through a view's accessors, with no lowering, no
 masks and no folded closures (it was the served witness pass until
-PR 17 and is what the lowered one must equal).
+PR 17 and is what the lowered one must equal) — and the read-off
+check: what the served pass reads off its runs against the span
+matcher, walk by walk.
 """
 
 from __future__ import annotations
@@ -35,18 +37,27 @@ from repro.gpc.assignments import Assignment
 from repro.gpc.collect import CollectMode
 from repro.gpc.conditions import satisfies
 from repro.gpc.engine import Evaluator
+from repro.enumeration.span_matcher import match_on_path
 from repro.gpc.register_nfa import (
     PushedProps,
     RegisterNFA,
     Registers,
     _Bind,
     _Check,
+    _Close,
     _EdgeStep,
     _Eps,
     _NodeTest,
+    _Open,
     _Reset,
+    collect_requirement,
+    lower_program,
+    shortest_pair_lengths,
+    shortest_witnesses,
 )
 from repro.gpc.semantics import BoundedEvaluator
+from repro.gpc.typing import infer_schema
+from repro.gpc.values import Nothing
 from repro.obs.counters import active_counters
 
 
@@ -214,8 +225,10 @@ def _apply_zero(
     registers: Registers,
     graph: PropertyGraph,
 ) -> Optional[Registers]:
-    """Apply a zero-weight op at ``node``; ``None`` when blocked."""
-    if isinstance(op, _Eps):
+    """Apply a zero-weight op at ``node``; ``None`` when blocked. The
+    oracle keeps no group registers, so a repetition's boundary ops
+    pass through (its reset still forgets the body's variables)."""
+    if isinstance(op, (_Eps, _Open, _Close)):
         return registers
     if isinstance(op, _NodeTest):
         return registers if op.label in graph.labels(node) else None
@@ -380,3 +393,47 @@ def reference_witnesses(
         if counters is not None:
             counters.witness_steps += tried
             counters.witnesses += accepted
+
+
+# ---------------------------------------------------------------------------
+# The read-off check: assignments off the runs == the span matcher
+# ---------------------------------------------------------------------------
+
+
+def assert_runs_equal_the_matcher(
+    view, pattern: ast.Pattern, nfa: RegisterNFA, horizon: int
+) -> dict[CollectMode, int]:
+    """Every walk the served witness pass accepts on ``view`` — from
+    every seed, to every end at its minimum length and at one more, up
+    to ``horizon`` — carries, with every variable and group register
+    tracked, exactly the assignments :func:`match_on_path` (the
+    independent Section 5 implementation) finds on it, under each
+    collect mode in which the pattern is run-complete. Returns the
+    walks compared per such mode."""
+    modes = [
+        mode for mode in CollectMode if collect_requirement(pattern, mode) is None
+    ]
+    compared = dict.fromkeys(modes, 0)
+    if not modes:
+        return compared
+    padding = {variable: Nothing for variable in infer_schema(pattern)}
+    search = lower_program(nfa, view)
+    walker = search.retracked((*nfa.sites, *nfa.groups))
+    for start in view.nodes:
+        best = shortest_pair_lengths(search, start)
+        for extra in (0, 1):
+            targets = {
+                end: length + extra
+                for end, length in best.items()
+                if length + extra <= horizon
+            }
+            found = shortest_witnesses(walker, start, targets)
+            for walks in found.values():
+                for walk, runs in walks:
+                    read = {Assignment(padding | dict(run)) for run in runs}
+                    assert len(read) == len(runs)
+                    for mode in modes:
+                        matched = match_on_path(pattern, walk, view, mode)
+                        assert read == matched, (walk, mode)
+                        compared[mode] += 1
+    return compared
