@@ -25,6 +25,12 @@ object per adjacency entry, it stores:
 - **label membership columns** — per class, ``label int -> array`` of
   dense ids (ascending, i.e. sorted by real id).
 
+Ids, interned labels, edge endpoints and properties are the
+*irreducible* columns. CSR and label indexes are derived from them, by
+one pass (:func:`_build_indexes`), on build and on load:
+:func:`build_columns` fills the irreducible columns from the mutable
+graph, :meth:`SnapshotColumns.from_payload` from a pickle.
+
 The core is immutable and shared: derived snapshots keep a reference
 to their base's columns and layer small overlay dicts on top (see
 :meth:`GraphSnapshot.derive`). Pickling ships the raw array buffers
@@ -230,9 +236,9 @@ class SnapshotColumns:
         label tables, a run-length-coded ``labelset_of``, the edge
         endpoint columns, and the property columns (run-length-coded
         ascending index + value tuple). The CSR triples, the reverse
-        CSR, and the per-label membership arrays are all derivable in
-        one linear pass, so :meth:`from_payload` recomputes them on
-        load instead of paying their bytes on the wire.
+        CSR, and the per-label membership arrays are derived again on
+        load (:func:`_build_indexes`) instead of paying their bytes on
+        the wire.
         """
         return (
             tuple(e.key for e in self.node_ids),
@@ -273,12 +279,8 @@ class SnapshotColumns:
         core.node_ids = tuple(NodeId(k) for k in node_keys)
         core.dedge_ids = tuple(DirectedEdgeId(k) for k in dedge_keys)
         core.uedge_ids = tuple(UndirectedEdgeId(k) for k in uedge_keys)
-        elements = core.node_ids + core.dedge_ids + core.uedge_ids
-        core.elements = elements
-        core.dense = {e: i for i, e in enumerate(elements)}
-        n = core.n_nodes = len(node_keys)
-        m = core.n_dedges = len(dedge_keys)
-        core.n_uedges = len(uedge_keys)
+        core.elements = core.node_ids + core.dedge_ids + core.uedge_ids
+        core.dense = {e: i for i, e in enumerate(core.elements)}
         core.label_names = label_names
         core.label_index = {name: i for i, name in enumerate(label_names)}
         core.labelsets_int = tuple(frozenset(s) for s in labelset_ints)
@@ -294,61 +296,83 @@ class SnapshotColumns:
             key: dict(zip(_unrle_ascending(idx_enc), values))
             for key, (idx_enc, values) in prop_payload.items()
         }
-        core._prop_masks = {}
-        core._label_masks = {}
-        core._filtered_csr = {}
-
-        # Rebuild CSR + reverse CSR from the endpoint columns. Edges
-        # are visited in dense (= sorted-id) order, so each bucketed
-        # row comes out sorted by edge id — exactly the builder's
-        # layout.
-        out_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        in_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        und_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for j, (s, t) in enumerate(zip(core.src_col, core.tgt_col)):
-            edge = n + j
-            out_rows[s].append((edge, t))
-            in_rows[t].append((edge, s))
-        first_uedge = n + m
-        for j, (a, b) in enumerate(zip(core.ua_col, core.ub_col)):
-            edge = first_uedge + j
-            und_rows[a].append((edge, b))
-            if b != a:
-                und_rows[b].append((edge, a))
-        for attr_off, attr_edge, attr_other, rows in (
-            ("out_off", "out_edge", "out_tgt", out_rows),
-            ("in_off", "in_edge", "in_src", in_rows),
-            ("und_off", "und_edge", "und_other", und_rows),
-        ):
-            off = array(DENSE_TYPECODE, [0])
-            edge_col = array(DENSE_TYPECODE)
-            other_col = array(DENSE_TYPECODE)
-            for row in rows:
-                for edge, other in row:
-                    edge_col.append(edge)
-                    other_col.append(other)
-                off.append(len(edge_col))
-            setattr(core, attr_off, off)
-            setattr(core, attr_edge, edge_col)
-            setattr(core, attr_other, other_col)
-
-        # Rebuild per-label membership from the labelset column.
-        labelset_of = core.labelset_of
-        labelsets_int = core.labelsets_int
-        for attr, lo, hi in (
-            ("nodes_by_label", 0, n),
-            ("dedges_by_label", n, n + m),
-            ("uedges_by_label", n + m, len(elements)),
-        ):
-            by_label: dict[int, array] = {}
-            for d in range(lo, hi):
-                for li in labelsets_int[labelset_of[d]]:
-                    arr = by_label.get(li)
-                    if arr is None:
-                        arr = by_label[li] = array(DENSE_TYPECODE)
-                    arr.append(d)
-            setattr(core, attr, by_label)
+        _build_indexes(core)
         return core
+
+
+def _build_indexes(core: SnapshotColumns) -> None:
+    """Fill every derived slot of ``core`` from its irreducible columns.
+
+    The one place the counts, the CSR triples and the per-label tables
+    are made. Reads the id tuples' sizes, the endpoint columns and
+    ``labelset_of`` / ``labelsets_int`` — dense ints only: no real id
+    is sorted or hashed. The lazy caches start empty.
+    """
+    n = core.n_nodes = len(core.node_ids)
+    core.n_dedges = len(core.dedge_ids)
+    core.n_uedges = len(core.uedge_ids)
+    first_uedge = n + core.n_dedges
+
+    src, tgt, dedges = core.src_col, core.tgt_col, range(n, first_uedge)
+    core.out_off, core.out_edge, core.out_tgt = _csr(n, src, dedges, tgt)
+    core.in_off, core.in_edge, core.in_src = _csr(n, tgt, dedges, src)
+    # An undirected edge sits in the row of each endpoint; a self-loop
+    # has one endpoint, hence one row entry.
+    at, uedges, far = (array(DENSE_TYPECODE) for _ in range(3))
+    for edge, (a, b) in enumerate(zip(core.ua_col, core.ub_col), first_uedge):
+        at.append(a)
+        uedges.append(edge)
+        far.append(b)
+        if b != a:
+            at.append(b)
+            uedges.append(edge)
+            far.append(a)
+    core.und_off, core.und_edge, core.und_other = _csr(n, at, uedges, far)
+
+    # Label membership columns per class; dense ascending order equals
+    # sorted-by-real-id order within each class.
+    labelset_of = core.labelset_of
+    labelsets_int = core.labelsets_int
+    for attr, lo, hi in (
+        ("nodes_by_label", 0, n),
+        ("dedges_by_label", n, first_uedge),
+        ("uedges_by_label", first_uedge, len(core.elements)),
+    ):
+        by_label: dict[int, array] = {}
+        for d in range(lo, hi):
+            for li in labelsets_int[labelset_of[d]]:
+                arr = by_label.get(li)
+                if arr is None:
+                    arr = by_label[li] = array(DENSE_TYPECODE)
+                arr.append(d)
+        setattr(core, attr, by_label)
+
+    core._prop_masks = {}
+    core._label_masks = {}
+    core._filtered_csr = {}
+
+
+def _csr(n: int, at, edges, others) -> tuple[array, array, array]:
+    """The ``(off, edge, other)`` triple over ``n`` nodes: entry ``i``
+    puts ``(edges[i], others[i])`` in the row of node ``at[i]``. A
+    counting sort, so rows keep entry order — callers list entries by
+    ascending edge id, which is why every row comes out sorted by edge
+    id. Arrays throughout: a per-entry object here is tens of MB on the
+    serving process's peak RSS."""
+    off = array(DENSE_TYPECODE, [0]) * (n + 1)
+    for node in at:
+        off[node + 1] += 1
+    for node in range(n):
+        off[node + 1] += off[node]
+    cursor = off[:n]
+    edge_col = array(DENSE_TYPECODE, [0]) * len(at)
+    other_col = array(DENSE_TYPECODE, [0]) * len(at)
+    for node, edge, other in zip(at, edges, others):
+        slot = cursor[node]
+        edge_col[slot] = edge
+        other_col[slot] = other
+        cursor[node] = slot + 1
+    return off, edge_col, other_col
 
 
 def _from_bytes(data: bytes) -> array:
@@ -440,9 +464,10 @@ def _unrle_ascending(encoded: tuple[bool, bytes]) -> array:
 def build_columns(graph: "PropertyGraph") -> SnapshotColumns:
     """Intern and columnarise one version of a mutable graph.
 
-    Reads the graph's internal mappings (``_node_labels``, ``_out``,
-    …) and flattens them into the dense layout described in the module
-    docstring.
+    Reads the graph's internal mappings (``_node_labels``, ``_src``,
+    …) into the irreducible columns of the dense layout described in
+    the module docstring — sorted ids, interned labels, endpoint and
+    property columns; :func:`_build_indexes` derives the rest.
     """
     core = object.__new__(SnapshotColumns)
 
@@ -452,19 +477,19 @@ def build_columns(graph: "PropertyGraph") -> SnapshotColumns:
     core.node_ids = tuple(nodes)
     core.dedge_ids = tuple(dedges)
     core.uedge_ids = tuple(uedges)
-    elements = core.node_ids + core.dedge_ids + core.uedge_ids
-    dense = {e: i for i, e in enumerate(elements)}
-    core.elements = elements
-    core.dense = dense
-    core.n_nodes = len(nodes)
-    core.n_dedges = len(dedges)
-    core.n_uedges = len(uedges)
+    core.elements = elements = core.node_ids + core.dedge_ids + core.uedge_ids
+    core.dense = dense = {e: i for i, e in enumerate(elements)}
 
     # Label interning: names, then whole label sets (few distinct sets
     # in practice — one table entry per distinct set, one small int per
     # element).
+    classes = (
+        (nodes, graph._node_labels),
+        (dedges, graph._dedge_labels),
+        (uedges, graph._uedge_labels),
+    )
     names = set()
-    for table in (graph._node_labels, graph._dedge_labels, graph._uedge_labels):
+    for _, table in classes:
         for labels in table.values():
             names.update(labels)
     label_names = tuple(sorted(names))
@@ -476,66 +501,28 @@ def build_columns(graph: "PropertyGraph") -> SnapshotColumns:
     labelsets: list[frozenset[str]] = []
     labelsets_int: list[frozenset[int]] = []
     labelset_of = array(DENSE_TYPECODE)
-
-    def intern_set(labels: frozenset[str]) -> int:
-        idx = set_index.get(labels)
-        if idx is None:
-            idx = set_index[labels] = len(labelsets)
-            labelsets.append(labels)
-            labelsets_int.append(
-                frozenset(label_index[name] for name in labels)
-            )
-        return idx
-
-    for element in elements:
-        for table in (
-            graph._node_labels, graph._dedge_labels, graph._uedge_labels
-        ):
-            labels = table.get(element)
-            if labels is not None:
-                labelset_of.append(intern_set(labels))
-                break
+    for members, table in classes:
+        for element in members:
+            labels = table[element]
+            idx = set_index.get(labels)
+            if idx is None:
+                idx = set_index[labels] = len(labelsets)
+                labelsets.append(labels)
+                labelsets_int.append(
+                    frozenset(label_index[name] for name in labels)
+                )
+            labelset_of.append(idx)
     core.labelsets = tuple(labelsets)
     core.labelsets_int = tuple(labelsets_int)
     core.labelset_of = labelset_of
 
-    # CSR adjacency. Rows are sorted by edge id, so the thin view
-    # iterates a node's edges in id order on every build.
-    out_off = array(DENSE_TYPECODE, [0])
-    out_edge = array(DENSE_TYPECODE)
-    out_tgt = array(DENSE_TYPECODE)
-    in_off = array(DENSE_TYPECODE, [0])
-    in_edge = array(DENSE_TYPECODE)
-    in_src = array(DENSE_TYPECODE)
-    und_off = array(DENSE_TYPECODE, [0])
-    und_edge = array(DENSE_TYPECODE)
-    und_other = array(DENSE_TYPECODE)
+    # Endpoint columns, filled in sorted-id (= dense) order: the index
+    # pass visits them front to back and relies on that order for its
+    # id-sorted adjacency rows.
     src_of, tgt_of = graph._src, graph._tgt
-    endpoints_of = graph._endpoints
-    for node in nodes:
-        for edge in sorted(graph._out[node]):
-            out_edge.append(dense[edge])
-            out_tgt.append(dense[tgt_of[edge]])
-        out_off.append(len(out_edge))
-        for edge in sorted(graph._in[node]):
-            in_edge.append(dense[edge])
-            in_src.append(dense[src_of[edge]])
-        in_off.append(len(in_edge))
-        for edge in sorted(graph._undirected_at[node]):
-            und_edge.append(dense[edge])
-            ends = endpoints_of[edge]
-            if len(ends) == 1:
-                other = node
-            else:
-                (other,) = ends - {node}
-            und_other.append(dense[other])
-        und_off.append(len(und_edge))
-    core.out_off, core.out_edge, core.out_tgt = out_off, out_edge, out_tgt
-    core.in_off, core.in_edge, core.in_src = in_off, in_edge, in_src
-    core.und_off, core.und_edge, core.und_other = und_off, und_edge, und_other
-
     core.src_col = array(DENSE_TYPECODE, (dense[src_of[e]] for e in dedges))
     core.tgt_col = array(DENSE_TYPECODE, (dense[tgt_of[e]] for e in dedges))
+    endpoints_of = graph._endpoints
     ua_col = array(DENSE_TYPECODE)
     ub_col = array(DENSE_TYPECODE)
     for edge in uedges:
@@ -554,24 +541,5 @@ def build_columns(graph: "PropertyGraph") -> SnapshotColumns:
             col[d] = value
     core.prop_cols = prop_cols
 
-    # Label membership columns per class; dense ascending order equals
-    # sorted-by-real-id order within each class.
-    for attr, table, members in (
-        ("nodes_by_label", graph._node_labels, nodes),
-        ("dedges_by_label", graph._dedge_labels, dedges),
-        ("uedges_by_label", graph._uedge_labels, uedges),
-    ):
-        by_label: dict[int, array] = {}
-        for element in members:
-            d = dense[element]
-            for name in table[element]:
-                li = label_index[name]
-                arr = by_label.get(li)
-                if arr is None:
-                    arr = by_label[li] = array(DENSE_TYPECODE)
-                arr.append(d)
-        setattr(core, attr, by_label)
-    core._prop_masks = {}
-    core._label_masks = {}
-    core._filtered_csr = {}
+    _build_indexes(core)
     return core

@@ -27,6 +27,19 @@ also record which dense rows are *dirty* (adjacency patched) or
 *shadowed* (a core id re-added with new labels), so the dense engine
 fast paths fall back to the view exactly where the core is stale.
 
+**Said once.** The paper defines labels and properties on the union
+``N ∪ E_d ∪ E_u``, and so does this module: what differs between
+nodes, directed and undirected edges is a row of the *kind table*
+(:class:`_Kind`, with :class:`_Rows` for the three adjacencies), and
+each per-kind accessor is a named one-liner over one generic body. The
+overlay fields are the *overlay list* (``_OVERLAYS``), the lazy memos
+the *memo list* (``_MEMOS``): the slots, the blank constructor,
+:meth:`derive`'s copy, pickling and the "any overlay?" test all loop
+those lists. These are *the* places to extend: a new overlay field or
+memo is one more name in its list — or, when every kind has one, one
+more field of the table, which the lists splice in — and a new element
+kind is one more table row. Nothing else names a slot.
+
 **Pickling** goes through :meth:`__reduce__`: the core ships as raw
 id keys plus ``array.tobytes()`` buffers (one memcpy per column)
 instead of a deep object pickle — the payoff for
@@ -40,8 +53,16 @@ are idempotent dict fills) and are memoised per graph version by
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import defaultdict
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from repro.errors import GraphError, UnknownIdError
 from repro.graph.columns import SnapshotColumns, build_columns
@@ -61,7 +82,133 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["GraphSnapshot"]
 
 _EMPTY: tuple = ()
-_EMPTY_SET: frozenset = frozenset()
+
+# ---------------------------------------------------------------------------
+# The kind table, the overlay list and the memo list
+# ---------------------------------------------------------------------------
+
+
+class _Rows(NamedTuple):
+    """One of a node's three adjacencies: where its rows live."""
+
+    csr: str  #: which ``SnapshotColumns.csr`` triple holds the core rows
+    overlay: str  #: slot, node -> row patched by a derive chain
+    memo: str  #: slot, node -> core row rebuilt as an id-typed tuple
+
+
+_OUT = _Rows(csr="out", overlay="_row_out", memo="_memo_out")
+_IN = _Rows(csr="in", overlay="_row_in", memo="_memo_in")
+_UND = _Rows(csr="und", overlay="_row_und", memo="_memo_und")
+_ROWS = (_OUT, _IN, _UND)
+
+
+class _Kind(NamedTuple):
+    """One element kind: where the core, the overlay, the memos and a
+    :class:`GraphDelta` keep what the generic bodies below read."""
+
+    id_type: type
+    core_ids: str  #: ``SnapshotColumns`` attribute, the sorted id tuple
+    core_count: str  #: ``SnapshotColumns`` attribute, the element count
+    core_by_label: str  #: ``SnapshotColumns`` attribute, label int -> ids
+    #: Slot, element -> label set, for elements the core does not hold
+    #: (or holds stale): the overlay's carrier of this kind.
+    ovl_labels: str
+    #: Slot, label -> patched sorted member tuple; ``()`` = emptied, so
+    #: the core column stays masked.
+    ovl_by_label: str
+    memo_ids: str  #: slot, the carrier as a sorted tuple (or ``None``)
+    memo_by_label: str  #: slot, label -> core members as real ids
+    added: str  #: ``GraphDelta`` group of added records
+    removed: str  #: ``GraphDelta`` group of removed records
+    #: Edges only. Per record field naming the edge's end(s): the slot
+    #: that keeps it for an overlay edge, and the adjacency whose row at
+    #: that node (at each, for ``endpoints``) lists the edge.
+    ends: tuple = ()
+
+
+_NODE = _Kind(
+    id_type=NodeId,
+    core_ids="node_ids",
+    core_count="n_nodes",
+    core_by_label="nodes_by_label",
+    ovl_labels="_ovl_node_labels",
+    ovl_by_label="_ovl_nodes_by_label",
+    memo_ids="_nodes",
+    memo_by_label="_memo_nbl",
+    added="nodes_added",
+    removed="nodes_removed",
+)
+_DEDGE = _Kind(
+    id_type=DirectedEdgeId,
+    core_ids="dedge_ids",
+    core_count="n_dedges",
+    core_by_label="dedges_by_label",
+    ovl_labels="_ovl_dedge_labels",
+    ovl_by_label="_ovl_dedges_by_label",
+    memo_ids="_dedges",
+    memo_by_label="_memo_dbl",
+    added="dedges_added",
+    removed="dedges_removed",
+    ends=(("source", "_ovl_src", _OUT), ("target", "_ovl_tgt", _IN)),
+)
+_UEDGE = _Kind(
+    id_type=UndirectedEdgeId,
+    core_ids="uedge_ids",
+    core_count="n_uedges",
+    core_by_label="uedges_by_label",
+    ovl_labels="_ovl_uedge_labels",
+    ovl_by_label="_ovl_uedges_by_label",
+    memo_ids="_uedges",
+    memo_by_label="_memo_ubl",
+    added="uedges_added",
+    removed="uedges_removed",
+    ends=(("endpoints", "_ovl_endpoints", _UND),),
+)
+#: In the order a delta's additions are applied (nodes before edges);
+#: removals run it backwards.
+_KINDS = (_NODE, _DEDGE, _UEDGE)
+
+#: Overlay sets, empty on a rebuilt snapshot.
+_OVERLAY_SETS = (
+    # Real ids whose core entry is no longer authoritative. A core id
+    # that is removed and later re-added *stays* here: every accessor
+    # tests ``_removed`` before the core, and the overlay entry wins.
+    "_removed",
+    # Dense *node* ids re-added with possibly new labels (their core
+    # labelset is stale).
+    "_shadow",
+    # Dense node ids whose adjacency rows were patched.
+    "_dirty",
+)
+#: Overlay dicts, empty on a rebuilt snapshot: one of their own, the
+#: rest named by the tables above.
+_OVERLAY_DICTS = (
+    # element -> its whole property dict (an empty dict still masks
+    # stale core columns).
+    "_ovl_props",
+    *(kind.ovl_labels for kind in _KINDS),
+    *(slot for kind in _KINDS for _, slot, _ in kind.ends),
+    *(rows.overlay for rows in _ROWS),
+    *(kind.ovl_by_label for kind in _KINDS),
+)
+#: Every copy-on-write overlay field, in pickle order.
+_OVERLAYS = _OVERLAY_SETS + _OVERLAY_DICTS
+
+#: Lazy memos holding one value (``None`` until computed).
+_MEMO_VALUES = (
+    "_memo_all_labels",
+    "_label_cards",
+    *(kind.memo_ids for kind in _KINDS),
+)
+#: Lazy memos filled key by key.
+_MEMO_DICTS = (
+    "_memo_endpoints",
+    "_mask_cache",
+    *(kind.memo_by_label for kind in _KINDS),
+    *(rows.memo for rows in _ROWS),
+)
+#: Every lazy memo: never pickled, never copied, rebuilt on demand.
+_MEMOS = _MEMO_VALUES + _MEMO_DICTS
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +228,25 @@ def _tuple_discard(items: tuple, item) -> tuple:
     if index < len(items) and items[index] == item:
         return items[:index] + items[index + 1 :]
     return items
+
+
+def _tuple_patch(items: tuple, removed, added) -> tuple:
+    """A sorted tuple minus ``removed`` (those present) plus ``added``."""
+    out = list(items)
+    for item in removed:
+        index = bisect_left(out, item)
+        if index < len(out) and out[index] == item:
+            del out[index]
+    for item in added:
+        insort(out, item)
+    return tuple(out)
+
+
+def _end_nodes(end) -> tuple:
+    """The nodes named by one ``_Kind.ends`` field of an edge record:
+    ``source`` / ``target`` are a node, ``endpoints`` is the set of
+    both (of one, for a self-loop — hence one row patch)."""
+    return (end,) if type(end) is NodeId else tuple(end)
 
 
 class _NetChange:
@@ -112,24 +278,6 @@ class _NetChange:
     def __bool__(self) -> bool:
         return bool(self.added or self.removed)
 
-    def patch(self, items: tuple) -> tuple:
-        """Apply this net change to a sorted tuple."""
-        out = list(items)
-        for item in sorted(self.removed, reverse=True):
-            index = bisect_left(out, item)
-            if index < len(out) and out[index] == item:
-                del out[index]
-        for item in self.added:
-            insort(out, item)
-        return tuple(out)
-
-
-def _net(nets: dict, label: str) -> _NetChange:
-    net = nets.get(label)
-    if net is None:
-        net = nets[label] = _NetChange()
-    return net
-
 
 class GraphSnapshot:
     """A read-only, fully indexed copy of one graph version.
@@ -142,102 +290,55 @@ class GraphSnapshot:
         "version",
         "derived",
         "_core",
-        # Overlays — all empty on a rebuilt snapshot. ``_removed``
-        # holds real ids whose core entry is no longer authoritative;
-        # ``_shadow`` holds dense *node* ids re-added with possibly new
-        # labels (their core labelset is stale); ``_dirty`` holds dense
-        # node ids whose adjacency rows were patched.
-        "_removed",
-        "_shadow",
-        "_dirty",
-        "_ovl_node_labels",
-        "_ovl_dedge_labels",
-        "_ovl_uedge_labels",
-        "_ovl_src",
-        "_ovl_tgt",
-        "_ovl_endpoints",
-        "_ovl_props",
-        "_row_out",
-        "_row_in",
-        "_row_und",
-        "_ovl_nodes_by_label",
-        "_ovl_dedges_by_label",
-        "_ovl_uedges_by_label",
-        # Lazy memos (never pickled; rebuilt on demand).
-        "_nodes",
-        "_dedges",
-        "_uedges",
-        "_memo_out",
-        "_memo_in",
-        "_memo_und",
-        "_memo_nbl",
-        "_memo_dbl",
-        "_memo_ubl",
-        "_memo_endpoints",
-        "_memo_all_labels",
-        "_label_cards",
-        "_mask_cache",
+        *_OVERLAYS,
+        *_MEMOS,
         # Metadata / observability.
-        "_overlay_ops",
+        "overlay_ops",
         "build_s",
         "csr_rows_patched",
     )
 
+    if TYPE_CHECKING:
+        # The overlay and memo slots are filled by name from the lists
+        # above, not by assignments a type checker can see.
+        def __getattr__(self, name: str) -> Any: ...
+
     def __init__(self, graph: "PropertyGraph") -> None:
         started = perf_counter()
-        self.version = graph.version
+        self._blank(build_columns(graph), graph.version)
+        self.build_s = perf_counter() - started
+
+    def _blank(
+        self, core: SnapshotColumns, version: int, overlays=None
+    ) -> None:
+        """Fill every slot: ``core`` at ``version`` under ``overlays``
+        (one value per name of ``_OVERLAYS``, in that order; empty ones
+        by default — a rebuilt snapshot) and fresh memos."""
+        self.version = version
         #: Whether this snapshot was produced by :meth:`derive` rather
         #: than a full rebuild (observability; no behavioural impact).
         self.derived = False
-        self._core = build_columns(graph)
-        self._removed = _EMPTY_SET
-        self._shadow = _EMPTY_SET
-        self._dirty = _EMPTY_SET
-        self._ovl_node_labels = {}
-        self._ovl_dedge_labels = {}
-        self._ovl_uedge_labels = {}
-        self._ovl_src = {}
-        self._ovl_tgt = {}
-        self._ovl_endpoints = {}
-        self._ovl_props = {}
-        self._row_out = {}
-        self._row_in = {}
-        self._row_und = {}
-        self._ovl_nodes_by_label = {}
-        self._ovl_dedges_by_label = {}
-        self._ovl_uedges_by_label = {}
-        self._init_memos()
-        self._overlay_ops = 0
+        self._core = core
+        if overlays is None:
+            overlays = [set() for _ in _OVERLAY_SETS]
+            overlays += [{} for _ in _OVERLAY_DICTS]
+        for name, value in zip(_OVERLAYS, overlays):
+            setattr(self, name, value)
+        for name in _MEMO_VALUES:
+            setattr(self, name, None)
+        for name in _MEMO_DICTS:
+            setattr(self, name, {})
+        #: Accumulated delta operations layered over the core. Grows
+        #: along derive chains; :meth:`PropertyGraph.snapshot` uses it
+        #: to fall back to a full rebuild (fresh core, empty overlays)
+        #: once the overlays stop being "small".
+        self.overlay_ops = 0
         #: Seconds spent interning/building the CSR core (or patching
         #: overlays when derived) — aggregated into ``ServiceStats``.
-        self.build_s = perf_counter() - started
+        self.build_s = 0.0
         #: Adjacency rows rewritten copy-on-write by :meth:`derive`
         #: (0 for a full rebuild).
         self.csr_rows_patched = 0
-
-    def _init_memos(self) -> None:
-        self._nodes = None
-        self._dedges = None
-        self._uedges = None
-        self._memo_out = {}
-        self._memo_in = {}
-        self._memo_und = {}
-        self._memo_nbl = {}
-        self._memo_dbl = {}
-        self._memo_ubl = {}
-        self._memo_endpoints = {}
-        self._memo_all_labels = None
-        self._label_cards = None
-        self._mask_cache = {}
-
-    @property
-    def overlay_ops(self) -> int:
-        """Accumulated delta operations layered over the core.
-
-        Grows along derive chains; :meth:`PropertyGraph.snapshot` uses
-        it to fall back to a full rebuild (fresh core, empty overlays)
-        once the overlays stop being "small"."""
-        return self._overlay_ops
 
     # ------------------------------------------------------------------
     # Incremental derivation
@@ -277,245 +378,112 @@ class GraphSnapshot:
         core = base._core
         dense = core.dense
         n_nodes = core.n_nodes
-        removed = set(base._removed)
-        shadow = set(base._shadow)
-        dirty = set(base._dirty)
-        ovl_nl = dict(base._ovl_node_labels)
-        ovl_dl = dict(base._ovl_dedge_labels)
-        ovl_ul = dict(base._ovl_uedge_labels)
-        ovl_src = dict(base._ovl_src)
-        ovl_tgt = dict(base._ovl_tgt)
-        ovl_end = dict(base._ovl_endpoints)
-        ovl_props = dict(base._ovl_props)
-        row_out = dict(base._row_out)
-        row_in = dict(base._row_in)
-        row_und = dict(base._row_und)
+        # The new snapshot owns a copy of each of the base's overlay
+        # containers and the chain is applied to those, in place: the
+        # base is never written to.
+        snap = object.__new__(cls)
+        snap._blank(
+            core, expected, [getattr(base, name).copy() for name in _OVERLAYS]
+        )
+        snap.derived = True
+        snap.overlay_ops = base.overlay_ops + sum(
+            delta.size for delta in deltas
+        )
+        removed = snap._removed
+        dirty = snap._dirty
+        props = snap._ovl_props
         rows_patched = 0
-        ops = 0
+        #: Per kind: its label overlay on ``snap`` and, label by label,
+        #: the net membership change over the whole chain.
+        per_kind = [
+            (kind, getattr(snap, kind.ovl_labels), defaultdict(_NetChange))
+            for kind in _KINDS
+        ]
 
-        node_label_nets: dict[str, _NetChange] = {}
-        dedge_label_nets: dict[str, _NetChange] = {}
-        uedge_label_nets: dict[str, _NetChange] = {}
-
-        def current_row(rows: dict, node, accessor) -> tuple:
-            row = rows.get(node)
-            return row if row is not None else accessor(node)
-
-        def patch_row(rows: dict, node, new_row: tuple) -> None:
+        def patch_row(rows: _Rows, node, edit, edge) -> None:
+            """Rewrite ``node``'s row copy-on-write: ``edit`` inserts
+            or discards ``edge`` in its current sorted tuple."""
             nonlocal rows_patched
-            rows[node] = new_row
+            overlay = getattr(snap, rows.overlay)
+            row = overlay.get(node)
+            if row is None:
+                row = base._row(rows, node)
+            overlay[node] = edit(row, edge)
             rows_patched += 1
             d = dense.get(node)
             if d is not None and d < n_nodes:
                 dirty.add(d)
 
-        def current_props(element) -> dict:
-            entry = ovl_props.get(element)
-            if entry is not None:
-                return dict(entry)
-            d = dense.get(element)
-            if d is None:
-                return {}
-            return {
-                key: col[d]
-                for key, col in core.prop_cols.items()
-                if d in col
-            }
-
         for delta in deltas:
-            ops += delta.size
             # Removals first (edge before node: a cascade's adjacency
             # entries must be empty before its node entry is dropped),
             # then additions (node before edge), then property edits —
             # the same order the mutable graph applied them in.
-            for record in delta.dedges_removed:
-                edge = record.id
-                if ovl_dl.pop(edge, None) is not None:
-                    ovl_src.pop(edge, None)
-                    ovl_tgt.pop(edge, None)
-                else:
-                    removed.add(edge)
-                ovl_props.pop(edge, None)
-                patch_row(
-                    row_out,
-                    record.source,
-                    _tuple_discard(
-                        current_row(row_out, record.source, base.out_edges),
-                        edge,
-                    ),
-                )
-                patch_row(
-                    row_in,
-                    record.target,
-                    _tuple_discard(
-                        current_row(row_in, record.target, base.in_edges),
-                        edge,
-                    ),
-                )
-                for label in record.labels:
-                    _net(dedge_label_nets, label).remove(edge)
-            for record in delta.uedges_removed:
-                edge = record.id
-                if ovl_ul.pop(edge, None) is not None:
-                    ovl_end.pop(edge, None)
-                else:
-                    removed.add(edge)
-                ovl_props.pop(edge, None)
-                for endpoint in record.endpoints:
-                    patch_row(
-                        row_und,
-                        endpoint,
-                        _tuple_discard(
-                            current_row(
-                                row_und, endpoint, base.undirected_edges_at
-                            ),
-                            edge,
-                        ),
-                    )
-                for label in record.labels:
-                    _net(uedge_label_nets, label).remove(edge)
-            for record in delta.nodes_removed:
-                node = record.id
-                if ovl_nl.pop(node, None) is None:
-                    removed.add(node)
-                ovl_props.pop(node, None)
-                row_out.pop(node, None)
-                row_in.pop(node, None)
-                row_und.pop(node, None)
-                for label in record.labels:
-                    _net(node_label_nets, label).remove(node)
-            for record in delta.nodes_added:
-                node = record.id
-                ovl_nl[node] = record.labels
-                ovl_props[node] = dict(record.properties)
-                row_out[node] = _EMPTY
-                row_in[node] = _EMPTY
-                row_und[node] = _EMPTY
-                d = dense.get(node)
-                if d is not None:
-                    # Re-added core id: its core labelset/rows are
-                    # stale, so the dense fast paths must treat it as
-                    # an overlay element from now on.
-                    shadow.add(d)
-                    dirty.add(d)
-                for label in record.labels:
-                    _net(node_label_nets, label).add(node)
-            for record in delta.dedges_added:
-                edge = record.id
-                ovl_dl[edge] = record.labels
-                ovl_src[edge] = record.source
-                ovl_tgt[edge] = record.target
-                ovl_props[edge] = dict(record.properties)
-                patch_row(
-                    row_out,
-                    record.source,
-                    _tuple_insert(
-                        current_row(row_out, record.source, base.out_edges),
-                        edge,
-                    ),
-                )
-                patch_row(
-                    row_in,
-                    record.target,
-                    _tuple_insert(
-                        current_row(row_in, record.target, base.in_edges),
-                        edge,
-                    ),
-                )
-                for label in record.labels:
-                    _net(dedge_label_nets, label).add(edge)
-            for record in delta.uedges_added:
-                edge = record.id
-                ovl_ul[edge] = record.labels
-                ovl_end[edge] = record.endpoints
-                ovl_props[edge] = dict(record.properties)
-                for endpoint in record.endpoints:
-                    patch_row(
-                        row_und,
-                        endpoint,
-                        _tuple_insert(
-                            current_row(
-                                row_und, endpoint, base.undirected_edges_at
-                            ),
-                            edge,
-                        ),
-                    )
-                for label in record.labels:
-                    _net(uedge_label_nets, label).add(edge)
+            for kind, labels_of, nets in reversed(per_kind):
+                for record in getattr(delta, kind.removed):
+                    element = record.id
+                    # An overlay element goes; a core one is masked. Its
+                    # label set may be the empty frozenset, so test the
+                    # pop against ``None``, not for truth.
+                    if labels_of.pop(element, None) is None:
+                        removed.add(element)
+                    props.pop(element, None)
+                    for field, slot, rows in kind.ends:
+                        getattr(snap, slot).pop(element, None)
+                        for node in _end_nodes(getattr(record, field)):
+                            patch_row(rows, node, _tuple_discard, element)
+                    if kind is _NODE:
+                        for rows in _ROWS:
+                            getattr(snap, rows.overlay).pop(element, None)
+                    for label in record.labels:
+                        nets[label].remove(element)
+            for kind, labels_of, nets in per_kind:
+                for record in getattr(delta, kind.added):
+                    element = record.id
+                    labels_of[element] = record.labels
+                    props[element] = dict(record.properties)
+                    for field, slot, rows in kind.ends:
+                        end = getattr(record, field)
+                        getattr(snap, slot)[element] = end
+                        for node in _end_nodes(end):
+                            patch_row(rows, node, _tuple_insert, element)
+                    if kind is _NODE:
+                        for rows in _ROWS:
+                            getattr(snap, rows.overlay)[element] = _EMPTY
+                        d = dense.get(element)
+                        if d is not None:
+                            # Re-added core id: its core labelset/rows
+                            # are stale, so the dense fast paths must
+                            # treat it as an overlay element from now on.
+                            snap._shadow.add(d)
+                            dirty.add(d)
+                    for label in record.labels:
+                        nets[label].add(element)
+            # ``properties`` hands out a private copy of the element's
+            # current map, which becomes its whole overlay entry.
             for element, key, value in delta.properties_set:
-                entry = current_props(element)
+                entry = snap.properties(element)
                 entry[key] = value
-                ovl_props[element] = entry
+                props[element] = entry
             for element, key in delta.properties_removed:
-                entry = current_props(element)
+                entry = snap.properties(element)
                 entry.pop(key, None)
                 # An empty dict entry still masks stale core columns.
-                ovl_props[element] = entry
+                props[element] = entry
 
         # Per-label membership overlays: patch the base's *current*
         # members with the chain's net change. A label emptied by the
         # chain keeps a ``()`` sentinel so core columns stay masked —
         # ``all_labels`` skips sentinels, so no ghost labels survive.
-        ovl_bl_n = dict(base._ovl_nodes_by_label)
-        ovl_bl_d = dict(base._ovl_dedges_by_label)
-        ovl_bl_u = dict(base._ovl_uedges_by_label)
-        for overlay, nets, accessor in (
-            (ovl_bl_n, node_label_nets, base.nodes_with_label),
-            (ovl_bl_d, dedge_label_nets, base.directed_edges_with_label),
-            (ovl_bl_u, uedge_label_nets, base.undirected_edges_with_label),
-        ):
+        for kind, _, nets in per_kind:
+            by_label = getattr(snap, kind.ovl_by_label)
             for label, net in nets.items():
-                if not net:
-                    continue
-                current = overlay.get(label)
-                if current is None:
-                    current = accessor(label)
-                overlay[label] = net.patch(current)
+                if net:
+                    by_label[label] = _tuple_patch(
+                        base._members(kind, label), net.removed, net.added
+                    )
 
-        snap = object.__new__(cls)
-        snap.version = expected
-        snap.derived = True
-        snap._core = core
-        snap._removed = removed
-        snap._shadow = shadow
-        snap._dirty = dirty
-        snap._ovl_node_labels = ovl_nl
-        snap._ovl_dedge_labels = ovl_dl
-        snap._ovl_uedge_labels = ovl_ul
-        snap._ovl_src = ovl_src
-        snap._ovl_tgt = ovl_tgt
-        snap._ovl_endpoints = ovl_end
-        snap._ovl_props = ovl_props
-        snap._row_out = row_out
-        snap._row_in = row_in
-        snap._row_und = row_und
-        snap._ovl_nodes_by_label = ovl_bl_n
-        snap._ovl_dedges_by_label = ovl_bl_d
-        snap._ovl_uedges_by_label = ovl_bl_u
-        snap._init_memos()
-        snap._overlay_ops = base._overlay_ops + ops
         snap.csr_rows_patched = rows_patched
-        if base._label_cards is not None:
-            snap._label_cards = base._label_cards.patched(
-                num_nodes=snap.num_nodes,
-                num_directed_edges=snap.num_directed_edges,
-                num_undirected_edges=snap.num_undirected_edges,
-                node_counts={
-                    label: snap.num_nodes_with_label(label)
-                    for label, net in node_label_nets.items()
-                    if net
-                },
-                directed_edge_counts={
-                    label: snap.num_directed_edges_with_label(label)
-                    for label, net in dedge_label_nets.items()
-                    if net
-                },
-                undirected_edge_counts={
-                    label: snap.num_undirected_edges_with_label(label)
-                    for label, net in uedge_label_nets.items()
-                    if net
-                },
-            )
         snap.build_s = perf_counter() - started
         return snap
 
@@ -524,50 +492,17 @@ class GraphSnapshot:
     # ------------------------------------------------------------------
 
     def __reduce__(self):
+        overlay = tuple(getattr(self, name) for name in _OVERLAYS)
         return (
             _rebuild_snapshot,
             (
                 self.version,
                 self.derived,
                 self._core.payload(),
-                self._overlay_payload(),
-                self._overlay_ops,
+                overlay if any(overlay) else None,
+                self.overlay_ops,
                 self.csr_rows_patched,
             ),
-        )
-
-    def _overlay_payload(self):
-        if not (
-            self._removed
-            or self._ovl_node_labels
-            or self._ovl_dedge_labels
-            or self._ovl_uedge_labels
-            or self._ovl_props
-            or self._row_out
-            or self._row_in
-            or self._row_und
-            or self._ovl_nodes_by_label
-            or self._ovl_dedges_by_label
-            or self._ovl_uedges_by_label
-        ):
-            return None
-        return (
-            frozenset(self._removed),
-            frozenset(self._shadow),
-            frozenset(self._dirty),
-            self._ovl_node_labels,
-            self._ovl_dedge_labels,
-            self._ovl_uedge_labels,
-            self._ovl_src,
-            self._ovl_tgt,
-            self._ovl_endpoints,
-            self._ovl_props,
-            self._row_out,
-            self._row_in,
-            self._row_und,
-            self._ovl_nodes_by_label,
-            self._ovl_dedges_by_label,
-            self._ovl_uedges_by_label,
         )
 
     # ------------------------------------------------------------------
@@ -621,8 +556,8 @@ class GraphSnapshot:
         overlays or removals patch a private copy — set the bit iff the
         overlaid value is defined and equal, clear it for removed
         elements — and cache it in ``_mask_cache``. The cache is
-        per-snapshot (reset by ``_init_memos`` on derive/unpickle), so
-        a delta chain can never see a stale mask. Mirrors
+        per-snapshot (a memo: fresh on derive/unpickle), so a delta
+        chain can never see a stale mask. Mirrors
         :meth:`get_property`'s ``_ovl_props``-first resolution exactly.
         """
         cache = self._mask_cache
@@ -659,45 +594,44 @@ class GraphSnapshot:
     # Formal accessors (same contracts as PropertyGraph)
     # ------------------------------------------------------------------
 
+    def _overlay_labels(self, element) -> "frozenset[str] | None":
+        """The label set of an overlay element of any kind, else
+        ``None`` (an element may carry the *empty* label set)."""
+        for kind in _KINDS:
+            table = getattr(self, kind.ovl_labels)
+            if table and element in table:
+                return table[element]
+        return None
+
     def labels(self, element: GraphElementId) -> frozenset[str]:
         core = self._core
         d = core.dense.get(element)
         if d is not None and not (self._removed and element in self._removed):
             return core.labelsets[core.labelset_of[d]]
-        for table in (
-            self._ovl_node_labels,
-            self._ovl_dedge_labels,
-            self._ovl_uedge_labels,
-        ):
-            if table and element in table:
-                return table[element]
-        raise UnknownIdError(f"unknown element {element!r}")
+        labels = self._overlay_labels(element)
+        if labels is None:
+            raise UnknownIdError(f"unknown element {element!r}")
+        return labels
+
+    def _end(self, edge: DirectedEdgeId, col, overlay: dict) -> NodeId:
+        """One end of a directed edge: its entry in the core endpoint
+        column ``col``, or in ``overlay`` when the core does not hold
+        the edge (any more)."""
+        core = self._core
+        d = core.dense.get(edge)
+        if d is not None and not (self._removed and edge in self._removed):
+            n = core.n_nodes
+            if n <= d < n + core.n_dedges:
+                return core.elements[col[d - n]]
+        elif overlay and edge in overlay:
+            return overlay[edge]
+        raise UnknownIdError(f"unknown directed edge {edge!r}")
 
     def source(self, edge: DirectedEdgeId) -> NodeId:
-        core = self._core
-        d = core.dense.get(edge)
-        if d is not None and not (self._removed and edge in self._removed):
-            n = core.n_nodes
-            if n <= d < n + core.n_dedges:
-                return core.elements[core.src_col[d - n]]
-            raise UnknownIdError(f"unknown directed edge {edge!r}")
-        ovl = self._ovl_src
-        if ovl and edge in ovl:
-            return ovl[edge]
-        raise UnknownIdError(f"unknown directed edge {edge!r}")
+        return self._end(edge, self._core.src_col, self._ovl_src)
 
     def target(self, edge: DirectedEdgeId) -> NodeId:
-        core = self._core
-        d = core.dense.get(edge)
-        if d is not None and not (self._removed and edge in self._removed):
-            n = core.n_nodes
-            if n <= d < n + core.n_dedges:
-                return core.elements[core.tgt_col[d - n]]
-            raise UnknownIdError(f"unknown directed edge {edge!r}")
-        ovl = self._ovl_tgt
-        if ovl and edge in ovl:
-            return ovl[edge]
-        raise UnknownIdError(f"unknown directed edge {edge!r}")
+        return self._end(edge, self._core.tgt_col, self._ovl_tgt)
 
     def endpoints(self, edge: UndirectedEdgeId) -> frozenset[NodeId]:
         core = self._core
@@ -729,7 +663,7 @@ class GraphSnapshot:
         if d is not None and not (self._removed and element in self._removed):
             col = core.prop_cols.get(key)
             return col.get(d) if col is not None else None
-        if self._has_overlay_element(element):
+        if self._overlay_labels(element) is not None:
             return None
         raise UnknownIdError(f"unknown element {element!r}")
 
@@ -748,99 +682,64 @@ class GraphSnapshot:
                 for key, col in core.prop_cols.items()
                 if d in col
             }
-        if self._has_overlay_element(element):
+        if self._overlay_labels(element) is not None:
             return {}
         raise UnknownIdError(f"unknown element {element!r}")
-
-    def _has_overlay_element(self, element) -> bool:
-        for table in (
-            self._ovl_node_labels,
-            self._ovl_dedge_labels,
-            self._ovl_uedge_labels,
-        ):
-            if table and element in table:
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Carrier sets and counting
     # ------------------------------------------------------------------
 
-    def _carrier(self, base: tuple, id_type: type, overlay: dict) -> tuple:
-        removed = self._removed
-        if not removed and not overlay:
-            return base
-        items = list(base)
-        if removed:
-            for item in sorted(
-                (x for x in removed if type(x) is id_type), reverse=True
-            ):
-                index = bisect_left(items, item)
-                if index < len(items) and items[index] == item:
-                    del items[index]
-        for item in overlay:
-            insort(items, item)
-        return tuple(items)
+    def _ids(self, kind: _Kind) -> tuple:
+        """The carrier of one kind as a sorted tuple, memoised: the
+        core's ids minus the removed ones plus the overlay's."""
+        out = getattr(self, kind.memo_ids)
+        if out is None:
+            out = getattr(self._core, kind.core_ids)
+            removed = self._removed
+            overlay = getattr(self, kind.ovl_labels)
+            if removed or overlay:
+                id_type = kind.id_type
+                out = _tuple_patch(
+                    out, (x for x in removed if type(x) is id_type), overlay
+                )
+            setattr(self, kind.memo_ids, out)
+        return out
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:
         """The node set ``N`` as a sorted tuple."""
-        out = self._nodes
-        if out is None:
-            out = self._nodes = self._carrier(
-                self._core.node_ids, NodeId, self._ovl_node_labels
-            )
-        return out
+        return self._ids(_NODE)
 
     @property
     def directed_edges(self) -> tuple[DirectedEdgeId, ...]:
-        out = self._dedges
-        if out is None:
-            out = self._dedges = self._carrier(
-                self._core.dedge_ids, DirectedEdgeId, self._ovl_dedge_labels
-            )
-        return out
+        return self._ids(_DEDGE)
 
     @property
     def undirected_edges(self) -> tuple[UndirectedEdgeId, ...]:
-        out = self._uedges
-        if out is None:
-            out = self._uedges = self._carrier(
-                self._core.uedge_ids, UndirectedEdgeId, self._ovl_uedge_labels
-            )
-        return out
+        return self._ids(_UEDGE)
 
-    def _count(self, core_count: int, id_type: type, overlay: dict) -> int:
+    def _count(self, kind: _Kind) -> int:
+        cached = getattr(self, kind.memo_ids)
+        if cached is not None:
+            return len(cached)
+        count = getattr(self._core, kind.core_count)
         if self._removed:
-            core_count -= sum(
-                1 for x in self._removed if type(x) is id_type
-            )
-        return core_count + len(overlay)
+            id_type = kind.id_type
+            count -= sum(1 for x in self._removed if type(x) is id_type)
+        return count + len(getattr(self, kind.ovl_labels))
 
     @property
     def num_nodes(self) -> int:
-        cached = self._nodes
-        if cached is not None:
-            return len(cached)
-        return self._count(self._core.n_nodes, NodeId, self._ovl_node_labels)
+        return self._count(_NODE)
 
     @property
     def num_directed_edges(self) -> int:
-        cached = self._dedges
-        if cached is not None:
-            return len(cached)
-        return self._count(
-            self._core.n_dedges, DirectedEdgeId, self._ovl_dedge_labels
-        )
+        return self._count(_DEDGE)
 
     @property
     def num_undirected_edges(self) -> int:
-        cached = self._uedges
-        if cached is not None:
-            return len(cached)
-        return self._count(
-            self._core.n_uedges, UndirectedEdgeId, self._ovl_uedge_labels
-        )
+        return self._count(_UEDGE)
 
     @property
     def num_edges(self) -> int:
@@ -859,145 +758,109 @@ class GraphSnapshot:
     # Label indexes (O(1) lookups, unlike the mutable graph's scans)
     # ------------------------------------------------------------------
 
-    def _core_label_members(
-        self, table: dict, label: str, memo: dict
-    ) -> tuple:
-        hit = memo.get(label)
-        if hit is not None:
-            return hit
+    def _core_members(self, kind: _Kind, label: str):
+        """The core's dense-id column of ``label`` (``()`` if none)."""
         core = self._core
         li = core.label_index.get(label)
-        arr = table.get(li) if li is not None else None
-        if arr is None:
-            hit = _EMPTY
-        else:
-            elements = core.elements
-            hit = tuple(elements[d] for d in arr)
-        memo[label] = hit
+        if li is None:
+            return _EMPTY
+        return getattr(core, kind.core_by_label).get(li, _EMPTY)
+
+    def _members(self, kind: _Kind, label: str) -> tuple:
+        """Sorted ids of one kind carrying ``label``. A label the
+        overlay names is the overlay's to decide (``()`` = emptied);
+        any other is the core column, rebuilt as ids once."""
+        ovl = getattr(self, kind.ovl_by_label)
+        if ovl:
+            hit = ovl.get(label)
+            if hit is not None:
+                return hit
+        memo = getattr(self, kind.memo_by_label)
+        hit = memo.get(label)
+        if hit is None:
+            elements = self._core.elements
+            hit = memo[label] = tuple(
+                elements[d] for d in self._core_members(kind, label)
+            )
         return hit
 
     def nodes_with_label(self, label: str) -> tuple[NodeId, ...]:
-        ovl = self._ovl_nodes_by_label
-        if ovl:
-            hit = ovl.get(label)
-            if hit is not None:
-                return hit
-        return self._core_label_members(
-            self._core.nodes_by_label, label, self._memo_nbl
-        )
+        return self._members(_NODE, label)
 
     def directed_edges_with_label(self, label: str) -> tuple[DirectedEdgeId, ...]:
-        ovl = self._ovl_dedges_by_label
-        if ovl:
-            hit = ovl.get(label)
-            if hit is not None:
-                return hit
-        return self._core_label_members(
-            self._core.dedges_by_label, label, self._memo_dbl
-        )
+        return self._members(_DEDGE, label)
 
     def undirected_edges_with_label(
         self, label: str
     ) -> tuple[UndirectedEdgeId, ...]:
-        ovl = self._ovl_uedges_by_label
-        if ovl:
-            hit = ovl.get(label)
-            if hit is not None:
-                return hit
-        return self._core_label_members(
-            self._core.uedges_by_label, label, self._memo_ubl
-        )
+        return self._members(_UEDGE, label)
+
+    def _label_counts(self, kind: _Kind) -> dict[str, int]:
+        """Label -> number of live members of one kind, zero-free."""
+        names = self._core.label_names
+        overlay = getattr(self, kind.ovl_by_label)
+        counts: dict[str, int] = {}
+        for li, arr in getattr(self._core, kind.core_by_label).items():
+            name = names[li]
+            # A label the overlay names is the overlay's to decide (it
+            # may have been emptied).
+            if arr and name not in overlay:
+                counts[name] = len(arr)
+        for name, members in overlay.items():
+            if members:
+                counts[name] = len(members)
+        return counts
 
     def all_labels(self) -> frozenset[str]:
         out = self._memo_all_labels
-        if out is not None:
-            return out
-        core = self._core
-        names = core.label_names
-        found: set[str] = set()
-        for table, overlay in (
-            (core.nodes_by_label, self._ovl_nodes_by_label),
-            (core.dedges_by_label, self._ovl_dedges_by_label),
-            (core.uedges_by_label, self._ovl_uedges_by_label),
-        ):
-            for li, arr in table.items():
-                name = names[li]
-                if overlay and name in overlay:
-                    continue  # the overlay decides (may be emptied)
-                if arr:
-                    found.add(name)
-            if overlay:
-                for name, members in overlay.items():
-                    if members:
-                        found.add(name)
-        out = self._memo_all_labels = frozenset(found)
+        if out is None:
+            out = self._memo_all_labels = frozenset().union(
+                *(self._label_counts(kind) for kind in _KINDS)
+            )
         return out
 
     # ------------------------------------------------------------------
     # Per-label cardinalities (consumed by the query planner)
     # ------------------------------------------------------------------
 
-    def _label_count(self, table: dict, overlay: dict, label: str) -> int:
-        if overlay:
-            hit = overlay.get(label)
+    def _num_members(self, kind: _Kind, label: str) -> int:
+        ovl = getattr(self, kind.ovl_by_label)
+        if ovl:
+            hit = ovl.get(label)
             if hit is not None:
                 return len(hit)
-        core = self._core
-        li = core.label_index.get(label)
-        arr = table.get(li) if li is not None else None
-        return len(arr) if arr is not None else 0
+        return len(self._core_members(kind, label))
 
     def num_nodes_with_label(self, label: str) -> int:
-        return self._label_count(
-            self._core.nodes_by_label, self._ovl_nodes_by_label, label
-        )
+        return self._num_members(_NODE, label)
 
     def num_directed_edges_with_label(self, label: str) -> int:
-        return self._label_count(
-            self._core.dedges_by_label, self._ovl_dedges_by_label, label
-        )
+        return self._num_members(_DEDGE, label)
 
     def num_undirected_edges_with_label(self, label: str) -> int:
-        return self._label_count(
-            self._core.uedges_by_label, self._ovl_uedges_by_label, label
-        )
+        return self._num_members(_UEDGE, label)
 
     def label_cardinalities(self):
         """The snapshot's per-label count summary, built once.
 
         Returns a :class:`repro.graph.statistics.LabelCardinalities`;
         snapshots are immutable, so the summary is cached for the
-        snapshot's lifetime.
+        snapshot's lifetime — a derived snapshot computes its own, from
+        scratch, like a rebuilt one.
         """
         if self._label_cards is None:
             from repro.graph.statistics import LabelCardinalities
 
-            names = self._core.label_names
-            counts: list[dict[str, int]] = []
-            for table, overlay in (
-                (self._core.nodes_by_label, self._ovl_nodes_by_label),
-                (self._core.dedges_by_label, self._ovl_dedges_by_label),
-                (self._core.uedges_by_label, self._ovl_uedges_by_label),
-            ):
-                per_label: dict[str, int] = {}
-                for li, arr in table.items():
-                    name = names[li]
-                    if overlay and name in overlay:
-                        continue
-                    if arr:
-                        per_label[name] = len(arr)
-                if overlay:
-                    for name, members in overlay.items():
-                        if members:
-                            per_label[name] = len(members)
-                counts.append(per_label)
+            nodes, dedges, uedges = (
+                self._label_counts(kind) for kind in _KINDS
+            )
             self._label_cards = LabelCardinalities(
                 num_nodes=self.num_nodes,
                 num_directed_edges=self.num_directed_edges,
                 num_undirected_edges=self.num_undirected_edges,
-                node_counts=counts[0],
-                directed_edge_counts=counts[1],
-                undirected_edge_counts=counts[2],
+                node_counts=nodes,
+                directed_edge_counts=dedges,
+                undirected_edge_counts=uedges,
             )
         return self._label_cards
 
@@ -1016,65 +879,35 @@ class GraphSnapshot:
             raise UnknownIdError(f"unknown node {node!r}")
         return d
 
-    def out_edges(self, node: NodeId) -> tuple[DirectedEdgeId, ...]:
-        ovl = self._row_out
+    def _row(self, rows: _Rows, node: NodeId) -> tuple:
+        """One adjacency row of ``node`` as a sorted id-typed tuple:
+        the patched row if a derive chain touched it, else the core's
+        CSR row, rebuilt as ids once."""
+        ovl = getattr(self, rows.overlay)
         if ovl:
             hit = ovl.get(node)
             if hit is not None:
                 return hit
-        memo = self._memo_out
+        memo = getattr(self, rows.memo)
         hit = memo.get(node)
-        if hit is not None:
-            return hit
-        core = self._core
-        d = self._core_node_dense(node)
-        elements = core.elements
-        col = core.out_edge
-        off = core.out_off
-        hit = memo[node] = tuple(
-            elements[col[i]] for i in range(off[d], off[d + 1])
-        )
+        if hit is None:
+            core = self._core
+            d = self._core_node_dense(node)
+            off, col, _ = core.csr(rows.csr)
+            elements = core.elements
+            hit = memo[node] = tuple(
+                elements[col[i]] for i in range(off[d], off[d + 1])
+            )
         return hit
+
+    def out_edges(self, node: NodeId) -> tuple[DirectedEdgeId, ...]:
+        return self._row(_OUT, node)
 
     def in_edges(self, node: NodeId) -> tuple[DirectedEdgeId, ...]:
-        ovl = self._row_in
-        if ovl:
-            hit = ovl.get(node)
-            if hit is not None:
-                return hit
-        memo = self._memo_in
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
-        core = self._core
-        d = self._core_node_dense(node)
-        elements = core.elements
-        col = core.in_edge
-        off = core.in_off
-        hit = memo[node] = tuple(
-            elements[col[i]] for i in range(off[d], off[d + 1])
-        )
-        return hit
+        return self._row(_IN, node)
 
     def undirected_edges_at(self, node: NodeId) -> tuple[UndirectedEdgeId, ...]:
-        ovl = self._row_und
-        if ovl:
-            hit = ovl.get(node)
-            if hit is not None:
-                return hit
-        memo = self._memo_und
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
-        core = self._core
-        d = self._core_node_dense(node)
-        elements = core.elements
-        col = core.und_edge
-        off = core.und_off
-        hit = memo[node] = tuple(
-            elements[col[i]] for i in range(off[d], off[d + 1])
-        )
-        return hit
+        return self._row(_UND, node)
 
     def num_edges_at(self, node: NodeId) -> int:
         """Total incident edge count via CSR offset subtraction.
@@ -1090,19 +923,9 @@ class GraphSnapshot:
             and not (self._dirty and d in self._dirty)
             and not (self._removed and node in self._removed)
         ):
-            return (
-                core.out_off[d + 1]
-                - core.out_off[d]
-                + core.in_off[d + 1]
-                - core.in_off[d]
-                + core.und_off[d + 1]
-                - core.und_off[d]
-            )
-        return (
-            len(self.out_edges(node))
-            + len(self.in_edges(node))
-            + len(self.undirected_edges_at(node))
-        )
+            offsets = (core.csr(rows.csr)[0] for rows in _ROWS)
+            return sum(off[d + 1] - off[d] for off in offsets)
+        return sum(len(self._row(rows, node)) for rows in _ROWS)
 
     def degree(self, node: NodeId) -> int:
         return self.num_edges_at(node)
@@ -1130,43 +953,33 @@ class GraphSnapshot:
     # Membership
     # ------------------------------------------------------------------
 
-    def _has(self, element, lo: int, hi: int, overlay: dict) -> bool:
-        d = self._core.dense.get(element)
+    def _has(self, kind: _Kind, element) -> bool:
+        """Whether ``element`` is a current element of ``kind``: a core
+        id of that sort (the three dense ranges are one per id type)
+        that is not removed, or an overlay element."""
         if (
-            d is not None
-            and lo <= d < hi
+            element in self._core.dense
+            and type(element) is kind.id_type
             and not (self._removed and element in self._removed)
         ):
             return True
+        overlay = getattr(self, kind.ovl_labels)
         return bool(overlay) and element in overlay
 
     def has_node(self, node: NodeId) -> bool:
-        return self._has(node, 0, self._core.n_nodes, self._ovl_node_labels)
+        return self._has(_NODE, node)
 
     def has_edge(self, edge: EdgeId) -> bool:
-        core = self._core
-        n = core.n_nodes
-        total = n + core.n_dedges + core.n_uedges
-        return self._has(edge, n, total, self._ovl_dedge_labels) or (
-            bool(self._ovl_uedge_labels) and edge in self._ovl_uedge_labels
-        )
+        return self._has(_DEDGE, edge) or self._has(_UEDGE, edge)
 
     def has_directed_edge(self, edge: DirectedEdgeId) -> bool:
-        core = self._core
-        n = core.n_nodes
-        return self._has(edge, n, n + core.n_dedges, self._ovl_dedge_labels)
+        return self._has(_DEDGE, edge)
 
     def has_undirected_edge(self, edge: UndirectedEdgeId) -> bool:
-        core = self._core
-        lo = core.n_nodes + core.n_dedges
-        return self._has(edge, lo, lo + core.n_uedges, self._ovl_uedge_labels)
+        return self._has(_UEDGE, edge)
 
     def has_element(self, element: GraphElementId) -> bool:
-        core = self._core
-        total = core.n_nodes + core.n_dedges + core.n_uedges
-        if self._has(element, 0, total, self._ovl_node_labels):
-            return True
-        return self._has_overlay_element(element)
+        return any(self._has(kind, element) for kind in _KINDS)
 
     def snapshot(self) -> "GraphSnapshot":
         """A snapshot of a snapshot is itself (already immutable)."""
@@ -1195,53 +1008,15 @@ def _rebuild_snapshot(
     version: int,
     derived: bool,
     core_payload: tuple,
-    overlay_payload,
+    overlay: "tuple | None",
     overlay_ops: int,
     rows_patched: int,
 ) -> GraphSnapshot:
-    """Unpickle hook: reassemble a snapshot from buffer columns."""
+    """Unpickle hook: reassemble a snapshot from buffer columns and the
+    overlay values (in ``_OVERLAYS`` order; ``None`` when all empty)."""
     snap = object.__new__(GraphSnapshot)
-    snap.version = version
+    snap._blank(SnapshotColumns.from_payload(core_payload), version, overlay)
     snap.derived = derived
-    snap._core = SnapshotColumns.from_payload(core_payload)
-    if overlay_payload is None:
-        snap._removed = _EMPTY_SET
-        snap._shadow = _EMPTY_SET
-        snap._dirty = _EMPTY_SET
-        snap._ovl_node_labels = {}
-        snap._ovl_dedge_labels = {}
-        snap._ovl_uedge_labels = {}
-        snap._ovl_src = {}
-        snap._ovl_tgt = {}
-        snap._ovl_endpoints = {}
-        snap._ovl_props = {}
-        snap._row_out = {}
-        snap._row_in = {}
-        snap._row_und = {}
-        snap._ovl_nodes_by_label = {}
-        snap._ovl_dedges_by_label = {}
-        snap._ovl_uedges_by_label = {}
-    else:
-        (
-            snap._removed,
-            snap._shadow,
-            snap._dirty,
-            snap._ovl_node_labels,
-            snap._ovl_dedge_labels,
-            snap._ovl_uedge_labels,
-            snap._ovl_src,
-            snap._ovl_tgt,
-            snap._ovl_endpoints,
-            snap._ovl_props,
-            snap._row_out,
-            snap._row_in,
-            snap._row_und,
-            snap._ovl_nodes_by_label,
-            snap._ovl_dedges_by_label,
-            snap._ovl_uedges_by_label,
-        ) = overlay_payload
-    snap._init_memos()
-    snap._overlay_ops = overlay_ops
-    snap.build_s = 0.0
+    snap.overlay_ops = overlay_ops
     snap.csr_rows_patched = rows_patched
     return snap

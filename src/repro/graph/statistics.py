@@ -77,49 +77,6 @@ class LabelCardinalities:
             label
         ) + self.undirected_edges_with_label(label)
 
-    def patched(
-        self,
-        *,
-        num_nodes: int,
-        num_directed_edges: int,
-        num_undirected_edges: int,
-        node_counts: Mapping[str, int] = (),
-        directed_edge_counts: Mapping[str, int] = (),
-        undirected_edge_counts: Mapping[str, int] = (),
-    ) -> "LabelCardinalities":
-        """A copy with new totals and selected per-label counts.
-
-        Used by :meth:`GraphSnapshot.derive` to maintain cardinalities
-        incrementally: only the labels a delta chain touched are
-        re-counted; zero counts are dropped so patched summaries stay
-        structurally identical to freshly built ones.
-        """
-
-        def _merge(base: Mapping[str, int], updates) -> dict[str, int]:
-            updates = dict(updates)
-            if not updates:
-                return dict(base)
-            merged = dict(base)
-            for label, count in updates.items():
-                if count:
-                    merged[label] = count
-                else:
-                    merged.pop(label, None)
-            return merged
-
-        return LabelCardinalities(
-            num_nodes=num_nodes,
-            num_directed_edges=num_directed_edges,
-            num_undirected_edges=num_undirected_edges,
-            node_counts=_merge(self.node_counts, node_counts),
-            directed_edge_counts=_merge(
-                self.directed_edge_counts, directed_edge_counts
-            ),
-            undirected_edge_counts=_merge(
-                self.undirected_edge_counts, undirected_edge_counts
-            ),
-        )
-
     def as_dict(self) -> dict[str, object]:
         return {
             "num_nodes": self.num_nodes,

@@ -20,6 +20,8 @@ from repro.graph import (
 )
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import social_network
+from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
+from repro.graph.snapshot import _OVERLAYS
 
 
 def build_mixed() -> PropertyGraph:
@@ -209,10 +211,8 @@ class TestRemovalCascade:
     def test_cascade_is_one_delta(self):
         graph = build_mixed()
         base = graph.snapshot()
-        base.label_cardinalities()  # force, so derive must patch them
+        base.label_cardinalities()  # the base's memo is not the child's
         version = graph.version
-        from repro.graph import NodeId
-
         victim = NodeId("a")  # incident: e1 (directed), u1 (undirected)
         graph.remove_node(victim)
         assert graph.version == version + 1
@@ -230,8 +230,6 @@ class TestRemovalCascade:
         graph = build_mixed()
         base = graph.snapshot()
         base.label_cardinalities()
-        from repro.graph import NodeId
-
         victim = NodeId("a")
         graph.remove_node(victim)
         derived = graph.snapshot()
@@ -265,22 +263,49 @@ class TestDerivation:
     def test_untouched_structures_are_shared_with_base(self):
         graph = build_mixed()
         base = graph.snapshot()
-        nodes = sorted(graph.nodes)
-        graph.add_edge("enew", nodes[0], nodes[1], ["knows"])
+
+        def overlays(snapshot):
+            return {
+                name for name in _OVERLAYS if getattr(snapshot, name)
+            }
+
+        graph.add_node("d", ["P"])
         derived = graph.snapshot()
+        assert derived.derived
         # The columnar core is shared wholesale — derive never copies
         # the interned columns, it overlays them copy-on-write.
         assert derived._core is base._core
+        # A node add touches its label set, property entry and three
+        # (empty) adjacency rows, and the member tuple of its label;
+        # structures it does not touch grow no overlay.
+        assert overlays(derived) == {
+            "_ovl_node_labels",
+            "_ovl_props",
+            "_row_out",
+            "_row_in",
+            "_row_und",
+            "_ovl_nodes_by_label",
+        }
+        assert derived.csr_rows_patched == 0
+        # The base snapshot's own overlays stay empty (derive works on
+        # the child's copies, never on the base's containers).
+        assert overlays(base) == set()
+        nodes = sorted(graph.nodes)
+        graph.add_edge("enew", nodes[0], nodes[1], ["knows"])
+        edged = graph.snapshot()
+        assert edged._core is base._core
         # One added edge patches exactly two CSR adjacency rows: the
         # source's out-row and the target's in-row.
-        assert derived.csr_rows_patched == 2
-        # The base snapshot's own overlays stay empty (derive copies
-        # them into the child instead of mutating in place).
-        assert not base._row_out and not base._row_in
-        # Structures untouched by an edge-only delta grow no overlays.
-        assert not derived._ovl_node_labels
-        assert not derived._row_und
-        assert len(base.directed_edges) + 1 == len(derived.directed_edges)
+        assert edged.csr_rows_patched == 2
+        assert overlays(edged) == overlays(derived) | {
+            "_dirty",
+            "_ovl_dedge_labels",
+            "_ovl_src",
+            "_ovl_tgt",
+            "_ovl_dedges_by_label",
+        }
+        assert overlays(base) == set()
+        assert len(base.directed_edges) + 1 == len(edged.directed_edges)
 
     def test_large_chain_falls_back_to_rebuild(self):
         graph = PropertyGraph(snapshot_delta_threshold=0.25)
@@ -293,6 +318,23 @@ class TestDerivation:
         graph.snapshot()
         assert graph.snapshot_rebuilds == rebuilds + 1
         assert graph.snapshot_derivations == 0
+
+    def test_accumulated_overlay_falls_back_to_rebuild(self):
+        """The derive budget covers the overlay a chain of *small*
+        derives has piled up, not only the chain at hand."""
+        graph = PropertyGraph()
+        for i in range(8):
+            graph.add_node(f"n{i}")
+        snap = graph.snapshot()
+        for i in range(8, 40):  # one op per snapshot, budget 16
+            graph.add_node(f"n{i}")
+            previous, snap = snap, graph.snapshot()
+            if snap.derived:
+                assert snap.overlay_ops == previous.overlay_ops + 1 <= 16
+            else:
+                assert previous.overlay_ops == 16 and snap.overlay_ops == 0
+        assert graph.snapshot_rebuilds == 2
+        assert graph.snapshot_derivations == 31
 
     def test_derived_snapshots_pickle(self):
         graph = build_mixed()
@@ -371,8 +413,6 @@ class TestGhostLabels:
     def test_node_label_vanishes_with_last_member(self):
         graph = build_mixed()
         graph.snapshot()
-        from repro.graph import NodeId
-
         graph.remove_node(NodeId("c"))  # only "Q"-labelled node
         derived = graph.snapshot()
         assert graph.snapshot_derivations == 1
@@ -383,8 +423,6 @@ class TestGhostLabels:
     def test_edge_labels_vanish_with_last_member(self):
         graph = build_mixed()
         graph.snapshot()
-        from repro.graph import DirectedEdgeId, UndirectedEdgeId
-
         graph.remove_edge(DirectedEdgeId("e2"))  # only "likes" edge
         graph.remove_undirected_edge(
             UndirectedEdgeId("u1")
@@ -400,8 +438,6 @@ class TestGhostLabels:
     def test_label_revival_after_ghosting(self):
         graph = build_mixed()
         graph.snapshot()
-        from repro.graph import NodeId
-
         graph.remove_node(NodeId("c"))
         graph.snapshot()
         d = graph.add_node("d", ["Q"])  # revive the label in a new chain
@@ -424,7 +460,18 @@ _OPS = (
     "remove_edge",
     "remove_uedge",
     "remove_node",
+    "readd_node",
+    "readd_edge",
+    "readd_uedge",
 )
+
+#: The ``readd_*`` ops put an element under one of two fixed keys per
+#: kind, with new ends, labels and properties. A live key is removed
+#: first and, one time in three, left out; a missing one (that, a
+#: ``remove_*`` op or a cascade) is put back — in a later chain
+#: whenever a snapshot fell in between. The random test starts with
+#: every pool key live, so these are *core* ids until a rebuild.
+_POOL = ("x0", "x1")
 
 
 def _apply_random_mutation(rng: random.Random, graph: PropertyGraph) -> None:
@@ -473,6 +520,43 @@ def _apply_random_mutation(rng: random.Random, graph: PropertyGraph) -> None:
         graph.remove_undirected_edge(rng.choice(uedges))
     elif op == "remove_node" and len(nodes) > 2:
         graph.remove_node(rng.choice(nodes))
+    elif op == "readd_node":
+        node = NodeId(rng.choice(_POOL))
+        if graph.has_node(node):
+            graph.remove_node(node)
+            if rng.randrange(3) == 0:
+                return
+        graph.add_node(
+            node,
+            labels=rng.choice([(), ("P",), ("Q",)]),
+            properties=rng.choice([None, {"k": rng.randrange(4)}]),
+        )
+    elif op == "readd_edge":
+        edge = DirectedEdgeId(rng.choice(_POOL))
+        if graph.has_directed_edge(edge):
+            graph.remove_edge(edge)
+            if rng.randrange(3) == 0:
+                return
+        graph.add_edge(
+            edge,
+            rng.choice(nodes),
+            rng.choice(nodes),
+            labels=rng.choice([(), ("r",), ("s",), ("r", "s")]),
+            properties=rng.choice([None, {"w": rng.randrange(4)}]),
+        )
+    elif op == "readd_uedge":
+        edge = UndirectedEdgeId(rng.choice(_POOL))
+        if graph.has_undirected_edge(edge):
+            graph.remove_undirected_edge(edge)
+            if rng.randrange(3) == 0:
+                return
+        graph.add_undirected_edge(
+            edge,
+            rng.choice(nodes),
+            rng.choice(nodes),
+            labels=rng.choice([(), ("m",)]),
+            properties=rng.choice([None, {"w": rng.randrange(4)}]),
+        )
 
 
 def _derive_in_budget(graph: PropertyGraph, cached) -> bool:
@@ -492,8 +576,7 @@ def _derive_in_budget(graph: PropertyGraph, cached) -> bool:
         16.0,
         graph.snapshot_delta_threshold * (graph.num_nodes + graph.num_edges),
     )
-    overlay = getattr(cached, "overlay_ops", 0)
-    return overlay + sum(delta.size for delta in deltas) <= budget
+    return cached.overlay_ops + sum(delta.size for delta in deltas) <= budget
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -503,6 +586,10 @@ def test_derived_equals_rebuild_on_random_mutation_sequences(seed):
     graph = PropertyGraph()
     for i in range(rng.randrange(2, 6)):
         graph.add_node(f"seed{i}", labels=("P",) if i % 2 else ())
+    pool = [graph.add_node(key, labels=("Q",)) for key in _POOL]
+    for key in _POOL:
+        graph.add_edge(key, pool[0], pool[1], labels=("r",))
+        graph.add_undirected_edge(key, pool[0], pool[1], labels=("m",))
     previous = graph.snapshot()
     previous.label_cardinalities()
     derivable = False
@@ -513,7 +600,10 @@ def test_derived_equals_rebuild_on_random_mutation_sequences(seed):
             continue
         derivable = derivable or _derive_in_budget(graph, previous)
         previous = graph.snapshot()
-        assert_snapshots_identical(previous, GraphSnapshot(graph), graph)
+        rebuilt = GraphSnapshot(graph)
+        assert_snapshots_identical(previous, rebuilt, graph)
+        shipped = pickle.loads(pickle.dumps(previous))
+        assert_snapshots_identical(shipped, rebuilt, graph)
     derivable = derivable or _derive_in_budget(graph, previous)
     assert_snapshots_identical(graph.snapshot(), GraphSnapshot(graph), graph)
     # Vacuity guard: whenever the sequence offered an in-budget delta

@@ -11,13 +11,17 @@ pickling path, stay picklable.
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
+from reference import random_graph
 from repro.gpc.assignments import Assignment
 from repro.gpc.engine import Evaluator
 from repro.gpc.parser import parse_query
+from repro.graph import PropertyGraph
 from repro.graph.builder import GraphBuilder
+from repro.graph.columns import SnapshotColumns, build_columns
 from repro.graph.generators import social_network
 from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
 from repro.graph.paths import Path
@@ -129,3 +133,41 @@ class TestSnapshotRoundTrip:
             # Answers themselves (paths + assignments) round-trip too:
             # the gather side unpickles them from worker processes.
             assert _roundtrip(reference) == reference
+
+
+def _corner_graphs():
+    yield "empty", PropertyGraph()
+    yield "isolated node", GraphBuilder().node("a").build()
+    yield "undirected self-loop", (
+        GraphBuilder().node("a", "P").undirected("a", "a", "m", key="u").build()
+    )
+    two = PropertyGraph()
+    a = two.add_node("a", ["P", "Q"], {"k": 1})
+    two.add_edge("e", a, a, ["r", "s"])
+    two.add_undirected_edge("u", a, two.add_node("b"), ["m", "r"])
+    yield "two labels", two
+    for seed in range(25):
+        yield f"random_graph({seed})", random_graph(random.Random(seed))
+
+
+class TestTwoRoutesOneCore:
+    """The core is reached two ways — columnarised from the mutable
+    graph, rebuilt from a pickle payload — and both hand their
+    irreducible columns to one index pass. Whatever route, same core."""
+
+    @pytest.mark.parametrize(
+        "graph", [pytest.param(g, id=name) for name, g in _corner_graphs()]
+    )
+    def test_build_and_load_agree_slot_by_slot(self, graph):
+        built = build_columns(graph)
+        loaded = SnapshotColumns.from_payload(built.payload())
+        compared = 0
+        for slot in SnapshotColumns.__slots__:
+            if slot.startswith("_"):
+                continue  # lazy caches, never shipped
+            left, right = getattr(built, slot), getattr(loaded, slot)
+            # ``array`` buffers (bare and as dict values) compare by value.
+            assert type(left) is type(right), slot
+            assert left == right, slot
+            compared += 1
+        assert compared == 30

@@ -29,7 +29,7 @@ from repro.errors import (
     EvaluationLimitError,
 )
 from repro.graph import PropertyGraph
-from repro.graph.ids import NodeId
+from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
 from repro.graph.paths import Path, is_simple, is_trail
 from repro.gpc import ast
 from repro.gpc.answers import Answer
@@ -162,10 +162,17 @@ def random_graph(rng: random.Random) -> PropertyGraph:
 def mutate(rng: random.Random, graph: PropertyGraph) -> None:
     """One mutation of a :func:`random_graph`. Property writes and
     removals flip mask bits, edge and node changes patch CSR rows, node
-    removal clears both, and remove-then-re-add shadows a core row."""
+    removal clears both, and remove-then-re-add shadows a core row.
+    Every kind comes back under an old key: a node within one call, an
+    edge (ops 8, 9) under one of the first keys :func:`random_graph`
+    hands out, with new ends, labels and properties. If the key is
+    live the edge is removed first and, one time in three, stays out;
+    if it is missing (by that, or by op 3, 6 or 11) it is put back —
+    in a later chain whenever the caller snapshots between calls."""
     nodes = sorted(graph.nodes)
     dedges = sorted(graph.directed_edges)
-    op = rng.randrange(8)
+    uedges = sorted(graph.undirected_edges)
+    op = rng.randrange(13)
     if op == 0 and nodes:
         graph.set_property(rng.choice(nodes), "k", rng.randrange(3))
     elif op == 1 and dedges:
@@ -192,6 +199,43 @@ def mutate(rng: random.Random, graph: PropertyGraph) -> None:
         )
     elif op == 6 and dedges:
         graph.remove_edge(rng.choice(dedges))
+    elif op == 8:
+        edge = DirectedEdgeId(f"e{rng.randrange(4)}")
+        if graph.has_directed_edge(edge):
+            graph.remove_edge(edge)
+            if rng.randrange(3) == 0:
+                return
+        graph.add_edge(
+            edge,
+            rng.choice(nodes),
+            rng.choice(nodes),
+            labels=rng.choice([(), ("r",), ("s",), ("r", "s")]),
+            properties=rng.choice([None, {"w": rng.randrange(3)}]),
+        )
+    elif op == 9:
+        edge = UndirectedEdgeId(f"u{rng.randrange(2)}")
+        if graph.has_undirected_edge(edge):
+            graph.remove_undirected_edge(edge)
+            if rng.randrange(3) == 0:
+                return
+        graph.add_undirected_edge(
+            edge,
+            rng.choice(nodes),
+            rng.choice(nodes),
+            labels=rng.choice([(), ("m",)]),
+            properties=rng.choice([None, {"w": rng.randrange(3)}]),
+        )
+    elif op == 10:
+        graph.add_undirected_edge(
+            f"mu{graph.version}",
+            rng.choice(nodes),
+            rng.choice(nodes),
+            labels=("m",),
+        )
+    elif op == 11 and uedges:
+        graph.remove_undirected_edge(rng.choice(uedges))
+    elif op == 12 and uedges:
+        graph.set_property(rng.choice(uedges), "w", rng.randrange(3))
     else:
         victim = rng.choice(nodes)
         graph.remove_node(victim)
