@@ -214,6 +214,7 @@ class ClusterService(GraphService):
                 self._record_insight(
                     query,
                     started,
+                    parsed=prepared.query,
                     cache=cache_outcome,
                     counters=counters,
                     error=exc,
@@ -226,6 +227,7 @@ class ClusterService(GraphService):
             self._record_insight(
                 query,
                 started,
+                parsed=prepared.query,
                 answers=len(merged),
                 cache=cache_outcome,
                 counters=counters,

@@ -397,14 +397,16 @@ class InsightsRegistry:
 
     # -- fingerprinting -------------------------------------------------
 
-    def fingerprint(self, query) -> tuple[str, str]:
-        """Memoised ``(fingerprint, canonical_text)`` for ``query``."""
+    def fingerprint(self, query, parsed=None) -> tuple[str, str]:
+        """Memoised ``(fingerprint, canonical_text)`` for ``query``;
+        ``parsed`` is its AST when the caller already holds one, so a
+        memo miss on query text does not parse it a second time."""
         with self._lock:
             found = self._fingerprints.get(query)
             if found is not None:
                 self._fingerprints.move_to_end(query)
                 return found
-        computed = query_fingerprint(query)
+        computed = query_fingerprint(query if parsed is None else parsed)
         with self._lock:
             self._fingerprints[query] = computed
             while len(self._fingerprints) > self.fingerprint_cache_size:
@@ -417,6 +419,7 @@ class InsightsRegistry:
         self,
         query,
         *,
+        parsed=None,
         latency_s: float,
         answers: Optional[int] = None,
         cache: Optional[str] = None,
@@ -432,12 +435,13 @@ class InsightsRegistry:
         ``invalidated``/``bypass`` (or ``None`` to skip cache
         accounting); ``estimates`` is the
         :class:`~repro.gpc.planner.PlanEstimates` stamped at plan time,
-        compared against ``answers`` and ``counters``. Returns the
-        fingerprint (for span stamping), or ``None`` when disabled.
+        compared against ``answers`` and ``counters``; ``parsed`` as
+        for :meth:`fingerprint`. Returns the fingerprint (for span
+        stamping), or ``None`` when disabled.
         """
         if not self.enabled:
             return None
-        fingerprint, canonical = self.fingerprint(query)
+        fingerprint, canonical = self.fingerprint(query, parsed)
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is None:

@@ -26,13 +26,14 @@ Three behaviours make it a *server* rather than plumbing:
   ``429`` (``503`` while draining); sheds are counted in
   :class:`~repro.server.stats.ServerStats` and never touch the
   service;
-- **micro-batch coalescing** — concurrent ``POST /query`` arrivals
-  are folded into one :meth:`evaluate_batch` call. The coalescer is a
-  group-commit loop: it waits ``coalesce_window_s`` after the first
-  arrival (and naturally accumulates arrivals while a previous batch
-  is evaluating), then dispatches up to ``coalesce_max`` queries at
-  once — one thread hop and one snapshot pin per batch instead of per
-  request;
+- **micro-batch coalescing** — the coalescer is a *slot-first*
+  group-commit loop: it takes the first queued ``POST /query``, waits
+  for an in-flight slot, and only then drains what else is queued (up
+  to ``coalesce_max``) into the same dispatch. An idle server
+  dispatches a lone query in the loop turn it arrived in — no timer,
+  one worker-thread hop that evaluates *and* encodes it; a saturated
+  one folds exactly the arrivals that piled up while every slot was
+  busy into one :meth:`evaluate_batch` call;
 - **graceful drain** — :meth:`drain` stops accepting connections,
   answers new requests with ``503``, lets every admitted request
   finish (including queued coalesced queries), then closes the
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import gc
 import json
 import logging
 import threading
@@ -95,12 +97,6 @@ __all__ = ["GraphServer", "ServerHandle", "serve_background"]
 #: Sentinel shutting the coalescer loop down after the queue drains.
 _STOP = object()
 
-#: Answer sets up to this size are JSON-encoded inline on the event
-#: loop (cheaper than a thread hop); larger ones serialise in a
-#: worker thread — once, see ``_fragment`` — so one fat response never
-#: stalls other connections.
-ENCODE_INLINE_LIMIT = 64
-
 
 #: Content type of the Prometheus text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -119,10 +115,11 @@ class _Pending:
     """One admitted ``/query`` request waiting in the coalescing queue.
 
     ``ctx`` snapshots the request's :mod:`contextvars` context (root
-    span + deadline) so the evaluation thread the coalescer dispatches
-    to inherits both; ``root`` is the request's root span for the
-    coalesce-wait/dispatch child spans the coalescer adds on its
-    behalf; ``enqueued`` timestamps admission into the queue.
+    span + deadline) so the worker thread the coalescer dispatches to
+    evaluates and encodes under both; ``root`` is the request's root
+    span for the coalesce-wait/dispatch child spans the coalescer adds
+    on its behalf; ``enqueued`` timestamps admission into the queue.
+    ``future`` resolves to the reply's bytes short of ``"version"``.
     """
 
     query: str
@@ -177,7 +174,6 @@ class GraphServer:
         port: int = 0,
         max_in_flight: int = 8,
         max_queue_depth: int = 64,
-        coalesce_window_s: float = 0.001,
         coalesce_max: int = 16,
         close_service: bool = True,
         tracing: bool = True,
@@ -211,7 +207,6 @@ class GraphServer:
         self._access_log = logging.getLogger("repro.server.access")
         self.max_in_flight = max_in_flight
         self.max_queue_depth = max_queue_depth
-        self.coalesce_window_s = coalesce_window_s
         self.coalesce_max = coalesce_max
         self._host = host
         self._port = port
@@ -243,13 +238,20 @@ class GraphServer:
         self._semaphore = asyncio.Semaphore(self.max_in_flight)
         self._all_idle = asyncio.Event()
         self._all_idle.set()
+        await asyncio.to_thread(self.service.snapshot)
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
         # Only after the bind succeeded: a failed start must not leave
-        # an orphaned coalescer task behind.
+        # an orphaned coalescer task (or a frozen heap) behind.
         self._coalescer = self._loop.create_task(self._coalesce_loop())
         self.address = self._server.sockets[0].getsockname()[:2]
+        # A warm, quiet heap: the snapshot the first query would wait
+        # for is built above, and what exists now — the graph and that
+        # snapshot above all — leaves the cyclic collector's way until
+        # drain(). Left in, every full collection walks it: 150 ms on a
+        # 10k-node graph, one /query in 22.
+        gc.freeze()
         return self.address
 
     async def drain(self) -> None:
@@ -274,6 +276,7 @@ class GraphServer:
         for writer in list(self._writers):
             writer.close()
         self._drained = True
+        gc.unfreeze()
         if self._close_service:
             await asyncio.to_thread(self.service.close)
 
@@ -469,21 +472,12 @@ class GraphServer:
                     enqueued=time.perf_counter(),
                 )
             )
-        result = await future
-        version = self.service.version
-        # Cached bytes and small sets cost microseconds: stay on the
-        # event loop. A big set nobody has serialised yet hops to a
-        # worker thread, so one fat response never stalls the loop (and
-        # every other connection) for milliseconds.
-        query = body["query"]
-        if (
-            len(result) <= ENCODE_INLINE_LIMIT
-            or self.service.rendered(query, result) is not None
-        ):
-            fragment = self._fragment(query, result)
-        else:
-            fragment = await asyncio.to_thread(self._fragment, query, result)
-        return 200, PreRendered(wire.with_version(fragment, version))
+        # Evaluated and encoded by the dispatch's worker thread: the
+        # event loop only appends the version.
+        fragment = await future
+        return 200, PreRendered(
+            wire.with_version(fragment, self.service.version)
+        )
 
     async def _handle_batch(self, request: HttpRequest) -> tuple[int, Any]:
         with span("server.parse"):
@@ -770,29 +764,26 @@ class GraphServer:
             item = await self._queue.get()
             if item is _STOP:
                 return
-            if self.coalesce_window_s > 0 and not self._draining:
-                # The coalescing window: linger briefly so concurrent
-                # arrivals land in this batch instead of the next.
-                await asyncio.sleep(self.coalesce_window_s)
-            batch = [item]
-            stop_seen = False
-            while len(batch) < self.coalesce_max:
-                try:
-                    extra = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is _STOP:
-                    stop_seen = True
-                    break
-                batch.append(extra)
-            # Acquiring the slot *before* spawning keeps dispatches
-            # bounded by max_in_flight; arrivals during the wait pile
-            # up in the queue and coalesce into the next batch.
+            # Slot first, batch second: with a slot free this does not
+            # yield, so a lone query dispatches in the turn it arrived
+            # in; with none, arrivals pile up in the queue during the
+            # wait and all leave together. Holding the slot *before*
+            # spawning keeps dispatches bounded by max_in_flight.
             await self._semaphore.acquire()
+            batch = [item]
+            while (
+                batch[-1] is not _STOP
+                and len(batch) < self.coalesce_max
+                and not self._queue.empty()
+            ):
+                batch.append(self._queue.get_nowait())
+            stopping = batch[-1] is _STOP
+            if stopping:
+                batch.pop()
             task = self._loop.create_task(self._dispatch(batch))
             self._dispatch_tasks.add(task)
             task.add_done_callback(self._dispatch_tasks.discard)
-            if stop_seen:
+            if stopping:
                 return
 
     async def _dispatch(self, batch: list[_Pending]) -> None:
@@ -800,7 +791,8 @@ class GraphServer:
             self.stats.record_dispatch(len(batch))
             # The coalescer acts on each request's behalf here, outside
             # its contextvar context: the queue wait and the dispatch
-            # are timed as explicit child spans on each root.
+            # (evaluation *and* encoding) are timed as explicit child
+            # spans on each root.
             now = time.perf_counter()
             for pending in batch:
                 if pending.root:
@@ -812,15 +804,10 @@ class GraphServer:
                 group = [p for p in batch if p.use_cache is flag]
                 if not group:
                     continue
-                queries = [pending.query for pending in group]
                 dispatched = time.perf_counter()
                 try:
                     outcomes = await asyncio.to_thread(
-                        self.service.evaluate_batch,
-                        queries,
-                        use_cache=flag,
-                        return_exceptions=True,
-                        contexts=[pending.ctx for pending in group],
+                        self._serve_group, group, flag
                     )
                 # The exception becomes every member's outcome; each
                 # request coroutine re-raises it into the handlers above.
@@ -844,6 +831,30 @@ class GraphServer:
                         pending.future.set_result(outcome)
         finally:
             self._semaphore.release()
+
+    def _serve_group(self, group: list[_Pending], use_cache: bool) -> list:
+        """One worker-thread hop for a dispatch's ``use_cache`` group:
+        one service batch, then each member's reply fragment (or the
+        exception that is its outcome), in ``group`` order."""
+        outcomes = self.service.evaluate_batch(
+            [pending.query for pending in group],
+            use_cache=use_cache,
+            return_exceptions=True,
+            contexts=[pending.ctx for pending in group],
+        )
+        for index, (pending, outcome) in enumerate(zip(group, outcomes)):
+            if isinstance(outcome, Exception):
+                continue
+            # Every evaluation has returned, so the member's context is
+            # free to enter again: ``server.encode`` nests under its root.
+            try:
+                outcomes[index] = pending.ctx.run(
+                    self._fragment, pending.query, outcome
+                )
+            # A failed render is that member's outcome alone.
+            except Exception as exc:  # lint: allow-broad-except
+                outcomes[index] = exc
+        return outcomes
 
     # ------------------------------------------------------------------
     # Mutations (run in a worker thread)

@@ -32,9 +32,12 @@ class ServerStats:
     ``rejected`` counts requests shed by admission control (429 queue
     overflow and 503 draining) — they never reach the service, so the
     service-level counters stay clean. ``coalesced`` counts ``/query``
-    requests that shared an ``evaluate_batch`` dispatch with at least
-    one concurrent sibling; ``dispatches`` is the number of batch
-    dispatches, so ``queries / dispatches`` is the mean coalesce factor.
+    requests that left the queue together with at least one sibling —
+    because they were queued in the same event-loop turn, or because
+    every in-flight slot was busy when they arrived (nothing waits on a
+    timer to be batched); ``dispatches`` is the number of dispatches,
+    so ``queries / dispatches`` is the mean coalesce factor: ~1 on an
+    idle server, rising with saturation.
     """
 
     connections: int = 0
@@ -53,9 +56,10 @@ class ServerStats:
     queries: int = 0
     #: ``evaluate_batch`` dispatches issued by the coalescer.
     dispatches: int = 0
-    #: Queries that rode a dispatch with >= 2 members.
+    #: Queries that rode a dispatch with >= 2 members: what was queued
+    #: when a slot came free.
     coalesced: int = 0
-    #: Size of the largest coalesced dispatch so far.
+    #: Size of the largest dispatch so far.
     max_batch: int = 0
     batches: int = 0
     mutations: int = 0

@@ -186,6 +186,9 @@ class SemanticResultCache:
         self.stats = stats if stats is not None else CacheStats()
         self._delta_source = delta_source
         self._entries: OrderedDict[Hashable, _ResultEntry] = OrderedDict()
+        #: Equal footprints are kept once: thousands of distinct query
+        #: texts share a handful, each five frozensets.
+        self._footprints: dict = {}
         self._lock = threading.Lock()
         #: Memoised chain summaries keyed by (from_version, to_version).
         #: Versions are monotonic, so entries never go stale; the dict
@@ -287,10 +290,18 @@ class SemanticResultCache:
                 if existing.version > version:
                     return
                 self._entries.move_to_end(key)
+            footprint = self._footprints.setdefault(footprint, footprint)
             self._entries[key] = _ResultEntry(version, footprint, result)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
+            if len(self._footprints) > 2 * self.capacity:
+                # At least half belong to entries long gone: keep the
+                # live ones (amortised O(1) per put).
+                self._footprints = {
+                    entry.footprint: entry.footprint
+                    for entry in self._entries.values()
+                }
 
     def rendered(
         self,
@@ -329,6 +340,7 @@ class SemanticResultCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._footprints.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -39,6 +39,7 @@ import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.gpc import ast
@@ -351,6 +352,7 @@ class GraphService:
             self._record_insight(
                 query,
                 started,
+                parsed=prepared.query,
                 cache=cache_outcome,
                 counters=counters,
                 error=exc,
@@ -364,6 +366,7 @@ class GraphService:
         self._record_insight(
             query,
             started,
+            parsed=prepared.query,
             answers=len(result),
             cache=cache_outcome,
             counters=counters,
@@ -457,6 +460,7 @@ class GraphService:
         query,
         started: float,
         *,
+        parsed: ast.Query | None = None,
         answers: int | None = None,
         cache: str | None = None,
         counters: EvalCounters | None = None,
@@ -464,7 +468,9 @@ class GraphService:
         error: BaseException | None = None,
     ) -> None:
         """Fold one evaluation (``error``: what its execute step
-        raised) into the insights registry.
+        raised) into the insights registry. ``parsed`` is the AST of
+        ``query`` when a prepared query already holds it, so
+        fingerprinting new text does not parse it again.
 
         Stamps the fingerprint onto the active root span so slow-log
         entries in the trace store cross-link to ``GET /insights``.
@@ -474,6 +480,7 @@ class GraphService:
         root = current_span()
         fingerprint = self.insights.record(
             query,
+            parsed=parsed,
             latency_s=time.perf_counter() - started,
             answers=answers,
             cache=cache,
@@ -539,37 +546,31 @@ class GraphService:
     ) -> list:
         """One outcome — answers or the exception raised — per query of
         a non-empty batch, in input order. Here: :meth:`evaluate` per
-        query on the thread pool."""
-        # Submit inside the same lock window that resolves the
-        # executor: close() swaps the executor out under this lock and
-        # only then shuts it down, so a concurrent close can never
-        # invalidate the pool between _ensure_executor and submit
-        # ("cannot schedule new futures after shutdown"). close(wait=
-        # True) still lets everything submitted here run to completion.
-        with self._lock:
-            executor = self._ensure_executor()
-            if contexts is None:
-                futures = [
-                    executor.submit(
-                        self.evaluate, query, config, use_cache=use_cache
-                    )
-                    for query in queries
-                ]
-            else:
-                futures = [
-                    executor.submit(
-                        ctx.run,
-                        self.evaluate,
-                        query,
-                        config,
-                        use_cache=use_cache,
-                    )
-                    for ctx, query in zip(contexts, queries)
-                ]
+        query — on the thread pool, or in the calling thread when the
+        batch has one member (a pool hop would only add a wait)."""
+        calls = [
+            partial(self.evaluate, query, config, use_cache=use_cache)
+            for query in queries
+        ]
+        if contexts is not None:
+            calls = [
+                partial(ctx.run, call) for ctx, call in zip(contexts, calls)
+            ]
+        if len(calls) > 1:
+            # Submit inside the same lock window that resolves the
+            # executor: close() swaps the executor out under this lock
+            # and only then shuts it down, so a concurrent close can
+            # never invalidate the pool between _ensure_executor and
+            # submit ("cannot schedule new futures after shutdown").
+            # close(wait=True) still lets everything submitted here run
+            # to completion.
+            with self._lock:
+                executor = self._ensure_executor()
+                calls = [executor.submit(call).result for call in calls]
         outcomes: list = []
-        for future in futures:
+        for call in calls:
             try:
-                outcomes.append(future.result())
+                outcomes.append(call())
             # The exception is the member's outcome, not swallowed.
             except Exception as exc:  # lint: allow-broad-except
                 outcomes.append(exc)

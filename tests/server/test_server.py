@@ -2,12 +2,13 @@
 
 Covers every endpoint round trip, HTTP-vs-direct answer equality on
 randomized graphs over both service facades, admission-control sheds
-under a saturated semaphore, micro-batch coalescing, and graceful
-drain semantics.
+under a saturated semaphore, micro-batch coalescing under saturation,
+the one-hop idle path, and graceful drain semantics.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -285,11 +286,11 @@ class TestEncodeOnce:
     """A cached answer set is serialised once: a hit writes the bytes
     kept beside it plus the current version."""
 
-    #: 24 answers — encoded inline on the event loop — and 120, past
-    #: ENCODE_INLINE_LIMIT, first encoded in a worker thread.
+    #: 24 answers and 120: whatever the size, the dispatch's worker
+    #: thread encodes it, once.
     GRAPHS = {
-        "inline": lambda: _graph(),
-        "threaded": lambda: social_network(
+        "small": lambda: _graph(),
+        "large": lambda: social_network(
             num_people=40, friend_degree=3, seed=11
         ),
     }
@@ -310,7 +311,6 @@ class TestEncodeOnce:
             hit = _post_raw(handle.address, "/query", {"query": QUERY})
             assert _bodies(handle) == (1, 1)
             answers = service.evaluate(QUERY)
-            assert (len(answers) > 64) == (size == "threaded")
             fresh = wire.encode_answers(answers)
             fresh["version"] = service.version
             assert (
@@ -452,7 +452,6 @@ class TestAdmissionControl:
             max_in_flight=1,
             max_queue_depth=1,
             coalesce_max=1,
-            coalesce_window_s=0.0,
         ) as handle:
             clients = [HttpServiceClient(*handle.address) for _ in range(4)]
             try:
@@ -491,10 +490,7 @@ class TestAdmissionControl:
     def test_batch_semaphore_saturation_sheds_429(self):
         service = _BlockingService(_graph())
         with serve_background(
-            service,
-            max_in_flight=1,
-            max_queue_depth=1,
-            coalesce_window_s=0.0,
+            service, max_in_flight=1, max_queue_depth=1
         ) as handle:
             first = HttpServiceClient(*handle.address)
             second = HttpServiceClient(*handle.address)
@@ -528,10 +524,7 @@ class TestAdmissionControl:
     def test_rejected_never_reaches_the_service(self):
         service = _BlockingService(_graph())
         with serve_background(
-            service,
-            max_in_flight=1,
-            max_queue_depth=0,
-            coalesce_window_s=0.0,
+            service, max_in_flight=1, max_queue_depth=0
         ) as handle:
             client = HttpServiceClient(*handle.address)
             try:
@@ -545,67 +538,140 @@ class TestAdmissionControl:
                 client.close()
 
 
+def _wait_for(condition, timeout: float = 10.0) -> None:
+    deadline = time.time() + timeout
+    while not condition():
+        assert time.time() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _queue_behind_a_held_slot(handle, service, queued, before_release=None):
+    """Saturate a ``max_in_flight=1`` server over a ``_BlockingService``:
+    one query holds the only slot behind the gate, then one query per
+    ``(text, use_cache)`` in ``queued`` arrives and queues; once all are
+    admitted (and ``before_release`` has run) the gate opens. Returns
+    every query's answers — or the ``HttpServiceError`` it got — the
+    slot holder's first."""
+    results: list = [None] * (1 + len(queued))
+
+    def fire(index, text, use_cache):
+        with HttpServiceClient(*handle.address) as client:
+            try:
+                results[index] = client.query(text, use_cache=use_cache)
+            except HttpServiceError as exc:
+                results[index] = exc
+
+    stats = handle.server.stats
+    threads = [threading.Thread(target=fire, args=(0, QUERY, True))]
+    threads[0].start()
+    _wait_for(lambda: stats.dispatches == 1)
+    for index, request in enumerate(queued, 1):
+        threads.append(threading.Thread(target=fire, args=(index, *request)))
+        threads[-1].start()
+    _wait_for(lambda: stats.queries == 1 + len(queued))
+    if before_release is not None:
+        before_release()
+    service.gate.set()
+    for thread in threads:
+        thread.join(30.0)
+    return results
+
+
 class TestCoalescing:
+    """No timer: a batch is what piled up while every slot was busy."""
+
     def test_concurrent_queries_fold_into_one_dispatch(self):
-        service = GraphService(_graph())
+        service = _BlockingService(_graph())
         with serve_background(
-            service, coalesce_window_s=0.25, coalesce_max=16
+            service, max_in_flight=1, coalesce_max=16
         ) as handle:
+            results = _queue_behind_a_held_slot(
+                handle, service, [(QUERY, True)] * 5
+            )
             expected = service.evaluate(QUERY)
-            results: list = [None] * 5
-
-            def fire(index):
-                with HttpServiceClient(*handle.address) as client:
-                    results[index] = client.query(QUERY)
-
-            threads = [
-                threading.Thread(target=fire, args=(i,)) for i in range(5)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30.0)
             assert all(result == expected for result in results)
             stats = handle.server.stats
-            # All five arrivals landed inside one coalescing window.
-            assert stats.dispatches == 1
+            # The slot holder alone, then all five arrivals together —
+            # the one the coalescer had already popped included.
+            assert stats.dispatches == 2
             assert stats.coalesced == 5
             assert stats.max_batch == 5
-            # ... and the service saw exactly one evaluate_batch call.
-            assert service.stats.batches == 1
+            # ... and the service saw one evaluate_batch call for each.
+            assert service.stats.batches == 2
 
     def test_mixed_use_cache_flags_split_correctly(self):
-        service = GraphService(_graph())
-        with serve_background(
-            service, coalesce_window_s=0.25
-        ) as handle:
+        service = _BlockingService(_graph())
+        with serve_background(service, max_in_flight=1) as handle:
+            results = _queue_behind_a_held_slot(
+                handle, service, [(QUERY, flag) for flag in (True, False) * 2]
+            )
             expected = service.evaluate(QUERY)
-            results: list = [None] * 4
-
-            def fire(index, flag):
-                with HttpServiceClient(*handle.address) as client:
-                    results[index] = client.query(QUERY, use_cache=flag)
-
-            threads = [
-                threading.Thread(target=fire, args=(i, i % 2 == 0))
-                for i in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30.0)
             assert all(result == expected for result in results)
-            # One coalesced dispatch, split into two service batches
-            # (one per use_cache flag).
-            assert handle.server.stats.dispatches == 1
-            assert service.stats.batches == 2
+            # The four queued queries are one coalesced dispatch, split
+            # into two service batches (one per use_cache flag).
+            assert handle.server.stats.dispatches == 2
+            assert handle.server.stats.max_batch == 4
+            assert service.stats.batches == 1 + 2
             assert service.stats.result_cache.bypasses == 2
+
+
+class _ThreadRecordingService(GraphService):
+    """Records which thread evaluates and which one encodes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.evaluated_on: list[int] = []
+        self.rendered_on: list[int] = []
+
+    def evaluate(self, *args, **kwargs):
+        self.evaluated_on.append(threading.get_ident())
+        return super().evaluate(*args, **kwargs)
+
+    def rendered(self, *args, **kwargs):
+        self.rendered_on.append(threading.get_ident())
+        return super().rendered(*args, **kwargs)
+
+
+class TestOneHop:
+    def test_a_lone_query_evaluates_and_encodes_on_one_worker_thread(self):
+        service = _ThreadRecordingService(
+            social_network(num_people=40, friend_degree=3, seed=11)
+        )
+        with serve_background(service) as handle:
+            with HttpServiceClient(*handle.address) as client:
+                answers = client.query(QUERY)
+            assert len(answers) > 64 and _bodies(handle) == (1, 0)
+            threads = {*service.evaluated_on, *service.rendered_on}
+            assert len(service.evaluated_on) == 1 and service.rendered_on
+            # One hop off the event loop, for the evaluation and the
+            # encoding alike.
+            assert len(threads) == 1
+            assert threads != {handle._thread.ident}
+
+    def test_a_failed_render_fails_that_member_alone(self):
+        service = _BlockingService(_graph())
+        with serve_background(service, max_in_flight=1) as handle:
+            fragment = handle.server._fragment
+
+            def failing_on_empty(query, answers):
+                if not answers:
+                    raise ValueError("unrenderable")
+                return fragment(query, answers)
+
+            handle.server._fragment = failing_on_empty
+            _, sibling, failed = _queue_behind_a_held_slot(
+                handle, service, [(QUERY, True), ("TRAIL (x:Nobody)", True)]
+            )
+            assert handle.server.stats.max_batch == 2
+            assert sibling == service.evaluate(QUERY)
+            assert isinstance(failed, HttpServiceError)
+            assert failed.status == 500
 
 
 class TestGracefulDrain:
     def test_drain_finishes_in_flight_then_closes_service(self):
         service = _BlockingService(_graph())
-        handle = serve_background(service, coalesce_window_s=0.0)
+        handle = serve_background(service)
         slow_client = HttpServiceClient(*handle.address)
         # During drain every response carries Connection: close and the
         # listener is gone, so each probe needs its own pre-established
@@ -661,28 +727,31 @@ class TestGracefulDrain:
         handle.stop()
         handle.stop()
 
-    def test_queued_queries_survive_drain(self):
+    def test_a_started_server_has_a_warm_frozen_heap_until_it_drains(self):
         service = GraphService(_graph())
-        handle = serve_background(service, coalesce_window_s=0.3)
-        results: list = [None] * 3
+        with serve_background(service):
+            # Before any query: the snapshot is built, and what exists
+            # is out of the cyclic collector's way.
+            assert service.stats.snapshots_built == 1
+            assert gc.get_freeze_count() > 0
+        assert gc.get_freeze_count() == 0
 
-        def fire(index):
-            with HttpServiceClient(*handle.address) as client:
-                results[index] = client.query(QUERY)
+    def test_queued_queries_survive_drain(self):
+        service = _BlockingService(_graph())
+        handle = serve_background(service, max_in_flight=1)
+        stopper = threading.Thread(target=handle.stop)
 
-        threads = [
-            threading.Thread(target=fire, args=(i,)) for i in range(3)
-        ]
-        for thread in threads:
-            thread.start()
-        # Stop while the queries sit in the coalescing window; drain
-        # must let them evaluate, not drop them.
-        deadline = time.time() + 10
-        while handle.server.stats.queries < 3 and time.time() < deadline:
-            time.sleep(0.01)
-        handle.stop()
-        for thread in threads:
-            thread.join(30.0)
+        def stop_while_they_queue():
+            # Three queries sit in the queue behind a held slot; drain
+            # must let them evaluate, not drop them.
+            stopper.start()
+            _wait_for(lambda: handle.server.stats.draining)
+
+        results = _queue_behind_a_held_slot(
+            handle, service, [(QUERY, True)] * 3, stop_while_they_queue
+        )
+        stopper.join(30.0)
+        assert not stopper.is_alive()
         expected = GraphService(_graph()).evaluate(QUERY)
         assert all(result == expected for result in results)
 
@@ -696,6 +765,9 @@ class TestServerValidation:
             GraphServer(service, max_queue_depth=-1)
         with pytest.raises(ValueError):
             GraphServer(service, coalesce_max=0)
+        # The timed coalescing window is gone, not defaulted to zero.
+        with pytest.raises(TypeError):
+            GraphServer(service, coalesce_window_s=0.0)
         service.close()
 
     def test_port_conflict_surfaces(self):

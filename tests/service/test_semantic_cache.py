@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.gpc.engine import Evaluator
+from repro.gpc.footprint import QueryFootprint
 from repro.gpc.parser import parse_query
 from repro.graph.builder import GraphBuilder
 from repro.service import GraphService, LRUCache, SemanticResultCache
@@ -131,6 +132,25 @@ class TestSemanticInvalidation:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             SemanticResultCache(0)
+
+    def test_equal_footprints_are_stored_once(self):
+        cache = SemanticResultCache(128, CacheStats())
+
+        def footprint(label="P"):
+            return QueryFootprint(node_labels=frozenset({label}))
+
+        for i in range(100):
+            cache.put(f"q{i}", 1, footprint(), frozenset())
+        held = {id(entry.footprint) for entry in cache._entries.values()}
+        assert len(held) == 1 and len(cache._footprints) == 1
+        cache.clear()
+        assert not cache._footprints
+        # The table follows the live entries, not every footprint seen.
+        small = SemanticResultCache(2, CacheStats())
+        for i in range(8):
+            small.put(f"q{i}", 1, footprint(f"L{i}"), frozenset())
+        assert len(small._footprints) <= 2 * small.capacity
+        assert footprint("L7") in small._footprints
 
 
 class TestRenderedBytes:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextvars
+import threading
+
 import pytest
 
 from repro.errors import GPCError, GPCTypeError
@@ -9,6 +12,7 @@ from repro.gpc.engine import EngineConfig, Evaluator
 from repro.gpc.parser import parse_query
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import cycle_graph
+from repro.obs import query_fingerprint
 from repro.service import GraphService, LRUCache, PreparedQuery
 
 QUERIES = [
@@ -193,6 +197,33 @@ class TestResultCache:
         assert social.stats.result_cache.misses == 2
 
 
+class TestOneParse:
+    def test_a_cold_evaluate_parses_the_text_once(self, social, monkeypatch):
+        """The insights fingerprint is taken from the prepared query's
+        AST; a repeat finds it in the memo, keyed by the text."""
+        from repro.gpc import parser
+        from repro.service import prepared
+
+        parses = []
+
+        def counting(text):
+            parses.append(text)
+            return parse_query(text)
+
+        monkeypatch.setattr(parser, "parse_query", counting)
+        monkeypatch.setattr(prepared, "parse_query", counting)
+        text = "TRAIL [(x:Person) -[e:knows]-> (y:Person)] << x.team = 'db' >>"
+        social.evaluate(text)
+        assert parses == [text]
+        social.evaluate(text)  # a hit: no plan, the memo answers
+        assert parses == [text]
+        [insight] = social.insights.top()
+        assert insight["calls"] == 2
+        assert (insight["fingerprint"], insight["query"]) == query_fingerprint(
+            parse_query(text)
+        )
+
+
 class TestPlanCache:
     def test_prepare_is_memoised(self, social):
         first = social.prepare(QUERIES[0])
@@ -272,6 +303,33 @@ class TestBatchEvaluation:
         assert [isinstance(r, Exception) for r in results] == (
             [False, True, False, True]
         )
+
+    def test_a_lone_member_runs_on_the_callers_thread(self, social):
+        """No pool hop for a batch of one — in the caller's thread, in
+        the member's context, its exception still its outcome."""
+        marker = contextvars.ContextVar("marker", default=None)
+        seen = []
+        evaluate = social.evaluate
+
+        def recording(*args, **kwargs):
+            seen.append((threading.get_ident(), marker.get()))
+            return evaluate(*args, **kwargs)
+
+        social.evaluate = recording
+        context = contextvars.copy_context()
+        context.run(marker.set, "member")
+        here = threading.get_ident()
+        expected = evaluate(QUERIES[0])
+        assert social.evaluate_batch([QUERIES[0]]) == [expected]
+        assert social.evaluate_batch([QUERIES[0]], contexts=[context]) == [
+            expected
+        ]
+        assert seen == [(here, None), (here, "member")]
+        assert social._executor is None
+        [outcome] = social.evaluate_batch(["TRAIL (x"], return_exceptions=True)
+        assert isinstance(outcome, GPCError)
+        with pytest.raises(GPCError):
+            social.evaluate_batch(["TRAIL (x"])
 
 
 class TestCloseDuringBatch:

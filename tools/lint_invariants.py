@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
-Three invariants that generic linters don't enforce the way this
+Four invariants that generic linters don't enforce the way this
 codebase needs them, and one that a generic linter does enforce but
 that is checked here too because ruff is not in every build container:
 
@@ -22,6 +22,11 @@ that is checked here too because ruff is not in every build container:
   ``src/repro``: asserts vanish under ``python -O``; library-side
   validation must raise typed :mod:`repro.errors` exceptions.
   ``lint: allow-assert`` waives a site (e.g. a typing-only narrow).
+- **No ``sleep`` in the serving path** (``src/repro/server``,
+  ``service`` and ``cluster``): a timer between a request and its
+  answer is latency every request pays, idle server or not — wait on
+  the event, future, lock or semaphore that says the thing happened.
+  ``lint: allow-sleep`` on the call's line waives a site.
 - **No unused module-level imports** (pyflakes' F401) in ``src``,
   ``tests``, ``benchmarks`` and ``tools``: a deleted code path leaves
   its imports behind, and an orphan import keeps a dead module alive.
@@ -29,9 +34,9 @@ that is checked here too because ruff is not in every build container:
   are exempt; ``lint: allow-unused-import`` on the import's line waives
   one kept for its side effect or for importers of the module.
 
-The first three apply to ``src/repro`` (tests assert, that is their
-job); with no arguments the tool lints ``src/repro`` for all four and
-the other three trees for the imports.
+The first four apply to ``src/repro`` (tests assert and poll, that is
+their job); with no arguments the tool lints ``src/repro`` for all five
+and the other three trees for the imports.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -50,12 +55,16 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 #: Packages where broad excepts are banned (the evaluation path).
 BROAD_EXCEPT_SCOPES = ("gpc", "graph", "service", "cluster", "server")
 
+#: Packages where sleeping is banned (between a request and its answer).
+SLEEP_SCOPES = ("server", "service", "cluster")
+
 #: Trees linted for unused imports only (repo-relative).
 IMPORT_ONLY_ROOTS = ("tests", "benchmarks", "tools")
 
 BROAD_EXCEPT_WAIVER = "lint: allow-broad-except"
 ASSERT_WAIVER = "lint: allow-assert"
 UNUSED_IMPORT_WAIVER = "lint: allow-unused-import"
+SLEEP_WAIVER = "lint: allow-sleep"
 
 #: Exception names considered "broad" when caught directly.
 BROAD_NAMES = frozenset({"Exception", "BaseException"})
@@ -168,13 +177,19 @@ def _string_constants(node: "ast.AST | None") -> list[str]:
 
 class _Checker(ast.NodeVisitor):
     def __init__(
-        self, path: str, lines: list[str], scope_broad: bool, library: bool
+        self,
+        path: str,
+        lines: list[str],
+        scope_broad: bool,
+        library: bool,
+        scope_sleep: bool,
     ):
         self.path = path
         self.lines = lines
         self.scope_broad = scope_broad
-        #: Whether INV001-003 apply (``src/repro``, and files named
-        #: explicitly); INV004 applies everywhere.
+        self.scope_sleep = scope_sleep
+        #: Whether INV001-003 and INV005 apply (``src/repro``, and files
+        #: named explicitly); INV004 applies everywhere.
         self.library = library
         self.findings: list[Finding] = []
 
@@ -251,6 +266,27 @@ class _Checker(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = (
+            func.attr
+            if isinstance(func, ast.Attribute)
+            else getattr(func, "id", None)
+        )
+        if (
+            self.scope_sleep
+            and name == "sleep"
+            and SLEEP_WAIVER not in self._line(node.lineno)
+        ):
+            self._add(
+                node,
+                "INV005",
+                "sleep in the serving path is latency every request pays; "
+                "wait on what signals the condition, or waive with "
+                f"'{SLEEP_WAIVER}'",
+            )
+        self.generic_visit(node)
+
 
 def check_source(
     source: str,
@@ -258,20 +294,29 @@ def check_source(
     *,
     scope_broad_except: bool = True,
     library: bool = True,
+    scope_sleep: bool = True,
 ) -> list[Finding]:
     """Lint one module's source text (the unit-testable core).
     ``library=False`` checks the imports only."""
     tree = ast.parse(source, filename=path)
     checker = _Checker(
-        str(path), source.splitlines(), scope_broad_except, library
+        str(path),
+        source.splitlines(),
+        scope_broad_except,
+        library,
+        scope_sleep,
     )
     checker.check(tree)
     return sorted(checker.findings)
 
 
-def _in_broad_scope(path: Path) -> bool:
+def _in_scope(path: Path, packages: "tuple[str, ...]") -> bool:
     relative = path.relative_to(SRC_ROOT)
-    return bool(relative.parts) and relative.parts[0] in BROAD_EXCEPT_SCOPES
+    return bool(relative.parts) and relative.parts[0] in packages
+
+
+def _in_broad_scope(path: Path) -> bool:
+    return _in_scope(path, BROAD_EXCEPT_SCOPES)
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -291,11 +336,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 return 2
             # Files outside src/repro (explicit arguments, e.g. in the
             # linter's own tests) get the strict scope.
-            scoped = (
-                _in_broad_scope(file)
-                if file.is_relative_to(SRC_ROOT)
-                else True
-            )
+            in_src = file.is_relative_to(SRC_ROOT)
             try:
                 findings.extend(
                     check_source(
@@ -303,10 +344,13 @@ def main(argv: "list[str] | None" = None) -> int:
                         str(file.relative_to(REPO_ROOT))
                         if file.is_relative_to(REPO_ROOT)
                         else str(file),
-                        scope_broad_except=scoped,
+                        scope_broad_except=not in_src
+                        or _in_broad_scope(file),
                         library=not any(
                             file.is_relative_to(root) for root in import_only
                         ),
+                        scope_sleep=not in_src
+                        or _in_scope(file, SLEEP_SCOPES),
                     )
                 )
             except SyntaxError as exc:
