@@ -14,7 +14,7 @@ core ``Conditioned`` construct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union as TUnion
 
 from repro.errors import GPCTypeError
@@ -125,6 +125,9 @@ class ArithConditioned(ast.PatternExtension):
 
     def children(self) -> tuple[ast.Pattern, ...]:
         return (self.pattern,)
+
+    def with_children(self, children) -> "ArithConditioned":
+        return replace(self, pattern=children[0])
 
     def infer_schema_ext(self, child_schemas: list[dict]) -> dict:
         (schema,) = child_schemas

@@ -19,7 +19,7 @@ end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import RestrictorError
@@ -56,6 +56,9 @@ class RestrictedSubpattern(ast.PatternExtension):
 
     def children(self) -> tuple[ast.Pattern, ...]:
         return (self.pattern,)
+
+    def with_children(self, children) -> "RestrictedSubpattern":
+        return replace(self, pattern=children[0])
 
     def infer_schema_ext(self, child_schemas: list[dict]) -> dict:
         (schema,) = child_schemas
@@ -101,6 +104,9 @@ class WitnessMarked(ast.PatternExtension):
 
     def children(self) -> tuple[ast.Pattern, ...]:
         return (self.pattern,)
+
+    def with_children(self, children) -> "WitnessMarked":
+        return replace(self, pattern=children[0])
 
     def own_variables(self) -> frozenset[str]:
         return frozenset({self.witness})

@@ -45,9 +45,9 @@ elements carry label *sets*, so ``(x:A) (x:B)`` just requires both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import GPCTypeError, ParseError
 from repro.gpc import ast
@@ -60,8 +60,8 @@ from repro.gpc.conditions_ast import (
     PropertyEqualsProperty,
     iter_atoms,
 )
-from repro.gpc.minlength import max_path_length, may_match_edgeless
-from repro.gpc.planner import _required_const_atoms, plan_shortest
+from repro.gpc.minlength import iterates_edgeless_body, max_path_length
+from repro.gpc.planner import ShortestPlan, plan_shortest, split_pushdown
 from repro.gpc.pretty import pretty, pretty_condition
 
 __all__ = [
@@ -373,22 +373,75 @@ def _descriptor_facts(
     return _Facts()
 
 
-def _rewrite(
-    pattern: ast.Pattern, diagnostics: list[Diagnostic], stats: _Stats
-) -> tuple[ast.Pattern, _Facts]:
-    if isinstance(pattern, (ast.NodePattern, ast.EdgePattern)):
-        return pattern, _descriptor_facts(pattern)
-    if isinstance(pattern, ast.Union):
-        return _rewrite_union(pattern, diagnostics, stats)
-    if isinstance(pattern, ast.Concat):
-        return _rewrite_concat(pattern, diagnostics, stats)
-    if isinstance(pattern, ast.Conditioned):
-        return _rewrite_conditioned(pattern, diagnostics, stats)
-    if isinstance(pattern, ast.Repeat):
-        return _rewrite_repeat(pattern, diagnostics, stats)
-    if isinstance(pattern, ast.PatternExtension):
-        probe = getattr(pattern, "provably_empty_ext", None)
-        empty = bool(probe()) if callable(probe) else False
+def _conjoin_facts(
+    left: _Facts, right: _Facts, where: object, diagnostics: list[Diagnostic]
+) -> _Facts:
+    """Facts of a construct whose two parts constrain the same elements
+    (concatenation, join, a pattern and its condition): required atoms
+    saturate, and a contradiction between them — reported at ``where``
+    — proves the construct empty."""
+    empty = left.empty or right.empty
+    required, witness = _merge_required(left.required, right.required)
+    if witness is not None and not empty:
+        variable, key, first, second = witness
+        if isinstance(where, ast.Join):
+            message = (
+                f"join sides force contradictory constraints on "
+                f"shared variable `{variable}`: {variable}.{key} = "
+                f"{first!r} vs {variable}.{key} = {second!r}"
+            )
+        else:
+            message = (
+                f"contradictory property constraints on `{variable}`: "
+                f"{variable}.{key} = {first!r} and {variable}.{key} = "
+                f"{second!r} cannot both hold"
+            )
+        diagnostics.append(
+            Diagnostic(PROVABLY_EMPTY, "warning", message, _span(where))
+        )
+        empty = True
+    return _Facts(
+        empty=empty,
+        required=required,
+        labels=_merge_labels(left.labels, right.labels),
+    )
+
+
+def _rewrite_step(
+    diagnostics: list[Diagnostic],
+    stats: _Stats,
+    shortest_plan: Callable[[ast.Pattern], ShortestPlan],
+    expression: ast.Expression,
+    parts: tuple[tuple[ast.Expression, _Facts], ...],
+) -> tuple[ast.Expression, _Facts]:
+    """One node of the analysis (a step for ``ast.fold``): the
+    answer-equivalent rewrite of ``expression`` and the facts about its
+    matches, from the rewrites and facts of its sub-expressions."""
+    if isinstance(expression, (ast.NodePattern, ast.EdgePattern)):
+        return expression, _descriptor_facts(expression)
+    # The same constructor as ``expression``, which is what is narrowed.
+    rebuilt: Any = ast.with_children(expression, [part for part, _ in parts])
+    facts = [fact for _, fact in parts]
+    if isinstance(expression, ast.Union):
+        return _rewrite_union(expression, rebuilt, facts, diagnostics, stats)
+    if isinstance(expression, (ast.Concat, ast.Join)):
+        left, right = facts
+        return rebuilt, _conjoin_facts(left, right, expression, diagnostics)
+    if isinstance(expression, ast.Conditioned):
+        return _rewrite_conditioned(
+            expression, rebuilt, facts[0], diagnostics, stats
+        )
+    if isinstance(expression, ast.Repeat):
+        return _rewrite_repeat(expression, rebuilt, facts[0], diagnostics)
+    if isinstance(expression, ast.PatternQuery):
+        _shape_diagnostics(
+            expression.restrictor, rebuilt.pattern, diagnostics, shortest_plan
+        )
+        return rebuilt, facts[0]
+    if isinstance(expression, ast.PatternExtension):
+        # Opaque but for its own verdict: what its subpatterns were
+        # rewritten to matches exactly what they matched before.
+        empty = expression.provably_empty_ext()
         if empty:
             diagnostics.append(
                 Diagnostic(
@@ -396,23 +449,26 @@ def _rewrite(
                     "warning",
                     "extension construct is unsatisfiable "
                     "(no element can ever match it)",
-                    _span(pattern),
+                    _span(expression),
                 )
             )
-        return pattern, _Facts(empty=empty)
-    raise TypeError(f"not a pattern: {pattern!r}")
+        return rebuilt, _Facts(empty=empty)
+    raise TypeError(f"not a GPC expression: {expression!r}")
 
 
 def _rewrite_union(
-    pattern: ast.Union, diagnostics: list[Diagnostic], stats: _Stats
+    pattern: ast.Union,
+    rebuilt: ast.Union,
+    facts: list[_Facts],
+    diagnostics: list[Diagnostic],
+    stats: _Stats,
 ) -> tuple[ast.Pattern, _Facts]:
-    left, left_facts = _rewrite(pattern.left, diagnostics, stats)
-    right, right_facts = _rewrite(pattern.right, diagnostics, stats)
+    left_facts, right_facts = facts
     if left_facts.empty != right_facts.empty:
         dead, live, live_facts = (
-            (pattern.left, right, right_facts)
+            (pattern.left, rebuilt.right, right_facts)
             if left_facts.empty
-            else (pattern.right, left, left_facts)
+            else (pattern.right, rebuilt.left, left_facts)
         )
         # A variable only the dead branch binds is ``Nothing`` in every
         # answer of the union; pruning the branch would drop it.
@@ -429,66 +485,23 @@ def _rewrite_union(
             stats.dead_branches_pruned += 1
             return live, live_facts
     if left_facts.empty and right_facts.empty:
-        rebuilt = (
-            pattern
-            if left is pattern.left and right is pattern.right
-            else ast.Union(left, right)
-        )
         return rebuilt, _Facts(empty=True)
-    rebuilt = (
-        pattern
-        if left is pattern.left and right is pattern.right
-        else ast.Union(left, right)
-    )
     return rebuilt, _intersect_facts(left_facts, right_facts)
 
 
-def _rewrite_concat(
-    pattern: ast.Concat, diagnostics: list[Diagnostic], stats: _Stats
-) -> tuple[ast.Pattern, _Facts]:
-    left, left_facts = _rewrite(pattern.left, diagnostics, stats)
-    right, right_facts = _rewrite(pattern.right, diagnostics, stats)
-    empty = left_facts.empty or right_facts.empty
-    required, witness = _merge_required(left_facts.required, right_facts.required)
-    if witness is not None and not empty:
-        variable, key, first, second = witness
-        diagnostics.append(
-            Diagnostic(
-                PROVABLY_EMPTY,
-                "warning",
-                f"contradictory property constraints on `{variable}`: "
-                f"{variable}.{key} = {first!r} and {variable}.{key} = "
-                f"{second!r} cannot both hold",
-                _span(pattern),
-            )
-        )
-        empty = True
-    rebuilt = (
-        pattern
-        if left is pattern.left and right is pattern.right
-        else ast.Concat(left, right)
-    )
-    return rebuilt, _Facts(
-        empty=empty,
-        required=required,
-        labels=_merge_labels(left_facts.labels, right_facts.labels),
-    )
-
-
 def _rewrite_conditioned(
-    pattern: ast.Conditioned, diagnostics: list[Diagnostic], stats: _Stats
+    pattern: ast.Conditioned,
+    rebuilt: ast.Conditioned,
+    inner_facts: _Facts,
+    diagnostics: list[Diagnostic],
+    stats: _Stats,
 ) -> tuple[ast.Pattern, _Facts]:
-    inner, inner_facts = _rewrite(pattern.pattern, diagnostics, stats)
+    inner = rebuilt.pattern
     try:
         simplified = simplify_condition(pattern.condition)
     except TypeError:
         # An extension condition type the simplifier cannot see
         # through: keep it verbatim and learn nothing from it.
-        rebuilt = (
-            pattern
-            if inner is pattern.pattern
-            else ast.Conditioned(inner, pattern.condition)
-        )
         return rebuilt, inner_facts
     if simplified is False:
         diagnostics.append(
@@ -501,11 +514,6 @@ def _rewrite_conditioned(
             )
         )
         stats.conditions_simplified += 1
-        rebuilt = (
-            pattern
-            if inner is pattern.pattern
-            else ast.Conditioned(inner, pattern.condition)
-        )
         return rebuilt, _Facts(empty=True)
     if simplified is True:
         diagnostics.append(
@@ -529,48 +537,22 @@ def _rewrite_conditioned(
             )
         )
         stats.conditions_simplified += 1
-    _pushdown_diagnostics(inner, simplified, diagnostics)
-    spine = _required_const_atoms(simplified)
-    required, witness = _merge_required(inner_facts.required, spine)
-    empty = inner_facts.empty
-    if witness is not None and not empty:
-        variable, key, first, second = witness
-        diagnostics.append(
-            Diagnostic(
-                PROVABLY_EMPTY,
-                "warning",
-                f"contradictory property constraints on `{variable}`: "
-                f"{variable}.{key} = {first!r} and {variable}.{key} = "
-                f"{second!r} cannot both hold",
-                _span(simplified),
-            )
-        )
-        empty = True
-    rebuilt = (
-        pattern
-        if inner is pattern.pattern and simplified is pattern.condition
-        else ast.Conditioned(inner, simplified)
-    )
-    return rebuilt, _Facts(
-        empty=empty, required=required, labels=inner_facts.labels
+        rebuilt = ast.Conditioned(inner, simplified)
+    spine = split_pushdown(simplified)[0]
+    _pushdown_diagnostics(inner, simplified, spine, diagnostics)
+    return rebuilt, _conjoin_facts(
+        inner_facts, _Facts(required=spine), simplified, diagnostics
     )
 
 
 def _rewrite_repeat(
-    pattern: ast.Repeat, diagnostics: list[Diagnostic], stats: _Stats
+    pattern: ast.Repeat,
+    rebuilt: ast.Repeat,
+    body_facts: _Facts,
+    diagnostics: list[Diagnostic],
 ) -> tuple[ast.Pattern, _Facts]:
-    body, body_facts = _rewrite(pattern.pattern, diagnostics, stats)
-    if pattern.upper is not None and pattern.lower > pattern.upper:
-        # Unreachable through the constructor (it validates n <= m);
-        # kept so a hand-built AST still gets a sound verdict.
-        return pattern, _Facts(empty=True)  # pragma: no cover
     if body_facts.empty:
         if pattern.lower >= 1:
-            rebuilt = (
-                pattern
-                if body is pattern.pattern
-                else ast.Repeat(body, pattern.lower, pattern.upper)
-            )
             return rebuilt, _Facts(empty=True)
         if pattern.upper != 0:
             diagnostics.append(
@@ -582,12 +564,7 @@ def _rewrite_repeat(
                     _span(pattern),
                 )
             )
-            return ast.Repeat(body, 0, 0), _Facts()
-    rebuilt = (
-        pattern
-        if body is pattern.pattern
-        else ast.Repeat(body, pattern.lower, pattern.upper)
-    )
+            return ast.Repeat(rebuilt.pattern, 0, 0), _Facts()
     # Body variables rebind per iteration (group-typed outside), so no
     # per-variable fact survives the repetition boundary.
     return rebuilt, _Facts()
@@ -598,32 +575,29 @@ def _rewrite_repeat(
 # ---------------------------------------------------------------------------
 
 
-def _plain_bind_sites(pattern: ast.Pattern) -> frozenset[str]:
+def _bind_sites_step(
+    pattern: ast.Pattern, parts: tuple[frozenset[str], ...]
+) -> frozenset[str]:
     """Variables bound at a plain descriptor site — outside repetition
     bodies (which rebind per iteration) and extension constructs
-    (opaque to the register compiler's push environment)."""
-    out: set[str] = set()
-    stack: list[ast.Pattern] = [pattern]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (ast.NodePattern, ast.EdgePattern)):
-            if current.variable is not None:
-                out.add(current.variable)
-        elif isinstance(current, (ast.Union, ast.Concat)):
-            stack.append(current.left)
-            stack.append(current.right)
-        elif isinstance(current, ast.Conditioned):
-            stack.append(current.pattern)
-        # Repeat bodies and extension children are deliberately not
-        # descended into.
-    return frozenset(out)
+    (opaque to the register compiler's push environment). A step for
+    ``ast.fold``."""
+    if isinstance(pattern, (ast.NodePattern, ast.EdgePattern)):
+        return frozenset((pattern.variable,)) - {None}
+    if isinstance(pattern, (ast.Repeat, ast.PatternExtension)):
+        return frozenset()
+    return frozenset().union(*parts)
 
 
 def _pushdown_diagnostics(
-    inner: ast.Pattern, condition: Condition, diagnostics: list[Diagnostic]
+    inner: ast.Pattern,
+    condition: Condition,
+    spine: dict[str, frozenset[tuple[str, object]]],
+    diagnostics: list[Diagnostic],
 ) -> None:
-    """Explain which constant-equality atoms cannot become bitmask
-    probes, and why."""
+    """Explain which constant-equality atoms of ``condition`` cannot
+    become bitmask probes, and why (``spine``: those
+    :func:`~repro.gpc.planner.split_pushdown` can push)."""
     try:
         atoms = [
             atom
@@ -632,8 +606,7 @@ def _pushdown_diagnostics(
         ]
     except TypeError:  # extension condition nodes: nothing to say
         return
-    spine = _required_const_atoms(condition)
-    bindable = _plain_bind_sites(inner)
+    bindable = ast.fold(inner, _bind_sites_step)
     seen: set[PropertyEqualsConst] = set()
     for atom in atoms:
         if atom in seen:
@@ -676,10 +649,11 @@ def _shape_diagnostics(
     restrictor: ast.Restrictor,
     pattern: ast.Pattern,
     diagnostics: list[Diagnostic],
+    shortest_plan: Callable[[ast.Pattern], ShortestPlan],
 ) -> None:
     plain_shortest = restrictor.shortest and restrictor.mode is None
     if plain_shortest:
-        shortest = plan_shortest(pattern)
+        shortest = shortest_plan(pattern)
         if not shortest.start.constrains and not shortest.end.constrains:
             diagnostics.append(
                 Diagnostic(
@@ -706,9 +680,7 @@ def _shape_diagnostics(
                     _span(sub),
                 )
             )
-        if may_match_edgeless(sub.pattern) and (
-            sub.lower != 0 or sub.upper != 0
-        ):
+        if iterates_edgeless_body(sub):
             diagnostics.append(
                 Diagnostic(
                     EDGELESS_REPEAT_BODY,
@@ -752,53 +724,10 @@ class QueryAnalysis:
     required_labels: dict[str, frozenset[str]]
 
 
-def _rewrite_query(
-    query: ast.Query, diagnostics: list[Diagnostic], stats: _Stats
-) -> tuple[ast.Query, _Facts]:
-    if isinstance(query, ast.PatternQuery):
-        pattern, facts = _rewrite(query.pattern, diagnostics, stats)
-        _shape_diagnostics(query.restrictor, pattern, diagnostics)
-        rebuilt = (
-            query
-            if pattern is query.pattern
-            else replace(query, pattern=pattern)
-        )
-        return rebuilt, facts
-    if isinstance(query, ast.Join):
-        left, left_facts = _rewrite_query(query.left, diagnostics, stats)
-        right, right_facts = _rewrite_query(query.right, diagnostics, stats)
-        empty = left_facts.empty or right_facts.empty
-        required, witness = _merge_required(
-            left_facts.required, right_facts.required
-        )
-        if witness is not None and not empty:
-            variable, key, first, second = witness
-            diagnostics.append(
-                Diagnostic(
-                    PROVABLY_EMPTY,
-                    "warning",
-                    f"join sides force contradictory constraints on "
-                    f"shared variable `{variable}`: {variable}.{key} = "
-                    f"{first!r} vs {variable}.{key} = {second!r}",
-                    _span(query),
-                )
-            )
-            empty = True
-        rebuilt = (
-            query
-            if left is query.left and right is query.right
-            else ast.Join(left, right)
-        )
-        return rebuilt, _Facts(
-            empty=empty,
-            required=required,
-            labels=_merge_labels(left_facts.labels, right_facts.labels),
-        )
-    raise TypeError(f"not a query: {query!r}")
-
-
-@lru_cache(maxsize=1024)
-def analyze_query(query: ast.Query) -> QueryAnalysis:
+def analyze_query(
+    query: ast.Query,
+    shortest_plan: Callable[[ast.Pattern], ShortestPlan] = plan_shortest,
+) -> QueryAnalysis:
     """Run the full compositional analysis over a *well-typed* query.
 
     Callers are expected to have run
@@ -807,15 +736,17 @@ def analyze_query(query: ast.Query) -> QueryAnalysis:
     cross-part atom saturation leans on the typing guarantees (shared
     variables are singletons, conditions only mention singletons).
 
-    Pure in the immutable AST, so verdicts are memoised at module
-    level: every plan built for a recurring query shape (the service
-    layer builds a fresh :class:`~repro.gpc.engine.QueryPlan` per
-    prepared query) shares one analysis instead of re-walking the
-    tree, which keeps the prepare-path overhead at hash cost.
+    Pure in the immutable AST and not memoised here: a
+    :class:`~repro.gpc.engine.QueryPlan` keeps the verdict of each query
+    it serves, and passes its own ``shortest_plan`` so that the
+    endpoint constraints the unanchored-``shortest`` check derives are
+    the ones the plan then seeds its search from.
     """
     diagnostics: list[Diagnostic] = []
     stats = _Stats()
-    simplified, facts = _rewrite_query(query, diagnostics, stats)
+    simplified, facts = ast.fold(
+        query, partial(_rewrite_step, diagnostics, stats, shortest_plan)
+    )
     if facts.empty:
         diagnostics.append(
             Diagnostic(

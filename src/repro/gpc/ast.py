@@ -26,8 +26,16 @@ used throughout tests and examples. Structural well-formedness (e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterator, Optional, Union as TUnion
+from dataclasses import dataclass, replace
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Iterator,
+    Optional,
+    Sequence,
+    Union as TUnion,
+)
 
 from repro.direction import Direction
 from repro.errors import GPCError
@@ -55,9 +63,13 @@ __all__ = [
     "undirected",
     "concat",
     "union",
+    "children",
+    "with_children",
+    "fold",
     "variables",
     "pattern_size",
     "iter_subpatterns",
+    "iter_queries",
     "INFINITY",
 ]
 
@@ -193,29 +205,59 @@ class PatternExtension:
 
     The core calculus is fixed by Figure 1; the paper's Section 7
     sketches extensions (label expressions, arithmetic conditions,
-    restrictors inside patterns). Subclasses plug into the type system
-    and the evaluator by implementing the hooks below, leaving the core
-    modules untouched.
+    restrictors inside patterns). A subclass says what its
+    sub-patterns are and supplies its case of each fact that has one;
+    the recursion is :func:`fold`'s, so no core module is touched:
+
+    ==============================  ====================================
+    hook                            called by
+    ==============================  ====================================
+    ``children()``                  :func:`children` — every ``fold``
+                                    and :func:`iter_subpatterns`
+    ``with_children(children)``     :func:`with_children`, when a tree
+                                    map (analyzer rewrite, fingerprint
+                                    canonicalisation) changed a child
+    ``own_variables()``             :func:`variables`
+    ``infer_schema_ext(schemas)``   ``typing.infer_schema``'s step
+    ``min_path_length_ext(mins)``   ``minlength.min_path_length``'s step
+    ``max_path_length_ext(maxes)``  ``minlength.max_path_length``'s step
+    ``provably_empty_ext()``        ``analysis.analyze_query``'s step
+    ``evaluate_ext(evaluator, L)``  ``semantics.BoundedEvaluator``
+    ``compile_abstraction_ext(…)``  ``abstraction``'s NFA compiler
+    ==============================  ====================================
+
+    The ``*_ext(child_results)`` hooks receive the fold's child results
+    in ``children()`` order. Facts without a hook take their
+    conservative value on an extension: footprint ``BOTTOM``, endpoints
+    unconstrained, a neutral cardinality guess, no register NFA (the
+    span matcher serves ``shortest``), ``repr`` for concrete syntax.
     """
 
     def children(self) -> tuple["Pattern", ...]:
-        """Direct subpatterns."""
+        """Direct subpatterns: the stored objects, the same on every
+        call (``fold`` memoises and ``with_children`` compares on
+        identity)."""
+        raise NotImplementedError
+
+    def with_children(self, children: tuple["Pattern", ...]) -> "Pattern":
+        """This construct over other subpatterns (``children()`` order).
+        A construct without subpatterns is never asked."""
         raise NotImplementedError
 
     def own_variables(self) -> frozenset[str]:
         """Variables introduced by this construct itself."""
         return frozenset()
 
-    def infer_schema_ext(self, child_schemas: list[dict]) -> dict:
+    def infer_schema_ext(self, child_schemas: Sequence[dict]) -> dict:
         """Combine child schemas (may raise ``GPCTypeError``)."""
         raise NotImplementedError
 
-    def min_path_length_ext(self, child_mins: list[int]) -> int:
+    def min_path_length_ext(self, child_mins: Sequence[int]) -> int:
         """Minimum match length given the children's minima."""
         raise NotImplementedError
 
     def max_path_length_ext(
-        self, child_maxes: list[Optional[int]]
+        self, child_maxes: Sequence[Optional[int]]
     ) -> Optional[int]:
         """Maximum match length (``None`` = unbounded)."""
         raise NotImplementedError
@@ -368,8 +410,166 @@ def union(*patterns: Pattern) -> Pattern:
 
 
 # ---------------------------------------------------------------------------
-# Structural queries over expressions
+# The one traversal: children, with_children, fold
 # ---------------------------------------------------------------------------
+#
+# Which fields of a constructor hold sub-expressions is written down
+# here and nowhere else; every pass over the syntax — typing, lengths,
+# footprints, analysis, planning, printing — is a *step function* handed
+# to :func:`fold`, or a loop over :func:`iter_subpatterns`.
+
+_BINARY = (Union, Concat, Join)
+_UNARY = (Conditioned, Repeat, PatternQuery)
+
+#: How many sub-expressions each core constructor holds, by class: one
+#: dictionary lookup per node where ``isinstance`` would ask three
+#: questions (every pass over the syntax pays this per node).
+_ARITY = {
+    **dict.fromkeys((NodePattern, EdgePattern), 0),
+    **dict.fromkeys(_UNARY, 1),
+    **dict.fromkeys(_BINARY, 2),
+}
+
+
+def children(expression: Expression) -> tuple[Expression, ...]:
+    """The direct sub-expressions of ``expression``, left to right."""
+    arity = _ARITY.get(expression.__class__)
+    if arity == 2:
+        return (expression.left, expression.right)
+    if arity == 1:
+        return (expression.pattern,)
+    if arity == 0:
+        return ()
+    if isinstance(expression, PatternExtension):
+        return tuple(expression.children())
+    raise TypeError(f"not a GPC expression: {expression!r}")
+
+
+def with_children(
+    expression: Expression, new_children: Sequence[Expression]
+) -> Expression:
+    """``expression`` over ``new_children`` (the inverse of
+    :func:`children`). Returns ``expression`` itself when every child
+    is the object it already holds, so "did a rewrite change anything"
+    stays an ``is`` test all the way up the tree."""
+    old = children(expression)
+    if len(new_children) != len(old):
+        raise GPCError(
+            f"{type(expression).__name__} takes {len(old)} sub-expressions, "
+            f"got {len(new_children)}"
+        )
+    for new, kept in zip(new_children, old):
+        if new is not kept:
+            break
+    else:
+        return expression
+    if isinstance(expression, _BINARY):
+        return type(expression)(*new_children)
+    if isinstance(expression, PatternExtension):
+        return expression.with_children(tuple(new_children))
+    return replace(expression, pattern=new_children[0])
+
+
+def fold(expression: Expression, step: Callable[[Any, tuple], Any]) -> Any:
+    """Structural induction: ``step(node, child_results)`` for every
+    node of ``expression``, children before parents and left to right,
+    the value for the root returned. ``child_results`` is a tuple in
+    :func:`children` order.
+
+    The height of the tree is not bounded by the interpreter's
+    recursion limit, and the walk is memoised per call on node
+    *identity*: a node reachable along several paths (a programmatic
+    AST that shares a subtree) is stepped once. An exception raised by
+    ``step`` propagates from the first node, in that order, that raises
+    — the node a recursive descent would have failed at.
+    """
+    return _fold(expression, step, {}, _NATIVE_LEVELS)
+
+
+#: How many levels :func:`fold` descends by native recursion before it
+#: continues on an explicit stack. An interpreter frame costs about
+#: half of one kept by hand, and a cold request runs some sixteen folds
+#: over 3-10 nodes each: against the hand-rolled recursions this
+#: replaced, an all-explicit fold cost ``point_lookup`` 8 % more CPU per
+#: request, this one 4 %. Every tree this shallow fits — any text the
+#: parser lets in is at most twice as high — and nested folds (a step
+#: that asks for another fact) stay far below the recursion limit.
+_NATIVE_LEVELS = 48
+
+
+def _fold(node: Expression, step, done: dict[int, Any], levels: int) -> Any:
+    key = id(node)
+    if key in done:
+        return done[key]
+    arity = _ARITY.get(node.__class__)
+    if arity == 0:
+        result = step(node, ())
+    elif not levels:
+        result = _fold_deep(node, step, done)
+    elif arity == 2:
+        left = _fold(node.left, step, done, levels - 1)
+        result = step(node, (left, _fold(node.right, step, done, levels - 1)))
+    elif arity == 1:
+        result = step(node, (_fold(node.pattern, step, done, levels - 1),))
+    else:
+        kids = children(node)
+        result = step(
+            node, tuple([_fold(kid, step, done, levels - 1) for kid in kids])
+        )
+    done[key] = result
+    return result
+
+
+def _fold_deep(expression: Expression, step, done: dict[int, Any]) -> Any:
+    """:func:`_fold` without recursion, for what lies below the native
+    levels: same order, same memo."""
+    # ``todo`` holds what is still to visit, next on top; ``None`` says
+    # "every child of the node on top of ``opened`` has been visited",
+    # and their results are then the top of ``values``, in order.
+    todo: list[Optional[Expression]] = [expression]
+    opened: list[tuple[Expression, int]] = []
+    values: list[Any] = []
+    while todo:
+        current = todo.pop()
+        if current is None:
+            current, count = opened.pop()
+            result = step(current, tuple(values[-count:]))
+            del values[-count:]
+        elif id(current) in done:
+            values.append(done[id(current)])
+            continue
+        elif kids := children(current):
+            opened.append((current, len(kids)))
+            todo.append(None)
+            todo += kids[::-1]
+            continue
+        else:
+            result = step(current, ())
+        done[id(current)] = result
+        values.append(result)
+    return result
+
+
+def iter_subpatterns(expression: Expression) -> Iterator[Expression]:
+    """Yield every sub-expression of ``expression`` (including itself),
+    pre-order."""
+    stack: list[Expression] = [expression]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(reversed(children(current)))
+
+
+def iter_queries(query: Query) -> Iterator[Query]:
+    """Yield every join and pattern query of ``query`` (including
+    itself), pre-order: :func:`iter_subpatterns` stopping where the
+    patterns begin."""
+    stack: list[Query] = [query]
+    while stack:
+        current = stack.pop()
+        yield current
+        if isinstance(current, Join):
+            stack.extend(reversed(children(current)))
 
 
 def variables(expression: Expression) -> frozenset[str]:
@@ -378,72 +578,28 @@ def variables(expression: Expression) -> frozenset[str]:
     Includes variables bound by descriptors, path names in queries, and
     variables mentioned in conditions.
     """
-    out: set[str] = set()
-    _collect_variables(expression, out)
+    out: set[Optional[str]] = set()
+    for sub in iter_subpatterns(expression):
+        if isinstance(sub, (NodePattern, EdgePattern)):
+            out.add(sub.variable)
+        elif isinstance(sub, PatternQuery):
+            out.add(sub.name)
+        elif isinstance(sub, Conditioned):
+            out.update(condition_variables(sub.condition))
+        elif isinstance(sub, PatternExtension):
+            out.update(sub.own_variables())
+    out.discard(None)
     return frozenset(out)
-
-
-def _collect_variables(expression: Expression, out: set[str]) -> None:
-    if isinstance(expression, PatternExtension):
-        out.update(expression.own_variables())
-        for child in expression.children():
-            _collect_variables(child, out)
-    elif isinstance(expression, NodePattern) or isinstance(expression, EdgePattern):
-        if expression.variable is not None:
-            out.add(expression.variable)
-    elif isinstance(expression, (Union, Concat)):
-        _collect_variables(expression.left, out)
-        _collect_variables(expression.right, out)
-    elif isinstance(expression, Conditioned):
-        _collect_variables(expression.pattern, out)
-        out.update(condition_variables(expression.condition))
-    elif isinstance(expression, Repeat):
-        _collect_variables(expression.pattern, out)
-    elif isinstance(expression, PatternQuery):
-        _collect_variables(expression.pattern, out)
-        if expression.name is not None:
-            out.add(expression.name)
-    elif isinstance(expression, Join):
-        _collect_variables(expression.left, out)
-        _collect_variables(expression.right, out)
-    else:
-        raise TypeError(f"not a GPC expression: {expression!r}")
-
-
-def iter_subpatterns(pattern: Pattern) -> Iterator[Pattern]:
-    """Yield every subpattern of ``pattern`` (including itself),
-    pre-order."""
-    stack: list[Pattern] = [pattern]
-    while stack:
-        current = stack.pop()
-        yield current
-        if isinstance(current, (Union, Concat)):
-            stack.append(current.right)
-            stack.append(current.left)
-        elif isinstance(current, Conditioned):
-            stack.append(current.pattern)
-        elif isinstance(current, Repeat):
-            stack.append(current.pattern)
-        elif isinstance(current, PatternExtension):
-            stack.extend(current.children())
 
 
 def pattern_size(expression: Expression) -> int:
     """``|pi|`` per Appendix C: parse-tree nodes plus the bits needed
     to represent repetition bounds."""
-    if isinstance(expression, (NodePattern, EdgePattern)):
-        return 1
-    if isinstance(expression, (Union, Concat, Join)):
-        return 1 + pattern_size(expression.left) + pattern_size(expression.right)
-    if isinstance(expression, Conditioned):
-        return 1 + pattern_size(expression.pattern)
-    if isinstance(expression, Repeat):
-        bits = expression.lower.bit_length() or 1
-        if expression.upper is not None:
-            bits += expression.upper.bit_length() or 1
-        return 1 + bits + pattern_size(expression.pattern)
-    if isinstance(expression, PatternQuery):
-        return 1 + pattern_size(expression.pattern)
-    if isinstance(expression, PatternExtension):
-        return 1 + sum(pattern_size(child) for child in expression.children())
-    raise TypeError(f"not a GPC expression: {expression!r}")
+    size = 0
+    for sub in iter_subpatterns(expression):
+        size += 1
+        if isinstance(sub, Repeat):
+            size += sub.lower.bit_length() or 1
+            if sub.upper is not None:
+                size += sub.upper.bit_length() or 1
+    return size

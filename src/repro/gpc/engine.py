@@ -150,6 +150,7 @@ class QueryPlan:
         self._typechecked: set[ast.Expression] = set()
         self._join_variables: dict[ast.Join, tuple[str, ...]] = {}
         self._shortest_plans: dict[ast.Pattern, ShortestPlan] = {}
+        self._analyses: dict[ast.Query, QueryAnalysis] = {}
         #: ``(query, snapshot version)`` → :class:`PlanEstimates`;
         #: bounded (estimates are cheap to recompute) and keyed by
         #: version because cardinalities shift with the graph.
@@ -162,14 +163,19 @@ class QueryPlan:
             self._typechecked.add(expression)
 
     def analysis(self, query: ast.Query) -> QueryAnalysis:
-        """The static analyzer's verdict for ``query``, memoised at
-        module level (see :func:`repro.gpc.analysis.analyze_query` —
-        verdicts are pure in the immutable AST, so plans share them).
+        """The static analyzer's verdict for ``query``, memoised here.
+        Its unanchored-``shortest`` check reads :meth:`shortest_plan`,
+        so analyzer and search share one record per pattern.
         Computed on demand regardless of ``config.use_analysis``: lint
         and explain always report diagnostics, the flag only gates
         whether the *evaluator* acts on the verdict."""
-        self.ensure_typechecked(query)
-        return analyze_query(query)
+        found = self._analyses.get(query)
+        if found is None:
+            self.ensure_typechecked(query)
+            found = self._analyses[query] = analyze_query(
+                query, self.shortest_plan
+            )
+        return found
 
     def provably_empty(self, query: ast.Query) -> bool:
         """Whether the analyzer proved the query empty on every graph."""
@@ -229,9 +235,10 @@ class QueryPlan:
 
     def shortest_plan(self, pattern: ast.Pattern) -> ShortestPlan:
         """Endpoint-pruning constraints for a ``shortest`` pattern."""
-        if pattern not in self._shortest_plans:
-            self._shortest_plans[pattern] = plan_shortest(pattern)
-        return self._shortest_plans[pattern]
+        found = self._shortest_plans.get(pattern)
+        if found is None:
+            found = self._shortest_plans[pattern] = plan_shortest(pattern)
+        return found
 
     def estimates(self, query: ast.Query, view) -> PlanEstimates:
         """The planner's :class:`PlanEstimates` for ``query`` over
@@ -265,9 +272,7 @@ class QueryPlan:
         self.ensure_typechecked(query)
         target = query
         if self.config.use_analysis:
-            # Just typechecked above: call the memoised analyzer
-            # directly rather than paying analysis()'s re-check.
-            analysis = analyze_query(query)
+            analysis = self.analysis(query)
             if analysis.provably_empty:
                 # The evaluator never touches the snapshot (or any
                 # automaton) for a proven-empty query.
@@ -289,14 +294,11 @@ class QueryPlan:
                         self.abstraction(pattern_query.pattern)
 
     def _pattern_queries(self, query: ast.Query):
-        stack = [query]
-        while stack:
-            current = stack.pop()
+        for current in ast.iter_queries(query):
             if isinstance(current, ast.PatternQuery):
                 yield current
-            elif isinstance(current, ast.Join):
+            else:
                 self.join_variables(current)
-                stack.extend((current.left, current.right))
 
 
 class Evaluator:

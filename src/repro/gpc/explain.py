@@ -124,19 +124,12 @@ def _strategy(restrictor: ast.Restrictor, pattern: ast.Pattern) -> str:
 
 def explain_query(query: ast.Query) -> QueryReport:
     """Analyse a query: one entry per joined pattern item."""
-    items: list[tuple[str, PatternReport]] = []
-
-    def walk(q: ast.Query) -> None:
-        if isinstance(q, ast.Join):
-            walk(q.left)
-            walk(q.right)
-        else:
-            items.append(
-                (_strategy(q.restrictor, q.pattern), explain_pattern(q.pattern))
-            )
-
-    walk(query)
-    return QueryReport(text=pretty(query), items=tuple(items))
+    items = tuple(
+        (_strategy(q.restrictor, q.pattern), explain_pattern(q.pattern))
+        for q in ast.iter_queries(query)
+        if isinstance(q, ast.PatternQuery)
+    )
+    return QueryReport(text=pretty(query), items=items)
 
 
 def explain(expression: ast.Expression) -> str:

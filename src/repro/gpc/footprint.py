@@ -39,6 +39,7 @@ cache re-stamps the entry to the new version instead of dropping it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.direction import Direction
@@ -157,8 +158,6 @@ class QueryFootprint:
 #: invalidates, which is exactly the old global per-version flush.
 BOTTOM = QueryFootprint(None, None, None, None, None)
 
-_EMPTY = QueryFootprint()
-
 
 def _union(
     left: Optional[frozenset[str]], right: Optional[frozenset[str]]
@@ -219,26 +218,19 @@ def _variable_classes(pattern: ast.Pattern) -> dict[str, str]:
         elif seen != element_class:
             classes[variable] = _UNKNOWN
 
-    stack = [pattern]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.NodePattern):
-            _note(current.variable, "node")
-        elif isinstance(current, ast.EdgePattern):
-            _note(current.variable, "edge")
-        elif isinstance(current, (ast.Union, ast.Concat)):
-            stack.append(current.left)
-            stack.append(current.right)
-        elif isinstance(current, (ast.Conditioned, ast.Repeat)):
-            stack.append(current.pattern)
-        # Extension constructs bind variables the walk cannot see; the
-        # caller treats absent variables as _UNKNOWN, which is what a
-        # hidden bind site deserves.
+    for sub in ast.iter_subpatterns(pattern):
+        if isinstance(sub, ast.NodePattern):
+            _note(sub.variable, "node")
+        elif isinstance(sub, ast.EdgePattern):
+            _note(sub.variable, "edge")
+        # A variable an extension construct binds itself stays absent;
+        # the caller treats absent variables as _UNKNOWN, which is what
+        # a hidden bind site deserves.
     return classes
 
 
 def _condition_footprint(
-    condition, var_classes: Optional[dict[str, str]] = None
+    condition, var_classes: dict[str, str]
 ) -> QueryFootprint:
     """Property keys a condition reads (``BOTTOM`` for unknown nodes).
 
@@ -246,8 +238,6 @@ def _condition_footprint(
     the class of the variable dereferencing it; keys read through a
     variable of unknown class land in both sets.
     """
-    if var_classes is None:
-        var_classes = {}
     node_keys: set[str] = set()
     edge_keys: set[str] = set()
 
@@ -278,9 +268,12 @@ def _condition_footprint(
     )
 
 
-def _walk_pattern(
-    pattern: ast.Pattern, var_classes: Optional[dict[str, str]] = None
+def _footprint_step(
+    var_classes: dict[str, str],
+    pattern: ast.Pattern,
+    parts: tuple[QueryFootprint, ...],
 ) -> QueryFootprint:
+    """The footprint of ``pattern`` from its subpatterns' footprints."""
     if isinstance(pattern, ast.NodePattern):
         if pattern.label is not None:
             return QueryFootprint(node_labels=frozenset((pattern.label,)))
@@ -293,19 +286,16 @@ def _walk_pattern(
             return QueryFootprint(uedge_labels=labels)
         return QueryFootprint(dedge_labels=labels)
     if isinstance(pattern, (ast.Union, ast.Concat)):
-        return _walk_pattern(pattern.left, var_classes).merge(
-            _walk_pattern(pattern.right, var_classes)
-        )
+        return parts[0].merge(parts[1])
     if isinstance(pattern, ast.Conditioned):
-        return _walk_pattern(pattern.pattern, var_classes).merge(
+        return parts[0].merge(
             _condition_footprint(pattern.condition, var_classes)
         )
     if isinstance(pattern, ast.Repeat):
-        inner = _walk_pattern(pattern.pattern, var_classes)
         if pattern.lower == 0:
             # Zero iterations match a single-node path at *any* node.
-            inner = inner.merge(QueryFootprint(node_labels=None))
-        return inner
+            return parts[0].merge(QueryFootprint(node_labels=None))
+        return parts[0]
     # Extension constructs (Section 7): no syntactic bound.
     return BOTTOM
 
@@ -320,7 +310,9 @@ def pattern_footprint(pattern: ast.Pattern) -> QueryFootprint:
     empty — maximally prunable — set. The refinement is skipped when
     the walk hit a construct it cannot bound.
     """
-    footprint = _walk_pattern(pattern, _variable_classes(pattern))
+    footprint = ast.fold(
+        pattern, partial(_footprint_step, _variable_classes(pattern))
+    )
     if footprint.is_bottom:
         # Some construct defeated the analysis (merging BOTTOM floods
         # every class); the length-0 refinement is not justified then.

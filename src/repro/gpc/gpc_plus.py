@@ -74,8 +74,3 @@ class GPCPlusQuery:
             answers = evaluator.evaluate(rule.query)
             out.update(project(answers, rule.head))
         return frozenset(out)
-
-
-def single_rule(head: tuple[str, ...], query: ast.Query) -> GPCPlusQuery:
-    """Convenience constructor for one-rule GPC+ queries."""
-    return GPCPlusQuery((Rule(head, query),))

@@ -28,64 +28,66 @@ __all__ = [
     "min_path_length",
     "max_path_length",
     "may_match_edgeless",
+    "iterates_edgeless_body",
     "validate_approach1",
 ]
 
 
-def min_path_length(pattern: ast.Pattern) -> int:
-    """The length of the shortest path the pattern could ever match."""
+def min_length_step(pattern: ast.Pattern, child_mins: tuple[int, ...]) -> int:
+    """One node of :func:`min_path_length` (a step for ``ast.fold``)."""
     if isinstance(pattern, ast.NodePattern):
         return 0
     if isinstance(pattern, ast.EdgePattern):
         return 1
     if isinstance(pattern, ast.Union):
-        return min(min_path_length(pattern.left), min_path_length(pattern.right))
+        return min(child_mins)
     if isinstance(pattern, ast.Concat):
-        return min_path_length(pattern.left) + min_path_length(pattern.right)
+        return child_mins[0] + child_mins[1]
     if isinstance(pattern, ast.Conditioned):
-        return min_path_length(pattern.pattern)
+        return child_mins[0]
     if isinstance(pattern, ast.Repeat):
-        return pattern.lower * min_path_length(pattern.pattern)
+        return pattern.lower * child_mins[0]
     if isinstance(pattern, ast.PatternExtension):
-        return pattern.min_path_length_ext(
-            [min_path_length(child) for child in pattern.children()]
-        )
+        return pattern.min_path_length_ext(child_mins)
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-def max_path_length(pattern: ast.Pattern) -> Optional[int]:
-    """The length of the longest path the pattern could match, or
-    ``None`` when unbounded."""
+def min_path_length(pattern: ast.Pattern) -> int:
+    """The length of the shortest path the pattern could ever match."""
+    return ast.fold(pattern, min_length_step)
+
+
+def max_length_step(
+    pattern: ast.Pattern, child_maxes: tuple[Optional[int], ...]
+) -> Optional[int]:
+    """One node of :func:`max_path_length` (a step for ``ast.fold``)."""
     if isinstance(pattern, ast.NodePattern):
         return 0
     if isinstance(pattern, ast.EdgePattern):
         return 1
-    if isinstance(pattern, ast.Union):
-        left = max_path_length(pattern.left)
-        right = max_path_length(pattern.right)
+    if isinstance(pattern, (ast.Union, ast.Concat)):
+        left, right = child_maxes
         if left is None or right is None:
             return None
-        return max(left, right)
-    if isinstance(pattern, ast.Concat):
-        left = max_path_length(pattern.left)
-        right = max_path_length(pattern.right)
-        if left is None or right is None:
-            return None
-        return left + right
+        return max(left, right) if isinstance(pattern, ast.Union) else left + right
     if isinstance(pattern, ast.Conditioned):
-        return max_path_length(pattern.pattern)
+        return child_maxes[0]
     if isinstance(pattern, ast.Repeat):
-        inner = max_path_length(pattern.pattern)
+        inner = child_maxes[0]
         if inner == 0:
             return 0
         if pattern.upper is None or inner is None:
             return None
         return pattern.upper * inner
     if isinstance(pattern, ast.PatternExtension):
-        return pattern.max_path_length_ext(
-            [max_path_length(child) for child in pattern.children()]
-        )
+        return pattern.max_path_length_ext(child_maxes)
     raise TypeError(f"not a pattern: {pattern!r}")
+
+
+def max_path_length(pattern: ast.Pattern) -> Optional[int]:
+    """The length of the longest path the pattern could match, or
+    ``None`` when unbounded."""
+    return ast.fold(pattern, max_length_step)
 
 
 def may_match_edgeless(pattern: ast.Pattern) -> bool:
@@ -93,11 +95,22 @@ def may_match_edgeless(pattern: ast.Pattern) -> bool:
     return min_path_length(pattern) == 0
 
 
+def iterates_edgeless_body(repeat: ast.Repeat) -> bool:
+    """Whether the repetition can iterate over an edgeless body: its
+    body may match a length-0 path and it is not ``pi{0,0}``, which
+    never iterates. This is what a register run cannot regroup
+    (:func:`repro.gpc.register_nfa.collect_requirement`) and what lint
+    ``GPC022`` reports."""
+    return repeat.upper != 0 and may_match_edgeless(repeat.pattern)
+
+
 def validate_approach1(pattern: ast.Pattern) -> None:
     """Enforce the Approach 1 syntactic restriction.
 
     Raises :class:`~repro.errors.CollectError` if any repetition body
-    may match an edgeless path (this is the GQL standard's rule).
+    may match an edgeless path (this is the GQL standard's rule; it is
+    syntactic, so — unlike :func:`iterates_edgeless_body` — ``pi{0,0}``
+    is not exempt).
     """
     for sub in ast.iter_subpatterns(pattern):
         if isinstance(sub, ast.Repeat) and may_match_edgeless(sub.pattern):

@@ -65,11 +65,13 @@ __all__ = [
 #: Deepest nesting the parser accepts: of brackets and of parenthesised
 #: or negated conditions while it recurses, and of the expression tree
 #: it returns (a 300-hop chain nests 600 concatenations without a
-#: single bracket). The parser and the passes behind it — typing,
-#: analysis, planning, footprints, register compilation — recurse over
-#: that tree with up to four interpreter frames per level; from a
-#: server worker thread they survive about 230 levels under the default
-#: recursion limit, so the door closes well before that.
+#: single bracket). A policy number for text from outside, not what
+#: the passes can take: typing, analysis, planning and footprints go
+#: through :func:`repro.gpc.ast.fold`, which takes a tree of any height,
+#: but the parser, the register compiler and the evaluators recurse
+#: with up to four interpreter frames per level, and from a server
+#: worker thread those survive about 230 levels under the default
+#: recursion limit.
 MAX_NESTING_DEPTH = 100
 
 
@@ -491,17 +493,16 @@ def _too_deep(position: int | None = None) -> ParseError:
     )
 
 
-_NESTING = (
-    ast.Join,
-    ast.PatternQuery,
-    ast.Union,
-    ast.Concat,
-    ast.Conditioned,
-    ast.Repeat,
-    And,
-    Or,
-    Not,
-)
+def _nested(node) -> tuple:
+    """What nests directly inside ``node``, an expression or a
+    condition."""
+    if isinstance(node, (And, Or, Not)):
+        return tuple(vars(node).values())
+    if isinstance(node, (PropertyEqualsConst, PropertyEqualsProperty)):
+        return ()
+    if isinstance(node, ast.Conditioned):
+        return ast.children(node) + (node.condition,)
+    return ast.children(node)
 
 
 def _parse(text: str, production):
@@ -518,11 +519,10 @@ def _parse(text: str, production):
         stack = [(root, 1)]
         while stack:
             node, depth = stack.pop()
-            if depth > MAX_NESTING_DEPTH:
+            inside = _nested(node)
+            if inside and depth > MAX_NESTING_DEPTH:
                 raise _too_deep()
-            for child in vars(node).values():
-                if isinstance(child, _NESTING):
-                    stack.append((child, depth + 1))
+            stack.extend((part, depth + 1) for part in inside)
     return root
 
 

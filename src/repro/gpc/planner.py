@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import partial
 from typing import Optional
 
+from repro.direction import Direction
 from repro.gpc import ast
 from repro.gpc.conditions_ast import And, Condition, PropertyEqualsConst
-from repro.gpc.minlength import max_path_length
+from repro.gpc.minlength import max_length_step
 from repro.gpc.typing import infer_schema
 from repro.graph.statistics import compute_label_cardinalities
 
@@ -178,39 +179,16 @@ class ShortestPlan:
     end: EndpointConstraint
 
 
-@lru_cache(maxsize=1024)
 def plan_shortest(pattern: ast.Pattern) -> ShortestPlan:
     """Extract the leading and trailing endpoint constraints.
 
-    Pure in an immutable pattern, and wanted by several independent
-    consumers per query (the static analyzer's unanchored-``shortest``
-    check, each :class:`~repro.gpc.engine.QueryPlan`'s precompile),
-    so it is memoised at module level rather than per plan.
+    Pure in an immutable pattern and not memoised here: the
+    :class:`~repro.gpc.engine.QueryPlan` that wants it keeps it (and
+    hands the same record to the static analyzer's
+    unanchored-``shortest`` check).
     """
-    return ShortestPlan(
-        start=EndpointConstraint(_endpoint_alternatives(pattern, leading=True)),
-        end=EndpointConstraint(_endpoint_alternatives(pattern, leading=False)),
-    )
-
-
-def _required_const_atoms(
-    condition: Condition,
-) -> dict[str, frozenset[tuple[str, object]]]:
-    """Per-variable ``x.key = const`` atoms that *every* satisfying
-    assignment must meet: atoms on the positive spine of a conjunction
-    (anything under ``or``/``not`` is optional and ignored)."""
-    out: dict[str, set[tuple[str, object]]] = {}
-    stack: list[Condition] = [condition]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, And):
-            stack.append(current.left)
-            stack.append(current.right)
-        elif isinstance(current, PropertyEqualsConst):
-            out.setdefault(current.variable, set()).add(
-                (current.key, current.constant)
-            )
-    return {variable: frozenset(atoms) for variable, atoms in out.items()}
+    start, end, _longest = ast.fold(pattern, _endpoints_step)
+    return ShortestPlan(EndpointConstraint(start), EndpointConstraint(end))
 
 
 def split_pushdown(
@@ -220,8 +198,9 @@ def split_pushdown(
 
     Returns ``(atoms, residue)``: ``atoms`` maps each variable to the
     ``x.key = const`` atoms on the condition's positive ``And`` spine
-    (the same walk :func:`_required_const_atoms` uses for endpoint
-    pruning — every satisfying assignment must meet them), and
+    (every satisfying assignment must meet them; anything under
+    ``or``/``not`` is optional and stays behind — endpoint pruning and
+    the static analyzer read the same atoms), and
     ``residue`` is the condition with those atoms removed, or ``None``
     when the conjunction was consumed entirely. Re-conjoining every
     atom with the residue is equivalent to the original condition, so
@@ -253,80 +232,108 @@ def split_pushdown(
     )
 
 
-def _endpoint_alternatives(
-    pattern: ast.Pattern, leading: bool
-) -> Optional[tuple[NodeConstraint, ...]]:
-    """The boundary-node constraint disjunction, or ``None`` when
-    unconstrained. Soundness invariant: every match's source (leading)
-    or target (trailing) node satisfies at least one alternative."""
+#: The boundary-node constraint disjunction of one end of a pattern,
+#: or ``None`` when unconstrained. Soundness invariant: every match's
+#: source (leading end) or target (trailing end) node satisfies at
+#: least one alternative.
+_Alternatives = Optional[tuple[NodeConstraint, ...]]
+
+#: What the fold knows of a subpattern: its leading and trailing
+#: alternatives and its maximum match length.
+_Ends = tuple[_Alternatives, _Alternatives, Optional[int]]
+
+
+def _endpoints_step(pattern: ast.Pattern, parts: tuple[_Ends, ...]) -> _Ends:
+    """The :data:`_Ends` of ``pattern`` from those of its subpatterns
+    (a step for ``ast.fold``)."""
+    longest = max_length_step(pattern, tuple([part[2] for part in parts]))
     if isinstance(pattern, ast.NodePattern):
         labels = (
             frozenset((pattern.label,)) if pattern.label else frozenset()
         )
-        return (NodeConstraint(labels, frozenset(), pattern.variable),)
+        node = (NodeConstraint(labels, frozenset(), pattern.variable),)
+        return node, node, longest
     if isinstance(pattern, ast.EdgePattern):
         # The traversal's endpoint node is unconstrained, but keeping a
         # trivial alternative lets an enclosing Concat still contribute.
-        return (NodeConstraint(),)
+        anywhere = (NodeConstraint(),)
+        return anywhere, anywhere, longest
     if isinstance(pattern, ast.Concat):
-        first, second = (
-            (pattern.left, pattern.right)
-            if leading
-            else (pattern.right, pattern.left)
+        left, right = parts
+        return (
+            _boundary(left[0], left[2], right[0]),
+            _boundary(right[1], right[2], left[1]),
+            longest,
         )
-        alternatives = _endpoint_alternatives(first, leading)
-        if alternatives is None:
-            return None
-        if max_path_length(first) == 0:
-            # The boundary factor is always a single node, so the same
-            # node is also the second factor's boundary: conjoin.
-            other = _endpoint_alternatives(second, leading)
-            if other is not None:
-                alternatives = tuple(
-                    NodeConstraint(
-                        a.labels | b.labels,
-                        a.properties | b.properties,
-                        a.variable or b.variable,
-                    )
-                    for a in alternatives
-                    for b in other
-                )
-        return _capped(alternatives)
     if isinstance(pattern, ast.Union):
-        left = _endpoint_alternatives(pattern.left, leading)
-        right = _endpoint_alternatives(pattern.right, leading)
-        if left is None or right is None:
-            return None
-        return _capped(left + right)
+        left, right = parts
+        return _either(left[0], right[0]), _either(left[1], right[1]), longest
     if isinstance(pattern, ast.Conditioned):
-        alternatives = _endpoint_alternatives(pattern.pattern, leading)
-        if alternatives is None:
-            return None
-        required = _required_const_atoms(pattern.condition)
+        required = split_pushdown(pattern.condition)[0]
         if not required:
-            return alternatives
-        return tuple(
-            replace(
-                alt,
-                properties=alt.properties
-                | required.get(alt.variable or "", frozenset()),
+            return parts[0]
+        leading, trailing, _ = parts[0]
+        return _require(leading, required), _require(trailing, required), longest
+    if isinstance(pattern, ast.Repeat) and pattern.lower > 0:
+        leading, trailing, _ = parts[0]
+        return _anonymous(leading), _anonymous(trailing), longest
+    # Zero iterations match any single-node path; extension constructs
+    # are conservatively unconstrained.
+    return None, None, longest
+
+
+def _require(
+    alternatives: _Alternatives,
+    required: dict[str, frozenset[tuple[str, object]]],
+) -> _Alternatives:
+    """``alternatives`` under a condition that forces ``required``."""
+    if alternatives is None:
+        return None
+    return tuple(
+        replace(
+            alt,
+            properties=alt.properties
+            | required.get(alt.variable or "", frozenset()),
+        )
+        for alt in alternatives
+    )
+
+
+def _anonymous(alternatives: _Alternatives) -> _Alternatives:
+    """``alternatives`` seen from outside a repetition: body variables
+    become group-typed there, so no enclosing condition can constrain
+    them."""
+    if alternatives is None:
+        return None
+    return tuple(replace(alt, variable=None) for alt in alternatives)
+
+
+def _either(left: _Alternatives, right: _Alternatives) -> _Alternatives:
+    if left is None or right is None:
+        return None
+    return _capped(left + right)
+
+
+def _boundary(
+    outer: _Alternatives, outer_longest: Optional[int], inner: _Alternatives
+) -> _Alternatives:
+    """One end of a concatenation: the alternatives of the factor at
+    that end, conjoined with the other factor's when the boundary
+    factor is always a single node (the same node is then the other
+    factor's boundary too)."""
+    if outer is None:
+        return None
+    if outer_longest == 0 and inner is not None:
+        outer = tuple(
+            NodeConstraint(
+                a.labels | b.labels,
+                a.properties | b.properties,
+                a.variable or b.variable,
             )
-            for alt in alternatives
+            for a in outer
+            for b in inner
         )
-    if isinstance(pattern, ast.Repeat):
-        if pattern.lower == 0:
-            # Zero iterations match any single-node path.
-            return None
-        alternatives = _endpoint_alternatives(pattern.pattern, leading)
-        if alternatives is None:
-            return None
-        # Body variables become group-typed outside the repetition, so
-        # no enclosing condition can constrain them: drop them.
-        return tuple(
-            replace(alt, variable=None) for alt in alternatives
-        )
-    # Extension constructs: conservatively unconstrained.
-    return None
+    return _capped(outer)
 
 
 def _capped(
@@ -353,6 +360,14 @@ def join_shared_variables(join: ast.Join) -> tuple[str, ...]:
     return tuple(sorted(left.keys() & right.keys()))
 
 
+def _shared_variables(join: ast.Join, plan) -> tuple[str, ...]:
+    """:func:`join_shared_variables`, from the memo of ``plan`` (a
+    :class:`~repro.gpc.engine.QueryPlan`) when there is one."""
+    if plan is not None:
+        return plan.join_variables(join)
+    return join_shared_variables(join)
+
+
 # ---------------------------------------------------------------------------
 # Cardinality estimation
 # ---------------------------------------------------------------------------
@@ -367,53 +382,52 @@ def estimate_pattern_cardinality(pattern: ast.Pattern, view) -> float:
     repetition grows geometrically with the per-iteration expansion
     factor (truncated and capped). Counts come from the snapshot's
     memoised :class:`~repro.graph.statistics.LabelCardinalities`, so
-    the recursion is pure arithmetic.
+    the fold is pure arithmetic.
     """
-    return _estimate_pattern(pattern, compute_label_cardinalities(view))
+    return _estimate(pattern, compute_label_cardinalities(view))
 
 
-def _estimate_pattern(pattern: ast.Pattern, cards) -> float:
+def _estimate(expression: ast.Expression, cards, plan=None) -> float:
+    return ast.fold(expression, partial(_estimate_step, cards, plan))
+
+
+def _estimate_step(
+    cards, plan, expression: ast.Expression, parts: tuple[float, ...]
+) -> float:
+    """The estimated match (or answer) count of ``expression`` from
+    those of its sub-expressions (a step for ``ast.fold``)."""
     num_nodes = max(1, cards.num_nodes)
-    if isinstance(pattern, ast.NodePattern):
-        if pattern.label is not None:
-            return float(max(1, cards.nodes_with_label(pattern.label)))
+    if isinstance(expression, ast.NodePattern):
+        if expression.label is not None:
+            return float(max(1, cards.nodes_with_label(expression.label)))
         return float(num_nodes)
-    if isinstance(pattern, ast.EdgePattern):
-        from repro.direction import Direction
-
-        if pattern.direction is Direction.UNDIRECTED:
+    if isinstance(expression, ast.EdgePattern):
+        if expression.direction is Direction.UNDIRECTED:
             count = (
-                cards.undirected_edges_with_label(pattern.label)
-                if pattern.label is not None
+                cards.undirected_edges_with_label(expression.label)
+                if expression.label is not None
                 else cards.num_undirected_edges
             )
         else:
             count = (
-                cards.directed_edges_with_label(pattern.label)
-                if pattern.label is not None
+                cards.directed_edges_with_label(expression.label)
+                if expression.label is not None
                 else cards.num_directed_edges
             )
         return float(max(1, count))
-    if isinstance(pattern, ast.Concat):
-        left = _estimate_pattern(pattern.left, cards)
-        right = _estimate_pattern(pattern.right, cards)
-        return min(_CARDINALITY_CAP, left * right / num_nodes)
-    if isinstance(pattern, ast.Union):
-        return min(
-            _CARDINALITY_CAP,
-            _estimate_pattern(pattern.left, cards)
-            + _estimate_pattern(pattern.right, cards),
-        )
-    if isinstance(pattern, ast.Conditioned):
-        inner = _estimate_pattern(pattern.pattern, cards)
+    if isinstance(expression, ast.Concat):
+        return min(_CARDINALITY_CAP, parts[0] * parts[1] / num_nodes)
+    if isinstance(expression, ast.Union):
+        return min(_CARDINALITY_CAP, parts[0] + parts[1])
+    if isinstance(expression, ast.Conditioned):
         atoms = sum(
-            len(v) for v in _required_const_atoms(pattern.condition).values()
+            len(v) for v in split_pushdown(expression.condition)[0].values()
         )
-        return inner * (0.5 ** min(3, max(1, atoms)))
-    if isinstance(pattern, ast.Repeat):
-        factor = _estimate_pattern(pattern.pattern, cards) / num_nodes
-        lower = pattern.lower
-        upper = pattern.upper if pattern.upper is not None else lower + 4
+        return parts[0] * (0.5 ** min(3, max(1, atoms)))
+    if isinstance(expression, ast.Repeat):
+        factor = parts[0] / num_nodes
+        lower = expression.lower
+        upper = expression.upper if expression.upper is not None else lower + 4
         upper = min(upper, lower + 4)  # geometric tail truncation
         # Guard the initial power: past the cap, ``factor ** lower``
         # would overflow float range and raise before min() could
@@ -431,6 +445,17 @@ def _estimate_pattern(pattern: ast.Pattern, cards) -> float:
                 return _CARDINALITY_CAP
             term *= factor
         return max(1.0, total)
+    if isinstance(expression, ast.PatternQuery):
+        if expression.restrictor.shortest:
+            # Shortest keeps one length class per endpoint pair.
+            return min(parts[0], float(num_nodes * num_nodes))
+        return parts[0]
+    if isinstance(expression, ast.Join):
+        shared = _shared_variables(expression, plan)
+        return min(
+            _CARDINALITY_CAP,
+            parts[0] * parts[1] / (float(num_nodes) ** len(shared)),
+        )
     # Extension constructs: a neutral guess.
     return float(num_nodes)
 
@@ -443,31 +468,7 @@ def estimate_query_cardinality(query: ast.Query, view, plan=None) -> float:
     shared variables of each join, so repeated estimation — the engine
     estimates per execution — never re-runs schema inference.
     """
-    return _estimate_query(query, compute_label_cardinalities(view), plan)
-
-
-def _estimate_query(query: ast.Query, cards, plan=None) -> float:
-    if isinstance(query, ast.PatternQuery):
-        estimate = _estimate_pattern(query.pattern, cards)
-        if query.restrictor.shortest:
-            # Shortest keeps one length class per endpoint pair.
-            num_nodes = max(1, cards.num_nodes)
-            estimate = min(estimate, float(num_nodes * num_nodes))
-        return estimate
-    if isinstance(query, ast.Join):
-        num_nodes = max(1, cards.num_nodes)
-        shared = (
-            plan.join_variables(query)
-            if plan is not None
-            else join_shared_variables(query)
-        )
-        left = _estimate_query(query.left, cards, plan)
-        right = _estimate_query(query.right, cards, plan)
-        return min(
-            _CARDINALITY_CAP,
-            left * right / (float(num_nodes) ** len(shared)),
-        )
-    raise TypeError(f"not a query: {query!r}")
+    return _estimate(query, compute_label_cardinalities(view), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -542,31 +543,22 @@ def estimate_plan(query: ast.Query, view, plan=None) -> PlanEstimates:
     against what the cost model predicted. ``plan`` (a
     :class:`~repro.gpc.engine.QueryPlan`) reuses memoised analyses.
     """
+    sides: dict[int, tuple[float, ...]] = {}
+
+    def step(expression: ast.Expression, parts: tuple[float, ...]) -> float:
+        if isinstance(expression, ast.Join):
+            sides[id(expression)] = parts
+        return _estimate_step(cards, plan, expression, parts)
+
     cards = compute_label_cardinalities(view)
-    joins: list[JoinEstimate] = []
-
-    def walk(q: ast.Query) -> None:
-        if not isinstance(q, ast.Join):
-            return
-        shared = (
-            plan.join_variables(q)
-            if plan is not None
-            else join_shared_variables(q)
-        )
-        joins.append(
-            JoinEstimate(
-                shared=tuple(shared),
-                left=_estimate_query(q.left, cards, plan),
-                right=_estimate_query(q.right, cards, plan),
-            )
-        )
-        walk(q.left)
-        walk(q.right)
-
-    walk(query)
+    cardinality = ast.fold(query, step)
     return PlanEstimates(
-        cardinality=_estimate_query(query, cards, plan),
-        joins=tuple(joins),
+        cardinality=cardinality,
+        joins=tuple(
+            JoinEstimate(_shared_variables(q, plan), *sides[id(q)])
+            for q in ast.iter_queries(query)
+            if isinstance(q, ast.Join)
+        ),
     )
 
 
@@ -590,11 +582,7 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
     def walk(q: ast.Query, depth: int) -> None:
         indent = "  " * depth
         if isinstance(q, ast.Join):
-            shared = (
-                plan.join_variables(q)
-                if plan is not None
-                else join_shared_variables(q)
-            )
+            shared = _shared_variables(q, plan)
             if shared:
                 strategy = f"hash join on [{', '.join(shared)}]"
             else:
@@ -608,8 +596,8 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
                     f"(est {left:.0f} vs {right:.0f})"
                 )
             lines.append(f"{indent}- {strategy}")
-            walk(q.left, depth + 1)
-            walk(q.right, depth + 1)
+            for side in ast.children(q):
+                walk(side, depth + 1)
             return
         restrictor = str(q.restrictor)
         if q.restrictor.shortest and q.restrictor.mode is None:

@@ -17,62 +17,53 @@ from repro.gpc.conditions_ast import (
     PropertyEqualsProperty,
 )
 
-__all__ = ["pretty", "pretty_condition"]
+__all__ = ["pretty", "pretty_condition", "render_step"]
 
 
 def pretty(expression: ast.Expression) -> str:
     """Render a pattern or query in concrete syntax."""
-    if isinstance(expression, (ast.PatternQuery, ast.Join)):
-        return _query(expression)
-    return _pattern(expression)
-
-
-# -- queries ----------------------------------------------------------------
-
-
-def _query(query: ast.Query) -> str:
-    if isinstance(query, ast.Join):
-        return f"{_query(query.left)}, {_query(query.right)}"
-    parts = []
-    if query.name is not None:
-        parts.append(f"{query.name} =")
-    parts.append(str(query.restrictor).upper())
-    parts.append(_pattern(query.pattern))
-    return " ".join(parts)
-
-
-# -- patterns -----------------------------------------------------------------
-
-# Precedence levels: union (1) < concat (2) < postfix (3) < atom (4).
-
-
-def _pattern(pattern: ast.Pattern, parent_level: int = 0) -> str:
-    text, level = _render(pattern)
-    if level < parent_level:
-        return f"[{text}]"
+    text, _level = ast.fold(expression, render_step)
     return text
 
 
-def _render(pattern: ast.Pattern) -> tuple[str, int]:
-    if isinstance(pattern, ast.NodePattern):
-        return f"({_descriptor(pattern.descriptor)})", 4
-    if isinstance(pattern, ast.EdgePattern):
-        return _edge(pattern), 4
-    if isinstance(pattern, ast.Union):
-        left = _pattern(pattern.left, 1)
-        right = _pattern(pattern.right, 2)  # right operand must bind tighter
-        return f"{left} + {right}", 1
-    if isinstance(pattern, ast.Concat):
-        left = _pattern(pattern.left, 2)
-        right = _pattern(pattern.right, 3)
-        return f"{left} {right}", 2
-    if isinstance(pattern, ast.Conditioned):
-        inner = _pattern(pattern.pattern, 3)
-        return f"{inner} << {pretty_condition(pattern.condition)} >>", 3
-    if isinstance(pattern, ast.Repeat):
-        inner = _pattern(pattern.pattern, 3)
-        return f"{inner}{_bounds(pattern)}", 3
-    raise TypeError(f"not a pattern: {pattern!r}")
+# Precedence levels: query (0) < union (1) < concat (2) < postfix (3)
+# < atom (4).
+
+
+def _operand(rendered: tuple[str, int], level: int) -> str:
+    """An operand's text, bracketed when it binds looser than the
+    operator position needs."""
+    text, own_level = rendered
+    return f"[{text}]" if own_level < level else text
+
+
+def render_step(
+    expression: ast.Expression, parts: tuple[tuple[str, int], ...]
+) -> tuple[str, int]:
+    """``(text, precedence level)`` of ``expression`` from those of its
+    sub-expressions (a step for ``ast.fold``). The sub-expressions are
+    read from ``parts`` alone, so a caller may hand in a conditioning
+    whose condition it has replaced (fingerprints bucket constants)."""
+    if isinstance(expression, (ast.NodePattern, ast.EdgePattern)):
+        return str(expression), 4  # the atoms print themselves
+    if isinstance(expression, ast.Union):
+        # The right operand must bind tighter: the parser builds
+        # left-deep spines.
+        return f"{_operand(parts[0], 1)} + {_operand(parts[1], 2)}", 1
+    if isinstance(expression, ast.Concat):
+        return f"{_operand(parts[0], 2)} {_operand(parts[1], 3)}", 2
+    if isinstance(expression, ast.Conditioned):
+        condition = pretty_condition(expression.condition)
+        return f"{_operand(parts[0], 3)} << {condition} >>", 3
+    if isinstance(expression, ast.Repeat):
+        return f"{_operand(parts[0], 3)}{_bounds(expression)}", 3
+    if isinstance(expression, ast.PatternQuery):
+        name = f"{expression.name} = " if expression.name is not None else ""
+        restrictor = str(expression.restrictor).upper()
+        return f"{name}{restrictor} {parts[0][0]}", 0
+    if isinstance(expression, ast.Join):
+        return f"{parts[0][0]}, {parts[1][0]}", 0
+    raise TypeError(f"not a pattern: {expression!r}")
 
 
 def _bounds(pattern: ast.Repeat) -> str:
@@ -83,27 +74,6 @@ def _bounds(pattern: ast.Repeat) -> str:
     if pattern.lower == pattern.upper:
         return f"{{{pattern.lower}}}"
     return f"{{{pattern.lower},{pattern.upper}}}"
-
-
-def _descriptor(descriptor: ast.Descriptor) -> str:
-    variable = descriptor.variable or ""
-    label = f":{descriptor.label}" if descriptor.label else ""
-    return f"{variable}{label}"
-
-
-def _edge(pattern: ast.EdgePattern) -> str:
-    descriptor = _descriptor(pattern.descriptor)
-    if not descriptor:
-        return {
-            ast.Direction.FORWARD: "->",
-            ast.Direction.BACKWARD: "<-",
-            ast.Direction.UNDIRECTED: "~",
-        }[pattern.direction]
-    if pattern.direction is ast.Direction.FORWARD:
-        return f"-[{descriptor}]->"
-    if pattern.direction is ast.Direction.BACKWARD:
-        return f"<-[{descriptor}]-"
-    return f"~[{descriptor}]~"
 
 
 # -- conditions ----------------------------------------------------------------

@@ -71,7 +71,7 @@ from repro.gpc.conditions_ast import (
     PropertyEqualsConst,
     condition_variables,
 )
-from repro.gpc.minlength import may_match_edgeless
+from repro.gpc.minlength import iterates_edgeless_body
 from repro.gpc.planner import split_pushdown
 from repro.gpc.values import GroupValue, Nothing
 from repro.obs.counters import active_counters
@@ -519,11 +519,7 @@ def collect_requirement(
     for sub in ast.iter_subpatterns(pattern):
         if isinstance(sub, ast.PatternExtension):
             return f"extension {type(sub).__name__}"
-        if (
-            isinstance(sub, ast.Repeat)
-            and sub.upper != 0
-            and may_match_edgeless(sub.pattern)
-        ):
+        if isinstance(sub, ast.Repeat) and iterates_edgeless_body(sub):
             bound = ast.variables(sub.pattern)
             if bound:
                 return (

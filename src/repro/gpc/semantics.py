@@ -42,8 +42,16 @@ from repro.gpc.conditions import satisfies
 from repro.gpc.minlength import min_path_length
 from repro.gpc.typing import infer_schema
 from repro.gpc.values import Nothing
+from repro.obs.deadline import check_deadline
 
 __all__ = ["Match", "BoundedEvaluator"]
+
+#: Candidate pairs a product or power loop tries between two looks at
+#: the request deadline (:func:`~repro.obs.deadline.check_deadline`),
+#: counted per outer iteration so the inner loops stay test-free.
+#: ``max_intermediate_results`` counts what a loop *keeps*, each a
+#: path concatenation, and at its default fires minutes later.
+_DEADLINE_STRIDE = 4096
 
 #: A pattern match: the matched path and the variable bindings.
 Match = tuple[Path, Assignment]
@@ -196,8 +204,14 @@ class BoundedEvaluator:
         for path, mu in right:
             by_source.setdefault(path.src, []).append((path, mu))
         out: set[Match] = set()
+        next_check = _DEADLINE_STRIDE
         for left_path, left_mu in left:
-            for right_path, right_mu in by_source.get(left_path.tgt, ()):
+            candidates = by_source.get(left_path.tgt, ())
+            next_check -= len(candidates) + 1
+            if next_check < 0:
+                check_deadline()
+                next_check = _DEADLINE_STRIDE
+            for right_path, right_mu in candidates:
                 if len(left_path) + len(right_path) > max_length:
                     continue
                 merged = left_mu.unify(right_mu)
@@ -271,9 +285,11 @@ class BoundedEvaluator:
         sound_cap = self._repeat_sound_cap(pattern, max_length, base)
         history: dict[frozenset[State], int] = {}
         power = 1
+        next_check = _DEADLINE_STRIDE
         while True:
             if not current:
                 break
+            check_deadline()
             if power >= lower and (upper is None or power <= upper):
                 for path, accumulator in current:
                     answers.add((path, accumulator.finalize(domain)))
@@ -305,7 +321,12 @@ class BoundedEvaluator:
             # Step: extend every partial match by one more factor.
             next_states: set[State] = set()
             for path, accumulator in current:
-                for factor_path, factor_mu in by_source.get(path.tgt, ()):
+                factors = by_source.get(path.tgt, ())
+                next_check -= len(factors) + 1
+                if next_check < 0:
+                    check_deadline()
+                    next_check = _DEADLINE_STRIDE
+                for factor_path, factor_mu in factors:
                     if len(path) + len(factor_path) > max_length:
                         continue
                     extended = accumulator.extend(factor_path, factor_mu)

@@ -25,12 +25,8 @@ __all__ = [
     "NODE",
     "EDGE",
     "PATH",
-    "BOOL",
     "maybe_wrap",
     "is_singleton",
-    "is_conditional",
-    "is_group",
-    "is_path",
     "type_depth",
 ]
 
@@ -93,7 +89,6 @@ Type = TUnion[NodeType, EdgeType, PathType, MaybeType, GroupType]
 NODE = NodeType()
 EDGE = EdgeType()
 PATH = PathType()
-BOOL = BoolType()
 
 
 def maybe_wrap(tau: Type) -> Type:
@@ -107,21 +102,6 @@ def maybe_wrap(tau: Type) -> Type:
 def is_singleton(tau: Type) -> bool:
     """Whether ``tau`` is ``Node`` or ``Edge`` (Definition 5)."""
     return isinstance(tau, (NodeType, EdgeType))
-
-
-def is_conditional(tau: Type) -> bool:
-    """Whether ``tau`` is a ``Maybe`` type (Definition 5)."""
-    return isinstance(tau, MaybeType)
-
-
-def is_group(tau: Type) -> bool:
-    """Whether ``tau`` is a ``Group`` type (Definition 5)."""
-    return isinstance(tau, GroupType)
-
-
-def is_path(tau: Type) -> bool:
-    """Whether ``tau`` is the ``Path`` type (Definition 5)."""
-    return isinstance(tau, PathType)
 
 
 def type_depth(tau: Type) -> int:

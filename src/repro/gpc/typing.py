@@ -184,12 +184,11 @@ def check_condition(schema: Schema, condition: Condition) -> None:
 # ---------------------------------------------------------------------------
 
 
-def infer_schema(expression: ast.Expression) -> dict[str, Type]:
-    """Compute ``sch(xi)`` for a pattern or query.
-
-    Raises a :class:`~repro.errors.GPCTypeError` subclass if the
-    expression is not well-typed.
-    """
+def _schema_step(
+    expression: ast.Expression, child_schemas: tuple[dict[str, Type], ...]
+) -> dict[str, Type]:
+    """One Figure 2 rule: the schema of ``expression`` from its
+    sub-expressions' schemas."""
     if isinstance(expression, ast.NodePattern):
         if expression.variable is None:
             return {}
@@ -199,33 +198,32 @@ def infer_schema(expression: ast.Expression) -> dict[str, Type]:
             return {}
         return {expression.variable: EDGE}
     if isinstance(expression, ast.Union):
-        return union_schemas(
-            infer_schema(expression.left), infer_schema(expression.right)
-        )
+        return union_schemas(*child_schemas)
     if isinstance(expression, ast.Concat):
-        return concat_schemas(
-            infer_schema(expression.left), infer_schema(expression.right)
-        )
+        return concat_schemas(*child_schemas)
     if isinstance(expression, ast.Conditioned):
-        schema = infer_schema(expression.pattern)
-        check_condition(schema, expression.condition)
-        return schema
+        check_condition(child_schemas[0], expression.condition)
+        return child_schemas[0]
     if isinstance(expression, ast.Repeat):
-        return repeat_schema(infer_schema(expression.pattern))
+        return repeat_schema(child_schemas[0])
     if isinstance(expression, ast.PatternQuery):
-        schema = infer_schema(expression.pattern)
         if expression.name is not None:
-            schema = name_schema(schema, expression.name)
-        return schema
+            return name_schema(child_schemas[0], expression.name)
+        return child_schemas[0]
     if isinstance(expression, ast.Join):
-        return join_schemas(
-            infer_schema(expression.left), infer_schema(expression.right)
-        )
+        return join_schemas(*child_schemas)
     if isinstance(expression, ast.PatternExtension):
-        return expression.infer_schema_ext(
-            [infer_schema(child) for child in expression.children()]
-        )
+        return expression.infer_schema_ext(child_schemas)
     raise TypeError(f"not a GPC expression: {expression!r}")
+
+
+def infer_schema(expression: ast.Expression) -> dict[str, Type]:
+    """Compute ``sch(xi)`` for a pattern or query.
+
+    Raises a :class:`~repro.errors.GPCTypeError` subclass if the
+    expression is not well-typed.
+    """
+    return ast.fold(expression, _schema_step)
 
 
 def is_well_typed(expression: ast.Expression) -> bool:

@@ -122,13 +122,6 @@ class GraphBuilder:
 
     # ------------------------------------------------------------------
 
-    def node_id(self, key: Hashable) -> NodeId:
-        """The :class:`NodeId` for a node key (must already exist)."""
-        node = NodeId(key)
-        if not self._graph.has_node(node):
-            raise GraphError(f"no node with key {key!r}")
-        return node
-
     def _ensure_node(
         self, key: Hashable, labels: tuple[str, ...] = ()
     ) -> NodeId:

@@ -837,9 +837,6 @@ class GraphSnapshot:
     def num_directed_edges_with_label(self, label: str) -> int:
         return self._num_members(_DEDGE, label)
 
-    def num_undirected_edges_with_label(self, label: str) -> int:
-        return self._num_members(_UEDGE, label)
-
     def label_cardinalities(self):
         """The snapshot's per-label count summary, built once.
 

@@ -72,11 +72,6 @@ class LabelCardinalities:
     def undirected_edges_with_label(self, label: str) -> int:
         return self.undirected_edge_counts.get(label, 0)
 
-    def edges_with_label(self, label: str) -> int:
-        return self.directed_edges_with_label(
-            label
-        ) + self.undirected_edges_with_label(label)
-
     def as_dict(self) -> dict[str, object]:
         return {
             "num_nodes": self.num_nodes,

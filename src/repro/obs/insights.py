@@ -82,46 +82,6 @@ def _canonical_condition(condition):
     return condition
 
 
-def _canonical_pattern(pattern):
-    from repro.gpc import ast
-
-    if isinstance(pattern, ast.Conditioned):
-        return ast.Conditioned(
-            _canonical_pattern(pattern.pattern),
-            _canonical_condition(pattern.condition),
-        )
-    if isinstance(pattern, ast.Union):
-        return ast.Union(
-            _canonical_pattern(pattern.left),
-            _canonical_pattern(pattern.right),
-        )
-    if isinstance(pattern, ast.Concat):
-        return ast.Concat(
-            _canonical_pattern(pattern.left),
-            _canonical_pattern(pattern.right),
-        )
-    if isinstance(pattern, ast.Repeat):
-        return ast.Repeat(
-            _canonical_pattern(pattern.pattern), pattern.lower, pattern.upper
-        )
-    return pattern
-
-
-def _canonical_expression(query):
-    from repro.gpc import ast
-
-    if isinstance(query, ast.Join):
-        return ast.Join(
-            _canonical_expression(query.left),
-            _canonical_expression(query.right),
-        )
-    if isinstance(query, ast.PatternQuery):
-        return ast.PatternQuery(
-            query.restrictor, _canonical_pattern(query.pattern), query.name
-        )
-    return _canonical_pattern(query)
-
-
 def canonical_query(query) -> str:
     """The canonical text of ``query`` (str or AST): parsed, constants
     bucketed to ``'?'``, re-rendered via :func:`repro.gpc.pretty.pretty`.
@@ -132,16 +92,28 @@ def canonical_query(query) -> str:
     rejects) fall back to ``repr`` of the bucketed AST, keeping
     fingerprinting total.
     """
+    from repro.gpc import ast
     from repro.gpc.parser import parse_query
-    from repro.gpc.pretty import pretty
+    from repro.gpc.pretty import render_step
+
+    def bucket(expression, parts):
+        if isinstance(expression, ast.Conditioned):
+            return ast.Conditioned(
+                parts[0], _canonical_condition(expression.condition)
+            )
+        return ast.with_children(expression, parts) if parts else expression
+
+    def render_bucketed(expression, parts):
+        if isinstance(expression, ast.Conditioned):
+            expression = bucket(expression, (expression.pattern,))
+        return render_step(expression, parts)
 
     if isinstance(query, str):
         query = parse_query(query)
-    bucketed = _canonical_expression(query)
     try:
-        return pretty(bucketed)
+        return ast.fold(query, render_bucketed)[0]
     except TypeError:
-        return repr(bucketed)
+        return repr(ast.fold(query, bucket))
 
 
 def query_fingerprint(query) -> tuple[str, str]:
@@ -357,9 +329,6 @@ _SORT_KEYS = {
     "misestimate": lambda e: (e.plan.misestimate_factor, e.total_time_s),
     "errors": lambda e: (e.errors + e.timeouts, e.total_time_s),
 }
-
-#: Outcome vocabulary for the ``cache=`` argument of ``record``.
-_CACHE_OUTCOMES = ("hit", "restamp", "miss", "invalidated", "bypass")
 
 
 class InsightsRegistry:

@@ -36,6 +36,7 @@ The translation proceeds exactly as in the paper's appendix:
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from repro.errors import TranslationError
 from repro.gpc import ast
@@ -412,22 +413,16 @@ def _alpha_rename(pattern: ast.Pattern, counter: itertools.count) -> ast.Pattern
             mapping[variable] = f"__r{next(counter)}_{variable}"
         return mapping[variable]
 
-    def walk(p: ast.Pattern) -> ast.Pattern:
-        if isinstance(p, ast.NodePattern):
-            return ast.node(rename(p.variable), p.label)
-        if isinstance(p, ast.EdgePattern):
-            return ast.edge(p.direction, rename(p.variable), p.label)
-        if isinstance(p, ast.Union):
-            return ast.Union(walk(p.left), walk(p.right))
-        if isinstance(p, ast.Concat):
-            return ast.Concat(walk(p.left), walk(p.right))
-        if isinstance(p, ast.Repeat):
-            return ast.Repeat(walk(p.pattern), p.lower, p.upper)
+    def step(p: ast.Pattern, renamed: tuple[ast.Pattern, ...]) -> ast.Pattern:
         if isinstance(p, ast.Conditioned):
             raise TranslationError("conditions cannot occur in RQ patterns")
-        raise TypeError(f"not a pattern: {p!r}")
+        if isinstance(p, (ast.NodePattern, ast.EdgePattern)):
+            return replace(
+                p, descriptor=ast.Descriptor(rename(p.variable), p.label)
+            )
+        return ast.with_children(p, renamed)
 
-    return walk(pattern)
+    return ast.fold(pattern, step)
 
 
 # ---------------------------------------------------------------------------

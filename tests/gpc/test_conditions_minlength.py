@@ -15,6 +15,7 @@ from repro.gpc.conditions_ast import (
     PropertyEqualsProperty,
 )
 from repro.gpc.minlength import (
+    iterates_edgeless_body,
     max_path_length,
     may_match_edgeless,
     min_path_length,
@@ -159,6 +160,17 @@ class TestApproach1Validation:
 
     def test_repetition_of_positive_repetition_ok(self):
         validate_approach1(parse_pattern("[->{1,2}]{0,}"))
+
+    def test_never_iterating_repetition_is_still_rejected(self):
+        # The GQL rule is syntactic: `(x){0,0}` is refused although it
+        # never iterates — which is all that the run-completeness test
+        # and lint GPC022 ask (`iterates_edgeless_body`).
+        never = parse_pattern("(x){0,0}")
+        assert not iterates_edgeless_body(never)
+        assert iterates_edgeless_body(parse_pattern("(x){0,1}"))
+        assert not iterates_edgeless_body(parse_pattern("->{0,}"))
+        with pytest.raises(CollectError):
+            validate_approach1(never)
 
     def test_repetition_of_star_rejected(self):
         # inner star may match edgeless -> outer repetition forbidden.

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 
 import pytest
 
 from repro.cluster import ClusterService
-from repro.graph.generators import complete_graph, social_network
+from repro.graph.generators import (
+    complete_graph,
+    social_network,
+    transport_network,
+)
 from repro.server import HttpServiceClient, HttpServiceError, serve_background
 from repro.service import GraphService
 
@@ -211,6 +216,26 @@ class TestDeadlines:
                     client.query("SHORTEST (x) ->{11,11} (y)", deadline_ms=50)
                 assert info.value.status == 504
                 assert len(client.query("TRAIL (x) -> (y)")) == 30
+                stats = client.stats()
+        assert stats["timeouts"] == 1
+
+    def test_deadline_inside_the_bounded_evaluator_is_504_and_frees_the_slot(self):
+        # SIMPLE over an unbounded repetition is the Section 5 bounded
+        # denotation up to |N|, filtered afterwards: on 13 nodes and 24
+        # edges its powers hold hundreds of thousands of walks (~16 s
+        # of products when nothing inside them looks at the clock).
+        service = GraphService(transport_network(3, 4))
+        with serve_background(service, max_in_flight=1) as handle:
+            with HttpServiceClient(*handle.address) as client:
+                started = time.monotonic()
+                with pytest.raises(HttpServiceError) as info:
+                    client.query(
+                        "SIMPLE (x:Hub) -[:link]->{1,} (y:Station)",
+                        deadline_ms=500,
+                    )
+                assert time.monotonic() - started < 1.0
+                assert info.value.status == 504
+                assert len(client.query("TRAIL (x:Hub) -[:link]-> (y)")) > 0
                 stats = client.stats()
         assert stats["timeouts"] == 1
 

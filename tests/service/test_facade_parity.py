@@ -13,6 +13,8 @@ that drops failed queries from ``queries`` / ``latency`` / insights).
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cluster import ClusterService
@@ -23,7 +25,7 @@ from repro.errors import (
     GPCTypeError,
 )
 from repro.gpc.engine import EngineConfig
-from repro.graph.generators import social_network
+from repro.graph.generators import social_network, transport_network
 from repro.obs import deadline_scope
 from repro.service import GraphService
 
@@ -228,6 +230,22 @@ SCENARIOS = [
     execution_failures,
     rendered_bytes_live_with_the_entry,
 ]
+
+
+@pytest.mark.parametrize("facade", FACADES)
+def test_bounded_evaluation_stops_at_its_deadline(facade):
+    # 13 nodes, 24 edges — and ~16 s of path products under SIMPLE,
+    # whose bounded evaluation only ends at |N|: the deadline has to
+    # fire inside the evaluator's own loops.
+    with FACADES[facade](transport_network(3, 4)) as service:
+        started = time.monotonic()
+        with deadline_scope(0.5):
+            kind = _raised(
+                service.evaluate, "SIMPLE (x:Hub) -[:link]->{1,} (y:Station)"
+            )
+        assert time.monotonic() - started < 1.0
+        assert kind == DeadlineExceededError.__name__
+        assert service.stats.queries == 1
 
 
 def _shared_stats(service):

@@ -161,6 +161,101 @@ class TestSleep:
         assert in_scope == {"server", "service", "cluster"}
 
 
+class TestOneTraversal:
+    RECURSIVE = (
+        "from repro.gpc import ast\n"
+        "def depth(p):\n"
+        "    if isinstance(p, (ast.Union, ast.Concat)):\n"
+        "        return 1 + max(depth(p.left), depth(p.right))\n"
+        "    if isinstance(p, ast.Repeat):\n"
+        "        return 1 + depth(p.pattern)\n"
+        "    return 0\n"
+    )
+    MUTUAL = (
+        "from repro.gpc.ast import Conditioned, Join, PatternQuery\n"
+        "def walk(q):\n"
+        "    if isinstance(q, Join):\n"
+        "        return sides(q)\n"
+        "    if isinstance(q, (PatternQuery, Conditioned)):\n"
+        "        return walk(q.pattern)\n"
+        "def sides(q):\n"
+        "    return walk(q.left) + walk(q.right)\n"
+    )
+    WORK_LIST = (
+        "from repro.gpc import ast\n"
+        "_NESTING = (ast.Union, ast.Concat, ast.Join)\n"
+        "def count(p):\n"
+        "    n, stack = 0, [p]\n"
+        "    while stack:\n"
+        "        cur = stack.pop()\n"
+        "        n += 1\n"
+        "        if isinstance(cur, _NESTING):\n"
+        "            stack.append(cur.left)\n"
+        "            stack.append(cur.right)\n"
+        "        elif isinstance(cur, ast.PatternExtension):\n"
+        "            stack.extend(cur.children())\n"
+        "    return n\n"
+    )
+    STEP = (
+        "from repro.gpc import ast\n"
+        "def depth_step(p, depths):\n"
+        "    if isinstance(p, (ast.NodePattern, ast.EdgePattern)):\n"
+        "        return 0\n"
+        "    if isinstance(p, (ast.Union, ast.Concat, ast.Repeat)):\n"
+        "        return 1 + max(depths)\n"
+        "    return max(depths)\n"
+        "def depth(p):\n"
+        "    return ast.fold(p, depth_step)\n"
+    )
+
+    def test_a_second_walker_is_flagged_however_it_recurses(self):
+        for source in (self.RECURSIVE, self.MUTUAL, self.WORK_LIST):
+            assert codes(source) == ["INV007"]
+
+    def test_a_step_function_is_not_a_walker(self):
+        assert codes(self.STEP) == []
+
+    def test_two_constructors_or_no_recursion_is_fine(self):
+        two = self.RECURSIVE.replace("(ast.Union, ast.Concat)", "ast.Union")
+        assert codes(two) == []
+        flat = self.RECURSIVE.replace("depth(p.", "len(p.")
+        assert codes(flat) == []
+
+    def test_only_the_library_is_in_scope(self):
+        assert codes(self.RECURSIVE, library=False) == []
+
+    def test_the_traversal_module_and_the_named_evaluators_are_exempt(self):
+        renamed = self.RECURSIVE.replace("depth", "_dispatch")
+        assert codes(renamed, module="gpc/semantics.py") == []
+        assert codes(renamed, module="gpc/typing.py") == ["INV007"]
+        assert codes(self.WORK_LIST, module=lint_invariants.WALKER_HOME) == []
+        # Exactly the three evaluators and the two compilers, each
+        # with the reason fold does not serve it.
+        assert sorted(lint_invariants.WALKER_ALLOWED) == [
+            ("enumeration/span_matcher.py", "_dispatch"),
+            ("extensions/bag_semantics.py", "_dispatch"),
+            ("gpc/abstraction.py", "_compile"),
+            ("gpc/register_nfa.py", "_compile"),
+            ("gpc/semantics.py", "_dispatch"),
+        ]
+        assert all(lint_invariants.WALKER_ALLOWED.values())
+
+    def test_an_exemption_that_matches_no_walker_is_reported(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        library = tmp_path / "src" / "repro"
+        (library / "gpc").mkdir(parents=True)
+        (library / "gpc" / "semantics.py").write_text(
+            "def _dispatch(p):\n    return p\n", encoding="utf-8"
+        )
+        monkeypatch.setattr(lint_invariants, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(lint_invariants, "SRC_ROOT", library)
+        assert lint_invariants.main([str(library)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert "INV007" in out[0] and "gpc/semantics.py" in out[0]
+
+
 class TestUnusedImports:
     def test_unused_import_flagged(self):
         assert codes("import os\nimport sys\nprint(sys.argv)\n") == ["INV004"]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
-Four invariants that generic linters don't enforce the way this
+Five invariants that generic linters don't enforce the way this
 codebase needs them, and one that a generic linter does enforce but
 that is checked here too because ruff is not in every build container:
 
@@ -33,10 +33,22 @@ that is checked here too because ruff is not in every build container:
   ``__init__.py`` files (re-exports) and names listed in ``__all__``
   are exempt; ``lint: allow-unused-import`` on the import's line waives
   one kept for its side effect or for importers of the module.
+- **One traversal of the pattern AST** (``INV007``; ``INV006`` is
+  reserved for annotations) anywhere in ``src/repro``: which fields of
+  a constructor hold sub-expressions is known to ``children`` /
+  ``with_children`` in ``gpc/ast.py``, and the recursion lives in
+  ``fold`` there. A function that tests ``isinstance`` against three
+  or more of the nine GPC constructors *and* recurses over them —
+  reaches itself through calls to functions of its own module, or
+  pushes ``.left`` / ``.right`` / ``.pattern`` / ``.children()`` onto a
+  work list — is a second walker: write it as a step function for
+  ``fold``. ``gpc/ast.py`` itself and the entries of
+  :data:`WALKER_ALLOWED` (each with its reason) are exempt; an entry
+  that no longer matches a walker is itself a finding.
 
-The first four apply to ``src/repro`` (tests assert and poll, that is
-their job); with no arguments the tool lints ``src/repro`` for all five
-and the other three trees for the imports.
+The first four and the last apply to ``src/repro`` (tests assert and
+poll, that is their job); with no arguments the tool lints ``src/repro``
+for all six and the other three trees for the imports.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -65,6 +77,41 @@ BROAD_EXCEPT_WAIVER = "lint: allow-broad-except"
 ASSERT_WAIVER = "lint: allow-assert"
 UNUSED_IMPORT_WAIVER = "lint: allow-unused-import"
 SLEEP_WAIVER = "lint: allow-sleep"
+
+#: The nine constructors of the GPC grammar (``repro.gpc.ast``).
+GPC_CONSTRUCTORS = frozenset({
+    "NodePattern", "EdgePattern", "Union", "Concat", "Conditioned",
+    "Repeat", "PatternExtension", "PatternQuery", "Join",
+})
+
+#: Attribute reads that mean "a sub-expression of this node".
+CHILD_FIELDS = frozenset({"left", "right", "pattern", "children"})
+
+#: The module that owns the traversal (repo-relative, under src/repro).
+WALKER_HOME = "gpc/ast.py"
+
+#: Hand-rolled walkers that stay, by design: ``(module, function)`` →
+#: why ``fold`` does not serve it.
+WALKER_ALLOWED = {
+    ("gpc/semantics.py", "_dispatch"): (
+        "the Section 5 specification: indexed by a length bound, and the "
+        "oracle the differential suites compare every fast path against"
+    ),
+    ("enumeration/span_matcher.py", "_dispatch"): (
+        "an evaluator over (walk, start, end) spans, not over the tree alone"
+    ),
+    ("extensions/bag_semantics.py", "_dispatch"): (
+        "an evaluator: the bag semantics of Section 7, length-indexed "
+        "like the one it is compared with"
+    ),
+    ("gpc/register_nfa.py", "_compile"): (
+        "threads a builder and a push environment top-down; a repeat "
+        "compiles its body once per copy"
+    ),
+    ("gpc/abstraction.py", "_compile"): (
+        "threads an NFA builder; a repeat compiles its body once per copy"
+    ),
+}
 
 #: Exception names considered "broad" when caught directly.
 BROAD_NAMES = frozenset({"Exception", "BaseException"})
@@ -175,6 +222,82 @@ def _string_constants(node: "ast.AST | None") -> list[str]:
     ]
 
 
+def _terminal_names(node: "ast.AST | None") -> set[str]:
+    """The last component of every (dotted) name inside ``node``."""
+    names: set[str] = set()
+    for sub in ast.walk(node) if node is not None else ():
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _called_name(call: ast.Call) -> "str | None":
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return getattr(func, "id", None)
+
+
+def _walkers(tree: ast.Module) -> "list[ast.FunctionDef]":
+    """The functions of one module that INV007 is about: each tests
+    ``isinstance`` against three or more GPC constructors and recurses
+    over them. Name-based and module-local on purpose — a step function
+    handed to ``fold`` is an argument, not a call, and is not one."""
+    functions = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    # Module-level tuples of constructors (``_NESTING = (ast.Join, …)``)
+    # count as what they list when handed to isinstance.
+    aliases = {
+        target.id: _terminal_names(statement.value) & GPC_CONSTRUCTORS
+        for statement in tree.body
+        if isinstance(statement, ast.Assign)
+        and isinstance(statement.value, ast.Tuple)
+        for target in statement.targets
+        if isinstance(target, ast.Name)
+    }
+    calls: dict[str, set[str]] = {}
+    for function in functions:
+        called = calls.setdefault(function.name, set())
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                called.add(_called_name(node) or "")
+    found = []
+    for function in functions:
+        tested: set[str] = set()
+        pushes = False
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node)
+            if name == "isinstance" and len(node.args) == 2:
+                for terminal in _terminal_names(node.args[1]):
+                    tested |= aliases.get(terminal, set())
+                    if terminal in GPC_CONSTRUCTORS:
+                        tested.add(terminal)
+            elif name in ("append", "extend", "appendleft") and any(
+                _terminal_names(argument) & CHILD_FIELDS
+                for argument in node.args
+            ):
+                pushes = True
+        if len(tested) < 3:
+            continue
+        reached: set[str] = set()
+        frontier = [function.name]
+        while frontier and function.name not in reached:
+            for callee in calls.get(frontier.pop(), ()):
+                if callee in calls and callee not in reached:
+                    reached.add(callee)
+                    frontier.append(callee)
+        if pushes or function.name in reached:
+            found.append(function)
+    return found
+
+
 class _Checker(ast.NodeVisitor):
     def __init__(
         self,
@@ -183,6 +306,7 @@ class _Checker(ast.NodeVisitor):
         scope_broad: bool,
         library: bool,
         scope_sleep: bool,
+        module: "str | None" = None,
     ):
         self.path = path
         self.lines = lines
@@ -191,11 +315,16 @@ class _Checker(ast.NodeVisitor):
         #: Whether INV001-003 and INV005 apply (``src/repro``, and files
         #: named explicitly); INV004 applies everywhere.
         self.library = library
+        #: The module's path under ``src/repro`` (INV007's allow-list
+        #: key), or ``None`` outside it.
+        self.module = module
         self.findings: list[Finding] = []
+        self.allowed_walkers: set[tuple[str, str]] = set()
 
     def check(self, tree: ast.Module) -> None:
         if self.library:
             self.visit(tree)
+            self._check_walkers(tree)
         if Path(self.path).name == "__init__.py":
             return
         used = _names_used(tree)
@@ -209,6 +338,22 @@ class _Checker(ast.NodeVisitor):
                     f"unused import '{bound}'; remove it or waive with "
                     f"'{UNUSED_IMPORT_WAIVER}'",
                 )
+
+    def _check_walkers(self, tree: ast.Module) -> None:
+        if self.module == WALKER_HOME:
+            return
+        for function in _walkers(tree):
+            key = (self.module or "", function.name)
+            if key in WALKER_ALLOWED:
+                self.allowed_walkers.add(key)
+                continue
+            self._add(
+                function,
+                "INV007",
+                f"{function.name}() dispatches on GPC constructors and "
+                "recurses over them; write it as a step function for "
+                "repro.gpc.ast.fold (or use children/with_children)",
+            )
 
     def _line(self, lineno: int) -> str:
         return self.lines[lineno - 1] if 0 < lineno <= len(self.lines) else ""
@@ -295,9 +440,13 @@ def check_source(
     scope_broad_except: bool = True,
     library: bool = True,
     scope_sleep: bool = True,
+    module: "str | None" = None,
+    allowed_walkers: "set[tuple[str, str]] | None" = None,
 ) -> list[Finding]:
     """Lint one module's source text (the unit-testable core).
-    ``library=False`` checks the imports only."""
+    ``library=False`` checks the imports only. ``module`` is the path
+    under ``src/repro`` that INV007's allow-list knows the file by;
+    the entries it used are added to ``allowed_walkers``."""
     tree = ast.parse(source, filename=path)
     checker = _Checker(
         str(path),
@@ -305,8 +454,11 @@ def check_source(
         scope_broad_except,
         library,
         scope_sleep,
+        module,
     )
     checker.check(tree)
+    if allowed_walkers is not None:
+        allowed_walkers |= checker.allowed_walkers
     return sorted(checker.findings)
 
 
@@ -326,6 +478,8 @@ def main(argv: "list[str] | None" = None) -> int:
     ]
     import_only = tuple(REPO_ROOT / name for name in IMPORT_ONLY_ROOTS)
     findings: list[Finding] = []
+    allowed_walkers: set[tuple[str, str]] = set()
+    modules: set[str] = set()
     for root in roots:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for file in files:
@@ -337,6 +491,8 @@ def main(argv: "list[str] | None" = None) -> int:
             # Files outside src/repro (explicit arguments, e.g. in the
             # linter's own tests) get the strict scope.
             in_src = file.is_relative_to(SRC_ROOT)
+            module = file.relative_to(SRC_ROOT).as_posix() if in_src else None
+            modules.add(module)
             try:
                 findings.extend(
                     check_source(
@@ -351,11 +507,25 @@ def main(argv: "list[str] | None" = None) -> int:
                         ),
                         scope_sleep=not in_src
                         or _in_scope(file, SLEEP_SCOPES),
+                        module=module,
+                        allowed_walkers=allowed_walkers,
                     )
                 )
             except SyntaxError as exc:
                 print(f"error: cannot parse {file}: {exc}", file=sys.stderr)
                 return 2
+    # An exemption that has outlived the walker it was written for.
+    findings.extend(
+        Finding(
+            "tools/lint_invariants.py",
+            1,
+            "INV007",
+            f"WALKER_ALLOWED names {function}() in {module}, which is "
+            "not a walker (any more); drop the entry",
+        )
+        for module, function in sorted(set(WALKER_ALLOWED) - allowed_walkers)
+        if module in modules
+    )
     for finding in findings:
         print(finding.render())
     if findings:
