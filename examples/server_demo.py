@@ -73,7 +73,7 @@ def main() -> None:
             thread.start()
         for thread in threads:
             thread.join()
-        stats = handle.server.stats.as_dict(service.stats)
+        stats = handle.server.stats_payload()
         print(
             f"  queries: {stats['queries']}, "
             f"dispatches: {stats['dispatches']}, "

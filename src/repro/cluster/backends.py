@@ -397,6 +397,12 @@ class ProcessBackend(ExecutorBackend):
         if self._stats is None:
             self._stats = stats
 
+    def _count(self, **deltas: int) -> None:
+        """Bump ship counters on the bound stats sink, if any."""
+        if self._stats is not None:
+            with self._stats.lock:
+                self._stats.add(**deltas)
+
     @property
     def pool_version(self) -> Optional[int]:
         """The graph version the warm workers currently serve."""
@@ -447,8 +453,7 @@ class ProcessBackend(ExecutorBackend):
                     pickle.dumps(chain, protocol=pickle.HIGHEST_PROTOCOL),
                 )
                 self._pool_snapshot = snapshot
-                if self._stats is not None:
-                    self._stats.count(deltas_shipped=1)
+                self._count(deltas_shipped=1)
                 return self._executor
         self.close()
         if self._blob_snapshot is not snapshot:
@@ -465,8 +470,7 @@ class ProcessBackend(ExecutorBackend):
         self._base_owner = getattr(delta_source, "__self__", None)
         self._pool_snapshot = snapshot
         self._ship = None
-        if self._stats is not None:
-            self._stats.count(snapshots_shipped=1)
+        self._count(snapshots_shipped=1)
         return self._executor
 
     def run(self, snapshot, calls, delta_source=None):

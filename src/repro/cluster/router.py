@@ -12,16 +12,17 @@ executor backend:
   — so the fixed gather order exists purely to make latency accounting
   and failure reporting reproducible;
 - **failure surfacing**: a failing shard never aborts its siblings.
-  All outcomes are gathered first (latencies recorded for every shard
-  that ran), then a :class:`repro.errors.ClusterError` is raised
-  carrying one :class:`ShardFailure` per failed shard with the worker
-  tag and original exception.
+  All outcomes are gathered first (the cluster service has recorded
+  the latency of every shard that ran by then), then a
+  :class:`repro.errors.ClusterError` is raised carrying one
+  :class:`ShardFailure` per failed shard with the worker tag and
+  original exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ClusterError
 from repro.gpc.answers import Answer
@@ -30,7 +31,6 @@ from repro.graph.ids import NodeId
 from repro.obs import current_carrier, remaining
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.stats import ClusterStats
     from repro.gpc.engine import EngineConfig
 
 __all__ = ["ShardFailure", "ScatterGatherRouter"]
@@ -54,9 +54,6 @@ class ShardFailure:
 class ScatterGatherRouter:
     """Builds shard calls and merges their outcomes."""
 
-    def __init__(self, stats: "Optional[ClusterStats]" = None):
-        self.stats = stats
-
     def scatter(
         self,
         query,
@@ -72,20 +69,16 @@ class ScatterGatherRouter:
         """
         carrier = current_carrier()
         deadline_s = remaining()
-        calls = [
+        return [
             ShardCall(
                 query, config, cell, carrier=carrier, deadline_s=deadline_s
             )
             for cell in cells
         ]
-        if self.stats is not None:
-            self.stats.count(scatters=len(calls))
-        return calls
 
     def gather(self, outcomes: Sequence[ShardOutcome]) -> frozenset[Answer]:
         """Union the shard answers in shard order; raise after the
         full gather when any shard failed."""
-        self._record(outcomes)
         failures = [
             ShardFailure(index, outcome.worker, outcome.error)
             for index, outcome in enumerate(outcomes)
@@ -107,15 +100,3 @@ class ScatterGatherRouter:
         )
         error.__cause__ = failures[0].error
         return error
-
-    def _record(self, outcomes: Sequence[ShardOutcome]) -> None:
-        if self.stats is None:
-            return
-        failed = 0
-        for outcome in outcomes:
-            self.stats.record_shard(outcome.worker, outcome.elapsed_s)
-            self.stats.engine.merge(outcome.counters)
-            if not outcome.ok:
-                failed += 1
-        if failed:
-            self.stats.count(shard_failures=failed)

@@ -38,7 +38,7 @@ from repro.gpc.answers import Answer
 from repro.gpc.engine import EngineConfig
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
-from repro.obs import EvalCounters, InsightsRegistry, span
+from repro.obs import EvalCounters, InsightsRegistry, Observation, span
 from repro.service.prepared import PreparedQuery
 from repro.service.service import GraphService
 
@@ -95,7 +95,7 @@ class ClusterService(GraphService):
             if partitioner is not None
             else SeedPartitioner(num_workers)
         )
-        self.router = ScatterGatherRouter(self.stats)
+        self.router = ScatterGatherRouter()
 
     # ------------------------------------------------------------------
     # The execute step: scatter → run → gather
@@ -137,11 +137,14 @@ class ClusterService(GraphService):
 
     def _gather(self, outcomes, counters: EvalCounters, eval_span):
         # Re-parent each shard's serialised span under the eval stage
-        # *before* gathering, so a failed gather still leaves the shard
-        # spans in the request trace and the partial work in counters.
+        # and account its work *before* gathering, so a failed gather
+        # still leaves the shard spans in the request trace, the
+        # partial work in counters and every shard that ran in stats.
         for outcome in outcomes:
             eval_span.adopt(outcome.span)
             counters.merge(outcome.counters)
+        with self.stats.lock:
+            self.stats.record_shards(outcomes)
         return self.router.gather(outcomes)
 
     def _plan_report(self, prepared: PreparedQuery, snap: GraphSnapshot) -> str:
@@ -180,80 +183,86 @@ class ClusterService(GraphService):
             return contexts[index].run(stage, *args)
 
         def scatter(query):
-            """Cached answers, a pre-scatter exception, or the member's
-            pending state: its window into ``calls`` and what the
-            gather stage records."""
-            cached, cache_outcome = self._probe(query, config, snap, use_cache)
+            """The member's observation so far — finished if the cache
+            answered — or the exception that stopped it before any
+            shard ran. ``pending`` holds what the gather stage needs."""
+            seen = Observation(query, started)
+            cached, seen.cache = self._probe(query, config, snap, use_cache)
             if cached is not None:
-                self._record_insight(
-                    query, started, answers=len(cached), cache=cache_outcome
-                )
-                return cached
+                return seen.finish(cached), cached
             try:
                 with span(self._span_prefix + "plan"):
                     prepared = self.prepare(query, config)
                     shard_calls = self._scatter(prepared, snap)
             # The exception is the member's outcome, not swallowed.
             except Exception as exc:  # lint: allow-broad-except
-                return exc
+                return None, exc
+            seen.parsed = prepared.query
+            seen.estimates = self._plan_estimates(prepared, snap)
+            seen.counters = EvalCounters()
             window = slice(len(calls), len(calls) + len(shard_calls))
             calls.extend(shard_calls)
-            estimates = self._plan_estimates(prepared, snap)
-            return window, prepared, estimates, cache_outcome
+            return seen, (window, prepared)
 
-        def gather(query, window, prepared, estimates, cache_outcome):
+        def gather(query, seen, window, prepared):
             chunk = outcomes[window]
-            counters = EvalCounters()
             try:
                 with span(
                     self._span_prefix + "eval", shards=len(chunk)
                 ) as eval_span:
-                    merged = self._gather(chunk, counters, eval_span)
+                    merged = self._gather(chunk, seen.counters, eval_span)
             # The exception is the member's outcome, not swallowed.
             except Exception as exc:  # lint: allow-broad-except
-                self._record_insight(
-                    query,
-                    started,
-                    parsed=prepared.query,
-                    cache=cache_outcome,
-                    counters=counters,
-                    error=exc,
-                )
+                seen.error = exc
+                seen.finish()
                 return exc
             if use_cache:
                 self._result_cache.put(
                     (query, config), snap.version, prepared.footprint, merged
                 )
-            self._record_insight(
-                query,
-                started,
-                parsed=prepared.query,
-                answers=len(merged),
-                cache=cache_outcome,
-                counters=counters,
-                estimates=estimates,
-            )
+            seen.finish(merged)
             return merged
 
-        results = [
+        members = [
             in_context(index, scatter, query)
             for index, query in enumerate(queries)
         ]
         outcomes = self._run(snap, calls)
-        # Members that failed before any shard ran are not counted —
-        # the same accounting as `evaluate`, which raises before
-        # recording.
-        served = sum(not isinstance(r, Exception) for r in results)
-        for index, pending in enumerate(results):
+        results = []
+        for index, (seen, pending) in enumerate(members):
             if isinstance(pending, tuple):
-                results[index] = in_context(
-                    index, gather, queries[index], *pending
+                pending = in_context(
+                    index, gather, queries[index], seen, *pending
                 )
-        # One latency sample for the whole pipelined batch (per-query
-        # wall clock is not separable once shards interleave).
-        self.stats.latency.record(time.perf_counter() - started)
-        self.stats.count(queries=served)
+            results.append(pending)
+        # The batch's single exit. Members that failed before any shard
+        # ran carry no observation and are not counted — the same
+        # accounting as `evaluate`, which raises before observing.
+        self._observe_batch(members, contexts, time.perf_counter() - started)
         return results
+
+    def _observe_batch(self, members, contexts, elapsed_s: float) -> None:
+        """The batch pipeline's one exit: fold it into the aggregate —
+        one latency sample for the whole of it, per-query wall clock
+        not being separable once shards interleave — and each observed
+        member into its fingerprint's entry, in the member's own
+        context so the insight cross-links the right trace id."""
+        observed = [
+            (index, seen)
+            for index, (seen, _) in enumerate(members)
+            if seen is not None
+        ]
+        stats = self.stats
+        with stats.lock:
+            stats.queries += len(observed)
+            stats.latency.record(elapsed_s)
+            for _, seen in observed:
+                stats.engine.merge(seen.counters)
+        for index, seen in observed:
+            if contexts is None:
+                self._record_insight(seen)
+            else:
+                contexts[index].run(self._record_insight, seen)
 
     # ------------------------------------------------------------------
     # Lifecycle

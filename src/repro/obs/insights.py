@@ -8,9 +8,10 @@ request's time go"; at serving scale the operational unit is the
 so forty query shapes stay forty registry entries however many
 millions of calls and distinct constant bindings arrive.
 
-Each :class:`QueryInsight` keeps rolling aggregates (calls, errors,
-timeouts, cache outcomes, answer rows, a latency reservoir plus
-fixed-bucket histogram, merged engine counters) and a
+Each :class:`QueryInsight` — a :class:`~repro.obs.counters.Counters`
+record like every other stats structure — keeps rolling aggregates
+(calls, errors, timeouts, cache outcomes, answer rows, a latency
+reservoir plus fixed-bucket histogram, merged engine counters) and a
 :class:`PlanQuality` record comparing the planner's pre-execution
 cardinality estimates (:func:`repro.gpc.planner.estimate_plan`)
 against the observed actuals — answer counts, hash-join build/probe
@@ -23,22 +24,34 @@ fingerprint mapping) and serves top-K views by total time, calls or
 misestimation for ``GET /insights`` and the ``/metrics`` labeled
 series.
 
-The heavyweight imports (parser/pretty, the latency recorder) are
-deferred to first use so importing :mod:`repro.obs` stays cheap and
-cycle-free.
+The serving pipeline describes each evaluation with one
+:class:`Observation` and hands it to :meth:`InsightsRegistry.record`.
+The parser/pretty imports are deferred to first use so importing
+:mod:`repro.obs` stays cheap and cycle-free.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.counters import EvalCounters
+from repro.errors import DeadlineExceededError
+from repro.obs.counters import (
+    CACHE_OUTCOMES,
+    CacheOutcomes,
+    Counters,
+    EvalCounters,
+    Keyed,
+    LatencyRecorder,
+)
 
 __all__ = [
     "InsightsRegistry",
+    "Observation",
     "QueryInsight",
     "PlanQuality",
     "query_fingerprint",
@@ -51,6 +64,12 @@ CONSTANT_BUCKET = "?"
 
 #: The sort keys :meth:`InsightsRegistry.top` accepts.
 TOP_SORTS = ("total_time", "calls", "misestimate", "errors")
+
+#: Latency samples each fingerprint's reservoir retains.
+LATENCY_CAPACITY = 256
+
+#: Recent trace ids each fingerprint keeps for ``/trace`` cross-links.
+TRACE_ID_CAPACITY = 4
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +164,8 @@ def _symmetric_ratio(estimated: float, observed: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class PlanQuality:
+@dataclass
+class PlanQuality(Counters):
     """Planner estimates vs observed actuals for one fingerprint.
 
     ``samples`` counts the evaluations that carried a
@@ -153,43 +173,48 @@ class PlanQuality:
     do not — no execution happened to compare against).
     """
 
-    __slots__ = (
-        "samples",
-        "estimated_answers",
-        "observed_answers",
-        "estimated_join_build_rows",
-        "observed_join_build_rows",
-        "estimated_join_probe_rows",
-        "observed_join_probe_rows",
-        "observed_nfa_states_expanded",
-        "worst_factor",
+    derived = (
+        "estimated_answers_mean",
+        "observed_answers_mean",
+        "misestimate_factor",
     )
 
-    def __init__(self):
-        self.samples = 0
-        self.estimated_answers = 0.0
-        self.observed_answers = 0
-        self.estimated_join_build_rows = 0.0
-        self.observed_join_build_rows = 0
-        self.estimated_join_probe_rows = 0.0
-        self.observed_join_probe_rows = 0
-        self.observed_nfa_states_expanded = 0
-        self.worst_factor = 1.0
+    samples: int = 0
+    _estimated_answers: float = 0.0
+    _observed_answers: int = 0
+    estimated_join_build_rows: float = 0.0
+    observed_join_build_rows: int = 0
+    estimated_join_probe_rows: float = 0.0
+    observed_join_probe_rows: int = 0
+    observed_nfa_states_expanded: int = 0
+    worst_factor: float = 1.0
 
     def observe(self, estimates, answers: int, counters) -> None:
-        self.samples += 1
-        self.estimated_answers += estimates.cardinality
-        self.observed_answers += answers
-        self.estimated_join_build_rows += estimates.join_build_rows
-        self.estimated_join_probe_rows += estimates.join_probe_rows
+        self.add(
+            samples=1,
+            _estimated_answers=estimates.cardinality,
+            _observed_answers=answers,
+            estimated_join_build_rows=estimates.join_build_rows,
+            estimated_join_probe_rows=estimates.join_probe_rows,
+        )
         if counters is not None:
-            self.observed_join_build_rows += counters.join_build_rows
-            self.observed_join_probe_rows += counters.join_probe_rows
-            self.observed_nfa_states_expanded += counters.nfa_states_expanded
+            self.add(
+                observed_join_build_rows=counters.join_build_rows,
+                observed_join_probe_rows=counters.join_probe_rows,
+                observed_nfa_states_expanded=counters.nfa_states_expanded,
+            )
         self.worst_factor = max(
             self.worst_factor,
             _symmetric_ratio(estimates.cardinality, answers),
         )
+
+    @property
+    def estimated_answers_mean(self) -> float:
+        return self._estimated_answers / self.samples if self.samples else 0.0
+
+    @property
+    def observed_answers_mean(self) -> float:
+        return self._observed_answers / self.samples if self.samples else 0.0
 
     @property
     def misestimate_factor(self) -> float:
@@ -198,125 +223,117 @@ class PlanQuality:
         if not self.samples:
             return 1.0
         return _symmetric_ratio(
-            self.estimated_answers / self.samples,
-            self.observed_answers / self.samples,
+            self.estimated_answers_mean, self.observed_answers_mean
         )
 
-    def as_dict(self) -> dict[str, object]:
-        samples = self.samples
-        return {
-            "samples": samples,
-            "estimated_answers_mean": (
-                self.estimated_answers / samples if samples else 0.0
-            ),
-            "observed_answers_mean": (
-                self.observed_answers / samples if samples else 0.0
-            ),
-            "misestimate_factor": self.misestimate_factor,
-            "worst_factor": self.worst_factor,
-            "estimated_join_build_rows": self.estimated_join_build_rows,
-            "observed_join_build_rows": self.observed_join_build_rows,
-            "estimated_join_probe_rows": self.estimated_join_probe_rows,
-            "observed_join_probe_rows": self.observed_join_probe_rows,
-            "observed_nfa_states_expanded": self.observed_nfa_states_expanded,
-        }
+
+@dataclass
+class Observation:
+    """One evaluation as the serving pipeline saw it.
+
+    The pipeline creates it at the door, fills it in as the stages run
+    (cache probe → plan → execute) and hands it over once, at its
+    single exit, to the façade's ``_observe`` — which folds it into
+    the service aggregate and, through
+    :meth:`InsightsRegistry.record`, into its fingerprint's entry.
+
+    ``parsed`` is the AST of ``query`` when a prepared query already
+    holds it, so fingerprinting new text does not parse it again;
+    ``cache`` a key of :data:`~repro.obs.counters.CACHE_OUTCOMES`;
+    ``estimates`` the :class:`~repro.gpc.planner.PlanEstimates` stamped
+    at plan time; ``error`` what the execute step raised; ``latency_s``
+    is stamped by :meth:`finish`.
+    """
+
+    query: object
+    started: float = field(default_factory=time.perf_counter)
+    parsed: object = None
+    answers: Optional[int] = None
+    cache: Optional[str] = None
+    counters: Optional[EvalCounters] = None
+    estimates: object = None
+    error: Optional[BaseException] = None
+    trace_id: Optional[str] = None
+    latency_s: float = 0.0
+
+    def finish(self, result=None) -> "Observation":
+        """Stamp the latency — and, given the answers, their count."""
+        self.latency_s = time.perf_counter() - self.started
+        if result is not None:
+            self.answers = len(result)
+        return self
 
 
-class QueryInsight:
-    """Rolling aggregates for one query fingerprint."""
+@dataclass
+class QueryInsight(Counters):
+    """Rolling aggregates for one query fingerprint.
 
-    __slots__ = (
-        "fingerprint",
-        "query",
-        "calls",
-        "errors",
-        "timeouts",
-        "answers_total",
-        "total_time_s",
-        "cache_hits",
-        "cache_restamps",
-        "cache_misses",
-        "cache_invalidations",
-        "cache_bypasses",
-        "latency",
-        "counters",
-        "plan",
-        "trace_ids",
+    ``query`` is the canonical text, stored here and nowhere else:
+    entries key the registry by fingerprint.
+    """
+
+    derived = ("answers_mean", "latency_histogram")
+
+    fingerprint: str = ""
+    query: str = ""
+    calls: int = 0
+    errors: int = 0
+    timeouts: int = 0
+    answers_total: int = 0
+    total_time_s: float = 0.0
+    cache: CacheOutcomes = field(default_factory=CacheOutcomes)
+    latency: LatencyRecorder = field(
+        default_factory=lambda: LatencyRecorder(LATENCY_CAPACITY)
+    )
+    engine: EvalCounters = field(default_factory=EvalCounters)
+    plan: PlanQuality = field(default_factory=PlanQuality)
+    #: The most recent recorded trace ids, for /trace cross-links.
+    recent_trace_ids: deque = field(
+        default_factory=lambda: deque(maxlen=TRACE_ID_CAPACITY)
     )
 
-    def __init__(
-        self,
-        fingerprint: str,
-        query: str,
-        *,
-        latency_capacity: int = 256,
-        trace_id_capacity: int = 4,
-    ):
-        # The only place the canonical text is stored: entries key the
-        # registry by fingerprint, so raw text is never stored twice.
-        from repro.service.stats import LatencyRecorder
+    def observe(self, seen: Observation) -> None:
+        """Fold one evaluation in (registry lock held)."""
+        failed = seen.error is not None
+        self.add(
+            calls=1,
+            total_time_s=seen.latency_s,
+            errors=failed,
+            timeouts=isinstance(seen.error, DeadlineExceededError),
+            answers_total=seen.answers or 0,
+        )
+        if seen.cache is not None:
+            self.cache.add(**CACHE_OUTCOMES[seen.cache])
+        self.latency.record(seen.latency_s)
+        self.engine.merge(seen.counters)
+        recent = self.recent_trace_ids
+        if seen.trace_id is not None and (
+            not recent or recent[-1] != seen.trace_id
+        ):
+            recent.append(seen.trace_id)
+        if seen.estimates is not None and seen.answers is not None and not failed:
+            self.plan.observe(seen.estimates, seen.answers, seen.counters)
 
-        self.fingerprint = fingerprint
-        self.query = query
-        self.calls = 0
-        self.errors = 0
-        self.timeouts = 0
-        self.answers_total = 0
-        self.total_time_s = 0.0
-        self.cache_hits = 0
-        self.cache_restamps = 0
-        self.cache_misses = 0
-        self.cache_invalidations = 0
-        self.cache_bypasses = 0
-        self.latency = LatencyRecorder(capacity=latency_capacity)
-        self.counters = EvalCounters()
-        self.plan = PlanQuality()
-        #: The most recent recorded trace ids, for /trace cross-links.
-        self.trace_ids: deque[str] = deque(maxlen=trace_id_capacity)
+    @property
+    def answers_mean(self) -> float:
+        return self.answers_total / self.calls if self.calls else 0.0
 
-    def as_dict(self) -> dict[str, object]:
-        calls = self.calls
-        return {
-            "fingerprint": self.fingerprint,
-            "query": self.query,
-            "calls": calls,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "answers_total": self.answers_total,
-            "answers_mean": self.answers_total / calls if calls else 0.0,
-            "total_time_s": self.total_time_s,
-            "cache": {
-                "hits": self.cache_hits,
-                "restamps": self.cache_restamps,
-                "misses": self.cache_misses,
-                "invalidations": self.cache_invalidations,
-                "bypasses": self.cache_bypasses,
-            },
-            "latency": self.latency.summary(),
-            "latency_histogram": self.latency.histogram(),
-            "engine": self.counters.as_dict(),
-            "plan": self.plan.as_dict(),
-            "recent_trace_ids": list(self.trace_ids),
-        }
+    @property
+    def latency_histogram(self) -> dict[str, object]:
+        return self.latency.histogram()
 
     def metrics_summary(self) -> dict[str, object]:
         """The flat numeric slice rendered as ``/metrics`` labeled
         series (one bounded line set per top-K fingerprint)."""
-        return {
-            "calls": self.calls,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "answers_total": self.answers_total,
-            "total_time_s": self.total_time_s,
-            "cache_hits": self.cache_hits,
-            "misestimate_factor": self.plan.misestimate_factor,
-        }
+        summary = {name: getattr(self, name) for name in _SERIES_FIELDS}
+        summary["cache_hits"] = self.cache.hits
+        summary["misestimate_factor"] = self.plan.misestimate_factor
+        return summary
 
-    def __repr__(self) -> str:
-        return (
-            f"QueryInsight({self.fingerprint}, calls={self.calls}, "
-            f"total_time_s={self.total_time_s:.4f})"
-        )
+
+#: The :class:`QueryInsight` fields :meth:`QueryInsight.metrics_summary`
+#: carries as they are.
+_SERIES_FIELDS = ("calls", "errors", "timeouts", "answers_total", "total_time_s")
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +348,17 @@ _SORT_KEYS = {
 }
 
 
+@dataclass
+class RegistryStats(Counters):
+    """Registry-level accounting: ``insights`` in a service's stats."""
+
+    enabled: bool = True
+    capacity: int = 512
+    fingerprints: int = 0
+    records: int = 0
+    evictions: int = 0
+
+
 class InsightsRegistry:
     """Thread-safe, bounded per-fingerprint workload aggregates.
 
@@ -339,7 +367,8 @@ class InsightsRegistry:
     from query object to ``(fingerprint, canonical)`` so the hot path
     never re-parses a repeated query. ``enabled=False`` turns
     :meth:`record` into an early-returning no-op, which is what the
-    overhead benchmark compares against.
+    overhead benchmark compares against. One lock guards the entries,
+    the memo and :attr:`stats`.
     """
 
     def __init__(
@@ -348,146 +377,114 @@ class InsightsRegistry:
         *,
         enabled: bool = True,
         fingerprint_cache_size: int = 1024,
-        latency_capacity: int = 256,
-        trace_id_capacity: int = 4,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.enabled = enabled
         self.capacity = capacity
         self.fingerprint_cache_size = fingerprint_cache_size
-        self._latency_capacity = latency_capacity
-        self._trace_id_capacity = trace_id_capacity
+        self.stats = RegistryStats(enabled=enabled, capacity=capacity)
         self._entries: OrderedDict[str, QueryInsight] = OrderedDict()
         self._fingerprints: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
-        self._records = 0
-        self._evictions = 0
 
     # -- fingerprinting -------------------------------------------------
+
+    def _remembered(self, query) -> Optional[tuple[str, str]]:
+        """The memoised fingerprint of ``query`` (lock held)."""
+        found = self._fingerprints.get(query)
+        if found is not None:
+            self._fingerprints.move_to_end(query)
+        return found
+
+    def _remember(self, query, computed: tuple[str, str]) -> None:
+        """Memoise ``computed`` for ``query`` (lock held)."""
+        self._fingerprints[query] = computed
+        while len(self._fingerprints) > self.fingerprint_cache_size:
+            self._fingerprints.popitem(last=False)
 
     def fingerprint(self, query, parsed=None) -> tuple[str, str]:
         """Memoised ``(fingerprint, canonical_text)`` for ``query``;
         ``parsed`` is its AST when the caller already holds one, so a
         memo miss on query text does not parse it a second time."""
         with self._lock:
-            found = self._fingerprints.get(query)
-            if found is not None:
-                self._fingerprints.move_to_end(query)
-                return found
-        computed = query_fingerprint(query if parsed is None else parsed)
-        with self._lock:
-            self._fingerprints[query] = computed
-            while len(self._fingerprints) > self.fingerprint_cache_size:
-                self._fingerprints.popitem(last=False)
-        return computed
+            found = self._remembered(query)
+        if found is None:
+            found = query_fingerprint(query if parsed is None else parsed)
+            with self._lock:
+                self._remember(query, found)
+        return found
 
     # -- recording ------------------------------------------------------
 
-    def record(
-        self,
-        query,
-        *,
-        parsed=None,
-        latency_s: float,
-        answers: Optional[int] = None,
-        cache: Optional[str] = None,
-        counters: Optional[EvalCounters] = None,
-        estimates=None,
-        error: bool = False,
-        timeout: bool = False,
-        trace_id: Optional[str] = None,
-    ) -> Optional[str]:
+    def record(self, seen: Observation) -> Optional[str]:
         """Fold one evaluation into its fingerprint's aggregates.
 
-        ``cache`` is one of ``hit``/``restamp``/``miss``/
-        ``invalidated``/``bypass`` (or ``None`` to skip cache
-        accounting); ``estimates`` is the
-        :class:`~repro.gpc.planner.PlanEstimates` stamped at plan time,
-        compared against ``answers`` and ``counters``; ``parsed`` as
-        for :meth:`fingerprint`. Returns the fingerprint (for span
-        stamping), or ``None`` when disabled.
+        Returns the fingerprint (for span stamping), or ``None`` when
+        disabled. One lock round-trip for a query whose fingerprint is
+        memoised, two for a new one (it is computed between them).
         """
         if not self.enabled:
             return None
-        fingerprint, canonical = self.fingerprint(query, parsed)
         with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                entry = QueryInsight(
-                    fingerprint,
-                    canonical,
-                    latency_capacity=self._latency_capacity,
-                    trace_id_capacity=self._trace_id_capacity,
-                )
-                self._entries[fingerprint] = entry
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
-            else:
-                self._entries.move_to_end(fingerprint)
-            self._records += 1
-            entry.calls += 1
-            entry.total_time_s += latency_s
-            if error:
-                entry.errors += 1
-            if timeout:
-                entry.timeouts += 1
-            if answers is not None:
-                entry.answers_total += answers
-            if cache == "hit":
-                entry.cache_hits += 1
-            elif cache == "restamp":
-                # A restamp is a hit that survived interleaving
-                # mutations; count it in both, like CacheStats does.
-                entry.cache_hits += 1
-                entry.cache_restamps += 1
-            elif cache == "miss":
-                entry.cache_misses += 1
-            elif cache == "invalidated":
-                entry.cache_misses += 1
-                entry.cache_invalidations += 1
-            elif cache == "bypass":
-                entry.cache_bypasses += 1
-            if trace_id is not None and (
-                not entry.trace_ids or entry.trace_ids[-1] != trace_id
-            ):
-                entry.trace_ids.append(trace_id)
-            if estimates is not None and answers is not None and not error:
-                entry.plan.observe(estimates, answers, counters)
-        # Outside the registry lock: both have their own locking.
-        entry.latency.record(latency_s)
-        if counters is not None:
-            entry.counters.merge(counters)
-        return fingerprint
+            found = self._remembered(seen.query)
+            if found is not None:
+                self._entry(*found).observe(seen)
+        if found is None:
+            found = query_fingerprint(
+                seen.query if seen.parsed is None else seen.parsed
+            )
+            with self._lock:
+                self._remember(seen.query, found)
+                self._entry(*found).observe(seen)
+        return found[0]
+
+    def _entry(self, fingerprint: str, canonical: str) -> QueryInsight:
+        """The entry to fold a record into, made most recent (lock
+        held); a new one may evict the least recently updated."""
+        stats = self.stats
+        stats.records += 1
+        entry = self._entries.get(fingerprint)
+        if entry is not None:
+            self._entries.move_to_end(fingerprint)
+            return entry
+        entry = self._entries[fingerprint] = QueryInsight(fingerprint, canonical)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            stats.evictions += 1
+        stats.fingerprints = len(self._entries)
+        return entry
 
     # -- views ----------------------------------------------------------
 
+    def _ranked(self, sort: str, limit: int) -> list[QueryInsight]:
+        """The top-``limit`` live entries by ``sort`` (lock held)."""
+        entries = sorted(self._entries.values(), key=_SORT_KEYS[sort], reverse=True)
+        return entries[:limit]
+
     def top(self, sort: str = "total_time", limit: int = 10) -> list[dict]:
         """The top-``limit`` fingerprints by ``sort``, as dicts."""
-        key = _SORT_KEYS.get(sort)
-        if key is None:
+        if sort not in _SORT_KEYS:
             raise ValueError(
                 f"unknown sort {sort!r}; expected one of {TOP_SORTS}"
             )
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         with self._lock:
-            entries = list(self._entries.values())
-        entries.sort(key=key, reverse=True)
-        return [entry.as_dict() for entry in entries[:limit]]
+            return [entry.as_dict() for entry in self._ranked(sort, limit)]
 
-    def labeled_series(self, limit: int = 10) -> dict[str, dict]:
+    def labeled_series(self, limit: int = 10) -> Keyed:
         """Per-fingerprint flat numeric summaries for the ``/metrics``
         labeled series, top-``limit`` by total time (bounded so the
         exposition never grows with the fingerprint population)."""
         with self._lock:
-            entries = list(self._entries.values())
-        entries.sort(key=_SORT_KEYS["total_time"], reverse=True)
-        return {
-            entry.fingerprint: entry.metrics_summary()
-            for entry in entries[:limit]
-        }
+            return Keyed(
+                "fingerprint",
+                {
+                    entry.fingerprint: entry.metrics_summary()
+                    for entry in self._ranked("total_time", limit)
+                },
+            )
 
     def get(self, fingerprint: str) -> Optional[QueryInsight]:
         """The live entry for ``fingerprint`` (no LRU touch), if any."""
@@ -497,21 +494,15 @@ class InsightsRegistry:
     def counters(self) -> dict[str, object]:
         """Registry-level accounting for the stats/metrics surfaces."""
         with self._lock:
-            return {
-                "enabled": self.enabled,
-                "capacity": self.capacity,
-                "fingerprints": len(self._entries),
-                "records": self._records,
-                "evictions": self._evictions,
-            }
+            return self.stats.as_dict()
 
     def clear(self) -> None:
         """Drop every entry and memo (capacity and flags are kept)."""
         with self._lock:
             self._entries.clear()
             self._fingerprints.clear()
-            self._records = 0
-            self._evictions = 0
+            self.stats.fingerprints = self.stats.records = 0
+            self.stats.evictions = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -520,5 +511,5 @@ class InsightsRegistry:
     def __repr__(self) -> str:
         return (
             f"InsightsRegistry(enabled={self.enabled}, "
-            f"fingerprints={len(self)}, records={self._records})"
+            f"fingerprints={len(self)}, records={self.stats.records})"
         )

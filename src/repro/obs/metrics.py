@@ -1,21 +1,23 @@
 """Prometheus text-exposition rendering for the stats surfaces.
 
-The serving layers already aggregate counters into nested ``as_dict``
-payloads (:class:`ServerStats`, :class:`ServiceStats`,
-:class:`ClusterStats`). This module flattens those payloads into the
-`Prometheus text format
+The serving layers keep their counters in trees of
+:class:`~repro.obs.counters.Counters` records. :func:`tree_lines` walks
+such a tree into the `Prometheus text format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ —
 ``name value`` lines with ``# TYPE`` metadata — without the layers
 having to know anything about Prometheus:
 
-- nested mappings flatten with ``_``-joined names
-  (``{"result_cache": {"hits": 3}}`` → ``repro_service_result_cache_hits 3``);
-- the ``per_worker`` sub-mapping of cluster stats becomes *labeled*
-  series (``…{worker="pid-123"}``) instead of per-worker metric names,
-  which is the idiomatic Prometheus shape for a dynamic worker set;
-- latency summaries are skipped in favour of true fixed-bucket
-  histograms rendered from :meth:`LatencyRecorder.histogram`
-  (cumulative ``le`` buckets plus ``_sum``/``_count``).
+- a record gives one sample per field and derived value, nested
+  records with ``_``-joined names (``result_cache.hits`` of the
+  service's stats → ``repro_service_result_cache_hits 3``);
+- a :class:`~repro.obs.counters.LatencyRecorder` gives a true
+  fixed-bucket histogram ``<name>_seconds`` (cumulative ``le`` buckets
+  plus ``_sum``/``_count``), not its windowed summary;
+- a :class:`~repro.obs.counters.Keyed` mapping — per worker, per
+  fingerprint — gives *labeled* series (``…{worker="pid-123"}``)
+  instead of per-key metric names, the idiomatic Prometheus shape for
+  a dynamic key set;
+- a plain mapping of numbers flattens like a record.
 
 Everything emitted is a gauge-or-counter snapshot; no state is kept
 here.
@@ -26,11 +28,14 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Optional
 
+from repro.obs.counters import Counters, Keyed, LatencyRecorder, rendered
+
 __all__ = [
     "sanitize",
     "mapping_lines",
     "histogram_lines",
     "labeled_summary_lines",
+    "tree_lines",
     "render_metrics",
 ]
 
@@ -115,10 +120,38 @@ def labeled_summary_lines(
     return lines
 
 
-def render_metrics(sections: Mapping[str, Mapping]) -> str:
-    """Flatten ``{prefix: payload}`` sections into one exposition body
-    (generic counters only — callers append histogram/labeled lines)."""
+def tree_lines(
+    name: str, node, names: Optional[Mapping[str, str]] = None
+) -> list[str]:
+    """The exposition lines of one stats subtree rooted at ``name``.
+
+    ``names`` renames subtrees whose series predate the tree
+    (``{"repro_service_engine": "repro_engine"}``): the key is the
+    ``_``-joined path the walk would use, the value what to emit.
+    """
+    names = names or {}
+    name = names.get(name, name)
+    if isinstance(node, LatencyRecorder):
+        return histogram_lines(f"{name}_seconds", node.histogram())
+    if isinstance(node, Keyed):
+        return labeled_summary_lines(name, node.label, rendered(node))
+    if isinstance(node, Counters):
+        node = dict(node.items())
+    if not isinstance(node, Mapping):
+        formatted = _format_value(node)
+        return [] if formatted is None else [f"{name} {formatted}"]
+    lines: list[str] = []
+    for key in sorted(node):
+        lines.extend(tree_lines(f"{name}_{sanitize(str(key))}", node[key], names))
+    return lines
+
+
+def render_metrics(
+    sections: Mapping[str, object], names: Optional[Mapping[str, str]] = None
+) -> str:
+    """One exposition body from ``{prefix: stats subtree}`` sections
+    (:func:`tree_lines` each, in the order given)."""
     lines: list[str] = []
     for prefix in sections:
-        lines.extend(mapping_lines(prefix, sections[prefix]))
+        lines.extend(tree_lines(prefix, sections[prefix], names))
     return "\n".join(lines) + "\n"

@@ -17,8 +17,8 @@ the cluster) one span per shard. The design goals, in order:
   explicit *carrier* (``(trace_id, parent_span_id)``) in the shard
   payload: the worker opens a detached span via :func:`remote_span`,
   serialises it with :meth:`Span.to_dict`, ships the dict back in the
-  :class:`~repro.cluster.backends.ShardOutcome`, and the gatherer
-  re-parents it with :meth:`Span.adopt`;
+  shard's outcome, and the gatherer re-parents it with
+  :meth:`Span.adopt`;
 - **bounded memory** — finished traces are serialised to plain dicts
   and ring-buffered by :class:`~repro.obs.store.TraceStore`.
 

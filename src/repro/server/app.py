@@ -109,6 +109,15 @@ INSIGHTS_METRICS_TOPK = 10
 #: Default number of fingerprints returned by ``GET /insights``.
 INSIGHTS_DEFAULT_LIMIT = 20
 
+#: ``GET /metrics`` series whose names predate the stats tree: the
+#: path the walk would use → the name dashboards were built on.
+METRIC_NAMES = {
+    "repro_server_latency": "repro_server_request_latency",
+    "repro_service_engine": "repro_engine",
+    "repro_cluster_engine": "repro_engine",
+    "repro_cluster_per_worker": "repro_cluster_worker_latency_seconds",
+}
+
 
 @dataclass
 class _Pending:
@@ -178,9 +187,6 @@ class GraphServer:
         close_service: bool = True,
         tracing: bool = True,
         trace_store: TraceStore | None = None,
-        trace_capacity: int = 256,
-        trace_sample_every: int = 1,
-        slow_threshold_s: float = 0.5,
         log_requests: bool = False,
     ):
         if max_in_flight < 1:
@@ -194,13 +200,7 @@ class GraphServer:
         self.service = service
         self.stats = ServerStats()
         self.tracer = Tracer(
-            trace_store
-            if trace_store is not None
-            else TraceStore(
-                trace_capacity,
-                slow_threshold_s=slow_threshold_s,
-                sample_every=trace_sample_every,
-            ),
+            trace_store if trace_store is not None else TraceStore(),
             enabled=tracing,
         )
         self.log_requests = log_requests
@@ -293,14 +293,14 @@ class GraphServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.stats.count(connections=1)
+        self.stats.add(connections=1)
         self._writers.add(writer)
         try:
             while True:
                 try:
                     request = await read_request(reader)
                 except ProtocolError as exc:
-                    self.stats.count(requests=1, responses=1, client_errors=1)
+                    self.stats.add(requests=1, responses=1, client_errors=1)
                     writer.write(
                         render_response(
                             exc.status, {"error": str(exc)}, keep_alive=False
@@ -334,7 +334,7 @@ class GraphServer:
         self, request: HttpRequest
     ) -> tuple[int, Any, dict[str, str]]:
         started = time.perf_counter()
-        self.stats.count(requests=1)
+        self.stats.add(requests=1)
         self._active_requests += 1
         self._all_idle.clear()
         # A client-supplied X-Trace-Id is an explicit request to trace:
@@ -354,7 +354,7 @@ class GraphServer:
                 # the request's budget running out, not a bad request.
                 # The partial span tree lands in the store below (5xx
                 # traces bypass sampling).
-                self.stats.count(timeouts=1)
+                self.stats.add(timeouts=1)
                 status, payload = 504, {
                     "error": f"{type(exc).__name__}: {exc}"
                 }
@@ -379,15 +379,13 @@ class GraphServer:
                 root.set_attr("status", status)
                 if status >= 500:
                     root.set_error(f"HTTP {status}")
-        if status == 200:
-            self.stats.count(responses=1)
-        elif status in (429, 503):
-            self.stats.count(responses=1, rejected=1)
-        elif status < 500:
-            self.stats.count(responses=1, client_errors=1)
-        else:
-            self.stats.count(responses=1, server_errors=1)
         elapsed = time.perf_counter() - started
+        self.stats.add(
+            responses=1,
+            rejected=status in (429, 503),
+            client_errors=status not in (200, 429, 503) and status < 500,
+            server_errors=status >= 500,
+        )
         self.stats.latency.record(elapsed)
         headers = {"X-Trace-Id": root.trace_id} if root else {}
         if self.log_requests:
@@ -409,7 +407,7 @@ class GraphServer:
                 "draining": self._draining,
             }
         if request.path == "/stats":
-            return 200, self.stats.as_dict(self.service.stats)
+            return 200, self.stats_payload()
         if request.path == "/trace":
             return self._handle_trace(request)
         if request.path == "/metrics":
@@ -455,7 +453,7 @@ class GraphServer:
         if self._queue.qsize() >= self.max_queue_depth:
             raise ProtocolError(429, "query queue is full, retry later")
         future = self._loop.create_future()
-        self.stats.count(queries=1)
+        self.stats.add(queries=1)
         # The deadline enters the contextvar context *before* the copy,
         # so the engine's deepening loops see it in the evaluation
         # thread the coalescer dispatches this pending to.
@@ -502,7 +500,7 @@ class GraphServer:
                 return_exceptions=True,
                 contexts=contexts,
             )
-        self.stats.count(batches=1)
+        self.stats.add(batches=1)
         version = self.service.version
         # Batches can carry arbitrarily many answer sets: always
         # serialise off the event loop.
@@ -517,7 +515,7 @@ class GraphServer:
             raise ProtocolError(400, 'body must be {"ops": [{...}, ...]}')
         async with self._slot():
             results = await asyncio.to_thread(self._apply_mutations, ops)
-        self.stats.count(mutations=len(ops))
+        self.stats.add(mutations=len(ops))
         return 200, {"results": results, "version": self.service.version}
 
     async def _handle_explain(self, request: HttpRequest) -> tuple[int, Any]:
@@ -556,7 +554,7 @@ class GraphServer:
             query = body["query"]
         # Linting compiles the plan (cached), so hop off the event loop.
         diagnostics = await asyncio.to_thread(self.service.lint, query)
-        self.stats.count(lints=1)
+        self.stats.add(lints=1)
         return 200, {
             "diagnostics": [d.as_dict() for d in diagnostics],
             "provably_empty": any(
@@ -577,10 +575,10 @@ class GraphServer:
                     query, answers, wire.render_answers
                 )
             encode.set_attrs({"bytes": len(fragment), "reused": reused})
-        if reused:
-            self.stats.count(bodies_reused=1)
-        else:
-            self.stats.count(bodies_encoded=1)
+        # The one place a worker thread (up to max_in_flight at once)
+        # writes ServerStats; every other field is the event loop's.
+        with self.stats.lock:
+            self.stats.add(bodies_reused=reused, bodies_encoded=not reused)
         return fragment
 
     def _render_batch(self, queries, outcomes, version: int) -> PreRendered:
@@ -600,6 +598,12 @@ class GraphServer:
     # ------------------------------------------------------------------
     # Observability endpoints
     # ------------------------------------------------------------------
+
+    def stats_payload(self) -> dict[str, object]:
+        """What ``GET /stats`` serves: the transport counters with the
+        owning service's own stats under ``"service"``, so one scrape
+        carries the whole serving stack."""
+        return {**self.stats.as_dict(), "service": self.service.stats.as_dict()}
 
     def _handle_trace(self, request: HttpRequest) -> tuple[int, Any]:
         store = self.tracer.store
@@ -660,74 +664,18 @@ class GraphServer:
 
     def _render_metrics(self) -> PreRendered:
         """The whole serving stack's counters as one Prometheus text
-        exposition: transport (``repro_server_*``), service or cluster
-        runtime, engine work (``repro_engine_*``), true fixed-bucket
-        latency histograms, per-worker labeled series, and trace-store
-        accounting (``repro_traces_*``)."""
-        server = self.stats.as_dict()
-        service_stats = self.service.stats
-        service = service_stats.as_dict()
-        is_cluster = "scatters" in service
-        prefix = "repro_cluster" if is_cluster else "repro_service"
-        engine = service.pop("engine", None)
-        per_worker = service.pop("per_worker", None)
-        lines = obs_metrics.mapping_lines(
-            "repro_server", server, skip=("latency",)
-        )
-        lines.extend(
-            obs_metrics.histogram_lines(
-                "repro_server_request_latency_seconds",
-                self.stats.latency.histogram(),
-            )
-        )
-        lines.extend(
-            obs_metrics.mapping_lines(
-                prefix, service, skip=("latency", "shard_latency")
-            )
-        )
-        lines.extend(
-            obs_metrics.histogram_lines(
-                f"{prefix}_latency_seconds",
-                service_stats.latency.histogram(),
-            )
-        )
-        if is_cluster:
-            lines.extend(
-                obs_metrics.histogram_lines(
-                    "repro_cluster_shard_latency_seconds",
-                    service_stats.shard_latency.histogram(),
-                )
-            )
-        if per_worker:
-            lines.extend(
-                obs_metrics.labeled_summary_lines(
-                    "repro_cluster_worker_latency_seconds",
-                    "worker",
-                    per_worker,
-                )
-            )
-        if engine:
-            lines.extend(obs_metrics.mapping_lines("repro_engine", engine))
+        exposition: each stats tree under its prefix."""
+        stats = self.service.stats
+        sections = {"repro_server": self.stats, stats.metrics_prefix: stats}
         insights = getattr(self.service, "insights", None)
         if insights is not None and insights.enabled:
             # Bounded top-K per-fingerprint series; registry-level
-            # counters already flow via the stats "insights" sub-dict.
-            lines.extend(
-                obs_metrics.labeled_summary_lines(
-                    "repro_insights",
-                    "fingerprint",
-                    insights.labeled_series(INSIGHTS_METRICS_TOPK),
-                )
-            )
-        lines.extend(
-            obs_metrics.mapping_lines(
-                "repro_traces", self.tracer.store.counters()
-            )
-        )
-        body = "\n".join(lines) + "\n"
-        return PreRendered(
-            body.encode("utf-8"), content_type=METRICS_CONTENT_TYPE
-        )
+            # counters already flow via the stats "insights" record.
+            sections["repro_insights"] = insights.labeled_series(INSIGHTS_METRICS_TOPK)
+        sections["repro_traces"] = self.tracer.store.counters()
+        with stats.lock:
+            body = obs_metrics.render_metrics(sections, METRIC_NAMES)
+        return PreRendered(body.encode("utf-8"), content_type=METRICS_CONTENT_TYPE)
 
     def _log_access(
         self, request: HttpRequest, status: int, elapsed: float, root

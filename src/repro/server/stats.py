@@ -8,25 +8,23 @@ bytes, and end-to-end request latency (queueing + coalescing +
 evaluation + serialisation — a superset of the service-level
 evaluation latency).
 
-``as_dict()`` composes the owning service's own
-:meth:`~repro.service.stats.ServiceStats.as_dict` /
-:meth:`~repro.cluster.stats.ClusterStats.as_dict` payload under the
-``"service"`` key, so one ``GET /stats`` scrape carries the whole
-serving stack.
+The event-loop thread writes every field but the two ``bodies_*``
+counts, which dispatch worker threads bump under ``lock``; ``GET
+/stats`` serves ``as_dict()`` with the owning service's own stats under
+``"service"``, so one scrape carries the whole serving stack.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
-from repro.service.stats import LatencyRecorder
+from repro.obs.counters import LatencyRecorder, SharedCounters
 
 __all__ = ["ServerStats"]
 
 
 @dataclass
-class ServerStats:
+class ServerStats(SharedCounters):
     """Aggregate metrics exposed by :class:`~repro.server.app.GraphServer`.
 
     ``rejected`` counts requests shed by admission control (429 queue
@@ -72,53 +70,10 @@ class ServerStats:
     bodies_reused: int = 0
     draining: bool = False
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-
-    def count(self, **deltas: int) -> None:
-        """Atomically bump the named integer counters."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
     def record_dispatch(self, size: int) -> None:
         """Account one coalesced ``evaluate_batch`` dispatch of ``size``."""
-        with self._lock:
-            self.dispatches += 1
-            if size > 1:
-                self.coalesced += size
-            if size > self.max_batch:
-                self.max_batch = size
-
-    def as_dict(self, service_stats: "object | None" = None) -> dict[str, object]:
-        """A JSON-serialisable flattening of every transport metric.
-
-        Pass the owning service's stats object (anything with an
-        ``as_dict()``) to compose its payload under ``"service"`` —
-        the shape ``GET /stats`` serves.
-        """
-        with self._lock:
-            payload: dict[str, object] = {
-                "connections": self.connections,
-                "requests": self.requests,
-                "responses": self.responses,
-                "rejected": self.rejected,
-                "client_errors": self.client_errors,
-                "server_errors": self.server_errors,
-                "timeouts": self.timeouts,
-                "queries": self.queries,
-                "dispatches": self.dispatches,
-                "coalesced": self.coalesced,
-                "max_batch": self.max_batch,
-                "batches": self.batches,
-                "mutations": self.mutations,
-                "lints": self.lints,
-                "bodies_encoded": self.bodies_encoded,
-                "bodies_reused": self.bodies_reused,
-                "draining": self.draining,
-            }
-        payload["latency"] = self.latency.summary()
-        if service_stats is not None:
-            payload["service"] = service_stats.as_dict()
-        return payload
+        self.dispatches += 1
+        if size > 1:
+            self.coalesced += size
+        if size > self.max_batch:
+            self.max_batch = size

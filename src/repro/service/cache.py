@@ -36,8 +36,8 @@ from collections import OrderedDict
 from typing import Callable, Hashable, TypeVar
 
 from repro.graph.delta import summarize_deltas
+from repro.obs.counters import CACHE_OUTCOMES, CacheStats
 from repro.obs.trace import span
-from repro.service.stats import CacheStats
 
 __all__ = ["LRUCache", "SemanticResultCache"]
 
@@ -238,16 +238,15 @@ class SemanticResultCache:
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None, "miss"
-            if entry.version == version:
+            if entry is not None and entry.version == version:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry.result, "hit"
-            if entry.version > version or self._delta_source is None:
-                self.stats.misses += 1
-                return None, "miss"
+                return entry.result, self._count("hit")
+            if (
+                entry is None
+                or entry.version > version
+                or self._delta_source is None
+            ):
+                return None, self._count("miss")
             footprint = entry.footprint
             entry_version = entry.version
         # Delta fetch and footprint intersection run outside the lock;
@@ -261,8 +260,7 @@ class SemanticResultCache:
         with self._lock:
             current = self._entries.get(key)
             if current is not entry or entry.version != entry_version:
-                self.stats.misses += 1  # raced with a concurrent update
-                return None, "miss"
+                return None, self._count("miss")  # raced with an update
             if (
                 summary is not None
                 and footprint is not None
@@ -270,13 +268,20 @@ class SemanticResultCache:
             ):
                 entry.version = version
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                self.stats.restamps += 1
-                return entry.result, "restamp"
+                return entry.result, self._count("restamp")
             del self._entries[key]
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            return None, "invalidated"
+            return None, self._count("invalidated")
+
+    def _count(self, outcome: str) -> str:
+        """Account one request's ``outcome`` (lock held); returns it."""
+        self.stats.add(**CACHE_OUTCOMES[outcome])
+        return outcome
+
+    def bypass(self) -> str:
+        """Account a request that deliberately skipped the cache — not
+        a lookup, so ``hit_rate`` only reflects real probes."""
+        with self._lock:
+            return self._count("bypass")
 
     def put(self, key: Hashable, version: int, footprint, result) -> None:
         """Store ``result`` computed at ``version`` with ``footprint``.

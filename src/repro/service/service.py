@@ -24,7 +24,7 @@ supports:
 evictions and latency percentiles for observability.
 
 Serving a query is one pipeline — snapshot → cache probe → prepare →
-*execute* → cache put → record — and :meth:`GraphService._execute` is
+*execute* → cache put → observe — and :meth:`GraphService._execute` is
 the step a subclass replaces: here it runs the prepared query
 locally, :class:`~repro.cluster.service.ClusterService` scatters it
 over seed cells and unions the parts (and, being a scatter, spreads a
@@ -53,12 +53,13 @@ from repro.graph.ids import (
 )
 from repro.graph.property_graph import Constant, PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
-from repro.errors import DeadlineExceededError, GPCError
+from repro.errors import GPCError
 from repro.gpc.analysis import lint_query
 from repro.gpc.explain import explain_counters, explain_estimates
 from repro.obs import (
     EvalCounters,
     InsightsRegistry,
+    Observation,
     current_span,
     span,
     use_counters,
@@ -116,7 +117,7 @@ class GraphService:
             self.insights = insights
         else:
             self.insights = InsightsRegistry(enabled=bool(insights))
-        self.stats.insights = self.insights
+        self.stats.insights = self.insights.stats
         self._plan_cache = LRUCache(plan_cache_size, self.stats.plan_cache)
         self._result_cache = SemanticResultCache(
             result_cache_size,
@@ -160,12 +161,13 @@ class GraphService:
             snap = self._graph.snapshot()
             if snap.version != self._last_snapshot_version:
                 self._last_snapshot_version = snap.version
-                self.stats.count(
-                    snapshots_built=1,
-                    snapshots_derived=1 if snap.derived else 0,
-                    snapshot_build_s=snap.build_s,
-                    csr_rows_patched=snap.csr_rows_patched,
-                )
+                with self.stats.lock:
+                    self.stats.add(
+                        snapshots_built=1,
+                        snapshots_derived=1 if snap.derived else 0,
+                        snapshot_build_s=snap.build_s,
+                        csr_rows_patched=snap.csr_rows_patched,
+                    )
             return snap
 
     def add_node(
@@ -264,7 +266,12 @@ class GraphService:
             return report
         counters = EvalCounters()
         started = time.perf_counter()
-        result = self._execute(prepared, snap, counters)
+        try:
+            result = self._execute(prepared, snap, counters)
+        finally:
+            # Not a served query, but its engine work is in the aggregate.
+            with self.stats.lock:
+                self.stats.engine.merge(counters)
         elapsed = time.perf_counter() - started
         observed = explain_counters(
             counters, answers=len(result), elapsed_s=elapsed
@@ -324,55 +331,42 @@ class GraphService:
         check proves the answers unchanged before re-serving them.
         """
         config = config or self.config
-        started = time.perf_counter()
+        seen = Observation(query)
         # Snapshot first and validate cached entries against the
         # snapshot's own version: a concurrent mutation then yields a
         # version mismatch (resolved by the delta/footprint check)
         # rather than a stale entry served as current.
         snap = self.snapshot()
-        cached, cache_outcome = self._probe(query, config, snap, use_cache)
-        if cached is not None:
-            self._record_query(started)
-            self._record_insight(
-                query, started, answers=len(cached), cache=cache_outcome
-            )
-            return cached
-        # Failures up to here (parse, typecheck) are the caller's and
-        # go uncounted; from the execute step on, a failure is a served
-        # query: counted, timed, and recorded with the work done so far
-        # — so error rates derived from ``queries`` stay honest.
-        with span(self._span_prefix + "plan"):
-            prepared = self.prepare(query, config)
-        estimates = self._plan_estimates(prepared, snap)
-        counters = EvalCounters()
+        result, seen.cache = self._probe(query, config, snap, use_cache)
+        prepared = None
+        if result is None:
+            # Failures up to here (parse, typecheck) are the caller's
+            # and go unobserved; from the execute step on, a failure is
+            # a served query: counted, timed, and recorded with the
+            # work done so far — so error rates derived from
+            # ``queries`` stay honest.
+            with span(self._span_prefix + "plan"):
+                prepared = self.prepare(query, config)
+            seen.parsed = prepared.query
+            seen.estimates = self._plan_estimates(prepared, snap)
+            seen.counters = EvalCounters()
+        # The pipeline's single exit: whatever happens from here on —
+        # a hit, computed answers, or the execute step raising — is
+        # observed exactly once, and a failure propagates untouched.
         try:
-            result = self._execute(prepared, snap, counters)
-        except Exception as exc:
-            self._record_query(started)
-            self._record_insight(
-                query,
-                started,
-                parsed=prepared.query,
-                cache=cache_outcome,
-                counters=counters,
-                error=exc,
-            )
-            raise
-        if use_cache:
-            self._result_cache.put(
-                (query, config), snap.version, prepared.footprint, result
-            )
-        self._record_query(started)
-        self._record_insight(
-            query,
-            started,
-            parsed=prepared.query,
-            answers=len(result),
-            cache=cache_outcome,
-            counters=counters,
-            estimates=estimates,
-        )
-        return result
+            if prepared is not None:
+                try:
+                    result = self._execute(prepared, snap, seen.counters)
+                except Exception as exc:
+                    seen.error = exc
+                    raise
+                if use_cache:
+                    self._result_cache.put(
+                        (query, config), snap.version, prepared.footprint, result
+                    )
+            return result
+        finally:
+            self._observe(seen.finish(result))
 
     def rendered(
         self,
@@ -404,11 +398,7 @@ class GraphService:
         ``snap``'s version, with ``answers`` ``None`` unless the
         outcome is a hit or a restamp."""
         if not use_cache:
-            # A deliberate cache skip is not a lookup: count it as a
-            # bypass so hit_rate only reflects real cache probes.
-            with self._lock:
-                self.stats.result_cache.bypasses += 1
-            return None, "bypass"
+            return None, self._result_cache.bypass()
         with span(self._span_prefix + "cache_probe") as probe:
             cached, outcome = self._result_cache.get_with_outcome(
                 (query, config), snap.version
@@ -424,16 +414,15 @@ class GraphService:
     ) -> frozenset[Answer]:
         """The pipeline's execute step: the answers of ``prepared`` at
         ``snap``, with the engine work they cost accounted into
-        ``counters`` (also when it raises — the caller records partial
-        work), into the service-wide aggregate and — when a trace is
-        active — onto the ``eval`` span. Here: one local run.
+        ``counters`` (also when it raises — the caller observes partial
+        work) and — when a trace is active — onto the ``eval`` span.
+        Here: one local run.
         """
         with span(self._span_prefix + "eval") as eval_span:
             try:
                 with use_counters(counters):
                     result = prepared.execute(snap)
             finally:
-                self.stats.engine.merge(counters)
                 if eval_span:
                     eval_span.set_attrs(counters.as_dict())
             eval_span.set_attr("answers", len(result))
@@ -455,41 +444,28 @@ class GraphService:
         except Exception:  # lint: allow-broad-except
             return None
 
-    def _record_insight(
-        self,
-        query,
-        started: float,
-        *,
-        parsed: ast.Query | None = None,
-        answers: int | None = None,
-        cache: str | None = None,
-        counters: EvalCounters | None = None,
-        estimates=None,
-        error: BaseException | None = None,
-    ) -> None:
-        """Fold one evaluation (``error``: what its execute step
-        raised) into the insights registry. ``parsed`` is the AST of
-        ``query`` when a prepared query already holds it, so
-        fingerprinting new text does not parse it again.
+    def _observe(self, seen: Observation) -> None:
+        """The pipeline's one exit: fold a finished evaluation into the
+        service aggregate (one ``stats.lock`` round-trip) and into its
+        fingerprint's entry."""
+        stats = self.stats
+        with stats.lock:
+            stats.queries += 1
+            stats.latency.record(seen.latency_s)
+            stats.engine.merge(seen.counters)
+        self._record_insight(seen)
+
+    def _record_insight(self, seen: Observation) -> None:
+        """Fold ``seen`` into the insights registry, cross-linked with
+        the trace that is active in the calling context.
 
         Stamps the fingerprint onto the active root span so slow-log
         entries in the trace store cross-link to ``GET /insights``.
         """
-        if not self.insights.enabled:
-            return
         root = current_span()
-        fingerprint = self.insights.record(
-            query,
-            parsed=parsed,
-            latency_s=time.perf_counter() - started,
-            answers=answers,
-            cache=cache,
-            counters=counters,
-            estimates=estimates,
-            error=error is not None,
-            timeout=isinstance(error, DeadlineExceededError),
-            trace_id=root.trace_id if root else None,
-        )
+        if root:
+            seen.trace_id = root.trace_id
+        fingerprint = self.insights.record(seen)
         if root and fingerprint is not None:
             root.set_attr("fingerprint", fingerprint)
 
@@ -529,7 +505,8 @@ class GraphService:
                 f"contexts ({len(contexts)}) must match "
                 f"queries ({len(queries)})"
             )
-        self.stats.count(batches=1)
+        with self.stats.lock:
+            self.stats.batches += 1
         if not queries:
             return []
         outcomes = self._evaluate_all(
@@ -606,10 +583,6 @@ class GraphService:
                     thread_name_prefix="gpc-service",
                 )
             return self._executor
-
-    def _record_query(self, started: float) -> None:
-        self.stats.latency.record(time.perf_counter() - started)
-        self.stats.count(queries=1)
 
     def __repr__(self) -> str:
         return (

