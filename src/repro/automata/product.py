@@ -8,7 +8,7 @@ the minimum length of an accepted path to every end node.
 
 This gives the classical PTIME RPQ evaluation algorithm, and the
 over-approximation the GPC engine uses for the ``shortest`` restrictor
-(see :mod:`repro.automata.gpc_abstraction`).
+(see :mod:`repro.gpc.abstraction`).
 """
 
 from __future__ import annotations

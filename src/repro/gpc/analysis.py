@@ -45,7 +45,7 @@ elements carry label *sets*, so ``(x:A) (x:B)`` just requires both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterator, Optional
 
@@ -128,12 +128,7 @@ class Diagnostic:
         return f"[{self.code}] {self.severity}: {self.message} (at: {self.span})"
 
     def as_dict(self) -> dict[str, str]:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-            "span": self.span,
-        }
+        return asdict(self)
 
 
 def render_diagnostics(diagnostics: tuple[Diagnostic, ...]) -> str:

@@ -10,7 +10,7 @@
   witnessing path has minimum length. When the pattern's maximum match
   length is unbounded, the engine runs *iterative deepening* seeded and
   cut off by the condition-free regular abstraction
-  (:mod:`repro.automata.gpc_abstraction`): the abstraction's accepted
+  (:mod:`repro.gpc.abstraction`): the abstraction's accepted
   pairs over-approximate the truly matchable pairs, so deepening stops
   as soon as every candidate pair has been found (or refuted at the
   configured cap);
@@ -143,6 +143,9 @@ class QueryPlan:
         #: ``None`` records that the register compiler rejected the
         #: pattern, so the fallback is chosen without recompiling.
         self._register_nfas: dict[ast.Pattern, RegisterNFA | None] = {}
+        #: Why the register compiler refused a pattern (the ``None``s
+        #: above), for ``explain``.
+        self._register_refusals: dict[ast.Pattern, str] = {}
         self._assignment_sources: dict[
             ast.Pattern, tuple[str | None, dict[str, object]]
         ] = {}
@@ -187,18 +190,26 @@ class QueryPlan:
         return self.analysis(query).diagnostics
 
     def register_nfa(self, pattern: ast.Pattern) -> RegisterNFA | None:
-        """The pattern's register NFA, or ``None`` if unsupported."""
+        """The pattern's register NFA, or ``None`` if unsupported
+        (:meth:`register_refusal` then says why)."""
         if pattern not in self._register_nfas:
             try:
-                rnfa = compile_register_nfa(
+                self._register_nfas[pattern] = compile_register_nfa(
                     pattern,
                     state_limit=self.config.automaton_state_limit,
                     pushdown=self.config.use_pushdown,
                 )
-            except UnsupportedPattern:
-                rnfa = None
-            self._register_nfas[pattern] = rnfa
+            except UnsupportedPattern as refusal:
+                self._register_nfas[pattern] = None
+                self._register_refusals[pattern] = str(refusal)
         return self._register_nfas[pattern]
+
+    def register_refusal(self, pattern: ast.Pattern) -> str | None:
+        """Why the register compiler refused ``pattern`` — so that
+        ``shortest`` falls back to bounded evaluation or deepening —
+        or ``None`` when it compiled."""
+        self.register_nfa(pattern)
+        return self._register_refusals.get(pattern)
 
     def assignment_source(
         self, pattern: ast.Pattern

@@ -40,14 +40,14 @@ chosen strategies for inspection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Optional
 
 from repro.direction import Direction
 from repro.gpc import ast
 from repro.gpc.conditions_ast import And, Condition, PropertyEqualsConst
-from repro.gpc.minlength import max_length_step
+from repro.gpc.minlength import max_length_step, max_path_length
 from repro.gpc.typing import infer_schema
 from repro.graph.statistics import compute_label_cardinalities
 
@@ -501,9 +501,8 @@ class JoinEstimate:
 
     def as_dict(self) -> dict[str, object]:
         return {
+            **asdict(self),
             "shared": list(self.shared),
-            "left": self.left,
-            "right": self.right,
             "build_rows": self.build_rows,
             "probe_rows": self.probe_rows,
         }
@@ -528,7 +527,7 @@ class PlanEstimates:
 
     def as_dict(self) -> dict[str, object]:
         return {
-            "cardinality": self.cardinality,
+            **asdict(self),
             "joins": [j.as_dict() for j in self.joins],
             "join_build_rows": self.join_build_rows,
             "join_probe_rows": self.join_probe_rows,
@@ -606,18 +605,26 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
                 if plan is not None
                 else plan_shortest(q.pattern)
             )
+            refusal = (
+                plan.register_refusal(q.pattern) if plan is not None else None
+            )
+            if refusal is None:
+                route = "register-NFA shortest"
+            elif max_path_length(q.pattern) is None:
+                # The engine's own test (Evaluator._eval_shortest_fallback).
+                route = f"abstraction-guided deepening ({refusal})"
+            else:
+                route = f"bounded evaluation + shortest filter ({refusal})"
             line = (
                 f"{indent}- {restrictor} {pretty(q.pattern)}: "
-                f"register-NFA shortest; "
+                f"{route}; "
                 f"starts: {shortest.start.describe(view)}; "
                 f"ends: {shortest.end.describe(view)}"
             )
-            if plan is not None:
-                rnfa = plan.register_nfa(q.pattern)
-                if rnfa is not None:
-                    line += "; search: " + _describe_registers(
-                        rnfa.constraining
-                    )
+            if plan is not None and refusal is None:
+                line += "; search: " + _describe_registers(
+                    plan.register_nfa(q.pattern).constraining
+                )
                 # Depends on the plan's collect mode.
                 requirement, _padding = plan.assignment_source(q.pattern)
                 if requirement is not None:

@@ -63,6 +63,10 @@ def render_step(
         return f"{name}{restrictor} {parts[0][0]}", 0
     if isinstance(expression, ast.Join):
         return f"{parts[0][0]}, {parts[1][0]}", 0
+    if isinstance(expression, ast.PatternExtension):
+        # Section 7 constructs have no concrete syntax: their ``repr``
+        # (sub-patterns included) stands in, and binds like an atom.
+        return repr(expression), 4
     raise TypeError(f"not a pattern: {expression!r}")
 
 

@@ -381,17 +381,9 @@ def _compile(
     if isinstance(pattern, ast.Repeat):
         return _compile_repeat(pattern, builder)
     if isinstance(pattern, ast.PatternExtension):
-        hook = getattr(pattern, "compile_register_ext", None)
-        if hook is None:
-            raise UnsupportedPattern(
-                f"extension {type(pattern).__name__} has no register "
-                f"compilation"
-            )
-        # Extension children compile with an empty push environment:
-        # their internal structure is opaque, so no atom may be elided
-        # on their account (the attached-count check above guarantees
-        # the enclosing Conditioned keeps such atoms in its residue).
-        return hook(builder, lambda child: _compile(child, builder, {}))
+        raise UnsupportedPattern(
+            f"extension {type(pattern).__name__} has no register compilation"
+        )
     raise TypeError(f"not a pattern: {pattern!r}")
 
 

@@ -8,7 +8,7 @@ via :class:`LabelCardinalities` — by the query planner
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from repro.graph.property_graph import PropertyGraph
@@ -73,14 +73,7 @@ class LabelCardinalities:
         return self.undirected_edge_counts.get(label, 0)
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "num_nodes": self.num_nodes,
-            "num_directed_edges": self.num_directed_edges,
-            "num_undirected_edges": self.num_undirected_edges,
-            "node_counts": dict(self.node_counts),
-            "directed_edge_counts": dict(self.directed_edge_counts),
-            "undirected_edge_counts": dict(self.undirected_edge_counts),
-        }
+        return asdict(self)
 
 
 def compute_label_cardinalities(graph) -> LabelCardinalities:

@@ -107,9 +107,8 @@ def canonical_query(query) -> str:
 
     Whitespace and formatting variants of the same query normalise to
     one string; queries differing only in condition constants collapse
-    together. Unrenderable inputs (extension constructs the printer
-    rejects) fall back to ``repr`` of the bucketed AST, keeping
-    fingerprinting total.
+    together. Extension constructs render as their ``repr``, so
+    fingerprinting is total.
     """
     from repro.gpc import ast
     from repro.gpc.parser import parse_query
@@ -129,10 +128,7 @@ def canonical_query(query) -> str:
 
     if isinstance(query, str):
         query = parse_query(query)
-    try:
-        return ast.fold(query, render_bucketed)[0]
-    except TypeError:
-        return repr(ast.fold(query, bucket))
+    return ast.fold(query, render_bucketed)[0]
 
 
 def query_fingerprint(query) -> tuple[str, str]:

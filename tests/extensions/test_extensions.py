@@ -6,12 +6,13 @@ import pytest
 from repro.direction import Direction
 from repro.errors import CollectError, GPCTypeError
 from repro.graph.builder import GraphBuilder
-from repro.graph.generators import chain_graph
+from repro.graph.generators import chain_graph, transport_network
 from repro.graph.ids import NodeId as N
 from repro.gpc import ast
 from repro.gpc.assignments import Assignment
 from repro.gpc.engine import Evaluator
 from repro.gpc.parser import parse_pattern, parse_query
+from repro.gpc.pretty import pretty
 from repro.graph.paths import Path, is_simple, is_trail
 from repro.gpc.typing import infer_schema
 from repro.gpc.values import GroupValue
@@ -43,8 +44,11 @@ from repro.extensions.label_expressions import (
 )
 from repro.extensions.mixed_restrictors import (
     RestrictedSubpattern,
+    WitnessMarked,
     section7_anomaly,
 )
+from repro.obs import EvalCounters, canonical_query, use_counters
+from repro.service import GraphService
 
 
 class TestArithmeticTerms:
@@ -301,3 +305,83 @@ class TestBagSemantics:
     def test_query_restrictor_filters(self, cycle4):
         bag = BagEvaluator(cycle4).evaluate_query(parse_query("SIMPLE ->{1,}"))
         assert all(is_simple(path) for (path, _mu) in bag)
+
+
+# ---------------------------------------------------------------------------
+# Section 7 constructs in explain / pretty / fingerprints
+# ---------------------------------------------------------------------------
+
+_LABELS = LabelOr(LabelAtom("link"), LabelAtom("x"))
+_HOP = ast.forward()
+
+#: All five extension constructs, each as a one-construct pattern.
+_EXTENSIONS = {
+    "node-label-expr": NodeWithLabelExpr(_LABELS, "n"),
+    "edge-label-expr": EdgeWithLabelExpr(Direction.FORWARD, _LABELS),
+    "arith-conditioned": ArithConditioned(_HOP, TermConst(1), TermConst(1)),
+    "restricted-subpattern": RestrictedSubpattern(ast.Restrictor.TRAIL, _HOP),
+    "witness-marked": WitnessMarked(_HOP, "w"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTENSIONS))
+class TestExtensionsRender:
+    """An extension has no concrete syntax: its ``repr`` stands in, at
+    atom level — it used to be a bare ``TypeError`` out of ``explain``."""
+
+    def test_pretty_renders_the_repr(self, name):
+        extension = _EXTENSIONS[name]
+        assert pretty(extension) == repr(extension)
+        # Atom level: a postfix applies to it without brackets.
+        assert pretty(ast.Repeat(extension, 1, 2)) == repr(extension) + "{1,2}"
+
+    def test_canonical_query_is_total(self, name):
+        query = ast.PatternQuery(ast.Restrictor.TRAIL, _EXTENSIONS[name])
+        assert canonical_query(query) == "TRAIL " + repr(_EXTENSIONS[name])
+
+    def test_explain_renders(self, name):
+        query = ast.PatternQuery(ast.Restrictor.TRAIL, _EXTENSIONS[name])
+        text = GraphService(transport_network(2, 3)).explain(query)
+        assert text.startswith("plan: TRAIL " + repr(_EXTENSIONS[name]))
+
+
+class TestExplainNamesTheRouteTaken:
+    """The register compiler refuses extensions, so ``shortest`` runs
+    the fallback; ``explain`` must say so, and why."""
+
+    REASON = "(extension EdgeWithLabelExpr has no register compilation)"
+
+    def _query(self, upper):
+        return ast.PatternQuery(
+            ast.Restrictor.SHORTEST,
+            ast.concat(
+                ast.node("x", "Hub"),
+                ast.Repeat(_EXTENSIONS["edge-label-expr"], 1, upper),
+                ast.node("y", "Station"),
+            ),
+        )
+
+    def test_unbounded_extension_deepens(self):
+        service = GraphService(transport_network(2, 3))
+        text = service.explain(self._query(None))
+        assert f"abstraction-guided deepening {self.REASON}" in text
+        assert "register-NFA shortest" not in text
+        assert "assignments:" not in text  # a clause of the register route
+        # ... and the engine's own counters agree with the text.
+        counters = EvalCounters()
+        with use_counters(counters):
+            answers = service.prepare(self._query(None)).execute(service.snapshot())
+        assert len(answers) == 8
+        assert counters.deepening_rounds > 0
+        assert counters.nfa_states_expanded == 0
+
+    def test_bounded_extension_is_evaluated_and_filtered(self):
+        text = GraphService(transport_network(2, 3)).explain(self._query(3))
+        assert f"bounded evaluation + shortest filter {self.REASON}" in text
+
+    def test_a_compilable_pattern_keeps_the_register_route(self):
+        text = GraphService(transport_network(2, 3)).explain(
+            "SHORTEST (x:Hub) -[:link]->{1,} (y:Station)"
+        )
+        assert "register-NFA shortest" in text
+        assert "assignments: register run" in text

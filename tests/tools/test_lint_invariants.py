@@ -256,6 +256,71 @@ class TestOneTraversal:
         assert "INV007" in out[0] and "gpc/semantics.py" in out[0]
 
 
+class TestOneMetricsModel:
+    """INV008: a record's rendering is derived from its fields, and
+    ``repro.obs`` imports none of the layers it measures."""
+
+    RESPELT = (
+        "class Stats:\n"
+        "    def as_dict(self):\n"
+        "        return {\n"
+        '            "hits": self.hits,\n'
+        '            "misses": self.misses,\n'
+        '            "evictions": self.evictions,\n'
+        "        }\n"
+    )
+    DERIVED = (
+        "class Stats:\n"
+        "    def as_dict(self):\n"
+        "        return {f.name: getattr(self, f.name) for f in fields(self)}\n"
+    )
+
+    def test_a_field_list_written_again_is_flagged(self):
+        assert codes(self.RESPELT) == ["INV008"]
+
+    def test_every_rendering_name_is_covered(self):
+        for name in lint_invariants.RENDERING_NAMES:
+            assert codes(self.RESPELT.replace("as_dict", name)) == ["INV008"]
+        assert codes(self.RESPELT.replace("as_dict", "describe")) == []
+
+    def test_a_rendering_derived_from_the_fields_is_fine(self):
+        assert codes(self.DERIVED) == []
+
+    def test_two_entries_or_renamed_keys_are_not_a_field_list(self):
+        two = self.RESPELT.replace('            "evictions": self.evictions,\n', "")
+        assert codes(two) == []
+        # A key that is not the attribute's own name is a view, not a
+        # re-spelling (``"slow": self._slow_recorded``).
+        renamed = self.RESPELT.replace('"misses": self.misses', '"missed": self.misses')
+        assert codes(renamed) == []
+
+    def test_only_the_library_is_in_scope(self):
+        assert codes(self.RESPELT, library=False) == []
+
+    def test_obs_may_not_import_a_serving_layer_at_any_depth(self):
+        top = "from repro.service.stats import LatencyRecorder\n_ = LatencyRecorder\n"
+        lazy = (
+            "class QueryInsight:\n"
+            "    def __init__(self):\n"
+            "        from repro.service.stats import LatencyRecorder\n"
+            "        self.latency = LatencyRecorder()\n"
+        )
+        plain = "import repro.cluster\n_ = repro\n"
+        for source in (top, lazy, plain):
+            assert codes(source, module="obs/insights.py") == ["INV008"]
+
+    def test_obs_may_import_what_sits_below_it(self):
+        below = "from repro.errors import GPCError\nfrom repro.obs.counters import Counters\n_ = (GPCError, Counters)\n"
+        assert codes(below, module="obs/insights.py") == []
+        # ``repro.servers`` is not ``repro.server``.
+        assert codes("import repro.servers\n_ = repro\n", module="obs/x.py") == []
+
+    def test_the_serving_layers_import_each_other_freely(self):
+        source = "from repro.service.stats import ServiceStats\n_ = ServiceStats\n"
+        assert codes(source, module="cluster/stats.py") == []
+        assert codes(source, module=None) == []
+
+
 class TestUnusedImports:
     def test_unused_import_flagged(self):
         assert codes("import os\nimport sys\nprint(sys.argv)\n") == ["INV004"]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
-Five invariants that generic linters don't enforce the way this
+Six invariants that generic linters don't enforce the way this
 codebase needs them, and one that a generic linter does enforce but
 that is checked here too because ruff is not in every build container:
 
@@ -45,10 +45,20 @@ that is checked here too because ruff is not in every build container:
   ``fold``. ``gpc/ast.py`` itself and the entries of
   :data:`WALKER_ALLOWED` (each with its reason) are exempt; an entry
   that no longer matches a walker is itself a finding.
+- **One metrics model** (``INV008``) anywhere in ``src/repro``: a stats
+  record is a dataclass on ``repro.obs.counters.Counters`` and its
+  rendering is derived from its fields, so (i) a function named
+  ``as_dict`` / ``counters`` / ``metrics_summary`` may not return a
+  dict literal with three or more ``"name": self.name``-shaped entries
+  — that is a field list written a second time, which a field added
+  later silently misses; and (ii) no module under ``repro/obs`` may
+  import from ``repro.service``, ``repro.server`` or ``repro.cluster``,
+  at any nesting level (a lazy import inside a function dodges the
+  cycle, not the dependency): the model sits below what it measures.
 
-The first four and the last apply to ``src/repro`` (tests assert and
-poll, that is their job); with no arguments the tool lints ``src/repro``
-for all six and the other three trees for the imports.
+The first four and the last two apply to ``src/repro`` (tests assert
+and poll, that is their job); with no arguments the tool lints
+``src/repro`` for all seven and the other three trees for the imports.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -72,6 +82,16 @@ SLEEP_SCOPES = ("server", "service", "cluster")
 
 #: Trees linted for unused imports only (repo-relative).
 IMPORT_ONLY_ROOTS = ("tests", "benchmarks", "tools")
+
+#: Functions whose returned dict INV008 reads as a record's rendering.
+RENDERING_NAMES = ("as_dict", "counters", "metrics_summary")
+
+#: ``"name": self.name`` entries that make a returned dict a re-spelt
+#: field list.
+RESPELT_FIELDS = 3
+
+#: What nothing under ``repro/obs`` may import: the layers it measures.
+OBS_FORBIDDEN = ("repro.service", "repro.server", "repro.cluster")
 
 BROAD_EXCEPT_WAIVER = "lint: allow-broad-except"
 ASSERT_WAIVER = "lint: allow-assert"
@@ -144,6 +164,25 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     """Whether the handler's last statement is a bare ``raise``."""
     last = handler.body[-1]
     return isinstance(last, ast.Raise) and last.exc is None
+
+
+def _respelt_fields(node: ast.Dict) -> int:
+    """How many entries of a dict literal are ``"name": self.name``."""
+    return sum(
+        isinstance(key, ast.Constant)
+        and isinstance(value, ast.Attribute)
+        and isinstance(value.value, ast.Name)
+        and value.value.id == "self"
+        and value.attr == key.value
+        for key, value in zip(node.keys, node.values)
+    )
+
+
+def _imported_modules(node: "ast.Import | ast.ImportFrom") -> list[str]:
+    """The absolute module names an import statement reaches."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module] if node.module and not node.level else []
 
 
 def _is_mutable_default(node: "ast.expr | None") -> bool:
@@ -391,10 +430,49 @@ class _Checker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
+        self._check_rendering(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
+        self.generic_visit(node)
+
+    def _check_rendering(self, node: ast.FunctionDef) -> None:
+        """INV008 (i): a rendering that re-spells the record's fields."""
+        if node.name not in RENDERING_NAMES:
+            return
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Dict):
+                respelt = _respelt_fields(inner)
+                if respelt >= RESPELT_FIELDS:
+                    self._add(
+                        inner,
+                        "INV008",
+                        f"{node.name}() spells {respelt} fields out again as "
+                        f"'\"name\": self.name'; declare them on a Counters "
+                        f"record and derive the rendering from its fields",
+                    )
+
+    def _check_obs_import(self, node: "ast.Import | ast.ImportFrom") -> None:
+        """INV008 (ii): the metrics model imports no layer it measures."""
+        if self.module is None or not self.module.startswith("obs/"):
+            return
+        for name in _imported_modules(node):
+            if any(name == f or name.startswith(f + ".") for f in OBS_FORBIDDEN):
+                self._add(
+                    node,
+                    "INV008",
+                    f"repro.obs imports {name}: the metrics model sits below "
+                    f"the serving layers (a lazy import hides the cycle, not "
+                    f"the dependency)",
+                )
+
+    def visit_Import(self, node: ast.Import) -> None:
+        self._check_obs_import(node)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self._check_obs_import(node)
         self.generic_visit(node)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
