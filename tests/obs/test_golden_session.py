@@ -1,0 +1,53 @@
+"""The three observability surfaces say after the metrics-model change
+what they said before it.
+
+``golden_session.json`` is what ``golden_session.py`` printed when run
+against the parent of that change; this asserts the same script still
+observes the same thing through every façade — ``/stats`` key sets and
+values, the ``/metrics`` line set, the shapes of ``/insights`` — with
+clock- and scheduling-dependent values masked on both sides. JSON key
+order is not part of the contract (the comparison is of dicts); the
+exposition is compared as a sorted line set.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+import golden_session
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_session.json").read_text("utf-8")
+)
+
+
+def test_the_golden_covers_every_facade():
+    assert sorted(GOLDEN) == sorted(golden_session.FACADES)
+
+
+@pytest.mark.parametrize("facade", golden_session.FACADES)
+def test_session_observes_what_the_parent_commit_observed(facade):
+    # Through JSON and back, as the golden went: tuples become lists.
+    observed = json.loads(json.dumps(golden_session.run(facade)))
+    expected = GOLDEN[facade]
+    assert sorted(observed) == sorted(expected)
+    for surface in expected:
+        assert observed[surface] == expected[surface], surface
+
+
+def test_the_session_exercises_what_it_claims_to():
+    """Guards the golden itself: a script that stopped restamping or
+    timing out would still compare equal to a golden that never did."""
+    for facade in golden_session.FACADES:
+        cache = GOLDEN[facade]["stats"]["result_cache"]
+        for outcome in ("hits", "misses", "restamps", "invalidations", "bypasses"):
+            assert cache[outcome] >= 1, (facade, outcome)
+        entries = GOLDEN[facade]["insights"]
+        assert sum(entry["errors"] for entry in entries) >= 1, facade
+        assert GOLDEN[facade]["stats"]["snapshots_derived"] >= 1, facade
+    assert GOLDEN["server"]["http_stats"]["timeouts"] == 1
+    assert GOLDEN["server"]["http_stats"]["mutations"] == 2
+    assert GOLDEN["cluster-thread"]["stats"]["shard_failures"] >= 1
