@@ -69,23 +69,17 @@ def mapping_lines(prefix: str, mapping: Mapping, *, skip: Iterable[str] = ()) ->
     """Flatten a nested mapping of numbers into exposition lines.
 
     Non-numeric leaves are dropped (strings, lists); ``skip`` names
-    sub-keys the caller renders specially (histograms, per-worker
-    labels).
+    sub-keys, at any depth, that the caller renders specially. What
+    :func:`tree_lines` does for a plain mapping, minus those keys.
     """
     skipped = set(skip)
-    lines: list[str] = []
-    for key in sorted(mapping):
-        if key in skipped:
-            continue
-        value = mapping[key]
-        name = f"{prefix}_{sanitize(str(key))}"
-        if isinstance(value, Mapping):
-            lines.extend(mapping_lines(name, value, skip=skipped))
-            continue
-        formatted = _format_value(value)
-        if formatted is not None:
-            lines.append(f"{name} {formatted}")
-    return lines
+
+    def kept(node):
+        if not isinstance(node, Mapping):
+            return node
+        return {key: kept(node[key]) for key in node if key not in skipped}
+
+    return tree_lines(prefix, kept(mapping))
 
 
 def histogram_lines(name: str, histogram: Mapping) -> list[str]:
