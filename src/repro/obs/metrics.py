@@ -28,7 +28,13 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Optional
 
-from repro.obs.counters import Counters, Keyed, LatencyRecorder, rendered
+from repro.obs.counters import (
+    Counters,
+    Keyed,
+    LatencyRecorder,
+    SharedCounters,
+    rendered,
+)
 
 __all__ = [
     "sanitize",
@@ -129,14 +135,27 @@ def tree_lines(
         return histogram_lines(f"{name}_seconds", node.histogram())
     if isinstance(node, Keyed):
         return labeled_summary_lines(name, node.label, rendered(node))
+    if isinstance(node, SharedCounters):
+        # The root of a tree other threads update: walk it under the
+        # lock that guards it (recorders are read raw, not via as_dict).
+        with node.lock:
+            return _record_lines(name, node, names)
     if isinstance(node, Counters):
-        node = dict(node.items())
+        return _record_lines(name, node, names)
     if not isinstance(node, Mapping):
         formatted = _format_value(node)
         return [] if formatted is None else [f"{name} {formatted}"]
     lines: list[str] = []
     for key in sorted(node):
         lines.extend(tree_lines(f"{name}_{sanitize(str(key))}", node[key], names))
+    return lines
+
+
+def _record_lines(name: str, record: Counters, names) -> list[str]:
+    """One sample per field and derived value of ``record``."""
+    lines: list[str] = []
+    for key, value in sorted(record.items()):
+        lines.extend(tree_lines(f"{name}_{sanitize(key)}", value, names))
     return lines
 
 

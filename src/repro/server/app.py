@@ -261,7 +261,8 @@ class GraphServer:
         if self._server is None or self._drained:
             return
         self._draining = True
-        self.stats.draining = True
+        with self.stats.lock:
+            self.stats.draining = True
         self._server.close()
         await self._server.wait_closed()
         # Every admitted request completes: /query futures are resolved
@@ -293,14 +294,14 @@ class GraphServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.stats.add(connections=1)
+        self._count(connections=1)
         self._writers.add(writer)
         try:
             while True:
                 try:
                     request = await read_request(reader)
                 except ProtocolError as exc:
-                    self.stats.add(requests=1, responses=1, client_errors=1)
+                    self._count(requests=1, responses=1, client_errors=1)
                     writer.write(
                         render_response(
                             exc.status, {"error": str(exc)}, keep_alive=False
@@ -334,7 +335,7 @@ class GraphServer:
         self, request: HttpRequest
     ) -> tuple[int, Any, dict[str, str]]:
         started = time.perf_counter()
-        self.stats.add(requests=1)
+        self._count(requests=1)
         self._active_requests += 1
         self._all_idle.clear()
         # A client-supplied X-Trace-Id is an explicit request to trace:
@@ -354,7 +355,7 @@ class GraphServer:
                 # the request's budget running out, not a bad request.
                 # The partial span tree lands in the store below (5xx
                 # traces bypass sampling).
-                self.stats.add(timeouts=1)
+                self._count(timeouts=1)
                 status, payload = 504, {
                     "error": f"{type(exc).__name__}: {exc}"
                 }
@@ -380,13 +381,14 @@ class GraphServer:
                 if status >= 500:
                     root.set_error(f"HTTP {status}")
         elapsed = time.perf_counter() - started
-        self.stats.add(
-            responses=1,
-            rejected=status in (429, 503),
-            client_errors=status not in (200, 429, 503) and status < 500,
-            server_errors=status >= 500,
-        )
-        self.stats.latency.record(elapsed)
+        with self.stats.lock:
+            self.stats.add(
+                responses=1,
+                rejected=status in (429, 503),
+                client_errors=status not in (200, 429, 503) and status < 500,
+                server_errors=status >= 500,
+            )
+            self.stats.latency.record(elapsed)
         headers = {"X-Trace-Id": root.trace_id} if root else {}
         if self.log_requests:
             self._log_access(request, status, elapsed, root)
@@ -453,7 +455,7 @@ class GraphServer:
         if self._queue.qsize() >= self.max_queue_depth:
             raise ProtocolError(429, "query queue is full, retry later")
         future = self._loop.create_future()
-        self.stats.add(queries=1)
+        self._count(queries=1)
         # The deadline enters the contextvar context *before* the copy,
         # so the engine's deepening loops see it in the evaluation
         # thread the coalescer dispatches this pending to.
@@ -500,7 +502,7 @@ class GraphServer:
                 return_exceptions=True,
                 contexts=contexts,
             )
-        self.stats.add(batches=1)
+        self._count(batches=1)
         version = self.service.version
         # Batches can carry arbitrarily many answer sets: always
         # serialise off the event loop.
@@ -515,7 +517,7 @@ class GraphServer:
             raise ProtocolError(400, 'body must be {"ops": [{...}, ...]}')
         async with self._slot():
             results = await asyncio.to_thread(self._apply_mutations, ops)
-        self.stats.add(mutations=len(ops))
+        self._count(mutations=len(ops))
         return 200, {"results": results, "version": self.service.version}
 
     async def _handle_explain(self, request: HttpRequest) -> tuple[int, Any]:
@@ -554,7 +556,7 @@ class GraphServer:
             query = body["query"]
         # Linting compiles the plan (cached), so hop off the event loop.
         diagnostics = await asyncio.to_thread(self.service.lint, query)
-        self.stats.add(lints=1)
+        self._count(lints=1)
         return 200, {
             "diagnostics": [d.as_dict() for d in diagnostics],
             "provably_empty": any(
@@ -575,10 +577,7 @@ class GraphServer:
                     query, answers, wire.render_answers
                 )
             encode.set_attrs({"bytes": len(fragment), "reused": reused})
-        # The one place a worker thread (up to max_in_flight at once)
-        # writes ServerStats; every other field is the event loop's.
-        with self.stats.lock:
-            self.stats.add(bodies_reused=reused, bodies_encoded=not reused)
+        self._count(bodies_reused=reused, bodies_encoded=not reused)
         return fragment
 
     def _render_batch(self, queries, outcomes, version: int) -> PreRendered:
@@ -598,6 +597,13 @@ class GraphServer:
     # ------------------------------------------------------------------
     # Observability endpoints
     # ------------------------------------------------------------------
+
+    def _count(self, **deltas: int) -> None:
+        """Bump transport counters — from the event loop or from a
+        dispatch worker thread alike: ``ServerStats`` carries no lock
+        of its own, so every writer holds ``stats.lock``."""
+        with self.stats.lock:
+            self.stats.add(**deltas)
 
     def stats_payload(self) -> dict[str, object]:
         """What ``GET /stats`` serves: the transport counters with the
@@ -673,8 +679,7 @@ class GraphServer:
             # counters already flow via the stats "insights" record.
             sections["repro_insights"] = insights.labeled_series(INSIGHTS_METRICS_TOPK)
         sections["repro_traces"] = self.tracer.store.counters()
-        with stats.lock:
-            body = obs_metrics.render_metrics(sections, METRIC_NAMES)
+        body = obs_metrics.render_metrics(sections, METRIC_NAMES)
         return PreRendered(body.encode("utf-8"), content_type=METRICS_CONTENT_TYPE)
 
     def _log_access(
@@ -736,7 +741,8 @@ class GraphServer:
 
     async def _dispatch(self, batch: list[_Pending]) -> None:
         try:
-            self.stats.record_dispatch(len(batch))
+            with self.stats.lock:
+                self.stats.record_dispatch(len(batch))
             # The coalescer acts on each request's behalf here, outside
             # its contextvar context: the queue wait and the dispatch
             # (evaluation *and* encoding) are timed as explicit child

@@ -8,10 +8,11 @@ bytes, and end-to-end request latency (queueing + coalescing +
 evaluation + serialisation — a superset of the service-level
 evaluation latency).
 
-The event-loop thread writes every field but the two ``bodies_*``
-counts, which dispatch worker threads bump under ``lock``; ``GET
-/stats`` serves ``as_dict()`` with the owning service's own stats under
-``"service"``, so one scrape carries the whole serving stack.
+Like every record it carries no lock of its own: ``GraphServer``
+holds ``lock`` around each write, whether it comes from the event loop
+or from a dispatch worker thread. ``GET /stats`` serves ``as_dict()``
+with the owning service's own stats under ``"service"``, so one scrape
+carries the whole serving stack.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class ServerStats(SharedCounters):
     draining: bool = False
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     def record_dispatch(self, size: int) -> None:
-        """Account one coalesced ``evaluate_batch`` dispatch of ``size``."""
+        """Account one coalesced ``evaluate_batch`` dispatch of ``size``
+        (``lock`` held)."""
         self.dispatches += 1
         if size > 1:
             self.coalesced += size
