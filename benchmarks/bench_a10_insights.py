@@ -25,7 +25,7 @@ import time
 
 from repro.bench.harness import Table
 from repro.graph.generators import social_network
-from repro.obs import InsightsRegistry
+from repro.obs import InsightsRegistry, Observation
 from repro.server import HttpServiceClient, serve_background
 from repro.service import GraphService
 
@@ -57,16 +57,20 @@ def _graph():
 
 
 def _record_micro() -> float:
-    """Best-of-3 seconds per warm ``record()`` on a memoised query."""
+    """Best-of-3 seconds per warm ``record()`` on a memoised query —
+    building the :class:`Observation` included, as the pipeline does
+    once per evaluation."""
     registry = InsightsRegistry()
     query = WORKLOAD[0]
-    registry.record(query, latency_s=0.001, answers=3, cache="miss")
+    registry.record(
+        Observation(query, latency_s=0.001, answers=3, cache="miss")
+    )
     best = float("inf")
     for _ in range(3):
         started = time.perf_counter()
         for _ in range(MICRO_ITERATIONS):
             registry.record(
-                query, latency_s=0.001, answers=3, cache="hit"
+                Observation(query, latency_s=0.001, answers=3, cache="hit")
             )
         best = min(best, time.perf_counter() - started)
     return best / MICRO_ITERATIONS

@@ -376,13 +376,20 @@ class InsightsRegistry:
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.enabled = enabled
-        self.capacity = capacity
         self.fingerprint_cache_size = fingerprint_cache_size
+        #: Holds ``enabled`` and ``capacity`` too: they are rendered.
         self.stats = RegistryStats(enabled=enabled, capacity=capacity)
         self._entries: OrderedDict[str, QueryInsight] = OrderedDict()
         self._fingerprints: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
+
+    @property
+    def enabled(self) -> bool:
+        return self.stats.enabled
+
+    @property
+    def capacity(self) -> int:
+        return self.stats.capacity
 
     # -- fingerprinting -------------------------------------------------
 

@@ -355,16 +355,15 @@ class GraphService:
         # observed exactly once, and a failure propagates untouched.
         try:
             if prepared is not None:
-                try:
-                    result = self._execute(prepared, snap, seen.counters)
-                except Exception as exc:
-                    seen.error = exc
-                    raise
+                result = self._execute(prepared, snap, seen.counters)
                 if use_cache:
                     self._result_cache.put(
                         (query, config), snap.version, prepared.footprint, result
                     )
             return result
+        except Exception as exc:
+            seen.error = exc
+            raise
         finally:
             self._observe(seen.finish(result))
 

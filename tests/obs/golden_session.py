@@ -52,11 +52,13 @@ def _graph():
 
 def mask(value, key=None):
     """``value`` with every run-dependent part reduced to its shape."""
+    if key == "per_worker":
+        # Which threads took shards varies: keep one worker's key set.
+        inner = next(iter(value.values()), {})
+        return {"<keys>": sorted(inner)}
     if key in _MASKED_KEYS:
         if isinstance(value, dict):
-            inner = next(iter(value.values()), None)
-            return {"<keys>": sorted(value) if key != "per_worker" else
-                    sorted(inner) if isinstance(inner, dict) else []}
+            return {"<keys>": sorted(value)}
         return f"<{type(value).__name__}>"
     if isinstance(key, str) and key.endswith("_s"):
         return "<seconds>"
