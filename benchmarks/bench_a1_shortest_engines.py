@@ -3,14 +3,17 @@
 Design choice under study: the engine's register-NFA shortest engine
 (exact per-pair minima + witness enumeration) versus the naive
 bounded-denotation iterative deepening it replaced (still present as
-the fallback for extension patterns). Expected shape: on patterns
+the route of extension patterns, towards the candidates their erasure
+gives). Expected shape: on patterns
 whose denotation grows with the length horizon, the register engine is
 dramatically cheaper and — crucially — its cost does not explode with
 the graph's walk count.
 """
 
 from repro.bench.harness import Table, time_call
+from repro.gpc import ast
 from repro.gpc.engine import EngineConfig, Evaluator
+from repro.gpc.semantics import restrict
 from repro.gpc.parser import parse_pattern
 from repro.graph.generators import cycle_graph
 
@@ -22,7 +25,7 @@ def _register_shortest(graph, pattern):
 
 def _fallback_shortest(graph, pattern):
     evaluator = Evaluator(graph, EngineConfig(shortest_deepening_limit=64))
-    return evaluator._eval_shortest_fallback(pattern)
+    return restrict(ast.Restrictor.SHORTEST, evaluator._eval_deepening(pattern))
 
 
 def test_a1_register_vs_deepening(benchmark):

@@ -1,13 +1,11 @@
 """Automata substrate.
 
-Non-deterministic finite automata over *graph traversal steps*, used
-for:
-
-- the condition-free regular abstraction of GPC patterns that powers
-  the engine's ``shortest`` restrictor (candidate endpoint pairs and
-  length lower bounds);
-- the RPQ/2RPQ baseline evaluators of Section 6 (product construction
-  and BFS reachability).
+Non-deterministic finite automata over *graph traversal steps*: the
+library of the RPQ / 2RPQ / C2RPQ baseline evaluators of Section 6
+(regex → NFA, product construction and BFS reachability) and of the
+Theorem 11 translations. The GPC engine does not use it — its one
+automaton model is the register NFA of :mod:`repro.gpc.register_nfa`
+(``tools/lint_invariants.py``, ``INV009``).
 """
 
 from repro.automata.nfa import NFA, EdgeStep, NodeTest, NFABuilder

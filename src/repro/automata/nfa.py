@@ -9,13 +9,13 @@ Transitions come in three kinds:
   (forward / backward / undirected), optionally constrained by a label.
 
 This alphabet is rich enough to express 2RPQs (forward + backward
-symbols) and the condition-free abstraction of full GPC patterns.
+symbols), which is what the baselines build with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.direction import Direction
 from repro.errors import EvaluationLimitError
@@ -75,19 +75,10 @@ class NFA:
                     stack.append(target)
         return frozenset(closure)
 
-    def iter_transitions(self) -> Iterator[tuple[int, object, int]]:
-        """Yield ``(source, label, target)`` for every transition."""
-        for state in range(self.num_states):
-            for step, target in self.edge_transitions[state]:
-                yield state, step, target
-            for test, target in self.test_transitions[state]:
-                yield state, test, target
-            for target in self.epsilon_transitions[state]:
-                yield state, None, target
-
     @property
     def num_transitions(self) -> int:
-        return sum(1 for _ in self.iter_transitions())
+        kinds = (self.edge_transitions, self.test_transitions, self.epsilon_transitions)
+        return sum(len(transitions) for kind in kinds for transitions in kind)
 
 
 @dataclass

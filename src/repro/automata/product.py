@@ -6,9 +6,8 @@ transitions have weight 0; edge steps have weight 1 (they lengthen the
 matched path by one edge). 0-1 BFS then yields, for every start node,
 the minimum length of an accepted path to every end node.
 
-This gives the classical PTIME RPQ evaluation algorithm, and the
-over-approximation the GPC engine uses for the ``shortest`` restrictor
-(see :mod:`repro.gpc.abstraction`).
+This gives the classical PTIME RPQ evaluation algorithm the Section 6
+baselines run.
 """
 
 from __future__ import annotations

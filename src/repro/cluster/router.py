@@ -16,7 +16,8 @@ executor backend:
   the latency of every shard that ran by then), then a
   :class:`repro.errors.ClusterError` is raised carrying one
   :class:`ShardFailure` per failed shard with the worker tag and
-  original exception.
+  original exception (a deadline that expired in every failed shard
+  stays a :class:`repro.errors.DeadlineExceededError`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, DeadlineExceededError
 from repro.gpc.answers import Answer
 from repro.cluster.backends import ShardCall, ShardOutcome
 from repro.graph.ids import NodeId
@@ -90,13 +91,18 @@ class ScatterGatherRouter:
             *(outcome.result for outcome in outcomes)
         ) if outcomes else frozenset()
 
-    def failure_error(self, failures: Sequence[ShardFailure]) -> ClusterError:
-        """A :class:`ClusterError` summarising ``failures``, chained to
-        the first original exception."""
-        error = ClusterError(
-            f"{len(failures)} shard(s) failed: "
-            + "; ".join(f.describe() for f in failures),
-            failures=failures,
+    def failure_error(self, failures: Sequence[ShardFailure]) -> Exception:
+        """A :class:`ClusterError` summarising ``failures`` — or, when
+        every one of them is the request's deadline expiring inside its
+        shard, a :class:`DeadlineExceededError` (the request timed out;
+        the cluster did not fail) — chained to the first original
+        exception."""
+        summary = f"{len(failures)} shard(s) failed: " + "; ".join(
+            f.describe() for f in failures
         )
+        if all(isinstance(f.error, DeadlineExceededError) for f in failures):
+            error: Exception = DeadlineExceededError(summary)
+        else:
+            error = ClusterError(summary, failures=failures)
         error.__cause__ = failures[0].error
         return error

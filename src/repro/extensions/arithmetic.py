@@ -175,7 +175,6 @@ class ArithConditioned(ast.PatternExtension):
             if left is not None and left == right:
                 yield (path, mu)
 
-    def compile_abstraction_ext(self, builder, compile_child):
-        # Arithmetic conditions are dropped in the regular abstraction,
-        # like ordinary conditions.
-        return compile_child(self.pattern)
+    def erase_ext(self, erased_children) -> ast.Pattern:
+        # Arithmetic conditions are dropped like ordinary conditions.
+        return erased_children[0]

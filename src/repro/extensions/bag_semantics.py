@@ -20,14 +20,14 @@ from collections import Counter
 
 from repro.errors import CollectError
 from repro.graph.ids import NodeId
-from repro.graph.paths import Path, is_simple, is_trail
+from repro.graph.paths import Path
 from repro.graph.property_graph import PropertyGraph
 from repro.gpc import ast
 from repro.gpc.assignments import Assignment
 from repro.gpc.collect import CollectAccumulator, CollectMode, empty_group_assignment
 from repro.gpc.conditions import satisfies
 from repro.gpc.minlength import min_path_length, validate_approach1
-from repro.gpc.semantics import Match
+from repro.gpc.semantics import Match, restrict
 from repro.gpc.typing import infer_schema
 from repro.gpc.values import Nothing
 
@@ -49,32 +49,11 @@ class BagEvaluator:
     def evaluate_query(self, query: ast.PatternQuery) -> Counter:
         """Bag answers of a restricted pattern query."""
         restrictor = query.restrictor
-        if restrictor.mode == "trail":
-            bound = self.graph.num_edges
-            keep = is_trail
-        elif restrictor.mode == "simple":
-            bound = self.graph.num_nodes
-            keep = is_simple
-        else:
-            bound = self.graph.num_edges
-            keep = lambda _p: True  # noqa: E731 - tiny local predicate
+        simple = restrictor.mode == "simple"
+        bound = self.graph.num_nodes if simple else self.graph.num_edges
         bag = self.evaluate(query.pattern, bound)
-        bag = Counter(
-            {match: count for match, count in bag.items() if keep(match[0])}
-        )
-        if restrictor.shortest:
-            minima: dict[tuple[NodeId, NodeId], int] = {}
-            for (path, _), _count in bag.items():
-                key = (path.src, path.tgt)
-                if key not in minima or len(path) < minima[key]:
-                    minima[key] = len(path)
-            bag = Counter(
-                {
-                    (path, mu): count
-                    for (path, mu), count in bag.items()
-                    if len(path) == minima[(path.src, path.tgt)]
-                }
-            )
+        # A restrictor looks at paths; the multiplicities ride along.
+        bag = Counter({match: bag[match] for match in restrict(restrictor, bag)})
         if query.name is not None:
             bag = Counter(
                 {

@@ -22,7 +22,6 @@ from repro.gpc import ast
 from repro.gpc.assignments import EMPTY_ASSIGNMENT, Assignment
 from repro.gpc.types import EDGE, NODE
 from repro.graph.paths import Path
-from repro.automata.nfa import EdgeStep
 
 __all__ = [
     "LabelAtom",
@@ -155,12 +154,9 @@ class NodeWithLabelExpr(ast.PatternExtension):
                 )
                 yield (Path.node(node), mu)
 
-    def compile_abstraction_ext(self, builder, compile_child):
+    def erase_ext(self, erased_children) -> ast.Pattern:
         # Over-approximate: label expressions are dropped like conditions.
-        start = builder.new_state()
-        end = builder.new_state()
-        builder.add_epsilon(start, end)
-        return start, end
+        return ast.NodePattern()
 
 
 @dataclass(frozen=True)
@@ -221,8 +217,5 @@ class EdgeWithLabelExpr(ast.PatternExtension):
                     yield (Path.of(ends[0], edge, ends[1]), mu(edge))
                     yield (Path.of(ends[1], edge, ends[0]), mu(edge))
 
-    def compile_abstraction_ext(self, builder, compile_child):
-        start = builder.new_state()
-        end = builder.new_state()
-        builder.add_edge_step(start, EdgeStep(self.direction, None), end)
-        return start, end
+    def erase_ext(self, erased_children) -> ast.Pattern:
+        return ast.EdgePattern(self.direction)

@@ -24,11 +24,12 @@ from typing import Optional
 
 from repro.errors import RestrictorError
 from repro.graph.generators import section7_counterexample
-from repro.graph.paths import Path, is_simple, is_trail
+from repro.graph.paths import Path
 from repro.graph.property_graph import PropertyGraph
 from repro.gpc import ast
 from repro.gpc.answers import Answer
 from repro.gpc.engine import EngineConfig, Evaluator
+from repro.gpc.semantics import restrict
 from repro.gpc.types import PATH
 
 __all__ = [
@@ -71,27 +72,13 @@ class RestrictedSubpattern(ast.PatternExtension):
         return child_maxes[0]
 
     def evaluate_ext(self, evaluator, max_length: int):
-        matches = evaluator.evaluate(self.pattern, max_length)
-        if self.restrictor.mode == "trail":
-            matches = frozenset(m for m in matches if is_trail(m[0]))
-        elif self.restrictor.mode == "simple":
-            matches = frozenset(m for m in matches if is_simple(m[0]))
-        if self.restrictor.shortest:
-            minima: dict[tuple, int] = {}
-            for path, _ in matches:
-                key = (path.src, path.tgt)
-                if key not in minima or len(path) < minima[key]:
-                    minima[key] = len(path)
-            matches = frozenset(
-                (path, mu)
-                for path, mu in matches
-                if len(path) == minima[(path.src, path.tgt)]
-            )
-        return matches
+        return restrict(
+            self.restrictor, evaluator.evaluate(self.pattern, max_length)
+        )
 
-    def compile_abstraction_ext(self, builder, compile_child):
+    def erase_ext(self, erased_children) -> ast.Pattern:
         # Restrictors only remove matches; the child over-approximates.
-        return compile_child(self.pattern)
+        return erased_children[0]
 
 
 @dataclass(frozen=True)
@@ -129,8 +116,8 @@ class WitnessMarked(ast.PatternExtension):
         for path, mu in evaluator.evaluate(self.pattern, max_length):
             yield (path, mu.bind(self.witness, path))
 
-    def compile_abstraction_ext(self, builder, compile_child):
-        return compile_child(self.pattern)
+    def erase_ext(self, erased_children) -> ast.Pattern:
+        return erased_children[0]
 
 
 def evaluate_gql_rationale(

@@ -67,6 +67,7 @@ __all__ = [
     "with_children",
     "fold",
     "variables",
+    "erase",
     "pattern_size",
     "iter_subpatterns",
     "iter_queries",
@@ -223,7 +224,7 @@ class PatternExtension:
     ``max_path_length_ext(maxes)``  ``minlength.max_path_length``'s step
     ``provably_empty_ext()``        ``analysis.analyze_query``'s step
     ``evaluate_ext(evaluator, L)``  ``semantics.BoundedEvaluator``
-    ``compile_abstraction_ext(…)``  ``abstraction``'s NFA compiler
+    ``erase_ext(erased)``           :func:`erase`
     ==============================  ====================================
 
     The ``*_ext(child_results)`` hooks receive the fold's child results
@@ -275,9 +276,10 @@ class PatternExtension:
         :class:`~repro.gpc.semantics.BoundedEvaluator`."""
         raise NotImplementedError
 
-    def compile_abstraction_ext(self, builder, compile_child):
-        """Add this construct to the condition-free NFA abstraction;
-        returns a ``(start, end)`` state pair."""
+    def erase_ext(self, erased_children: Sequence["Pattern"]) -> "Pattern":
+        """A core pattern without variables or conditions that matches
+        every path this construct matches (see :func:`erase`), given
+        the children's erasures."""
         raise NotImplementedError
 
 
@@ -590,6 +592,27 @@ def variables(expression: Expression) -> frozenset[str]:
             out.update(sub.own_variables())
     out.discard(None)
     return frozenset(out)
+
+
+def erase(pattern: Pattern) -> Pattern:
+    """``pattern`` without its conditions and variables, each extension
+    construct replaced by the core pattern its ``erase_ext`` supplies.
+    What is left — labels, directions, repetition counts — matches the
+    path of every match of ``pattern``: the endpoint pairs it connects
+    are a superset of the pattern's, its minimum lengths lower bounds
+    on theirs. ``shortest`` deepens towards them where the register
+    compiler refuses the pattern itself."""
+    return fold(pattern, _erase_step)
+
+
+def _erase_step(pattern: Pattern, erased: tuple[Pattern, ...]) -> Pattern:
+    if isinstance(pattern, (NodePattern, EdgePattern)):
+        return replace(pattern, descriptor=Descriptor(label=pattern.label))
+    if isinstance(pattern, Conditioned):
+        return erased[0]
+    if isinstance(pattern, PatternExtension):
+        return pattern.erase_ext(erased)
+    return with_children(pattern, erased)
 
 
 def pattern_size(expression: Expression) -> int:

@@ -5,13 +5,14 @@
 - patterns are evaluated by the bounded compositional evaluator
   (:mod:`repro.gpc.semantics`);
 - the ``trail`` and ``simple`` restrictors supply the Lemma 16 length
-  bounds ``|E_d| + |E_u|`` and ``|N|`` and filter accordingly;
+  bounds ``|E_d| + |E_u|`` and ``|N|``, prune inside that evaluator
+  (every sub-path of a trail is a trail) and filter accordingly;
 - ``shortest`` keeps, per endpoint pair, only the answers whose
-  witnessing path has minimum length. When the pattern's maximum match
-  length is unbounded, the engine runs *iterative deepening* seeded and
-  cut off by the condition-free regular abstraction
-  (:mod:`repro.gpc.abstraction`): the abstraction's accepted
-  pairs over-approximate the truly matchable pairs, so deepening stops
+  witnessing path has minimum length, which the register automaton of
+  :mod:`repro.gpc.register_nfa` finds exactly. A pattern its compiler
+  refuses is, if its match length is unbounded, *iteratively deepened*
+  towards the pairs its erasure (:func:`repro.gpc.ast.erase`) connects:
+  they over-approximate the truly matchable pairs, so deepening stops
   as soon as every candidate pair has been found (or refuted at the
   configured cap);
 - queries are restricted patterns, optionally named (``x = r p``), and
@@ -22,12 +23,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
-from repro.errors import EvaluationLimitError, RestrictorError
+from repro.errors import EvaluationLimitError
 from repro.obs.counters import active_counters
 from repro.obs.deadline import check_deadline
 from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
-from repro.graph.paths import is_simple, is_trail
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
 from repro.gpc import ast
@@ -36,6 +37,9 @@ from repro.gpc.assignments import Assignment
 from repro.gpc.collect import CollectMode
 from repro.gpc.minlength import max_path_length, validate_approach1
 from repro.gpc.planner import (
+    BOUNDED_FILTER,
+    DEEPENING,
+    REGISTER,
     PlanEstimates,
     ShortestPlan,
     estimate_plan,
@@ -45,11 +49,15 @@ from repro.gpc.planner import (
     plan_shortest,
 )
 from repro.gpc.analysis import QueryAnalysis, analyze_query, render_diagnostics
-from repro.gpc.semantics import BoundedEvaluator, Match, _Limits
+from repro.gpc.semantics import (
+    PATH_PREDICATES,
+    BoundedEvaluator,
+    Match,
+    _Limits,
+    restrict,
+)
 from repro.gpc.typing import infer_schema
 from repro.gpc.values import Nothing
-from repro.gpc.abstraction import compile_pattern_abstraction
-from repro.automata.nfa import NFA
 from repro.gpc.register_nfa import (
     RegisterNFA,
     UnsupportedPattern,
@@ -59,7 +67,6 @@ from repro.gpc.register_nfa import (
     shortest_pair_lengths,
     shortest_witnesses,
 )
-from repro.automata.product import pairs_and_distances
 
 __all__ = ["EngineConfig", "Evaluator", "QueryPlan", "evaluate", "CollectMode"]
 
@@ -82,7 +89,8 @@ class EngineConfig:
         rather than silently dropping potentially valid answers
         (set ``lenient_shortest=True`` to accept the approximation).
     ``automaton_state_limit``
-        Cap on abstraction-automaton size (repetition bounds unroll).
+        Cap on the states of a compiled register automaton — the
+        pattern's, or its erasure's (repetition bounds unroll).
     ``max_intermediate_results`` / ``max_power_iterations``
         Resource fail-safes for the bounded evaluator.
     ``use_planner``
@@ -123,15 +131,72 @@ class EngineConfig:
 DEFAULT_CONFIG = EngineConfig()
 
 
+class PatternPlan:
+    """What a :class:`QueryPlan` derives from one pattern, each part
+    computed on first use: the endpoint constraints, the :attr:`route`
+    a bare ``shortest`` takes — decided once, executed by the evaluator
+    and printed by ``explain`` — where its witnesses get their
+    assignments, and the erasure's automaton."""
+
+    def __init__(self, pattern: ast.Pattern, config: EngineConfig):
+        self.pattern = pattern
+        self.config = config
+
+    @cached_property
+    def shortest_plan(self) -> ShortestPlan:
+        """Endpoint-pruning constraints for a ``shortest`` pattern."""
+        return plan_shortest(self.pattern)
+
+    @cached_property
+    def route(self) -> tuple[str, RegisterNFA | None, str | None]:
+        """How a bare ``shortest`` of the pattern is served: the name
+        ``explain`` prints, the pattern's register NFA on the register
+        route and, off it, why the compiler refused the pattern."""
+        try:
+            nfa = compile_register_nfa(
+                self.pattern,
+                self.config.automaton_state_limit,
+                self.config.use_pushdown,
+            )
+        except UnsupportedPattern as refusal:
+            bounded = max_path_length(self.pattern) is not None
+            return BOUNDED_FILTER if bounded else DEEPENING, None, str(refusal)
+        return REGISTER, nfa, None
+
+    @cached_property
+    def assignment_source(self) -> tuple[str | None, dict[str, object]]:
+        """Where a ``shortest`` witness of the pattern gets its
+        assignments: ``(requirement, padding)``. ``requirement`` is
+        ``None`` when the registers of an accepting run are the
+        assignment once padded with ``padding`` (``Nothing`` for every
+        schema variable, which the run's union branches may not
+        mention); otherwise it says why the pattern needs ``collect``,
+        i.e. the span matcher (see
+        :func:`repro.gpc.register_nfa.collect_requirement`)."""
+        return (
+            collect_requirement(self.pattern, self.config.collect_mode),
+            {variable: Nothing for variable in infer_schema(self.pattern)},
+        )
+
+    @cached_property
+    def erased_nfa(self) -> RegisterNFA:
+        """The register NFA of the pattern's erasure
+        (:func:`repro.gpc.ast.erase`): it tracks nothing, and the pairs
+        it connects over-approximate the pattern's."""
+        return compile_register_nfa(
+            ast.erase(self.pattern), self.config.automaton_state_limit
+        )
+
+
 class QueryPlan:
     """Graph-independent compiled artifacts for queries.
 
     A plan memoises everything about a query that does *not* depend on
-    the graph: schema inference (type checking), register-NFA
-    compilation for ``shortest`` evaluation, and the condition-free
-    regular abstraction used by the deepening fallback. Plans are the
-    reuse unit of prepared queries (:mod:`repro.service`): compile
-    once, execute against any graph or graph version.
+    the graph: schema inference (type checking), the static analysis,
+    join keys and one :class:`PatternPlan` per pattern (the automata
+    ``shortest`` runs and the route it takes). Plans are the reuse unit
+    of prepared queries (:mod:`repro.service`): compile once, execute
+    against any graph or graph version.
 
     Compilation is lazy (first use memoises) unless :meth:`precompile`
     is called; after precompilation the plan is effectively read-only
@@ -140,19 +205,9 @@ class QueryPlan:
 
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or DEFAULT_CONFIG
-        #: ``None`` records that the register compiler rejected the
-        #: pattern, so the fallback is chosen without recompiling.
-        self._register_nfas: dict[ast.Pattern, RegisterNFA | None] = {}
-        #: Why the register compiler refused a pattern (the ``None``s
-        #: above), for ``explain``.
-        self._register_refusals: dict[ast.Pattern, str] = {}
-        self._assignment_sources: dict[
-            ast.Pattern, tuple[str | None, dict[str, object]]
-        ] = {}
-        self._abstractions: dict[ast.Pattern, NFA] = {}
+        self._patterns: dict[ast.Pattern, PatternPlan] = {}
         self._typechecked: set[ast.Expression] = set()
         self._join_variables: dict[ast.Join, tuple[str, ...]] = {}
-        self._shortest_plans: dict[ast.Pattern, ShortestPlan] = {}
         self._analyses: dict[ast.Query, QueryAnalysis] = {}
         #: ``(query, snapshot version)`` → :class:`PlanEstimates`;
         #: bounded (estimates are cheap to recompute) and keyed by
@@ -189,67 +244,27 @@ class QueryPlan:
         records for ``query``."""
         return self.analysis(query).diagnostics
 
-    def register_nfa(self, pattern: ast.Pattern) -> RegisterNFA | None:
-        """The pattern's register NFA, or ``None`` if unsupported
-        (:meth:`register_refusal` then says why)."""
-        if pattern not in self._register_nfas:
-            try:
-                self._register_nfas[pattern] = compile_register_nfa(
-                    pattern,
-                    state_limit=self.config.automaton_state_limit,
-                    pushdown=self.config.use_pushdown,
-                )
-            except UnsupportedPattern as refusal:
-                self._register_nfas[pattern] = None
-                self._register_refusals[pattern] = str(refusal)
-        return self._register_nfas[pattern]
-
-    def register_refusal(self, pattern: ast.Pattern) -> str | None:
-        """Why the register compiler refused ``pattern`` — so that
-        ``shortest`` falls back to bounded evaluation or deepening —
-        or ``None`` when it compiled."""
-        self.register_nfa(pattern)
-        return self._register_refusals.get(pattern)
-
-    def assignment_source(
-        self, pattern: ast.Pattern
-    ) -> tuple[str | None, dict[str, object]]:
-        """Where a ``shortest`` witness of ``pattern`` gets its
-        assignments: ``(requirement, padding)``. ``requirement`` is
-        ``None`` when the registers of an accepting run are the
-        assignment once padded with ``padding`` (``Nothing`` for every
-        schema variable, which the run's union branches may not
-        mention); otherwise it says why the pattern needs ``collect``,
-        i.e. the span matcher (see
-        :func:`repro.gpc.register_nfa.collect_requirement`)."""
-        found = self._assignment_sources.get(pattern)
+    def pattern_plan(self, pattern: ast.Pattern) -> PatternPlan:
+        """The plan's one record for ``pattern``."""
+        found = self._patterns.get(pattern)
         if found is None:
-            found = self._assignment_sources[pattern] = (
-                collect_requirement(pattern, self.config.collect_mode),
-                {variable: Nothing for variable in infer_schema(pattern)},
-            )
+            found = self._patterns[pattern] = PatternPlan(pattern, self.config)
         return found
 
-    def abstraction(self, pattern: ast.Pattern) -> NFA:
-        """The pattern's condition-free regular abstraction."""
-        if pattern not in self._abstractions:
-            self._abstractions[pattern] = compile_pattern_abstraction(
-                pattern, state_limit=self.config.automaton_state_limit
-            )
-        return self._abstractions[pattern]
+    def register_nfa(self, pattern: ast.Pattern) -> RegisterNFA | None:
+        """The pattern's register NFA, or ``None`` if unsupported
+        (:attr:`PatternPlan.route` then says why)."""
+        return self.pattern_plan(pattern).route[1]
+
+    def shortest_plan(self, pattern: ast.Pattern) -> ShortestPlan:
+        """:attr:`PatternPlan.shortest_plan` of ``pattern``."""
+        return self.pattern_plan(pattern).shortest_plan
 
     def join_variables(self, join: ast.Join) -> tuple[str, ...]:
         """The join's shared singleton variables (hash-join keys)."""
         if join not in self._join_variables:
             self._join_variables[join] = join_shared_variables(join)
         return self._join_variables[join]
-
-    def shortest_plan(self, pattern: ast.Pattern) -> ShortestPlan:
-        """Endpoint-pruning constraints for a ``shortest`` pattern."""
-        found = self._shortest_plans.get(pattern)
-        if found is None:
-            found = self._shortest_plans[pattern] = plan_shortest(pattern)
-        return found
 
     def estimates(self, query: ast.Query, view) -> PlanEstimates:
         """The planner's :class:`PlanEstimates` for ``query`` over
@@ -294,15 +309,10 @@ class QueryPlan:
         for pattern_query in self._pattern_queries(target):
             restrictor = pattern_query.restrictor
             if restrictor.shortest and restrictor.mode is None:
-                self.shortest_plan(pattern_query.pattern)
-                self.assignment_source(pattern_query.pattern)
-                if self.register_nfa(pattern_query.pattern) is None:
-                    # Fallback path: the abstraction is only consulted
-                    # when the pattern's length is syntactically
-                    # unbounded, but compiling it is cheap and keeps
-                    # execution compile-free.
-                    if max_path_length(pattern_query.pattern) is None:
-                        self.abstraction(pattern_query.pattern)
+                record = self.pattern_plan(pattern_query.pattern)
+                _ = record.shortest_plan, record.assignment_source
+                if record.route[0] is DEEPENING:
+                    _ = record.erased_nfa
 
     def _pattern_queries(self, query: ast.Query):
         for current in ast.iter_queries(query):
@@ -348,9 +358,20 @@ class Evaluator:
             max_intermediate_results=self.config.max_intermediate_results,
             max_power_iterations=self.config.max_power_iterations,
         )
-        self._bounded = BoundedEvaluator(
-            self._view, collect_mode=self.config.collect_mode, limits=limits
+        bounded = partial(
+            BoundedEvaluator, self._view, self.config.collect_mode, limits
         )
+        self._bounded = bounded()
+        #: Per restrictor mode: the Lemma 16 length bound and a bounded
+        #: evaluator that prunes by the mode's path predicate (with its
+        #: own memo: what it keeps is not the plain denotation).
+        self._modes = {
+            mode: (bound, bounded(keep=PATH_PREDICATES[mode]))
+            for mode, bound in (
+                ("trail", self._view.num_edges),
+                ("simple", self._view.num_nodes),
+            )
+        }
 
     # ------------------------------------------------------------------
     # Public API
@@ -529,63 +550,51 @@ class Evaluator:
     ) -> frozenset[Match]:
         self._validate_collect(pattern)
         check_deadline()
-        if restrictor.mode == "trail":
-            bound = self._view.num_edges
-            matches = frozenset(
-                m
-                for m in self._bounded.evaluate(pattern, bound)
-                if (restriction is None or m[0].src in restriction)
-                and is_trail(m[0])
-            )
-        elif restrictor.mode == "simple":
-            bound = self._view.num_nodes
-            matches = frozenset(
-                m
-                for m in self._bounded.evaluate(pattern, bound)
-                if (restriction is None or m[0].src in restriction)
-                and is_simple(m[0])
-            )
-        else:
-            matches = None
-        if not restrictor.shortest:
-            if matches is None:
-                raise RestrictorError(f"invalid restrictor {restrictor!r}")
-            return matches
-        if matches is not None:
-            # shortest trail / shortest simple: minimise within the
-            # already-finite filtered set. Filtering by source first is
-            # safe: minima are taken per (src, tgt) pair, so dropping
-            # whole pairs never changes the minimum of a kept pair.
-            return _keep_shortest(matches)
-        return self._eval_shortest(pattern, restriction)
+        if restrictor.mode is not None:
+            # The evaluator drops the failing paths it builds; an atomic
+            # match is built by no step (one self-loop edge is not
+            # simple), so ``restrict`` still filters below.
+            bound, bounded = self._modes[restrictor.mode]
+            matches = bounded.evaluate(pattern, bound)
+        else:  # a bare ``shortest``
+            route, _nfa, _why = self.plan.pattern_plan(pattern).route
+            if route is REGISTER:
+                return self._eval_shortest(pattern, restriction)
+            if route is DEEPENING:
+                matches = self._eval_deepening(pattern, restriction)
+            else:
+                bound = max_path_length(pattern)
+                matches = self._bounded.evaluate(pattern, bound)
+        if restriction is not None:
+            # Before minimising is safe: minima are taken per (src,
+            # tgt) pair, so dropping whole pairs never changes the
+            # minimum of a kept pair.
+            matches = [m for m in matches if m[0].src in restriction]
+        return restrict(restrictor, matches)
 
     def _eval_shortest(
         self,
         pattern: ast.Pattern,
         restriction: frozenset[NodeId] | None = None,
     ) -> frozenset[Match]:
-        """``shortest pi`` with no trail/simple underneath.
+        """``shortest pi`` on the register route.
 
-        The main route compiles the pattern to a register NFA
-        (:mod:`repro.gpc.register_nfa`), computes the *exact* minimum
-        match length per endpoint pair, and materialises only the
-        witnesses of that length — one enumeration per seed serves all
-        of the seed's pairs and runs the NFA exactly, so a witness
-        arrives with the registers of its accepting runs. Those are the
-        assignments unless the pattern needs ``collect``
-        (:meth:`QueryPlan.assignment_source`); only then is the witness
-        handed to the span matcher. Patterns using extension constructs
-        without register compilation fall back to bounded iterative
-        deepening.
+        The pattern's register NFA (:mod:`repro.gpc.register_nfa`)
+        gives the *exact* minimum match length per endpoint pair, and
+        only the witnesses of that length are materialised — one
+        enumeration per seed serves all of the seed's pairs and runs
+        the NFA exactly, so a witness arrives with the registers of its
+        accepting runs. Those are the assignments unless the pattern
+        needs ``collect`` (:attr:`PatternPlan.assignment_source`); only
+        then is the witness handed to the span matcher.
         """
-        rnfa = self.plan.register_nfa(pattern)
-        if rnfa is None:
-            return self._eval_shortest_fallback(pattern, restriction)
         from repro.enumeration.span_matcher import match_on_path
 
+        record = self.plan.pattern_plan(pattern)
+        _route, rnfa, _why = record.route
         limit = self.config.shortest_deepening_limit
         collect_mode = self.config.collect_mode
-        needs_collect, padding = self.plan.assignment_source(pattern)
+        needs_collect, padding = record.assignment_source
         answers: set[Match] = set()
         matched = 0
         counters = active_counters()
@@ -697,31 +706,37 @@ class Evaluator:
             starts = tuple(n for n in starts if n in restriction)
         return starts, (None if ends is None else frozenset(ends))
 
-    def _eval_shortest_fallback(
+    def _erased_candidates(
+        self,
+        pattern: ast.Pattern,
+        restriction: frozenset[NodeId] | None = None,
+    ) -> dict[tuple[NodeId, NodeId], int]:
+        """The endpoint pairs the pattern's erasure connects, each with
+        its minimum length: a superset of the pairs ``pattern`` matches
+        and a lower bound on their minima — one search per seed
+        (:meth:`_shortest_candidates`) over the lowered erasure."""
+        program = lower_program(
+            self.plan.pattern_plan(pattern).erased_nfa, self._view
+        )
+        starts, end_filter = self._shortest_candidates(pattern, restriction)
+        candidates: dict[tuple[NodeId, NodeId], int] = {}
+        for start in starts:
+            check_deadline()
+            for end, length in shortest_pair_lengths(program, start).items():
+                if end_filter is None or end in end_filter:
+                    candidates[start, end] = length
+        return candidates
+
+    def _eval_deepening(
         self,
         pattern: ast.Pattern,
         restriction: frozenset[NodeId] | None = None,
     ) -> frozenset[Match]:
-        """Bounded-evaluation fallback for extension patterns."""
-        syntactic_max = max_path_length(pattern)
-        if syntactic_max is not None:
-            # Bounded pattern: evaluate exactly and minimise.
-            return _keep_shortest(
-                _restrict_sources(
-                    self._bounded.evaluate(pattern, syntactic_max), restriction
-                )
-            )
-        # Unbounded: iterative deepening guided by the regular abstraction.
-        nfa = self.plan.abstraction(pattern)
-        candidates = pairs_and_distances(self._view, nfa)
-        if restriction is not None:
-            # Deepening only needs to resolve pairs whose source is in
-            # the restriction; the rest can never contribute answers.
-            candidates = {
-                pair: dist
-                for pair, dist in candidates.items()
-                if pair[0] in restriction
-            }
+        """The bounded denotation of ``pattern`` at a length by which
+        every candidate pair has matched: the deepening route of
+        ``shortest``, for unbounded patterns the register compiler
+        refuses."""
+        candidates = self._erased_candidates(pattern, restriction)
         if not candidates:
             return frozenset()
         limit = self.config.shortest_deepening_limit
@@ -736,19 +751,18 @@ class Evaluator:
                 counters.deepening_rounds += 1
             check_deadline()
             results = self._bounded.evaluate(pattern, length)
-            found_pairs = {(m[0].src, m[0].tgt) for m in results}
-            remaining = set(candidates) - found_pairs
-            if not remaining:
-                return _keep_shortest(_restrict_sources(results, restriction))
+            remaining = candidates.keys() - {
+                (m[0].src, m[0].tgt) for m in results
+            }
+            if not remaining or (
+                length >= limit and self.config.lenient_shortest
+            ):
+                return results
             if length >= limit:
-                if self.config.lenient_shortest:
-                    return _keep_shortest(
-                        _restrict_sources(results, restriction)
-                    )
                 raise EvaluationLimitError(
                     f"shortest: {len(remaining)} candidate endpoint pair(s) "
                     f"unresolved at deepening limit {limit}; they may be "
-                    f"unmatchable (conditions pruned the abstraction) or "
+                    f"unmatchable (conditions pruned the erasure) or "
                     f"require longer paths. Raise "
                     f"EngineConfig.shortest_deepening_limit or set "
                     f"lenient_shortest=True."
@@ -833,30 +847,6 @@ def _hash_join(
             if combined is not None:
                 out.append(combined)
     return frozenset(out)
-
-
-def _restrict_sources(
-    matches: frozenset[Match], restriction: frozenset[NodeId] | None
-) -> frozenset[Match]:
-    """Drop matches whose path starts outside the restriction."""
-    if restriction is None:
-        return matches
-    return frozenset(m for m in matches if m[0].src in restriction)
-
-
-def _keep_shortest(matches: frozenset[Match]) -> frozenset[Match]:
-    """Keep, per endpoint pair, the answers of minimum path length."""
-    minima: dict[tuple[NodeId, NodeId], int] = {}
-    for path, _ in matches:
-        key = (path.src, path.tgt)
-        length = len(path)
-        if key not in minima or length < minima[key]:
-            minima[key] = length
-    return frozenset(
-        (path, mu)
-        for path, mu in matches
-        if len(path) == minima[(path.src, path.tgt)]
-    )
 
 
 def evaluate(

@@ -47,7 +47,7 @@ from typing import Optional
 from repro.direction import Direction
 from repro.gpc import ast
 from repro.gpc.conditions_ast import And, Condition, PropertyEqualsConst
-from repro.gpc.minlength import max_length_step, max_path_length
+from repro.gpc.minlength import max_length_step
 from repro.gpc.typing import infer_schema
 from repro.graph.statistics import compute_label_cardinalities
 
@@ -566,6 +566,14 @@ def estimate_plan(query: ast.Query, view, plan=None) -> PlanEstimates:
 # ---------------------------------------------------------------------------
 
 
+#: The routes a bare ``shortest`` takes, by the names ``explain``
+#: prints: the engine's ``PatternPlan.route`` picks one, its evaluator
+#: executes it.
+REGISTER = "register-NFA shortest"
+BOUNDED_FILTER = "bounded evaluation + shortest filter"
+DEEPENING = "abstraction-guided deepening"
+
+
 def explain_plan(query: ast.Query, view=None, plan=None) -> str:
     """Render the strategies the planner chose for ``query``.
 
@@ -600,33 +608,22 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
             return
         restrictor = str(q.restrictor)
         if q.restrictor.shortest and q.restrictor.mode is None:
-            shortest = (
-                plan.shortest_plan(q.pattern)
-                if plan is not None
-                else plan_shortest(q.pattern)
-            )
-            refusal = (
-                plan.register_refusal(q.pattern) if plan is not None else None
-            )
-            if refusal is None:
-                route = "register-NFA shortest"
-            elif max_path_length(q.pattern) is None:
-                # The engine's own test (Evaluator._eval_shortest_fallback).
-                route = f"abstraction-guided deepening ({refusal})"
+            if plan is None:  # only the endpoints are known
+                record, shortest = None, plan_shortest(q.pattern)
+                route, rnfa, why = REGISTER, None, None
             else:
-                route = f"bounded evaluation + shortest filter ({refusal})"
+                record = plan.pattern_plan(q.pattern)
+                shortest, (route, rnfa, why) = record.shortest_plan, record.route
             line = (
                 f"{indent}- {restrictor} {pretty(q.pattern)}: "
-                f"{route}; "
+                f"{route if why is None else f'{route} ({why})'}; "
                 f"starts: {shortest.start.describe(view)}; "
                 f"ends: {shortest.end.describe(view)}"
             )
-            if plan is not None and refusal is None:
-                line += "; search: " + _describe_registers(
-                    plan.register_nfa(q.pattern).constraining
-                )
+            if rnfa is not None:
+                line += "; search: " + _describe_registers(rnfa.constraining)
                 # Depends on the plan's collect mode.
-                requirement, _padding = plan.assignment_source(q.pattern)
+                requirement, _padding = record.assignment_source
                 if requirement is not None:
                     source = f"span matcher ({requirement})"
                 else:

@@ -1,13 +1,14 @@
 """Register automata for exact ``shortest`` evaluation.
 
-The condition-free NFA abstraction over-approximates patterns: it
-drops property conditions *and* the implicit joins of repeated
-variables, so its accepted pairs may include endpoint pairs no true
-match connects. Computing ``shortest`` by iterative deepening against
-such candidates explodes (the bounded denotation of a pattern grows
-exponentially with the length horizon — Theorem 13).
+A pattern's *erasure* (:func:`repro.gpc.ast.erase`) over-approximates
+it: without property conditions *and* the implicit joins of repeated
+variables it may connect endpoint pairs no true match connects.
+Computing ``shortest`` by iterative deepening against such candidates
+explodes (the bounded denotation of a pattern grows exponentially with
+the length horizon — Theorem 13); the engine keeps that route only for
+the extension constructs this compiler refuses.
 
-This module compiles patterns into *register* NFAs instead:
+This module compiles patterns into *register* NFAs:
 
 - ``bind(x)`` transitions bind (or check) a register against the
   current node;

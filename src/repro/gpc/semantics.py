@@ -8,7 +8,8 @@ denotation
 
 compositionally. Restrictors (handled in :mod:`repro.gpc.engine`)
 supply the bound ``L``: ``|N|`` for ``simple``, ``|E_d| + |E_u|`` for
-``trail``, and iterative deepening for ``shortest``.
+``trail``, and iterative deepening for ``shortest``; what they keep of
+the finite set that leaves is :func:`restrict`.
 
 Repetition ``pi{n..m}`` is evaluated by iterating *powers*: partial
 states are pairs of a path and a :class:`~repro.gpc.collect.CollectAccumulator`
@@ -26,14 +27,14 @@ capturing the grouped bindings so far. Termination for ``m = infinity``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Collection, Mapping
 
 from repro.errors import EvaluationLimitError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.snapshot import GraphSnapshot
 from repro.graph.ids import NodeId
-from repro.graph.paths import Path
+from repro.graph.paths import Path, is_simple, is_trail
 from repro.graph.property_graph import PropertyGraph
 from repro.gpc import ast
 from repro.gpc.assignments import EMPTY_ASSIGNMENT, Assignment
@@ -44,7 +45,7 @@ from repro.gpc.typing import infer_schema
 from repro.gpc.values import Nothing
 from repro.obs.deadline import check_deadline
 
-__all__ = ["Match", "BoundedEvaluator"]
+__all__ = ["Match", "BoundedEvaluator", "PATH_PREDICATES", "restrict"]
 
 #: Candidate pairs a product or power loop tries between two looks at
 #: the request deadline (:func:`~repro.obs.deadline.check_deadline`),
@@ -55,6 +56,35 @@ _DEADLINE_STRIDE = 4096
 
 #: A pattern match: the matched path and the variable bindings.
 Match = tuple[Path, Assignment]
+
+
+#: What the ``trail`` and ``simple`` restrictor modes ask of a path.
+#: Both hold of every contiguous sub-path of a path they hold of.
+PATH_PREDICATES = {"trail": is_trail, "simple": is_simple}
+
+
+def restrict(
+    restrictor: ast.Restrictor, matches: Collection[Match]
+) -> frozenset[Match]:
+    """``restrictor`` applied to a finite set of matches: its mode's
+    predicate filters the paths, then ``shortest`` keeps, per endpoint
+    pair, the matches of minimum path length."""
+    if restrictor.mode is not None:
+        keep = PATH_PREDICATES[restrictor.mode]
+        matches = [match for match in matches if keep(match[0])]
+    if not restrictor.shortest:
+        return frozenset(matches)
+    minima: dict[tuple[NodeId, NodeId], int] = {}
+    for path, _ in matches:
+        key = (path.src, path.tgt)
+        length = len(path)
+        if key not in minima or length < minima[key]:
+            minima[key] = length
+    return frozenset(
+        (path, mu)
+        for path, mu in matches
+        if len(path) == minima[(path.src, path.tgt)]
+    )
 
 
 @dataclass
@@ -74,6 +104,15 @@ class BoundedEvaluator:
     for hot paths) an immutable
     :class:`~repro.graph.snapshot.GraphSnapshot`, whose pre-built
     tuple indexes this evaluator consults directly.
+
+    ``keep`` is a predicate that holds of every contiguous sub-path of
+    a path it holds of (``is_trail``, ``is_simple``). Given one, the
+    evaluator drops each path it *builds* — by concatenating two paths
+    that both have edges, or by one more factor of a repetition — that
+    fails it. An atomic match is built by no step, so the caller still
+    filters; and the children of an extension construct are evaluated
+    without ``keep``: a construct need not be monotone in its
+    sub-matches (a local ``shortest`` is not).
     """
 
     def __init__(
@@ -81,10 +120,12 @@ class BoundedEvaluator:
         graph: "PropertyGraph | GraphSnapshot",
         collect_mode: CollectMode = CollectMode.GROUPING,
         limits: _Limits | None = None,
+        keep: Callable[[Path], bool] | None = None,
     ):
         self.graph = graph
         self.collect_mode = collect_mode
         self.limits = limits or _Limits()
+        self.keep = keep
         self._memo: dict[tuple[ast.Pattern, int], frozenset[Match]] = {}
         self._schemas: dict[ast.Pattern, Mapping[str, object]] = {}
 
@@ -121,7 +162,10 @@ class BoundedEvaluator:
         if isinstance(pattern, ast.Repeat):
             return self._eval_repeat(pattern, max_length)
         if isinstance(pattern, ast.PatternExtension):
-            return frozenset(pattern.evaluate_ext(self, max_length))
+            plain = self
+            if self.keep is not None:
+                plain = BoundedEvaluator(self.graph, self.collect_mode, self.limits)
+            return frozenset(pattern.evaluate_ext(plain, max_length))
         raise TypeError(f"not a pattern: {pattern!r}")
 
     # -- atomic patterns -------------------------------------------------
@@ -204,6 +248,7 @@ class BoundedEvaluator:
         for path, mu in right:
             by_source.setdefault(path.src, []).append((path, mu))
         out: set[Match] = set()
+        keep = self.keep
         next_check = _DEADLINE_STRIDE
         for left_path, left_mu in left:
             candidates = by_source.get(left_path.tgt, ())
@@ -217,8 +262,17 @@ class BoundedEvaluator:
                 merged = left_mu.unify(right_mu)
                 if merged is None:
                     continue
-                out.add((left_path.concat(right_path), merged))
-                self._check_size(out)
+                path = left_path.concat(right_path)
+                # Joined to an edgeless path a path is itself again:
+                # checked where it was built, or atomic.
+                if (
+                    keep is None
+                    or left_path.is_edgeless
+                    or right_path.is_edgeless
+                    or keep(path)
+                ):
+                    out.add((path, merged))
+                    self._check_size(out)
         return frozenset(out)
 
     def _eval_union(self, pattern: ast.Union, max_length: int) -> frozenset[Match]:
@@ -285,6 +339,7 @@ class BoundedEvaluator:
         sound_cap = self._repeat_sound_cap(pattern, max_length, base)
         history: dict[frozenset[State], int] = {}
         power = 1
+        keep = self.keep
         next_check = _DEADLINE_STRIDE
         while True:
             if not current:
@@ -329,10 +384,13 @@ class BoundedEvaluator:
                 for factor_path, factor_mu in factors:
                     if len(path) + len(factor_path) > max_length:
                         continue
+                    longer = path.concat(factor_path)
+                    if keep is not None and not keep(longer):
+                        continue
                     extended = accumulator.extend(factor_path, factor_mu)
                     if extended is None:
                         continue
-                    next_states.add((path.concat(factor_path), extended))
+                    next_states.add((longer, extended))
                     self._check_size(next_states)
             current = next_states
             power += 1

@@ -322,7 +322,7 @@ class EvalCounters(Counters):
       cost register/check ops and cost-1 edge steps);
     - ``deepening_rounds`` — iterative-deepening rounds: witness-length
       probes on the NFA route, one per (endpoint pair, probed length),
-      plus bound-doubling rounds of the abstraction fallback;
+      plus bound-doubling rounds of the deepening route;
     - ``witness_steps`` — edge expansions tried by the per-seed witness
       enumeration (distinct ``(edge, successor)`` moves some run can
       take out of a walk prefix, before the closure at the successor

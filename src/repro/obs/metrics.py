@@ -26,7 +26,7 @@ here.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.obs.counters import (
     Counters,
@@ -38,7 +38,6 @@ from repro.obs.counters import (
 
 __all__ = [
     "sanitize",
-    "mapping_lines",
     "histogram_lines",
     "labeled_summary_lines",
     "tree_lines",
@@ -69,23 +68,6 @@ def _format_value(value) -> Optional[str]:
     if isinstance(value, float):
         return repr(value)
     return None
-
-
-def mapping_lines(prefix: str, mapping: Mapping, *, skip: Iterable[str] = ()) -> list[str]:
-    """Flatten a nested mapping of numbers into exposition lines.
-
-    Non-numeric leaves are dropped (strings, lists); ``skip`` names
-    sub-keys, at any depth, that the caller renders specially. What
-    :func:`tree_lines` does for a plain mapping, minus those keys.
-    """
-    skipped = set(skip)
-
-    def kept(node):
-        if not isinstance(node, Mapping):
-            return node
-        return {key: kept(node[key]) for key in node if key not in skipped}
-
-    return tree_lines(prefix, kept(mapping))
 
 
 def histogram_lines(name: str, histogram: Mapping) -> list[str]:

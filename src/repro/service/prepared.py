@@ -5,8 +5,9 @@ Construction does all graph-independent work exactly once:
 
 - parsing (when given concrete syntax),
 - schema inference / type checking (Section 4),
-- register-NFA and regular-abstraction compilation for ``shortest``
-  evaluation (both memoised in a :class:`~repro.gpc.engine.QueryPlan`).
+- register-NFA compilation for ``shortest`` evaluation — of the
+  pattern, or of its erasure where the compiler refuses the pattern
+  (memoised per pattern in a :class:`~repro.gpc.engine.QueryPlan`).
 
 :meth:`PreparedQuery.execute` then runs the compiled plan against any
 graph — or any *version* of a graph — paying only the evaluation cost.

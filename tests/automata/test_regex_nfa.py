@@ -157,34 +157,36 @@ class TestNFABuilder:
 
 
 class TestGPCAbstraction:
-    def test_condition_dropped(self):
-        from repro.gpc.abstraction import compile_pattern_abstraction
+    """The engine's over-approximation of a pattern's endpoint pairs is
+    the pattern's erasure (``ast.erase``) run on the register NFA."""
+
+    @staticmethod
+    def _candidates(graph, text, config=None):
+        from repro.gpc.engine import Evaluator
         from repro.gpc.parser import parse_pattern
 
+        return Evaluator(graph, config)._erased_candidates(parse_pattern(text))
+
+    def test_condition_dropped(self):
         graph = (
             GraphBuilder().node("a", k=1).node("b", k=2).edge("a", "b", "e").build()
         )
-        pattern = parse_pattern("[(x) -> (y)] << x.k = y.k >>")
-        nfa = compile_pattern_abstraction(pattern)
-        # The abstraction ignores the (unsatisfiable) condition.
-        assert (N("a"), N("b")) in accepted_pairs(graph, nfa)
+        # The erasure ignores the (unsatisfiable) condition.
+        candidates = self._candidates(graph, "[(x) -> (y)] << x.k = y.k >>")
+        assert candidates == {(N("a"), N("b")): 1}
 
     def test_repetition_unrolled_exactly(self):
-        from repro.gpc.abstraction import compile_pattern_abstraction
-        from repro.gpc.parser import parse_pattern
-
-        graph = chain_graph(5, edge_label="e")
-        nfa = compile_pattern_abstraction(parse_pattern("->{2,3}"))
-        distances = pairs_and_distances(graph, nfa)
+        distances = self._candidates(chain_graph(5, edge_label="e"), "->{2,3}")
         assert distances[(N("n0"), N("n2"))] == 2
         assert distances[(N("n0"), N("n3"))] == 3
         assert (N("n0"), N("n4")) not in distances
 
     def test_huge_bounds_hit_state_limit(self):
-        from repro.gpc.abstraction import compile_pattern_abstraction
-        from repro.gpc.parser import parse_pattern
+        from repro.gpc.engine import EngineConfig
 
         with pytest.raises(EvaluationLimitError):
-            compile_pattern_abstraction(
-                parse_pattern("->{100000,}"), state_limit=1000
+            self._candidates(
+                chain_graph(2),
+                "->{100000,}",
+                EngineConfig(automaton_state_limit=1000),
             )

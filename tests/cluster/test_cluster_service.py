@@ -164,6 +164,23 @@ class TestFailureSurfacing:
         assert cluster.stats.queries == 1
         assert cluster.stats.latency.count == 1
 
+    def test_a_deadline_in_every_failed_shard_is_a_timeout_not_a_cluster_error(self):
+        from repro.cluster.router import ScatterGatherRouter, ShardFailure
+        from repro.errors import DeadlineExceededError, EvaluationLimitError
+
+        late = [
+            ShardFailure(index, "w", DeadlineExceededError("request deadline exceeded"))
+            for index in range(2)
+        ]
+        error = ScatterGatherRouter().failure_error(late)
+        assert isinstance(error, DeadlineExceededError)
+        assert error.__cause__ is late[0].error
+        assert "2 shard(s) failed" in str(error)
+        # One shard that failed for another reason: the cluster failed.
+        mixed = [*late, ShardFailure(2, "w", EvaluationLimitError("too many"))]
+        error = ScatterGatherRouter().failure_error(mixed)
+        assert isinstance(error, ClusterError) and len(error.failures) == 3
+
     def test_prepare_errors_propagate_directly(self):
         with ClusterService(_graph(), backend="serial") as cluster:
             with pytest.raises(GPCTypeError):

@@ -373,7 +373,8 @@ class TestExplainNamesTheRouteTaken:
             answers = service.prepare(self._query(None)).execute(service.snapshot())
         assert len(answers) == 8
         assert counters.deepening_rounds > 0
-        assert counters.nfa_states_expanded == 0
+        # No witness pass: the search ran on the erasure, for candidates.
+        assert counters.witnesses == 0
 
     def test_bounded_extension_is_evaluated_and_filtered(self):
         text = GraphService(transport_network(2, 3)).explain(self._query(3))

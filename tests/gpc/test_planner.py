@@ -351,7 +351,7 @@ class TestPlanMemoisation:
         )
         plan.precompile(query)
         assert query in plan._join_variables
-        assert query.left.pattern in plan._shortest_plans
+        assert query.left.pattern in plan._patterns
 
     def test_prepared_execution_never_reinfers_schemas(self, social, monkeypatch):
         # Per-execution cardinality estimation must go through the

@@ -8,6 +8,11 @@ values, the ``/metrics`` line set, the shapes of ``/insights`` — with
 clock- and scheduling-dependent values masked on both sides. JSON key
 order is not part of the contract (the comparison is of dicts); the
 exposition is compared as a sorted line set.
+
+Two rows were corrected by hand since (PR 23): a deadline that expires
+inside a cluster shard is a timeout of its fingerprint, so the
+``cluster-thread`` insights entry of the ``SHORTEST`` text says
+``timeouts: 1`` and its ``/metrics`` holds the matching line.
 """
 
 from __future__ import annotations

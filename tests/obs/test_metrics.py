@@ -6,9 +6,9 @@ from __future__ import annotations
 from repro.obs.metrics import (
     histogram_lines,
     labeled_summary_lines,
-    mapping_lines,
     render_metrics,
     sanitize,
+    tree_lines,
 )
 from repro.service.stats import LATENCY_BUCKETS_S, LatencyRecorder
 
@@ -23,7 +23,7 @@ class TestSanitize:
 
 class TestMappingLines:
     def test_flattens_nested_mappings_sorted(self):
-        lines = mapping_lines(
+        lines = tree_lines(
             "repro_service",
             {"queries": 3, "result_cache": {"hits": 2, "misses": 1}},
         )
@@ -33,16 +33,15 @@ class TestMappingLines:
             "repro_service_result_cache_misses 1",
         ]
 
-    def test_skips_named_keys_and_non_numeric_leaves(self):
-        lines = mapping_lines(
+    def test_drops_non_numeric_leaves(self):
+        lines = tree_lines(
             "x",
             {"latency": {"p99": 1.0}, "name": "gpc", "count": 2, "on": True},
-            skip=("latency",),
         )
-        assert lines == ["x_count 2", "x_on 1"]
+        assert lines == ["x_count 2", "x_latency_p99 1.0", "x_on 1"]
 
     def test_floats_render_exactly(self):
-        assert mapping_lines("x", {"rate": 0.5}) == ["x_rate 0.5"]
+        assert tree_lines("x", {"rate": 0.5}) == ["x_rate 0.5"]
 
 
 class TestHistogramLines:
@@ -93,7 +92,7 @@ class TestByteDeterminism:
     def test_mapping_lines_ignore_insertion_order(self):
         forward = {"b": 1, "a": 2, "nested": {"y": 3, "x": 4}}
         backward = {"nested": {"x": 4, "y": 3}, "a": 2, "b": 1}
-        assert mapping_lines("m", forward) == mapping_lines("m", backward)
+        assert tree_lines("m", forward) == tree_lines("m", backward)
 
     def test_labeled_series_ignore_insertion_order(self):
         forward = {"k1": {"b": 1, "a": 2}, "k2": {"a": 3, "b": 4}}
@@ -109,7 +108,7 @@ class TestByteDeterminism:
             if shuffled:
                 fields = list(reversed(fields))
                 series = list(reversed(series))
-            lines = mapping_lines("repro_test", dict(fields))
+            lines = tree_lines("repro_test", dict(fields))
             lines.extend(
                 labeled_summary_lines(
                     "repro_test_insights", "fingerprint", dict(series)

@@ -482,6 +482,85 @@ def test_group_read_off_equals_the_span_matcher(view_of):
     )()
 
 
+#: Repetitions under ``trail`` / ``simple``: unbounded and ``{1,4}``,
+#: a group variable, a union body, an undirected step, a two-edge body,
+#: a condition over the endpoints, two repetitions in a row, and bodies
+#: that are a single atom (no concatenation builds their matches).
+_RESTRICTED_SHAPES = tuple(
+    parse_pattern(text)
+    for text in (
+        "(x) ->{1,} (y)",
+        "(x:A) -[e:a]->{1,4} (y)",
+        "(x) [-[e:a]-> + <-[e:b]-]{1,} (y:A)",
+        "(x) ~[e]~{1,4} (y)",
+        "(x) [-> ->]{1,} (y)",
+        "[(x) ->{1,} (y)] << x.k = y.k >>",
+        "(x) ->{1,} (m) <-{1,4} (y)",
+        "->{1,}",
+        "[-> + ~]{1,4}",
+        "(x) [(z) ->]{1,} (y)",
+    )
+)
+
+
+def test_restrictors_over_repetitions_equal_the_bounded_reference():
+    """``TRAIL`` / ``SIMPLE`` / ``SHORTEST TRAIL`` / ``SHORTEST SIMPLE``
+    over ``{1,}`` and ``{1,4}`` equal the specification — the unpruned
+    bounded denotation, filtered afterwards — on every view, with and
+    without a start restriction: the engine prunes while it builds."""
+    from repro.errors import EvaluationLimitError
+    from repro.gpc.semantics import _Limits
+
+    restrictors = (
+        ast.Restrictor.TRAIL,
+        ast.Restrictor.SIMPLE,
+        ast.Restrictor.SHORTEST_TRAIL,
+        ast.Restrictor.SHORTEST_SIMPLE,
+    )
+    compared = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        small_graphs(),
+        st.sampled_from(_RESTRICTED_SHAPES) | well_typed_patterns(max_depth=2),
+        st.sampled_from(restrictors),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    )
+    def check(graph, pattern, restrictor, seed, restrict):
+        rng = random.Random(seed)
+        derived = _derive_chain(rng, graph)
+        plain = graph.copy()
+        query = ast.PatternQuery(restrictor, pattern)
+        horizon = plain.num_edges + plain.num_nodes  # above both bounds
+        limits = _Limits(max_intermediate_results=3_000)
+        try:
+            reference = reference_answers(plain, query, horizon, limits=limits)
+        except EvaluationLimitError:
+            return  # the unpruned denotation blew up; not sat through
+        nodes = sorted(plain.nodes)
+        restriction = (
+            frozenset(rng.sample(nodes, rng.randrange(len(nodes) + 1)))
+            if restrict
+            else None
+        )
+        # What the pruning evaluator holds is a subset of what the
+        # reference held, so the same guard cannot fire here.
+        config = EngineConfig(max_intermediate_results=3_000)
+        views = {
+            "plain": (plain, config),
+            "pristine": (GraphSnapshot(plain), config),
+            "derived": (derived, config),
+            "all-off": (plain, replace(config, use_planner=False, use_analysis=False)),
+        }
+        assert_equal_reference(reference, query, views, horizon, restriction)
+        compared.add((str(restrictor), bool(reference)))
+
+    check()
+    # Each spelling was compared on a non-empty answer set.
+    assert {(str(r), True) for r in restrictors} <= compared
+
+
 def _derive_chain(rng, graph):
     """Mutate ``graph`` one to four times, a snapshot per version, and
     return the snapshot at the end of that derive chain."""

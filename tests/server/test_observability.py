@@ -221,24 +221,35 @@ class TestDeadlines:
         assert stats["timeouts"] == 1
 
     def test_deadline_inside_the_bounded_evaluator_is_504_and_frees_the_slot(self):
-        # SIMPLE over an unbounded repetition is the Section 5 bounded
-        # denotation up to |N|, filtered afterwards: on 13 nodes and 24
-        # edges its powers hold hundreds of thousands of walks (~16 s
-        # of products when nothing inside them looks at the clock).
-        service = GraphService(transport_network(3, 4))
-        with serve_background(service, max_in_flight=1) as handle:
-            with HttpServiceClient(*handle.address) as client:
-                started = time.monotonic()
-                with pytest.raises(HttpServiceError) as info:
-                    client.query(
-                        "SIMPLE (x:Hub) -[:link]->{1,} (y:Station)",
-                        deadline_ms=500,
-                    )
-                assert time.monotonic() - started < 1.0
-                assert info.value.status == 504
-                assert len(client.query("TRAIL (x:Hub) -[:link]-> (y)")) > 0
-                stats = client.stats()
-        assert stats["timeouts"] == 1
+        # TRAIL over an unbounded repetition is the Section 5 bounded
+        # denotation up to |E|, pruned of repeated edges as it is built:
+        # on 17 nodes and 32 edges there are still exponentially many
+        # trails (minutes of products when nothing inside them looks at
+        # the clock).
+        # A deadline that expires inside a cluster's shards is the same
+        # 504 and the same timeout: the request ran out of budget, the
+        # cluster did not fail.
+        graph = transport_network(4, 4)
+        for service in (
+            GraphService(graph),
+            ClusterService(graph, backend="thread", num_workers=2),
+        ):
+            with serve_background(service, max_in_flight=1) as handle:
+                with HttpServiceClient(*handle.address) as client:
+                    started = time.monotonic()
+                    with pytest.raises(HttpServiceError) as info:
+                        client.query(
+                            "TRAIL (x) -[:link]->{1,} (y)", deadline_ms=500
+                        )
+                    assert time.monotonic() - started < 1.0
+                    assert info.value.status == 504
+                    assert len(client.query("TRAIL (x:Hub) -[:link]-> (y)")) > 0
+                    stats = client.stats()
+                    (timed_out,) = client.insights(sort="errors", limit=1)[
+                        "insights"
+                    ]
+            assert stats["timeouts"] == 1
+            assert (timed_out["errors"], timed_out["timeouts"]) == (1, 1)
 
     def test_generous_deadline_does_not_interfere(self):
         with serve_background(GraphService(_graph())) as handle:

@@ -234,15 +234,14 @@ SCENARIOS = [
 
 @pytest.mark.parametrize("facade", FACADES)
 def test_bounded_evaluation_stops_at_its_deadline(facade):
-    # 13 nodes, 24 edges — and ~16 s of path products under SIMPLE,
-    # whose bounded evaluation only ends at |N|: the deadline has to
-    # fire inside the evaluator's own loops.
-    with FACADES[facade](transport_network(3, 4)) as service:
+    # 17 nodes, 32 edges — and exponentially many trails between them,
+    # which the bounded evaluator builds power by power although it
+    # prunes every walk that repeats an edge: the deadline has to fire
+    # inside the evaluator's own loops.
+    with FACADES[facade](transport_network(4, 4)) as service:
         started = time.monotonic()
         with deadline_scope(0.5):
-            kind = _raised(
-                service.evaluate, "SIMPLE (x:Hub) -[:link]->{1,} (y:Station)"
-            )
+            kind = _raised(service.evaluate, "TRAIL (x) -[:link]->{1,} (y)")
         assert time.monotonic() - started < 1.0
         assert kind == DeadlineExceededError.__name__
         assert service.stats.queries == 1

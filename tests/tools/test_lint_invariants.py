@@ -229,12 +229,11 @@ class TestOneTraversal:
         assert codes(renamed, module="gpc/semantics.py") == []
         assert codes(renamed, module="gpc/typing.py") == ["INV007"]
         assert codes(self.WORK_LIST, module=lint_invariants.WALKER_HOME) == []
-        # Exactly the three evaluators and the two compilers, each
+        # Exactly the three evaluators and the one compiler, each
         # with the reason fold does not serve it.
         assert sorted(lint_invariants.WALKER_ALLOWED) == [
             ("enumeration/span_matcher.py", "_dispatch"),
             ("extensions/bag_semantics.py", "_dispatch"),
-            ("gpc/abstraction.py", "_compile"),
             ("gpc/register_nfa.py", "_compile"),
             ("gpc/semantics.py", "_dispatch"),
         ]
@@ -319,6 +318,35 @@ class TestOneMetricsModel:
         source = "from repro.service.stats import ServiceStats\n_ = ServiceStats\n"
         assert codes(source, module="cluster/stats.py") == []
         assert codes(source, module=None) == []
+
+
+class TestOneAutomatonModel:
+    """INV009: the engine and what serves it import no ``repro.automata``."""
+
+    SPELLINGS = (
+        "from repro.automata.nfa import NFA\n_ = NFA\n",
+        "from repro.automata import NFA\n_ = NFA\n",
+        "from repro import automata\n_ = automata\n",
+        "import repro.automata.product\n_ = repro\n",
+        "def candidates():\n"
+        "    from repro.automata.product import pairs_and_distances\n"
+        "    return pairs_and_distances\n",
+    )
+
+    def test_every_spelling_is_flagged_in_every_engine_side_package(self):
+        for source in self.SPELLINGS:
+            assert codes(source, module="gpc/engine.py") == ["INV009"]
+        for package in ("extensions", "service", "cluster", "server", "obs"):
+            assert codes(self.SPELLINGS[0], module=f"{package}/x.py") == ["INV009"]
+
+    def test_the_baselines_and_the_translations_are_its_users(self):
+        for module in ("baselines/rpq.py", "translate/rpq_to_gpc.py", "automata/regex.py"):
+            assert codes(self.SPELLINGS[0], module=module) == []
+        assert codes(self.SPELLINGS[0], module=None) == []
+
+    def test_a_module_that_only_sounds_like_it_is_fine(self):
+        source = "from repro.automata_notes import x\n_ = x\n"
+        assert codes(source, module="gpc/engine.py") == []
 
 
 class TestUnusedImports:

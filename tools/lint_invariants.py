@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
-Six invariants that generic linters don't enforce the way this
+Seven invariants that generic linters don't enforce the way this
 codebase needs them, and one that a generic linter does enforce but
 that is checked here too because ruff is not in every build container:
 
@@ -55,10 +55,17 @@ that is checked here too because ruff is not in every build container:
   import from ``repro.service``, ``repro.server`` or ``repro.cluster``,
   at any nesting level (a lazy import inside a function dodges the
   cycle, not the dependency): the model sits below what it measures.
+- **One automaton model in the engine** (``INV009``): nothing under
+  ``repro/gpc``, ``extensions``, ``service``, ``cluster``, ``server``
+  or ``obs`` imports ``repro.automata``, at any nesting level. The
+  engine and everything that serves it run on the register NFA of
+  ``gpc/register_nfa.py`` (a pattern's own, or its erasure's);
+  ``repro.automata`` is the library of the RPQ / C2RPQ baselines and
+  of ``translate/``.
 
-The first four and the last two apply to ``src/repro`` (tests assert
+The first four and the last three apply to ``src/repro`` (tests assert
 and poll, that is their job); with no arguments the tool lints
-``src/repro`` for all seven and the other three trees for the imports.
+``src/repro`` for all eight and the other three trees for the imports.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -90,8 +97,23 @@ RENDERING_NAMES = ("as_dict", "counters", "metrics_summary")
 #: field list.
 RESPELT_FIELDS = 3
 
-#: What nothing under ``repro/obs`` may import: the layers it measures.
-OBS_FORBIDDEN = ("repro.service", "repro.server", "repro.cluster")
+#: Imports a layer may not make, at any nesting level: ``(code,
+#: packages under src/repro it binds, modules they may not import, why)``.
+IMPORT_BANS = (
+    (
+        "INV008",
+        ("obs",),
+        ("repro.service", "repro.server", "repro.cluster"),
+        "the metrics model sits below the serving layers",
+    ),
+    (
+        "INV009",
+        ("gpc", "extensions", "service", "cluster", "server", "obs"),
+        ("repro.automata",),
+        "the engine runs on one automaton model, the register NFA; "
+        "repro.automata is the RPQ baselines' library",
+    ),
+)
 
 BROAD_EXCEPT_WAIVER = "lint: allow-broad-except"
 ASSERT_WAIVER = "lint: allow-assert"
@@ -127,9 +149,6 @@ WALKER_ALLOWED = {
     ("gpc/register_nfa.py", "_compile"): (
         "threads a builder and a push environment top-down; a repeat "
         "compiles its body once per copy"
-    ),
-    ("gpc/abstraction.py", "_compile"): (
-        "threads an NFA builder; a repeat compiles its body once per copy"
     ),
 }
 
@@ -179,10 +198,13 @@ def _respelt_fields(node: ast.Dict) -> int:
 
 
 def _imported_modules(node: "ast.Import | ast.ImportFrom") -> list[str]:
-    """The absolute module names an import statement reaches."""
+    """The absolute module names an import statement reaches (a name
+    imported *from* a package may be its submodule)."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
-    return [node.module] if node.module and not node.level else []
+    if not node.module or node.level:
+        return []
+    return [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
 
 
 def _is_mutable_default(node: "ast.expr | None") -> bool:
@@ -453,26 +475,31 @@ class _Checker(ast.NodeVisitor):
                         f"record and derive the rendering from its fields",
                     )
 
-    def _check_obs_import(self, node: "ast.Import | ast.ImportFrom") -> None:
-        """INV008 (ii): the metrics model imports no layer it measures."""
-        if self.module is None or not self.module.startswith("obs/"):
+    def _check_import_bans(self, node: "ast.Import | ast.ImportFrom") -> None:
+        """INV008 (ii) and INV009: a layer imports nothing it must not
+        depend on."""
+        if self.module is None:
             return
-        for name in _imported_modules(node):
-            if any(name == f or name.startswith(f + ".") for f in OBS_FORBIDDEN):
-                self._add(
-                    node,
-                    "INV008",
-                    f"repro.obs imports {name}: the metrics model sits below "
-                    f"the serving layers (a lazy import hides the cycle, not "
-                    f"the dependency)",
-                )
+        package = self.module.split("/")[0]
+        reached = _imported_modules(node)
+        for code, packages, forbidden, why in IMPORT_BANS:
+            if package not in packages:
+                continue
+            for banned in forbidden:
+                if any(n == banned or n.startswith(banned + ".") for n in reached):
+                    self._add(
+                        node,
+                        code,
+                        f"repro.{package} imports {banned}: {why} (a lazy "
+                        f"import hides the cycle, not the dependency)",
+                    )
 
     def visit_Import(self, node: ast.Import) -> None:
-        self._check_obs_import(node)
+        self._check_import_bans(node)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        self._check_obs_import(node)
+        self._check_import_bans(node)
         self.generic_visit(node)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
