@@ -71,7 +71,7 @@ def restrict(
     pair, the matches of minimum path length."""
     if restrictor.mode is not None:
         keep = PATH_PREDICATES[restrictor.mode]
-        matches = [match for match in matches if keep(match[0])]
+        matches = frozenset(match for match in matches if keep(match[0]))
     if not restrictor.shortest:
         return frozenset(matches)
     minima: dict[tuple[NodeId, NodeId], int] = {}
