@@ -9,7 +9,7 @@ thread hop, one snapshot pin). There is no timer on either path, so
 what is left to measure is the transport, not a window one side pays
 per request and the other per batch.
 
-Three measurements, each on *both* service facades (single
+Four measurements, each on *both* service facades (single
 :class:`GraphService` and sharded :class:`ClusterService`):
 
 - **fidelity**: answers decoded from the HTTP payload are
@@ -19,7 +19,13 @@ Three measurements, each on *both* service facades (single
   populated — the steady serving state), ``CONCURRENCY`` keep-alive
   clients hammering ``/query`` together finish the same request count
   no slower than a serial client that opens one connection per query,
-  with nothing shed;
+  with nothing shed. A transport comparison: both sides fetch and
+  decode every body, neither revalidates;
+- **revalidation**: the fidelity client, which holds every answer set
+  with its etag, repeats ``/query`` of an unchanged text: each reply
+  is ``not_modified``, the set it returns equals the reference, and
+  the pass takes at most a third of the time the same requests take
+  from a client that sends no validator;
 - **coalescing**: the same clients against a server with one in-flight
   slot pile up behind it, and at least two of them share a dispatch.
 """
@@ -32,7 +38,7 @@ import time
 from repro.bench.harness import Table
 from repro.cluster import ClusterService
 from repro.graph.generators import social_network
-from repro.server import HttpServiceClient, serve_background
+from repro.server import HttpServiceClient, serve_background, wire
 from repro.service import GraphService
 
 WORKLOAD = [
@@ -48,6 +54,11 @@ CONCURRENCY = 8
 #: Each timed pass is the best of this many, taken alternately: the two
 #: sides are ~1.2x apart, closer than one pass's run-to-run noise.
 ROUNDS = 3
+#: The text the revalidation pass repeats: the largest answer set (245
+#: answers), whose body is what a revalidated read does not fetch.
+REVALIDATED = WORKLOAD[2]
+#: A revalidated read against a full one; ~6x apart on a 2-core host.
+MAX_REVALIDATION_SHARE = 1 / 3
 
 
 def _graph():
@@ -67,13 +78,19 @@ def _request_texts() -> list[str]:
     return [WORKLOAD[i % len(WORKLOAD)] for i in range(NUM_REQUESTS)]
 
 
+def _fetch(client: HttpServiceClient, text: str) -> frozenset:
+    """``/query`` without a validator: the whole body, decoded."""
+    reply = client.request("POST", "/query", {"query": text})
+    return wire.decode_answers(reply.raise_for_status().payload)
+
+
 def _serial_pass(address) -> float:
     """One fresh connection per query, strictly sequential."""
     texts = _request_texts()
     started = time.perf_counter()
     for text in texts:
         client = HttpServiceClient(*address)
-        client.query(text)
+        _fetch(client, text)
         client.close()
     return time.perf_counter() - started
 
@@ -88,7 +105,7 @@ def _concurrent_pass(address) -> float:
         try:
             with HttpServiceClient(*address) as client:
                 for text in chunk:
-                    client.query(text)
+                    _fetch(client, text)
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 
@@ -105,6 +122,29 @@ def _concurrent_pass(address) -> float:
     return elapsed
 
 
+def _revalidation_pass(client, handle, expected) -> tuple[float, float]:
+    """``(revalidated, fetched)`` seconds for ``NUM_REQUESTS`` reads of
+    ``REVALIDATED``: from ``client``, which holds its set, and from a
+    client that sends no validator; the best of ``ROUNDS`` each."""
+    stats = handle.server.stats
+    held = client.query(REVALIDATED)
+    assert held == expected[REVALIDATED]
+    revalidated_s = fetched_s = float("inf")
+    with HttpServiceClient(*handle.address) as plain:
+        for _ in range(ROUNDS):
+            before = stats.bodies_not_modified
+            started = time.perf_counter()
+            for _ in range(NUM_REQUESTS):
+                assert client.query(REVALIDATED) is held
+            revalidated_s = min(revalidated_s, time.perf_counter() - started)
+            assert stats.bodies_not_modified - before == NUM_REQUESTS
+            started = time.perf_counter()
+            for _ in range(NUM_REQUESTS):
+                _fetch(plain, REVALIDATED)
+            fetched_s = min(fetched_s, time.perf_counter() - started)
+    return revalidated_s, fetched_s
+
+
 def _run_facade(name: str, service, expected, table: Table) -> None:
     with serve_background(
         service, max_queue_depth=4 * NUM_REQUESTS, close_service=False
@@ -116,6 +156,7 @@ def _run_facade(name: str, service, expected, table: Table) -> None:
                 assert client.query(text) == expected[text], (
                     f"{name}: HTTP-decoded answers diverged on {text!r}"
                 )
+            revalidated_s, fetched_s = _revalidation_pass(client, handle, expected)
         serial_s = concurrent_s = float("inf")
         for _ in range(ROUNDS):
             serial_s = min(serial_s, _serial_pass(handle.address))
@@ -139,8 +180,15 @@ def _run_facade(name: str, service, expected, table: Table) -> None:
         serial_s * 1000,
         concurrent_s * 1000,
         f"{serial_s / concurrent_s:.1f}x",
+        revalidated_s * 1000,
+        fetched_s * 1000,
         f"{queries}/{dispatches}",
         max_batch,
+    )
+    assert revalidated_s <= MAX_REVALIDATION_SHARE * fetched_s, (
+        f"{name}: {NUM_REQUESTS} revalidated reads took "
+        f"{revalidated_s * 1000:.0f}ms, the same reads without a "
+        f"validator {fetched_s * 1000:.0f}ms"
     )
     assert max_batch >= 2, (
         f"{name}: no two queries ever coalesced behind one slot"
@@ -154,18 +202,21 @@ def _run_facade(name: str, service, expected, table: Table) -> None:
 
 def test_a7_http_serving_throughput():
     """Warm concurrent serving is no slower than serial per-connection
-    requests, a saturated server coalesces, and HTTP answers decode
+    requests, a revalidated read costs at most a third of a fetched
+    one, a saturated server coalesces, and HTTP answers decode
     frozenset-identical to direct evaluation, on both service facades."""
     expected = _reference()
     table = Table(
         "A7: HTTP serving — concurrent vs serial per-connection, "
-        "and one slot for all",
+        "revalidated vs fetched, and one slot for all",
         [
             "facade",
             "requests",
             "serial ms",
             f"{CONCURRENCY} clients ms",
             "speedup",
+            "revalidated ms",
+            "fetched ms",
             "1 slot queries/dispatches",
             "1 slot max batch",
         ],

@@ -8,7 +8,7 @@ automaton model is the register NFA of :mod:`repro.gpc.register_nfa`
 (``tools/lint_invariants.py``, ``INV009``).
 """
 
-from repro.automata.nfa import NFA, EdgeStep, NodeTest, NFABuilder
+from repro.automata.nfa import NFA, EdgeStep, NFABuilder
 from repro.automata.regex import (
     Concat as RegexConcat,
     Epsilon,
@@ -31,7 +31,6 @@ __all__ = [
     "NFA",
     "NFABuilder",
     "EdgeStep",
-    "NodeTest",
     "Regex",
     "Epsilon",
     "Symbol",

@@ -1,10 +1,8 @@
 """Non-deterministic finite automata over graph-traversal steps.
 
-Transitions come in three kinds:
+Transitions come in two kinds:
 
 - ``epsilon`` — consumes nothing;
-- :class:`NodeTest` — consumes nothing but requires the current graph
-  node to carry a label;
 - :class:`EdgeStep` — consumes one edge traversal in a direction
   (forward / backward / undirected), optionally constrained by a label.
 
@@ -20,7 +18,7 @@ from typing import Optional
 from repro.direction import Direction
 from repro.errors import EvaluationLimitError
 
-__all__ = ["EdgeStep", "NodeTest", "NFA", "NFABuilder"]
+__all__ = ["EdgeStep", "NFA", "NFABuilder"]
 
 
 @dataclass(frozen=True)
@@ -36,22 +34,11 @@ class EdgeStep:
         return f"{self.direction.value}{label}"
 
 
-@dataclass(frozen=True)
-class NodeTest:
-    """Zero-width check that the current node carries ``label``."""
-
-    label: str
-
-    def __str__(self) -> str:
-        return f"(:{self.label})"
-
-
 @dataclass
 class NFA:
     """An immutable-ish NFA: build with :class:`NFABuilder`.
 
     ``edge_transitions[q]`` lists ``(step, target)`` pairs;
-    ``test_transitions[q]`` lists ``(test, target)``;
     ``epsilon_transitions[q]`` is a set of targets.
     """
 
@@ -59,26 +46,7 @@ class NFA:
     initial: int
     finals: frozenset[int]
     edge_transitions: tuple[tuple[tuple[EdgeStep, int], ...], ...]
-    test_transitions: tuple[tuple[tuple[NodeTest, int], ...], ...]
     epsilon_transitions: tuple[frozenset[int], ...]
-
-    def epsilon_closure(self, states: frozenset[int]) -> frozenset[int]:
-        """Pure-epsilon closure (node tests are *not* included; they
-        depend on the current graph node and are handled by products)."""
-        closure = set(states)
-        stack = list(states)
-        while stack:
-            state = stack.pop()
-            for target in self.epsilon_transitions[state]:
-                if target not in closure:
-                    closure.add(target)
-                    stack.append(target)
-        return frozenset(closure)
-
-    @property
-    def num_transitions(self) -> int:
-        kinds = (self.edge_transitions, self.test_transitions, self.epsilon_transitions)
-        return sum(len(transitions) for kind in kinds for transitions in kind)
 
 
 @dataclass
@@ -94,7 +62,6 @@ class NFABuilder:
 
     state_limit: int = 100_000
     _edges: list[list[tuple[EdgeStep, int]]] = field(default_factory=list)
-    _tests: list[list[tuple[NodeTest, int]]] = field(default_factory=list)
     _eps: list[set[int]] = field(default_factory=list)
 
     def new_state(self) -> int:
@@ -105,15 +72,11 @@ class NFABuilder:
                 f"(raise EngineConfig.automaton_state_limit if intended)"
             )
         self._edges.append([])
-        self._tests.append([])
         self._eps.append(set())
         return len(self._edges) - 1
 
     def add_edge_step(self, source: int, step: EdgeStep, target: int) -> None:
         self._edges[source].append((step, target))
-
-    def add_node_test(self, source: int, test: NodeTest, target: int) -> None:
-        self._tests[source].append((test, target))
 
     def add_epsilon(self, source: int, target: int) -> None:
         if source != target:
@@ -125,6 +88,5 @@ class NFABuilder:
             initial=initial,
             finals=frozenset(finals),
             edge_transitions=tuple(tuple(edges) for edges in self._edges),
-            test_transitions=tuple(tuple(tests) for tests in self._tests),
             epsilon_transitions=tuple(frozenset(eps) for eps in self._eps),
         )

@@ -1,9 +1,9 @@
 """Graph x NFA product construction and reachability.
 
 Given a property graph and an NFA over traversal steps, the product's
-states are ``(node, nfa_state)`` pairs. Epsilon and node-test
-transitions have weight 0; edge steps have weight 1 (they lengthen the
-matched path by one edge). 0-1 BFS then yields, for every start node,
+states are ``(node, nfa_state)`` pairs. Epsilon transitions have
+weight 0; edge steps have weight 1 (they lengthen the matched path by
+one edge). 0-1 BFS then yields, for every start node,
 the minimum length of an accepted path to every end node.
 
 This gives the classical PTIME RPQ evaluation algorithm the Section 6
@@ -60,18 +60,12 @@ def min_accepting_lengths(
         if state in nfa.finals:
             if node not in best or d < best[node]:
                 best[node] = d
-        # Weight-0 moves: epsilon and satisfied node tests.
+        # Weight-0 moves: epsilon.
         for target in nfa.epsilon_transitions[state]:
             key = (node, target)
             if key not in dist or dist[key] > d:
                 dist[key] = d
                 queue.appendleft(key)
-        for test, target in nfa.test_transitions[state]:
-            if test.label in graph.labels(node):
-                key = (node, target)
-                if key not in dist or dist[key] > d:
-                    dist[key] = d
-                    queue.appendleft(key)
         # Weight-1 moves: edge steps.
         for step, target in nfa.edge_transitions[state]:
             for successor in _edge_successors(graph, node, step.direction, step.label):

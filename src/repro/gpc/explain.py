@@ -112,9 +112,9 @@ def explain_pattern(pattern: ast.Pattern) -> PatternReport:
 
 def _strategy(restrictor: ast.Restrictor, pattern: ast.Pattern) -> str:
     if restrictor.mode == "trail":
-        base = "bounded eval at |E|, filter trails"
+        base = "bounded eval at |E|, pruned to trails while building, filtered once"
     elif restrictor.mode == "simple":
-        base = "bounded eval at |N|, filter simple"
+        base = "bounded eval at |N|, pruned to simple while building, filtered once"
     else:
         base = "register-NFA exact shortest"
     if restrictor.shortest and restrictor.mode:

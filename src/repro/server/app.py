@@ -60,7 +60,10 @@ an HTTP client can reconstruct the exact ``frozenset[Answer]`` the
 service computed. That encoding is a function of the answer set alone,
 so its bytes are kept beside the set in the service's result cache
 (:meth:`~repro.service.GraphService.rendered`): a cache hit is answered
-by writing those bytes plus the current ``"version"``.
+by writing those bytes plus the current ``"version"``. Equal bytes mean
+an equal set, so their digest is an exact validator: a cached reply
+carries it as ``ETag``, and a ``/query`` sending it back as ``"etag"``
+is answered ``{"not_modified": true, "version": N}`` instead.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ import contextvars
 import gc
 import json
 import logging
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -96,6 +100,9 @@ __all__ = ["GraphServer", "ServerHandle", "serve_background"]
 
 #: Sentinel shutting the coalescer loop down after the queue drains.
 _STOP = object()
+
+#: What a ``/query`` ``"etag"`` may be: the server mints 32 of these.
+_ETAG = re.compile(r"[0-9a-f]{1,64}")
 
 
 #: Content type of the Prometheus text exposition format.
@@ -128,7 +135,8 @@ class _Pending:
     evaluates and encodes under both; ``root`` is the request's root
     span for the coalesce-wait/dispatch child spans the coalescer adds
     on its behalf; ``enqueued`` timestamps admission into the queue.
-    ``future`` resolves to the reply's bytes short of ``"version"``.
+    ``etag`` is the request's validator, ``None`` with the cache off.
+    ``future`` resolves to the reply's bytes short of ``"version"``, etag.
     """
 
     query: str
@@ -137,6 +145,7 @@ class _Pending:
     ctx: contextvars.Context = field(default_factory=contextvars.copy_context)
     root: Any = NULL_SPAN
     enqueued: float = 0.0
+    etag: str | None = None
 
 
 class GraphServer:
@@ -452,6 +461,10 @@ class GraphServer:
                 raise ProtocolError(
                     400, '"deadline_ms" must be a positive number'
                 )
+            etag = body.get("etag")
+            if etag is not None and not (isinstance(etag, str) and _ETAG.fullmatch(etag)):
+                raise ProtocolError(400, '"etag" must be 1 to 64 lowercase hex digits')
+            use_cache = bool(body.get("use_cache", True))
         if self._queue.qsize() >= self.max_queue_depth:
             raise ProtocolError(429, "query queue is full, retry later")
         future = self._loop.create_future()
@@ -465,18 +478,20 @@ class GraphServer:
             self._queue.put_nowait(
                 _Pending(
                     body["query"],
-                    bool(body.get("use_cache", True)),
+                    use_cache,
                     future,
                     ctx=contextvars.copy_context(),
                     root=current_span() or NULL_SPAN,
                     enqueued=time.perf_counter(),
+                    etag=etag if use_cache else None,
                 )
             )
         # Evaluated and encoded by the dispatch's worker thread: the
         # event loop only appends the version.
-        fragment = await future
+        fragment, etag = await future
         return 200, PreRendered(
-            wire.with_version(fragment, self.service.version)
+            wire.with_version(fragment, self.service.version),
+            headers={"ETag": f'"{etag}"'} if etag else None,
         )
 
     async def _handle_batch(self, request: HttpRequest) -> tuple[int, Any]:
@@ -565,20 +580,27 @@ class GraphServer:
             "version": self.service.version,
         }
 
-    def _fragment(self, query: str, answers) -> bytes:
-        """One answer set's reply bytes, short of ``"version"``: the
-        bytes cached beside the set when there are some, else rendered
-        now (and cached with the set, if the result cache holds it)."""
+    def _fragment(self, query: str, answers, etag=None) -> tuple[bytes, str | None]:
+        """One answer set's reply bytes, short of ``"version"``, and
+        their etag: the bytes cached beside the set when there are some,
+        else rendered now (and cached with the set, if the result cache
+        holds it); the etag is kept beside them, ``None`` for a set the
+        cache does not hold. When the request's ``etag`` is that very
+        digest, the bytes are ``{"not_modified": true}`` instead."""
         with span("server.encode", answers=len(answers)) as encode:
             fragment = self.service.rendered(query, answers)
             reused = fragment is not None
             if not reused:
-                fragment = self.service.rendered(
-                    query, answers, wire.render_answers
-                )
-            encode.set_attrs({"bytes": len(fragment), "reused": reused})
-        self._count(bodies_reused=reused, bodies_encoded=not reused)
-        return fragment
+                fragment = self.service.rendered(query, answers, wire.render_answers)
+            current = self.service.etag(query, answers)
+            not_modified = current is not None and etag == current
+            encode.set_attrs(
+                {"bytes": len(fragment), "reused": reused, "not_modified": not_modified}
+            )
+        self._count(
+            bodies_reused=reused, bodies_encoded=not reused, bodies_not_modified=not_modified
+        )
+        return (b'{"not_modified": true}' if not_modified else fragment), current
 
     def _render_batch(self, queries, outcomes, version: int) -> PreRendered:
         members = [
@@ -586,7 +608,7 @@ class GraphServer:
                 {"error": f"{type(outcome).__name__}: {outcome}"}
             ).encode("utf-8")
             if isinstance(outcome, Exception)
-            else self._fragment(query, outcome)
+            else self._fragment(query, outcome)[0]
             for query, outcome in zip(queries, outcomes)
         ]
         return PreRendered(
@@ -788,8 +810,8 @@ class GraphServer:
 
     def _serve_group(self, group: list[_Pending], use_cache: bool) -> list:
         """One worker-thread hop for a dispatch's ``use_cache`` group:
-        one service batch, then each member's reply fragment (or the
-        exception that is its outcome), in ``group`` order."""
+        one service batch, then each member's reply fragment and etag
+        (or the exception that is its outcome), in ``group`` order."""
         outcomes = self.service.evaluate_batch(
             [pending.query for pending in group],
             use_cache=use_cache,
@@ -803,7 +825,7 @@ class GraphServer:
             # free to enter again: ``server.encode`` nests under its root.
             try:
                 outcomes[index] = pending.ctx.run(
-                    self._fragment, pending.query, outcome
+                    self._fragment, pending.query, outcome, pending.etag
                 )
             # A failed render is that member's outcome alone.
             except Exception as exc:  # lint: allow-broad-except

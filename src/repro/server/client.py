@@ -6,6 +6,12 @@ answer payloads back into ``frozenset[Answer]`` with
 :func:`repro.server.wire.decode_answers` — after which results compare
 ``==`` against a local :meth:`GraphService.evaluate`.
 
+A cached ``/query`` reply carries an ``ETag``, the digest of its answer
+bytes. The client holds, per query text (at most :data:`HELD_SETS`,
+least recently used out), the last set it decoded under one and sends
+the etag back: a ``not_modified`` reply returns the held frozenset,
+with no body to parse or decode.
+
 Built on :mod:`http.client` (stdlib), one keep-alive connection per
 instance. Not thread-safe: give each client thread its own instance
 (connections are cheap; the server multiplexes them all).
@@ -14,6 +20,7 @@ instance. Not thread-safe: give each client thread its own instance
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from http.client import HTTPConnection
 from typing import Any
 
@@ -21,7 +28,10 @@ from repro.errors import WireError
 from repro.gpc.answers import Answer
 from repro.server import wire
 
-__all__ = ["HttpServiceClient", "ServerReply", "HttpServiceError"]
+__all__ = ["HELD_SETS", "HttpServiceClient", "ServerReply", "HttpServiceError"]
+
+#: How many query texts one client holds a validated answer set for.
+HELD_SETS = 64
 
 
 class HttpServiceError(WireError):
@@ -58,6 +68,8 @@ class HttpServiceClient:
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._conn = HTTPConnection(host, port, timeout=timeout)
+        #: text -> (etag, the set decoded under it), least recent first.
+        self._held: OrderedDict[str, tuple[str, frozenset[Answer]]] = OrderedDict()
 
     # -- transport ------------------------------------------------------
 
@@ -127,15 +139,36 @@ class HttpServiceClient:
         raises :class:`HttpServiceError` with status 504);
         ``trace_id`` forces the request's trace into the server's
         store under that id, retrievable via :meth:`trace`.
+
+        With ``use_cache`` the set held for ``text`` is revalidated: a
+        ``not_modified`` under the etag sent returns it (``is``), any other
+        raises :class:`WireError`, and a full reply replaces it.
         """
         body: dict[str, Any] = {"query": text, "use_cache": use_cache}
         if deadline_ms is not None:
             body["deadline_ms"] = deadline_ms
+        held = self._held.get(text) if use_cache else None
+        if held is not None:
+            body["etag"] = held[0]
         headers = {"X-Trace-Id": trace_id} if trace_id is not None else None
         reply = self.request(
             "POST", "/query", body, headers=headers
         ).raise_for_status()
-        return wire.decode_answers(reply.payload)
+        etag = reply.headers.get("ETag")
+        if isinstance(reply.payload, dict) and reply.payload.get("not_modified") is True:
+            if held is None or etag != f'"{held[0]}"':
+                sent = body.get("etag")
+                raise WireError(f"not_modified under {etag!r} for {text!r}, sent {sent!r}")
+            self._held.move_to_end(text)
+            return held[1]
+        answers = wire.decode_answers(reply.payload)
+        if use_cache:
+            self._held.pop(text, None)
+            if etag:
+                self._held[text] = (etag.strip('"'), answers)
+                if len(self._held) > HELD_SETS:
+                    self._held.popitem(last=False)
+        return answers
 
     def batch(
         self, queries: list[str], *, use_cache: bool = True

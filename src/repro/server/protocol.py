@@ -59,14 +59,17 @@ class PreRendered:
     ones off the event loop, in a worker thread); wrapping the bytes
     in this marker lets :func:`render_response` skip the on-loop
     ``json.dumps``. A non-JSON ``content_type`` (the ``/metrics`` text
-    exposition) rides the same marker.
+    exposition) rides the same marker, and so do ``headers`` that
+    belong to the body (a ``/query`` reply's ``ETag``).
     """
 
-    __slots__ = ("data", "content_type")
+    __slots__ = ("data", "content_type", "headers")
 
-    def __init__(self, data: bytes, content_type: str = "application/json"):
+    def __init__(self, data: bytes, content_type: str = "application/json",
+                 headers: Mapping[str, str] | None = None):
         self.data = data
         self.content_type = content_type
+        self.headers = headers or {}
 
 
 class ProtocolError(Exception):
@@ -211,6 +214,7 @@ def render_response(
     if isinstance(payload, PreRendered):
         body = payload.data
         content_type = payload.content_type
+        headers = {**payload.headers, **(headers or {})}
     else:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         content_type = "application/json"

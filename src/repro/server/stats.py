@@ -4,9 +4,9 @@
 the service runtime: request/response counts per endpoint outcome,
 admission-control sheds, micro-batch coalescing effectiveness, how
 many answer-set bodies were serialised versus served from cached
-bytes, and end-to-end request latency (queueing + coalescing +
-evaluation + serialisation — a superset of the service-level
-evaluation latency).
+bytes (or not sent: the client held them), and end-to-end request
+latency (queueing + coalescing + evaluation + serialisation — a
+superset of the service-level evaluation latency).
 
 Like every record it carries no lock of its own: ``GraphServer``
 holds ``lock`` around each write, whether it comes from the event loop
@@ -69,6 +69,9 @@ class ServerStats(SharedCounters):
     #: ...and replies that wrote the bytes cached beside the answer set
     #: instead (:meth:`~repro.service.GraphService.rendered`).
     bodies_reused: int = 0
+    #: Replies of either kind that sent ``not_modified`` in place of the
+    #: bytes: the ``/query``'s ``"etag"`` was their digest.
+    bodies_not_modified: int = 0
     draining: bool = False
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     def record_dispatch(self, size: int) -> None:

@@ -31,6 +31,7 @@ for entries never asked about again.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from typing import Callable, Hashable, TypeVar
@@ -148,18 +149,21 @@ class _ResultEntry:
     """One cached answer set with its version stamp and footprint.
 
     ``rendered`` is whatever byte form of ``result`` a caller asked to
-    keep beside it (:meth:`SemanticResultCache.rendered`): a function of
-    the answer set alone, so it survives a restamp and dies with the
-    entry.
+    keep beside it (:meth:`SemanticResultCache.rendered`) and ``etag``
+    the digest of those bytes (:meth:`SemanticResultCache.etag`),
+    computed once: both are functions of the answer set alone, so they
+    survive a restamp and die with the entry — invalidation, eviction
+    and ``clear`` drop them.
     """
 
-    __slots__ = ("version", "footprint", "result", "rendered")
+    __slots__ = ("version", "footprint", "result", "rendered", "etag")
 
     def __init__(self, version: int, footprint, result):
         self.version = version
         self.footprint = footprint
         self.result = result
         self.rendered: bytes | None = None
+        self.etag: str | None = None
 
 
 class SemanticResultCache:
@@ -341,6 +345,19 @@ class SemanticResultCache:
             if entry is not None and entry.result is result:
                 entry.rendered = data
         return data
+
+    def etag(self, key: Hashable, result) -> str | None:
+        """The first 128 bits of the SHA-256 of the bytes :meth:`rendered`
+        keeps for ``result`` under ``key``, as 32 lowercase hex digits;
+        ``None`` while there are none. Hashed once, on the first ask,
+        and kept on the entry beside the bytes."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry.result is not result or entry.rendered is None:
+                return None
+            if entry.etag is None:
+                entry.etag = hashlib.sha256(entry.rendered).hexdigest()[:32]
+            return entry.etag
 
     def clear(self) -> None:
         with self._lock:

@@ -390,6 +390,12 @@ class GraphService:
             (query, self.config), answers, render
         )
 
+    def etag(self, query: str | ast.Query, answers: frozenset[Answer]) -> str | None:
+        """The digest of the bytes :meth:`rendered` keeps for ``answers``,
+        or ``None`` while none are kept: equal digests, equal answer sets
+        (:meth:`~repro.service.cache.SemanticResultCache.etag`)."""
+        return self._result_cache.etag((query, self.config), answers)
+
     def _probe(
         self, query, config: EngineConfig, snap: GraphSnapshot, use_cache: bool
     ) -> "tuple[frozenset[Answer] | None, str]":

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.direction import Direction
 from repro.errors import EvaluationLimitError, ParseError
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import chain_graph, cycle_graph
 from repro.graph.ids import NodeId as N
-from repro.automata.nfa import EdgeStep, NFABuilder, NodeTest
+from repro.automata.nfa import NFABuilder
 from repro.automata.product import (
     accepted_pairs,
     min_accepting_lengths,
@@ -126,34 +125,6 @@ class TestNFABuilder:
         builder.new_state()
         with pytest.raises(EvaluationLimitError):
             builder.new_state()
-
-    def test_node_test_gates_zero_weight_move(self):
-        graph = (
-            GraphBuilder().node("a", "X").node("b").edge("a", "b", "e").build()
-        )
-        builder = NFABuilder()
-        s0, s1, s2 = builder.new_state(), builder.new_state(), builder.new_state()
-        builder.add_node_test(s0, NodeTest("X"), s1)
-        builder.add_edge_step(s1, EdgeStep(Direction.FORWARD, "e"), s2)
-        nfa = builder.build(s0, {s2})
-        assert min_accepting_lengths(graph, nfa, N("a")) == {N("b"): 1}
-        assert min_accepting_lengths(graph, nfa, N("b")) == {}
-
-    def test_epsilon_closure(self):
-        builder = NFABuilder()
-        s0, s1, s2 = builder.new_state(), builder.new_state(), builder.new_state()
-        builder.add_epsilon(s0, s1)
-        builder.add_epsilon(s1, s2)
-        nfa = builder.build(s0, {s2})
-        assert nfa.epsilon_closure(frozenset({s0})) == frozenset({s0, s1, s2})
-
-    def test_transition_iteration(self):
-        builder = NFABuilder()
-        s0, s1 = builder.new_state(), builder.new_state()
-        builder.add_epsilon(s0, s1)
-        builder.add_edge_step(s0, EdgeStep(Direction.FORWARD, None), s1)
-        nfa = builder.build(s0, {s1})
-        assert nfa.num_transitions == 2
 
 
 class TestGPCAbstraction:

@@ -116,10 +116,10 @@ def _over_http(client, graph):
     person = sorted(graph.nodes_with_label("Person"))
     city = next(iter(graph.nodes_with_label("City")))
     client.query(CHEAP)                                      # miss
-    client.query(CHEAP)                                      # hit
+    client.query(CHEAP)                                      # hit, not_modified
     client.mutate([{"op": "set_property", "element": wire.encode_id(city),
                     "key": "mayor", "value": "nobody"}])
-    client.query(CHEAP)                                      # restamp
+    client.query(CHEAP)                                      # restamp, not_modified
     client.mutate([{"op": "add_edge", "key": "golden-edge",
                     "source": person[1].key, "target": person[0].key,
                     "labels": ["knows"]}])

@@ -13,6 +13,11 @@ Two rows were corrected by hand since (PR 23): a deadline that expires
 inside a cluster shard is a timeout of its fingerprint, so the
 ``cluster-thread`` insights entry of the ``SHORTEST`` text says
 ``timeouts: 1`` and its ``/metrics`` holds the matching line.
+Four more were added by hand when ``/query`` learned to revalidate:
+``repro_server_bodies_not_modified`` in every façade's ``/metrics``
+(0 for the probe servers, 2 for ``server``, whose client revalidates
+the hit and the restamp) and ``bodies_not_modified: 2`` in the
+``server`` row's ``http_stats``.
 """
 
 from __future__ import annotations
@@ -55,4 +60,5 @@ def test_the_session_exercises_what_it_claims_to():
         assert GOLDEN[facade]["stats"]["snapshots_derived"] >= 1, facade
     assert GOLDEN["server"]["http_stats"]["timeouts"] == 1
     assert GOLDEN["server"]["http_stats"]["mutations"] == 2
+    assert GOLDEN["server"]["http_stats"]["bodies_not_modified"] == 2
     assert GOLDEN["cluster-thread"]["stats"]["shard_failures"] >= 1

@@ -653,10 +653,10 @@ class TestOneHop:
         with serve_background(service, max_in_flight=1) as handle:
             fragment = handle.server._fragment
 
-            def failing_on_empty(query, answers):
+            def failing_on_empty(query, answers, etag=None):
                 if not answers:
                     raise ValueError("unrenderable")
-                return fragment(query, answers)
+                return fragment(query, answers, etag)
 
             handle.server._fragment = failing_on_empty
             _, sibling, failed = _queue_behind_a_held_slot(

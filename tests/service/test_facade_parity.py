@@ -247,6 +247,88 @@ def test_bounded_evaluation_stops_at_its_deadline(facade):
         assert service.stats.queries == 1
 
 
+#: The three read classes of the ``social_serving`` benchmark workload;
+#: the first and the last read ``knows``.
+SOCIAL_TEXTS = (
+    "TRAIL (x:Person) -[e:knows]-> (y:Person)",
+    "SIMPLE (x:Person) ~[:married]~ (y:Person)",
+    "TRAIL (x:Person) -[:knows]-> (y:Person), "
+    "TRAIL (y:Person) -[:lives_in]-> (c:City)",
+)
+KNOWS_READERS = (SOCIAL_TEXTS[0], SOCIAL_TEXTS[2])
+
+
+def _social():
+    return social_network(num_people=24, num_cities=4, friend_degree=3, seed=5)
+
+
+def _write_cycle():
+    """That workload's write cycle: a restamp, an edge every ``knows``
+    reader sees, a restamp, and the edge gone again."""
+    mood = {"n": "p3"}
+    return [
+        {"op": "set_property", "element": mood, "key": "mood", "value": 1},
+        {"op": "add_edge", "key": "cycle", "source": "p1", "target": "p2",
+         "labels": ["knows"], "properties": {"since": 2024}},
+        {"op": "set_property", "element": mood, "key": "mood", "value": 2},
+        {"op": "remove_edge", "key": "cycle"},
+    ]
+
+
+def _mirror(service, op) -> None:
+    from repro.graph.ids import DirectedEdgeId, NodeId
+
+    if op["op"] == "set_property":
+        service.set_property(NodeId(op["element"]["n"]), op["key"], op["value"])
+    elif op["op"] == "add_edge":
+        service.add_edge(op["key"], NodeId(op["source"]), NodeId(op["target"]),
+                         op["labels"], op["properties"])
+    else:
+        service.remove_edge(DirectedEdgeId(op["key"]))
+
+
+@pytest.mark.parametrize("facade", ["graph", "cluster-thread"])
+def test_revalidated_reads_through_a_server_are_exact(facade):
+    """A ``GraphServer`` in front of the façade, reads of the three
+    texts between the steps of the write cycle: every read equals the
+    mirror's, a read of an unchanged text right after a read is
+    ``not_modified`` and returns the held set itself, and a read after
+    a write the text sees is a full reply."""
+    from repro.server import HttpServiceClient, serve_background
+
+    mirror = GraphService(_social())
+    with serve_background(FACADES[facade](_social())) as handle:
+        with HttpServiceClient(*handle.address) as client:
+            stats = handle.server.stats
+            held: dict = {}
+            revalidated = dict.fromkeys(SOCIAL_TEXTS, 0)
+
+            def read_all(changed=()):
+                for text in SOCIAL_TEXTS:
+                    before = stats.bodies_not_modified
+                    answers = client.query(text)
+                    assert answers == mirror.evaluate(text, use_cache=False)
+                    if stats.bodies_not_modified > before:
+                        assert text not in changed
+                        assert answers is held[text]
+                        revalidated[text] += 1
+                    else:
+                        assert text in changed or text not in held
+                    held[text] = answers
+
+            read_all(changed=SOCIAL_TEXTS)
+            for _ in range(2):
+                for op in _write_cycle():
+                    client.mutate([op])
+                    _mirror(mirror, op)
+                    invalidating = op["op"] != "set_property"
+                    read_all(changed=KNOWS_READERS if invalidating else ())
+                    read_all()
+            assert min(revalidated.values()) >= 1
+            cache = handle.server.service.stats.result_cache
+            assert cache.invalidations >= 4 * len(KNOWS_READERS) and cache.restamps >= 4
+
+
 def _shared_stats(service):
     payload = service.stats.as_dict()
     return {key: payload[key] for key in SHARED_STATS}
