@@ -3,8 +3,8 @@
 Given a property graph and an NFA over traversal steps, the product's
 states are ``(node, nfa_state)`` pairs. Epsilon transitions have
 weight 0; edge steps have weight 1 (they lengthen the matched path by
-one edge). 0-1 BFS then yields, for every start node,
-the minimum length of an accepted path to every end node.
+one edge). 0-1 BFS then yields, for every start node, the minimum
+length of an accepted path to every end node.
 
 This gives the classical PTIME RPQ evaluation algorithm the Section 6
 baselines run.

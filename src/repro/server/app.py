@@ -136,7 +136,7 @@ class _Pending:
     span for the coalesce-wait/dispatch child spans the coalescer adds
     on its behalf; ``enqueued`` timestamps admission into the queue.
     ``etag`` is the request's validator, ``None`` with the cache off.
-    ``future`` resolves to the reply's bytes short of ``"version"``, etag.
+    ``future`` resolves to ``(reply bytes short of "version", etag)``.
     """
 
     query: str

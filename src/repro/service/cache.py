@@ -323,11 +323,11 @@ class SemanticResultCache:
         Only an entry holding that very object (``is``) counts: its
         bytes are returned, or — given ``render`` — made by
         ``render(result)`` outside the lock and kept if the entry still
-        holds ``result`` by then. A ``result`` the cache does not hold
-        (evaluated with the cache off, or since invalidated, evicted or
-        recomputed) is rendered and returned but never kept. Without
-        ``render`` this only looks: ``None`` when there are no bytes.
-        Not a lookup — hit/miss counters and LRU order stay untouched.
+        holds ``result`` and no bytes by then (kept bytes never change).
+        A ``result`` the cache does not hold (cache off, or since
+        invalidated, evicted or recomputed) is rendered, never kept.
+        Without ``render`` this only looks: ``None`` when there are no
+        bytes. Not a lookup — counters and LRU order stay untouched.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -342,7 +342,7 @@ class SemanticResultCache:
         data = render(result)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry.result is result:
+            if entry is not None and entry.result is result and entry.rendered is None:
                 entry.rendered = data
         return data
 

@@ -247,6 +247,35 @@ class TestRenderedBytes:
         gc.collect()
         assert alive() is None and cache.rendered("q1", held) is None
 
+    def test_etag_is_the_digest_of_the_kept_bytes_and_lives_with_them(self):
+        import hashlib
+
+        cache = SemanticResultCache(8, CacheStats())
+        answers, other = frozenset({"a"}), frozenset({"a"})
+        cache.put("q", 1, None, answers)
+        assert cache.etag("q", answers) is None  # no bytes yet
+        cache.rendered("q", answers, lambda r: b"bytes of a")
+        etag = cache.etag("q", answers)
+        assert etag == hashlib.sha256(b"bytes of a").hexdigest()[:32]
+        assert cache.etag("q", answers) is etag  # hashed once
+        assert cache.etag("q", other) is None  # equal is not enough: `is`
+        cache.put("q", 2, None, frozenset({"b"}))  # a recompute replaces the entry
+        assert cache.etag("q", answers) is None
+
+    def test_two_renders_racing_keep_the_first_bytes(self):
+        cache = SemanticResultCache(8, CacheStats())
+        answers = frozenset({"a"})
+        cache.put("q", 1, None, answers)
+
+        def slower(result):
+            assert cache.rendered("q", result, lambda r: b"first") == b"first"
+            assert cache.etag("q", result) is not None
+            return b"second"
+
+        assert cache.rendered("q", answers, slower) == b"second"
+        # The digest handed out still names the bytes the entry keeps.
+        assert cache.rendered("q", answers) == b"first"
+
     def test_use_cache_false_never_attaches(self):
         service = two_worlds_service()
         cached = service.evaluate(PERSON_QUERY)
