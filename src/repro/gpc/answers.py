@@ -9,9 +9,6 @@ the calculus' set semantics directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable
 
 from repro.errors import EvaluationError
@@ -19,21 +16,43 @@ from repro.graph.paths import Path
 from repro.gpc.assignments import Assignment
 from repro.gpc.values import Value
 
-__all__ = ["Answer", "project", "sort_answers"]
-
-_FIRST = itemgetter(0)
+__all__ = ["Answer", "project"]
 
 
-@dataclass(frozen=True)
 class Answer:
-    """One answer ``(p-bar, mu)``."""
+    """One answer ``(p-bar, mu)``: immutable, its hash computed once."""
+
+    __slots__ = ("paths", "assignment", "_hash")
 
     paths: tuple[Path, ...]
     assignment: Assignment
 
-    def __post_init__(self) -> None:
-        if not self.paths:
+    def __init__(self, paths: tuple[Path, ...], assignment: Assignment):
+        if not paths:
             raise EvaluationError("an answer must contain at least one path")
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "_hash", hash((paths, assignment)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Answer is immutable")
+
+    def __reduce__(self):
+        # The immutability guard defeats default slots pickling; answers
+        # travel to process-pool workers.
+        return (type(self), (self.paths, self.assignment))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Answer):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.paths == other.paths
+            and self.assignment == other.assignment
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def path(self) -> Path:
@@ -68,29 +87,3 @@ def project(
         tuple(answer.assignment[v] for v in variables) for answer in answers
     )
 
-
-def _paths_key(answer: Answer) -> tuple:
-    return tuple(
-        [
-            (len(path.elements), tuple([repr(e) for e in path.elements]))
-            for path in answer.paths
-        ]
-    )
-
-
-def sort_answers(answers: Iterable[Answer]) -> list[Answer]:
-    """Deterministic order for tests, reports and the wire: radix order
-    on the path tuple, then on the assignment's repr.
-
-    The assignment's repr is only taken where it decides — between
-    answers that share their whole path tuple — which is rare, and
-    otherwise half the cost of the sort.
-    """
-    keyed = sorted([(_paths_key(a), a) for a in answers], key=_FIRST)
-    ordered: list[Answer] = []
-    for _, run in groupby(keyed, key=_FIRST):
-        tied = [a for _, a in run]
-        if len(tied) > 1:
-            tied.sort(key=lambda a: repr(a.assignment))
-        ordered.extend(tied)
-    return ordered

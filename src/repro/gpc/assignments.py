@@ -27,7 +27,8 @@ class Assignment(Mapping[str, Value]):
 
     def __init__(self, bindings: Mapping[str, Value] | Iterable[tuple[str, Value]] = ()):
         lookup = dict(bindings)
-        items = tuple(sorted(lookup.items(), key=lambda kv: kv[0]))
+        # Variables are distinct, so pairs never compare their values.
+        items = tuple(sorted(lookup.items()))
         object.__setattr__(self, "_lookup", lookup)
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_hash", hash(items))

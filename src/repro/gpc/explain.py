@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.errors import CollectError, GPCTypeError
 from repro.gpc import ast
+from repro.gpc.engine import DEFAULT_CONFIG, PatternPlan
 from repro.gpc.minlength import (
     max_path_length,
     min_path_length,
@@ -115,8 +116,9 @@ def _strategy(restrictor: ast.Restrictor, pattern: ast.Pattern) -> str:
         base = "bounded eval at |E|, pruned to trails while building, filtered once"
     elif restrictor.mode == "simple":
         base = "bounded eval at |N|, pruned to simple while building, filtered once"
-    else:
-        base = "register-NFA exact shortest"
+    else:  # the route the engine plans for a bare ``shortest``, and why
+        route, _nfa, why = PatternPlan(pattern, DEFAULT_CONFIG).route
+        base = route if why is None else f"{route} ({why})"
     if restrictor.shortest and restrictor.mode:
         return base + ", then per-pair minima"
     return base

@@ -1228,7 +1228,8 @@ def shortest_witnesses(
             if wanted.get(node) == depth:
                 accepting = {fid for q, fid in configs if q == final}
                 if accepting:
-                    path = Path([program.element(key) for key in walk])
+                    # The walk alternates node and edge keys by construction.
+                    path = Path._trusted(tuple(map(program.element, walk)))
                     runs = frozenset(
                         program.registers(files[fid], path) for fid in accepting
                     )

@@ -46,7 +46,10 @@ class _Id:
         return type(self) is type(other) and self.key == other.key  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.key))
+        # The key alone: hashing an answer set runs this once per id
+        # occurrence. Ids of different sorts with equal keys share a
+        # bucket and stay apart by __eq__.
+        return hash(self.key)
 
     def __lt__(self, other: "_Id") -> bool:
         if not isinstance(other, _Id):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.errors import PathError
-from repro.graph.ids import EdgeId, NodeId
+from repro.graph.ids import DirectedEdgeId, EdgeId, NodeId, UndirectedEdgeId
 from repro.graph.property_graph import PropertyGraph
 
 __all__ = [
@@ -193,7 +193,17 @@ class Path:
         return iter(self._elements)
 
 
+_NODE_SORTS = frozenset({NodeId})
+_EDGE_SORTS = frozenset({DirectedEdgeId, UndirectedEdgeId})
+
+
 def _validate_alternation(elements: tuple[NodeId | EdgeId, ...]) -> None:
+    if (
+        len(elements) & 1
+        and _NODE_SORTS.issuperset(map(type, elements[0::2]))
+        and _EDGE_SORTS.issuperset(map(type, elements[1::2]))
+    ):
+        return  # the common case, checked in bulk; the loop names a fault
     if not elements:
         raise PathError("a path must contain at least one node")
     if len(elements) % 2 == 0:

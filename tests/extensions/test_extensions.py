@@ -11,6 +11,7 @@ from repro.graph.ids import NodeId as N
 from repro.gpc import ast
 from repro.gpc.assignments import Assignment
 from repro.gpc.engine import Evaluator
+from repro.gpc.explain import explain_query
 from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.pretty import pretty
 from repro.graph.paths import Path, is_simple, is_trail
@@ -375,6 +376,19 @@ class TestExplainNamesTheRouteTaken:
         assert counters.deepening_rounds > 0
         # No witness pass: the search ran on the erasure, for candidates.
         assert counters.witnesses == 0
+
+    def test_static_explain_names_the_planned_route(self):
+        # explain_query prints the route PatternPlan.route plans, not a
+        # fixed "register-NFA" line for every bare SHORTEST.
+        for upper, route in ((None, "abstraction-guided deepening"), (3, "bounded")):
+            (strategy, _report), = explain_query(self._query(upper)).items
+            assert strategy.startswith(route) and strategy.endswith(self.REASON)
+            assert "register-NFA" not in strategy
+        plain = ast.concat(ast.node("x", "Hub"), ast.Repeat(_HOP, 1, None), ast.node("y"))
+        (strategy, _report), = explain_query(
+            ast.PatternQuery(ast.Restrictor.SHORTEST, plain)
+        ).items
+        assert strategy == "register-NFA shortest"
 
     def test_bounded_extension_is_evaluated_and_filtered(self):
         text = GraphService(transport_network(2, 3)).explain(self._query(3))

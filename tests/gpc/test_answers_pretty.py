@@ -6,7 +6,7 @@ from repro.errors import EvaluationError
 from repro.graph.ids import DirectedEdgeId as E, NodeId as N
 from repro.graph.paths import Path
 from repro.gpc import ast
-from repro.gpc.answers import Answer, project, sort_answers
+from repro.gpc.answers import Answer, project
 from repro.gpc.assignments import Assignment
 from repro.gpc.conditions_ast import (
     And,
@@ -58,8 +58,30 @@ class TestAnswer:
         b = answer([N("u")], x=N("u"))
         assert len({a, b}) == 1
 
+    def test_immutable(self):
+        a = answer([N("u")], x=N("u"))
+        with pytest.raises(AttributeError):
+            a.paths = ()
+        with pytest.raises(AttributeError):
+            a.extra = 1
 
-class TestProjectAndSort:
+    def test_equality_is_paths_and_assignment(self):
+        a = answer([N("u")], x=N("u"))
+        assert a != answer([N("u")], x=N("v"))
+        assert a != answer([N("v")], x=N("u"))
+        assert a != (a.paths, a.assignment)
+
+    def test_survives_pickle(self):
+        import pickle
+
+        path = Path.of(N("u"), E("e"), N("v"))
+        a = Answer((path, Path.node(N("v"))), Assignment({"x": N("u"), "p": path}))
+        copied = pickle.loads(pickle.dumps(a))
+        assert copied == a and hash(copied) == hash(a)
+        assert copied.paths == a.paths and copied.assignment == a.assignment
+
+
+class TestProject:
     def test_project(self):
         answers = [
             answer([N("u")], x=N("u"), y=N("v")),
@@ -69,20 +91,6 @@ class TestProjectAndSort:
         assert project(answers, ("y", "x")) == frozenset(
             {(N("v"), N("u")), (N("v"), N("w"))}
         )
-
-    def test_sort_is_radix_on_paths(self):
-        short = answer([N("z")])
-        long = Answer(
-            (Path.of(N("a"), E("e"), N("b")),), Assignment({})
-        )
-        assert sort_answers([long, short]) == [short, long]
-
-    def test_sort_deterministic(self):
-        answers = [
-            answer([N("u")], x=N("u")),
-            answer([N("u")], x=N("v")),
-        ]
-        assert sort_answers(answers) == sort_answers(list(reversed(answers)))
 
 
 class TestPrettyConditions:

@@ -1,4 +1,6 @@
-"""Identifier sorts: disjointness, immutability, ordering."""
+"""Identifier sorts: disjointness, immutability, ordering, pickling."""
+
+import pickle
 
 import pytest
 
@@ -11,9 +13,16 @@ class TestDisjointness:
         assert NodeId("x") != UndirectedEdgeId("x")
         assert DirectedEdgeId("x") != UndirectedEdgeId("x")
 
-    def test_same_key_different_sorts_hash_differently(self):
-        ids = {NodeId("x"), DirectedEdgeId("x"), UndirectedEdgeId("x")}
-        assert len(ids) == 3
+    @pytest.mark.parametrize("key", ["x", 7, ("t", 1), None, 2.5])
+    def test_same_key_different_sorts_coexist_in_sets_and_dicts(self, key):
+        # An id hashes its key alone, so the three sorts share a bucket;
+        # equality (sort and key) keeps them apart.
+        ids = [NodeId(key), DirectedEdgeId(key), UndirectedEdgeId(key)]
+        assert len({hash(i) for i in ids}) == 1
+        assert all(a != b for a in ids for b in ids if a is not b)
+        assert len(set(ids)) == 3
+        table = {element: i for i, element in enumerate(ids)}
+        assert [table[type(e)(key)] for e in ids] == [0, 1, 2]
 
     def test_same_sort_same_key_equal(self):
         assert NodeId("x") == NodeId("x")
@@ -32,6 +41,16 @@ class TestImmutability:
     def test_cannot_wrap_an_id(self):
         with pytest.raises(TypeError):
             NodeId(NodeId("x"))
+
+
+class TestPickle:
+    @pytest.mark.parametrize("sort", [NodeId, DirectedEdgeId, UndirectedEdgeId])
+    @pytest.mark.parametrize("key", ["x", 7, ("t", 1)])
+    def test_ids_survive_pickle(self, sort, key):
+        element = sort(key)
+        copied = pickle.loads(pickle.dumps(element))
+        assert copied == element and type(copied) is sort
+        assert hash(copied) == hash(element)
 
 
 class TestOrdering:

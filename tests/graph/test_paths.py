@@ -1,5 +1,7 @@
 """Path algebra: construction, concatenation, restrictor predicates."""
 
+import re
+
 import pytest
 
 from repro.errors import PathError
@@ -127,22 +129,42 @@ class TestDerivedPathsSkipRevalidation:
             assert pickle.loads(pickle.dumps(got)) == expected
 
     @pytest.mark.parametrize(
-        "elements",
-        [(), (E("e"),), (N("u"), N("v")), (N("u"), E("e")), (N("u"), E("e"), E("f"))],
+        "elements, message",
+        [
+            ((), "a path must contain at least one node"),
+            ((E("e"),), "position 0 must be a node, got dedge('e')"),
+            ((N("u"), N("v")), "a path must start and end with a node"),
+            ((N("u"), E("e")), "a path must start and end with a node"),
+            ((N("u"), E("e"), E("f")), "position 2 must be a node, got dedge('f')"),
+            ((N("u"), N("v"), N("w")), "position 1 must be an edge, got node('v')"),
+            ((N("u"), E("e"), "v"), "position 2 must be a node, got 'v'"),
+        ],
     )
-    def test_malformed_elements_still_raise_everywhere_public(self, elements):
+    def test_malformed_elements_still_raise_everywhere_public(self, elements, message):
         from repro.errors import WireError
         from repro.server import wire
 
-        with pytest.raises(PathError):
+        with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
             Path(elements)
-        with pytest.raises(PathError):
+        with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
             Path.of(*elements)
         if len(elements) == 1:
             with pytest.raises(PathError):
                 Path.node(elements[0])
-        with pytest.raises(WireError):
-            wire._decode_path(list(range(len(elements))), elements)
+        ids = [e for e in elements if isinstance(e, (N, E))]
+        if len(ids) == len(elements):  # ... and as a path value on the wire
+            nodes = ["anchor"] + [e.key for e in ids if isinstance(e, N)]
+            edges = [e.key for e in ids if isinstance(e, E)]
+            index = {N(k): i for i, k in enumerate(nodes)}
+            index.update({E(k): len(nodes) + i for i, k in enumerate(edges)})
+            payload = {
+                "format": wire.FORMAT, "count": 1, "arity": 1,
+                "elements": {"n": nodes, "d": edges, "u": []},
+                "lengths": [1], "paths": [0],
+                "mu": {"p": [{"p": [index[e] for e in ids]}]},
+            }
+            with pytest.raises(WireError, match=re.escape(message)):
+                wire.decode_answers(payload)
 
 
 class TestPredicates:
