@@ -63,6 +63,7 @@ from repro.gpc.register_nfa import (
     UnsupportedPattern,
     collect_requirement,
     compile_register_nfa,
+    coreachable,
     lower_program,
     shortest_pair_lengths,
     shortest_witnesses,
@@ -599,6 +600,8 @@ class Evaluator:
         matched = 0
         counters = active_counters()
         starts, end_filter = self._shortest_candidates(pattern, restriction)
+        if not starts or end_filter == frozenset():
+            return frozenset()  # proven by the planner: lower nothing
         view = self._view
         # Lowered onto the snapshot once and shared across every seed.
         # Run-complete, the registers of a witness's runs *are* its
@@ -606,6 +609,7 @@ class Evaluator:
         # every group register; the search carries only the variables
         # that can constrain a run.
         program = lower_program(rnfa, view)
+        reach = None if end_filter is None else coreachable(program, end_filter)
         walker = (
             program.retracked((*rnfa.sites, *rnfa.groups))
             if needs_collect is None
@@ -618,7 +622,7 @@ class Evaluator:
                 # Checked once per seed here; the witness enumeration
                 # checks again every fixed number of edge expansions.
                 check_deadline()
-                best = shortest_pair_lengths(program, start)
+                best = shortest_pair_lengths(program, start, reach=reach)
                 targets = {
                     end: length
                     for end, length in best.items()
@@ -714,15 +718,19 @@ class Evaluator:
         """The endpoint pairs the pattern's erasure connects, each with
         its minimum length: a superset of the pairs ``pattern`` matches
         and a lower bound on their minima — one search per seed
-        (:meth:`_shortest_candidates`) over the lowered erasure."""
+        (:meth:`_shortest_candidates`) over the lowered erasure, pruned
+        as :meth:`_eval_shortest` prunes its own."""
+        starts, end_filter = self._shortest_candidates(pattern, restriction)
+        if not starts or end_filter == frozenset():
+            return {}
         program = lower_program(
             self.plan.pattern_plan(pattern).erased_nfa, self._view
         )
-        starts, end_filter = self._shortest_candidates(pattern, restriction)
+        reach = None if end_filter is None else coreachable(program, end_filter)
         candidates: dict[tuple[NodeId, NodeId], int] = {}
         for start in starts:
             check_deadline()
-            for end, length in shortest_pair_lengths(program, start).items():
+            for end, length in shortest_pair_lengths(program, start, reach=reach).items():
                 if end_filter is None or end in end_filter:
                     candidates[start, end] = length
         return candidates

@@ -25,7 +25,8 @@ This module compiles patterns into *register* NFAs:
 The NFA is lowered once per evaluation onto the snapshot it runs on
 (:func:`lower_program`, one :class:`ShortestProgram`), keeping at run
 time only the registers that can constrain a run. A 0-1 BFS over
-``(registers, node, state)`` (:func:`shortest_pair_lengths`) then
+``(registers, node, state)`` (:func:`shortest_pair_lengths`), queueing
+no state that cannot reach an end candidate (:func:`coreachable`), then
 yields the *exact* minimum match length per endpoint pair, in time
 polynomial in the product size (registers stay few in practice —
 ``EvalCounters.register_files`` counts them). Witness paths of those
@@ -85,6 +86,7 @@ __all__ = [
     "collect_requirement",
     "ShortestProgram",
     "lower_program",
+    "coreachable",
     "shortest_pair_lengths",
     "shortest_witnesses",
     "compile_dense_program",
@@ -565,6 +567,8 @@ _CSR_KIND = {
     Direction.BACKWARD: "in",
     Direction.UNDIRECTED: "und",
 }
+#: The adjacency that walks a step over each one backwards.
+_REVERSED_KIND = {"out": "in", "in": "out", "und": "und"}
 
 _NO_PROPS: PushedProps = frozenset()
 
@@ -799,6 +803,14 @@ def _pushed_prop_mask(
     return mask
 
 
+def _labelled_csr(core: Any, kind: str, label: Optional[str]) -> tuple:
+    """The core's CSR triple of adjacency ``kind`` over the edges that
+    carry ``label`` (every edge when ``None``)."""
+    if label is None:
+        return core.csr(kind)
+    return core.filtered_csr(kind, core.label_index.get(label, -1))
+
+
 def lower_program(
     nfa: RegisterNFA, view: Any, tracked: Optional[Iterable[str]] = None
 ) -> ShortestProgram:
@@ -840,13 +852,7 @@ def lower_program(
     for steps in nfa.steps:
         row = []
         for step, target in steps:
-            adjacency = _CSR_KIND[step.direction]
-            if step.label is None:
-                triple = core.csr(adjacency)
-            else:
-                triple = core.filtered_csr(
-                    adjacency, core.label_index.get(step.label, -1)
-                )
+            triple = _labelled_csr(core, _CSR_KIND[step.direction], step.label)
             prop_mask = _pushed_prop_mask(snapshot, step.props)
             row.append(triple + (prop_mask, None, target, step))
         rows.append(tuple(row))
@@ -1035,20 +1041,76 @@ def _fire(
 # Length search
 # ---------------------------------------------------------------------------
 
+#: Backward-pass pops or witness-pass edge expansions per deadline check.
+_DEADLINE_STRIDE = 1024
+
+
+def coreachable(program: ShortestProgram, ends: Iterable[NodeId]) -> Optional[bytearray]:
+    """The ``(node, state)`` pairs, as a ``bytearray`` indexed by ``node
+    * num_states + state``, from which some ``(y, final)``, ``y`` in
+    ``ends``, is reachable with registers ignored (a superset of what a
+    run can reach): one multi-source BFS backwards, a step through the
+    core's CSR of the opposite adjacency and the same label, closure
+    pairs and run-time arcs on the same node, every mask probed. ``None``
+    on a snapshot with an overlay, whose rows are not all the core's.
+    The ambient deadline is checked every :data:`_DEADLINE_STRIDE` pops."""
+    snapshot = program.snapshot
+    if program.overlay_nodes or snapshot._dirty or snapshot._shadow or snapshot._removed:
+        return None
+    core = snapshot._core
+    ns = program.nfa.num_states
+    #: Per state, the moves into it: (source, mask, reversed CSR or None).
+    into: list[list[tuple]] = [[] for _ in range(ns)]
+    for q in range(ns):
+        for cmask, r in program.closure[q] or ():
+            if r != q:
+                into[r].append((q, cmask, None))
+        for arc in program.arcs[q]:
+            into[arc[5]].append((q, arc[2], None))
+        for *_csr, prop_mask, _slot, target, step in program.steps[q]:
+            kind = _REVERSED_KIND[_CSR_KIND[step.direction]]
+            into[target].append((q, prop_mask, _labelled_csr(core, kind, step.label)))
+    reach = bytearray(core.n_nodes * ns)
+    queue = [k * ns + program.nfa.final for k in map(program.node_key, ends) if k is not None]
+    for packed in queue:
+        reach[packed] = 1
+    for pops, packed in enumerate(queue, 1):  # grows while it is read
+        if not pops % _DEADLINE_STRIDE:
+            check_deadline()
+        node, s = divmod(packed, ns)
+        for q, mask, back in into[s]:
+            if back is None:
+                key = packed - s + q
+                if not reach[key] and (mask is None or mask[node >> 3] & (1 << (node & 7))):
+                    reach[key] = 1
+                    queue.append(key)
+                continue
+            off, edge_col, other_col = back
+            for i in range(off[node], off[node + 1]):
+                key = other_col[i] * ns + q
+                edge = edge_col[i]
+                if not reach[key] and (mask is None or mask[edge >> 3] & (1 << (edge & 7))):
+                    reach[key] = 1
+                    queue.append(key)
+    return reach
+
 
 def shortest_pair_lengths(
-    program: ShortestProgram, start: NodeId, state_budget: int = 2_000_000
+    program: ShortestProgram, start: NodeId, state_budget: int = 2_000_000,
+    reach: Optional[bytearray] = None,
 ) -> dict[NodeId, int]:
     """Exact minimum accepted path length from ``start`` to every
     reachable end node: 0-1 BFS over the product ``(file, node,
     state)``, one packed int ``(file * span + node) * num_states +
     state`` per product state, ``dist`` a dict keyed by it. Step arcs
     go to the back of the queue and run-time zero-weight arcs to the
-    front; a program without the latter runs a plain FIFO BFS."""
+    front; a program without the latter runs a plain FIFO BFS. A state
+    outside ``reach`` (:func:`coreachable`) is recorded dead when first
+    found, never queued: no shortest run to an end of ``reach`` leaves it."""
     snapshot = program.snapshot
     ns = program.nfa.num_states
     final = program.nfa.final
-    span = program.span
+    width = program.span * ns  # product states per register file
     n_nodes = snapshot._core.n_nodes
     dirty = snapshot._dirty
     tables = (program.closure, program.arcs, program.steps)
@@ -1057,7 +1119,8 @@ def shortest_pair_lengths(
     file_id = {files[0]: 0}
     initial = program.start_key(start) * ns + program.nfa.initial
     dist = {initial: 0}
-    queue = deque([initial])
+    pruned = int(reach is not None and not reach[initial])  # reaches no end
+    queue = deque(() if pruned else (initial,))
     best: dict[int, int] = {}
     expanded = relaxed = probes = 0
     try:
@@ -1066,9 +1129,9 @@ def shortest_pair_lengths(
             expanded += 1
             d = dist[packed]
             nd = d + 1
-            rest, q = divmod(packed, ns)
-            fid, node = divmod(rest, span)
-            onward = packed - q - node * ns  # the product state (file, 0, 0)
+            fid, here = divmod(packed, width)
+            node, q = divmod(here, ns)
+            onward = packed - here  # the product state (file, 0, 0)
             if node < n_nodes and not (dirty and node in dirty):
                 # A clean node: program.at(node), without the call.
                 closure_here, arcs_here, steps_here = tables
@@ -1096,8 +1159,9 @@ def shortest_pair_lengths(
                             probes += 1
                             if not prop_mask[edge >> 3] & (1 << (edge & 7)):
                                 continue
+                        there = succ_col[i] * ns + target
                         if slot is None:
-                            key = onward + succ_col[i] * ns + target
+                            key = onward + there
                         else:
                             bound = _fire(
                                 program, files, file_id, fid,
@@ -1105,9 +1169,12 @@ def shortest_pair_lengths(
                             )
                             if bound < 0:
                                 continue
-                            key = (bound * span + succ_col[i]) * ns + target
+                            key = bound * width + there
                         old = dist.get(key)
-                        if old is None or old > nd:
+                        if old is None and reach is not None and not reach[there]:
+                            dist[key] = -1  # dead: never queued
+                            pruned += 1
+                        elif old is None or old > nd:
                             dist[key] = nd
                             queue.append(key)
                             relaxed += 1
@@ -1121,9 +1188,13 @@ def shortest_pair_lengths(
                     )
                     if updated < 0:
                         continue
-                    key = (updated * span + node) * ns + target
+                    there = node * ns + target
+                    key = updated * width + there
                     old = dist.get(key)
-                    if old is None or old > d:
+                    if old is None and reach is not None and not reach[there]:
+                        dist[key] = -1
+                        pruned += 1
+                    elif old is None or old > d:
                         dist[key] = d
                         queue.appendleft(key)
                         relaxed += 1
@@ -1135,6 +1206,7 @@ def shortest_pair_lengths(
         counters = active_counters()
         if counters is not None:
             counters.nfa_states_expanded += expanded
+            counters.search_states_pruned += pruned
             counters.nfa_transitions += relaxed
             counters.mask_probes += probes
             counters.register_files += len(files) - 1
@@ -1146,9 +1218,6 @@ def shortest_pair_lengths(
 # ---------------------------------------------------------------------------
 # Witness enumeration
 # ---------------------------------------------------------------------------
-
-#: Edge expansions between two deadline checks inside the witness pass.
-_DEADLINE_STRIDE = 1024
 
 
 def shortest_witnesses(

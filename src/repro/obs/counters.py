@@ -320,6 +320,8 @@ class EvalCounters(Counters):
       length search);
     - ``nfa_transitions`` — relaxations pushed onto that queue (zero-
       cost register/check ops and cost-1 edge steps);
+    - ``search_states_pruned`` — product states that search found and
+      never queued, as no end candidate is reachable from them;
     - ``deepening_rounds`` — iterative-deepening rounds: witness-length
       probes on the NFA route, one per (endpoint pair, probed length),
       plus bound-doubling rounds of the deepening route;
@@ -361,6 +363,7 @@ class EvalCounters(Counters):
 
     nfa_states_expanded: int = 0
     nfa_transitions: int = 0
+    search_states_pruned: int = 0
     deepening_rounds: int = 0
     witness_steps: int = 0
     witnesses: int = 0

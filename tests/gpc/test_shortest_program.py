@@ -2,39 +2,50 @@
 what it folds, and that its search and witness pass equal the oracles
 of :mod:`reference` on pristine and derived snapshots."""
 
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import (
+    assert_equal_reference,
     assert_runs_equal_the_matcher,
+    random_graph,
     reference_answers,
     reference_witnesses,
 )
+from repro.cluster import ClusterService
 from repro.errors import (
     DeadlineExceededError,
     EvaluationLimitError,
     UnknownIdError,
 )
-from repro.gpc import register_nfa
+from repro.extensions.label_expressions import LabelWildcard, NodeWithLabelExpr
+from repro.gpc import ast, register_nfa
 from repro.gpc.collect import CollectMode
 from repro.gpc.engine import EngineConfig, Evaluator
 from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.register_nfa import (
     collect_requirement,
     compile_register_nfa,
+    coreachable,
     lower_program,
     shortest_pair_lengths,
     shortest_witnesses,
 )
+from repro.gpc.semantics import _Limits
 from repro.gpc.values import GroupValue, Nothing
 from repro.graph import GraphSnapshot, PropertyGraph
 from repro.graph.builder import GraphBuilder
 from repro.graph.columns import and_masks
 from repro.graph.generators import chain_graph, complete_graph
+from repro.graph.ids import DirectedEdgeId
 from repro.graph.ids import NodeId as N
 from repro.obs import EvalCounters, use_counters
 from repro.obs.deadline import deadline_scope
+from repro.service import GraphService
 
 
 def _tracked(text, pushdown=True):
@@ -598,3 +609,221 @@ class TestCounters:
             with use_counters(counters):
                 Evaluator(graph, config).evaluate(query)
             assert counters.dense_fast_lane == 5
+
+
+_STEP_SHAPES = (("-[", "]->"), ("<-[", "]-"), ("~[", "]~"))
+_STEP_LABELS = {"-[": ("", ":r", ":s"), "<-[": ("", ":r", ":s"), "~[": ("", ":m")}
+#: A chain of node-test unions whose closure outgrows ``_CLOSURE_LIMIT``.
+_WIDE = " ".join(["[(:P) + ()]"] * 8)
+
+
+@st.composite
+def _pruned_queries(draw):
+    """``SHORTEST`` texts over the :func:`random_graph` vocabulary:
+    forward, backward and undirected steps, labelled or not, each bare
+    (binding an edge a pushed atom may test), repeated, or a group
+    ``[step (z)]{1,}`` with an optional pushed atom inside; pushed node
+    atoms, the register condition ``x.k = y.k``, the join ``(x) ...
+    (x)``, and one time in five the wide closure."""
+    parts = [draw(st.sampled_from(("(x)", "(x:P)", "(x:Q)")))]
+    atoms = []
+    if draw(st.integers(0, 4)) == 0:
+        parts.append(_WIDE)
+    for i in range(draw(st.integers(1, 2))):
+        opening, closing = draw(st.sampled_from(_STEP_SHAPES))
+        label = draw(st.sampled_from(_STEP_LABELS[opening]))
+        shape = draw(st.sampled_from(("edge", "{1,}", "{1,3}", "group")))
+        if shape == "edge":
+            parts.append(f"{opening}e{i}{label}{closing}")
+            if draw(st.booleans()):
+                atoms.append(f"e{i}.w = {draw(st.integers(0, 2))}")
+        elif shape == "group":
+            body = f"{opening}g{i}{label}{closing} (z{i})"
+            if draw(st.booleans()):
+                body = f"[{body}] << z{i}.k = 1 >>"
+            parts.append(f"[{body}]{{1,}}")
+        else:
+            parts.append(f"{opening}{label}{closing}{shape}")
+    end = draw(st.sampled_from(("(y)", "(y:P)", "(y:Q)", "(x)")))
+    parts.append(end)
+    conditions = ["x.k = 0"] + (["y.k = 1", "x.k = y.k"] if end != "(x)" else [])
+    atoms += draw(st.lists(st.sampled_from(conditions), max_size=2, unique=True))
+    text = " ".join(parts)
+    if atoms:
+        text = f"[{text}] << {' AND '.join(atoms)} >>"
+    return "SHORTEST " + text
+
+
+def _tailed_segment() -> PropertyGraph:
+    """:func:`_segment` with one more ``next`` hop past its Adj, where
+    a search from the Probe goes on to a node that reaches no Adj."""
+    graph = _segment()
+    adj = next(iter(graph.nodes_with_label("Adj")))
+    graph.add_edge("next6", adj, graph.add_node("n7", [], {"k": 1}), ["next"])
+    return graph
+
+
+def _chord_ring(nodes=2000, segment=50, chords=4, seed=1) -> PropertyGraph:
+    """The layers benchmark's ring at a mid size: ``next`` segments
+    with a Probe first and an Adj seventh, and random ``chord`` edges,
+    over which a backward pass from the Adj nodes reaches everything."""
+    rng = random.Random(seed)
+    graph = PropertyGraph()
+    handles = [
+        graph.add_node(
+            f"n{i}",
+            ["Probe"] if i % segment == 0 else ["Adj"] if i % segment == 6 else [],
+            {"k": 1 if i % segment == 1 else 0},
+        )
+        for i in range(nodes)
+    ]
+    for i in range(nodes - 1):
+        if (i + 1) % segment:
+            graph.add_edge(f"next{i}", handles[i], handles[i + 1], ["next"])
+    for i in range(nodes):
+        for c in range(chords):
+            graph.add_edge(f"c{i}_{c}", handles[i], rng.choice(handles), ["chord"])
+    return graph
+
+
+class TestTargetPruning:
+    """The length search queues only product states from which an end
+    candidate can still be reached (``coreachable``): the same answers
+    as the specification, on both ``shortest`` routes and after writes."""
+
+    HORIZON = 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), _pruned_queries())
+    def test_served_answers_equal_the_reference_on_both_routes(self, seed, text):
+        graph = random_graph(random.Random(seed))
+        query = parse_query(text)
+        try:
+            reference = reference_answers(
+                graph,
+                query,
+                self.HORIZON,
+                limits=_Limits(max_intermediate_results=20_000),
+            )
+        except EvaluationLimitError:
+            return
+        view = graph.snapshot()
+        assert_equal_reference(
+            reference, query, {"register": (view, EngineConfig())}, self.HORIZON
+        )
+        # A node test that admits every node is the identity, and the
+        # register compiler refuses it: the deepening route, pruned by
+        # the erasure's backward pass, must find the same answers.
+        deepened = ast.PatternQuery(
+            query.restrictor,
+            ast.concat(NodeWithLabelExpr(LabelWildcard()), query.pattern),
+        )
+        config = EngineConfig(
+            shortest_deepening_limit=self.HORIZON, lenient_shortest=True
+        )
+        assert_equal_reference(
+            reference, deepened, {"deepening": (view, config)}, self.HORIZON
+        )
+        # And at every length, not only below the horizon: a pruned
+        # search finds what an unpruned one finds at the end candidates.
+        evaluator = Evaluator(view)
+        starts, ends = evaluator._shortest_candidates(query.pattern)
+        if ends is None:
+            return
+        program = lower_program(evaluator.plan.register_nfa(query.pattern), view)
+        reach = coreachable(program, ends)
+        for start in starts:
+            full = shortest_pair_lengths(program, start)
+            pruned = shortest_pair_lengths(program, start, reach=reach)
+            assert {end: full[end] for end in ends & full.keys()} == {
+                end: pruned[end] for end in ends & pruned.keys()
+            }
+
+    def test_the_wide_chain_outgrows_the_closure_limit(self):
+        view = random_graph(random.Random(0)).snapshot()
+        nfa = compile_register_nfa(parse_pattern(f"(x) {_WIDE} -> (y:P)"))
+        program = lower_program(nfa, view)
+        assert any(
+            kind == register_nfa._ARC_FREE
+            for arcs in program.arcs
+            for kind, *_rest in arcs
+        )
+
+    def test_the_tail_past_the_end_is_pruned(self):
+        view = _tailed_segment().snapshot()
+        query = parse_query("SHORTEST (x:Probe) -[:next]->{1,} (y:Adj)")
+        counters = EvalCounters()
+        with use_counters(counters):
+            (answer,) = Evaluator(view).evaluate(query)
+        assert len(answer.path) == 6
+        # n0 .. n6 expanded; the step on to n7 is found and dropped.
+        assert counters.search_states_pruned == 1
+        assert counters.nfa_states_expanded == 7
+
+    @pytest.mark.parametrize("facade", ["graph", "serial", "thread"])
+    def test_writes_to_the_only_edge_into_an_end(self, facade):
+        graph = _tailed_segment()
+        texts = (
+            "SHORTEST (x:Probe) -[:next]->{1,} (y:Adj)",
+            "SHORTEST [(x:Probe) -[:next]->{1,} (y:Adj)] << x.k = y.k >>",
+            "SHORTEST [(x:Probe) -[e:next]->{1,} (y)] << y.k = 1 >>",
+        )
+        service = (
+            GraphService(graph)
+            if facade == "graph"
+            else ClusterService(graph, backend=facade, num_workers=2)
+        )
+        adj = next(iter(graph.nodes_with_label("Adj")))
+
+        def check():
+            for text in texts:
+                expected = reference_answers(
+                    service.graph, parse_query(text), graph.num_nodes
+                )
+                assert set(service.evaluate(text, use_cache=False)) == expected
+
+        with service:
+            check()
+            assert service.stats.engine.search_states_pruned > 0
+            edge = DirectedEdgeId("next5")
+            source = graph.source(edge)
+            service.remove_edge(edge)
+            check()
+            service.add_edge("next5", source, adj, ["next"])
+            check()
+            service.set_property(adj, "k", 1)
+            check()
+
+    def test_an_overlay_turns_the_pass_off(self):
+        graph = _tailed_segment()
+        nfa = compile_register_nfa(parse_pattern("(x:Probe) -[:next]->{1,} (y:Adj)"))
+        ends = graph.nodes_with_label("Adj")
+        assert coreachable(lower_program(nfa, graph.snapshot()), ends) is not None
+        base = graph.snapshot()
+        graph.set_property(next(iter(ends)), "k", 5)
+        # Property writes patch the masks the program reads: still on.
+        props = GraphSnapshot.derive(base, graph.deltas_since(base.version))
+        assert coreachable(lower_program(nfa, props), ends) is not None
+        graph.remove_edge(DirectedEdgeId("next6"))
+        rows = GraphSnapshot.derive(base, graph.deltas_since(base.version))
+        assert rows._dirty and coreachable(lower_program(nfa, rows), ends) is None
+
+    def test_the_backward_pass_honours_the_deadline(self, monkeypatch):
+        graph = _chord_ring()
+        view = graph.snapshot()
+        text = "SHORTEST (x:Probe) -[:chord]->{1,} (y:Adj)"
+        program = lower_program(
+            compile_register_nfa(parse_query(text).pattern), view
+        )
+        ends = view.nodes_with_label("Adj")
+        checks = []
+        monkeypatch.setattr(register_nfa, "check_deadline", lambda: checks.append(1))
+        reach = coreachable(program, ends)
+        # Every marked state is popped once: one check per stride.
+        assert len(checks) == sum(reach) // register_nfa._DEADLINE_STRIDE > 0
+        monkeypatch.undo()
+        with deadline_scope(0), pytest.raises(DeadlineExceededError):
+            coreachable(program, ends)
+        service = GraphService(graph)
+        with deadline_scope(0.001), pytest.raises(DeadlineExceededError):
+            service.evaluate(text, use_cache=False)

@@ -18,6 +18,12 @@ Four more were added by hand when ``/query`` learned to revalidate:
 (0 for the probe servers, 2 for ``server``, whose client revalidates
 the hit and the restamp) and ``bodies_not_modified: 2`` in the
 ``server`` row's ``http_stats``.
+When the length search learned to prune by the end candidates,
+``search_states_pruned: 0`` was added beside every
+``nfa_transitions`` (18 engine counter dicts) and
+``repro_engine_search_states_pruned 0`` to every façade's
+``/metrics``: the session's one ``SHORTEST`` blows its deadline before
+it searches.
 """
 
 from __future__ import annotations

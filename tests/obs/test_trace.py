@@ -356,6 +356,7 @@ class TestEvalCounters:
         assert set(payload) == {
             "nfa_states_expanded",
             "nfa_transitions",
+            "search_states_pruned",
             "deepening_rounds",
             "witness_steps",
             "witnesses",
