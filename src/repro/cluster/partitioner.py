@@ -108,19 +108,17 @@ class SeedPartitioner:
     def shardable(self, prepared: "PreparedQuery") -> bool:
         """Whether seed partitioning can actually *divide* the work.
 
-        Only the bare-``shortest`` register-NFA route evaluates a start
-        restriction natively (per-start searches outside the cell are
-        skipped). Trail/simple and the shortest fallback run the full
-        bounded evaluation and then filter, so K shards would each pay
-        the whole cost — K× the CPU for zero division. Those queries
-        run as a single unrestricted shard instead.
+        Only the register-NFA route — ``shortest`` and the ``trail`` /
+        ``simple`` walk — evaluates a start restriction natively
+        (per-start searches outside the cell are skipped). A pattern
+        its compiler refuses runs the full bounded evaluation and then
+        filters, so K shards would each pay the whole cost — K× the CPU
+        for zero division. Those queries run as a single unrestricted
+        shard instead.
         """
         query = prepared.query
         while isinstance(query, ast.Join):
             query = query.left
-        restrictor = query.restrictor
-        if not (restrictor.shortest and restrictor.mode is None):
-            return False
         return prepared.plan.register_nfa(query.pattern) is not None
 
     def partition(
@@ -173,7 +171,7 @@ class SeedPartitioner:
         cells = self.partition(view, prepared)
         if cells == (None,):
             return (
-                "unsharded (leftmost restrictor is post-filtered; "
+                "unsharded (the leftmost pattern takes the bounded route; "
                 "sharding would duplicate the bounded evaluation)"
             )
         universe = self.seed_universe(view, prepared)

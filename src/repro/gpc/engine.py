@@ -2,11 +2,11 @@
 
 :class:`Evaluator` ties everything together:
 
-- patterns are evaluated by the bounded compositional evaluator
-  (:mod:`repro.gpc.semantics`);
-- the ``trail`` and ``simple`` restrictors supply the Lemma 16 length
-  bounds ``|E_d| + |E_u|`` and ``|N|``, prune inside that evaluator
-  (every sub-path of a trail is a trail) and filter accordingly;
+- ``trail`` and ``simple`` walk the pattern's register automaton of
+  :mod:`repro.gpc.register_nfa`, never repeating an edge (a node); a
+  pattern its compiler refuses takes the bounded compositional
+  evaluator (:mod:`repro.gpc.semantics`) at the Lemma 16 bounds
+  ``|E_d| + |E_u|`` and ``|N|``, pruning as it builds;
 - ``shortest`` keeps, per endpoint pair, only the answers whose
   witnessing path has minimum length, which the register automaton of
   :mod:`repro.gpc.register_nfa` finds exactly. A pattern its compiler
@@ -66,7 +66,7 @@ from repro.gpc.register_nfa import (
     coreachable,
     lower_program,
     shortest_pair_lengths,
-    shortest_witnesses,
+    witness_search,
 )
 
 __all__ = ["EngineConfig", "Evaluator", "QueryPlan", "evaluate", "CollectMode"]
@@ -135,7 +135,7 @@ DEFAULT_CONFIG = EngineConfig()
 class PatternPlan:
     """What a :class:`QueryPlan` derives from one pattern, each part
     computed on first use: the endpoint constraints, the :attr:`route`
-    a bare ``shortest`` takes — decided once, executed by the evaluator
+    its pattern queries take — decided once, executed by the evaluator
     and printed by ``explain`` — where its witnesses get their
     assignments, and the erasure's automaton."""
 
@@ -150,8 +150,8 @@ class PatternPlan:
 
     @cached_property
     def route(self) -> tuple[str, RegisterNFA | None, str | None]:
-        """How a bare ``shortest`` of the pattern is served: the name
-        ``explain`` prints, the pattern's register NFA on the register
+        """How the pattern is served (a bare ``shortest``'s name, which
+        ``explain`` prints), the pattern's register NFA on the register
         route and, off it, why the compiler refused the pattern."""
         try:
             nfa = compile_register_nfa(
@@ -308,12 +308,10 @@ class QueryPlan:
                 self.ensure_typechecked(analysis.simplified)
                 target = analysis.simplified
         for pattern_query in self._pattern_queries(target):
-            restrictor = pattern_query.restrictor
-            if restrictor.shortest and restrictor.mode is None:
-                record = self.pattern_plan(pattern_query.pattern)
-                _ = record.shortest_plan, record.assignment_source
-                if record.route[0] is DEEPENING:
-                    _ = record.erased_nfa
+            record = self.pattern_plan(pattern_query.pattern)
+            _ = record.shortest_plan, record.assignment_source
+            if record.route[0] is DEEPENING and pattern_query.restrictor.mode is None:
+                _ = record.erased_nfa
 
     def _pattern_queries(self, query: ast.Query):
         for current in ast.iter_queries(query):
@@ -395,9 +393,8 @@ class Evaluator:
         *first* path starts at one of the given nodes — for a join,
         that is the leftmost pattern query, whose path is always
         ``answer.paths[0]``. The restriction is applied natively (the
-        ``shortest`` register search is seeded only from restricted
-        nodes; bounded evaluation fuses the membership test into its
-        restrictor filters), so
+        register search or walk is seeded only from restricted nodes;
+        the bounded route filters by start node before minimising), so
 
         ``evaluate(q, start_restriction=R)
           == {a in evaluate(q) : a.paths[0].src in R}``
@@ -551,21 +548,22 @@ class Evaluator:
     ) -> frozenset[Match]:
         self._validate_collect(pattern)
         check_deadline()
+        route, _nfa, _why = self.plan.pattern_plan(pattern).route
+        if route is REGISTER:
+            matches = self._eval_shortest(pattern, restriction, restrictor.mode)
+            shortest = restrictor.shortest and restrictor.mode is not None
+            return restrict(ast.Restrictor.SHORTEST, matches) if shortest else matches
         if restrictor.mode is not None:
             # The evaluator drops the failing paths it builds; an atomic
             # match is built by no step (one self-loop edge is not
             # simple), so ``restrict`` still filters below.
             bound, bounded = self._modes[restrictor.mode]
             matches = bounded.evaluate(pattern, bound)
-        else:  # a bare ``shortest``
-            route, _nfa, _why = self.plan.pattern_plan(pattern).route
-            if route is REGISTER:
-                return self._eval_shortest(pattern, restriction)
-            if route is DEEPENING:
-                matches = self._eval_deepening(pattern, restriction)
-            else:
-                bound = max_path_length(pattern)
-                matches = self._bounded.evaluate(pattern, bound)
+        elif route is DEEPENING:
+            matches = self._eval_deepening(pattern, restriction)
+        else:
+            bound = max_path_length(pattern)
+            matches = self._bounded.evaluate(pattern, bound)
         if restriction is not None:
             # Before minimising is safe: minima are taken per (src,
             # tgt) pair, so dropping whole pairs never changes the
@@ -577,12 +575,15 @@ class Evaluator:
         self,
         pattern: ast.Pattern,
         restriction: frozenset[NodeId] | None = None,
+        mode: str | None = None,
     ) -> frozenset[Match]:
-        """``shortest pi`` on the register route.
+        """``shortest pi`` on the register route, or ``trail`` /
+        ``simple pi`` with ``mode``.
 
         The pattern's register NFA (:mod:`repro.gpc.register_nfa`)
         gives the *exact* minimum match length per endpoint pair, and
-        only the witnesses of that length are materialised — one
+        only the witnesses of that length are materialised — under a
+        mode, every walk that repeats no edge (node) is one — one
         enumeration per seed serves all of the seed's pairs and runs
         the NFA exactly, so a witness arrives with the registers of its
         accepting runs. Those are the assignments unless the pattern
@@ -617,11 +618,29 @@ class Evaluator:
         )
         if counters is not None:
             counters.conditions_pushed += rnfa.pushed_atoms
+        walks_from = witness_search(walker, mode, reach if mode else None)
+
+        def assignments(witness, runs) -> list[Assignment]:
+            nonlocal matched
+            if needs_collect is None:
+                return [Assignment(padding | dict(registers)) for registers in runs]
+            matched += 1
+            return match_on_path(pattern, witness, view, collect_mode)
+
         try:
             for start in starts:
                 # Checked once per seed here; the witness enumeration
                 # checks again every fixed number of edge expansions.
                 check_deadline()
+                if mode is not None:
+                    budget = self.config.max_intermediate_results - len(answers)
+                    for witnesses in walks_from(start, end_filter, budget).values():
+                        answers.update(
+                            (witness, mu)
+                            for witness, runs in witnesses
+                            for mu in assignments(witness, runs)
+                        )
+                    continue
                 best = shortest_pair_lengths(program, start, reach=reach)
                 targets = {
                     end: length
@@ -629,7 +648,7 @@ class Evaluator:
                     if end_filter is None or end in end_filter
                 }
                 # One enumeration serves every target of the seed.
-                walks = shortest_witnesses(walker, start, targets)
+                walks = walks_from(start, targets)
                 for end, length in targets.items():
                     witnesses = walks.get(end, ())
                     # The register search can under-estimate in one
@@ -642,17 +661,7 @@ class Evaluator:
                         check_deadline()
                         found = False
                         for witness, runs in witnesses:
-                            if needs_collect is None:
-                                mus = [
-                                    Assignment(padding | dict(registers))
-                                    for registers in runs
-                                ]
-                            else:
-                                matched += 1
-                                mus = match_on_path(
-                                    pattern, witness, view, collect_mode
-                                )
-                            for mu in mus:
+                            for mu in assignments(witness, runs):
                                 answers.add((witness, mu))
                                 found = True
                         if found:
@@ -667,9 +676,7 @@ class Evaluator:
                                 f"raise EngineConfig.shortest_deepening_limit "
                                 f"or set lenient_shortest=True"
                             )
-                        witnesses = shortest_witnesses(
-                            walker, start, {end: length}
-                        ).get(end, ())
+                        witnesses = walks_from(start, {end: length}).get(end, ())
         finally:
             if counters is not None:
                 counters.witnesses_matched += matched

@@ -21,6 +21,7 @@ from repro.gpc.minlength import (
     min_path_length,
     validate_approach1,
 )
+from repro.gpc.planner import describe_route
 from repro.gpc.pretty import pretty
 from repro.gpc.typing import infer_schema
 from repro.gpc.types import Type
@@ -112,16 +113,8 @@ def explain_pattern(pattern: ast.Pattern) -> PatternReport:
 
 
 def _strategy(restrictor: ast.Restrictor, pattern: ast.Pattern) -> str:
-    if restrictor.mode == "trail":
-        base = "bounded eval at |E|, pruned to trails while building, filtered once"
-    elif restrictor.mode == "simple":
-        base = "bounded eval at |N|, pruned to simple while building, filtered once"
-    else:  # the route the engine plans for a bare ``shortest``, and why
-        route, _nfa, why = PatternPlan(pattern, DEFAULT_CONFIG).route
-        base = route if why is None else f"{route} ({why})"
-    if restrictor.shortest and restrictor.mode:
-        return base + ", then per-pair minima"
-    return base
+    route, _nfa, why = PatternPlan(pattern, DEFAULT_CONFIG).route
+    return describe_route(restrictor, route, why)
 
 
 def explain_query(query: ast.Query) -> QueryReport:

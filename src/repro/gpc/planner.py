@@ -146,6 +146,11 @@ class EndpointConstraint:
         """
         if not self.constrains:
             return None
+        (alt, *others) = self.alternatives
+        if not others and not alt.properties and len(alt.labels) == 1:
+            members = view.nodes_with_label(*alt.labels)
+            if isinstance(members, tuple):  # a snapshot's, sorted
+                return members
         out: set = set()
         for alt in self.alternatives:
             if alt.labels:
@@ -574,6 +579,19 @@ BOUNDED_FILTER = "bounded evaluation + shortest filter"
 DEEPENING = "abstraction-guided deepening"
 
 
+def describe_route(restrictor: ast.Restrictor, route: str, why) -> str:
+    """How a pattern query is served when its pattern takes ``route``,
+    and why the register compiler refused the pattern if it did."""
+    mode = restrictor.mode
+    if mode is not None:
+        bound = "|E|, pruned to trails" if mode == "trail" else "|N|, pruned to simple"
+        route = f"register-NFA {mode} walk" if route is REGISTER else (
+            f"bounded eval at {bound} while building, filtered once"
+        )
+    text = route if why is None else f"{route} ({why})"
+    return text + (", then per-pair minima" if restrictor.shortest and mode else "")
+
+
 def explain_plan(query: ast.Query, view=None, plan=None) -> str:
     """Render the strategies the planner chose for ``query``.
 
@@ -606,45 +624,38 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
             for side in ast.children(q):
                 walk(side, depth + 1)
             return
-        restrictor = str(q.restrictor)
-        if q.restrictor.shortest and q.restrictor.mode is None:
-            if plan is None:  # only the endpoints are known
-                record, shortest = None, plan_shortest(q.pattern)
-                route, rnfa, why = REGISTER, None, None
-            else:
-                record = plan.pattern_plan(q.pattern)
-                shortest, (route, rnfa, why) = record.shortest_plan, record.route
-            line = (
-                f"{indent}- {restrictor} {pretty(q.pattern)}: "
-                f"{route if why is None else f'{route} ({why})'}; "
-                f"starts: {shortest.start.describe(view)}; "
-                f"ends: {shortest.end.describe(view)}"
-            )
-            if rnfa is not None:
-                line += "; search: " + _describe_registers(rnfa.constraining)
-                # Depends on the plan's collect mode.
-                requirement, _padding = record.assignment_source
-                if requirement is not None:
-                    source = f"span matcher ({requirement})"
-                else:
-                    grouped = sorted(
-                        {
-                            variable
-                            for sub in ast.iter_subpatterns(q.pattern)
-                            if isinstance(sub, ast.Repeat)
-                            for variable in ast.variables(sub.pattern)
-                        }
-                    )
-                    source = "register run" + (
-                        f" (groups {', '.join(grouped)})" if grouped else ""
-                    )
-                line += "; assignments: " + source
-            lines.append(line)
+        if plan is None:  # only the endpoints are known
+            record, shortest = None, plan_shortest(q.pattern)
+            route, rnfa, why = REGISTER, None, None
         else:
-            lines.append(
-                f"{indent}- {restrictor} {pretty(q.pattern)}: "
-                f"bounded evaluation + restrictor filter"
-            )
+            record = plan.pattern_plan(q.pattern)
+            shortest, (route, rnfa, why) = record.shortest_plan, record.route
+        line = (
+            f"{indent}- {q.restrictor} {pretty(q.pattern)}: "
+            f"{describe_route(q.restrictor, route, why)}; "
+            f"starts: {shortest.start.describe(view)}; "
+            f"ends: {shortest.end.describe(view)}"
+        )
+        if rnfa is not None:
+            line += "; search: " + _describe_registers(rnfa.constraining)
+            # Depends on the plan's collect mode.
+            requirement, _padding = record.assignment_source
+            if requirement is not None:
+                source = f"span matcher ({requirement})"
+            else:
+                grouped = sorted(
+                    {
+                        variable
+                        for sub in ast.iter_subpatterns(q.pattern)
+                        if isinstance(sub, ast.Repeat)
+                        for variable in ast.variables(sub.pattern)
+                    }
+                )
+                source = "register run" + (
+                    f" (groups {', '.join(grouped)})" if grouped else ""
+                )
+            line += "; assignments: " + source
+        lines.append(line)
 
     walk(query, 1)
     return "\n".join(lines)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.direction import Direction
 from repro.errors import (
@@ -89,6 +89,7 @@ __all__ = [
     "coreachable",
     "shortest_pair_lengths",
     "shortest_witnesses",
+    "witness_search",
     "compile_dense_program",
     "dense_shortest_pair_lengths",
     "compile_flat_program",
@@ -1221,99 +1222,125 @@ def shortest_pair_lengths(
 
 
 def shortest_witnesses(
-    program: ShortestProgram, start: NodeId, targets: dict[NodeId, int]
+    program: ShortestProgram,
+    start: NodeId,
+    targets: Any,
+    mode: Optional[str] = None,
+    reach: Optional[bytearray] = None,
+    limit: Optional[int] = None,
 ) -> dict[NodeId, list[tuple[Path, frozenset[Registers]]]]:
     """One seed's witness walks, for all its targets in one pass.
 
     ``targets`` maps each wanted end node to the exact walk length
-    wanted for it. One iterative DFS from ``start`` over the program's
-    keys and step rows, bounded by the largest wanted length, shares
-    every prefix between the targets and runs the register NFA exactly
-    along the way: a frame holds the ``(state, file)`` configurations
-    of every run over the walk so far, closed under the folded closures
-    and the run-time arcs. A walk is accepted at depth ``d`` on node
-    ``v`` iff ``targets[v] == d`` and some configuration is in the
-    final state; it is returned with the tracked registers of those
-    accepting runs — the assignment, lists included, when the program
-    tracks every variable and every group register. Pruned by the runs
-    that survive and by the remaining-steps lower bound on their
-    states, so it explores nothing a join, a check or a pushed atom
-    rejects. The walk is one key list that moves push onto and pop off;
-    real ids, a :class:`Path` and the lists over it are built per
-    accepted walk only. The ambient deadline is checked every
-    :data:`_DEADLINE_STRIDE` edge expansions. Returns ``(walk, register
-    files)`` per end node.
+    wanted for it or, in ``mode`` ``"trail"`` (``"simple"``), is the end
+    nodes (``None``: all) wanted at any length, and a used set pushed
+    and popped with the walk keeps it from repeating an edge (a node,
+    the start included). One iterative DFS from ``start`` over the
+    program's keys and step rows shares every prefix between the
+    targets and runs the register NFA exactly along the way: a frame
+    holds the ``(state, file)`` configurations of every run over the
+    walk so far, closed under the folded closures and the run-time
+    arcs. A walk ending on a target is accepted iff some configuration
+    is final, with the tracked registers of those runs — the assignment,
+    lists included, when every variable and group register is tracked.
+    Pruned by the surviving runs, by the remaining-steps lower bound on
+    their states and by ``reach`` (:func:`coreachable`, read at the
+    initial state and step targets, which every tracking enters). The
+    ambient deadline is checked every :data:`_DEADLINE_STRIDE` edge
+    expansions; more than ``limit`` accepted walks raise
+    :class:`~repro.errors.EvaluationLimitError`. Returns ``(walk,
+    register files)`` per end node.
     """
-    found: dict[NodeId, list[tuple[Path, frozenset[Registers]]]] = {}
-    if not targets:
-        return found  # the seed reaches nothing: no walk to look for
-    final = program.nfa.final
+    return witness_search(program, mode, reach)(start, targets, limit)
+
+
+def witness_search(
+    program: ShortestProgram, mode: Optional[str] = None, reach: Optional[bytearray] = None
+) -> Callable[..., dict[NodeId, list[tuple[Path, frozenset[Registers]]]]]:
+    """:func:`shortest_witnesses` set up once per evaluation: the
+    search ``(start, targets, limit)`` to run per seed."""
+    ns, final = program.nfa.num_states, program.nfa.final
     back = program.nfa.backward_distances
+    ahead = [  # per state, the fewest edges to the final state through a step
+        min((1 + back[t] for _step, t in steps if back[t] >= 0), default=-1)
+        for steps in program.nfa.steps
+    ]
     files = [(None,) * len(program.tracked)]
     file_id = {files[0]: 0}
+    core, dirty = program.snapshot._core, program.snapshot._dirty
+    # program.at and program.element, inlined where nothing is overlaid
+    tables = (program.closure, program.arcs, program.steps)
+    overlaid = dirty or program.overlay_nodes
+    element = program.element if overlaid else core.elements.__getitem__
+    by_edge = mode == "trail"
+    used_at = -2 if by_edge else -1  # the walk's last edge or node
 
-    def close(
-        node: int, depth: int, configs: Iterable[tuple[int, int]]
-    ) -> set[tuple[int, int]]:
-        """Closure of ``(state, file)`` ``configs`` at ``node``,
-        ``depth`` edges into the walk, under the zero-weight ops, each
-        applied for real: binds join, checks read the registers,
-        boundary ops note ``depth``."""
-        closure_here, arcs_here, _steps = program.at(node)
-        byte = node >> 3
-        bit = 1 << (node & 7)
+    def close(node: int, depth: int, configs: Iterable[tuple[int, int]]) -> set:
+        """The runs' closure at ``node``, ``depth`` edges in, each op for
+        real: binds join, checks read registers, boundary ops note depth."""
+        closure_here, arcs_here, _steps = (
+            tables if node < core.n_nodes and node not in dirty else program.at(node)
+        )
+        byte, bit = node >> 3, 1 << (node & 7)
         closed: set[tuple[int, int]] = set()
         stack = list(configs)
         while stack:
             q, fid = stack.pop()
             for cmask, r in closure_here[q]:
-                if (r, fid) in closed or (
-                    cmask is not None and not cmask[byte] & bit
-                ):
+                if (r, fid) in closed or (cmask is not None and not cmask[byte] & bit):
                     continue
                 closed.add((r, fid))
                 for kind, operand, mask, _label, _props, target in arcs_here[r]:
                     if mask is not None and not mask[byte] & bit:
                         continue
-                    fired = _fire(
-                        program, files, file_id, fid, kind, operand, node, depth
-                    )
+                    fired = _fire(program, files, file_id, fid, kind, operand, node, depth)
                     if fired >= 0:
                         stack.append((target, fired))
         return closed
 
-    wanted = {program.node_key(end): length for end, length in targets.items()}
-    horizon = max(targets.values())
-    tried = accepted = 0
-    next_check = _DEADLINE_STRIDE
-    node = program.start_key(start)
-    configs = close(node, 0, ((program.nfa.initial, 0),))
-    walk: list = [node]
-    #: Per depth, the moves not yet taken: (edge, successor, configs).
-    frames: list[list] = []
-    try:
-        while True:
-            depth = len(frames)
-            if wanted.get(node) == depth:
-                accepting = {fid for q, fid in configs if q == final}
-                if accepting:
-                    # The walk alternates node and edge keys by construction.
-                    path = Path._trusted(tuple(map(program.element, walk)))
-                    runs = frozenset(
-                        program.registers(files[fid], path) for fid in accepting
-                    )
-                    found.setdefault(path.tgt, []).append((path, runs))
-                    accepted += 1
-            remaining = horizon - depth - 1
-            moves: dict[tuple, set[tuple[int, int]]] = {}
-            if remaining >= 0:
-                steps_here = program.at(node)[2]
-                for q, fid in configs:
-                    for (
-                        off, edge_col, succ_col, prop_mask, slot, target, _step
-                    ) in steps_here[q]:
+    def accept(found: dict, targets: Any, keys: tuple, closed: set) -> int:
+        """Keep the walk ``keys`` (1) if it ends on a target and a run
+        over it is in the final state."""
+        accepting = {fid for q, fid in closed if q == final}
+        end = element(keys[-1]) if accepting else None
+        if end is None or (
+            targets.get(end) != len(keys) // 2
+            if mode is None
+            else targets is not None and end not in targets
+        ):
+            return 0
+        # The walk alternates node and edge keys by construction.
+        path = Path._trusted(tuple(map(element, keys)))
+        runs = frozenset(program.registers(files[fid], path) for fid in accepting)
+        found.setdefault(end, []).append((path, runs))
+        return 1
+
+    def search(start: NodeId, targets: Any, limit: Optional[int] = None) -> dict:
+        found: dict[NodeId, list[tuple[Path, frozenset[Registers]]]] = {}
+        node = program.start_key(start) if targets is None or targets else None
+        if node is None or reach is not None and not reach[node * ns + program.nfa.initial]:
+            return found  # the seed reaches nothing: no walk to look for
+        horizon = float("inf") if mode else max(targets.values())
+        used = None if mode is None else set() if by_edge else {node}
+        tried = 0
+        next_check = _DEADLINE_STRIDE
+        configs = close(node, 0, ((program.nfa.initial, 0),))
+        walk: list = [node]
+        #: Per depth, the moves not yet taken: (edge, successor, configs).
+        frames: list[list] = []
+        accepted = accept(found, targets, (node,), configs)
+        try:
+            while True:
+                depth = len(frames)
+                remaining = horizon - depth - 1
+                moves: dict[tuple, set[tuple[int, int]]] = {}
+                steps_here = (
+                    tables if node < core.n_nodes and node not in dirty else program.at(node)
+                )[2]
+                for q, fid in configs if remaining >= 0 else ():
+                    for off, edges, succs, prop_mask, slot, target, _ in steps_here[q]:
                         for i in range(off[node], off[node + 1]):
-                            edge = edge_col[i]
+                            edge = edges[i]
                             if prop_mask is not None and not (
                                 prop_mask[edge >> 3] & (1 << (edge & 7))
                             ):
@@ -1321,36 +1348,47 @@ def shortest_witnesses(
                             bound = fid
                             if slot is not None:
                                 bound = _fire(
-                                    program, files, file_id, fid,
-                                    _ARC_BIND, slot, edge,
+                                    program, files, file_id, fid, _ARC_BIND, slot, edge
                                 )
                                 if bound < 0:
                                     continue
-                            moves.setdefault((edge, succ_col[i]), set()).add(
-                                (target, bound)
-                            )
-            tried += len(moves)
-            if tried >= next_check:
-                check_deadline()
-                next_check = tried + _DEADLINE_STRIDE
-            frame = []
-            for (edge, successor), reached in moves.items():
-                closed = close(successor, depth + 1, reached)
-                if any(0 <= back[q] <= remaining for q, _ in closed):
-                    frame.append((edge, successor, closed))
-            frames.append(frame)
-            while frames and not frames[-1]:
-                frames.pop()
-                del walk[-2:]
-            if not frames:
-                return found
-            edge, node, configs = frames[-1].pop()
-            walk += (edge, node)
-    finally:
-        counters = active_counters()
-        if counters is not None:
-            counters.witness_steps += tried
-            counters.witnesses += accepted
+                            moves.setdefault((edge, succs[i]), set()).add((target, bound))
+                tried += len(moves)
+                if tried >= next_check:
+                    check_deadline()
+                    next_check = tried + _DEADLINE_STRIDE
+                # Accept a move when found; push it if a run can step on.
+                frame = []
+                for (edge, succ), reached in moves.items():
+                    if used is not None and (edge if by_edge else succ) in used:
+                        continue
+                    if reach is not None:
+                        reached = {c for c in reached if reach[succ * ns + c[0]]}
+                    closed = close(succ, depth + 1, reached)
+                    accepted += accept(found, targets, (*walk, edge, succ), closed)
+                    if any(0 <= ahead[q] <= remaining for q, _ in closed):
+                        frame.append((edge, succ, closed))
+                if limit is not None and accepted > limit:
+                    raise EvaluationLimitError(f"intermediate result exceeded {limit} walks")
+                frames.append(frame)
+                while frames and not frames[-1]:
+                    frames.pop()
+                    if used is not None and len(walk) > 1:
+                        used.discard(walk[used_at])
+                    del walk[-2:]
+                if not frames:
+                    return found
+                edge, node, configs = frames[-1].pop()
+                walk += (edge, node)
+                if used is not None:
+                    used.add(walk[used_at])
+        finally:
+            counters = active_counters()
+            if counters is not None:
+                counters.witness_steps += tried
+                counters.witnesses += accepted
+
+    return search
 
 
 # ---------------------------------------------------------------------------

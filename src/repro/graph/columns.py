@@ -106,8 +106,9 @@ class SnapshotColumns:
         "uedges_by_label",
         # Lazily built dense-id bitmask indexes (never pickled): one
         # bytes mask over the whole dense id space per (key, const)
-        # property equality and per interned label.
+        # property equality and per interned label; per key, its values.
         "_prop_masks",
+        "_prop_values",
         "_label_masks",
         # Lazily built label-restricted CSR triples (never pickled),
         # keyed by (adjacency kind, label int).
@@ -126,18 +127,24 @@ class SnapshotColumns:
         ``const`` in the immutable core columns. Built lazily from the
         property column in one pass and cached forever — the core never
         changes, so derived snapshots share the same mask and only
-        patch overlay bits on their own copies.
+        patch overlay bits on their own copies. A constant no core
+        element carries gets the shared all-zero mask, uncached: the
+        cache is bounded by the data, not by the constants asked for.
         """
         cache = self._prop_masks
         cache_key = (key, const)
         mask = cache.get(cache_key)
         if mask is None:
+            col = self.prop_cols.get(key, {})
+            values = self._prop_values.get(key)
+            if values is None:
+                values = self._prop_values[key] = frozenset(col.values())
+            if const not in values:
+                return self.label_mask(-1)
             buf = bytearray((len(self.elements) + 7) >> 3)
-            col = self.prop_cols.get(key)
-            if col is not None and const is not None:
-                for d, value in col.items():
-                    if value == const:
-                        buf[d >> 3] |= 1 << (d & 7)
+            for d, value in col.items():
+                if value == const:
+                    buf[d >> 3] |= 1 << (d & 7)
             mask = cache[cache_key] = bytes(buf)
             counters = _active_counters()
             if counters is not None:
@@ -348,6 +355,7 @@ def _build_indexes(core: SnapshotColumns) -> None:
         setattr(core, attr, by_label)
 
     core._prop_masks = {}
+    core._prop_values = {}
     core._label_masks = {}
     core._filtered_csr = {}
 

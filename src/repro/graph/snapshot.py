@@ -555,10 +555,11 @@ class GraphSnapshot:
         (:meth:`SnapshotColumns.prop_mask`); snapshots with property
         overlays or removals patch a private copy — set the bit iff the
         overlaid value is defined and equal, clear it for removed
-        elements — and cache it in ``_mask_cache``. The cache is
-        per-snapshot (a memo: fresh on derive/unpickle), so a delta
-        chain can never see a stale mask. Mirrors
-        :meth:`get_property`'s ``_ovl_props``-first resolution exactly.
+        elements — and cache it in ``_mask_cache`` unless it is all
+        zero. The cache is per-snapshot (a memo: fresh on
+        derive/unpickle), so a delta chain can never see a stale mask.
+        Mirrors :meth:`get_property`'s ``_ovl_props``-first resolution
+        exactly.
         """
         cache = self._mask_cache
         cache_key = (key, const)
@@ -583,11 +584,12 @@ class GraphSnapshot:
                     d = dense.get(element)
                     if d is not None:
                         buf[d >> 3] &= 0xFF ^ (1 << (d & 7))
-                mask = bytes(buf)
+                if not any(buf):
+                    return self._core.label_mask(-1)
+                mask = cache[cache_key] = bytes(buf)
                 counters = active_counters()
                 if counters is not None:
                     counters.masks_built += 1
-            cache[cache_key] = mask
         return mask
 
     # ------------------------------------------------------------------

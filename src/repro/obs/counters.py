@@ -326,18 +326,19 @@ class EvalCounters(Counters):
       probes on the NFA route, one per (endpoint pair, probed length),
       plus bound-doubling rounds of the deepening route;
     - ``witness_steps`` — edge expansions tried by the per-seed witness
-      enumeration (distinct ``(edge, successor)`` moves some run can
-      take out of a walk prefix, before the closure at the successor
-      prunes);
+      enumeration, which serves ``shortest`` and walks every ``trail`` /
+      ``simple`` (distinct ``(edge, successor)`` moves some run can take
+      out of a walk prefix, before the closure at the successor prunes);
     - ``witnesses`` — walks that enumeration accepted (some run of the
-      register NFA over the walk ends in the final state);
-    - ``witnesses_matched`` — witnesses ``shortest`` evaluation handed
-      to the span matcher because the pattern needs ``collect``; the
-      others got their assignments from the accepting runs' registers;
+      register NFA over the walk ends in the final state): under
+      ``trail`` / ``simple`` one per answer path;
+    - ``witnesses_matched`` — accepted walks handed to the span matcher
+      because the pattern needs ``collect``; the others got their
+      assignments from the accepting runs' registers;
     - ``join_build_rows`` / ``join_probe_rows`` — rows hashed into /
       probed against join tables (nested-loop joins count both sides);
     - ``seeds_pruned`` — start nodes the planner's candidate analysis
-      removed before the per-seed shortest search;
+      removed before the per-seed register search or walk;
     - ``condition_evals`` — top-level ``WHERE`` condition evaluations;
     - ``conditions_pushed`` — condition atoms the compiler pushed out
       of final CHECK ops into bind/step sites of the register program;

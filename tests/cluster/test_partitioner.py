@@ -5,9 +5,24 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import SeedPartitioner
+from repro.direction import Direction
+from repro.extensions.label_expressions import EdgeWithLabelExpr, LabelAtom
+from repro.gpc import ast
+from repro.gpc.parser import parse_query
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import social_network
 from repro.service import PreparedQuery
+
+#: A ``trail`` over an extension atom: the register compiler refuses
+#: it, so it takes the bounded route.
+_REFUSED = ast.PatternQuery(
+    ast.Restrictor.TRAIL,
+    ast.concat(
+        ast.node("x", "Person"),
+        EdgeWithLabelExpr(Direction.FORWARD, LabelAtom("knows")),
+        ast.node("y"),
+    ),
+)
 
 
 @pytest.fixture(scope="module")
@@ -95,22 +110,25 @@ class TestPlannerPruning:
 
 
 class TestShardability:
-    """Only natively restrictable queries are worth splitting: a
-    post-filtered restrictor would pay the full bounded evaluation in
-    every shard (K-fold duplicated CPU for zero division)."""
+    """Only natively restrictable queries are worth splitting: a pattern
+    the register compiler refuses would pay the full bounded evaluation
+    in every shard (K-fold duplicated CPU for zero division)."""
 
     @pytest.mark.parametrize(
         "text,shardable",
         [
             ("SHORTEST (x:Person) -[:knows]->{1,} (y:Person)", True),
             ("SHORTEST (x:Person) -[:knows]->{1,} (y), TRAIL (y) -[:lives_in]-> (c)", True),
-            ("TRAIL (x:Person) -[:knows]-> (y)", False),
-            ("SIMPLE (x) ->{1,2} (y)", False),
-            ("SHORTEST TRAIL (x) -> () -> (y)", False),
-            ("TRAIL (x) -> (y), SHORTEST (y) ->{1,} (z)", False),
+            ("TRAIL (x:Person) -[:knows]-> (y)", True),
+            ("SIMPLE (x) ->{1,2} (y)", True),
+            ("SHORTEST TRAIL (x) -> () -> (y)", True),
+            ("TRAIL (x) -> (y), SHORTEST (y) ->{1,} (z)", True),
+            (_REFUSED, False),
+            (ast.Join(_REFUSED, parse_query("TRAIL (y) -> (z)")), False),
         ],
         ids=["shortest", "shortest-left-join", "trail", "simple",
-             "shortest-trail", "trail-left-join"],
+             "shortest-trail", "trail-left-join", "refused",
+             "refused-left-join"],
     )
     def test_shardable(self, snap, text, shardable):
         prepared = PreparedQuery(text)
@@ -123,6 +141,6 @@ class TestShardability:
             assert cells == (None,)
 
     def test_unsharded_describe(self, snap):
-        prepared = PreparedQuery("TRAIL (x:Person) -[:knows]-> (y)")
+        prepared = PreparedQuery(_REFUSED)
         text = SeedPartitioner(2).describe(snap, prepared)
         assert "unsharded" in text

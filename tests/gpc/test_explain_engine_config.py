@@ -121,7 +121,7 @@ class TestExplainQuery:
         query = parse_query("TRAIL (x) -> (y), SHORTEST (y) ->{1,} (z)")
         report = explain_query(query)
         strategies = [s for s, _ in report.items]
-        assert "pruned to trails while building, filtered once" in strategies[0]
+        assert "register-NFA trail walk" in strategies[0]
         assert "register-NFA" in strategies[1]
 
     def test_shortest_trail_strategy(self):
