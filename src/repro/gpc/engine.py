@@ -551,8 +551,8 @@ class Evaluator:
         route, _nfa, _why = self.plan.pattern_plan(pattern).route
         if route is REGISTER:
             matches = self._eval_shortest(pattern, restriction, restrictor.mode)
-            shortest = restrictor.shortest and restrictor.mode is not None
-            return restrict(ast.Restrictor.SHORTEST, matches) if shortest else matches
+            minima = restrictor.shortest and restrictor.mode is not None
+            return restrict(ast.Restrictor.SHORTEST, matches) if minima else matches
         if restrictor.mode is not None:
             # The evaluator drops the failing paths it builds; an atomic
             # match is built by no step (one self-loop edge is not
@@ -618,6 +618,7 @@ class Evaluator:
         )
         if counters is not None:
             counters.conditions_pushed += rnfa.pushed_atoms
+        # Under ``shortest`` the targets are exact lengths: no reach test.
         walks_from = witness_search(walker, mode, reach if mode else None)
 
         def assignments(witness, runs) -> list[Assignment]:
