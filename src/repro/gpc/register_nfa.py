@@ -1222,14 +1222,19 @@ def shortest_pair_lengths(
 
 
 def shortest_witnesses(
-    program: ShortestProgram,
-    start: NodeId,
-    targets: Any,
-    mode: Optional[str] = None,
-    reach: Optional[bytearray] = None,
-    limit: Optional[int] = None,
+    program: ShortestProgram, start: NodeId, targets: dict[NodeId, int]
 ) -> dict[NodeId, list[tuple[Path, frozenset[Registers]]]]:
-    """One seed's witness walks, for all its targets in one pass.
+    """One seed's witness walks, ``targets`` mapping each wanted end node
+    to the exact walk length wanted for it: :func:`witness_search`."""
+    return witness_search(program)(start, targets)
+
+
+def witness_search(
+    program: ShortestProgram, mode: Optional[str] = None, reach: Optional[bytearray] = None
+) -> Callable[..., dict[NodeId, list[tuple[Path, frozenset[Registers]]]]]:
+    """The witness walks of one seed, for all its targets in one pass:
+    set up once per evaluation, the search ``(start, targets, limit)``
+    to run per seed.
 
     ``targets`` maps each wanted end node to the exact walk length
     wanted for it or, in ``mode`` ``"trail"`` (``"simple"``), is the end
@@ -1246,19 +1251,13 @@ def shortest_witnesses(
     Pruned by the surviving runs, by the remaining-steps lower bound on
     their states and by ``reach`` (:func:`coreachable`, read at the
     initial state and step targets, which every tracking enters). The
-    ambient deadline is checked every :data:`_DEADLINE_STRIDE` edge
-    expansions; more than ``limit`` accepted walks raise
-    :class:`~repro.errors.EvaluationLimitError`. Returns ``(walk,
-    register files)`` per end node.
+    walk is one key list that moves push onto and pop off; real ids, a
+    :class:`Path` and the lists over it are built per accepted walk
+    only. The ambient deadline is checked every
+    :data:`_DEADLINE_STRIDE` edge expansions; more than ``limit``
+    accepted walks raise :class:`~repro.errors.EvaluationLimitError`.
+    Returns ``(walk, register files)`` per end node.
     """
-    return witness_search(program, mode, reach)(start, targets, limit)
-
-
-def witness_search(
-    program: ShortestProgram, mode: Optional[str] = None, reach: Optional[bytearray] = None
-) -> Callable[..., dict[NodeId, list[tuple[Path, frozenset[Registers]]]]]:
-    """:func:`shortest_witnesses` set up once per evaluation: the
-    search ``(start, targets, limit)`` to run per seed."""
     ns, final = program.nfa.num_states, program.nfa.final
     back = program.nfa.backward_distances
     ahead = [  # per state, the fewest edges to the final state through a step
@@ -1267,20 +1266,14 @@ def witness_search(
     ]
     files = [(None,) * len(program.tracked)]
     file_id = {files[0]: 0}
-    core, dirty = program.snapshot._core, program.snapshot._dirty
-    # program.at and program.element, inlined where nothing is overlaid
-    tables = (program.closure, program.arcs, program.steps)
-    overlaid = dirty or program.overlay_nodes
-    element = program.element if overlaid else core.elements.__getitem__
+    at, element = program.at, program.element
     by_edge = mode == "trail"
     used_at = -2 if by_edge else -1  # the walk's last edge or node
 
     def close(node: int, depth: int, configs: Iterable[tuple[int, int]]) -> set:
         """The runs' closure at ``node``, ``depth`` edges in, each op for
         real: binds join, checks read registers, boundary ops note depth."""
-        closure_here, arcs_here, _steps = (
-            tables if node < core.n_nodes and node not in dirty else program.at(node)
-        )
+        closure_here, arcs_here, _steps = at(node)
         byte, bit = node >> 3, 1 << (node & 7)
         closed: set[tuple[int, int]] = set()
         stack = list(configs)
@@ -1298,19 +1291,21 @@ def witness_search(
                         stack.append((target, fired))
         return closed
 
-    def accept(found: dict, targets: Any, keys: tuple, closed: set) -> int:
-        """Keep the walk ``keys`` (1) if it ends on a target and a run
-        over it is in the final state."""
+    def accept(found: dict, targets: Any, closed: set, walk: list, *last: int) -> int:
+        """Keep ``walk`` followed by the keys ``last`` (1) if it ends on a
+        target and a run over it is in the final state."""
         accepting = {fid for q, fid in closed if q == final}
-        end = element(keys[-1]) if accepting else None
-        if end is None or (
-            targets.get(end) != len(keys) // 2
+        if not accepting:
+            return 0
+        end = element(last[-1] if last else walk[-1])
+        if (
+            targets.get(end) != (len(walk) + len(last)) // 2
             if mode is None
             else targets is not None and end not in targets
         ):
             return 0
         # The walk alternates node and edge keys by construction.
-        path = Path._trusted(tuple(map(element, keys)))
+        path = Path._trusted(tuple(map(element, (*walk, *last))))
         runs = frozenset(program.registers(files[fid], path) for fid in accepting)
         found.setdefault(end, []).append((path, runs))
         return 1
@@ -1328,15 +1323,13 @@ def witness_search(
         walk: list = [node]
         #: Per depth, the moves not yet taken: (edge, successor, configs).
         frames: list[list] = []
-        accepted = accept(found, targets, (node,), configs)
+        accepted = accept(found, targets, configs, walk)
         try:
             while True:
                 depth = len(frames)
                 remaining = horizon - depth - 1
                 moves: dict[tuple, set[tuple[int, int]]] = {}
-                steps_here = (
-                    tables if node < core.n_nodes and node not in dirty else program.at(node)
-                )[2]
+                steps_here = at(node)[2]
                 for q, fid in configs if remaining >= 0 else ():
                     for off, edges, succs, prop_mask, slot, target, _ in steps_here[q]:
                         for i in range(off[node], off[node + 1]):
@@ -1365,7 +1358,7 @@ def witness_search(
                     if reach is not None:
                         reached = {c for c in reached if reach[succ * ns + c[0]]}
                     closed = close(succ, depth + 1, reached)
-                    accepted += accept(found, targets, (*walk, edge, succ), closed)
+                    accepted += accept(found, targets, closed, walk, edge, succ)
                     if any(0 <= ahead[q] <= remaining for q, _ in closed):
                         frame.append((edge, succ, closed))
                 if limit is not None and accepted > limit:
