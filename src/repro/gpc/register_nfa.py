@@ -702,6 +702,14 @@ class ShortestProgram:
                 pairs.append((variable, self.element(key)))
         return tuple(pairs)
 
+    def readers(self) -> tuple[Callable[[int], tuple], Callable[[Any], Any]]:
+        """:meth:`at` and :meth:`element` for a hot loop: plain reads when
+        nothing is overlaid (every node clean, every key a core element)."""
+        if self.snapshot._dirty or self.overlay_nodes:
+            return self.at, self.element
+        tables = (self.closure, self.arcs, self.steps)
+        return lambda node: tables, self.snapshot._core.elements.__getitem__
+
     def at(self, node: int) -> tuple:
         """``(closure, arcs, steps)`` as they read at ``node``. A clean
         core node reads the tables themselves. One that has no valid
@@ -1224,8 +1232,7 @@ def shortest_pair_lengths(
 def shortest_witnesses(
     program: ShortestProgram, start: NodeId, targets: dict[NodeId, int]
 ) -> dict[NodeId, list[tuple[Path, frozenset[Registers]]]]:
-    """One seed's witness walks, ``targets`` mapping each wanted end node
-    to the exact walk length wanted for it: :func:`witness_search`."""
+    """One seed's witness walks to exact lengths: :func:`witness_search`."""
     return witness_search(program)(start, targets)
 
 
@@ -1266,7 +1273,7 @@ def witness_search(
     ]
     files = [(None,) * len(program.tracked)]
     file_id = {files[0]: 0}
-    at, element = program.at, program.element
+    at, element = program.readers()
     by_edge = mode == "trail"
     used_at = -2 if by_edge else -1  # the walk's last edge or node
 
