@@ -1301,15 +1301,15 @@ def witness_search(
     def accept(found: dict, targets: Any, closed: set, walk: list, *last: int) -> int:
         """Keep ``walk`` followed by the keys ``last`` (1) if it ends on a
         target and a run over it is in the final state."""
-        accepting = {fid for q, fid in closed if q == final}
-        if not accepting:
-            return 0
         end = element(last[-1] if last else walk[-1])
         if (
             targets.get(end) != (len(walk) + len(last)) // 2
             if mode is None
             else targets is not None and end not in targets
         ):
+            return 0
+        accepting = {fid for q, fid in closed if q == final}
+        if not accepting:
             return 0
         # The walk alternates node and edge keys by construction.
         path = Path._trusted(tuple(map(element, (*walk, *last))))
