@@ -34,11 +34,21 @@ which reproduces the old per-version flush exactly.
 :class:`~repro.graph.delta.DeltaSummary` of the mutations between two
 versions: disjointness proves the cached answer is still exact, so the
 cache re-stamps the entry to the new version instead of dropping it.
+
+A footprint is also **path-local** when whether ``(p, mu)`` is an
+answer depends on the elements of ``p`` alone (Section 5): ``mu`` binds
+elements on ``p``, conditions read their properties, and ``trail`` /
+``simple`` are predicates on ``p``. Removing elements then removes
+exactly the answers whose paths contain one, so the cache can filter
+an entry instead of dropping it. ``shortest`` is not path-local — it
+compares ``p`` with every other matching path, and a removal can make
+a longer one shortest — and neither is :data:`BOTTOM`, which every
+Section 7 extension folds to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -75,6 +85,8 @@ class QueryFootprint:
     of the variable each condition atom dereferences — so an
     edge-property mutation leaves answers (and cached entries) of
     queries that only read node keys provably intact, and vice versa.
+    ``path_local`` is the module docstring's: set on queries whose
+    answers removals can only filter.
     """
 
     node_labels: Optional[frozenset[str]] = frozenset()
@@ -82,6 +94,7 @@ class QueryFootprint:
     uedge_labels: Optional[frozenset[str]] = frozenset()
     node_keys: Optional[frozenset[str]] = frozenset()
     edge_keys: Optional[frozenset[str]] = frozenset()
+    path_local: bool = False
 
     @property
     def property_keys(self) -> Optional[frozenset[str]]:
@@ -100,13 +113,15 @@ class QueryFootprint:
         )
 
     def merge(self, other: "QueryFootprint") -> "QueryFootprint":
-        """Pointwise union (``None`` — the whole class — absorbs)."""
+        """Pointwise union (``None`` — the whole class — absorbs);
+        path-local when both sides are."""
         return QueryFootprint(
             node_labels=_union(self.node_labels, other.node_labels),
             dedge_labels=_union(self.dedge_labels, other.dedge_labels),
             uedge_labels=_union(self.uedge_labels, other.uedge_labels),
             node_keys=_union(self.node_keys, other.node_keys),
             edge_keys=_union(self.edge_keys, other.edge_keys),
+            path_local=self.path_local and other.path_local,
         )
 
     def affected_by(self, summary: DeltaSummary) -> bool:
@@ -337,7 +352,8 @@ def pattern_footprint(pattern: ast.Pattern) -> QueryFootprint:
 
 
 def query_footprint(query: ast.Query) -> QueryFootprint:
-    """The read footprint of a whole query (joins merge their sides).
+    """The read footprint of a whole query (joins merge their sides),
+    path-local when no ``shortest`` restrictor and no extension is in it.
 
     Total: anything unrecognised yields :data:`BOTTOM`, never an
     exception — a wrong footprint would serve stale answers, an
@@ -345,7 +361,10 @@ def query_footprint(query: ast.Query) -> QueryFootprint:
     """
     try:
         if isinstance(query, ast.PatternQuery):
-            return pattern_footprint(query.pattern)
+            footprint = pattern_footprint(query.pattern)
+            if footprint.is_bottom or query.restrictor.shortest:
+                return footprint
+            return replace(footprint, path_local=True)
         if isinstance(query, ast.Join):
             return query_footprint(query.left).merge(
                 query_footprint(query.right)

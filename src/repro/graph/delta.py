@@ -16,7 +16,8 @@ Deltas serve three consumers:
 - :class:`DeltaSummary` — the cheap label/key fingerprint of a delta
   chain — is intersected with per-query read footprints
   (:mod:`repro.gpc.footprint`) so the service result cache invalidates
-  semantically instead of globally;
+  semantically instead of globally, and its removed ids let the cache
+  filter a path-local answer set instead of dropping it;
 - :class:`~repro.cluster.backends.ProcessBackend` ships pickled delta
   chains to warm workers when the graph version advances by a small
   step, instead of re-shipping the whole snapshot.
@@ -28,7 +29,7 @@ deltas pickle exactly like snapshots do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from repro.graph.ids import (
     DirectedEdgeId,
@@ -174,6 +175,11 @@ class DeltaSummary:
     A query whose :class:`~repro.gpc.footprint.QueryFootprint` is
     disjoint from this summary is guaranteed to have equal answers
     before and after the chain.
+
+    ``removed`` holds the id of every node and edge the chain removed
+    and ``rest`` summarises the chain without those removals (``None``
+    when it removed nothing). An element added and removed again is in
+    both, so ``rest`` still sees the addition.
     """
 
     nodes_changed: bool = False
@@ -184,6 +190,8 @@ class DeltaSummary:
     uedge_labels: frozenset[str] = frozenset()
     node_property_keys: frozenset[str] = frozenset()
     edge_property_keys: frozenset[str] = frozenset()
+    removed: frozenset[GraphElementId] = frozenset()
+    rest: "DeltaSummary | None" = None
 
     @property
     def property_keys(self) -> frozenset[str]:
@@ -216,55 +224,53 @@ class DeltaSummary:
 
 
 def summarize_deltas(deltas: Sequence[GraphDelta]) -> DeltaSummary:
-    """Merge a delta chain into one :class:`DeltaSummary`."""
-    nodes_changed = dedges_changed = uedges_changed = False
-    node_labels: set[str] = set()
-    dedge_labels: set[str] = set()
-    uedge_labels: set[str] = set()
+    """Merge a delta chain into one :class:`DeltaSummary`, with its
+    removed ids and its ``rest`` (the chain without removals) built in
+    the same pass."""
+    # Per element class (node, directed, undirected): [added, removed]
+    # labels, and whether any element was added / removed.
+    labels: list[tuple[set[str], set[str]]] = [(set(), set()) for _ in range(3)]
+    changed = [[False, False] for _ in range(3)]
+    removed: set[GraphElementId] = set()
     node_property_keys: set[str] = set()
     edge_property_keys: set[str] = set()
 
-    def _labels(records: Iterable) -> Iterable[frozenset[str]]:
-        for record in records:
-            yield record.labels
-
     for delta in deltas:
-        if delta.nodes_added or delta.nodes_removed:
-            nodes_changed = True
-            for labels in _labels(delta.nodes_added):
-                node_labels.update(labels)
-            for labels in _labels(delta.nodes_removed):
-                node_labels.update(labels)
-        if delta.dedges_added or delta.dedges_removed:
-            dedges_changed = True
-            for labels in _labels(delta.dedges_added):
-                dedge_labels.update(labels)
-            for labels in _labels(delta.dedges_removed):
-                dedge_labels.update(labels)
-        if delta.uedges_added or delta.uedges_removed:
-            uedges_changed = True
-            for labels in _labels(delta.uedges_added):
-                uedge_labels.update(labels)
-            for labels in _labels(delta.uedges_removed):
-                uedge_labels.update(labels)
-        for element, key, _value in delta.properties_set:
-            if isinstance(element, NodeId):
-                node_property_keys.add(key)
-            else:
-                edge_property_keys.add(key)
-        for element, key in delta.properties_removed:
+        for kind, records in enumerate((
+            (delta.nodes_added, delta.nodes_removed),
+            (delta.dedges_added, delta.dedges_removed),
+            (delta.uedges_added, delta.uedges_removed),
+        )):
+            for side in (0, 1):
+                for record in records[side]:
+                    changed[kind][side] = True
+                    labels[kind][side].update(record.labels)
+                    if side:
+                        removed.add(record.id)
+        for element, key, *_value in delta.properties_set + delta.properties_removed:
             if isinstance(element, NodeId):
                 node_property_keys.add(key)
             else:
                 edge_property_keys.add(key)
 
-    return DeltaSummary(
-        nodes_changed=nodes_changed,
-        node_labels=frozenset(node_labels),
-        dedges_changed=dedges_changed,
-        dedge_labels=frozenset(dedge_labels),
-        uedges_changed=uedges_changed,
-        uedge_labels=frozenset(uedge_labels),
-        node_property_keys=frozenset(node_property_keys),
-        edge_property_keys=frozenset(edge_property_keys),
-    )
+    def _summary(sides: tuple[int, ...], **extra) -> DeltaSummary:
+        flags = [any(changed[kind][side] for side in sides) for kind in range(3)]
+        sets = [
+            frozenset().union(*(labels[kind][side] for side in sides))
+            for kind in range(3)
+        ]
+        return DeltaSummary(
+            nodes_changed=flags[0],
+            node_labels=sets[0],
+            dedges_changed=flags[1],
+            dedge_labels=sets[1],
+            uedges_changed=flags[2],
+            uedge_labels=sets[2],
+            node_property_keys=frozenset(node_property_keys),
+            edge_property_keys=frozenset(edge_property_keys),
+            **extra,
+        )
+
+    if not removed:
+        return _summary((0,))
+    return _summary((0, 1), removed=frozenset(removed), rest=_summary((0,)))

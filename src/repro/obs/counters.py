@@ -260,7 +260,10 @@ class CacheOutcomes(Counters):
     proven untouched by the interleaving mutations and re-stamped to
     the new version (these also count as hits); ``invalidations`` —
     stale entries dropped because their footprint intersected the
-    mutations (these also count as misses).
+    mutations (these also count as misses); ``refilters`` — stale
+    entries of path-local queries that only removals touched, served
+    minus the answers whose paths contain a removed id (these also
+    count as hits).
     """
 
     hits: int = 0
@@ -268,6 +271,7 @@ class CacheOutcomes(Counters):
     bypasses: int = 0
     restamps: int = 0
     invalidations: int = 0
+    refilters: int = 0
 
     @property
     def lookups(self) -> int:
@@ -285,6 +289,7 @@ class CacheOutcomes(Counters):
 CACHE_OUTCOMES: dict[str, dict[str, int]] = {
     "hit": {"hits": 1},
     "restamp": {"hits": 1, "restamps": 1},
+    "refilter": {"hits": 1, "refilters": 1},
     "miss": {"misses": 1},
     "invalidated": {"misses": 1, "invalidations": 1},
     "bypass": {"bypasses": 1},

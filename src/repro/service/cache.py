@@ -12,16 +12,26 @@ thread.
 stores the graph version, the query's read footprint
 (:class:`~repro.gpc.footprint.QueryFootprint`) and the answer set
 together. On lookup at a newer version it fetches the delta chain the
-graph recorded since the entry's version
+graph recorded between the entry's version and the lookup's
 (:meth:`~repro.graph.property_graph.PropertyGraph.deltas_since`) and
 intersects the footprint with the chain's
-:class:`~repro.graph.delta.DeltaSummary`:
+:class:`~repro.graph.delta.DeltaSummary`. The verdict is one of three:
 
-- **disjoint** — the mutations provably cannot change this query's
-  answers; the entry is *re-stamped* to the new version and served (a
-  hit that survives the mutation);
-- **intersecting** (or the chain is no longer available, or the
-  footprint is unbounded) — the entry is invalidated and the caller
+- **restamp** — the footprint is disjoint from the chain: the
+  mutations provably cannot change this query's answers; the entry is
+  *re-stamped* to the new version and served (a hit that survives the
+  mutation);
+- **refilter** — the footprint is path-local (no ``shortest``, no
+  extension) and only the chain's removals touch it: the answers at
+  the new version are exactly the cached ones whose paths avoid every
+  removed id, so those are served and replace the entry. ``shortest``
+  is excluded because a removal can make a longer path shortest, and
+  extensions because the footprint cannot see through them. The
+  window is exact: a removal after the lookup's version must not drop
+  answers that version still has;
+- **invalidate** — the chain touches the footprint any other way (an
+  addition it can observe, say), is no longer available, or the
+  footprint is unbounded: the entry is dropped and the caller
   recomputes.
 
 Invalidation is lazy (checked at lookup) which is observably
@@ -202,19 +212,21 @@ class SemanticResultCache:
 
     _SUMMARY_MEMO_CAPACITY = 32
 
-    def _chain_summary(self, from_version: int):
-        """The (memoised) summary of the deltas since ``from_version``,
-        or ``None`` when the log no longer covers them."""
-        deltas = self._delta_source(from_version)
-        if deltas is None:
-            return None
-        to_version = deltas[-1].version if deltas else from_version
+    def _chain_summary(self, from_version: int, to_version: int):
+        """The (memoised) summary of exactly the deltas in
+        ``(from_version, to_version]``, or ``None`` when the log no
+        longer covers them."""
         memo_key = (from_version, to_version)
         with self._lock:
             summary = self._summary_memo.get(memo_key)
         if summary is not None:
             return summary
-        summary = summarize_deltas(deltas)
+        deltas = self._delta_source(from_version)
+        if deltas is None:
+            return None
+        # The chain is contiguous and runs past `to_version` when the
+        # graph has moved on since the reader's snapshot: cut it there.
+        summary = summarize_deltas(deltas[: to_version - from_version])
         with self._lock:
             self._summary_memo[memo_key] = summary
             while len(self._summary_memo) > self._SUMMARY_MEMO_CAPACITY:
@@ -231,14 +243,15 @@ class SemanticResultCache:
     def get_with_outcome(self, key: Hashable, version: int):
         """``(result, outcome)`` for a lookup at ``version``.
 
-        ``outcome`` is one of ``"hit"`` / ``"restamp"`` / ``"miss"`` /
-        ``"invalidated"``; ``result`` is ``None`` unless the outcome is
-        a hit or restamp. Exact version match is a plain hit. An older
-        stamp triggers the semantic check; surviving entries are
-        re-stamped to ``version`` so the next lookup is exact again. A
-        *newer* stamp (a reader holding an older snapshot than a
-        concurrent writer) is treated as a miss — recomputing against
-        the older snapshot is always sound.
+        ``outcome`` is one of ``"hit"`` / ``"restamp"`` /
+        ``"refilter"`` / ``"miss"`` / ``"invalidated"``; ``result`` is
+        ``None`` unless the outcome is a hit, restamp or refilter.
+        Exact version match is a plain hit. An older stamp triggers the
+        semantic check; a surviving entry is re-stamped, or replaced by
+        its refiltered answers, at ``version`` so the next lookup is
+        exact again. A *newer* stamp (a reader holding an older
+        snapshot than a concurrent writer) is treated as a miss —
+        recomputing against the older snapshot is always sound.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -253,28 +266,41 @@ class SemanticResultCache:
                 return None, self._count("miss")
             footprint = entry.footprint
             entry_version = entry.version
-        # Delta fetch and footprint intersection run outside the lock;
-        # the chain may extend past `version` if the graph has moved on
-        # — a superset of the relevant mutations, so disjointness is
-        # still a proof.
-        summary = None
+        # Delta fetch, footprint intersection and refilter run outside
+        # the lock, on the deltas in (entry_version, version] only.
+        outcome, kept, summary = "invalidated", None, None
         if footprint is not None:
             with span("cache.delta_check"):
-                summary = self._chain_summary(entry_version)
+                summary = self._chain_summary(entry_version, version)
+        if summary is not None and not footprint.affected_by(summary):
+            outcome = "restamp"
+        elif (
+            summary is not None
+            and summary.rest is not None  # the chain removed something
+            and footprint.path_local
+            and not footprint.affected_by(summary.rest)
+        ):
+            outcome, removed = "refilter", summary.removed
+            with span("cache.refilter"):
+                kept = frozenset(
+                    answer for answer in entry.result
+                    if all(removed.isdisjoint(p.elements) for p in answer.paths)
+                )
         with self._lock:
             current = self._entries.get(key)
             if current is not entry or entry.version != entry_version:
                 return None, self._count("miss")  # raced with an update
-            if (
-                summary is not None
-                and footprint is not None
-                and not footprint.affected_by(summary)
-            ):
+            if outcome == "restamp":
                 entry.version = version
-                self._entries.move_to_end(key)
-                return entry.result, self._count("restamp")
-            del self._entries[key]
-            return None, self._count("invalidated")
+            elif outcome == "refilter":
+                # A new entry without kept bytes or etag: the first
+                # render of the filtered answers wins again.
+                entry = self._entries[key] = _ResultEntry(version, footprint, kept)
+            else:
+                del self._entries[key]
+                return None, self._count(outcome)
+            self._entries.move_to_end(key)
+            return entry.result, self._count(outcome)
 
     def _count(self, outcome: str) -> str:
         """Account one request's ``outcome`` (lock held); returns it."""
@@ -377,5 +403,6 @@ class SemanticResultCache:
             f"SemanticResultCache(capacity={self.capacity}, "
             f"size={len(self)}, hits={self.stats.hits}, "
             f"misses={self.stats.misses}, restamps={self.stats.restamps}, "
+            f"refilters={self.stats.refilters}, "
             f"invalidations={self.stats.invalidations})"
         )

@@ -401,7 +401,7 @@ class GraphService:
     ) -> "tuple[frozenset[Answer] | None, str]":
         """The pipeline's result-cache step: ``(answers, outcome)`` at
         ``snap``'s version, with ``answers`` ``None`` unless the
-        outcome is a hit or a restamp."""
+        outcome is a hit, a restamp or a refilter."""
         if not use_cache:
             return None, self._result_cache.bypass()
         with span(self._span_prefix + "cache_probe") as probe:

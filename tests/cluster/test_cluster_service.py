@@ -117,14 +117,27 @@ class TestResultCache:
 
     def test_mutation_invalidates(self):
         with ClusterService(_graph(), backend="serial") as cluster:
+            before = cluster.evaluate(QUERIES[2])
+            cluster.remove_edge(next(cluster.graph.iter_directed_edges()))
+            after = cluster.evaluate(QUERIES[2])
+            assert after != before
+            assert after == Evaluator(cluster.graph).evaluate(
+                parse_query(QUERIES[2])
+            )
+            assert cluster.stats.result_cache.hits == 0
+            assert cluster.stats.result_cache.invalidations == 1
+
+    def test_removal_refilters(self):
+        with ClusterService(_graph(), backend="serial") as cluster:
             before = cluster.evaluate(QUERIES[0])
             cluster.remove_edge(next(cluster.graph.iter_directed_edges()))
             after = cluster.evaluate(QUERIES[0])
-            assert after != before
+            assert after < before
             assert after == Evaluator(cluster.graph).evaluate(
                 parse_query(QUERIES[0])
             )
-            assert cluster.stats.result_cache.hits == 0
+            cache = cluster.stats.result_cache
+            assert (cache.hits, cache.refilters, cache.invalidations) == (1, 1, 0)
 
     def test_use_cache_false_recomputes(self):
         with ClusterService(_graph(), backend="serial") as cluster:

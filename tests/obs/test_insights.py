@@ -70,6 +70,7 @@ class TestRegistryRecording:
             "misses": 3,
             "invalidations": 0,
             "bypasses": 0,
+            "refilters": 0,
         }
         assert entry["total_time_s"] == pytest.approx(0.05)
         assert entry["latency"]["count"] == 4
@@ -79,9 +80,11 @@ class TestRegistryRecording:
         registry.record(Observation(Q, latency_s=0.0, answers=1, cache="restamp"))
         registry.record(Observation(Q, latency_s=0.0, cache="invalidated"))
         registry.record(Observation(Q, latency_s=0.0, cache="bypass"))
+        registry.record(Observation(Q, latency_s=0.0, answers=1, cache="refilter"))
         (entry,) = registry.top()
         cache = entry["cache"]
-        assert cache["hits"] == 1 and cache["restamps"] == 1
+        assert cache["hits"] == 2 and cache["restamps"] == 1
+        assert cache["refilters"] == 1
         assert cache["misses"] == 1 and cache["invalidations"] == 1
         assert cache["bypasses"] == 1
 

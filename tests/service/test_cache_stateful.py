@@ -1,0 +1,195 @@
+"""The result cache against the specification, under random mutation.
+
+A hypothesis state machine adds and removes nodes and edges, sets
+properties and reads six texts through the service's result cache;
+every read must equal a fresh :class:`Evaluator` on the graph at that
+version, whatever the cache's verdict was — hit, restamp, refilter or
+recomputation. Ids come from small pools so removed elements come back
+under the same id. The texts cover the verdicts' edges: path-local
+``TRAIL`` / ``SIMPLE`` reads (directed, undirected, a join, a bounded
+repetition under a condition), a ``SHORTEST`` read (never refiltered)
+and a label-expression extension (footprint ``BOTTOM``).
+"""
+
+from __future__ import annotations
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
+
+from repro.cluster import ClusterService
+from repro.direction import Direction
+from repro.extensions.label_expressions import EdgeWithLabelExpr, LabelAtom, LabelOr
+from repro.gpc import ast
+from repro.gpc.engine import Evaluator
+from repro.gpc.footprint import query_footprint
+from repro.gpc.parser import parse_query
+from repro.graph.builder import GraphBuilder
+from repro.graph.ids import DirectedEdgeId
+from repro.service import GraphService, SemanticResultCache
+
+TEXTS = {
+    "trail_edge": parse_query("TRAIL (x:Person) -[e:knows]-> (y:Person)"),
+    "simple_married": parse_query("SIMPLE (x:Person) ~[:married]~ (y:Person)"),
+    "join_city": parse_query(
+        "TRAIL (x:Person) -[:knows]-> (y:Person), "
+        "TRAIL (y:Person) -[:lives_in]-> (c:City)"
+    ),
+    "shortest": parse_query("SHORTEST (x:Person) -[:knows]->{1,} (y:Person)"),
+    "trail_bounded": parse_query(
+        "TRAIL [(x:Person) -[:knows]->{1,3} (y)] << x.team = y.team >>"
+    ),
+    "label_expr": ast.PatternQuery(
+        ast.Restrictor.TRAIL,
+        ast.concat(
+            ast.node("x", "Person"),
+            EdgeWithLabelExpr(
+                Direction.FORWARD, LabelOr(LabelAtom("knows"), LabelAtom("lives_in")), "e"
+            ),
+            ast.node("y"),
+        ),
+    ),
+}
+
+NODE_KEYS = [f"n{i}" for i in range(7)]
+EDGE_KEYS = [f"e{i}" for i in range(12)]
+LABELS = {"knows": False, "lives_in": False, "married": True}  # label -> undirected
+
+
+def _graph():
+    """A `knows` cycle with a chord, so removals change shortest paths."""
+    return (
+        GraphBuilder()
+        .node("n0", "Person", team="db")
+        .node("n1", "Person", team="db")
+        .node("n2", "Person", team="ml")
+        .node("n3", "Person", team="ml")
+        .node("n4", "City")
+        .edge("n0", "n1", "knows", key="e0")
+        .edge("n1", "n2", "knows", key="e1")
+        .edge("n2", "n3", "knows", key="e2")
+        .edge("n3", "n0", "knows", key="e3")
+        .edge("n0", "n2", "knows", key="e4")
+        .edge("n1", "n4", "lives_in", key="e5")
+        .undirected("n0", "n2", "married", key="e6")
+        .build()
+    )
+
+
+#: Verdicts seen over a whole run, per façade: the machine must reach
+#: every one, or it checked less than it claims.
+SEEN: dict[str, dict[str, int]] = {}
+
+
+class CacheMachine(RuleBasedStateMachine):
+    facade = "graph"
+
+    def __init__(self):
+        super().__init__()
+        if self.facade == "graph":
+            self.service = GraphService(_graph())
+        else:
+            self.service = ClusterService(_graph(), backend="serial", num_workers=2)
+
+    def teardown(self):
+        cache = self.service.stats.result_cache
+        seen = SEEN.setdefault(
+            self.facade, dict.fromkeys(("restamps", "refilters", "invalidations"), 0)
+        )
+        for outcome in seen:
+            seen[outcome] += getattr(cache, outcome)
+        self.service.close()
+
+    def _nodes(self):
+        return sorted(self.service.graph.iter_nodes())
+
+    def _edges(self):
+        graph = self.service.graph
+        return sorted(graph.iter_directed_edges()) + sorted(graph.iter_undirected_edges())
+
+    @rule(key=st.sampled_from(NODE_KEYS), label=st.sampled_from(["Person", "City"]),
+          team=st.sampled_from(["db", "ml"]))
+    def add_node(self, key, label, team):
+        if key not in {node.key for node in self._nodes()}:
+            self.service.add_node(key, [label], {"team": team})
+
+    @rule(key=st.sampled_from(EDGE_KEYS), label=st.sampled_from(sorted(LABELS)),
+          ends=st.tuples(st.integers(0, 99), st.integers(0, 99)))
+    def add_edge(self, key, label, ends):
+        nodes = self._nodes()
+        if not nodes or key in {edge.key for edge in self._edges()}:
+            return
+        source, target = (nodes[end % len(nodes)] for end in ends)
+        add = self.service.add_undirected_edge if LABELS[label] else self.service.add_edge
+        add(key, source, target, [label])
+
+    @rule(index=st.integers(0, 99))
+    def remove_edge(self, index):
+        edges = self._edges()
+        if edges:
+            edge = edges[index % len(edges)]
+            if isinstance(edge, DirectedEdgeId):
+                self.service.remove_edge(edge)
+            else:
+                self.service.remove_undirected_edge(edge)
+
+    @rule(index=st.integers(0, 99))
+    def remove_node(self, index):
+        nodes = self._nodes()
+        if nodes:  # with every incident edge, in one delta
+            self.service.remove_node(nodes[index % len(nodes)])
+
+    @rule(index=st.integers(0, 99), key=st.sampled_from(["team", "age"]),
+          value=st.sampled_from(["db", "ml", 1]))
+    def set_property(self, index, key, value):
+        nodes = self._nodes()
+        if nodes:
+            self.service.set_property(nodes[index % len(nodes)], key, value)
+
+    @rule(name=st.sampled_from(sorted(TEXTS)))
+    def evaluate(self, name):
+        answers = self.service.evaluate(TEXTS[name])
+        assert answers == Evaluator(self.service.graph).evaluate(TEXTS[name]), name
+
+    @rule()
+    def evaluate_all(self):
+        for name in TEXTS:
+            self.evaluate(name)
+
+
+class ClusterCacheMachine(CacheMachine):
+    facade = "cluster-serial"
+
+
+def test_cached_reads_equal_the_evaluator_under_random_mutation():
+    SEEN.clear()
+    for machine in (CacheMachine, ClusterCacheMachine):
+        run_state_machine_as_test(
+            machine,
+            settings=settings(
+                max_examples=60, stateful_step_count=30, deadline=None, derandomize=True
+            ),
+        )
+    for facade, seen in SEEN.items():
+        assert min(seen.values()) > 0, (facade, seen)
+
+
+def test_refilter_reads_exactly_the_readers_version():
+    """The entry is at v0, the reader's snapshot at v1, and a removal
+    at v2 lands before the lookup: the lookup serves the v1 answers —
+    a refilter by the v1 removal only — and a lookup at v2 the v2 ones."""
+    graph = _graph()
+    query = TEXTS["trail_edge"]
+    cache = SemanticResultCache(8, delta_source=graph.deltas_since)
+    cache.put("q", graph.version, query_footprint(query), Evaluator(graph).evaluate(query))
+    graph.remove_edge(DirectedEdgeId("e0"))
+    reader = graph.snapshot()
+    graph.remove_edge(DirectedEdgeId("e1"))
+    answers, outcome = cache.get_with_outcome("q", reader.version)
+    assert outcome == "refilter"
+    assert answers == Evaluator(reader).evaluate(query)
+    assert len(answers) == 4
+    answers, outcome = cache.get_with_outcome("q", graph.version)
+    assert outcome == "refilter"
+    assert answers == Evaluator(graph).evaluate(query)
+    assert len(answers) == 3

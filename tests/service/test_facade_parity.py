@@ -326,7 +326,11 @@ def test_revalidated_reads_through_a_server_are_exact(facade):
                     read_all()
             assert min(revalidated.values()) >= 1
             cache = handle.server.service.stats.result_cache
-            assert cache.invalidations >= 4 * len(KNOWS_READERS) and cache.restamps >= 4
+            # Per cycle, the add invalidates each `knows` reader and the
+            # remove refilters it.
+            assert cache.invalidations >= 2 * len(KNOWS_READERS)
+            assert cache.refilters >= 2 * len(KNOWS_READERS)
+            assert cache.restamps >= 4
 
 
 def _shared_stats(service):

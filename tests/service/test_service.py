@@ -101,35 +101,63 @@ class TestResultCache:
         assert first is second  # the cached frozenset itself
 
     @pytest.mark.parametrize(
+        "text, mutate",
+        [
+            (
+                QUERIES[0],
+                lambda s: s.add_edge(
+                    "extra",
+                    *sorted(s.graph.nodes_with_label("Person"))[:2],
+                    ["knows"],
+                ),
+            ),
+            (QUERIES[2], lambda s: s.remove_edge(next(s.graph.iter_directed_edges()))),
+            (QUERIES[2], lambda s: s.remove_node(next(s.graph.iter_nodes()))),
+        ],
+        ids=["add_edge", "shortest_remove_edge", "shortest_remove_node"],
+    )
+    def test_footprint_intersecting_mutation_invalidates(
+        self, social, text, mutate
+    ):
+        """QUERIES[0] and the SHORTEST QUERIES[2] read `knows` directed
+        edges; an added one must invalidate either cached entry, and so
+        must a removal under SHORTEST (a longer path may become
+        shortest): both recompute under the bumped version."""
+        social.evaluate(text)
+        version = social.version
+        mutate(social)
+        assert social.version > version
+        after = social.evaluate(text)
+        assert social.stats.result_cache.misses == 2
+        assert social.stats.result_cache.hits == 0
+        assert social.stats.result_cache.invalidations == 1
+        assert social.stats.result_cache.refilters == 0
+        assert after == Evaluator(social.graph).evaluate(parse_query(text))
+
+    @pytest.mark.parametrize(
         "mutate",
         [
             lambda s: s.remove_edge(next(s.graph.iter_directed_edges())),
             lambda s: s.remove_node(next(s.graph.iter_nodes())),
-            lambda s: s.add_edge(
-                "extra",
-                *sorted(s.graph.nodes_with_label("Person"))[:2],
-                ["knows"],
-            ),
         ],
-        ids=["remove_edge", "remove_node", "add_edge"],
+        ids=["remove_edge", "remove_node"],
     )
-    def test_footprint_intersecting_mutation_invalidates(
-        self, social, mutate
-    ):
-        """QUERIES[0] reads `knows` directed edges; any mutation
-        touching them must invalidate the cached entry and recompute
-        under the bumped version."""
-        social.evaluate(QUERIES[0])
-        version = social.version
+    def test_footprint_intersecting_removal_refilters(self, social, mutate):
+        """A removal touching QUERIES[0]'s `knows` edges keeps its
+        entry: the cached answers whose paths avoid the removed ids are
+        served — a hit — and equal a fresh evaluation of the mutated
+        graph."""
+        before = social.evaluate(QUERIES[0])
         mutate(social)
-        assert social.version > version
         after = social.evaluate(QUERIES[0])
-        assert social.stats.result_cache.misses == 2
-        assert social.stats.result_cache.hits == 0
-        assert social.stats.result_cache.invalidations == 1
+        assert after < before
+        cache = social.stats.result_cache
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert (cache.refilters, cache.invalidations) == (1, 0)
         assert after == Evaluator(social.graph).evaluate(
             parse_query(QUERIES[0])
         )
+        assert social.evaluate(QUERIES[0]) is after  # an exact hit now
 
     @pytest.mark.parametrize(
         "mutate",
