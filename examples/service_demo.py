@@ -38,7 +38,8 @@ def main() -> None:
         print(f"  prepared on {people}-person network: "
               f"{len(prepared.execute(graph))} shortest answers")
 
-    # 5. Batches fan out over a thread pool; results stay in order.
+    # 5. A batch shares one snapshot and runs in this thread; results
+    #    stay in order.
     batch = service.evaluate_batch([
         "TRAIL (x:Person) -[:lives_in]-> (c:City)",
         "SIMPLE (x:Person) ~[:married]~ (y:Person)",

@@ -2,8 +2,8 @@
 
 ``ClusterService`` is :class:`~repro.service.service.GraphService` with
 one step of the serving pipeline replaced: where the base class
-*executes* a prepared query by running it whole, the cluster
-*partitions its seed space* across N workers:
+*executes* each prepared query of a batch by running it whole, the
+cluster *partitions its seed space* across N workers:
 
 1. the :class:`~repro.cluster.partitioner.SeedPartitioner` splits the
    query's viable start nodes (pruned by the planner's leading-endpoint
@@ -11,10 +11,11 @@ one step of the serving pipeline replaced: where the base class
 2. the :class:`~repro.cluster.router.ScatterGatherRouter` turns the
    cells into shard calls against the current immutable snapshot;
 3. the executor backend (serial / thread / process) evaluates every
-   shard with the engine's native ``start_restriction`` seam;
-4. the router unions the shard answers — lossless by GPC's set
-   semantics: disjoint seed cells produce disjoint answer sets whose
-   union is exactly the unsharded answer set.
+   shard of every query of the batch in one run, with the engine's
+   native ``start_restriction`` seam;
+4. the router unions each query's shard answers — lossless by GPC's
+   set semantics: disjoint seed cells produce disjoint answer sets
+   whose union is exactly the unsharded answer set.
 
 Snapshots, mutations, both caches, failure accounting, insights,
 ``explain`` and ``lint`` are the inherited ones, so answers, cache
@@ -27,18 +28,16 @@ snapshot once per graph version into warm workers (see
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.cluster.backends import ExecutorBackend, ShardCall, make_backend
 from repro.cluster.partitioner import SeedPartitioner
 from repro.cluster.router import ScatterGatherRouter
 from repro.cluster.stats import ClusterStats
-from repro.gpc.answers import Answer
 from repro.gpc.engine import EngineConfig
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
-from repro.obs import EvalCounters, InsightsRegistry, Observation, span
+from repro.obs import InsightsRegistry, span
 from repro.service.prepared import PreparedQuery
 from repro.service.service import GraphService
 
@@ -47,6 +46,10 @@ __all__ = ["ClusterService"]
 
 class ClusterService(GraphService):
     """Serve GPC queries by scatter/gather over partitioned seeds.
+
+    The inherited pipeline admits and settles every query; only the
+    execute step is the cluster's, and it sends the shards of a whole
+    batch to the backend in one run.
 
     Example
     -------
@@ -98,21 +101,38 @@ class ClusterService(GraphService):
         self.router = ScatterGatherRouter()
 
     # ------------------------------------------------------------------
-    # The execute step: scatter → run → gather
+    # The execute step: one scatter → one run → a gather per query
     # ------------------------------------------------------------------
 
-    def _execute(
-        self,
-        prepared: PreparedQuery,
-        snap: GraphSnapshot,
-        counters: EvalCounters,
-    ) -> frozenset[Answer]:
-        """Scatter ``prepared`` across seed partitions, gather the
-        union; ``counters`` sums the engine work of every shard."""
-        with span(self._span_prefix + "eval") as eval_span:
-            calls = self._scatter(prepared, snap)
-            eval_span.set_attr("shards", len(calls))
-            return self._gather(self._run(snap, calls), counters, eval_span)
+    def _execute_all(self, snap: GraphSnapshot, jobs) -> None:
+        """Every job sharded, all of them in one scatter.
+
+        Each job's shard calls are made in its own context, so they
+        carry its trace and deadline; every call of every job goes to
+        the backend in one run, so the worker pool pipelines across
+        queries; each job then gathers its own shards in its own
+        context, under an ``eval`` span that adopts them. Every shard
+        completes and every sibling is merged before a failure
+        surfaces.
+        """
+        calls: list[ShardCall] = []
+        windows = []
+        for job in jobs:
+            start = len(calls)
+            calls.extend(job.run(self._scatter, job.prepared, snap) or ())
+            windows.append(slice(start, len(calls)))
+        # The partitioner guarantees at least one cell per query, but
+        # an empty scatter (an all-hit batch, or every scatter failed)
+        # must never reach the backend: on the process backend run()
+        # warms the pool and ships the snapshot even for zero calls.
+        outcomes = (
+            self.backend.run(snap, calls, delta_source=self._graph.deltas_since)
+            if calls
+            else []
+        )
+        for job, window in zip(jobs, windows):
+            if job.error is None:
+                job.run(self._gather, job, outcomes[window])
 
     def _scatter(
         self, prepared: PreparedQuery, snap: GraphSnapshot
@@ -124,28 +144,19 @@ class ClusterService(GraphService):
         query = prepared.text if prepared.text is not None else prepared.query
         return self.router.scatter(query, prepared.config, cells)
 
-    def _run(self, snap: GraphSnapshot, calls: list[ShardCall]) -> list:
-        # The partitioner guarantees at least one cell per query, but
-        # an empty scatter (an all-hit batch) must never reach the
-        # backend: on the process backend run() warms the pool and
-        # ships the snapshot even for zero calls.
-        if not calls:
-            return []
-        return self.backend.run(
-            snap, calls, delta_source=self._graph.deltas_since
-        )
-
-    def _gather(self, outcomes, counters: EvalCounters, eval_span):
+    def _gather(self, job, outcomes) -> None:
         # Re-parent each shard's serialised span under the eval stage
         # and account its work *before* gathering, so a failed gather
         # still leaves the shard spans in the request trace, the
         # partial work in counters and every shard that ran in stats.
-        for outcome in outcomes:
-            eval_span.adopt(outcome.span)
-            counters.merge(outcome.counters)
-        with self.stats.lock:
-            self.stats.record_shards(outcomes)
-        return self.router.gather(outcomes)
+        counters = job.seen.counters
+        with span(self._span_prefix + "eval", shards=len(outcomes)) as eval_span:
+            for outcome in outcomes:
+                eval_span.adopt(outcome.span)
+                counters.merge(outcome.counters)
+            with self.stats.lock:
+                self.stats.record_shards(outcomes)
+            job.result = self.router.gather(outcomes)
 
     def _plan_report(self, prepared: PreparedQuery, snap: GraphSnapshot) -> str:
         """The engine plan plus the cluster's sharding decision."""
@@ -155,114 +166,6 @@ class ClusterService(GraphService):
             f"workers={self.num_workers}; "
             + self.partitioner.describe(snap, prepared)
         )
-
-    # ------------------------------------------------------------------
-    # Batches: one scatter for every member
-    # ------------------------------------------------------------------
-
-    def _evaluate_all(
-        self, queries, config: EngineConfig, use_cache: bool, contexts
-    ) -> list:
-        """Each member sharded, all members in one scatter.
-
-        All shards of all (uncached) queries go to the backend
-        together, so the worker pool pipelines across queries; every
-        shard completes and sibling results are fully merged before a
-        failing member surfaces. Each query's probe/scatter and gather
-        stages run in its own context, so every shard span lands in
-        the right request's trace and every insight cross-links the
-        right trace id.
-        """
-        started = time.perf_counter()
-        snap = self.snapshot()
-        calls: list[ShardCall] = []
-
-        def in_context(index, stage, *args):
-            if contexts is None:
-                return stage(*args)
-            return contexts[index].run(stage, *args)
-
-        def scatter(query):
-            """The member's observation so far — finished if the cache
-            answered — or the exception that stopped it before any
-            shard ran. ``pending`` holds what the gather stage needs."""
-            seen = Observation(query, started)
-            cached, seen.cache = self._probe(query, config, snap, use_cache)
-            if cached is not None:
-                return seen.finish(cached), cached
-            try:
-                with span(self._span_prefix + "plan"):
-                    prepared = self.prepare(query, config)
-                    shard_calls = self._scatter(prepared, snap)
-            # The exception is the member's outcome, not swallowed.
-            except Exception as exc:  # lint: allow-broad-except
-                return None, exc
-            seen.parsed = prepared.query
-            seen.estimates = self._plan_estimates(prepared, snap)
-            seen.counters = EvalCounters()
-            window = slice(len(calls), len(calls) + len(shard_calls))
-            calls.extend(shard_calls)
-            return seen, (window, prepared)
-
-        def gather(query, seen, window, prepared):
-            chunk = outcomes[window]
-            try:
-                with span(
-                    self._span_prefix + "eval", shards=len(chunk)
-                ) as eval_span:
-                    merged = self._gather(chunk, seen.counters, eval_span)
-            # The exception is the member's outcome, not swallowed.
-            except Exception as exc:  # lint: allow-broad-except
-                seen.error = exc
-                seen.finish()
-                return exc
-            if use_cache:
-                self._result_cache.put(
-                    (query, config), snap.version, prepared.footprint, merged
-                )
-            seen.finish(merged)
-            return merged
-
-        members = [
-            in_context(index, scatter, query)
-            for index, query in enumerate(queries)
-        ]
-        outcomes = self._run(snap, calls)
-        results = []
-        for index, (seen, pending) in enumerate(members):
-            if isinstance(pending, tuple):
-                pending = in_context(
-                    index, gather, queries[index], seen, *pending
-                )
-            results.append(pending)
-        # The batch's single exit. Members that failed before any shard
-        # ran carry no observation and are not counted — the same
-        # accounting as `evaluate`, which raises before observing.
-        self._observe_batch(members, contexts, time.perf_counter() - started)
-        return results
-
-    def _observe_batch(self, members, contexts, elapsed_s: float) -> None:
-        """The batch pipeline's one exit: fold it into the aggregate —
-        one latency sample for the whole of it, per-query wall clock
-        not being separable once shards interleave — and each observed
-        member into its fingerprint's entry, in the member's own
-        context so the insight cross-links the right trace id."""
-        observed = [
-            (index, seen)
-            for index, (seen, _) in enumerate(members)
-            if seen is not None
-        ]
-        stats = self.stats
-        with stats.lock:
-            stats.queries += len(observed)
-            stats.latency.record(elapsed_s)
-            for _, seen in observed:
-                stats.engine.merge(seen.counters)
-        for index, seen in observed:
-            if contexts is None:
-                self._record_insight(seen)
-            else:
-                contexts[index].run(self._record_insight, seen)
 
     # ------------------------------------------------------------------
     # Lifecycle

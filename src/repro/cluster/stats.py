@@ -22,12 +22,14 @@ __all__ = ["ClusterStats"]
 class ClusterStats(ServiceStats):
     """Aggregate metrics exposed by :class:`ClusterService.stats`.
 
-    The inherited ``latency`` records router-level wall clock per query
-    (scatter + evaluate + gather) and the inherited ``engine`` the work
-    of every shard task (each evaluation's counters are the sum of its
-    shards'); ``shard_latency`` records in-worker evaluation time per
-    shard task, with :attr:`per_worker` breaking the same samples down
-    by worker tag (thread name or worker pid).
+    The inherited ``latency`` records, as on ``GraphService``, one
+    sample per observed query, timed from its batch's start to its
+    answer (scatter + evaluate + gather; a lone ``evaluate`` is a batch
+    of one), and the inherited ``engine`` the work of every shard task
+    (each evaluation's counters are the sum of its shards');
+    ``shard_latency`` records in-worker evaluation time per shard task,
+    with :attr:`per_worker` breaking the same samples down by worker
+    tag (thread name or worker pid).
     """
 
     metrics_prefix = "repro_cluster"

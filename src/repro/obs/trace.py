@@ -10,9 +10,10 @@ the cluster) one span per shard. The design goals, in order:
   allocation of real spans, no locks;
 - **propagation across execution boundaries** — the active span lives
   in a :class:`~contextvars.ContextVar`, which asyncio tasks inherit
-  automatically. Thread pools do not: callers capture
-  :func:`contextvars.copy_context` per work item and run the item
-  inside it (see :meth:`GraphService.evaluate_batch`). Process pools
+  automatically. Work handed between threads does not: callers
+  capture :func:`contextvars.copy_context` per work item and run the
+  item inside it (the server's coalescer hands each request's copy to
+  :meth:`GraphService.evaluate_batch`). Process pools
   cannot share objects at all, so spans cross that boundary as an
   explicit *carrier* (``(trace_id, parent_span_id)``) in the shard
   payload: the worker opens a detached span via :func:`remote_span`,

@@ -105,6 +105,24 @@ _STOP = object()
 _ETAG = re.compile(r"[0-9a-f]{1,64}")
 
 
+def _use_cache(body: dict) -> bool:
+    """A request's ``"use_cache"``: a JSON boolean, true when absent."""
+    use_cache = body.get("use_cache", True)
+    if not isinstance(use_cache, bool):
+        raise ProtocolError(400, '"use_cache" must be true or false')
+    return use_cache
+
+
+def _labels(op: dict) -> list:
+    """A mutation op's ``"labels"``: a list of strings, empty when absent."""
+    labels = op.get("labels", [])
+    if not isinstance(labels, list) or not all(
+        isinstance(label, str) for label in labels
+    ):
+        raise ProtocolError(400, '"labels" must be a list of strings')
+    return labels
+
+
 #: Content type of the Prometheus text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -464,7 +482,7 @@ class GraphServer:
             etag = body.get("etag")
             if etag is not None and not (isinstance(etag, str) and _ETAG.fullmatch(etag)):
                 raise ProtocolError(400, '"etag" must be 1 to 64 lowercase hex digits')
-            use_cache = bool(body.get("use_cache", True))
+            use_cache = _use_cache(body)
         if self._queue.qsize() >= self.max_queue_depth:
             raise ProtocolError(429, "query queue is full, retry later")
         future = self._loop.create_future()
@@ -504,9 +522,9 @@ class GraphServer:
                 raise ProtocolError(
                     400, 'body must be {"queries": ["<gpc>", ...]}'
                 )
-            use_cache = bool(body.get("use_cache", True))
-        # One context copy per query: each evaluation thread inherits
-        # this request's root span, so every member's service/engine
+            use_cache = _use_cache(body)
+        # One context copy per query: each member runs in its own copy
+        # of this request's context, so every member's service/engine
         # spans share the batch request's trace id.
         contexts = [contextvars.copy_context() for _ in queries]
         async with self._slot():
@@ -863,7 +881,7 @@ class GraphServer:
         if kind == "add_node":
             node = service.add_node(
                 wire._decode_key(op.get("key")),
-                op.get("labels", ()),
+                _labels(op),
                 op.get("properties") or None,
             )
             return wire.encode_id(node)
@@ -872,7 +890,7 @@ class GraphServer:
                 wire._decode_key(op.get("key")),
                 NodeId(wire._decode_key(op.get("source"))),
                 NodeId(wire._decode_key(op.get("target"))),
-                op.get("labels", ()),
+                _labels(op),
                 op.get("properties") or None,
             )
             return wire.encode_id(edge)
@@ -881,7 +899,7 @@ class GraphServer:
                 wire._decode_key(op.get("key")),
                 NodeId(wire._decode_key(op.get("endpoint_a"))),
                 NodeId(wire._decode_key(op.get("endpoint_b"))),
-                op.get("labels", ()),
+                _labels(op),
                 op.get("properties") or None,
             )
             return wire.encode_id(edge)

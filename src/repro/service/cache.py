@@ -313,17 +313,22 @@ class SemanticResultCache:
         with self._lock:
             return self._count("bypass")
 
-    def put(self, key: Hashable, version: int, footprint, result) -> None:
-        """Store ``result`` computed at ``version`` with ``footprint``.
+    def put(self, key: Hashable, version: int, footprint, result):
+        """Store ``result`` computed at ``version`` with ``footprint``;
+        return the answer set to serve for it.
 
         A racing writer with an older snapshot never downgrades a
-        newer stamp.
+        newer stamp. An equal answer set put again at the same version
+        (a query repeated within a batch, or racing misses) leaves the
+        first in place, kept bytes and all, and gets it back.
         """
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
                 if existing.version > version:
-                    return
+                    return result
+                if existing.version == version and existing.result == result:
+                    return existing.result
                 self._entries.move_to_end(key)
             footprint = self._footprints.setdefault(footprint, footprint)
             self._entries[key] = _ResultEntry(version, footprint, result)
@@ -337,6 +342,7 @@ class SemanticResultCache:
                     entry.footprint: entry.footprint
                     for entry in self._entries.values()
                 }
+        return result
 
     def rendered(
         self,

@@ -16,21 +16,24 @@ supports:
   read footprint (:mod:`repro.gpc.footprint`) intersects the recorded
   mutation deltas are invalidated — footprint-disjoint entries are
   re-stamped and keep hitting across mutations;
-- **concurrent batches**: :meth:`evaluate_batch` fans independent
-  queries out over a thread pool (snapshots and precompiled plans are
-  immutable, hence safely shared).
+- **batches**: :meth:`evaluate_batch` runs its members against one
+  snapshot, in the calling thread (under the GIL a pool gains nothing;
+  parallelism lives in the cluster backends).
 
 :class:`~repro.service.stats.ServiceStats` records cache hits, misses,
 evictions and latency percentiles for observability.
 
-Serving a query is one pipeline — snapshot → cache probe → prepare →
-*execute* → cache put → observe — and :meth:`GraphService._execute` is
-the step a subclass replaces: here it runs the prepared query
-locally, :class:`~repro.cluster.service.ClusterService` scatters it
-over seed cells and unions the parts (and, being a scatter, spreads a
-batch differently and adds a line to ``explain``). Everything around
-that step (mutations, caches, failure accounting, insights,
-``explain``, ``lint``) exists once, in this module.
+Serving is one pipeline, staged once for a batch of any size (a lone
+:meth:`evaluate` is a batch of one): *admit* — one snapshot, then per
+member the cache probe and, on a miss, prepare, estimates and counters
+— then :meth:`GraphService._execute_all` for every admitted miss, then
+*settle* — cache put, finish and observe. The execute step is the one
+a subclass replaces: here it runs each prepared query locally,
+:class:`~repro.cluster.service.ClusterService` scatters all of them
+over seed cells in one backend run and gathers each member's union
+(and adds a line to ``explain``). Everything around that step
+(mutations, caches, failure accounting, insights, ``explain``,
+``lint``) exists once, in this module.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.gpc import ast
@@ -69,6 +70,36 @@ from repro.service.prepared import PreparedQuery
 from repro.service.stats import ServiceStats
 
 __all__ = ["GraphService"]
+
+
+class _Job:
+    """One query of a served batch on its way through the pipeline.
+
+    ``seen`` is its observation, ``context`` the
+    :class:`contextvars.Context` its stages run in (``None``: the
+    caller's), ``prepared`` its prepared query once admitted past a
+    cache miss, and ``result`` / ``error`` its outcome.
+    """
+
+    __slots__ = ("seen", "context", "prepared", "result", "error")
+
+    def __init__(self, seen: Observation, context=None, prepared=None):
+        self.seen = seen
+        self.context: contextvars.Context | None = context
+        self.prepared: PreparedQuery | None = prepared
+        self.result: frozenset[Answer] | None = None
+        self.error: Exception | None = None
+
+    def run(self, stage, *args):
+        """``stage(*args)`` in the job's context; what it raises becomes
+        the job's ``error`` (and the return value ``None``)."""
+        try:
+            if self.context is None:
+                return stage(*args)
+            return self.context.run(stage, *args)
+        # The exception is the member's outcome, not swallowed.
+        except Exception as exc:  # lint: allow-broad-except
+            self.error = exc
 
 
 class GraphService:
@@ -104,7 +135,6 @@ class GraphService:
         *,
         plan_cache_size: int = 256,
         result_cache_size: int = 4096,
-        max_workers: int | None = None,
         insights: bool | InsightsRegistry = True,
     ):
         self._graph = graph if graph is not None else PropertyGraph()
@@ -124,8 +154,6 @@ class GraphService:
             self.stats.result_cache,
             delta_source=self._graph.deltas_since,
         )
-        self._max_workers = max_workers
-        self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.RLock()
         self._last_snapshot_version: int | None = None
 
@@ -138,7 +166,7 @@ class GraphService:
         """The underlying graph; mutating it invalidates caches.
 
         ``PropertyGraph`` itself is not thread-safe: when serving
-        concurrently (e.g. during :meth:`evaluate_batch`), mutate
+        concurrently (e.g. behind a server), mutate
         through the service's delegating methods below — they hold the
         service lock, so snapshot construction never observes a
         half-applied mutation.
@@ -264,25 +292,24 @@ class GraphService:
         report = self._plan_report(prepared, snap)
         if not analyze:
             return report
-        counters = EvalCounters()
-        started = time.perf_counter()
-        try:
-            result = self._execute(prepared, snap, counters)
-        finally:
-            # Not a served query, but its engine work is in the aggregate.
-            with self.stats.lock:
-                self.stats.engine.merge(counters)
-        elapsed = time.perf_counter() - started
-        observed = explain_counters(
-            counters, answers=len(result), elapsed_s=elapsed
-        )
-        sections = [report, observed]
+        job = _Job(Observation(query), prepared=prepared)
+        counters = job.seen.counters = EvalCounters()
+        self._execute_all(snap, [job])
+        elapsed = job.seen.finish().latency_s
+        # Not a served query, but its engine work is in the aggregate.
+        with self.stats.lock:
+            self.stats.engine.merge(counters)
+        if job.error is not None:
+            raise job.error
+        answers = len(job.result)
+        sections = [
+            report,
+            explain_counters(counters, answers=answers, elapsed_s=elapsed),
+        ]
         estimates = self._plan_estimates(prepared, snap)
         if estimates is not None:
             sections.append(
-                explain_estimates(
-                    estimates, answers=len(result), counters=counters
-                )
+                explain_estimates(estimates, answers=answers, counters=counters)
             )
         return "\n".join(sections)
 
@@ -330,42 +357,10 @@ class GraphService:
         are disjoint from the query's read footprint — the semantic
         check proves the answers unchanged before re-serving them.
         """
-        config = config or self.config
-        seen = Observation(query)
-        # Snapshot first and validate cached entries against the
-        # snapshot's own version: a concurrent mutation then yields a
-        # version mismatch (resolved by the delta/footprint check)
-        # rather than a stale entry served as current.
-        snap = self.snapshot()
-        result, seen.cache = self._probe(query, config, snap, use_cache)
-        prepared = None
-        if result is None:
-            # Failures up to here (parse, typecheck) are the caller's
-            # and go unobserved; from the execute step on, a failure is
-            # a served query: counted, timed, and recorded with the
-            # work done so far — so error rates derived from
-            # ``queries`` stay honest.
-            with span(self._span_prefix + "plan"):
-                prepared = self.prepare(query, config)
-            seen.parsed = prepared.query
-            seen.estimates = self._plan_estimates(prepared, snap)
-            seen.counters = EvalCounters()
-        # The pipeline's single exit: whatever happens from here on —
-        # a hit, computed answers, or the execute step raising — is
-        # observed exactly once, and a failure propagates untouched.
-        try:
-            if prepared is not None:
-                result = self._execute(prepared, snap, seen.counters)
-                if use_cache:
-                    self._result_cache.put(
-                        (query, config), snap.version, prepared.footprint, result
-                    )
-            return result
-        except Exception as exc:
-            seen.error = exc
-            raise
-        finally:
-            self._observe(seen.finish(result))
+        [outcome] = self._serve([query], config or self.config, use_cache)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def rendered(
         self,
@@ -396,43 +391,6 @@ class GraphService:
         (:meth:`~repro.service.cache.SemanticResultCache.etag`)."""
         return self._result_cache.etag((query, self.config), answers)
 
-    def _probe(
-        self, query, config: EngineConfig, snap: GraphSnapshot, use_cache: bool
-    ) -> "tuple[frozenset[Answer] | None, str]":
-        """The pipeline's result-cache step: ``(answers, outcome)`` at
-        ``snap``'s version, with ``answers`` ``None`` unless the
-        outcome is a hit, a restamp or a refilter."""
-        if not use_cache:
-            return None, self._result_cache.bypass()
-        with span(self._span_prefix + "cache_probe") as probe:
-            cached, outcome = self._result_cache.get_with_outcome(
-                (query, config), snap.version
-            )
-            probe.set_attr("hit", cached is not None)
-        return cached, outcome
-
-    def _execute(
-        self,
-        prepared: PreparedQuery,
-        snap: GraphSnapshot,
-        counters: EvalCounters,
-    ) -> frozenset[Answer]:
-        """The pipeline's execute step: the answers of ``prepared`` at
-        ``snap``, with the engine work they cost accounted into
-        ``counters`` (also when it raises — the caller observes partial
-        work) and — when a trace is active — onto the ``eval`` span.
-        Here: one local run.
-        """
-        with span(self._span_prefix + "eval") as eval_span:
-            try:
-                with use_counters(counters):
-                    result = prepared.execute(snap)
-            finally:
-                if eval_span:
-                    eval_span.set_attrs(counters.as_dict())
-            eval_span.set_attr("answers", len(result))
-        return result
-
     def _plan_estimates(self, prepared: PreparedQuery, snap: GraphSnapshot):
         """The planner's pre-execution estimates, or ``None``.
 
@@ -449,31 +407,6 @@ class GraphService:
         except Exception:  # lint: allow-broad-except
             return None
 
-    def _observe(self, seen: Observation) -> None:
-        """The pipeline's one exit: fold a finished evaluation into the
-        service aggregate (one ``stats.lock`` round-trip) and into its
-        fingerprint's entry."""
-        stats = self.stats
-        with stats.lock:
-            stats.queries += 1
-            stats.latency.record(seen.latency_s)
-            stats.engine.merge(seen.counters)
-        self._record_insight(seen)
-
-    def _record_insight(self, seen: Observation) -> None:
-        """Fold ``seen`` into the insights registry, cross-linked with
-        the trace that is active in the calling context.
-
-        Stamps the fingerprint onto the active root span so slow-log
-        entries in the trace store cross-link to ``GET /insights``.
-        """
-        root = current_span()
-        if root:
-            seen.trace_id = root.trace_id
-        fingerprint = self.insights.record(seen)
-        if root and fingerprint is not None:
-            root.set_attr("fingerprint", fingerprint)
-
     def evaluate_batch(
         self,
         queries: Sequence[str | ast.Query],
@@ -483,12 +416,13 @@ class GraphService:
         return_exceptions: bool = False,
         contexts: "Sequence[contextvars.Context] | None" = None,
     ) -> list[frozenset[Answer]]:
-        """Evaluate independent queries concurrently.
+        """Evaluate independent queries, in the calling thread.
 
-        Returns results in input order. Every query is evaluated
-        against the same graph snapshot semantics as
-        :meth:`evaluate` (answers are frozensets, so the outcome is
-        deterministic regardless of thread scheduling).
+        Returns results in input order. Every member is evaluated
+        against one snapshot, with the same answers as :meth:`evaluate`
+        and the same accounting: one ``queries`` count and one latency
+        sample per observed member, timed from the batch's start to
+        its answer.
 
         A raising query never takes its siblings down: every member is
         run to completion before anything is re-raised, so sibling
@@ -499,11 +433,10 @@ class GraphService:
 
         ``contexts`` (one :class:`contextvars.Context` per query)
         carries each caller's ambient state — active trace span,
-        deadline — across the executor boundary: pool threads inherit
-        the *pool creator's* context, not the submitter's, so without
-        this the coalescer's per-request spans would detach. Each
-        context must be a distinct copy (a Context cannot be entered
-        concurrently).
+        deadline — into its member: every stage of a member runs in
+        its own context, so spans and insights land in the right
+        request's trace. A context must not be the one already running
+        in the calling thread (a Context cannot be entered twice).
         """
         if contexts is not None and len(contexts) != len(queries):
             raise ValueError(
@@ -514,7 +447,7 @@ class GraphService:
             self.stats.batches += 1
         if not queries:
             return []
-        outcomes = self._evaluate_all(
+        outcomes = self._serve(
             queries, config or self.config, use_cache, contexts
         )
         if not return_exceptions:
@@ -523,40 +456,116 @@ class GraphService:
                     raise outcome
         return outcomes
 
-    def _evaluate_all(
-        self, queries, config: EngineConfig, use_cache: bool, contexts
+    # ------------------------------------------------------------------
+    # The pipeline: admit → execute → settle
+    # ------------------------------------------------------------------
+
+    def _serve(
+        self, queries, config: EngineConfig, use_cache: bool, contexts=None
     ) -> list:
         """One outcome — answers or the exception raised — per query of
-        a non-empty batch, in input order. Here: :meth:`evaluate` per
-        query — on the thread pool, or in the calling thread when the
-        batch has one member (a pool hop would only add a wait)."""
-        calls = [
-            partial(self.evaluate, query, config, use_cache=use_cache)
-            for query in queries
+        a non-empty batch, in input order.
+
+        Failures up to the execute step (parse, typecheck) are the
+        caller's and go unobserved; from the execute step on, a failure
+        is a served query: counted, timed, and recorded with the work
+        done so far — so error rates derived from ``queries`` stay
+        honest. Every admitted member is observed exactly once.
+        """
+        started = time.perf_counter()
+        # Snapshot first and validate cached entries against the
+        # snapshot's own version: a concurrent mutation then yields a
+        # version mismatch (resolved by the delta/footprint check)
+        # rather than a stale entry served as current.
+        snap = self.snapshot()
+        contexts = contexts or [None] * len(queries)
+        jobs = [
+            _Job(Observation(query, started), context)
+            for query, context in zip(queries, contexts)
         ]
-        if contexts is not None:
-            calls = [
-                partial(ctx.run, call) for ctx, call in zip(contexts, calls)
-            ]
-        if len(calls) > 1:
-            # Submit inside the same lock window that resolves the
-            # executor: close() swaps the executor out under this lock
-            # and only then shuts it down, so a concurrent close can
-            # never invalidate the pool between _ensure_executor and
-            # submit ("cannot schedule new futures after shutdown").
-            # close(wait=True) still lets everything submitted here run
-            # to completion.
-            with self._lock:
-                executor = self._ensure_executor()
-                calls = [executor.submit(call).result for call in calls]
-        outcomes: list = []
-        for call in calls:
+        for job in jobs:
+            job.run(self._admit, job, config, snap, use_cache)
+        admitted = [job for job in jobs if job.error is None]
+        self._execute_all(
+            snap, [job for job in admitted if job.prepared is not None]
+        )
+        for job in admitted:
+            job.run(self._settle, job, config, snap.version, use_cache)
+        return [job.result if job.error is None else job.error for job in jobs]
+
+    def _admit(
+        self, job: _Job, config: EngineConfig, snap: GraphSnapshot, use_cache: bool
+    ) -> None:
+        """The cache probe at ``snap``'s version and, unless it answers
+        (a hit, a restamp or a refilter), prepare, estimates and a
+        fresh counter set."""
+        seen = job.seen
+        if not use_cache:
+            seen.cache = self._result_cache.bypass()
+        else:
+            with span(self._span_prefix + "cache_probe") as probe:
+                job.result, seen.cache = self._result_cache.get_with_outcome(
+                    (seen.query, config), snap.version
+                )
+                probe.set_attr("hit", job.result is not None)
+        if job.result is None:
+            with span(self._span_prefix + "plan"):
+                job.prepared = self.prepare(seen.query, config)
+            seen.parsed = job.prepared.query
+            seen.estimates = self._plan_estimates(job.prepared, snap)
+            seen.counters = EvalCounters()
+
+    def _execute_all(self, snap: GraphSnapshot, jobs: list[_Job]) -> None:
+        """The pipeline's execute step, the one a subclass replaces: give
+        every job the answers of its prepared query at ``snap`` — or the
+        error that stopped it — with the engine work they cost
+        accounted into ``job.seen.counters`` (also on failure: the job
+        is observed with its partial work) and, when a trace is active,
+        onto an ``eval`` span in the job's context. Here: one local run
+        per job, in turn."""
+        for job in jobs:
+            job.run(self._run_local, job, snap)
+
+    def _run_local(self, job: _Job, snap: GraphSnapshot) -> None:
+        counters = job.seen.counters
+        with span(self._span_prefix + "eval") as eval_span:
             try:
-                outcomes.append(call())
-            # The exception is the member's outcome, not swallowed.
-            except Exception as exc:  # lint: allow-broad-except
-                outcomes.append(exc)
-        return outcomes
+                with use_counters(counters):
+                    job.result = job.prepared.execute(snap)
+            finally:
+                if eval_span:
+                    eval_span.set_attrs(counters.as_dict())
+            eval_span.set_attr("answers", len(job.result))
+
+    def _settle(
+        self, job: _Job, config: EngineConfig, version: int, use_cache: bool
+    ) -> None:
+        """Cache a computed answer set, then observe the job."""
+        seen = job.seen
+        seen.error = job.error
+        if use_cache and job.prepared is not None and job.error is None:
+            job.result = self._result_cache.put(
+                (seen.query, config), version, job.prepared.footprint, job.result
+            )
+        self._observe(seen.finish(job.result))
+
+    def _observe(self, seen: Observation) -> None:
+        """Fold a finished evaluation into the service aggregate (one
+        ``stats.lock`` round-trip) and into its fingerprint's entry,
+        cross-linked with the trace active in the calling context: the
+        fingerprint is stamped onto the active root span so slow-log
+        entries in the trace store cross-link to ``GET /insights``."""
+        stats = self.stats
+        with stats.lock:
+            stats.queries += 1
+            stats.latency.record(seen.latency_s)
+            stats.engine.merge(seen.counters)
+        root = current_span()
+        if root:
+            seen.trace_id = root.trace_id
+        fingerprint = self.insights.record(seen)
+        if root and fingerprint is not None:
+            root.set_attr("fingerprint", fingerprint)
 
     # ------------------------------------------------------------------
     # Lifecycle / maintenance
@@ -568,26 +577,15 @@ class GraphService:
         self._result_cache.clear()
 
     def close(self) -> None:
-        """Shut the batch thread pool down (idempotent)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        """Release what serving holds (idempotent): nothing here, the
+        pipeline running in its caller's thread; a subclass that owns
+        workers shuts them down."""
 
     def __enter__(self) -> "GraphService":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="gpc-service",
-                )
-            return self._executor
 
     def __repr__(self) -> str:
         return (

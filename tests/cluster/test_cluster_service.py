@@ -267,7 +267,7 @@ class TestStatsAndExplain:
             assert stats.queries == 3
             assert stats.batches == 1
             assert stats.scatters >= 3
-            assert stats.latency.count == 2  # one per call, one per batch
+            assert stats.latency.count == 3  # one per observed query
             assert stats.shard_latency.count == stats.scatters
             assert "serial" in stats.per_worker
             assert stats.result_cache.bypasses == 3

@@ -1,16 +1,11 @@
 """Shared fixtures: the small graphs used across the suite, and the
-served ``shortest`` length lanes run side by side."""
+served ``shortest`` length search on pristine and overlay snapshots."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import GPCError
-from repro.gpc.register_nfa import (
-    compile_flat_program,
-    dense_shortest_pair_lengths,
-    flat_shortest_pair_lengths,
-)
+from repro.gpc.register_nfa import lower_program, shortest_pair_lengths
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import (
     chain_graph,
@@ -119,11 +114,9 @@ def view_of(request):
 @pytest.fixture(params=["pristine", "overlay"])
 def pair_lengths(request):
     """``pair_lengths(graph, nfa, start)``: the ``shortest`` length
-    search as served — the dense lane on a pristine snapshot of
-    ``graph`` or (second parameter) on an overlay-derived one, and the
-    flat lane beside it wherever ``compile_flat_program`` accepts the
-    NFA. The lanes must agree, on the lengths or on the typed error;
-    the common outcome is returned or raised."""
+    search as served, on a pristine snapshot of ``graph`` or (second
+    parameter) on an overlay-derived one: the lengths, or the typed
+    error it raises."""
 
     def run(graph, nfa, start):
         view = (
@@ -131,21 +124,6 @@ def pair_lengths(request):
             if request.param == "pristine"
             else _overlay_snapshot(graph)
         )
-        lanes = [lambda: dense_shortest_pair_lengths(view, nfa, start)]
-        flat = compile_flat_program(nfa, view)
-        if flat is not None:
-            lanes.append(lambda: flat_shortest_pair_lengths(view, flat, start))
-        outcomes = []
-        for search in lanes:
-            try:
-                outcomes.append(search())
-            except GPCError as error:
-                outcomes.append(error)
-        outcome = outcomes[0]
-        if isinstance(outcome, GPCError):
-            assert all(type(other) is type(outcome) for other in outcomes)
-            raise outcome
-        assert all(other == outcome for other in outcomes)
-        return outcome
+        return shortest_pair_lengths(lower_program(nfa, view), start)
 
     return run

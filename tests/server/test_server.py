@@ -149,6 +149,39 @@ class TestEndpointRoundTrips:
         )
         assert reply.status == 400
 
+    def test_use_cache_must_be_a_json_boolean(self, served):
+        """``"false"`` is a non-empty string: read through ``bool`` it
+        would switch the cache on."""
+        _, client, service = served
+        for path, body in (
+            ("/query", {"query": QUERY}),
+            ("/batch", {"queries": [QUERY]}),
+        ):
+            reply = client.request("POST", path, {**body, "use_cache": "false"})
+            assert reply.status == 400
+            assert '"use_cache"' in reply.payload["error"]
+        assert service.stats.queries == 0
+        reply = client.request(
+            "POST", "/query", {"query": QUERY, "use_cache": False}
+        )
+        assert reply.status == 200
+        assert service.stats.result_cache.bypasses == 1
+
+    def test_labels_must_be_a_list_of_strings(self, served):
+        """A bare string is not one label: through ``frozenset`` it
+        would become one label per character."""
+        _, client, service = served
+        version = service.version
+        for labels in ("Person", ["Person", 7], {"Person": 1}):
+            reply = client.request(
+                "POST",
+                "/mutate",
+                {"ops": [{"op": "add_node", "key": "n", "labels": labels}]},
+            )
+            assert reply.status == 400
+            assert '"labels"' in reply.payload["error"]
+        assert service.version == version
+
     def test_explain(self, served):
         _, client, service = served
         text = client.explain(QUERIES[2])
@@ -438,10 +471,15 @@ class _BlockingService(GraphService):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.gate = threading.Event()
+        self.closed = False
 
     def evaluate_batch(self, queries, *args, **kwargs):
         assert self.gate.wait(30.0), "test gate never opened"
         return super().evaluate_batch(queries, *args, **kwargs)
+
+    def close(self):
+        self.closed = True
+        super().close()
 
 
 class TestAdmissionControl:
@@ -623,9 +661,9 @@ class _ThreadRecordingService(GraphService):
         self.evaluated_on: list[int] = []
         self.rendered_on: list[int] = []
 
-    def evaluate(self, *args, **kwargs):
+    def _execute_all(self, snap, jobs):
         self.evaluated_on.append(threading.get_ident())
-        return super().evaluate(*args, **kwargs)
+        return super()._execute_all(snap, jobs)
 
     def rendered(self, *args, **kwargs):
         self.rendered_on.append(threading.get_ident())
@@ -712,8 +750,8 @@ class TestGracefulDrain:
         slow.join(30.0)
         stopper.join(30.0)
         assert outcome["reply"].status == 200
-        # Drain closed the underlying service's batch pool.
-        assert service._executor is None
+        # Drain closed the underlying service.
+        assert service.closed
         assert handle.server.stats.rejected >= 1
         slow_client.close()
         probe_client.close()

@@ -345,3 +345,6 @@ def test_same_script_same_observations(facade, scenario):
         with GraphService(_graph()) as reference:
             assert scenario(service) == scenario(reference)
             assert _shared_stats(service) == _shared_stats(reference)
+            # One latency sample per observed query, batch member or not.
+            for facade_stats in (service.stats, reference.stats):
+                assert facade_stats.latency.count == facade_stats.queries

@@ -262,6 +262,22 @@ class TestRenderedBytes:
         cache.put("q", 2, None, frozenset({"b"}))  # a recompute replaces the entry
         assert cache.etag("q", answers) is None
 
+    def test_an_equal_put_at_the_same_version_keeps_the_first(self):
+        """A query repeated within a batch (or two racing misses) puts
+        equal answers twice: both callers get the first set back, so
+        its bytes are rendered once and kept."""
+        cache = SemanticResultCache(8, CacheStats())
+        first, second = frozenset({"a"}), frozenset({"a"})
+        assert cache.put("q", 1, None, first) is first
+        cache.rendered("q", first, lambda r: b"bytes of a")
+        assert cache.put("q", 1, None, second) is first
+        assert cache.rendered("q", first) == b"bytes of a"
+        # A newer version, or different answers, replace the entry.
+        assert cache.put("q", 2, None, second) is second
+        assert cache.rendered("q", second) is None
+        assert cache.put("q", 2, None, frozenset({"b"})) == frozenset({"b"})
+        assert cache.rendered("q", second) is None
+
     def test_two_renders_racing_keep_the_first_bytes(self):
         cache = SemanticResultCache(8, CacheStats())
         answers = frozenset({"a"})

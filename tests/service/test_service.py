@@ -294,18 +294,6 @@ class TestBatchEvaluation:
     def test_empty_batch(self, social):
         assert social.evaluate_batch([]) == []
 
-    def test_batch_with_single_worker(self):
-        service = GraphService(cycle_graph(4), max_workers=1)
-        batch = service.evaluate_batch(["TRAIL ->", "SIMPLE ->{1,}"])
-        assert [len(r) for r in batch] == [4, 12]
-        service.close()
-
-    def test_context_manager_closes_pool(self, social):
-        with social as service:
-            service.evaluate_batch(QUERIES[:2])
-            assert service._executor is not None
-        assert social._executor is None
-
     def test_raising_query_keeps_sibling_results(self, social):
         """Regression: one bad query must not lose its siblings."""
         workload = [QUERIES[0], "TRAIL (x", QUERIES[1]]
@@ -332,88 +320,45 @@ class TestBatchEvaluation:
             [False, True, False, True]
         )
 
-    def test_a_lone_member_runs_on_the_callers_thread(self, social):
-        """No pool hop for a batch of one — in the caller's thread, in
-        the member's context, its exception still its outcome."""
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_members_run_on_the_callers_thread_in_their_own_contexts(
+        self, social, monkeypatch, members
+    ):
+        """No pool hop: every member executes in the calling thread, in
+        its own context, its exception still its outcome."""
         marker = contextvars.ContextVar("marker", default=None)
         seen = []
-        evaluate = social.evaluate
+        execute = PreparedQuery.execute
 
-        def recording(*args, **kwargs):
+        def recording(prepared, snap):
             seen.append((threading.get_ident(), marker.get()))
-            return evaluate(*args, **kwargs)
+            return execute(prepared, snap)
 
-        social.evaluate = recording
-        context = contextvars.copy_context()
-        context.run(marker.set, "member")
+        monkeypatch.setattr(PreparedQuery, "execute", recording)
+        contexts = [contextvars.copy_context() for _ in range(members)]
+        for index, context in enumerate(contexts):
+            context.run(marker.set, index)
+        workload = QUERIES[:members]
+        expected = [social.evaluate(text, use_cache=False) for text in workload]
+        seen.clear()
         here = threading.get_ident()
-        expected = evaluate(QUERIES[0])
-        assert social.evaluate_batch([QUERIES[0]]) == [expected]
-        assert social.evaluate_batch([QUERIES[0]], contexts=[context]) == [
-            expected
+        assert social.evaluate_batch(workload, use_cache=False) == expected
+        assert social.evaluate_batch(
+            workload, use_cache=False, contexts=contexts
+        ) == expected
+        assert seen == [(here, None)] * members + [
+            (here, index) for index in range(members)
         ]
-        assert seen == [(here, None), (here, "member")]
-        assert social._executor is None
         [outcome] = social.evaluate_batch(["TRAIL (x"], return_exceptions=True)
         assert isinstance(outcome, GPCError)
         with pytest.raises(GPCError):
             social.evaluate_batch(["TRAIL (x"])
 
-
-class TestCloseDuringBatch:
-    """Regression: ``close()`` racing ``evaluate_batch`` used to shut
-    the pool down between ``_ensure_executor`` and ``submit``, so the
-    batch died with ``RuntimeError: cannot schedule new futures after
-    shutdown``. Submission now happens inside the same lock window
-    that resolves the executor, so a concurrent close waits for the
-    submits and then drains them with ``shutdown(wait=True)``."""
-
-    def test_close_in_the_submit_window(self, social):
-        import threading
-        import time
-
-        original = social._ensure_executor
-        window_open = threading.Event()
-
-        def stalled_ensure():
-            executor = original()
-            if not window_open.is_set():
-                # Hold the ensure->submit window open long enough for
-                # the closer thread to run close() inside it. With the
-                # fix the service lock makes close wait; without it,
-                # the pool is shut down under the batch's feet.
-                window_open.set()
-                time.sleep(0.15)
-            return executor
-
-        social._ensure_executor = stalled_ensure
-        expected = social.evaluate(QUERIES[0], use_cache=False)
-        outcome: dict = {}
-
-        def run_batch():
-            try:
-                outcome["results"] = social.evaluate_batch(
-                    [QUERIES[0]] * 4, use_cache=False
-                )
-            except Exception as exc:  # pragma: no cover - the regression
-                outcome["error"] = exc
-
-        closer = threading.Thread(
-            target=lambda: (window_open.wait(5.0), social.close())
-        )
-        batch = threading.Thread(target=run_batch)
-        batch.start()
-        closer.start()
-        batch.join(30.0)
-        closer.join(30.0)
-        assert "error" not in outcome, f"batch died: {outcome.get('error')!r}"
-        assert outcome["results"] == [expected] * 4
-
     def test_service_usable_after_close(self, social):
         social.evaluate_batch(QUERIES[:2])
         social.close()
-        # The documented contract: close is idempotent and a later
-        # batch lazily re-creates the pool.
+        # The documented contract: close is idempotent and the
+        # service keeps serving.
         social.close()
         assert social.evaluate_batch([QUERIES[0]]) == [
             social.evaluate(QUERIES[0])
@@ -540,7 +485,7 @@ class TestConcurrentMutation:
         must never produce torn snapshots (UnknownIdError mid-eval)."""
         import threading
 
-        service = GraphService(cycle_graph(6), max_workers=4)
+        service = GraphService(cycle_graph(6))
         errors: list[Exception] = []
 
         def mutate():

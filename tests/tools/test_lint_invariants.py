@@ -349,6 +349,27 @@ class TestOneAutomatonModel:
         assert codes(source, module="gpc/engine.py") == []
 
 
+class TestServingCoreInTheCallersThread:
+    """INV010: the serving core imports no ``concurrent.futures``."""
+
+    SPELLINGS = (
+        "from concurrent.futures import ThreadPoolExecutor\n_ = ThreadPoolExecutor\n",
+        "import concurrent.futures\n_ = concurrent\n",
+        "from concurrent import futures\n_ = futures\n",
+        "def pool():\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+        "    return ThreadPoolExecutor\n",
+    )
+
+    def test_every_spelling_is_flagged_in_the_service_package(self):
+        for source in self.SPELLINGS:
+            assert codes(source, module="service/service.py") == ["INV010"]
+
+    def test_the_cluster_backends_and_the_server_may_pool(self):
+        for module in ("cluster/backends.py", "server/app.py", "obs/trace.py"):
+            assert codes(self.SPELLINGS[0], module=module) == []
+
+
 class TestUnusedImports:
     def test_unused_import_flagged(self):
         assert codes("import os\nimport sys\nprint(sys.argv)\n") == ["INV004"]

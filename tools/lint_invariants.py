@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
-Seven invariants that generic linters don't enforce the way this
+Eight invariants that generic linters don't enforce the way this
 codebase needs them, and one that a generic linter does enforce but
 that is checked here too because ruff is not in every build container:
 
@@ -62,10 +62,14 @@ that is checked here too because ruff is not in every build container:
   ``gpc/register_nfa.py`` (a pattern's own, or its erasure's);
   ``repro.automata`` is the library of the RPQ / C2RPQ baselines and
   of ``translate/``.
+- **One serving core, in its caller's thread** (``INV010``): nothing
+  under ``repro/service`` imports ``concurrent.futures``, at any
+  nesting level. Under the GIL a pool gains the pipeline nothing; the
+  parallelism lives in the cluster backends.
 
-The first four and the last three apply to ``src/repro`` (tests assert
+The first four and the last four apply to ``src/repro`` (tests assert
 and poll, that is their job); with no arguments the tool lints
-``src/repro`` for all eight and the other three trees for the imports.
+``src/repro`` for all nine and the other three trees for the imports.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -112,6 +116,13 @@ IMPORT_BANS = (
         ("repro.automata",),
         "the engine runs on one automaton model, the register NFA; "
         "repro.automata is the RPQ baselines' library",
+    ),
+    (
+        "INV010",
+        ("service",),
+        ("concurrent.futures",),
+        "the serving core runs in its caller's thread; parallelism "
+        "lives in the cluster backends",
     ),
 )
 
@@ -476,7 +487,7 @@ class _Checker(ast.NodeVisitor):
                     )
 
     def _check_import_bans(self, node: "ast.Import | ast.ImportFrom") -> None:
-        """INV008 (ii) and INV009: a layer imports nothing it must not
+        """INV008 (ii), INV009 and INV010: a layer imports nothing it must not
         depend on."""
         if self.module is None:
             return
@@ -491,7 +502,7 @@ class _Checker(ast.NodeVisitor):
                         node,
                         code,
                         f"repro.{package} imports {banned}: {why} (a lazy "
-                        f"import hides the cycle, not the dependency)",
+                        f"import hides the dependency, it does not remove it)",
                     )
 
     def visit_Import(self, node: ast.Import) -> None:
