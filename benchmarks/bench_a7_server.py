@@ -1,15 +1,13 @@
 """Ablation A7 — HTTP serving: concurrent keep-alive clients vs serial
-one-connection-per-query requests, and coalescing under saturation.
+one-connection-per-query requests, and revalidated vs fetched reads.
 
-Design choice under study: the slot-first micro-batch coalescer in
-:class:`repro.server.GraphServer`. With a slot free a ``POST /query``
-dispatches alone, in the loop turn it arrived in; with every slot busy,
-arrivals queue and leave together in one ``evaluate_batch`` call (one
-thread hop, one snapshot pin). There is no timer on either path, so
-what is left to measure is the transport, not a window one side pays
-per request and the other per batch.
+Design choice under study: the one request path of
+:class:`repro.server.GraphServer`. A ``POST /query`` takes one
+in-flight slot and makes one worker-thread hop that evaluates and
+encodes it; nothing waits on a timer or on another request, so what is
+left to measure is the transport.
 
-Four measurements, each on *both* service facades (single
+Three measurements, each on *both* service facades (single
 :class:`GraphService` and sharded :class:`ClusterService`):
 
 - **fidelity**: answers decoded from the HTTP payload are
@@ -25,9 +23,7 @@ Four measurements, each on *both* service facades (single
   with its etag, repeats ``/query`` of an unchanged text: each reply
   is ``not_modified``, the set it returns equals the reference, and
   the pass takes at most a third of the time the same requests take
-  from a client that sends no validator;
-- **coalescing**: the same clients against a server with one in-flight
-  slot pile up behind it, and at least two of them share a dispatch.
+  from a client that sends no validator.
 """
 
 from __future__ import annotations
@@ -147,7 +143,7 @@ def _revalidation_pass(client, handle, expected) -> tuple[float, float]:
 
 def _run_facade(name: str, service, expected, table: Table) -> None:
     with serve_background(
-        service, max_queue_depth=4 * NUM_REQUESTS, close_service=False
+        service, max_queue_depth=4 * NUM_REQUESTS
     ) as handle:
         with HttpServiceClient(*handle.address) as client:
             # Fidelity first — and it doubles as the warm-up that
@@ -164,16 +160,6 @@ def _run_facade(name: str, service, expected, table: Table) -> None:
         assert handle.server.stats.rejected == 0, (
             "benchmark load must not be shed"
         )
-    # The same warm service behind one slot for CONCURRENCY clients:
-    # whatever arrives while it is held queues and leaves together.
-    with serve_background(
-        service, max_in_flight=1, max_queue_depth=4 * NUM_REQUESTS
-    ) as handle:
-        _concurrent_pass(handle.address)
-        stats = handle.server.stats
-        queries, dispatches = stats.queries, stats.dispatches
-        max_batch = stats.max_batch
-        assert stats.rejected == 0, "benchmark load must not be shed"
     table.add(
         name,
         NUM_REQUESTS,
@@ -182,16 +168,11 @@ def _run_facade(name: str, service, expected, table: Table) -> None:
         f"{serial_s / concurrent_s:.1f}x",
         revalidated_s * 1000,
         fetched_s * 1000,
-        f"{queries}/{dispatches}",
-        max_batch,
     )
     assert revalidated_s <= MAX_REVALIDATION_SHARE * fetched_s, (
         f"{name}: {NUM_REQUESTS} revalidated reads took "
         f"{revalidated_s * 1000:.0f}ms, the same reads without a "
         f"validator {fetched_s * 1000:.0f}ms"
-    )
-    assert max_batch >= 2, (
-        f"{name}: no two queries ever coalesced behind one slot"
     )
     assert concurrent_s <= serial_s, (
         f"{name}: {CONCURRENCY} keep-alive clients took "
@@ -203,12 +184,12 @@ def _run_facade(name: str, service, expected, table: Table) -> None:
 def test_a7_http_serving_throughput():
     """Warm concurrent serving is no slower than serial per-connection
     requests, a revalidated read costs at most a third of a fetched
-    one, a saturated server coalesces, and HTTP answers decode
+    one, and HTTP answers decode
     frozenset-identical to direct evaluation, on both service facades."""
     expected = _reference()
     table = Table(
         "A7: HTTP serving — concurrent vs serial per-connection, "
-        "revalidated vs fetched, and one slot for all",
+        "revalidated vs fetched",
         [
             "facade",
             "requests",
@@ -217,8 +198,6 @@ def test_a7_http_serving_throughput():
             "speedup",
             "revalidated ms",
             "fetched ms",
-            "1 slot queries/dispatches",
-            "1 slot max batch",
         ],
     )
     _run_facade("GraphService", GraphService(_graph()), expected, table)

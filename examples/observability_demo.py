@@ -7,8 +7,8 @@ server:
 
 - a client-chosen ``X-Trace-Id`` is honoured, echoed, and resolves to
   the request's full span tree via ``GET /trace?id=...`` — transport,
-  coalescer, service and engine stages with their timings and work
-  counters;
+  slot wait, worker-thread dispatch, service and engine stages with
+  their timings and work counters;
 - ``deadline_ms`` bounds server-side evaluation: a blown budget
   answers 504 and the partial trace is kept (error traces bypass
   sampling);
@@ -34,7 +34,7 @@ def show_tree(node: dict, depth: int = 1) -> None:
     attrs = node["attributes"]
     extras = ", ".join(
         f"{key}={attrs[key]}"
-        for key in ("hit", "answers", "coalesce_batch", "status")
+        for key in ("hit", "answers", "status")
         if key in attrs
     )
     line = f"{'  ' * depth}{node['name']}  {duration_ms:8.3f}ms"
@@ -59,8 +59,11 @@ def main() -> None:
             show_tree(tree)
 
             print("\n=== engine work counters on the eval span ===")
+            dispatch = next(
+                c for c in tree["children"] if c["name"] == "server.dispatch"
+            )
             eval_span = next(
-                c for c in tree["children"] if c["name"] == "service.eval"
+                c for c in dispatch["children"] if c["name"] == "service.eval"
             )
             for name, value in sorted(eval_span["attributes"].items()):
                 print(f"  {name}: {value}")

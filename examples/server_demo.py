@@ -7,8 +7,8 @@ server wrapping :class:`repro.service.GraphService` (or
 :class:`repro.cluster.ClusterService`, same surface). Answers travel
 in a deterministic JSON encoding and decode back to the exact
 ``frozenset[Answer]`` the engine computed, so a remote client and a
-local evaluation compare ``==``. Concurrent ``/query`` arrivals are
-coalesced into one service batch; overload is shed with 429; shutdown
+local evaluation compare ``==``. Each ``/query`` takes one in-flight
+slot and one worker-thread hop; overload is shed with 429; shutdown
 drains gracefully.
 """
 
@@ -61,7 +61,7 @@ def main() -> None:
                 f"version {client.healthz()['version']}"
             )
 
-        print("\n=== concurrent clients coalesce into batches ===")
+        print("\n=== concurrent clients, one dispatch per query ===")
 
         def hammer() -> None:
             with HttpServiceClient(host, port) as worker:
@@ -77,8 +77,6 @@ def main() -> None:
         print(
             f"  queries: {stats['queries']}, "
             f"dispatches: {stats['dispatches']}, "
-            f"coalesced: {stats['coalesced']}, "
-            f"largest batch: {stats['max_batch']}, "
             f"rejected: {stats['rejected']}"
         )
         print(

@@ -1,7 +1,7 @@
 """Observability: request tracing, engine work counters, deadlines.
 
-The serving stack (HTTP front end → coalescer → service/cluster →
-planner → engine) reports *where a request's time went* through this
+The serving stack (HTTP front end → slot → worker-thread hop →
+service/cluster → planner → engine) reports *where a request's time went* through this
 package:
 
 - :mod:`repro.obs.trace` — ``Tracer``/``Span`` with contextvars

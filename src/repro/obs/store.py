@@ -38,8 +38,8 @@ def _find_fingerprint(span_dict: dict) -> Optional[str]:
     """The first ``fingerprint`` attribute in the tree, depth-first.
 
     The service layer stamps it on whatever span is ambient at
-    evaluate time — the request root locally, a dispatch child behind
-    the server's coalescer — so the whole tree is searched.
+    evaluate time — the request root locally, the ``server.dispatch``
+    child behind the HTTP server — so the whole tree is searched.
     """
     found = (span_dict.get("attributes") or {}).get("fingerprint")
     if found is not None:

@@ -1,7 +1,7 @@
 """Request tracing: spans, context propagation, and span carriers.
 
 A *trace* is a tree of :class:`Span`\\ s describing where one request's
-time went — parse, coalesce wait, cache probe, plan, evaluate, and (for
+time went — parse, slot wait, cache probe, plan, evaluate, and (for
 the cluster) one span per shard. The design goals, in order:
 
 - **zero cost when off** — every instrumentation point in the serving
@@ -12,7 +12,7 @@ the cluster) one span per shard. The design goals, in order:
   in a :class:`~contextvars.ContextVar`, which asyncio tasks inherit
   automatically. Work handed between threads does not: callers
   capture :func:`contextvars.copy_context` per work item and run the
-  item inside it (the server's coalescer hands each request's copy to
+  item inside it (the HTTP server hands one copy per batch member to
   :meth:`GraphService.evaluate_batch`). Process pools
   cannot share objects at all, so spans cross that boundary as an
   explicit *carrier* (``(trace_id, parent_span_id)``) in the shard
@@ -65,8 +65,8 @@ class Span:
 
     Spans form a tree per trace. Children are appended under the GIL
     (list.append is atomic), so concurrent batch threads may add
-    children to a shared parent; the tree is only serialised after the
-    request future resolves, when every child has ended.
+    children to a shared parent; the tree is only serialised when the
+    request's root span ends, after every child has ended.
     """
 
     __slots__ = (
@@ -87,8 +87,6 @@ class Span:
         trace_id: str,
         parent_id: Optional[str] = None,
         attributes: Optional[dict] = None,
-        *,
-        start: Optional[float] = None,
     ):
         self.name = name
         self.trace_id = trace_id
@@ -99,7 +97,7 @@ class Span:
         #: serialised dicts adopted from a worker process.
         self.children: list = []
         self.error: Optional[str] = None
-        self._start = time.perf_counter() if start is None else start
+        self._start = time.perf_counter()
         self._end: Optional[float] = None
 
     def __bool__(self) -> bool:
@@ -110,21 +108,6 @@ class Span:
     def child(self, name: str, attributes: Optional[dict] = None) -> "Span":
         """Open a child span (caller must :meth:`end` it)."""
         child = Span(name, self.trace_id, self.span_id, attributes)
-        self.children.append(child)
-        return child
-
-    def child_timed(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        attributes: Optional[dict] = None,
-    ) -> "Span":
-        """Attach an already-finished child with explicit
-        ``perf_counter`` bounds (e.g. the coalesce wait, whose start
-        predates the dispatch code that knows its duration)."""
-        child = Span(name, self.trace_id, self.span_id, attributes, start=start)
-        child._end = end
         self.children.append(child)
         return child
 
@@ -217,9 +200,6 @@ class _NullSpan:
         return False
 
     def child(self, name, attributes=None):
-        return self
-
-    def child_timed(self, name, start, end, attributes=None):
         return self
 
     def adopt(self, span_dict) -> None:

@@ -10,7 +10,8 @@ and decode back to the exact set the engine produced
 transport (:mod:`repro.server.protocol`).
 
 - :mod:`repro.server.app` — :class:`GraphServer` (admission control,
-  micro-batch coalescing, graceful drain) and
+  one request path — a slot, then one worker-thread hop — and
+  graceful drain) and
   :func:`serve_background` for synchronous callers;
 - :mod:`repro.server.wire` — the canonical answer encoding and its
   round-trip decoder;
@@ -18,8 +19,8 @@ transport (:mod:`repro.server.protocol`).
   streams;
 - :mod:`repro.server.client` — a small blocking client
   (:class:`HttpServiceClient`) used by benchmarks and demos;
-- :mod:`repro.server.stats` — :class:`ServerStats` (sheds, coalesce
-  factors, request latency) composing the service's own metrics
+- :mod:`repro.server.stats` — :class:`ServerStats` (sheds, dispatches,
+  body reuse, request latency) composing the service's own metrics
   payload.
 """
 

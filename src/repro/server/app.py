@@ -6,7 +6,7 @@
 layer in :mod:`repro.server.protocol`):
 
 ==============  ======================================================
-``POST /query``   evaluate one query (coalesced, see below)
+``POST /query``   evaluate one query
 ``POST /batch``   evaluate a list of queries in one service batch
 ``POST /mutate``  apply a list of graph mutations in order
 ``GET /explain``  the planner's strategy summary (``?query=...``,
@@ -22,21 +22,19 @@ layer in :mod:`repro.server.protocol`):
 Three behaviours make it a *server* rather than plumbing:
 
 - **admission control** — a bounded in-flight semaphore caps
-  concurrent evaluations and a queue-depth limit sheds overload with
-  ``429`` (``503`` while draining); sheds are counted in
+  concurrent evaluations and a limit on the requests waiting for a
+  slot (``max_queue_depth``) sheds overload with ``429`` (``503``
+  while draining); sheds are counted in
   :class:`~repro.server.stats.ServerStats` and never touch the
   service;
-- **micro-batch coalescing** — the coalescer is a *slot-first*
-  group-commit loop: it takes the first queued ``POST /query``, waits
-  for an in-flight slot, and only then drains what else is queued (up
-  to ``coalesce_max``) into the same dispatch. An idle server
-  dispatches a lone query in the loop turn it arrived in — no timer,
-  one worker-thread hop that evaluates *and* encodes it; a saturated
-  one folds exactly the arrivals that piled up while every slot was
-  busy into one :meth:`evaluate_batch` call;
+- **one request path** — ``POST /query`` is a one-member
+  ``POST /batch``: each takes one slot and makes one worker-thread hop
+  that runs :meth:`evaluate_batch` and renders every member's reply,
+  each member inside its own copy of the request's context. Nothing
+  waits on a timer or on another request;
 - **graceful drain** — :meth:`drain` stops accepting connections,
   answers new requests with ``503``, lets every admitted request
-  finish (including queued coalesced queries), then closes the
+  finish (those still waiting for a slot included), then closes the
   underlying service.
 
 Two observability behaviours ride every request:
@@ -46,10 +44,9 @@ Two observability behaviours ride every request:
   ``X-Trace-Id`` header is honoured (and forces the trace into the
   store past sampling); the assigned id is echoed back in the
   response's ``X-Trace-Id`` header and resolvable via ``GET
-  /trace?id=...``. Coalesced queries carry their request context into
-  the evaluation thread (``contextvars.copy_context``), so service and
-  engine spans nest under the right root even when many requests share
-  one ``evaluate_batch`` dispatch.
+  /trace?id=...``. The slot wait and the hop are ``server.slot_wait``
+  and ``server.dispatch``; the service, engine and ``server.encode``
+  spans of every member nest under the dispatch.
 - **deadlines** — ``POST /query`` accepts ``"deadline_ms"``; the
   budget rides the request context into the engine's deepening loops,
   and a blown deadline answers ``504`` with the partial span tree
@@ -76,13 +73,13 @@ import logging
 import re
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from contextlib import asynccontextmanager
+from typing import Any, AsyncIterator
 
 from repro.errors import DeadlineExceededError, GPCError
 from repro.gpc import analysis
 from repro.obs import metrics as obs_metrics
-from repro.obs import NULL_SPAN, Tracer, TraceStore, current_span, deadline_scope, span
+from repro.obs import Tracer, TraceStore, deadline_scope, span
 from repro.server import wire
 from repro.server.protocol import (
     HttpRequest,
@@ -97,9 +94,6 @@ from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
 
 __all__ = ["GraphServer", "ServerHandle", "serve_background"]
 
-
-#: Sentinel shutting the coalescer loop down after the queue drains.
-_STOP = object()
 
 #: What a ``/query`` ``"etag"`` may be: the server mints 32 of these.
 _ETAG = re.compile(r"[0-9a-f]{1,64}")
@@ -123,6 +117,20 @@ def _labels(op: dict) -> list:
     return labels
 
 
+def _limit(request: HttpRequest, default: int | None) -> int | None:
+    """A ``?limit=``: an integer of at least 1, ``default`` when absent."""
+    param = request.params.get("limit")
+    if param is None:
+        return default
+    try:
+        limit = int(param)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ProtocolError(400, f"bad limit {param!r}: must be an integer >= 1")
+    return limit
+
+
 #: Content type of the Prometheus text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -144,31 +152,9 @@ METRIC_NAMES = {
 }
 
 
-@dataclass
-class _Pending:
-    """One admitted ``/query`` request waiting in the coalescing queue.
-
-    ``ctx`` snapshots the request's :mod:`contextvars` context (root
-    span + deadline) so the worker thread the coalescer dispatches to
-    evaluates and encodes under both; ``root`` is the request's root
-    span for the coalesce-wait/dispatch child spans the coalescer adds
-    on its behalf; ``enqueued`` timestamps admission into the queue.
-    ``etag`` is the request's validator, ``None`` with the cache off.
-    ``future`` resolves to ``(reply bytes short of "version", etag)``.
-    """
-
-    query: str
-    use_cache: bool
-    future: asyncio.Future
-    ctx: contextvars.Context = field(default_factory=contextvars.copy_context)
-    root: Any = NULL_SPAN
-    enqueued: float = 0.0
-    etag: str | None = None
-
-
 class GraphServer:
-    """Serve a graph service over HTTP with admission control,
-    micro-batch coalescing and graceful drain.
+    """Serve a graph service over HTTP with admission control, one
+    request path into the service and graceful drain.
 
     ``service`` is anything with the ``GraphService`` surface —
     ``evaluate_batch`` / ``explain`` / ``stats`` / ``version`` / the
@@ -210,7 +196,6 @@ class GraphServer:
         port: int = 0,
         max_in_flight: int = 8,
         max_queue_depth: int = 64,
-        coalesce_max: int = 16,
         close_service: bool = True,
         tracing: bool = True,
         trace_store: TraceStore | None = None,
@@ -222,8 +207,6 @@ class GraphServer:
             raise ValueError(
                 f"max_queue_depth must be >= 0, got {max_queue_depth}"
             )
-        if coalesce_max < 1:
-            raise ValueError(f"coalesce_max must be >= 1, got {coalesce_max}")
         self.service = service
         self.stats = ServerStats()
         self.tracer = Tracer(
@@ -234,16 +217,11 @@ class GraphServer:
         self._access_log = logging.getLogger("repro.server.access")
         self.max_in_flight = max_in_flight
         self.max_queue_depth = max_queue_depth
-        self.coalesce_max = coalesce_max
         self._host = host
         self._port = port
         self._close_service = close_service
         self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._queue: asyncio.Queue | None = None
         self._semaphore: asyncio.Semaphore | None = None
-        self._coalescer: asyncio.Task | None = None
-        self._dispatch_tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._active_requests = 0
         self._all_idle: asyncio.Event | None = None
@@ -260,8 +238,6 @@ class GraphServer:
         """Bind and start accepting; returns the bound ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
         self._semaphore = asyncio.Semaphore(self.max_in_flight)
         self._all_idle = asyncio.Event()
         self._all_idle.set()
@@ -269,21 +245,20 @@ class GraphServer:
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
-        # Only after the bind succeeded: a failed start must not leave
-        # an orphaned coalescer task (or a frozen heap) behind.
-        self._coalescer = self._loop.create_task(self._coalesce_loop())
         self.address = self._server.sockets[0].getsockname()[:2]
-        # A warm, quiet heap: the snapshot the first query would wait
-        # for is built above, and what exists now — the graph and that
-        # snapshot above all — leaves the cyclic collector's way until
-        # drain(). Left in, every full collection walks it: 150 ms on a
-        # 10k-node graph, one /query in 22.
+        # A warm, quiet heap, and only after the bind succeeded (a
+        # failed start must not leave a frozen heap behind): the
+        # snapshot the first query would wait for is built above, and
+        # what exists now — the graph and that snapshot above all —
+        # leaves the cyclic collector's way until drain(). Left in,
+        # every full collection walks it: 150 ms on a 10k-node graph,
+        # one /query in 22.
         gc.freeze()
         return self.address
 
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, finish in-flight
-        requests (queued coalesced queries included), then close the
+        requests (those waiting for a slot included), then close the
         underlying service. Idempotent."""
         if self._server is None or self._drained:
             return
@@ -292,15 +267,9 @@ class GraphServer:
             self.stats.draining = True
         self._server.close()
         await self._server.wait_closed()
-        # Every admitted request completes: /query futures are resolved
-        # by the still-running coalescer, so the idle wait cannot hang.
+        # Every admitted request completes: each one that waits for a
+        # slot gets it as the ones ahead release theirs.
         await self._all_idle.wait()
-        self._queue.put_nowait(_STOP)
-        await self._coalescer
-        if self._dispatch_tasks:
-            await asyncio.gather(
-                *list(self._dispatch_tasks), return_exceptions=True
-            )
         for writer in list(self._writers):
             writer.close()
         self._drained = True
@@ -483,30 +452,21 @@ class GraphServer:
             if etag is not None and not (isinstance(etag, str) and _ETAG.fullmatch(etag)):
                 raise ProtocolError(400, '"etag" must be 1 to 64 lowercase hex digits')
             use_cache = _use_cache(body)
-        if self._queue.qsize() >= self.max_queue_depth:
-            raise ProtocolError(429, "query queue is full, retry later")
-        future = self._loop.create_future()
-        self._count(queries=1)
-        # The deadline enters the contextvar context *before* the copy,
-        # so the engine's deepening loops see it in the evaluation
-        # thread the coalescer dispatches this pending to.
+        # The deadline enters the request's context before the hop copies
+        # it: the engine's deepening loops see it in the worker thread,
+        # and a wait for a slot spends it too. Cache-off requests never
+        # revalidate.
         with deadline_scope(
             deadline_ms / 1000.0 if deadline_ms is not None else None
         ):
-            self._queue.put_nowait(
-                _Pending(
-                    body["query"],
-                    use_cache,
-                    future,
-                    ctx=contextvars.copy_context(),
-                    root=current_span() or NULL_SPAN,
-                    enqueued=time.perf_counter(),
-                    etag=etag if use_cache else None,
-                )
+            (outcome,) = await self._evaluate(
+                [body["query"]], use_cache, etag if use_cache else None, queries=1
             )
-        # Evaluated and encoded by the dispatch's worker thread: the
-        # event loop only appends the version.
-        fragment, etag = await future
+        if isinstance(outcome, Exception):
+            raise outcome
+        fragment, etag = outcome
+        # Evaluated and encoded in the worker thread: the event loop
+        # only appends the version.
         return 200, PreRendered(
             wire.with_version(fragment, self.service.version),
             headers={"ETag": f'"{etag}"'} if etag else None,
@@ -523,25 +483,61 @@ class GraphServer:
                     400, 'body must be {"queries": ["<gpc>", ...]}'
                 )
             use_cache = _use_cache(body)
-        # One context copy per query: each member runs in its own copy
-        # of this request's context, so every member's service/engine
-        # spans share the batch request's trace id.
-        contexts = [contextvars.copy_context() for _ in queries]
-        async with self._slot():
-            outcomes = await asyncio.to_thread(
-                self.service.evaluate_batch,
-                queries,
-                use_cache=use_cache,
-                return_exceptions=True,
-                contexts=contexts,
-            )
-        self._count(batches=1)
-        version = self.service.version
-        # Batches can carry arbitrarily many answer sets: always
-        # serialise off the event loop.
-        return 200, await asyncio.to_thread(
-            self._render_batch, queries, outcomes, version
+        outcomes = await self._evaluate(queries, use_cache, batches=1)
+        members = [
+            json.dumps({"error": f"{type(outcome).__name__}: {outcome}"}).encode()
+            if isinstance(outcome, Exception)
+            else outcome[0]
+            for outcome in outcomes
+        ]
+        return 200, PreRendered(
+            b'{"results": [%b], "version": %d}'
+            % (b", ".join(members), self.service.version)
         )
+
+    async def _evaluate(
+        self, queries: list[str], use_cache: bool, etag: str | None = None, /, **counts: int
+    ) -> list:
+        """The one way into the service: wait for a slot, then one
+        worker-thread hop that evaluates ``queries`` as one batch and
+        renders each member's reply. Per member, in ``queries`` order:
+        ``(reply bytes short of "version", etag)`` or the exception
+        that is its outcome. ``counts`` are the endpoint's counters
+        (``queries=1`` among them), bumped with ``dispatches`` once the
+        slot is held."""
+        async with self._slot():
+            self._count(dispatches=1, **counts)
+            with span("server.dispatch"):
+                # One context copy per member, taken under the dispatch
+                # span: each member's service, engine and encode spans
+                # nest there, in this request's trace.
+                contexts = [contextvars.copy_context() for _ in queries]
+                return await asyncio.to_thread(
+                    self._serve, queries, use_cache, etag, contexts
+                )
+
+    def _serve(
+        self,
+        queries: list[str],
+        use_cache: bool,
+        etag: str | None,
+        contexts: list[contextvars.Context],
+    ) -> list:
+        """:meth:`_evaluate`'s worker-thread half."""
+        outcomes = self.service.evaluate_batch(
+            queries, use_cache=use_cache, return_exceptions=True, contexts=contexts
+        )
+        for index, (query, ctx, outcome) in enumerate(zip(queries, contexts, outcomes)):
+            if isinstance(outcome, Exception):
+                continue
+            # Every evaluation has returned, so the member's context is
+            # free to enter again.
+            try:
+                outcomes[index] = ctx.run(self._fragment, query, outcome, etag)
+            # A failed render is that member's outcome alone.
+            except Exception as exc:  # lint: allow-broad-except
+                outcomes[index] = exc
+        return outcomes
 
     async def _handle_mutate(self, request: HttpRequest) -> tuple[int, Any]:
         body = json_body(request)
@@ -620,20 +616,6 @@ class GraphServer:
         )
         return (b'{"not_modified": true}' if not_modified else fragment), current
 
-    def _render_batch(self, queries, outcomes, version: int) -> PreRendered:
-        members = [
-            json.dumps(
-                {"error": f"{type(outcome).__name__}: {outcome}"}
-            ).encode("utf-8")
-            if isinstance(outcome, Exception)
-            else self._fragment(query, outcome)[0]
-            for query, outcome in zip(queries, outcomes)
-        ]
-        return PreRendered(
-            b'{"results": [%b], "version": %d}'
-            % (b", ".join(members), version)
-        )
-
     # ------------------------------------------------------------------
     # Observability endpoints
     # ------------------------------------------------------------------
@@ -659,15 +641,7 @@ class GraphServer:
             if tree is None:
                 raise ProtocolError(404, f"no recorded trace {trace_id!r}")
             return 200, {"trace": tree}
-        limit_param = request.params.get("limit")
-        limit = None
-        if limit_param is not None:
-            try:
-                limit = int(limit_param)
-            except ValueError as exc:
-                raise ProtocolError(
-                    400, f"bad limit {limit_param!r}"
-                ) from exc
+        limit = _limit(request, None)
         return 200, {
             "recent": store.recent(limit),
             "slow": store.slow(limit),
@@ -688,15 +662,7 @@ class GraphServer:
                 404, "the service exposes no insights registry"
             )
         sort = request.params.get("sort", "total_time")
-        limit_param = request.params.get("limit")
-        limit = INSIGHTS_DEFAULT_LIMIT
-        if limit_param is not None:
-            try:
-                limit = int(limit_param)
-            except ValueError as exc:
-                raise ProtocolError(
-                    400, f"bad limit {limit_param!r}"
-                ) from exc
+        limit = _limit(request, INSIGHTS_DEFAULT_LIMIT)
         try:
             top = registry.top(sort=sort, limit=limit)
         except ValueError as exc:
@@ -734,121 +700,28 @@ class GraphServer:
         }
         if root:
             record["trace_id"] = root.trace_id
-            batch = (root.attributes or {}).get("coalesce_batch")
-            if batch is not None:
-                record["coalesce_batch"] = batch
         self._access_log.info(json.dumps(record, sort_keys=True))
 
     # ------------------------------------------------------------------
     # Admission control
     # ------------------------------------------------------------------
 
-    def _slot(self) -> "_SlotContext":
+    @asynccontextmanager
+    async def _slot(self) -> AsyncIterator[None]:
         """One bounded in-flight evaluation slot; sheds with 429 when
         ``max_queue_depth`` requests are already waiting for one."""
-        return _SlotContext(self)
-
-    # ------------------------------------------------------------------
-    # The micro-batch coalescer
-    # ------------------------------------------------------------------
-
-    async def _coalesce_loop(self) -> None:
-        while True:
-            item = await self._queue.get()
-            if item is _STOP:
-                return
-            # Slot first, batch second: with a slot free this does not
-            # yield, so a lone query dispatches in the turn it arrived
-            # in; with none, arrivals pile up in the queue during the
-            # wait and all leave together. Holding the slot *before*
-            # spawning keeps dispatches bounded by max_in_flight.
-            await self._semaphore.acquire()
-            batch = [item]
-            while (
-                batch[-1] is not _STOP
-                and len(batch) < self.coalesce_max
-                and not self._queue.empty()
-            ):
-                batch.append(self._queue.get_nowait())
-            stopping = batch[-1] is _STOP
-            if stopping:
-                batch.pop()
-            task = self._loop.create_task(self._dispatch(batch))
-            self._dispatch_tasks.add(task)
-            task.add_done_callback(self._dispatch_tasks.discard)
-            if stopping:
-                return
-
-    async def _dispatch(self, batch: list[_Pending]) -> None:
+        if self._waiting_slots >= self.max_queue_depth:
+            raise ProtocolError(429, "server is saturated, retry later")
+        self._waiting_slots += 1
         try:
-            with self.stats.lock:
-                self.stats.record_dispatch(len(batch))
-            # The coalescer acts on each request's behalf here, outside
-            # its contextvar context: the queue wait and the dispatch
-            # (evaluation *and* encoding) are timed as explicit child
-            # spans on each root.
-            now = time.perf_counter()
-            for pending in batch:
-                if pending.root:
-                    pending.root.child_timed(
-                        "server.coalesce_wait", pending.enqueued, now
-                    )
-                    pending.root.set_attr("coalesce_batch", len(batch))
-            for flag in (True, False):
-                group = [p for p in batch if p.use_cache is flag]
-                if not group:
-                    continue
-                dispatched = time.perf_counter()
-                try:
-                    outcomes = await asyncio.to_thread(
-                        self._serve_group, group, flag
-                    )
-                # The exception becomes every member's outcome; each
-                # request coroutine re-raises it into the handlers above.
-                except Exception as exc:  # lint: allow-broad-except
-                    outcomes = [exc] * len(group)
-                done = time.perf_counter()
-                # Spans before futures: a root may be serialised into
-                # the trace store as soon as its request coroutine
-                # wakes, and the dispatch span must already be on it.
-                for pending in group:
-                    if pending.root:
-                        pending.root.child_timed(
-                            "server.dispatch", dispatched, done
-                        )
-                for pending, outcome in zip(group, outcomes):
-                    if pending.future.done():
-                        continue
-                    if isinstance(outcome, Exception):
-                        pending.future.set_exception(outcome)
-                    else:
-                        pending.future.set_result(outcome)
+            with span("server.slot_wait"):
+                await self._semaphore.acquire()
+        finally:
+            self._waiting_slots -= 1
+        try:
+            yield
         finally:
             self._semaphore.release()
-
-    def _serve_group(self, group: list[_Pending], use_cache: bool) -> list:
-        """One worker-thread hop for a dispatch's ``use_cache`` group:
-        one service batch, then each member's reply fragment and etag
-        (or the exception that is its outcome), in ``group`` order."""
-        outcomes = self.service.evaluate_batch(
-            [pending.query for pending in group],
-            use_cache=use_cache,
-            return_exceptions=True,
-            contexts=[pending.ctx for pending in group],
-        )
-        for index, (pending, outcome) in enumerate(zip(group, outcomes)):
-            if isinstance(outcome, Exception):
-                continue
-            # Every evaluation has returned, so the member's context is
-            # free to enter again: ``server.encode`` nests under its root.
-            try:
-                outcomes[index] = pending.ctx.run(
-                    self._fragment, pending.query, outcome, pending.etag
-                )
-            # A failed render is that member's outcome alone.
-            except Exception as exc:  # lint: allow-broad-except
-                outcomes[index] = exc
-        return outcomes
 
     # ------------------------------------------------------------------
     # Mutations (run in a worker thread)
@@ -931,28 +804,6 @@ class GraphServer:
             f"GraphServer({where}, service={type(self.service).__name__}, "
             f"draining={self._draining})"
         )
-
-
-class _SlotContext:
-    """``async with`` admission into the bounded in-flight semaphore."""
-
-    __slots__ = ("_server",)
-
-    def __init__(self, server: GraphServer):
-        self._server = server
-
-    async def __aenter__(self) -> None:
-        server = self._server
-        if server._waiting_slots >= server.max_queue_depth:
-            raise ProtocolError(429, "server is saturated, retry later")
-        server._waiting_slots += 1
-        try:
-            await server._semaphore.acquire()
-        finally:
-            server._waiting_slots -= 1
-
-    async def __aexit__(self, *exc_info) -> None:
-        self._server._semaphore.release()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NoReturn
 from urllib.parse import parse_qs, unquote, urlsplit
 
 __all__ = [
@@ -187,12 +187,18 @@ async def read_request(
     )
 
 
+def _not_json(constant: str) -> NoReturn:
+    """``json.loads``' hook for ``NaN`` / ``Infinity`` / ``-Infinity``,
+    which RFC 8259 does not admit."""
+    raise ProtocolError(400, f"invalid JSON body: {constant} is not a JSON number")
+
+
 def json_body(request: HttpRequest) -> Any:
     """The request body as JSON (400 on anything else)."""
     if not request.body:
         raise ProtocolError(400, "expected a JSON body")
     try:
-        return json.loads(request.body)
+        return json.loads(request.body, parse_constant=_not_json)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(400, f"invalid JSON body: {exc}") from exc
 

@@ -2,11 +2,11 @@
 
 :class:`ServerStats` covers what the transport layer adds on top of
 the service runtime: request/response counts per endpoint outcome,
-admission-control sheds, micro-batch coalescing effectiveness, how
-many answer-set bodies were serialised versus served from cached
-bytes (or not sent: the client held them), and end-to-end request
-latency (queueing + coalescing + evaluation + serialisation — a
-superset of the service-level evaluation latency).
+admission-control sheds, worker-thread dispatches, how many answer-set
+bodies were serialised versus served from cached bytes (or not sent:
+the client held them), and end-to-end request latency (slot wait +
+evaluation + serialisation — a superset of the service-level
+evaluation latency).
 
 Like every record it carries no lock of its own: ``GraphServer``
 holds ``lock`` around each write, whether it comes from the event loop
@@ -30,13 +30,9 @@ class ServerStats(SharedCounters):
 
     ``rejected`` counts requests shed by admission control (429 queue
     overflow and 503 draining) — they never reach the service, so the
-    service-level counters stay clean. ``coalesced`` counts ``/query``
-    requests that left the queue together with at least one sibling —
-    because they were queued in the same event-loop turn, or because
-    every in-flight slot was busy when they arrived (nothing waits on a
-    timer to be batched); ``dispatches`` is the number of dispatches,
-    so ``queries / dispatches`` is the mean coalesce factor: ~1 on an
-    idle server, rising with saturation.
+    service-level counters stay clean. ``dispatches`` counts the
+    worker-thread hops into the service, one per ``/query`` and one per
+    ``/batch``, so on ``/query`` traffic ``queries / dispatches`` is 1.
     """
 
     connections: int = 0
@@ -51,15 +47,10 @@ class ServerStats(SharedCounters):
     #: Requests that blew their ``deadline_ms`` budget (504 answers;
     #: also counted in ``server_errors``).
     timeouts: int = 0
-    #: ``/query`` requests admitted into the coalescing queue.
+    #: ``/query`` requests that got an in-flight slot.
     queries: int = 0
-    #: ``evaluate_batch`` dispatches issued by the coalescer.
+    #: ``evaluate_batch`` hops, from ``/query`` and ``/batch`` alike.
     dispatches: int = 0
-    #: Queries that rode a dispatch with >= 2 members: what was queued
-    #: when a slot came free.
-    coalesced: int = 0
-    #: Size of the largest dispatch so far.
-    max_batch: int = 0
     batches: int = 0
     mutations: int = 0
     #: ``/lint`` requests answered (static analysis only, no evaluation).
@@ -74,11 +65,3 @@ class ServerStats(SharedCounters):
     bodies_not_modified: int = 0
     draining: bool = False
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    def record_dispatch(self, size: int) -> None:
-        """Account one coalesced ``evaluate_batch`` dispatch of ``size``
-        (``lock`` held)."""
-        self.dispatches += 1
-        if size > 1:
-            self.coalesced += size
-        if size > self.max_batch:
-            self.max_batch = size

@@ -24,6 +24,11 @@ When the length search learned to prune by the end candidates,
 ``repro_engine_search_states_pruned 0`` to every façade's
 ``/metrics``: the session's one ``SHORTEST`` blows its deadline before
 it searches.
+When the server lost its ``/query`` coalescer, the file was
+regenerated from the tree (the parent's output was byte-identical to
+it): ``coalesced`` and ``max_batch`` left ``/stats`` and ``/metrics``,
+and the ``server`` row's ``dispatches`` went 7 → 8, because a
+``/batch`` is a worker-thread hop too.
 """
 
 from __future__ import annotations

@@ -38,6 +38,10 @@ def _span_names(tree: dict) -> set[str]:
     return names
 
 
+def _children(tree: dict, name: str) -> list[dict]:
+    return [child for child in tree["children"] if child["name"] == name]
+
+
 def _all_trace_ids(tree: dict) -> set[str]:
     ids = {tree["trace_id"]}
     for child in tree.get("children", []):
@@ -61,28 +65,26 @@ class TestTraceRoundTrip:
         assert tree["name"] == "request"
         assert tree["attributes"]["path"] == "/query"
         assert tree["attributes"]["status"] == 200
-        assert tree["attributes"]["coalesce_batch"] >= 1
-        # Every serving stage shows up in the tree.
-        names = _span_names(tree)
-        assert {
+        # Every serving stage shows up in the tree: the request's own
+        # stages under the root, the service's and the encode under the
+        # one worker-thread hop.
+        assert [c["name"] for c in tree["children"]] == [
             "server.parse",
-            "server.coalesce_wait",
+            "server.slot_wait",
             "server.dispatch",
+        ]
+        (dispatch,) = _children(tree, "server.dispatch")
+        assert {
             "service.cache_probe",
             "service.plan",
             "service.eval",
             "server.encode",
-        } <= names
-        # All stages belong to the client's trace, and the sequential
-        # stages sum within the recorded end-to-end duration
-        # (server.dispatch is an envelope *around* the service stages,
-        # so it would double-count them).
+        } <= _span_names(dispatch)
+        assert _children(dispatch, "server.encode")
+        # All stages belong to the client's trace, and the root's
+        # stages, one after another, sum within its duration.
         assert _all_trace_ids(tree) == {"0123456789abcdef"}
-        stage_sum = sum(
-            c["duration_s"]
-            for c in tree["children"]
-            if c["name"] != "server.dispatch"
-        )
+        stage_sum = sum(c["duration_s"] for c in tree["children"])
         assert 0 < stage_sum <= tree["duration_s"]
 
     def test_encode_span_says_what_was_rendered_and_what_reused(self):
@@ -92,9 +94,8 @@ class TestTraceRoundTrip:
                 for trace_id in ("aaaaaaaaaaaaaaa1", "aaaaaaaaaaaaaaa2"):
                     answers = client.query(QUERY, trace_id=trace_id)
                     tree = client.trace(trace_id)["trace"]
-                    (encode,) = [
-                        c for c in tree["children"] if c["name"] == "server.encode"
-                    ]
+                    (dispatch,) = _children(tree, "server.dispatch")
+                    (encode,) = _children(dispatch, "server.encode")
                     spans.append(encode["attributes"])
         assert spans[0]["reused"] is False and spans[1]["reused"] is True
         assert spans[0]["answers"] == spans[1]["answers"] == len(answers)
@@ -119,6 +120,18 @@ class TestTraceRoundTrip:
             t["attributes"].get("path") == "/query"
             for t in listing["recent"]
         )
+
+    @pytest.mark.parametrize("limit", ["0", "-1", "x"])
+    def test_trace_limit_below_one_is_400(self, limit):
+        # -1 would slice away the oldest trace, 0 every trace.
+        with serve_background(GraphService(_graph())) as handle:
+            with HttpServiceClient(*handle.address) as client:
+                client.query(QUERY)
+                reply = client.request("GET", f"/trace?limit={limit}")
+                assert reply.status == 400
+                assert "bad limit" in reply.payload["error"]
+                listing = client.request("GET", "/trace?limit=1").payload
+        assert len(listing["recent"]) == 1
 
     def test_unknown_trace_id_is_404(self):
         with serve_background(GraphService(_graph())) as handle:
@@ -178,11 +191,11 @@ class TestBatchTracePropagation:
                 assert reply.status == 200
                 tree = client.trace("beefbeefbeefbeef")["trace"]
         assert _all_trace_ids(tree) == {"beefbeefbeefbeef"}
-        # One service.eval span per batch member, all under one root.
-        evals = [
-            c for c in tree["children"] if c["name"] == "service.eval"
-        ]
-        assert len(evals) == len(queries)
+        # One service.eval span per batch member, all under the one
+        # dispatch of the request's root.
+        (dispatch,) = _children(tree, "server.dispatch")
+        assert len(_children(dispatch, "service.eval")) == len(queries)
+        assert len(_children(dispatch, "server.encode")) == len(queries)
 
 
 class TestDeadlines:
@@ -353,4 +366,6 @@ class TestAccessLog:
         assert entry["status"] == 200
         assert entry["trace_id"] == "abadcafeabadcafe"
         assert entry["latency_ms"] > 0
-        assert entry["coalesce_batch"] >= 1
+        assert sorted(entry) == [
+            "latency_ms", "method", "path", "status", "trace_id"
+        ]

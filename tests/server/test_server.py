@@ -2,12 +2,13 @@
 
 Covers every endpoint round trip, HTTP-vs-direct answer equality on
 randomized graphs over both service facades, admission-control sheds
-under a saturated semaphore, micro-batch coalescing under saturation,
-the one-hop idle path, and graceful drain semantics.
+under a saturated semaphore, the one-hop request path, and graceful
+drain semantics.
 """
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import json
 import threading
@@ -180,6 +181,31 @@ class TestEndpointRoundTrips:
             )
             assert reply.status == 400
             assert '"labels"' in reply.payload["error"]
+        assert service.version == version
+
+    def test_nan_deadline_is_400(self, served):
+        """``NaN`` is not JSON; read as a float it would be a deadline
+        that never expires (``monotonic() >= nan`` is false)."""
+        _, client, service = served
+        for constant in (float("nan"), float("inf"), float("-inf")):
+            reply = client.request(
+                "POST", "/query", {"query": QUERY, "deadline_ms": constant}
+            )
+            assert reply.status == 400
+            assert "is not a JSON number" in reply.payload["error"]
+        assert service.stats.queries == 0
+
+    def test_nan_property_is_400(self, served):
+        _, client, service = served
+        version = service.version
+        reply = client.request(
+            "POST",
+            "/mutate",
+            {"ops": [{"op": "add_node", "key": "n", "labels": ["Person"],
+                      "properties": {"age": float("nan")}}]},
+        )
+        assert reply.status == 400
+        assert "NaN is not a JSON number" in reply.payload["error"]
         assert service.version == version
 
     def test_explain(self, served):
@@ -486,12 +512,9 @@ class TestAdmissionControl:
     def test_query_queue_overflow_sheds_429(self):
         service = _BlockingService(_graph())
         with serve_background(
-            service,
-            max_in_flight=1,
-            max_queue_depth=1,
-            coalesce_max=1,
+            service, max_in_flight=1, max_queue_depth=1
         ) as handle:
-            clients = [HttpServiceClient(*handle.address) for _ in range(4)]
+            clients = [HttpServiceClient(*handle.address) for _ in range(3)]
             try:
                 replies: dict[int, int] = {}
 
@@ -500,26 +523,24 @@ class TestAdmissionControl:
                         "POST", "/query", {"query": QUERY}
                     ).status
 
-                threads = []
-                # 1st: dispatched (blocked on the gate, slot held);
-                # 2nd: popped by the coalescer, waiting for the slot;
-                # 3rd: sits in the queue (depth 1 reached).
-                for index in range(3):
-                    thread = threading.Thread(target=fire, args=(index,))
-                    thread.start()
-                    threads.append(thread)
-                    time.sleep(0.15)
-                # 4th: the queue is full -> shed, never evaluated.
-                shed = clients[3].request(
-                    "POST", "/query", {"query": QUERY}
-                )
+                server = handle.server
+                # 1st: holds the only slot, blocked on the gate;
+                # 2nd: waits for the slot (depth 1 reached).
+                threads = [threading.Thread(target=fire, args=(i,)) for i in range(2)]
+                threads[0].start()
+                _wait_for(lambda: server.stats.dispatches == 1)
+                threads[1].start()
+                _wait_for(lambda: server._waiting_slots == 1)
+                # 3rd: one request already waits -> shed, never evaluated.
+                shed = clients[2].request("POST", "/query", {"query": QUERY})
                 assert shed.status == 429
                 service.gate.set()
                 for thread in threads:
                     thread.join(30.0)
-                assert [replies[i] for i in range(3)] == [200, 200, 200]
-                stats = handle.server.stats
-                assert stats.rejected >= 1
+                assert replies == {0: 200, 1: 200}
+                assert server.stats.rejected == 1
+                assert server.stats.queries == server.stats.dispatches == 2
+                assert service.stats.queries == 2
             finally:
                 service.gate.set()
                 for client in clients:
@@ -583,74 +604,32 @@ def _wait_for(condition, timeout: float = 10.0) -> None:
         time.sleep(0.005)
 
 
-def _queue_behind_a_held_slot(handle, service, queued, before_release=None):
+def _wait_behind_a_held_slot(handle, service, waiting, before_release=None):
     """Saturate a ``max_in_flight=1`` server over a ``_BlockingService``:
-    one query holds the only slot behind the gate, then one query per
-    ``(text, use_cache)`` in ``queued`` arrives and queues; once all are
-    admitted (and ``before_release`` has run) the gate opens. Returns
-    every query's answers — or the ``HttpServiceError`` it got — the
-    slot holder's first."""
-    results: list = [None] * (1 + len(queued))
+    one query holds the only slot behind the gate, then ``waiting``
+    more arrive and wait for it; once all of them wait (and
+    ``before_release`` has run) the gate opens. Returns every query's
+    answers, the slot holder's first."""
+    results: list = [None] * (1 + waiting)
 
-    def fire(index, text, use_cache):
+    def fire(index):
         with HttpServiceClient(*handle.address) as client:
-            try:
-                results[index] = client.query(text, use_cache=use_cache)
-            except HttpServiceError as exc:
-                results[index] = exc
+            results[index] = client.query(QUERY)
 
-    stats = handle.server.stats
-    threads = [threading.Thread(target=fire, args=(0, QUERY, True))]
+    server = handle.server
+    threads = [threading.Thread(target=fire, args=(0,))]
     threads[0].start()
-    _wait_for(lambda: stats.dispatches == 1)
-    for index, request in enumerate(queued, 1):
-        threads.append(threading.Thread(target=fire, args=(index, *request)))
+    _wait_for(lambda: server.stats.dispatches == 1)
+    for index in range(1, 1 + waiting):
+        threads.append(threading.Thread(target=fire, args=(index,)))
         threads[-1].start()
-    _wait_for(lambda: stats.queries == 1 + len(queued))
+    _wait_for(lambda: server._waiting_slots == waiting)
     if before_release is not None:
         before_release()
     service.gate.set()
     for thread in threads:
         thread.join(30.0)
     return results
-
-
-class TestCoalescing:
-    """No timer: a batch is what piled up while every slot was busy."""
-
-    def test_concurrent_queries_fold_into_one_dispatch(self):
-        service = _BlockingService(_graph())
-        with serve_background(
-            service, max_in_flight=1, coalesce_max=16
-        ) as handle:
-            results = _queue_behind_a_held_slot(
-                handle, service, [(QUERY, True)] * 5
-            )
-            expected = service.evaluate(QUERY)
-            assert all(result == expected for result in results)
-            stats = handle.server.stats
-            # The slot holder alone, then all five arrivals together —
-            # the one the coalescer had already popped included.
-            assert stats.dispatches == 2
-            assert stats.coalesced == 5
-            assert stats.max_batch == 5
-            # ... and the service saw one evaluate_batch call for each.
-            assert service.stats.batches == 2
-
-    def test_mixed_use_cache_flags_split_correctly(self):
-        service = _BlockingService(_graph())
-        with serve_background(service, max_in_flight=1) as handle:
-            results = _queue_behind_a_held_slot(
-                handle, service, [(QUERY, flag) for flag in (True, False) * 2]
-            )
-            expected = service.evaluate(QUERY)
-            assert all(result == expected for result in results)
-            # The four queued queries are one coalesced dispatch, split
-            # into two service batches (one per use_cache flag).
-            assert handle.server.stats.dispatches == 2
-            assert handle.server.stats.max_batch == 4
-            assert service.stats.batches == 1 + 2
-            assert service.stats.result_cache.bypasses == 2
 
 
 class _ThreadRecordingService(GraphService):
@@ -686,24 +665,45 @@ class TestOneHop:
             assert len(threads) == 1
             assert threads != {handle._thread.ident}
 
-    def test_a_failed_render_fails_that_member_alone(self):
-        service = _BlockingService(_graph())
-        with serve_background(service, max_in_flight=1) as handle:
-            fragment = handle.server._fragment
+    def test_a_batch_evaluates_and_renders_every_member_in_one_hop(
+        self, monkeypatch
+    ):
+        service = _ThreadRecordingService(_graph())
+        with serve_background(service) as handle:
+            hops: list = []
+            to_thread = asyncio.to_thread
 
-            def failing_on_empty(query, answers, etag=None):
-                if not answers:
-                    raise ValueError("unrenderable")
-                return fragment(query, answers, etag)
+            def counted(func, *args, **kwargs):
+                hops.append(func)
+                return to_thread(func, *args, **kwargs)
 
-            handle.server._fragment = failing_on_empty
-            _, sibling, failed = _queue_behind_a_held_slot(
-                handle, service, [(QUERY, True), ("TRAIL (x:Nobody)", True)]
-            )
-            assert handle.server.stats.max_batch == 2
-            assert sibling == service.evaluate(QUERY)
-            assert isinstance(failed, HttpServiceError)
-            assert failed.status == 500
+            monkeypatch.setattr(asyncio, "to_thread", counted)
+            with HttpServiceClient(*handle.address) as client:
+                results = client.batch(QUERIES[:3])
+            monkeypatch.undo()
+            # One hop off the event loop evaluates the batch and renders
+            # each of its members.
+            assert len(hops) == 1
+            assert len(service.evaluated_on) == 1
+            assert len(service.rendered_on) >= 3
+            threads = {*service.evaluated_on, *service.rendered_on}
+            assert len(threads) == 1 and threads != {handle._thread.ident}
+            assert results == [service.evaluate(text) for text in QUERIES[:3]]
+
+    def test_a_failed_render_fails_that_member_alone(self, served):
+        handle, client, service = served
+        fragment = handle.server._fragment
+
+        def failing_on_empty(query, answers, etag=None):
+            if not answers:
+                raise ValueError("unrenderable")
+            return fragment(query, answers, etag)
+
+        handle.server._fragment = failing_on_empty
+        sibling, failed = client.batch([QUERY, "TRAIL (x:Nobody)"])
+        assert sibling == service.evaluate(QUERY)
+        assert isinstance(failed, HttpServiceError)
+        assert "ValueError: unrenderable" in str(failed)
 
 
 class TestGracefulDrain:
@@ -779,15 +779,13 @@ class TestGracefulDrain:
         handle = serve_background(service, max_in_flight=1)
         stopper = threading.Thread(target=handle.stop)
 
-        def stop_while_they_queue():
-            # Three queries sit in the queue behind a held slot; drain
-            # must let them evaluate, not drop them.
+        def stop_while_they_wait():
+            # Three queries wait for the held slot; drain must let them
+            # evaluate, not drop them.
             stopper.start()
             _wait_for(lambda: handle.server.stats.draining)
 
-        results = _queue_behind_a_held_slot(
-            handle, service, [(QUERY, True)] * 3, stop_while_they_queue
-        )
+        results = _wait_behind_a_held_slot(handle, service, 3, stop_while_they_wait)
         stopper.join(30.0)
         assert not stopper.is_alive()
         expected = GraphService(_graph()).evaluate(QUERY)
@@ -801,9 +799,9 @@ class TestServerValidation:
             GraphServer(service, max_in_flight=0)
         with pytest.raises(ValueError):
             GraphServer(service, max_queue_depth=-1)
-        with pytest.raises(ValueError):
-            GraphServer(service, coalesce_max=0)
-        # The timed coalescing window is gone, not defaulted to zero.
+        # Neither coalescing option exists: passing one is an error.
+        with pytest.raises(TypeError):
+            GraphServer(service, coalesce_max=16)
         with pytest.raises(TypeError):
             GraphServer(service, coalesce_window_s=0.0)
         service.close()

@@ -78,9 +78,9 @@ class TestBroadExcept:
         assert not lint_invariants._in_broad_scope(src / "obs" / "trace.py")
 
     def test_server_handlers_are_narrow_or_waived_with_a_reason(self):
-        # The 500 boundary, the coalescer (a dispatch, a member's render)
-        # and the startup thread capture the exception as a value;
-        # everything else names its types.
+        # The 500 boundary, a batch member's render and the startup
+        # thread capture the exception as a value; everything else
+        # names its types.
         for name in ("app.py", "wire.py"):
             path = lint_invariants.SRC_ROOT / "server" / name
             source = path.read_text(encoding="utf-8")
@@ -88,7 +88,7 @@ class TestBroadExcept:
             assert lint_invariants.check_source(source, path) == []
             stripped = source.replace(lint_invariants.BROAD_EXCEPT_WAIVER, "")
             waived = lint_invariants.check_source(stripped, path)
-            assert len(waived) == (4 if name == "app.py" else 0)
+            assert len(waived) == (3 if name == "app.py" else 0)
 
 
 class TestMutableDefaults:
