@@ -25,8 +25,9 @@ of :class:`ShardOutcome`\\ s in the same order. Three implementations:
   :meth:`~repro.graph.snapshot.GraphSnapshot.derive` on first sight of
   the new version and caches the result. Only a large chain (or a
   missing delta log) forces a full pool rebuild + snapshot re-ship.
-  Workers also keep per-process prepared-plan caches, so a repeated
-  query is parsed/typechecked/compiled once per worker, not per call.
+  Workers also keep per-process prepared-plan caches, keyed by query
+  shape as the service's is, so a shape is parsed/typechecked/compiled
+  once per worker, not per call.
 
 Backends never raise for a failing shard: the failure is captured in
 its outcome so sibling shards complete and the router can surface the
@@ -147,10 +148,7 @@ def _evaluate_shard(
     with remote_span("cluster.shard", call.carrier, worker=worker) as shard:
         try:
             with deadline_scope(call.deadline_s), use_counters(counters):
-                prepared = plans.get_or_create(
-                    (call.query, call.config),
-                    lambda: PreparedQuery(call.query, call.config),
-                )
+                prepared = PreparedQuery.cached(plans, call.query, call.config)
                 result = prepared.execute(
                     snapshot, start_restriction=call.restriction
                 )

@@ -87,7 +87,7 @@ class SeedPartitioner:
         """
         if prepared is None:
             return view.nodes
-        pattern = leftmost_pattern(prepared.query)
+        pattern = leftmost_pattern(prepared.template)
         # The plan memoises the analysis per pattern; fall back to a
         # direct call for plans that have not seen it yet.
         constraint = prepared.plan.shortest_plan(pattern).start
@@ -102,7 +102,7 @@ class SeedPartitioner:
             # Every alternative requires a label with zero members in
             # this version: the universe is empty without a node scan.
             return ()
-        candidates = constraint.candidate_nodes(view)
+        candidates = constraint.candidate_nodes(view, prepared.values)
         return view.nodes if candidates is None else candidates
 
     def shardable(self, prepared: "PreparedQuery") -> bool:
@@ -116,7 +116,7 @@ class SeedPartitioner:
         for zero division. Those queries run as a single unrestricted
         shard instead.
         """
-        query = prepared.query
+        query = prepared.template
         while isinstance(query, ast.Join):
             query = query.left
         return prepared.plan.register_nfa(query.pattern) is not None

@@ -59,10 +59,13 @@ def match_on_path(
     path: Path,
     graph: PropertyGraph,
     collect_mode: CollectMode = CollectMode.GROUPING,
+    values: tuple = (),
 ) -> frozenset[Assignment]:
     """The assignments ``mu`` with ``(path, mu) in [[pattern]]_G`` —
-    i.e. matches spanning the *whole* path."""
-    ends = _SpanMatcher(path, graph, collect_mode).matches_from(pattern, 0)
+    i.e. matches spanning the *whole* path — with ``pattern``'s
+    :class:`~repro.gpc.conditions_ast.Param` constants bound to
+    ``values``."""
+    ends = _SpanMatcher(path, graph, collect_mode, values).matches_from(pattern, 0)
     return ends.get(len(path), frozenset())
 
 
@@ -71,10 +74,13 @@ def _frozen(out: dict[int, set[Assignment]]) -> Ends:
 
 
 class _SpanMatcher:
-    def __init__(self, path: Path, graph: PropertyGraph, collect_mode: CollectMode):
+    def __init__(
+        self, path: Path, graph: PropertyGraph, collect_mode: CollectMode, values: tuple = ()
+    ):
         self.path = path
         self.graph = graph
         self.collect_mode = collect_mode
+        self.values = values
         self.n = len(path)
         self.nodes = path.nodes
         self.edges = path.edges
@@ -117,7 +123,7 @@ class _SpanMatcher:
                     kept := frozenset(
                         mu
                         for mu in mus
-                        if satisfies(self.graph, mu, pattern.condition)
+                        if satisfies(self.graph, mu, pattern.condition, self.values)
                     )
                 )
             }

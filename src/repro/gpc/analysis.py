@@ -56,6 +56,7 @@ from repro.gpc.conditions_ast import (
     Condition,
     Not,
     Or,
+    Param,
     PropertyEqualsConst,
     PropertyEqualsProperty,
     iter_atoms,
@@ -160,8 +161,10 @@ def _span(expression: object) -> str:
 
 #: Constant types whose ``==`` is sane and transitive, so two distinct
 #: constants provably exclude each other. (Floats included: NaN never
-#: equals anything — not even a stored NaN — so flagging it is sound.)
-_SCALAR_TYPES = (str, int, float, bool, type(None))
+#: equals anything — not even a stored NaN — so flagging it is sound.
+#: A :class:`Param` stands for a literal; distinct slots hold values
+#: that are not ``==``.)
+_SCALAR_TYPES = (str, int, float, bool, type(None), Param)
 
 _ATOM_TYPES = (PropertyEqualsConst, PropertyEqualsProperty)
 

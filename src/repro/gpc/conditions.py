@@ -23,6 +23,7 @@ from repro.gpc.conditions_ast import (
     Or,
     PropertyEqualsConst,
     PropertyEqualsProperty,
+    resolve,
 )
 
 __all__ = ["satisfies"]
@@ -47,9 +48,11 @@ def _element(assignment: Assignment, variable: str):
 
 
 def satisfies(
-    graph: PropertyGraph, assignment: Assignment, condition: Condition
+    graph: PropertyGraph, assignment: Assignment, condition: Condition, values: tuple = ()
 ) -> bool:
-    """Decide ``assignment |= condition`` over ``graph``.
+    """Decide ``assignment |= condition`` over ``graph``, each
+    :class:`~repro.gpc.conditions_ast.Param` constant bound to its slot
+    of ``values``.
 
     Counts one ``condition_evals`` per top-level call on the ambient
     :class:`~repro.obs.counters.EvalCounters` (connective recursion is
@@ -58,16 +61,16 @@ def satisfies(
     counters = active_counters()
     if counters is not None:
         counters.condition_evals += 1
-    return _satisfies(graph, assignment, condition)
+    return _satisfies(graph, assignment, condition, values)
 
 
 def _satisfies(
-    graph: PropertyGraph, assignment: Assignment, condition: Condition
+    graph: PropertyGraph, assignment: Assignment, condition: Condition, values: tuple
 ) -> bool:
     if isinstance(condition, PropertyEqualsConst):
         element = _element(assignment, condition.variable)
         value = graph.get_property(element, condition.key)
-        return value is not None and value == condition.constant
+        return value is not None and value == resolve(condition.constant, values)
     if isinstance(condition, PropertyEqualsProperty):
         left = _element(assignment, condition.left_variable)
         right = _element(assignment, condition.right_variable)
@@ -79,13 +82,13 @@ def _satisfies(
             and left_value == right_value
         )
     if isinstance(condition, And):
-        return _satisfies(graph, assignment, condition.left) and _satisfies(
-            graph, assignment, condition.right
+        return _satisfies(graph, assignment, condition.left, values) and _satisfies(
+            graph, assignment, condition.right, values
         )
     if isinstance(condition, Or):
-        return _satisfies(graph, assignment, condition.left) or _satisfies(
-            graph, assignment, condition.right
+        return _satisfies(graph, assignment, condition.left, values) or _satisfies(
+            graph, assignment, condition.right, values
         )
     if isinstance(condition, Not):
-        return not _satisfies(graph, assignment, condition.inner)
+        return not _satisfies(graph, assignment, condition.inner, values)
     raise TypeError(f"not a condition: {condition!r}")

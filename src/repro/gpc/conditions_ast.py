@@ -2,7 +2,10 @@
 
 Atomic conditions compare a property of a singleton variable with a
 constant (``x.a = c``) or with another property (``x.a = y.b``);
-conditions are closed under ``and``, ``or`` and ``not``.
+conditions are closed under ``and``, ``or`` and ``not``. A constant may
+be a :class:`Param`, slot ``i`` of a query shape's parameter vector
+(:func:`repro.gpc.parser.query_shape`): where it meets data it reads
+as ``values[i]`` (:func:`resolve`).
 
 The classes here are pure syntax. Typing lives in
 :mod:`repro.gpc.typing`; satisfaction (``mu |= theta``) lives in
@@ -21,9 +24,24 @@ __all__ = [
     "And",
     "Or",
     "Not",
+    "Param",
+    "resolve",
     "condition_variables",
     "iter_atoms",
 ]
+
+
+@dataclass(frozen=True)
+class Param:
+    """The constant in slot ``slot`` of a binding. Two params are equal
+    iff their slots are, which is what their values are to each other."""
+
+    slot: int
+
+
+def resolve(constant: Hashable, values: tuple) -> Hashable:
+    """``constant``, or the value a :class:`Param` is bound to."""
+    return values[constant.slot] if type(constant) is Param else constant
 
 
 @dataclass(frozen=True)

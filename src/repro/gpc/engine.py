@@ -331,6 +331,11 @@ class Evaluator:
     to the graph after construction are not observed — build a new
     evaluator (or use :class:`repro.service.GraphService`, which does
     so automatically).
+
+    ``values`` binds the :class:`~repro.gpc.conditions_ast.Param`
+    constants of the queries it evaluates (a query shape's, see
+    :func:`repro.gpc.parser.parse_shape`), where they meet the data: in
+    condition checks, pushed-atom masks and endpoint candidates.
     """
 
     def __init__(
@@ -338,8 +343,10 @@ class Evaluator:
         graph: PropertyGraph | GraphSnapshot,
         config: EngineConfig | None = None,
         plan: QueryPlan | None = None,
+        values: tuple = (),
     ):
         self.graph = graph
+        self.values = values
         if config is not None and plan is not None and plan.config != config:
             raise ValueError(
                 f"Evaluator config {config!r} disagrees with the plan's "
@@ -358,7 +365,7 @@ class Evaluator:
             max_power_iterations=self.config.max_power_iterations,
         )
         bounded = partial(
-            BoundedEvaluator, self._view, self.config.collect_mode, limits
+            BoundedEvaluator, self._view, self.config.collect_mode, limits, values=values
         )
         self._bounded = bounded()
         #: Per restrictor mode: the Lemma 16 length bound and a bounded
@@ -609,7 +616,7 @@ class Evaluator:
         # assignments, so the witness pass tracks every variable and
         # every group register; the search carries only the variables
         # that can constrain a run.
-        program = lower_program(rnfa, view)
+        program = lower_program(rnfa, view, values=self.values)
         reach = None if end_filter is None else coreachable(program, end_filter)
         walker = (
             program.retracked((*rnfa.sites, *rnfa.groups))
@@ -626,7 +633,7 @@ class Evaluator:
             if needs_collect is None:
                 return [Assignment(padding | dict(registers)) for registers in runs]
             matched += 1
-            return match_on_path(pattern, witness, view, collect_mode)
+            return match_on_path(pattern, witness, view, collect_mode, self.values)
 
         try:
             for start in starts:
@@ -703,8 +710,8 @@ class Evaluator:
         """
         if self.config.use_planner:
             shortest_plan = self.plan.shortest_plan(pattern)
-            starts = shortest_plan.start.candidate_nodes(self._view)
-            ends = shortest_plan.end.candidate_nodes(self._view)
+            starts = shortest_plan.start.candidate_nodes(self._view, self.values)
+            ends = shortest_plan.end.candidate_nodes(self._view, self.values)
             if starts is not None:
                 counters = active_counters()
                 if counters is not None:

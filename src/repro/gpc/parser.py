@@ -29,7 +29,11 @@ Notes mirroring the paper:
 - ``+`` is *union* (not Kleene plus; write ``{1,}`` for that);
 - ``*`` abbreviates ``{0,}``, the Kleene star;
 - square brackets group, exactly as in the paper's examples;
-- conditioning ``<< ... >>`` renders the paper's angle brackets.
+- conditioning ``<< ... >>`` renders the paper's angle brackets;
+- NUMBER is ASCII, ``-?[0-9]+(.[0-9]+)?``;
+- :func:`query_shape` and :func:`parse_shape` lift every constant into
+  a parameter slot, so texts that differ only in constants share one
+  shape.
 
 Example::
 
@@ -50,6 +54,7 @@ from repro.gpc.conditions_ast import (
     Condition,
     Not,
     Or,
+    Param,
     PropertyEqualsConst,
     PropertyEqualsProperty,
 )
@@ -59,6 +64,8 @@ __all__ = [
     "parse_pattern",
     "parse_query",
     "parse_condition",
+    "parse_shape",
+    "query_shape",
     "tokenize",
 ]
 
@@ -117,79 +124,83 @@ class _Token:
         return self.text.upper()
 
 
-_FIXED = [
-    ("]->", _T.EDGE_CLOSE_RIGHT),
-    ("<-[", _T.EDGE_OPEN_LEFT),
-    ("-[", _T.EDGE_OPEN_RIGHT),
-    ("]-", _T.EDGE_CLOSE_LEFT),
-    ("~[", _T.EDGE_OPEN_UND),
-    ("]~", _T.EDGE_CLOSE_UND),
-    ("<<", _T.COND_OPEN),
-    (">>", _T.COND_CLOSE),
-    ("->", _T.ARROW_RIGHT),
-    ("<-", _T.ARROW_LEFT),
-    ("..", _T.RANGE),
-    ("(", _T.LPAREN),
-    (")", _T.RPAREN),
-    ("[", _T.LBRACKET),
-    ("]", _T.RBRACKET),
-    ("{", _T.LBRACE),
-    ("}", _T.RBRACE),
-    (",", _T.COMMA),
-    ("+", _T.PLUS),
-    ("*", _T.STAR),
-    ("=", _T.EQUALS),
-    (":", _T.COLON),
-    (".", _T.DOT),
-    ("~", _T.TILDE),
-]
+_KINDS = {kind.value: kind for kind in _T}
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?")
-_STRING_RE = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+#: One token after optional whitespace. The alternatives are tried in
+#: order (a string, a number, a fixed token — longest spellings first —
+#: an identifier), ``eof`` ends the text and ``bad`` is any other
+#: character. Digits are ASCII: the grammar's NUMBER is ``[0-9]``.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+      (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
+    | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
+    | (?P<fixed>\]->|<-\[|-\[|\]-|~\[|\]~|<<|>>|->|<-|\.\.|[()\[\]{},+*=:.~])
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )""",
+    re.VERBOSE,
+)
 
 
 def tokenize(text: str) -> list[_Token]:
     """Tokenize GPC concrete syntax; raises :class:`ParseError` on
     unrecognized input."""
     tokens: list[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        string_match = _STRING_RE.match(text, pos)
-        if string_match:
-            tokens.append(_Token(_T.STRING, string_match.group(), pos))
-            pos = string_match.end()
-            continue
-        number_match = _NUMBER_RE.match(text, pos)
-        if number_match and (ch.isdigit() or ch == "-"):
-            # '-' only starts a number when followed by a digit and not
-            # part of an edge token (checked below by fixed-token order
-            # priority: try fixed tokens first for '-').
-            if ch == "-" and text[pos : pos + 2] in ("-[", "->"):
-                pass  # fall through to fixed tokens
-            else:
-                tokens.append(_Token(_T.NUMBER, number_match.group(), pos))
-                pos = number_match.end()
-                continue
-        for literal, kind in _FIXED:
-            if text.startswith(literal, pos):
-                tokens.append(_Token(kind, literal, pos))
-                pos += len(literal)
-                break
-        else:
-            ident_match = _IDENT_RE.match(text, pos)
-            if ident_match:
-                tokens.append(_Token(_T.IDENT, ident_match.group(), pos))
-                pos = ident_match.end()
-            else:
-                raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token(_T.EOF, "", n))
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastgroup or "bad"
+        token, position = match.group(group), match.start(group)
+        if group == "bad":
+            raise ParseError(f"unexpected character {token!r}", position)
+        kind = _KINDS.get(group) or _KINDS[token]
+        tokens.append(_Token(kind, token, position))
+        if group == "eof":
+            break
     return tokens
+
+
+def _literal(kind: _T, text: str) -> Hashable:
+    """The constant a NUMBER, STRING or ``TRUE`` / ``FALSE`` token spells."""
+    if kind is _T.NUMBER:
+        return float(text) if "." in text else int(text)
+    if kind is _T.STRING:
+        body = text[1:-1]
+        return re.sub(r"\\(.)", r"\1", body) if "\\" in body else body
+    return text.upper() == "TRUE"
+
+
+def _shape(text: str) -> tuple[tuple, tuple, dict]:
+    """The shape key of ``text``, its parameter values and, per lifted
+    token index, its slot. A literal directly after ``=`` is lifted;
+    literals that are ``==`` share a slot, whose value is the first of
+    them. Reads the tokens' texts off one ``findall`` of the scan."""
+    key: list = []
+    classes: dict = {}
+    slots: dict[int, int] = {}
+    equals = False
+    for index, (string, number, fixed, ident, _eof, bad) in enumerate(
+        _TOKEN_RE.findall(text)
+    ):
+        if bad:
+            tokenize(text)  # raises the scan's error, at its position
+        if equals and (string or number or ident.upper() in ("TRUE", "FALSE")):
+            kind = _T.STRING if string else _T.NUMBER if number else _T.IDENT
+            literal = _literal(kind, string or number or ident)
+            slot = slots[index] = classes.setdefault(literal, len(classes))
+            key.append((kind.value, slot))
+        else:
+            key.append(string or number or fixed or ident)
+        equals = fixed == "="
+    return tuple(key), tuple(classes), slots
+
+
+def query_shape(text: str) -> tuple[tuple, tuple]:
+    """``(key, values)``: ``text``'s tokens with every constant lifted
+    out, and the constants, one per equality class in order of first
+    appearance. Texts with equal keys parse to the same query over
+    :class:`~repro.gpc.conditions_ast.Param` slots (:func:`parse_shape`)."""
+    key, values, _slots = _shape(text)
+    return key, values
 
 
 _RESTRICTOR_KEYWORDS = {"SIMPLE", "TRAIL", "SHORTEST"}
@@ -206,10 +217,12 @@ _PATTERN_START = {
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], slots: dict[int, int] | None = None):
         self.tokens = tokens
         self.index = 0
         self.nesting = 0
+        #: Token index -> parameter slot of each lifted constant.
+        self.slots = slots or {}
 
     # -- token helpers ---------------------------------------------------
 
@@ -458,21 +471,10 @@ class _Parser:
 
     def _constant(self) -> Hashable:
         token = self.current
-        if token.kind is _T.NUMBER:
+        if token.kind in (_T.NUMBER, _T.STRING) or self.at_keyword("TRUE", "FALSE"):
+            slot = self.slots.get(self.index)
             self.advance()
-            if "." in token.text:
-                return float(token.text)
-            return int(token.text)
-        if token.kind is _T.STRING:
-            self.advance()
-            body = token.text[1:-1]
-            return re.sub(r"\\(.)", r"\1", body)
-        if self.at_keyword("TRUE"):
-            self.advance()
-            return True
-        if self.at_keyword("FALSE"):
-            self.advance()
-            return False
+            return _literal(token.kind, token.text) if slot is None else Param(slot)
         raise ParseError(
             f"expected a constant, found {token.text!r}", token.position
         )
@@ -505,13 +507,14 @@ def _nested(node) -> tuple:
     return ast.children(node)
 
 
-def _parse(text: str, production):
+def _parse(text: str, production, slots: dict[int, int] | None = None):
     """Run one production of a fresh parser over the whole of ``text``
-    and reject a tree higher than :data:`MAX_NESTING_DEPTH`. The loops
-    that parse unions, concatenations, postfixes, joins and boolean
-    connectives build left-deep spines without recursing, so the
-    counter inside the parser does not see them."""
-    parser = _Parser(tokenize(text))
+    (lifting the constants at ``slots``) and reject a tree higher than
+    :data:`MAX_NESTING_DEPTH`. The loops that parse unions,
+    concatenations, postfixes, joins and boolean connectives build
+    left-deep spines without recursing, so the counter inside the
+    parser does not see them."""
+    parser = _Parser(tokenize(text), slots)
     root = production(parser)
     parser.finish()
     # A tree has fewer levels than its text has tokens.
@@ -539,3 +542,11 @@ def parse_query(text: str) -> ast.Query:
 def parse_condition(text: str) -> Condition:
     """Parse a bare condition (the part between ``<<`` and ``>>``)."""
     return _parse(text, _Parser._boolean)
+
+
+def parse_shape(text: str) -> tuple[ast.Query, tuple]:
+    """Parse a query with its constants lifted (:func:`query_shape`):
+    the query over :class:`~repro.gpc.conditions_ast.Param` slots and
+    the values they bind in ``text``. Errors are :func:`parse_query`'s."""
+    _key, values, slots = _shape(text)
+    return _parse(text, _Parser.parse_query, slots), values

@@ -46,7 +46,7 @@ from typing import Optional
 
 from repro.direction import Direction
 from repro.gpc import ast
-from repro.gpc.conditions_ast import And, Condition, PropertyEqualsConst
+from repro.gpc.conditions_ast import And, Condition, PropertyEqualsConst, resolve
 from repro.gpc.minlength import max_length_step
 from repro.gpc.typing import infer_schema
 from repro.graph.statistics import compute_label_cardinalities
@@ -98,13 +98,14 @@ class NodeConstraint:
     def is_trivial(self) -> bool:
         return not self.labels and not self.properties
 
-    def admits(self, view, node) -> bool:
-        """Whether ``node`` satisfies this conjunction in ``view``."""
+    def admits(self, view, node, values: tuple = ()) -> bool:
+        """Whether ``node`` satisfies this conjunction in ``view``, its
+        parameter slots bound to ``values``."""
         node_labels = view.labels(node)
         if any(label not in node_labels for label in self.labels):
             return False
         return all(
-            view.get_property(node, key) == value
+            view.get_property(node, key) == resolve(value, values)
             for key, value in self.properties
         )
 
@@ -135,9 +136,10 @@ class EndpointConstraint:
             return False
         return all(not alt.is_trivial for alt in self.alternatives)
 
-    def candidate_nodes(self, view):
-        """The nodes that can satisfy some alternative, or ``None``
-        when the endpoint is unconstrained.
+    def candidate_nodes(self, view, values: tuple = ()):
+        """The nodes that can satisfy some alternative (parameter slots
+        bound to ``values``), or ``None`` when the endpoint is
+        unconstrained.
 
         Resolution prefers the smallest label index of each
         alternative; property-only alternatives scan the node carrier
@@ -161,7 +163,7 @@ class EndpointConstraint:
             else:
                 base = view.nodes
             for node in base:
-                if node not in out and alt.admits(view, node):
+                if node not in out and alt.admits(view, node, values):
                     out.add(node)
         return tuple(sorted(out))
 

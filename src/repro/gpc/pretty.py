@@ -13,6 +13,7 @@ from repro.gpc.conditions_ast import (
     Condition,
     Not,
     Or,
+    Param,
     PropertyEqualsConst,
     PropertyEqualsProperty,
 )
@@ -119,4 +120,6 @@ def _constant(value) -> str:
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace("'", "\\'")
         return f"'{escaped}'"
+    if isinstance(value, Param):
+        return f"${value.slot}"
     raise TypeError(f"cannot render constant {value!r}")

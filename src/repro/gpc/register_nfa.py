@@ -72,6 +72,7 @@ from repro.gpc.conditions_ast import (
     Condition,
     PropertyEqualsConst,
     condition_variables,
+    resolve,
 )
 from repro.gpc.minlength import iterates_edgeless_body
 from repro.gpc.planner import split_pushdown
@@ -638,6 +639,9 @@ class ShortestProgram:
     steps: tuple
     #: Memo of :meth:`at`.
     slow: dict = field(default_factory=dict)
+    #: What the NFA's :class:`~repro.gpc.conditions_ast.Param` constants
+    #: are bound to: the masks are the bound atoms', checks read them.
+    values: tuple = ()
 
     def retracked(self, variables: Iterable[str]) -> "ShortestProgram":
         """This program tracking ``variables`` instead: the lowering is
@@ -729,7 +733,7 @@ class ShortestProgram:
             def passes(
                 mask: Optional[bytes], label: Optional[str], props: PushedProps
             ) -> bool:
-                return mask is None or _holds(snapshot, real, label, props)
+                return mask is None or _holds(snapshot, real, label, props, self.values)
 
             closure: list[Optional[tuple]] = []
             for state, pairs in enumerate(self.closure):
@@ -767,7 +771,7 @@ class ShortestProgram:
                     edges = [
                         edge
                         for edge in edges_at(real)
-                        if _holds(snapshot, edge, step.label, step.props)
+                        if _holds(snapshot, edge, step.label, step.props, self.values)
                     ]
                     row.append(
                         (
@@ -786,7 +790,7 @@ class ShortestProgram:
 
 
 def _holds(
-    snapshot: GraphSnapshot, element: Any, label: Optional[str], props: PushedProps
+    snapshot: GraphSnapshot, element: Any, label: Optional[str], props: PushedProps, values: tuple
 ) -> bool:
     """Whether ``element`` carries ``label`` and every pushed
     ``key = const`` atom holds on it (defined and equal — the truth
@@ -796,19 +800,19 @@ def _holds(
         return False
     for key, const in props:
         value = snapshot.get_property(element, key)
-        if value is None or value != const:
+        if value is None or value != resolve(const, values):
             return False
     return True
 
 
 def _pushed_prop_mask(
-    snapshot: GraphSnapshot, props: PushedProps
+    snapshot: GraphSnapshot, props: PushedProps, values: tuple
 ) -> Optional[bytes]:
     """AND-combine the snapshot's per-atom bitmasks (``None`` when the
     site has no pushed atoms)."""
     mask: Optional[bytes] = None
     for key, const in sorted(props, key=repr):
-        mask = and_masks(mask, snapshot.property_mask(key, const))
+        mask = and_masks(mask, snapshot.property_mask(key, resolve(const, values)))
     return mask
 
 
@@ -821,11 +825,12 @@ def _labelled_csr(core: Any, kind: str, label: Optional[str]) -> tuple:
 
 
 def lower_program(
-    nfa: RegisterNFA, view: Any, tracked: Optional[Iterable[str]] = None
+    nfa: RegisterNFA, view: Any, tracked: Optional[Iterable[str]] = None, values: tuple = ()
 ) -> ShortestProgram:
     """Lower ``nfa`` onto the snapshot of ``view`` (a snapshot is its
     own), tracking the registers of ``tracked`` (default: those that
-    constrain a run, so the program serves the length search). Lower
+    constrain a run, so the program serves the length search) and
+    binding its parameter slots to ``values``. Lower
     once per evaluation and share the program across seeds. A label no
     core element carries may still live in the overlay, so its arcs
     stay: clean nodes read an all-zero mask or an empty row."""
@@ -843,7 +848,7 @@ def lower_program(
                 label_mask = snapshot.label_mask(op.label)
                 arc = (_ARC_FREE, None, label_mask, op.label, _NO_PROPS)
             elif kind is _Bind:
-                prop_mask = _pushed_prop_mask(snapshot, op.props)
+                prop_mask = _pushed_prop_mask(snapshot, op.props, values)
                 arc = (_ARC_BIND, op.variable, prop_mask, None, op.props)
             elif kind is _Check:
                 arc = (_ARC_CHECK, op.condition, None, None, _NO_PROPS)
@@ -862,7 +867,7 @@ def lower_program(
         row = []
         for step, target in steps:
             triple = _labelled_csr(core, _CSR_KIND[step.direction], step.label)
-            prop_mask = _pushed_prop_mask(snapshot, step.props)
+            prop_mask = _pushed_prop_mask(snapshot, step.props, values)
             row.append(triple + (prop_mask, None, target, step))
         rows.append(tuple(row))
     lowered = (tuple(ops), tuple(rows))
@@ -879,6 +884,7 @@ def lower_program(
             node: first + i for i, node in enumerate(overlay_nodes)
         },
         span=first + len(overlay_nodes),
+        values=values,
         **_fold(nfa, *lowered, tuple(sorted(tracked))),
     )
 
@@ -1010,7 +1016,7 @@ def _fire(
     elif kind == _ARC_CHECK:
         mu = Assignment(program.registers(registers))
         try:
-            return fid if satisfies(program.snapshot, mu, operand) else -1
+            return fid if satisfies(program.snapshot, mu, operand, program.values) else -1
         except (DeadlineExceededError, EvaluationLimitError):
             # Resource errors must surface (deadline_ms -> 504); only a
             # condition that is *undefined* here blocks the transition.

@@ -121,11 +121,15 @@ class BoundedEvaluator:
         collect_mode: CollectMode = CollectMode.GROUPING,
         limits: _Limits | None = None,
         keep: Callable[[Path], bool] | None = None,
+        values: tuple = (),
     ):
         self.graph = graph
         self.collect_mode = collect_mode
         self.limits = limits or _Limits()
         self.keep = keep
+        #: What the query's :class:`~repro.gpc.conditions_ast.Param`
+        #: constants are bound to.
+        self.values = values
         self._memo: dict[tuple[ast.Pattern, int], frozenset[Match]] = {}
         self._schemas: dict[ast.Pattern, Mapping[str, object]] = {}
 
@@ -164,7 +168,9 @@ class BoundedEvaluator:
         if isinstance(pattern, ast.PatternExtension):
             plain = self
             if self.keep is not None:
-                plain = BoundedEvaluator(self.graph, self.collect_mode, self.limits)
+                plain = BoundedEvaluator(
+                    self.graph, self.collect_mode, self.limits, values=self.values
+                )
             return frozenset(pattern.evaluate_ext(plain, max_length))
         raise TypeError(f"not a pattern: {pattern!r}")
 
@@ -300,7 +306,7 @@ class BoundedEvaluator:
         return frozenset(
             (path, mu)
             for path, mu in inner
-            if satisfies(self.graph, mu, pattern.condition)
+            if satisfies(self.graph, mu, pattern.condition, self.values)
         )
 
     # -- repetition --------------------------------------------------------

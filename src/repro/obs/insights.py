@@ -233,8 +233,8 @@ class Observation:
     the service aggregate and, through
     :meth:`InsightsRegistry.record`, into its fingerprint's entry.
 
-    ``parsed`` is the AST of ``query`` when a prepared query already
-    holds it, so fingerprinting new text does not parse it again;
+    ``fingerprint`` is the ``(fingerprint, canonical)`` pair of the
+    prepared query's shape, so recording new text fingerprints nothing;
     ``cache`` a key of :data:`~repro.obs.counters.CACHE_OUTCOMES`;
     ``estimates`` the :class:`~repro.gpc.planner.PlanEstimates` stamped
     at plan time; ``error`` what the execute step raised; ``latency_s``
@@ -243,7 +243,7 @@ class Observation:
 
     query: object
     started: float = field(default_factory=time.perf_counter)
-    parsed: object = None
+    fingerprint: Optional[tuple[str, str]] = None
     answers: Optional[int] = None
     cache: Optional[str] = None
     counters: Optional[EvalCounters] = None
@@ -406,14 +406,12 @@ class InsightsRegistry:
         while len(self._fingerprints) > self.fingerprint_cache_size:
             self._fingerprints.popitem(last=False)
 
-    def fingerprint(self, query, parsed=None) -> tuple[str, str]:
-        """Memoised ``(fingerprint, canonical_text)`` for ``query``;
-        ``parsed`` is its AST when the caller already holds one, so a
-        memo miss on query text does not parse it a second time."""
+    def fingerprint(self, query) -> tuple[str, str]:
+        """Memoised ``(fingerprint, canonical_text)`` for ``query``."""
         with self._lock:
             found = self._remembered(query)
         if found is None:
-            found = query_fingerprint(query if parsed is None else parsed)
+            found = query_fingerprint(query)
             with self._lock:
                 self._remember(query, found)
         return found
@@ -425,18 +423,20 @@ class InsightsRegistry:
 
         Returns the fingerprint (for span stamping), or ``None`` when
         disabled. One lock round-trip for a query whose fingerprint is
-        memoised, two for a new one (it is computed between them).
+        given or memoised, two for a new one (it is computed between
+        them).
         """
         if not self.enabled:
             return None
         with self._lock:
             found = self._remembered(seen.query)
+            if found is None and seen.fingerprint is not None:
+                found = seen.fingerprint
+                self._remember(seen.query, found)
             if found is not None:
                 self._entry(*found).observe(seen)
         if found is None:
-            found = query_fingerprint(
-                seen.query if seen.parsed is None else seen.parsed
-            )
+            found = query_fingerprint(seen.query)
             with self._lock:
                 self._remember(seen.query, found)
                 self._entry(*found).observe(seen)

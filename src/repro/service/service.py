@@ -4,8 +4,10 @@
 and serves queries against it with every layer of reuse the engine
 supports:
 
-- **prepared queries** (plan cache): parsing, type checking and
-  automaton compilation happen once per distinct ``(query, config)``;
+- **prepared queries** (plan cache): parsing, type checking, analysis
+  and automaton compilation happen once per ``(shape, config)`` — texts
+  that differ only in condition constants share one plan, bound to
+  each text's constants (:mod:`repro.service.prepared`);
 - **versioned snapshots**: evaluation runs against the graph's
   memoised per-version :class:`~repro.graph.snapshot.GraphSnapshot`,
   so adjacency indexes are materialised once per version, not per
@@ -258,17 +260,15 @@ class GraphService:
     def prepare(
         self, query: str | ast.Query, config: EngineConfig | None = None
     ) -> PreparedQuery:
-        """Parse/typecheck/compile once; memoised per (query, config).
+        """Parse/typecheck/compile once per shape and config.
 
-        Both concrete-syntax strings and :mod:`repro.gpc.ast` queries
-        are accepted (AST nodes are hashable, so either keys the
-        cache).
+        A concrete-syntax string is keyed by its shape
+        (:func:`~repro.gpc.parser.query_shape`): the first text of a
+        shape is parsed and compiled, a later one is bound to that plan
+        with its own constants. A :mod:`repro.gpc.ast` query keys the
+        cache itself (AST nodes are hashable) with no constants lifted.
         """
-        config = config or self.config
-        key = (query, config)
-        return self._plan_cache.get_or_create(
-            key, lambda: PreparedQuery(query, config)
-        )
+        return PreparedQuery.cached(self._plan_cache, query, config or self.config)
 
     def explain(
         self,
@@ -511,7 +511,7 @@ class GraphService:
         if job.result is None:
             with span(self._span_prefix + "plan"):
                 job.prepared = self.prepare(seen.query, config)
-            seen.parsed = job.prepared.query
+            seen.fingerprint = job.prepared.fingerprint
             seen.estimates = self._plan_estimates(job.prepared, snap)
             seen.counters = EvalCounters()
 

@@ -281,7 +281,7 @@ class TestStatsAndExplain:
     def test_plan_cache_memoises(self):
         with ClusterService(_graph(), backend="serial") as cluster:
             first = cluster.prepare(QUERIES[0])
-            assert cluster.prepare(QUERIES[0]) is first
+            assert cluster.prepare(QUERIES[0]).plan is first.plan
             assert cluster.stats.plan_cache.hits == 1
 
     def test_explain_includes_cluster_line(self):

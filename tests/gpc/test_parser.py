@@ -1,6 +1,10 @@
 """Concrete syntax: the lexer and recursive-descent parser."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParseError
 from repro.gpc import ast
@@ -319,3 +323,93 @@ class TestTokenizer:
         tokens = tokenize("x.a = -5")
         assert tokens[-2].kind.value == "number"
         assert tokens[-2].text == "-5"
+
+
+class TestNonAsciiDigits:
+    """The grammar's NUMBER is ASCII: another script's digit is not a
+    number, in repetition bounds or in a constant."""
+
+    def test_in_bounds(self):
+        text = "TRAIL (x) -[e]->{\u0661,} (y)"
+        with pytest.raises(ParseError) as raised:
+            parse_query(text)
+        assert raised.value.position == text.index("\u0661")
+
+    def test_in_a_constant(self):
+        text = "TRAIL (x) -[e]-> (y) << e.m = \u0663 >>"
+        with pytest.raises(ParseError) as raised:
+            parse_query(text)
+        assert raised.value.position == text.index("\u0663")
+
+
+# The character-loop lexer the regex scan replaced, kept as an oracle.
+_ORACLE_FIXED = [
+    "]->", "<-[", "-[", "]-", "~[", "]~", "<<", ">>", "->", "<-", "..",
+    "(", ")", "[", "]", "{", "}", ",", "+", "*", "=", ":", ".", "~",
+]
+_ORACLE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ORACLE_NUMBER = re.compile(r"-?\d+(\.\d+)?")
+_ORACLE_STRING = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+
+
+def _oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        string_match = _ORACLE_STRING.match(text, pos)
+        if string_match:
+            tokens.append(("string", string_match.group(), pos))
+            pos = string_match.end()
+            continue
+        number_match = _ORACLE_NUMBER.match(text, pos)
+        if number_match and (ch.isdigit() or ch == "-"):
+            if ch == "-" and text[pos : pos + 2] in ("-[", "->"):
+                pass
+            else:
+                tokens.append(("number", number_match.group(), pos))
+                pos = number_match.end()
+                continue
+        for literal in _ORACLE_FIXED:
+            if text.startswith(literal, pos):
+                tokens.append((literal, literal, pos))
+                pos += len(literal)
+                break
+        else:
+            ident_match = _ORACLE_IDENT.match(text, pos)
+            if ident_match:
+                tokens.append(("ident", ident_match.group(), pos))
+                pos = ident_match.end()
+            else:
+                raise ParseError(f"unexpected character {ch!r}", pos)
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+def _lexed(lex, text):
+    try:
+        return [
+            token if isinstance(token, tuple) else (token.kind.value, token.text, token.position)
+            for token in lex(text)
+        ]
+    except ParseError as error:
+        return (str(error), error.position)
+
+
+#: GPC's alphabet, with one non-ASCII digit.
+_ALPHABET = " \t\n0123456789-[]<>~.,{}()*+=:'\"\\abkxyzTRUEAND_\u0661"
+
+
+class TestLexerOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=_ALPHABET, max_size=24))
+    def test_same_tokens_or_error(self, text):
+        got = _lexed(tokenize, text)
+        # The one difference: the old lexer read a non-ASCII digit as a
+        # digit; now it is an unexpected character, as '#' is to both.
+        expected = _lexed(_oracle_tokenize, text.replace("\u0661", "#"))
+        assert repr(got).replace("\u0661", "#") == repr(expected)

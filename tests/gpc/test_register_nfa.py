@@ -435,7 +435,7 @@ class TestCheckErrorPropagation:
         "error", [DeadlineExceededError, EvaluationLimitError]
     )
     def test_length_search_propagates(self, error, monkeypatch, pair_lengths):
-        def boom(graph, assignment, condition):
+        def boom(graph, assignment, condition, values=()):
             raise error("expired inside a CHECK")
 
         monkeypatch.setattr("repro.gpc.register_nfa.satisfies", boom)
@@ -446,7 +446,7 @@ class TestCheckErrorPropagation:
         "error", [DeadlineExceededError, EvaluationLimitError]
     )
     def test_witness_pass_propagates(self, error, monkeypatch):
-        def boom(graph, assignment, condition):
+        def boom(graph, assignment, condition, values=()):
             raise error("expired inside a CHECK")
 
         monkeypatch.setattr("repro.gpc.register_nfa.satisfies", boom)
@@ -458,7 +458,7 @@ class TestCheckErrorPropagation:
     def test_plain_evaluation_errors_still_swallowed(
         self, monkeypatch, pair_lengths
     ):
-        def boom(graph, assignment, condition):
+        def boom(graph, assignment, condition, values=()):
             raise EvaluationError("malformed condition")
 
         monkeypatch.setattr("repro.gpc.register_nfa.satisfies", boom)

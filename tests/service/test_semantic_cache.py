@@ -389,5 +389,5 @@ class TestSingleFlight:
             t.start()
         for t in threads:
             t.join()
-        assert len({id(p) for p in prepared}) == 1
+        assert len({id(p.plan) for p in prepared}) == 1
         assert service.stats.plan_cache.misses == 1

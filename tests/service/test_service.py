@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import GPCError, GPCTypeError
 from repro.gpc.engine import EngineConfig, Evaluator
-from repro.gpc.parser import parse_query
+from repro.gpc.parser import parse_query, parse_shape
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import cycle_graph
 from repro.obs import query_fingerprint
@@ -226,27 +226,33 @@ class TestResultCache:
 
 
 class TestOneParse:
-    def test_a_cold_evaluate_parses_the_text_once(self, social, monkeypatch):
-        """The insights fingerprint is taken from the prepared query's
-        AST; a repeat finds it in the memo, keyed by the text."""
+    def test_one_parse_per_shape(self, social, monkeypatch):
+        """A cold evaluate parses its text once; a text of the same shape
+        is bound to that plan and parses nothing. The insights
+        fingerprint is the shape's, taken when its plan was built."""
         from repro.gpc import parser
         from repro.service import prepared
 
         parses = []
 
-        def counting(text):
-            parses.append(text)
-            return parse_query(text)
+        def counting(parse):
+            def parse_counted(text):
+                parses.append(text)
+                return parse(text)
 
-        monkeypatch.setattr(parser, "parse_query", counting)
-        monkeypatch.setattr(prepared, "parse_query", counting)
+            return parse_counted
+
+        monkeypatch.setattr(parser, "parse_query", counting(parse_query))
+        monkeypatch.setattr(prepared, "parse_query", counting(parse_query))
+        monkeypatch.setattr(prepared, "parse_shape", counting(parse_shape))
         text = "TRAIL [(x:Person) -[e:knows]-> (y:Person)] << x.team = 'db' >>"
         social.evaluate(text)
         assert parses == [text]
-        social.evaluate(text)  # a hit: no plan, the memo answers
+        social.evaluate(text)  # a hit: no plan
+        social.evaluate(text.replace("db", "ml"))  # the same shape: bound
         assert parses == [text]
         [insight] = social.insights.top()
-        assert insight["calls"] == 2
+        assert insight["calls"] == 3
         assert (insight["fingerprint"], insight["query"]) == query_fingerprint(
             parse_query(text)
         )
@@ -256,18 +262,21 @@ class TestPlanCache:
     def test_prepare_is_memoised(self, social):
         first = social.prepare(QUERIES[0])
         second = social.prepare(QUERIES[0])
-        assert first is second
+        assert second.plan is first.plan  # one shape plan, bound per call
         assert social.stats.plan_cache.hits == 1
 
     def test_plan_survives_mutations(self, social):
-        plan = social.prepare(QUERIES[2])
+        plan = social.prepare(QUERIES[2]).plan
         social.add_node("new", ["Person"], {"team": "db"})
-        assert social.prepare(QUERIES[2]) is plan  # plans are version-free
+        assert social.prepare(QUERIES[2]).plan is plan  # plans are version-free
 
     def test_eviction_is_counted(self):
         service = GraphService(cycle_graph(3), plan_cache_size=2)
-        for text in ["TRAIL ->", "SIMPLE ->", "TRAIL ->{1,2}"]:
+        # Four texts, three shapes: the first two differ in a constant.
+        texts = ["TRAIL (x) << x.k = 1 >>", "TRAIL (x) << x.k = 2 >>"]
+        for text in texts + ["SIMPLE ->", "TRAIL ->{1,2}"]:
             service.prepare(text)
+        assert service.stats.plan_cache.misses == 3
         assert service.stats.plan_cache.evictions == 1
         assert len(service._plan_cache) == 2
 
