@@ -119,12 +119,13 @@ class ClusterService(GraphService):
         windows = []
         for job in jobs:
             start = len(calls)
-            calls.extend(job.run(self._scatter, job.prepared, snap) or ())
+            calls.extend(job.run(self._scatter, job, snap) or ())
             windows.append(slice(start, len(calls)))
         # The partitioner guarantees at least one cell per query, but
-        # an empty scatter (an all-hit batch, or every scatter failed)
-        # must never reach the backend: on the process backend run()
-        # warms the pool and ships the snapshot even for zero calls.
+        # an empty scatter (an all-hit batch, extends whose seeds no
+        # cell holds, or every scatter failed) must never reach the
+        # backend: on the process backend run() warms the pool and
+        # ships the snapshot even for zero calls.
         outcomes = (
             self.backend.run(snap, calls, delta_source=self._graph.deltas_since)
             if calls
@@ -134,11 +135,16 @@ class ClusterService(GraphService):
             if job.error is None:
                 job.run(self._gather, job, outcomes[window])
 
-    def _scatter(
-        self, prepared: PreparedQuery, snap: GraphSnapshot
-    ) -> list[ShardCall]:
-        """One shard call per seed cell of ``prepared`` at ``snap``."""
+    def _scatter(self, job, snap: GraphSnapshot) -> list[ShardCall]:
+        """One shard call per seed cell of the job's prepared query at
+        ``snap`` — for an extend, per non-empty cut of a cell with its
+        seeds (none at all: the kept answers are the job's)."""
+        prepared = job.prepared
         cells = self.partitioner.partition(snap, prepared)
+        if job.extend is not None:
+            seeds = job.extend[1]
+            cuts = (seeds if cell is None else cell & seeds for cell in cells)
+            cells = [cut for cut in cuts if cut]
         # Ship what the caller sent (text stays text): workers key
         # their own plan caches by it.
         query = prepared.text if prepared.text is not None else prepared.query
@@ -157,6 +163,8 @@ class ClusterService(GraphService):
             with self.stats.lock:
                 self.stats.record_shards(outcomes)
             job.result = self.router.gather(outcomes)
+            if job.extend is not None:
+                job.result |= job.extend[0]
 
     def _plan_report(self, prepared: PreparedQuery, snap: GraphSnapshot) -> str:
         """The engine plan plus the cluster's sharding decision."""

@@ -42,6 +42,7 @@ from repro.gpc.planner import (
     REGISTER,
     PlanEstimates,
     ShortestPlan,
+    bind_variable,
     estimate_plan,
     estimate_query_cardinality,
     explain_plan,
@@ -507,19 +508,22 @@ class Evaluator:
         A start restriction always flows into the *left* side: combined
         path tuples concatenate left-to-right, so ``paths[0]`` — the
         path the restriction is defined over — comes from the leftmost
-        pattern query regardless of which side is evaluated first.
+        pattern query regardless of which side is evaluated first. A
+        restricted left side is evaluated first, whatever the estimates
+        say: its cost is bounded by the restriction.
+
+        When the left side runs first and the right side's paths start
+        at a shared variable (:func:`~repro.gpc.planner.bind_variable`),
+        the right side is restricted to the left answers' values of it
+        — a *bind join*: no other right answer can combine.
         """
         if not self.config.use_planner:
             left = self._eval_query(query.left, restriction)
             right = self._eval_query(query.right)
             return _nested_loop_join(left, right)
-        left_estimate = estimate_query_cardinality(
+        left_first = restriction is not None or estimate_query_cardinality(
             query.left, self._view, self.plan
-        )
-        right_estimate = estimate_query_cardinality(
-            query.right, self._view, self.plan
-        )
-        left_first = left_estimate <= right_estimate
+        ) <= estimate_query_cardinality(query.right, self._view, self.plan)
         first = self._eval_query(
             query.left if left_first else query.right,
             restriction if left_first else None,
@@ -534,14 +538,18 @@ class Evaluator:
             for pattern_query in self.plan._pattern_queries(skipped):
                 self._validate_collect(pattern_query.pattern)
             return frozenset()
-        second = self._eval_query(
-            query.right if left_first else query.left,
-            None if left_first else restriction,
+        shared = self.plan.join_variables(query)
+        if not left_first:
+            second = self._eval_query(query.left, restriction)
+            return _hash_join(second, first, shared, self._view)
+        # Typing makes a shared variable a node on both sides, so every
+        # left answer binds it.
+        bound = bind_variable(query, shared)
+        starts = None if bound is None else frozenset(
+            answer.assignment[bound] for answer in first
         )
-        left, right = (first, second) if left_first else (second, first)
-        return _hash_join(
-            left, right, self.plan.join_variables(query), self._view
-        )
+        second = self._eval_query(query.right, starts)
+        return _hash_join(first, second, shared, self._view)
 
     # ------------------------------------------------------------------
     # Restrictors

@@ -43,7 +43,10 @@ exactly the answers whose paths contain one, so the cache can filter
 an entry instead of dropping it. ``shortest`` is not path-local — it
 compares ``p`` with every other matching path, and a removal can make
 a longer one shortest — and neither is :data:`BOTTOM`, which every
-Section 7 extension folds to.
+Section 7 extension folds to. By the same argument adding elements
+only adds answers, each with a path through an added element:
+:meth:`QueryFootprint.extension_hops` says when the cache may keep an
+entry and owe only those (see :mod:`repro.service.cache`).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from repro.gpc.conditions_ast import (
     PropertyEqualsConst,
     PropertyEqualsProperty,
 )
-from repro.gpc.minlength import min_path_length
+from repro.gpc.minlength import max_path_length, min_path_length
 from repro.graph.delta import DeltaSummary
 
 __all__ = [
@@ -86,7 +89,9 @@ class QueryFootprint:
     edge-property mutation leaves answers (and cached entries) of
     queries that only read node keys provably intact, and vice versa.
     ``path_local`` is the module docstring's: set on queries whose
-    answers removals can only filter.
+    answers removals can only filter. On those, ``reach`` is the longest
+    path the leftmost pattern query can match (``None``: unbounded) and
+    ``others`` the merged footprint of a join's other sides.
     """
 
     node_labels: Optional[frozenset[str]] = frozenset()
@@ -95,6 +100,8 @@ class QueryFootprint:
     node_keys: Optional[frozenset[str]] = frozenset()
     edge_keys: Optional[frozenset[str]] = frozenset()
     path_local: bool = False
+    reach: Optional[int] = None
+    others: Optional["QueryFootprint"] = None
 
     @property
     def property_keys(self) -> Optional[frozenset[str]]:
@@ -144,11 +151,28 @@ class QueryFootprint:
             self.uedge_labels, summary.uedges_changed, summary.uedge_labels
         ):
             return True
-        if _keys_intersect(self.node_keys, summary.node_property_keys):
-            return True
-        if _keys_intersect(self.edge_keys, summary.edge_property_keys):
-            return True
-        return False
+        return self.reads_keys(summary)
+
+    def reads_keys(self, summary: DeltaSummary) -> bool:
+        """Whether a condition can read a property ``summary`` wrote."""
+        return _keys_intersect(
+            self.node_keys, summary.node_property_keys
+        ) or _keys_intersect(self.edge_keys, summary.edge_property_keys)
+
+    def extension_hops(self, summary: DeltaSummary) -> Optional[int]:
+        """How many hops from ``summary.touched`` the seeds of an
+        extend span — a path of at most ``reach`` edges through an
+        added element starts that close to one of its endpoints — or
+        ``None`` when the answers after ``summary`` cannot be served as
+        an extension: the query is not path-local, its leftmost side is
+        unbounded, a property write may flip a condition, or another
+        join side can see an addition."""
+        if not self.path_local or self.reach is None or self.reads_keys(summary):
+            return None
+        additions = summary.rest or summary
+        if self.others is not None and self.others.affected_by(additions):
+            return None
+        return max(self.reach - 1, 0)
 
     def describe(self) -> str:
         def _render(name: str, values: Optional[frozenset[str]]) -> str:
@@ -353,7 +377,8 @@ def pattern_footprint(pattern: ast.Pattern) -> QueryFootprint:
 
 def query_footprint(query: ast.Query) -> QueryFootprint:
     """The read footprint of a whole query (joins merge their sides),
-    path-local when no ``shortest`` restrictor and no extension is in it.
+    path-local when no ``shortest`` restrictor and no extension is in it,
+    with its ``reach`` and ``others`` (see :class:`QueryFootprint`).
 
     Total: anything unrecognised yields :data:`BOTTOM`, never an
     exception — a wrong footprint would serve stale answers, an
@@ -364,11 +389,13 @@ def query_footprint(query: ast.Query) -> QueryFootprint:
             footprint = pattern_footprint(query.pattern)
             if footprint.is_bottom or query.restrictor.shortest:
                 return footprint
-            return replace(footprint, path_local=True)
-        if isinstance(query, ast.Join):
-            return query_footprint(query.left).merge(
-                query_footprint(query.right)
+            return replace(
+                footprint, path_local=True, reach=max_path_length(query.pattern)
             )
+        if isinstance(query, ast.Join):
+            left, right = query_footprint(query.left), query_footprint(query.right)
+            others = right if left.others is None else left.others.merge(right)
+            return replace(left.merge(right), reach=left.reach, others=others)
     except (DeadlineExceededError, EvaluationLimitError):
         # See pattern_footprint: budget errors are control flow, not
         # analysis failures, and must reach the caller.

@@ -58,6 +58,7 @@ __all__ = [
     "plan_shortest",
     "split_pushdown",
     "join_shared_variables",
+    "bind_variable",
     "estimate_pattern_cardinality",
     "estimate_query_cardinality",
     "JoinEstimate",
@@ -367,6 +368,22 @@ def join_shared_variables(join: ast.Join) -> tuple[str, ...]:
     return tuple(sorted(left.keys() & right.keys()))
 
 
+def bind_variable(join: ast.Join, shared: tuple[str, ...]) -> str | None:
+    """The shared variable every path of the join's right side starts
+    at, or ``None``: the node pattern the right side's pattern query
+    opens with, under conditions and concatenations only, when it binds
+    one of ``shared``. The bind join seeds that side with the first
+    side's values of it (sideways passing of bindings)."""
+    if not isinstance(join.right, ast.PatternQuery):
+        return None
+    pattern = join.right.pattern
+    while isinstance(pattern, (ast.Conditioned, ast.Concat)):
+        pattern = pattern.pattern if isinstance(pattern, ast.Conditioned) else pattern.left
+    if isinstance(pattern, ast.NodePattern) and pattern.variable in shared:
+        return pattern.variable
+    return None
+
+
 def _shared_variables(join: ast.Join, plan) -> tuple[str, ...]:
     """:func:`join_shared_variables`, from the memo of ``plan`` (a
     :class:`~repro.gpc.engine.QueryPlan`) when there is one."""
@@ -623,6 +640,12 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
                     f"(est {left:.0f} vs {right:.0f})"
                 )
             lines.append(f"{indent}- {strategy}")
+            bound = bind_variable(q, shared)
+            if bound is not None:
+                lines.append(
+                    f"{indent}- bind join on {bound}: when the left side runs"
+                    f" first, the right side starts at its values of {bound}"
+                )
             for side in ast.children(q):
                 walk(side, depth + 1)
             return

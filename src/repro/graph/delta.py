@@ -16,8 +16,9 @@ Deltas serve three consumers:
 - :class:`DeltaSummary` — the cheap label/key fingerprint of a delta
   chain — is intersected with per-query read footprints
   (:mod:`repro.gpc.footprint`) so the service result cache invalidates
-  semantically instead of globally, and its removed ids let the cache
-  filter a path-local answer set instead of dropping it;
+  semantically instead of globally, its removed ids let the cache
+  filter a path-local answer set instead of dropping it, and its
+  touched nodes seed the evaluation that extends one;
 - :class:`~repro.cluster.backends.ProcessBackend` ships pickled delta
   chains to warm workers when the graph version advances by a small
   step, instead of re-shipping the whole snapshot.
@@ -179,7 +180,8 @@ class DeltaSummary:
     ``removed`` holds the id of every node and edge the chain removed
     and ``rest`` summarises the chain without those removals (``None``
     when it removed nothing). An element added and removed again is in
-    both, so ``rest`` still sees the addition.
+    both, so ``rest`` still sees the addition. ``touched`` holds every
+    node the chain added and both endpoints of every edge it added.
     """
 
     nodes_changed: bool = False
@@ -192,6 +194,7 @@ class DeltaSummary:
     edge_property_keys: frozenset[str] = frozenset()
     removed: frozenset[GraphElementId] = frozenset()
     rest: "DeltaSummary | None" = None
+    touched: frozenset[NodeId] = frozenset()
 
     @property
     def property_keys(self) -> frozenset[str]:
@@ -225,13 +228,14 @@ class DeltaSummary:
 
 def summarize_deltas(deltas: Sequence[GraphDelta]) -> DeltaSummary:
     """Merge a delta chain into one :class:`DeltaSummary`, with its
-    removed ids and its ``rest`` (the chain without removals) built in
-    the same pass."""
+    removed ids, touched nodes and its ``rest`` (the chain without
+    removals) built in the same pass."""
     # Per element class (node, directed, undirected): [added, removed]
     # labels, and whether any element was added / removed.
     labels: list[tuple[set[str], set[str]]] = [(set(), set()) for _ in range(3)]
     changed = [[False, False] for _ in range(3)]
     removed: set[GraphElementId] = set()
+    touched: set[NodeId] = set()
     node_property_keys: set[str] = set()
     edge_property_keys: set[str] = set()
 
@@ -247,6 +251,11 @@ def summarize_deltas(deltas: Sequence[GraphDelta]) -> DeltaSummary:
                     labels[kind][side].update(record.labels)
                     if side:
                         removed.add(record.id)
+        touched.update(record.id for record in delta.nodes_added)
+        for record in delta.dedges_added:
+            touched.update((record.source, record.target))
+        for record in delta.uedges_added:
+            touched.update(record.endpoints)
         for element, key, *_value in delta.properties_set + delta.properties_removed:
             if isinstance(element, NodeId):
                 node_property_keys.add(key)
@@ -268,6 +277,7 @@ def summarize_deltas(deltas: Sequence[GraphDelta]) -> DeltaSummary:
             uedge_labels=sets[2],
             node_property_keys=frozenset(node_property_keys),
             edge_property_keys=frozenset(edge_property_keys),
+            touched=frozenset(touched),
             **extra,
         )
 

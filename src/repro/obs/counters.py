@@ -263,7 +263,10 @@ class CacheOutcomes(Counters):
     mutations (these also count as misses); ``refilters`` — stale
     entries of path-local queries that only removals touched, served
     minus the answers whose paths contain a removed id (these also
-    count as hits).
+    count as hits); ``extends`` — stale entries of path-local queries
+    that additions touched, served as the refiltered answers plus an
+    evaluation restricted to the starts near the added elements (these
+    also count as hits: the entry was kept, not recomputed).
     """
 
     hits: int = 0
@@ -272,6 +275,7 @@ class CacheOutcomes(Counters):
     restamps: int = 0
     invalidations: int = 0
     refilters: int = 0
+    extends: int = 0
 
     @property
     def lookups(self) -> int:
@@ -290,6 +294,7 @@ CACHE_OUTCOMES: dict[str, dict[str, int]] = {
     "hit": {"hits": 1},
     "restamp": {"hits": 1, "restamps": 1},
     "refilter": {"hits": 1, "refilters": 1},
+    "extend": {"hits": 1, "extends": 1},
     "miss": {"misses": 1},
     "invalidated": {"misses": 1, "invalidations": 1},
     "bypass": {"bypasses": 1},

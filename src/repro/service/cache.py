@@ -15,7 +15,7 @@ together. On lookup at a newer version it fetches the delta chain the
 graph recorded between the entry's version and the lookup's
 (:meth:`~repro.graph.property_graph.PropertyGraph.deltas_since`) and
 intersects the footprint with the chain's
-:class:`~repro.graph.delta.DeltaSummary`. The verdict is one of three:
+:class:`~repro.graph.delta.DeltaSummary`. The verdict is one of four:
 
 - **restamp** — the footprint is disjoint from the chain: the
   mutations provably cannot change this query's answers; the entry is
@@ -29,9 +29,25 @@ intersects the footprint with the chain's
   extensions because the footprint cannot see through them. The
   window is exact: a removal after the lookup's version must not drop
   answers that version still has;
+- **extend** — the footprint is path-local and the chain's additions
+  touch it too, but no property write it reads does, its leftmost
+  pattern query matches paths of at most ``L`` edges, and no other
+  join side can see the additions. The answers at the new version are
+  the refiltered ones plus the caller's evaluation restricted to the
+  seeds ``S``: every node within ``L - 1`` hops (label- and
+  direction-blind) of the nodes the additions touched. Exact: adding
+  elements can only add answers, and an added answer's first path
+  holds an added element, so it reaches one of that element's
+  endpoints — touched — within ``L - 1`` edges of its start; those
+  edges are in the new snapshot, so its start is in ``S``. Answers
+  whose paths hold no added element matched before and are kept by
+  the refilter. ``start_restriction`` is exact by
+  :meth:`~repro.gpc.engine.Evaluator.evaluate`'s contract. The cache
+  never evaluates: it hands back the kept answers and the touched
+  nodes, and the caller's answer set is put as a new entry;
 - **invalidate** — the chain touches the footprint any other way (an
-  addition it can observe, say), is no longer available, or the
-  footprint is unbounded: the entry is dropped and the caller
+  addition another join side observes, say), is no longer available,
+  or the footprint is unbounded: the entry is dropped and the caller
   recomputes.
 
 Invalidation is lazy (checked at lookup) which is observably
@@ -50,11 +66,23 @@ from repro.graph.delta import summarize_deltas
 from repro.obs.counters import CACHE_OUTCOMES, CacheStats
 from repro.obs.trace import span
 
-__all__ = ["LRUCache", "SemanticResultCache"]
+__all__ = ["LRUCache", "SemanticResultCache", "extension_seeds"]
 
 V = TypeVar("V")
 
 _MISSING = object()
+
+
+def extension_seeds(view, touched, hops: int) -> frozenset:
+    """The nodes of ``view`` within ``hops`` edges of ``touched``,
+    whatever the edges' labels and directions: the start nodes an
+    extend evaluates from (see the module docstring)."""
+    frontier = {node for node in touched if view.has_node(node)}
+    seeds = set(frontier)
+    for _ in range(hops):
+        frontier = {n for node in frontier for n in view.neighbours(node)} - seeds
+        seeds |= frontier
+    return frozenset(seeds)
 
 
 class LRUCache:
@@ -234,24 +262,29 @@ class SemanticResultCache:
         return summary
 
     def get(self, key: Hashable, version: int):
-        """The cached answers valid at ``version``, or ``None``.
+        """The cached answers valid at ``version``, or ``None`` (an
+        extend, too, leaves the answers to the caller).
 
         See :meth:`get_with_outcome` for the full lookup semantics.
         """
-        return self.get_with_outcome(key, version)[0]
+        result, outcome = self.get_with_outcome(key, version)
+        return None if outcome == "extend" else result
 
     def get_with_outcome(self, key: Hashable, version: int):
         """``(result, outcome)`` for a lookup at ``version``.
 
         ``outcome`` is one of ``"hit"`` / ``"restamp"`` /
-        ``"refilter"`` / ``"miss"`` / ``"invalidated"``; ``result`` is
-        ``None`` unless the outcome is a hit, restamp or refilter.
-        Exact version match is a plain hit. An older stamp triggers the
-        semantic check; a surviving entry is re-stamped, or replaced by
-        its refiltered answers, at ``version`` so the next lookup is
-        exact again. A *newer* stamp (a reader holding an older
-        snapshot than a concurrent writer) is treated as a miss —
-        recomputing against the older snapshot is always sound.
+        ``"refilter"`` / ``"extend"`` / ``"miss"`` / ``"invalidated"``;
+        ``result`` is ``None`` unless the outcome is a hit, restamp or
+        refilter, and ``(kept, touched, hops)`` for an extend: the
+        caller serves ``kept`` plus its evaluation restricted to
+        :func:`extension_seeds` of ``touched`` and ``hops``, and puts
+        that. Exact version match is a plain hit. An older stamp
+        triggers the semantic check; a surviving entry is re-stamped,
+        or replaced by its refiltered answers, at ``version`` so the
+        next lookup is exact again. A *newer* stamp (a reader holding
+        an older snapshot than a concurrent writer) is treated as a
+        miss — recomputing against the older snapshot is always sound.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -268,28 +301,31 @@ class SemanticResultCache:
             entry_version = entry.version
         # Delta fetch, footprint intersection and refilter run outside
         # the lock, on the deltas in (entry_version, version] only.
-        outcome, kept, summary = "invalidated", None, None
+        outcome, kept, summary = "invalidated", entry.result, None
         if footprint is not None:
             with span("cache.delta_check"):
                 summary = self._chain_summary(entry_version, version)
         if summary is not None and not footprint.affected_by(summary):
             outcome = "restamp"
-        elif (
-            summary is not None
-            and summary.rest is not None  # the chain removed something
-            and footprint.path_local
-            and not footprint.affected_by(summary.rest)
-        ):
-            outcome, removed = "refilter", summary.removed
-            with span("cache.refilter"):
-                kept = frozenset(
-                    answer for answer in entry.result
-                    if all(removed.isdisjoint(p.elements) for p in answer.paths)
-                )
+        elif summary is not None and footprint.path_local:
+            if summary.rest is not None and not footprint.affected_by(summary.rest):
+                outcome = "refilter"  # only the removals touch it
+            elif (hops := footprint.extension_hops(summary)) is not None:
+                outcome = "extend"
+            removed = summary.removed
+            if outcome != "invalidated" and removed:
+                with span("cache.refilter"):
+                    kept = frozenset(
+                        answer for answer in entry.result
+                        if all(removed.isdisjoint(p.elements) for p in answer.paths)
+                    )
         with self._lock:
             current = self._entries.get(key)
             if current is not entry or entry.version != entry_version:
                 return None, self._count("miss")  # raced with an update
+            if outcome == "extend":
+                # The entry stays until the caller puts the extension.
+                return (kept, summary.touched, hops), self._count(outcome)
             if outcome == "restamp":
                 entry.version = version
             elif outcome == "refilter":
@@ -410,5 +446,6 @@ class SemanticResultCache:
             f"size={len(self)}, hits={self.stats.hits}, "
             f"misses={self.stats.misses}, restamps={self.stats.restamps}, "
             f"refilters={self.stats.refilters}, "
+            f"extends={self.stats.extends}, "
             f"invalidations={self.stats.invalidations})"
         )

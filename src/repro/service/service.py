@@ -17,7 +17,9 @@ supports:
   computed at. A mutation bumps the version, but only entries whose
   read footprint (:mod:`repro.gpc.footprint`) intersects the recorded
   mutation deltas are invalidated — footprint-disjoint entries are
-  re-stamped and keep hitting across mutations;
+  re-stamped and keep hitting across mutations, and path-local entries
+  are refiltered by removals and extended by additions (the execute
+  step then runs only from the seeds near the added elements);
 - **batches**: :meth:`evaluate_batch` runs its members against one
   snapshot, in the calling thread (under the GIL a pool gains nothing;
   parallelism lives in the cluster backends).
@@ -67,7 +69,7 @@ from repro.obs import (
     span,
     use_counters,
 )
-from repro.service.cache import LRUCache, SemanticResultCache
+from repro.service.cache import LRUCache, SemanticResultCache, extension_seeds
 from repro.service.prepared import PreparedQuery
 from repro.service.stats import ServiceStats
 
@@ -80,15 +82,18 @@ class _Job:
     ``seen`` is its observation, ``context`` the
     :class:`contextvars.Context` its stages run in (``None``: the
     caller's), ``prepared`` its prepared query once admitted past a
-    cache miss, and ``result`` / ``error`` its outcome.
+    cache miss or extend, ``extend`` an extend's ``(kept, seeds)`` —
+    the kept answers and the start nodes its execution is restricted
+    to — and ``result`` / ``error`` its outcome.
     """
 
-    __slots__ = ("seen", "context", "prepared", "result", "error")
+    __slots__ = ("seen", "context", "prepared", "extend", "result", "error")
 
     def __init__(self, seen: Observation, context=None, prepared=None):
         self.seen = seen
         self.context: contextvars.Context | None = context
         self.prepared: PreparedQuery | None = prepared
+        self.extend: tuple[frozenset[Answer], frozenset] | None = None
         self.result: frozenset[Answer] | None = None
         self.error: Exception | None = None
 
@@ -498,7 +503,7 @@ class GraphService:
     ) -> None:
         """The cache probe at ``snap``'s version and, unless it answers
         (a hit, a restamp or a refilter), prepare, estimates and a
-        fresh counter set."""
+        fresh counter set. An extend also takes its seeds here."""
         seen = job.seen
         if not use_cache:
             seen.cache = self._result_cache.bypass()
@@ -507,7 +512,12 @@ class GraphService:
                 job.result, seen.cache = self._result_cache.get_with_outcome(
                     (seen.query, config), snap.version
                 )
-                probe.set_attr("hit", job.result is not None)
+                probe.set_attrs({"hit": job.result is not None, "outcome": seen.cache})
+                if seen.cache == "extend":
+                    kept, touched, hops = job.result
+                    job.result = None
+                    job.extend = kept, extension_seeds(snap, touched, hops)
+                    probe.set_attr("seeds", len(job.extend[1]))
         if job.result is None:
             with span(self._span_prefix + "plan"):
                 job.prepared = self.prepare(seen.query, config)
@@ -517,8 +527,9 @@ class GraphService:
 
     def _execute_all(self, snap: GraphSnapshot, jobs: list[_Job]) -> None:
         """The pipeline's execute step, the one a subclass replaces: give
-        every job the answers of its prepared query at ``snap`` — or the
-        error that stopped it — with the engine work they cost
+        every job the answers of its prepared query at ``snap`` — for an
+        extend, its kept answers plus the query's answers from its seeds
+        — or the error that stopped it — with the engine work they cost
         accounted into ``job.seen.counters`` (also on failure: the job
         is observed with its partial work) and, when a trace is active,
         onto an ``eval`` span in the job's context. Here: one local run
@@ -531,7 +542,13 @@ class GraphService:
         with span(self._span_prefix + "eval") as eval_span:
             try:
                 with use_counters(counters):
-                    job.result = job.prepared.execute(snap)
+                    if job.extend is None:
+                        job.result = job.prepared.execute(snap)
+                    else:
+                        kept, seeds = job.extend
+                        job.result = kept | job.prepared.execute(
+                            snap, start_restriction=seeds
+                        )
             finally:
                 if eval_span:
                     eval_span.set_attrs(counters.as_dict())

@@ -139,6 +139,27 @@ class TestResultCache:
             cache = cluster.stats.result_cache
             assert (cache.hits, cache.refilters, cache.invalidations) == (1, 1, 0)
 
+    def test_addition_extends_from_the_cells_cut_to_its_seeds(self):
+        with ClusterService(_graph(), backend="serial") as cluster:
+            people = sorted(cluster.graph.nodes_with_label("Person"))
+            cities = sorted(cluster.graph.nodes_with_label("City"))
+            for text in (QUERIES[0], QUERIES[4]):
+                before = cluster.evaluate(text)
+                scatters = cluster.stats.scatters
+                # Two Person ends: one shard call per non-empty cut.
+                cluster.add_edge(f"p-{text}", people[1], people[0], ["knows"])
+                after = cluster.evaluate(text)
+                assert after > before
+                assert after == Evaluator(cluster.graph).evaluate(parse_query(text))
+                assert 1 <= cluster.stats.scatters - scatters <= 2
+                # City ends: no seed a Person-led query starts from, so
+                # the backend is not called and the kept answers serve.
+                scatters = cluster.stats.scatters
+                cluster.add_edge(f"c-{text}", cities[0], cities[1], ["knows"])
+                assert cluster.evaluate(text) == after
+                assert cluster.stats.scatters == scatters
+            assert cluster.stats.result_cache.extends == 4
+
     def test_use_cache_false_recomputes(self):
         with ClusterService(_graph(), backend="serial") as cluster:
             first = cluster.evaluate(QUERIES[0], use_cache=False)

@@ -25,6 +25,7 @@ from repro.gpc.footprint import (
 from repro.gpc.parser import parse_query
 from repro.graph.delta import DeltaSummary, summarize_deltas
 from repro.graph.property_graph import PropertyGraph
+from repro.service.cache import extension_seeds
 
 
 def fp(text: str) -> QueryFootprint:
@@ -226,12 +227,7 @@ def _random_mutation(rng: random.Random, graph: PropertyGraph) -> None:
             graph.remove_node(rng.choice(nodes))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_disjoint_footprint_implies_equal_answers(seed):
-    """The invariant the semantic cache relies on, checked end to end:
-    if the footprint does not intersect the mutation summary, the
-    answer sets before and after must be frozenset-identical."""
-    rng = random.Random(seed)
+def _soundness_graph(rng: random.Random) -> PropertyGraph:
     graph = PropertyGraph()
     for i in range(6):
         graph.add_node(f"b{i}", labels=("P",) if i % 2 else ("Q",),
@@ -241,6 +237,16 @@ def test_disjoint_footprint_implies_equal_answers(seed):
         graph.add_edge(f"be{i}", rng.choice(nodes), rng.choice(nodes),
                        labels=("r",) if i % 2 else ("s",))
     graph.add_undirected_edge("bu", nodes[0], nodes[1], labels=("m",))
+    return graph
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_disjoint_footprint_implies_equal_answers(seed):
+    """The invariant the semantic cache relies on, checked end to end:
+    if the footprint does not intersect the mutation summary, the
+    answer sets before and after must be frozenset-identical."""
+    rng = random.Random(seed)
+    graph = _soundness_graph(rng)
 
     queries = [parse_query(text) for text in SOUNDNESS_QUERIES]
     footprints = [query_footprint(query) for query in queries]
@@ -260,3 +266,47 @@ def test_disjoint_footprint_implies_equal_answers(seed):
                     f"{summary.describe()} but answers changed"
                 )
         before = after
+
+
+#: Bounded path-local queries whose seeds reach more than zero hops.
+EXTENSION_QUERIES = SOUNDNESS_QUERIES + [
+    "TRAIL (x) -[:r]->{1,3} (y)",
+    "SIMPLE (a) -[:r]-> (b) ~[:m]~ (c:P)",
+    "TRAIL (a:P) -[:r]->{1,2} (b), TRAIL (b) -[:s]-> (c)",
+]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_an_extension_is_the_answers_after_the_window(seed):
+    """The extend verdict's identity (:mod:`repro.service.cache`), end to
+    end over windows of one to three random mutations: whenever
+    ``extension_hops`` allows it, the answers after the window are the
+    answers before it without the removed ids, plus the evaluation
+    restricted to the seeds."""
+    rng = random.Random(seed)
+    graph = _soundness_graph(rng)
+    queries = [parse_query(text) for text in EXTENSION_QUERIES]
+    footprints = [query_footprint(query) for query in queries]
+    before = [Evaluator(graph).evaluate(query) for query in queries]
+    extended = 0
+    for _ in range(12):
+        start = graph.version
+        for _ in range(rng.randint(1, 3)):
+            _random_mutation(rng, graph)
+        summary = summarize_deltas(graph.deltas_since(start))
+        snap = graph.snapshot()
+        after = [Evaluator(snap).evaluate(query) for query in queries]
+        for query, footprint, old, new in zip(queries, footprints, before, after):
+            hops = footprint.extension_hops(summary)
+            if hops is None:
+                continue
+            extended += 1
+            kept = {
+                answer for answer in old
+                if all(summary.removed.isdisjoint(p.elements) for p in answer.paths)
+            }
+            seeds = extension_seeds(snap, summary.touched, hops)
+            added = Evaluator(snap).evaluate(query, start_restriction=seeds)
+            assert new == kept | added, (str(query), summary.describe())
+        before = after
+    assert extended

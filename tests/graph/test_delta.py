@@ -180,6 +180,21 @@ class TestDeltaRecording:
         assert summary.property_keys == {"age"}
         assert not summary.nodes_changed
 
+    def test_summary_touches_added_nodes_and_added_edge_ends(self):
+        graph = build_mixed()
+        start = graph.version
+        a, b, c = sorted(graph.iter_nodes())
+        d = graph.add_node("d", ["P"])
+        graph.add_edge("e3", a, b, ["likes"])
+        graph.add_undirected_edge("u2", c, c, ["married"])
+        graph.remove_node(b)
+        summary = summarize_deltas(graph.deltas_since(start))
+        # A removal does not touch; an added edge's ends stay touched
+        # when a cascade removes the edge again.
+        assert summary.touched == {a, b, c, d}
+        assert summary.rest.removed == frozenset()
+        assert summarize_deltas(graph.deltas_since(graph.version - 1)).touched == set()
+
     def test_deltas_since_bounds(self):
         graph = build_mixed()
         assert graph.deltas_since(graph.version) == ()

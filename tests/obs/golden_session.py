@@ -1,6 +1,6 @@
 """The scripted session behind ``test_golden_session.py``.
 
-One script — hit, restamp, miss, invalidation, bypass, an execute-step
+One script — hit, restamp, miss, extend, bypass, an execute-step
 error, a blown deadline, a batch, mutations and a lint — driven through
 each serving façade, and what the three observability surfaces say
 afterwards, with everything that depends on the clock or on thread
@@ -99,7 +99,7 @@ def _in_process(service):
     service.set_property(city, "mayor", "nobody")            # disjoint mutation
     service.evaluate(CHEAP)                                  # restamp
     service.add_edge("golden-edge", person[1], person[0], ["knows"])
-    service.evaluate(CHEAP)                                  # invalidated
+    service.evaluate(CHEAP)                                  # extend
     service.evaluate(CHEAP, use_cache=False)                 # bypass
     kinds = [_kind(service.evaluate, COSTLY, TINY)]          # execute-step error
     with deadline_scope(1e-9):
@@ -123,7 +123,7 @@ def _over_http(client, graph):
     client.mutate([{"op": "add_edge", "key": "golden-edge",
                     "source": person[1].key, "target": person[0].key,
                     "labels": ["knows"]}])
-    client.query(CHEAP)                                      # invalidated
+    client.query(CHEAP)                                      # extend
     client.query(CHEAP, use_cache=False)                     # bypass
     kinds = [_kind(client.query, SHORTEST, deadline_ms=0.000001)]  # deadline → 504
     kinds.append(_kind(client.query, ILL_TYPED))             # 400, uncounted

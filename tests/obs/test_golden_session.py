@@ -29,6 +29,14 @@ regenerated from the tree (the parent's output was byte-identical to
 it): ``coalesced`` and ``max_batch`` left ``/stats`` and ``/metrics``,
 and the ``server`` row's ``dispatches`` went 7 → 8, because a
 ``/batch`` is a worker-thread hop too.
+When an added edge began to extend a path-local entry instead of
+invalidating it, the file was regenerated from the tree: every cache
+outcome dict and every cache's ``/metrics`` gained ``extends``; the
+read after the ``add_edge`` became an extend (``hits`` +1, ``misses``
+−1, ``invalidations`` 1 → 0 in each façade's result cache and in the
+``CHEAP`` insights entry); and that read's evaluation, restricted to
+the new edge's endpoints, accepts 20 fewer witnesses (``witnesses`` and
+``witness_steps`` −20 in the ``CHEAP`` entry and the engine totals).
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ def test_the_session_exercises_what_it_claims_to():
     timing out would still compare equal to a golden that never did."""
     for facade in golden_session.FACADES:
         cache = GOLDEN[facade]["stats"]["result_cache"]
-        for outcome in ("hits", "misses", "restamps", "invalidations", "bypasses"):
+        for outcome in ("hits", "misses", "restamps", "extends", "bypasses"):
             assert cache[outcome] >= 1, (facade, outcome)
         entries = GOLDEN[facade]["insights"]
         assert sum(entry["errors"] for entry in entries) >= 1, facade

@@ -71,6 +71,7 @@ class TestRegistryRecording:
             "invalidations": 0,
             "bypasses": 0,
             "refilters": 0,
+            "extends": 0,
         }
         assert entry["total_time_s"] == pytest.approx(0.05)
         assert entry["latency"]["count"] == 4
@@ -81,10 +82,11 @@ class TestRegistryRecording:
         registry.record(Observation(Q, latency_s=0.0, cache="invalidated"))
         registry.record(Observation(Q, latency_s=0.0, cache="bypass"))
         registry.record(Observation(Q, latency_s=0.0, answers=1, cache="refilter"))
+        registry.record(Observation(Q, latency_s=0.0, answers=1, cache="extend"))
         (entry,) = registry.top()
         cache = entry["cache"]
-        assert cache["hits"] == 2 and cache["restamps"] == 1
-        assert cache["refilters"] == 1
+        assert cache["hits"] == 3 and cache["restamps"] == 1
+        assert cache["refilters"] == 1 and cache["extends"] == 1
         assert cache["misses"] == 1 and cache["invalidations"] == 1
         assert cache["bypasses"] == 1
 

@@ -101,6 +101,24 @@ class TestTraceRoundTrip:
         assert spans[0]["answers"] == spans[1]["answers"] == len(answers)
         assert spans[0]["bytes"] == spans[1]["bytes"] > 0
 
+    def test_an_extend_shows_in_its_probe_span_metrics_and_insights(self):
+        with serve_background(GraphService(_graph())) as handle:
+            with HttpServiceClient(*handle.address) as client:
+                client.query(QUERY)
+                one, two, *_ = sorted(handle.server.service.graph.nodes_with_label("Person"))
+                client.mutate([{"op": "add_edge", "key": "fresh", "source": two.key,
+                                "target": one.key, "labels": ["knows"]}])
+                client.query(QUERY, trace_id="bbbbbbbbbbbbbbb1")
+                tree = client.trace("bbbbbbbbbbbbbbb1")["trace"]
+                metrics = client.metrics()
+                (entry,) = client.insights()["insights"]
+        (dispatch,) = _children(tree, "server.dispatch")
+        (probe,) = _children(dispatch, "service.cache_probe")
+        # One edge added: the seeds are its two endpoints (L - 1 = 0).
+        assert probe["attributes"] == {"hit": True, "outcome": "extend", "seeds": 2}
+        assert "repro_service_result_cache_extends 1" in metrics.splitlines()
+        assert entry["cache"]["extends"] == 1
+
     def test_every_request_gets_an_id_echoed(self):
         with serve_background(GraphService(_graph())) as handle:
             with HttpServiceClient(*handle.address) as client:

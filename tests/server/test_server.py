@@ -417,7 +417,7 @@ class TestEncodeOnce:
             ]
         )
         after = client.query(QUERY)
-        assert service.stats.result_cache.invalidations == 1
+        assert service.stats.result_cache.extends == 1
         assert _bodies(handle) == (2, 0)
         assert len(after) == len(before) + 1
         assert after == service.evaluate(QUERY)

@@ -32,6 +32,7 @@ def two_worlds_service() -> GraphService:
 
 
 PERSON_QUERY = "TRAIL (x:Person) -[e:knows]-> (y:Person)"
+PERSON_SHORTEST = "SHORTEST (x:Person) -[e:knows]->{1,} (y:Person)"
 DEVICE_QUERY = "TRAIL (x:Device) -[e:pings]-> (y:Device)"
 
 
@@ -53,18 +54,18 @@ class TestSemanticInvalidation:
         assert stats.misses == 1
 
     def test_intersecting_mutation_invalidates_and_recomputes(self):
+        """An added `knows` edge invalidates the ``SHORTEST`` entry and
+        extends the path-local one; both equal a fresh evaluation."""
         service = two_worlds_service()
-        before = service.evaluate(PERSON_QUERY)
+        befores = [service.evaluate(text) for text in (PERSON_QUERY, PERSON_SHORTEST)]
         people = sorted(service.graph.nodes_with_label("Person"))
         service.add_edge("k2", people[1], people[0], ["knows"])
-        after = service.evaluate(PERSON_QUERY)
-        assert after != before
-        assert after == Evaluator(service.graph).evaluate(
-            parse_query(PERSON_QUERY)
-        )
+        for text, before in zip((PERSON_QUERY, PERSON_SHORTEST), befores):
+            after = service.evaluate(text)
+            assert after != before
+            assert after == Evaluator(service.graph).evaluate(parse_query(text))
         stats = service.stats.result_cache
-        assert stats.invalidations == 1
-        assert stats.restamps == 0
+        assert (stats.invalidations, stats.extends, stats.restamps) == (1, 1, 0)
 
     def test_each_entry_checked_against_its_own_footprint(self):
         service = two_worlds_service()
@@ -72,13 +73,13 @@ class TestSemanticInvalidation:
         device = service.evaluate(DEVICE_QUERY)
         devices = sorted(service.graph.nodes_with_label("Device"))
         service.add_edge("g2", devices[1], devices[0], ["pings"])
-        # Person entry survives, device entry is invalidated.
+        # Person entry survives, device entry is extended.
         assert service.evaluate(PERSON_QUERY) is person
         fresh_device = service.evaluate(DEVICE_QUERY)
         assert fresh_device != device
         stats = service.stats.result_cache
         assert stats.restamps == 1
-        assert stats.invalidations == 1
+        assert stats.extends == 1
 
     def test_restamped_entry_hits_exactly_afterwards(self):
         service = two_worlds_service()

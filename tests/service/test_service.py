@@ -42,6 +42,12 @@ def social() -> GraphService:
     return GraphService(graph)
 
 
+def _add_knows(service):
+    service.add_edge(
+        "extra", *sorted(service.graph.nodes_with_label("Person"))[:2], ["knows"]
+    )
+
+
 class TestPreparedQueries:
     @pytest.mark.parametrize("text", QUERIES)
     def test_prepared_equals_one_shot(self, social, text):
@@ -103,14 +109,7 @@ class TestResultCache:
     @pytest.mark.parametrize(
         "text, mutate",
         [
-            (
-                QUERIES[0],
-                lambda s: s.add_edge(
-                    "extra",
-                    *sorted(s.graph.nodes_with_label("Person"))[:2],
-                    ["knows"],
-                ),
-            ),
+            (QUERIES[3], _add_knows),
             (QUERIES[2], lambda s: s.remove_edge(next(s.graph.iter_directed_edges()))),
             (QUERIES[2], lambda s: s.remove_node(next(s.graph.iter_nodes()))),
         ],
@@ -119,9 +118,10 @@ class TestResultCache:
     def test_footprint_intersecting_mutation_invalidates(
         self, social, text, mutate
     ):
-        """QUERIES[0] and the SHORTEST QUERIES[2] read `knows` directed
-        edges; an added one must invalidate either cached entry, and so
-        must a removal under SHORTEST (a longer path may become
+        """QUERIES[3] and the SHORTEST QUERIES[2] read `knows` directed
+        edges; an added one must invalidate the entry of QUERIES[3],
+        whose paths have no length bound to seed an extension from, and
+        so must a removal under SHORTEST (a longer path may become
         shortest): both recompute under the bumped version."""
         social.evaluate(text)
         version = social.version
@@ -133,6 +133,20 @@ class TestResultCache:
         assert social.stats.result_cache.invalidations == 1
         assert social.stats.result_cache.refilters == 0
         assert after == Evaluator(social.graph).evaluate(parse_query(text))
+
+    def test_footprint_intersecting_addition_extends(self, social):
+        """An added `knows` edge keeps QUERIES[0]'s entry: the cached
+        answers plus those from the new edge's endpoints are served — a
+        hit — and equal a fresh evaluation of the mutated graph."""
+        before = social.evaluate(QUERIES[0])
+        _add_knows(social)
+        after = social.evaluate(QUERIES[0])
+        assert after > before
+        cache = social.stats.result_cache
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert (cache.extends, cache.invalidations) == (1, 0)
+        assert after == Evaluator(social.graph).evaluate(parse_query(QUERIES[0]))
+        assert social.evaluate(QUERIES[0]) is after  # an exact hit now
 
     @pytest.mark.parametrize(
         "mutate",
@@ -428,7 +442,8 @@ class TestRemovalInvalidation:
 
     def test_removal_round_trip_restores_cache_keying(self, social):
         """Removing and re-adding identical data yields a *new* version:
-        stale entries must still miss even though answers coincide."""
+        the stale entry is not served as it is, even though the answers
+        coincide — the re-added edge is an addition, so it is extended."""
         before = self._warm(social)
         edge = next(social.graph.iter_directed_edges())
         source, target = social.graph.source(edge), social.graph.target(edge)
@@ -438,8 +453,9 @@ class TestRemovalInvalidation:
         social.add_edge(edge.key, source, target, labels, properties)
         restored = social.evaluate(QUERIES[0])
         assert restored == before
-        # Equal answers, but recomputed under the new version key.
-        assert social.stats.result_cache.misses == 2
+        # Equal answers, but extended under the new version key.
+        cache = social.stats.result_cache
+        assert (cache.misses, cache.extends) == (1, 1)
 
 
 class TestStats:
