@@ -122,10 +122,10 @@ class ClusterService(GraphService):
             calls.extend(job.run(self._scatter, job, snap) or ())
             windows.append(slice(start, len(calls)))
         # The partitioner guarantees at least one cell per query, but
-        # an empty scatter (an all-hit batch, extends whose seeds no
-        # cell holds, or every scatter failed) must never reach the
-        # backend: on the process backend run() warms the pool and
-        # ships the snapshot even for zero calls.
+        # an empty scatter (an all-hit batch, extends with no seeds, or
+        # every scatter failed) must never reach the backend: on the
+        # process backend run() warms the pool and ships the snapshot
+        # even for zero calls.
         outcomes = (
             self.backend.run(snap, calls, delta_source=self._graph.deltas_since)
             if calls
@@ -137,14 +137,14 @@ class ClusterService(GraphService):
 
     def _scatter(self, job, snap: GraphSnapshot) -> list[ShardCall]:
         """One shard call per seed cell of the job's prepared query at
-        ``snap`` — for an extend, per non-empty cut of a cell with its
-        seeds (none at all: the kept answers are the job's)."""
+        ``snap`` — for an extend, one call over its seeds (none when it
+        has none: the kept answers are the job's)."""
         prepared = job.prepared
-        cells = self.partitioner.partition(snap, prepared)
-        if job.extend is not None:
-            seeds = job.extend[1]
-            cuts = (seeds if cell is None else cell & seeds for cell in cells)
-            cells = [cut for cut in cuts if cut]
+        seeds = job.extend[1]
+        if seeds is None:
+            cells = self.partitioner.partition(snap, prepared)
+        else:
+            cells = [seeds] if seeds else []
         # Ship what the caller sent (text stays text): workers key
         # their own plan caches by it.
         query = prepared.text if prepared.text is not None else prepared.query
@@ -163,7 +163,7 @@ class ClusterService(GraphService):
             with self.stats.lock:
                 self.stats.record_shards(outcomes)
             job.result = self.router.gather(outcomes)
-            if job.extend is not None:
+            if job.extend[0]:
                 job.result |= job.extend[0]
 
     def _plan_report(self, prepared: PreparedQuery, snap: GraphSnapshot) -> str:

@@ -508,9 +508,10 @@ class Evaluator:
         A start restriction always flows into the *left* side: combined
         path tuples concatenate left-to-right, so ``paths[0]`` — the
         path the restriction is defined over — comes from the leftmost
-        pattern query regardless of which side is evaluated first. A
-        restricted left side is evaluated first, whatever the estimates
-        say: its cost is bounded by the restriction.
+        pattern query regardless of which side is evaluated first. The
+        left side's estimate is scaled by the share of nodes the
+        restriction keeps, so a small seed set runs first and a cluster
+        cell still leaves the order to the estimates.
 
         When the left side runs first and the right side's paths start
         at a shared variable (:func:`~repro.gpc.planner.bind_variable`),
@@ -521,9 +522,12 @@ class Evaluator:
             left = self._eval_query(query.left, restriction)
             right = self._eval_query(query.right)
             return _nested_loop_join(left, right)
-        left_first = restriction is not None or estimate_query_cardinality(
-            query.left, self._view, self.plan
-        ) <= estimate_query_cardinality(query.right, self._view, self.plan)
+        left_estimate = estimate_query_cardinality(query.left, self._view, self.plan)
+        if restriction is not None:
+            left_estimate *= len(restriction) / max(self._view.num_nodes, 1)
+        left_first = left_estimate <= estimate_query_cardinality(
+            query.right, self._view, self.plan
+        )
         first = self._eval_query(
             query.left if left_first else query.right,
             restriction if left_first else None,

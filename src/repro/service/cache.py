@@ -262,41 +262,40 @@ class SemanticResultCache:
         return summary
 
     def get(self, key: Hashable, version: int):
-        """The cached answers valid at ``version``, or ``None`` (an
-        extend, too, leaves the answers to the caller).
+        """The cached answers valid at ``version``, or ``None``.
 
         See :meth:`get_with_outcome` for the full lookup semantics.
         """
-        result, outcome = self.get_with_outcome(key, version)
-        return None if outcome == "extend" else result
+        return self.get_with_outcome(key, version)[0]
 
     def get_with_outcome(self, key: Hashable, version: int):
-        """``(result, outcome)`` for a lookup at ``version``.
+        """``(result, outcome, extension)`` for a lookup at ``version``.
 
         ``outcome`` is one of ``"hit"`` / ``"restamp"`` /
         ``"refilter"`` / ``"extend"`` / ``"miss"`` / ``"invalidated"``;
         ``result`` is ``None`` unless the outcome is a hit, restamp or
-        refilter, and ``(kept, touched, hops)`` for an extend: the
-        caller serves ``kept`` plus its evaluation restricted to
-        :func:`extension_seeds` of ``touched`` and ``hops``, and puts
-        that. Exact version match is a plain hit. An older stamp
-        triggers the semantic check; a surviving entry is re-stamped,
-        or replaced by its refiltered answers, at ``version`` so the
-        next lookup is exact again. A *newer* stamp (a reader holding
-        an older snapshot than a concurrent writer) is treated as a
-        miss — recomputing against the older snapshot is always sound.
+        refilter. ``extension`` is ``None`` unless it is an extend, and
+        then ``(kept, touched, hops)``: the caller serves ``kept`` plus
+        its evaluation restricted to :func:`extension_seeds` of
+        ``touched`` and ``hops``, and puts that. Exact version match is
+        a plain hit. An older stamp triggers the semantic check; a
+        surviving entry is re-stamped, or replaced by its refiltered
+        answers, at ``version`` so the next lookup is exact again. A
+        *newer* stamp (a reader holding an older snapshot than a
+        concurrent writer) is treated as a miss — recomputing against
+        the older snapshot is always sound.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.version == version:
                 self._entries.move_to_end(key)
-                return entry.result, self._count("hit")
+                return entry.result, self._count("hit"), None
             if (
                 entry is None
                 or entry.version > version
                 or self._delta_source is None
             ):
-                return None, self._count("miss")
+                return None, self._count("miss"), None
             footprint = entry.footprint
             entry_version = entry.version
         # Delta fetch, footprint intersection and refilter run outside
@@ -322,10 +321,10 @@ class SemanticResultCache:
         with self._lock:
             current = self._entries.get(key)
             if current is not entry or entry.version != entry_version:
-                return None, self._count("miss")  # raced with an update
+                return None, self._count("miss"), None  # raced with an update
             if outcome == "extend":
                 # The entry stays until the caller puts the extension.
-                return (kept, summary.touched, hops), self._count(outcome)
+                return None, self._count(outcome), (kept, summary.touched, hops)
             if outcome == "restamp":
                 entry.version = version
             elif outcome == "refilter":
@@ -334,9 +333,9 @@ class SemanticResultCache:
                 entry = self._entries[key] = _ResultEntry(version, footprint, kept)
             else:
                 del self._entries[key]
-                return None, self._count(outcome)
+                return None, self._count(outcome), None
             self._entries.move_to_end(key)
-            return entry.result, self._count(outcome)
+            return entry.result, self._count(outcome), None
 
     def _count(self, outcome: str) -> str:
         """Account one request's ``outcome`` (lock held); returns it."""

@@ -82,9 +82,10 @@ class _Job:
     ``seen`` is its observation, ``context`` the
     :class:`contextvars.Context` its stages run in (``None``: the
     caller's), ``prepared`` its prepared query once admitted past a
-    cache miss or extend, ``extend`` an extend's ``(kept, seeds)`` —
-    the kept answers and the start nodes its execution is restricted
-    to — and ``result`` / ``error`` its outcome.
+    cache miss or extend, ``extend`` the ``(kept, seeds)`` its answers
+    are made of — the kept answers plus its execution restricted to the
+    start nodes ``seeds`` (``None``: every node) — and ``result`` /
+    ``error`` its outcome.
     """
 
     __slots__ = ("seen", "context", "prepared", "extend", "result", "error")
@@ -93,7 +94,7 @@ class _Job:
         self.seen = seen
         self.context: contextvars.Context | None = context
         self.prepared: PreparedQuery | None = prepared
-        self.extend: tuple[frozenset[Answer], frozenset] | None = None
+        self.extend: tuple[frozenset[Answer], frozenset | None] = (frozenset(), None)
         self.result: frozenset[Answer] | None = None
         self.error: Exception | None = None
 
@@ -509,13 +510,13 @@ class GraphService:
             seen.cache = self._result_cache.bypass()
         else:
             with span(self._span_prefix + "cache_probe") as probe:
-                job.result, seen.cache = self._result_cache.get_with_outcome(
+                job.result, seen.cache, extension = self._result_cache.get_with_outcome(
                     (seen.query, config), snap.version
                 )
-                probe.set_attrs({"hit": job.result is not None, "outcome": seen.cache})
-                if seen.cache == "extend":
-                    kept, touched, hops = job.result
-                    job.result = None
+                hit = job.result is not None or extension is not None
+                probe.set_attrs({"hit": hit, "outcome": seen.cache})
+                if extension is not None:
+                    kept, touched, hops = extension
                     job.extend = kept, extension_seeds(snap, touched, hops)
                     probe.set_attr("seeds", len(job.extend[1]))
         if job.result is None:
@@ -542,13 +543,9 @@ class GraphService:
         with span(self._span_prefix + "eval") as eval_span:
             try:
                 with use_counters(counters):
-                    if job.extend is None:
-                        job.result = job.prepared.execute(snap)
-                    else:
-                        kept, seeds = job.extend
-                        job.result = kept | job.prepared.execute(
-                            snap, start_restriction=seeds
-                        )
+                    kept, seeds = job.extend
+                    answers = job.prepared.execute(snap, start_restriction=seeds)
+                    job.result = kept | answers if kept else answers
             finally:
                 if eval_span:
                     eval_span.set_attrs(counters.as_dict())

@@ -13,6 +13,7 @@ from repro.gpc.engine import EngineConfig, Evaluator
 from repro.gpc.parser import parse_query
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import social_network
+from repro.graph.ids import NodeId
 from repro.graph.property_graph import PropertyGraph
 from repro.service import GraphService
 
@@ -139,26 +140,34 @@ class TestResultCache:
             cache = cluster.stats.result_cache
             assert (cache.hits, cache.refilters, cache.invalidations) == (1, 1, 0)
 
-    def test_addition_extends_from_the_cells_cut_to_its_seeds(self):
+    def test_addition_extends_with_one_shard_call_over_its_seeds(self):
         with ClusterService(_graph(), backend="serial") as cluster:
             people = sorted(cluster.graph.nodes_with_label("Person"))
             cities = sorted(cluster.graph.nodes_with_label("City"))
             for text in (QUERIES[0], QUERIES[4]):
                 before = cluster.evaluate(text)
                 scatters = cluster.stats.scatters
-                # Two Person ends: one shard call per non-empty cut.
                 cluster.add_edge(f"p-{text}", people[1], people[0], ["knows"])
                 after = cluster.evaluate(text)
                 assert after > before
                 assert after == Evaluator(cluster.graph).evaluate(parse_query(text))
-                assert 1 <= cluster.stats.scatters - scatters <= 2
-                # City ends: no seed a Person-led query starts from, so
-                # the backend is not called and the kept answers serve.
-                scatters = cluster.stats.scatters
+                assert cluster.stats.scatters == scatters + 1
+                # City ends: the one call over them finds no Person
+                # start, and the kept answers serve.
                 cluster.add_edge(f"c-{text}", cities[0], cities[1], ["knows"])
                 assert cluster.evaluate(text) == after
-                assert cluster.stats.scatters == scatters
-            assert cluster.stats.result_cache.extends == 4
+                assert cluster.stats.scatters == scatters + 2
+                # An edge whose ends are removed again leaves no seed:
+                # the backend is not called.
+                ends = [NodeId(f"{end}-{text}") for end in "st"]
+                for end in ends:
+                    cluster.add_node(end.key, ["Person"])
+                cluster.add_edge(f"n-{text}", *ends, ["knows"])
+                for end in ends:
+                    cluster.remove_node(end)
+                assert cluster.evaluate(text) == after
+                assert cluster.stats.scatters == scatters + 2
+            assert cluster.stats.result_cache.extends == 6
 
     def test_use_cache_false_recomputes(self):
         with ClusterService(_graph(), backend="serial") as cluster:

@@ -1,15 +1,16 @@
 """The scripted session behind ``test_golden_session.py``.
 
-One script — hit, restamp, miss, extend, bypass, an execute-step
-error, a blown deadline, a batch, mutations and a lint — driven through
-each serving façade, and what the three observability surfaces say
-afterwards, with everything that depends on the clock or on thread
-scheduling masked. It touches only what a caller can reach (façade
-methods, ``stats.as_dict()``, ``insights.top()``, the HTTP endpoints),
-so the same file runs against any commit: ``golden_session.json`` was
-written by running it against the parent of the metrics-model change
-(``python tests/obs/golden_session.py > tests/obs/golden_session.json``
-with that tree's ``src`` on ``PYTHONPATH``).
+One script — hit, restamp, miss, extend, invalidation, bypass, an
+execute-step error, a blown deadline, a batch, mutations and a lint —
+driven through each serving façade, and what the three observability
+surfaces say afterwards, with everything that depends on the clock or
+on thread scheduling masked. It touches only what a caller can reach
+(façade methods, ``stats.as_dict()``, ``insights.top()``, the HTTP
+endpoints), so the same file runs against any commit:
+``golden_session.json`` was written by running it against the parent
+of the metrics-model change (``python tests/obs/golden_session.py >
+tests/obs/golden_session.json`` with that tree's ``src`` on
+``PYTHONPATH``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ CHEAP = "TRAIL (x:Person) -[:knows]-> (y:Person)"
 OTHER = "TRAIL (x:Person) -[:lives_in]-> (c:City)"
 COSTLY = "TRAIL (x:Person) -[:knows]->{1,4} (y:Person)"
 SHORTEST = "SHORTEST (x:Person) -[:knows]->{1,} (y:Person)"
+NEAREST = "SHORTEST (x:Person) -[:knows]->{1,3} (y:Person)"
 ILL_TYPED = "TRAIL [ -[e]->{1,3} ] << e.k = 1 >>"
 MALFORMED = "TRAIL (x:Person"
 TINY = EngineConfig(max_intermediate_results=1)
@@ -98,8 +100,10 @@ def _in_process(service):
     service.evaluate(CHEAP)                                  # hit
     service.set_property(city, "mayor", "nobody")            # disjoint mutation
     service.evaluate(CHEAP)                                  # restamp
+    service.evaluate(NEAREST)                                # miss
     service.add_edge("golden-edge", person[1], person[0], ["knows"])
     service.evaluate(CHEAP)                                  # extend
+    service.evaluate(NEAREST)                                # invalidated
     service.evaluate(CHEAP, use_cache=False)                 # bypass
     kinds = [_kind(service.evaluate, COSTLY, TINY)]          # execute-step error
     with deadline_scope(1e-9):
@@ -120,10 +124,12 @@ def _over_http(client, graph):
     client.mutate([{"op": "set_property", "element": wire.encode_id(city),
                     "key": "mayor", "value": "nobody"}])
     client.query(CHEAP)                                      # restamp, not_modified
+    client.query(NEAREST)                                    # miss
     client.mutate([{"op": "add_edge", "key": "golden-edge",
                     "source": person[1].key, "target": person[0].key,
                     "labels": ["knows"]}])
     client.query(CHEAP)                                      # extend
+    client.query(NEAREST)                                    # invalidated
     client.query(CHEAP, use_cache=False)                     # bypass
     kinds = [_kind(client.query, SHORTEST, deadline_ms=0.000001)]  # deadline → 504
     kinds.append(_kind(client.query, ILL_TYPED))             # 400, uncounted

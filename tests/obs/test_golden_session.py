@@ -37,11 +37,21 @@ read after the ``add_edge`` became an extend (``hits`` +1, ``misses``
 ``CHEAP`` insights entry); and that read's evaluation, restricted to
 the new edge's endpoints, accepts 20 fewer witnesses (``witnesses`` and
 ``witness_steps`` −20 in the ``CHEAP`` entry and the engine totals).
+The script then gained a read of a bounded ``SHORTEST`` text before
+and after the ``add_edge``, so every façade still shows an
+invalidation (``SHORTEST`` is not path-local), and the file was
+regenerated again (the previous tree's output was byte-identical to
+it): a ``NEAREST`` insights entry with ``misses: 2`` and
+``invalidations: 1``, its work in the engine totals, two more queries
+and one more plan miss per façade. A cluster extend became one shard
+call over its seeds, so ``cluster-thread``'s ``scatters`` dropped by
+one and its ``CHEAP`` entry prunes 4 fewer seeds.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -72,10 +82,18 @@ def test_the_session_exercises_what_it_claims_to():
     timing out would still compare equal to a golden that never did."""
     for facade in golden_session.FACADES:
         cache = GOLDEN[facade]["stats"]["result_cache"]
-        for outcome in ("hits", "misses", "restamps", "extends", "bypasses"):
+        for outcome in (
+            "hits", "misses", "restamps", "extends", "invalidations", "bypasses"
+        ):
             assert cache[outcome] >= 1, (facade, outcome)
         entries = GOLDEN[facade]["insights"]
         assert sum(entry["errors"] for entry in entries) >= 1, facade
+        for outcome in ("extends", "invalidations"):
+            assert any(entry["cache"][outcome] for entry in entries), outcome
+            assert any(
+                re.fullmatch(rf"repro_\w+_result_cache_{outcome} [1-9]\d*", line)
+                for line in GOLDEN[facade]["metrics"]
+            ), (facade, outcome)
         assert GOLDEN[facade]["stats"]["snapshots_derived"] >= 1, facade
     assert GOLDEN["server"]["http_stats"]["timeouts"] == 1
     assert GOLDEN["server"]["http_stats"]["mutations"] == 2

@@ -218,11 +218,11 @@ def test_refilter_reads_exactly_the_readers_version():
     graph.remove_edge(DirectedEdgeId("e0"))
     reader = graph.snapshot()
     graph.remove_edge(DirectedEdgeId("e1"))
-    answers, outcome = cache.get_with_outcome("q", reader.version)
+    answers, outcome, _ = cache.get_with_outcome("q", reader.version)
     assert outcome == "refilter"
     assert answers == Evaluator(reader).evaluate(query)
     assert len(answers) == 4
-    answers, outcome = cache.get_with_outcome("q", graph.version)
+    answers, outcome, _ = cache.get_with_outcome("q", graph.version)
     assert outcome == "refilter"
     assert answers == Evaluator(graph).evaluate(query)
     assert len(answers) == 3
@@ -240,7 +240,8 @@ def test_extend_reads_exactly_the_readers_version():
     graph.add_edge("a1", nodes[1], nodes[3], ["knows"])
     reader = graph.snapshot()
     late = graph.add_edge("a2", nodes[2], nodes[0], ["knows"])
-    extension, outcome = cache.get_with_outcome("q", reader.version)
+    answers, outcome, extension = cache.get_with_outcome("q", reader.version)
+    assert answers is None
     assert outcome == "extend"
     kept, touched, hops = extension
     assert (touched, hops) == ({nodes[1], nodes[3]}, 0)

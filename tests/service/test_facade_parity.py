@@ -113,6 +113,17 @@ def intersecting_addition_extends(service):
     return after
 
 
+def unbounded_addition_invalidates(service):
+    # SHORTEST compares paths, and {1,} gives no hop bound to seed from.
+    service.evaluate(SHORTEST)
+    first, second, *_ = sorted(service.graph.nodes_with_label("Person"))
+    service.add_edge("parity-edge", second, first, ["knows"])
+    after = service.evaluate(SHORTEST)
+    cache = service.stats.result_cache
+    assert (cache.extends, cache.invalidations) == (0, 1)
+    return after
+
+
 def batch_with_failing_members(service):
     results = service.evaluate_batch(
         [CHEAP, COSTLY, ILL_TYPED], TIGHT, return_exceptions=True
@@ -224,6 +235,7 @@ SCENARIOS = [
     hit_miss_bypass,
     disjoint_mutation_restamps,
     intersecting_addition_extends,
+    unbounded_addition_invalidates,
     batch_with_failing_members,
     lint_malformed,
     explain_analyze,

@@ -353,9 +353,9 @@ class TestBatchEvaluation:
         seen = []
         execute = PreparedQuery.execute
 
-        def recording(prepared, snap):
+        def recording(prepared, snap, **kwargs):
             seen.append((threading.get_ident(), marker.get()))
-            return execute(prepared, snap)
+            return execute(prepared, snap, **kwargs)
 
         monkeypatch.setattr(PreparedQuery, "execute", recording)
         contexts = [contextvars.copy_context() for _ in range(members)]
