@@ -23,8 +23,10 @@ of :class:`ShardOutcome`\\ s in the same order. Three implementations:
   chain alongside the calls instead of rebuilding the pool: each
   warm worker patches its held snapshot with
   :meth:`~repro.graph.snapshot.GraphSnapshot.derive` on first sight of
-  the new version and caches the result. Only a large chain (or a
-  missing delta log) forces a full pool rebuild + snapshot re-ship.
+  the new version and caches the result. The chain ships exactly when
+  the graph itself derived the new snapshot from the pool's (their
+  snapshots share a core); a graph that rebuilt, another graph or a
+  missing delta log forces a full pool rebuild + snapshot re-ship.
   Workers also keep per-process prepared-plan caches, keyed by query
   shape as the service's is, so a shape is parsed/typechecked/compiled
   once per worker, not per call.
@@ -48,7 +50,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.gpc import ast
 from repro.gpc.answers import Answer
 from repro.gpc.engine import EngineConfig
-from repro.graph.delta import DEFAULT_SNAPSHOT_DELTA_THRESHOLD, GraphDelta
+from repro.graph.delta import GraphDelta
 from repro.graph.ids import NodeId
 from repro.obs import EvalCounters, deadline_scope, remote_span, use_counters
 from repro.service.cache import LRUCache
@@ -341,35 +343,25 @@ class ProcessBackend(ExecutorBackend):
     A pool is warmed by shipping one pickled snapshot per worker
     through the initializer. While the version is stable, ``run``
     ships only calls. When the version *advances* and the caller
-    supplies a ``delta_source``, the backend first tries the cheap
-    path: ship the pickled delta chain (anchored at the pool's base
-    version) alongside the calls and let each warm worker derive the
-    new snapshot in place. Only when the chain is unavailable, too
-    large relative to the graph (``delta_ship_threshold``), or belongs
-    to a different graph does the pool rebuild with a fresh snapshot.
+    supplies a ``delta_source``, the backend ships the pickled delta
+    chain (anchored at the pool's base version) alongside the calls
+    and lets each warm worker derive the new snapshot in place —
+    exactly when the graph itself derived that snapshot from the
+    base's core (:meth:`~repro.graph.property_graph.PropertyGraph.snapshot`
+    decides derive or rebuild, by its own budget). Another graph's
+    snapshot, one the graph rebuilt, an older one or a chain the log
+    no longer covers rebuilds the pool with a fresh snapshot.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: int = 4,
-        stats: "Optional[ClusterStats]" = None,
-        *,
-        delta_ship_threshold: float = DEFAULT_SNAPSHOT_DELTA_THRESHOLD,
-    ):
+    def __init__(self, max_workers: int = 4, stats: "Optional[ClusterStats]" = None):
         self._max_workers = max_workers
         self._stats = stats
-        self.delta_ship_threshold = delta_ship_threshold
         self._executor: Optional[ProcessPoolExecutor] = None
         #: The snapshot shipped through the pool initializer (the
         #: version every worker is guaranteed to hold).
         self._base_snapshot: "Optional[GraphSnapshot]" = None
-        #: The owner of the delta chains the pool was warmed from
-        #: (``delta_source.__self__``, i.e. the graph). Delta shipping
-        #: is refused when a later call's source has a different owner:
-        #: another graph's deltas must never patch this pool's base.
-        self._base_owner: object = None
         #: The exact snapshot object the warm workers can currently
         #: reach (the base, or the target of the last delta ship).
         #: Identity (not just the version number) keys the cache: a
@@ -411,15 +403,16 @@ class ProcessBackend(ExecutorBackend):
         self, snapshot, delta_source
     ) -> Optional[tuple[GraphDelta, ...]]:
         """The shippable chain from the pool base to ``snapshot``, or
-        ``None`` when rebuilding is required (chain unavailable, too
-        big, or from another graph)."""
+        ``None`` when rebuilding is required: the graph did not derive
+        ``snapshot`` from the base (another core), or the chain is
+        unavailable."""
         base = self._base_snapshot
-        if base is None or delta_source is None:
-            return None
-        owner = getattr(delta_source, "__self__", None)
-        if owner is None or owner is not self._base_owner:
-            return None
-        if snapshot.version <= base.version:
+        if (
+            base is None
+            or delta_source is None
+            or snapshot._core is not base._core
+            or snapshot.version <= base.version
+        ):
             return None
         deltas = delta_source(base.version)
         if deltas is None:
@@ -431,11 +424,6 @@ class ProcessBackend(ExecutorBackend):
             not chain
             or chain[0].version != base.version + 1
             or chain[-1].version != snapshot.version
-        ):
-            return None
-        size = snapshot.num_nodes + snapshot.num_edges
-        if sum(d.size for d in chain) > max(
-            1.0, self.delta_ship_threshold * size
         ):
             return None
         return chain
@@ -465,7 +453,6 @@ class ProcessBackend(ExecutorBackend):
             initargs=(self._blob,),
         )
         self._base_snapshot = snapshot
-        self._base_owner = getattr(delta_source, "__self__", None)
         self._pool_snapshot = snapshot
         self._ship = None
         self._count(snapshots_shipped=1)
@@ -493,7 +480,6 @@ class ProcessBackend(ExecutorBackend):
         with self._lock:
             executor, self._executor = self._executor, None
             self._base_snapshot = None
-            self._base_owner = None
             self._pool_snapshot = None
             self._ship = None
         if executor is not None:

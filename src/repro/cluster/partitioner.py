@@ -11,9 +11,9 @@ job is therefore purely about *balance* and *work avoidance*:
   possibly start from. The planner's pruned-start analysis
   (:func:`repro.gpc.planner.plan_shortest` — sound for any restrictor,
   not just ``shortest``) bounds it by the leftmost pattern's leading
-  label/property constraints, with the snapshot's
-  :meth:`~repro.graph.snapshot.GraphSnapshot.label_cardinalities`
-  short-circuiting label alternatives that are empty in this version.
+  label/property constraints, resolved against the snapshot's label
+  indexes (:meth:`~repro.gpc.planner.EndpointConstraint.candidate_nodes`;
+  a label with no members in this version admits no node).
   Partitioning the universe instead of the whole node set keeps shards
   balanced even when only a few nodes are viable starts;
 - cells are balanced by **degree weight** (``1 + deg(n)``): the work a
@@ -88,20 +88,7 @@ class SeedPartitioner:
         if prepared is None:
             return view.nodes
         pattern = leftmost_pattern(prepared.template)
-        # The plan memoises the analysis per pattern; fall back to a
-        # direct call for plans that have not seen it yet.
         constraint = prepared.plan.shortest_plan(pattern).start
-        if not constraint.constrains:
-            return view.nodes
-        cards = view.label_cardinalities()
-        if all(
-            alt.labels
-            and min(cards.nodes_with_label(label) for label in alt.labels) == 0
-            for alt in constraint.alternatives
-        ):
-            # Every alternative requires a label with zero members in
-            # this version: the universe is empty without a node scan.
-            return ()
         candidates = constraint.candidate_nodes(view, prepared.values)
         return view.nodes if candidates is None else candidates
 
@@ -116,10 +103,7 @@ class SeedPartitioner:
         for zero division. Those queries run as a single unrestricted
         shard instead.
         """
-        query = prepared.template
-        while isinstance(query, ast.Join):
-            query = query.left
-        return prepared.plan.register_nfa(query.pattern) is not None
+        return prepared.plan.register_nfa(leftmost_pattern(prepared.template)) is not None
 
     def partition(
         self,

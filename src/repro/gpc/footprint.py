@@ -104,11 +104,6 @@ class QueryFootprint:
     others: Optional["QueryFootprint"] = None
 
     @property
-    def property_keys(self) -> Optional[frozenset[str]]:
-        """Class-blind union of the key sets (back-compat view)."""
-        return _union(self.node_keys, self.edge_keys)
-
-    @property
     def is_bottom(self) -> bool:
         """Whether this footprint reads everything (no pruning)."""
         return (

@@ -197,11 +197,6 @@ class DeltaSummary:
     touched: frozenset[NodeId] = frozenset()
 
     @property
-    def property_keys(self) -> frozenset[str]:
-        """All mutated keys regardless of class (back-compat view)."""
-        return self.node_property_keys | self.edge_property_keys
-
-    @property
     def is_empty(self) -> bool:
         return not (
             self.nodes_changed

@@ -19,10 +19,9 @@ rows, NFA expansions — surfacing a per-fingerprint *misestimate
 factor*: the planner's validation loop, closed per workload shape.
 
 :class:`InsightsRegistry` is thread-safe and bounded (LRU eviction
-past ``capacity`` fingerprints, an LRU memo for the query →
-fingerprint mapping) and serves top-K views by total time, calls or
-misestimation for ``GET /insights`` and the ``/metrics`` labeled
-series.
+past ``capacity`` fingerprints) and serves top-K views by total time,
+calls or misestimation for ``GET /insights`` and the ``/metrics``
+labeled series.
 
 The serving pipeline describes each evaluation with one
 :class:`Observation` and hands it to :meth:`InsightsRegistry.record`.
@@ -234,7 +233,8 @@ class Observation:
     :meth:`InsightsRegistry.record`, into its fingerprint's entry.
 
     ``fingerprint`` is the ``(fingerprint, canonical)`` pair of the
-    prepared query's shape, so recording new text fingerprints nothing;
+    prepared query's shape — on a cache hit, the one its entry carries
+    — so recording fingerprints nothing;
     ``cache`` a key of :data:`~repro.obs.counters.CACHE_OUTCOMES`;
     ``estimates`` the :class:`~repro.gpc.planner.PlanEstimates` stamped
     at plan time; ``error`` what the execute step raised; ``latency_s``
@@ -359,28 +359,17 @@ class InsightsRegistry:
     """Thread-safe, bounded per-fingerprint workload aggregates.
 
     ``capacity`` bounds the fingerprint set (least-recently-*updated*
-    entries evict first); ``fingerprint_cache_size`` bounds the memo
-    from query object to ``(fingerprint, canonical)`` so the hot path
-    never re-parses a repeated query. ``enabled=False`` turns
-    :meth:`record` into an early-returning no-op, which is what the
-    overhead benchmark compares against. One lock guards the entries,
-    the memo and :attr:`stats`.
+    entries evict first). ``enabled=False`` turns :meth:`record` into
+    an early-returning no-op, which is what the overhead benchmark
+    compares against. One lock guards the entries and :attr:`stats`.
     """
 
-    def __init__(
-        self,
-        capacity: int = 512,
-        *,
-        enabled: bool = True,
-        fingerprint_cache_size: int = 1024,
-    ):
+    def __init__(self, capacity: int = 512, *, enabled: bool = True):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.fingerprint_cache_size = fingerprint_cache_size
         #: Holds ``enabled`` and ``capacity`` too: they are rendered.
         self.stats = RegistryStats(enabled=enabled, capacity=capacity)
         self._entries: OrderedDict[str, QueryInsight] = OrderedDict()
-        self._fingerprints: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
     @property
@@ -391,55 +380,21 @@ class InsightsRegistry:
     def capacity(self) -> int:
         return self.stats.capacity
 
-    # -- fingerprinting -------------------------------------------------
-
-    def _remembered(self, query) -> Optional[tuple[str, str]]:
-        """The memoised fingerprint of ``query`` (lock held)."""
-        found = self._fingerprints.get(query)
-        if found is not None:
-            self._fingerprints.move_to_end(query)
-        return found
-
-    def _remember(self, query, computed: tuple[str, str]) -> None:
-        """Memoise ``computed`` for ``query`` (lock held)."""
-        self._fingerprints[query] = computed
-        while len(self._fingerprints) > self.fingerprint_cache_size:
-            self._fingerprints.popitem(last=False)
-
-    def fingerprint(self, query) -> tuple[str, str]:
-        """Memoised ``(fingerprint, canonical_text)`` for ``query``."""
-        with self._lock:
-            found = self._remembered(query)
-        if found is None:
-            found = query_fingerprint(query)
-            with self._lock:
-                self._remember(query, found)
-        return found
-
     # -- recording ------------------------------------------------------
 
     def record(self, seen: Observation) -> Optional[str]:
         """Fold one evaluation into its fingerprint's aggregates.
 
         Returns the fingerprint (for span stamping), or ``None`` when
-        disabled. One lock round-trip for a query whose fingerprint is
-        given or memoised, two for a new one (it is computed between
-        them).
+        disabled. The serving pipeline stamps ``seen.fingerprint``;
+        an observation without one is fingerprinted here, outside the
+        lock.
         """
         if not self.enabled:
             return None
+        found = seen.fingerprint or query_fingerprint(seen.query)
         with self._lock:
-            found = self._remembered(seen.query)
-            if found is None and seen.fingerprint is not None:
-                found = seen.fingerprint
-                self._remember(seen.query, found)
-            if found is not None:
-                self._entry(*found).observe(seen)
-        if found is None:
-            found = query_fingerprint(seen.query)
-            with self._lock:
-                self._remember(seen.query, found)
-                self._entry(*found).observe(seen)
+            self._entry(*found).observe(seen)
         return found[0]
 
     def _entry(self, fingerprint: str, canonical: str) -> QueryInsight:
@@ -500,10 +455,9 @@ class InsightsRegistry:
             return self.stats.as_dict()
 
     def clear(self) -> None:
-        """Drop every entry and memo (capacity and flags are kept)."""
+        """Drop every entry (capacity and flags are kept)."""
         with self._lock:
             self._entries.clear()
-            self._fingerprints.clear()
             self.stats.fingerprints = self.stats.records = 0
             self.stats.evictions = 0
 

@@ -10,10 +10,13 @@ thread.
 
 :class:`SemanticResultCache` keys entries by ``(query, config)`` and
 stores the graph version, the query's read footprint
-(:class:`~repro.gpc.footprint.QueryFootprint`) and the answer set
-together. On lookup at a newer version it fetches the delta chain the
-graph recorded between the entry's version and the lookup's
-(:meth:`~repro.graph.property_graph.PropertyGraph.deltas_since`) and
+(:class:`~repro.gpc.footprint.QueryFootprint`), its insights
+fingerprint and the answer set together. The footprint and the
+fingerprint are the prepared shape's
+(:class:`~repro.service.prepared.PreparedQuery`), carried here because
+a hit skips ``prepare``. On lookup at a newer version it fetches the
+delta chain the graph recorded between the entry's version and the
+lookup's (:meth:`~repro.graph.property_graph.PropertyGraph.deltas_since`) and
 intersects the footprint with the chain's
 :class:`~repro.graph.delta.DeltaSummary`. The verdict is one of four:
 
@@ -184,7 +187,8 @@ class LRUCache:
 
 
 class _ResultEntry:
-    """One cached answer set with its version stamp and footprint.
+    """One cached answer set with its version stamp, footprint and
+    fingerprint.
 
     ``rendered`` is whatever byte form of ``result`` a caller asked to
     keep beside it (:meth:`SemanticResultCache.rendered`) and ``etag``
@@ -194,11 +198,12 @@ class _ResultEntry:
     and ``clear`` drop them.
     """
 
-    __slots__ = ("version", "footprint", "result", "rendered", "etag")
+    __slots__ = ("version", "footprint", "fingerprint", "result", "rendered", "etag")
 
-    def __init__(self, version: int, footprint, result):
+    def __init__(self, version: int, footprint, result, fingerprint):
         self.version = version
         self.footprint = footprint
+        self.fingerprint = fingerprint
         self.result = result
         self.rendered: bytes | None = None
         self.etag: str | None = None
@@ -228,9 +233,6 @@ class SemanticResultCache:
         self.stats = stats if stats is not None else CacheStats()
         self._delta_source = delta_source
         self._entries: OrderedDict[Hashable, _ResultEntry] = OrderedDict()
-        #: Equal footprints are kept once: thousands of distinct query
-        #: texts share a handful, each five frozensets.
-        self._footprints: dict = {}
         self._lock = threading.Lock()
         #: Memoised chain summaries keyed by (from_version, to_version).
         #: Versions are monotonic, so entries never go stale; the dict
@@ -269,7 +271,8 @@ class SemanticResultCache:
         return self.get_with_outcome(key, version)[0]
 
     def get_with_outcome(self, key: Hashable, version: int):
-        """``(result, outcome, extension)`` for a lookup at ``version``.
+        """``(result, outcome, extension, fingerprint)`` for a lookup at
+        ``version``.
 
         ``outcome`` is one of ``"hit"`` / ``"restamp"`` /
         ``"refilter"`` / ``"extend"`` / ``"miss"`` / ``"invalidated"``;
@@ -283,19 +286,21 @@ class SemanticResultCache:
         answers, at ``version`` so the next lookup is exact again. A
         *newer* stamp (a reader holding an older snapshot than a
         concurrent writer) is treated as a miss — recomputing against
-        the older snapshot is always sound.
+        the older snapshot is always sound. ``fingerprint`` is the one
+        :meth:`put` stored, unless the outcome is a miss or an
+        invalidation (``None``).
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.version == version:
                 self._entries.move_to_end(key)
-                return entry.result, self._count("hit"), None
+                return entry.result, self._count("hit"), None, entry.fingerprint
             if (
                 entry is None
                 or entry.version > version
                 or self._delta_source is None
             ):
-                return None, self._count("miss"), None
+                return None, self._count("miss"), None, None
             footprint = entry.footprint
             entry_version = entry.version
         # Delta fetch, footprint intersection and refilter run outside
@@ -321,21 +326,22 @@ class SemanticResultCache:
         with self._lock:
             current = self._entries.get(key)
             if current is not entry or entry.version != entry_version:
-                return None, self._count("miss"), None  # raced with an update
+                return None, self._count("miss"), None, None  # raced with an update
+            fingerprint = entry.fingerprint
             if outcome == "extend":
                 # The entry stays until the caller puts the extension.
-                return None, self._count(outcome), (kept, summary.touched, hops)
+                return None, self._count(outcome), (kept, summary.touched, hops), fingerprint
             if outcome == "restamp":
                 entry.version = version
             elif outcome == "refilter":
                 # A new entry without kept bytes or etag: the first
                 # render of the filtered answers wins again.
-                entry = self._entries[key] = _ResultEntry(version, footprint, kept)
+                entry = self._entries[key] = _ResultEntry(version, footprint, kept, fingerprint)
             else:
                 del self._entries[key]
-                return None, self._count(outcome), None
+                return None, self._count(outcome), None, None
             self._entries.move_to_end(key)
-            return entry.result, self._count(outcome), None
+            return entry.result, self._count(outcome), None, fingerprint
 
     def _count(self, outcome: str) -> str:
         """Account one request's ``outcome`` (lock held); returns it."""
@@ -348,9 +354,9 @@ class SemanticResultCache:
         with self._lock:
             return self._count("bypass")
 
-    def put(self, key: Hashable, version: int, footprint, result):
-        """Store ``result`` computed at ``version`` with ``footprint``;
-        return the answer set to serve for it.
+    def put(self, key: Hashable, version: int, footprint, result, fingerprint=None):
+        """Store ``result`` computed at ``version`` with ``footprint``
+        and ``fingerprint``; return the answer set to serve for it.
 
         A racing writer with an older snapshot never downgrades a
         newer stamp. An equal answer set put again at the same version
@@ -365,18 +371,10 @@ class SemanticResultCache:
                 if existing.version == version and existing.result == result:
                     return existing.result
                 self._entries.move_to_end(key)
-            footprint = self._footprints.setdefault(footprint, footprint)
-            self._entries[key] = _ResultEntry(version, footprint, result)
+            self._entries[key] = _ResultEntry(version, footprint, result, fingerprint)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-            if len(self._footprints) > 2 * self.capacity:
-                # At least half belong to entries long gone: keep the
-                # live ones (amortised O(1) per put).
-                self._footprints = {
-                    entry.footprint: entry.footprint
-                    for entry in self._entries.values()
-                }
         return result
 
     def rendered(
@@ -429,7 +427,6 @@ class SemanticResultCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._footprints.clear()
 
     def __len__(self) -> int:
         with self._lock:

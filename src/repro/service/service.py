@@ -504,14 +504,16 @@ class GraphService:
     ) -> None:
         """The cache probe at ``snap``'s version and, unless it answers
         (a hit, a restamp or a refilter), prepare, estimates and a
-        fresh counter set. An extend also takes its seeds here."""
+        fresh counter set. An extend also takes its seeds here. The
+        fingerprint comes from the entry the probe found, or else from
+        the prepared query."""
         seen = job.seen
         if not use_cache:
             seen.cache = self._result_cache.bypass()
         else:
             with span(self._span_prefix + "cache_probe") as probe:
-                job.result, seen.cache, extension = self._result_cache.get_with_outcome(
-                    (seen.query, config), snap.version
+                job.result, seen.cache, extension, seen.fingerprint = (
+                    self._result_cache.get_with_outcome((seen.query, config), snap.version)
                 )
                 hit = job.result is not None or extension is not None
                 probe.set_attrs({"hit": hit, "outcome": seen.cache})
@@ -559,7 +561,8 @@ class GraphService:
         seen.error = job.error
         if use_cache and job.prepared is not None and job.error is None:
             job.result = self._result_cache.put(
-                (seen.query, config), version, job.prepared.footprint, job.result
+                (seen.query, config), version, job.prepared.footprint, job.result,
+                job.prepared.fingerprint,
             )
         self._observe(seen.finish(job.result))
 

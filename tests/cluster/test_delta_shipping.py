@@ -10,6 +10,7 @@ from repro.cluster.stats import ClusterStats
 from repro.gpc.engine import DEFAULT_CONFIG, Evaluator
 from repro.gpc.parser import parse_query
 from repro.graph.generators import cycle_graph, social_network
+from repro.graph.property_graph import PropertyGraph
 
 QUERY = "TRAIL (x:N) -> (y)"
 
@@ -69,15 +70,13 @@ class TestDeltaShipping:
     def test_large_step_falls_back_to_snapshot_reship(self):
         graph = cycle_graph(6, node_label="N")
         stats = ClusterStats()
-        backend = ProcessBackend(
-            max_workers=2, stats=stats, delta_ship_threshold=0.05
-        )
+        backend = ProcessBackend(max_workers=2, stats=stats)
         calls = [ShardCall(QUERY, DEFAULT_CONFIG, None)]
         try:
             backend.run(
                 graph.snapshot(), calls, delta_source=graph.deltas_since
             )
-            for i in range(30):  # far beyond the 5% threshold
+            for i in range(30):  # past the graph's budget of 16 ops
                 graph.add_node(f"bulk{i}", ["N"])
             (outcome,) = backend.run(
                 graph.snapshot(), calls, delta_source=graph.deltas_since
@@ -90,6 +89,64 @@ class TestDeltaShipping:
             )
         finally:
             backend.close()
+
+    def _reships(self, graph, stale, current):
+        """Warm a pool on ``stale``, then run on ``current``: the pool
+        must re-ship a snapshot, ship no chain, and answer exactly."""
+        stats = ClusterStats()
+        backend = ProcessBackend(max_workers=2, stats=stats)
+        calls = [ShardCall(QUERY, DEFAULT_CONFIG, None)]
+        try:
+            backend.run(stale, calls, delta_source=graph.deltas_since)
+            (outcome,) = backend.run(
+                current, calls, delta_source=graph.deltas_since
+            )
+            assert outcome.ok
+            assert (stats.snapshots_shipped, stats.deltas_shipped) == (2, 0)
+            assert outcome.result == Evaluator(current).evaluate(
+                parse_query(QUERY)
+            )
+        finally:
+            backend.close()
+
+    def test_a_snapshot_the_graph_rebuilt_reships(self):
+        """The pool's base is itself derived (20 overlay ops on its
+        core). Ten more small steps cross the graph's budget of
+        max(16, 0.25 * |G|) ops on that core, so the graph rebuilds —
+        although the ten-op chain from the base is well inside a
+        quarter of the graph — and the pool follows it and re-ships."""
+        graph = cycle_graph(40, node_label="N")
+        graph.snapshot()
+        for i in range(20):
+            graph.add_node(f"early{i}", ["N"])
+            base = graph.snapshot()
+        assert base.derived and base.overlay_ops == 20
+        rebuilds = graph.snapshot_rebuilds
+        for i in range(10):
+            graph.add_node(f"late{i}", ["N"])
+            graph.snapshot()
+        assert graph.snapshot_rebuilds == rebuilds + 1
+        self._reships(graph, base, graph.snapshot())
+
+    def test_a_chain_the_log_dropped_reships(self):
+        graph = PropertyGraph(delta_log_capacity=4)
+        for i in range(4):
+            graph.add_node(f"n{i}", ["N"])
+        base = graph.snapshot()
+        for i in range(6):  # each step derived; the log keeps 4
+            graph.add_node(f"late{i}", ["N"])
+            graph.snapshot()
+        assert graph.deltas_since(base.version) is None
+        assert graph.snapshot().derived
+        self._reships(graph, base, graph.snapshot())
+
+    def test_a_reader_older_than_the_pool_reships(self):
+        graph = cycle_graph(8, node_label="N")
+        older = graph.snapshot()
+        graph.add_node("extra", ["N"])
+        newer = graph.snapshot()
+        assert newer.derived
+        self._reships(graph, newer, older)
 
     def test_without_delta_source_version_step_reships(self):
         graph = cycle_graph(6, node_label="N")

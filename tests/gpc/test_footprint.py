@@ -39,7 +39,7 @@ class TestDerivation:
         assert footprint.node_labels == frozenset()
         assert footprint.dedge_labels == {"knows"}
         assert footprint.uedge_labels == frozenset()
-        assert footprint.property_keys == frozenset()
+        assert footprint.node_keys == footprint.edge_keys == frozenset()
 
     def test_single_node_query_reads_its_label(self):
         footprint = fp("TRAIL (x:Person)")
@@ -67,9 +67,11 @@ class TestDerivation:
         footprint = fp(
             "p = TRAIL [ (x:A) -[e:r]-> (y:B) ] << x.team = y.team >>"
         )
-        assert footprint.property_keys == {"team"}
+        assert footprint.node_keys == {"team"}
+        assert footprint.edge_keys == frozenset()
         footprint = fp("TRAIL [ (x:A) ] << x.a = 1 >>")
-        assert footprint.property_keys == {"a"}
+        assert footprint.node_keys == {"a"}
+        assert footprint.edge_keys == frozenset()
 
     def test_condition_keys_split_by_variable_class(self):
         footprint = fp("TRAIL [ (x:A) -[e:r]-> (y:B) ] << x.team = 1 >>")

@@ -168,7 +168,7 @@ class TestDeltaRecording:
         assert not summary.dedges_changed and not summary.uedges_changed
         # Properties riding on an added element are covered by the
         # element class, not the property-key set.
-        assert summary.property_keys == frozenset()
+        assert summary.node_property_keys == summary.edge_property_keys == frozenset()
 
     def test_property_mutations_summarise_keys(self):
         graph = build_mixed()
@@ -177,7 +177,8 @@ class TestDeltaRecording:
         graph.set_property(node, "age", 44)
         graph.remove_property(node, "age")
         summary = summarize_deltas(graph.deltas_since(start))
-        assert summary.property_keys == {"age"}
+        assert summary.node_property_keys == {"age"}
+        assert summary.edge_property_keys == frozenset()
         assert not summary.nodes_changed
 
     def test_summary_touches_added_nodes_and_added_edge_ends(self):

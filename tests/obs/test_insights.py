@@ -257,12 +257,6 @@ class TestRegistryBounds:
         assert registry.get(third) is not None
         assert registry.counters()["evictions"] == 2
 
-    def test_fingerprint_memo_is_bounded(self):
-        registry = InsightsRegistry(fingerprint_cache_size=2)
-        for n in (1, 2, 3, 4):
-            registry.fingerprint(f"TRAIL (x) -[:a]->{{{n}}} (y)")
-        assert len(registry._fingerprints) == 2
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             InsightsRegistry(capacity=0)

@@ -214,16 +214,19 @@ def test_refilter_reads_exactly_the_readers_version():
     graph = _graph()
     query = TEXTS["trail_edge"]
     cache = SemanticResultCache(8, delta_source=graph.deltas_since)
-    cache.put("q", graph.version, query_footprint(query), Evaluator(graph).evaluate(query))
+    shape = ("f00d", "canonical")
+    answers = Evaluator(graph).evaluate(query)
+    cache.put("q", graph.version, query_footprint(query), answers, shape)
     graph.remove_edge(DirectedEdgeId("e0"))
     reader = graph.snapshot()
     graph.remove_edge(DirectedEdgeId("e1"))
-    answers, outcome, _ = cache.get_with_outcome("q", reader.version)
-    assert outcome == "refilter"
+    answers, outcome, _, fingerprint = cache.get_with_outcome("q", reader.version)
+    assert (outcome, fingerprint) == ("refilter", shape)
     assert answers == Evaluator(reader).evaluate(query)
     assert len(answers) == 4
-    answers, outcome, _ = cache.get_with_outcome("q", graph.version)
-    assert outcome == "refilter"
+    # The replacement entry carries the fingerprint on.
+    answers, outcome, _, fingerprint = cache.get_with_outcome("q", graph.version)
+    assert (outcome, fingerprint) == ("refilter", shape)
     assert answers == Evaluator(graph).evaluate(query)
     assert len(answers) == 3
 
@@ -240,7 +243,7 @@ def test_extend_reads_exactly_the_readers_version():
     graph.add_edge("a1", nodes[1], nodes[3], ["knows"])
     reader = graph.snapshot()
     late = graph.add_edge("a2", nodes[2], nodes[0], ["knows"])
-    answers, outcome, extension = cache.get_with_outcome("q", reader.version)
+    answers, outcome, extension, _ = cache.get_with_outcome("q", reader.version)
     assert answers is None
     assert outcome == "extend"
     kept, touched, hops = extension

@@ -13,6 +13,7 @@ that drops failed queries from ``queries`` / ``latency`` / insights).
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -251,12 +252,60 @@ def test_bounded_evaluation_stops_at_its_deadline(facade):
     # prunes every walk that repeats an edge: the deadline has to fire
     # inside the evaluator's own loops.
     with FACADES[facade](transport_network(4, 4)) as service:
+        # A full cyclic collection walks the whole test run's heap (0.6 s
+        # and more late in a full run): collect first, so the clock
+        # times the evaluation and its deadline, not the collector.
+        gc.collect()
         started = time.monotonic()
         with deadline_scope(0.5):
             kind = _raised(service.evaluate, "TRAIL (x) -[:link]->{1,} (y)")
         assert time.monotonic() - started < 1.0
         assert kind == DeadlineExceededError.__name__
         assert service.stats.queries == 1
+
+
+#: One shape, a text per constant: they share a plan, so a profile.
+RANKED = "TRAIL (x:Person) -[:knows]-> (y:Person) << y.rank = {} >>"
+
+
+@pytest.mark.parametrize("facade", ["graph", "cluster-serial"])
+def test_every_read_lands_under_its_prepared_fingerprint(facade, monkeypatch):
+    """Hits skip ``prepare``; their fingerprint rides on the cache
+    entry. With the registry's own fingerprinting made to fail, every
+    outcome still records, and the profiles add up to the stats."""
+
+    def refuse(query):
+        raise AssertionError(f"fingerprinted at record time: {query!r}")
+
+    monkeypatch.setattr("repro.obs.insights.query_fingerprint", refuse)
+    from repro.graph.ids import DirectedEdgeId
+
+    with FACADES[facade](_graph()) as service:
+        city = next(iter(service.graph.nodes_with_label("City")))
+        first, second, *_ = sorted(service.graph.nodes_with_label("Person"))
+        for text in (CHEAP, CHEAP, SHORTEST, RANKED.format(1), RANKED.format(2)):
+            service.evaluate(text)  # misses, then a hit
+        service.evaluate(CHEAP, use_cache=False)  # bypass
+        service.set_property(city, "mayor", "nobody")
+        service.evaluate(RANKED.format(1))  # restamp
+        service.add_edge("fresh", second, first, ["knows"])
+        service.evaluate(CHEAP)  # extend
+        service.evaluate(SHORTEST)  # invalidated
+        service.remove_edge(DirectedEdgeId("fresh"))
+        service.evaluate(CHEAP)  # refilter
+        service.evaluate(CHEAP)  # a hit on the refiltered entry
+        service.evaluate_batch([RANKED.format(2), RANKED.format(3)])  # restamp, miss
+        cache = service.stats.result_cache
+        outcomes = ("hits", "misses", "bypasses", "restamps", "refilters", "extends",
+                    "invalidations")
+        assert min(getattr(cache, name) for name in outcomes) >= 1, cache
+        profiles = service.insights.top()
+        assert {profile["fingerprint"] for profile in profiles} == {
+            service.prepare(text).fingerprint[0] for text in (CHEAP, SHORTEST, RANKED.format(0))
+        }
+        assert sum(profile["calls"] for profile in profiles) == service.stats.queries == 13
+        for name in outcomes:
+            assert sum(profile["cache"][name] for profile in profiles) == getattr(cache, name)
 
 
 #: The three read classes of the ``social_serving`` benchmark workload;

@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.gpc.engine import Evaluator
-from repro.gpc.footprint import QueryFootprint
 from repro.gpc.parser import parse_query
 from repro.graph.builder import GraphBuilder
 from repro.service import GraphService, LRUCache, SemanticResultCache
@@ -134,24 +133,24 @@ class TestSemanticInvalidation:
         with pytest.raises(ValueError):
             SemanticResultCache(0)
 
-    def test_equal_footprints_are_stored_once(self):
-        cache = SemanticResultCache(128, CacheStats())
-
-        def footprint(label="P"):
-            return QueryFootprint(node_labels=frozenset({label}))
-
-        for i in range(100):
-            cache.put(f"q{i}", 1, footprint(), frozenset())
-        held = {id(entry.footprint) for entry in cache._entries.values()}
-        assert len(held) == 1 and len(cache._footprints) == 1
-        cache.clear()
-        assert not cache._footprints
-        # The table follows the live entries, not every footprint seen.
-        small = SemanticResultCache(2, CacheStats())
-        for i in range(8):
-            small.put(f"q{i}", 1, footprint(f"L{i}"), frozenset())
-        assert len(small._footprints) <= 2 * small.capacity
-        assert footprint("L7") in small._footprints
+    def test_texts_of_one_shape_share_footprint_and_fingerprint(self):
+        """Every text of a shape is bound to the shape's prepared query,
+        so its entry holds that query's footprint and fingerprint — one
+        object each, however many texts."""
+        service = two_worlds_service()
+        texts = [f"TRAIL (x:Person) -[e:knows]-> (y) << y.rank = {i} >>" for i in range(20)]
+        for text in texts:
+            service.evaluate(text)
+        entries = list(service._result_cache._entries.values())
+        assert len(entries) == len(texts)
+        assert len({id(entry.footprint) for entry in entries}) == 1
+        assert len({id(entry.fingerprint) for entry in entries}) == 1
+        prepared = service.prepare(texts[0])
+        assert entries[0].footprint is prepared.footprint
+        assert entries[0].fingerprint is prepared.fingerprint
+        [profile] = service.insights.top()
+        assert profile["fingerprint"] == prepared.fingerprint[0]
+        assert profile["calls"] == len(texts)
 
 
 class TestRenderedBytes:
