@@ -21,7 +21,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
+
 __all__ = ["Table", "time_call", "emit_json"]
+
+_ID_SORTS = (NodeId, DirectedEdgeId, UndirectedEdgeId)
 
 #: Directory for machine-readable benchmark results ("" disables).
 JSON_ENV_VAR = "REPRO_BENCH_JSON"
@@ -43,8 +47,24 @@ def emit_json(name: str, payload: Any) -> Path | None:
     directory = Path(target_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{_slug(name)}.json"
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    path.write_text(json.dumps(_plain(payload), indent=2, default=str) + "\n")
     return path
+
+
+def _plain(value: Any) -> Any:
+    """``value`` with every graph element id written as its ``str``.
+    ``json`` writes any tuple, an id included, as a list before
+    ``default`` sees it."""
+    if isinstance(value, _ID_SORTS):
+        return str(value)
+    if isinstance(value, dict):
+        return {
+            str(k) if isinstance(k, _ID_SORTS) else k: _plain(v)
+            for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
 
 @dataclass

@@ -51,9 +51,9 @@ class GraphBuilder:
             self._graph.add_node(node, labels=labels, properties=properties)
             return self
         if labels:
-            merged = self._graph.labels(node) | frozenset(labels)
+            merged = self._graph.labels(node).union(labels)
             # PropertyGraph labels are immutable per element; rebuild entry.
-            self._graph._node_labels[node] = merged
+            self._graph._node_labels[node] = self._graph._interned(merged)
         for prop_key, value in properties.items():
             self._graph.set_property(node, prop_key, value)
         return self

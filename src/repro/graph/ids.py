@@ -2,14 +2,25 @@
 
 The paper assumes three pairwise-disjoint countable sets of identifiers:
 ``N`` (nodes), ``E_d`` (directed edges) and ``E_u`` (undirected edges).
-We realise each sort as a small immutable wrapper around an arbitrary
-hashable key. Wrapping (rather than using bare strings) gives us the
-disjointness guarantee *by type*: a ``NodeId("1")`` never compares equal
-to a ``DirectedEdgeId("1")``, exactly as in the formal model.
+We realise each sort as an immutable ``(sort tag, key)`` pair around an
+arbitrary hashable key. Wrapping (rather than using bare strings) gives
+us the disjointness guarantee *by construction*: a ``NodeId("1")`` never
+compares equal to a ``DirectedEdgeId("1")``, exactly as in the formal
+model.
+
+Why pairs: every id is a dict key or set member somewhere (adjacency,
+snapshot interning, answer sets, the wire), so hashing and ``==`` are
+the hottest operations on it. As a ``tuple`` subclass with no Python
+``__hash__`` or ``__eq__``, both run in C. The tag is a private
+``object()`` sentinel per sort, never a string, so no value built
+outside this module, a plain tuple included, equals an id. A sentinel
+hashes by address: the iteration order of a set of ids is not fixed by
+``PYTHONHASHSEED`` across processes, and nothing may depend on it.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable, Union
 
 __all__ = [
@@ -21,7 +32,7 @@ __all__ = [
 ]
 
 
-class _Id:
+class _Id(tuple):
     """Common behaviour of all identifier sorts.
 
     Instances are immutable, hashable, and ordered *within a sort* by
@@ -29,52 +40,58 @@ class _Id:
     containers of mixed ids are deterministic).
     """
 
-    __slots__ = ("key",)
+    __slots__ = ()
 
-    #: Short human-readable tag used in ``repr`` (overridden per sort).
+    #: Short human-readable tag used in ``repr`` and cross-sort
+    #: ordering (overridden per sort).
     _tag = "id"
+    #: The sort's sentinel, item 0 of every id of the sort.
+    _sort: object = object()
 
-    def __init__(self, key: Hashable):
+    def __new__(cls, key: Hashable):
         if isinstance(key, _Id):
             raise TypeError("id keys must be plain hashable values, not ids")
-        object.__setattr__(self, "key", key)
+        return tuple.__new__(cls, (cls._sort, key))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    #: The wrapped key (item 1).
+    key = property(itemgetter(1))
 
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.key == other.key  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        # The key alone: hashing an answer set runs this once per id
-        # occurrence. Ids of different sorts with equal keys share a
-        # bucket and stay apart by __eq__.
-        return hash(self.key)
-
-    def __lt__(self, other: "_Id") -> bool:
+    def __lt__(self, other: object) -> bool:
         if not isinstance(other, _Id):
             return NotImplemented
-        if type(self) is not type(other):
+        if self[0] is not other[0]:
             return self._tag < other._tag
         try:
-            return self.key < other.key  # type: ignore[operator]
+            return self[1] < other[1]
         except TypeError:
-            return repr(self.key) < repr(other.key)
+            return repr(self[1]) < repr(other[1])
 
-    def __le__(self, other: "_Id") -> bool:
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, _Id):
+            return NotImplemented
         return self == other or self < other
 
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, _Id):
+            return NotImplemented
+        return other < self
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, _Id):
+            return NotImplemented
+        return other <= self
+
     def __reduce__(self):
-        # The immutability guard (__setattr__ raises) defeats the
-        # default slots pickling path; rebuild through __init__ instead.
-        # Ids must pickle: snapshots ship to process-pool workers.
-        return (type(self), (self.key,))
+        # Rebuild from the key: the sentinel is per process, so it must
+        # not travel. Ids must pickle: snapshots ship to process-pool
+        # workers.
+        return (type(self), (self[1],))
 
     def __repr__(self) -> str:
-        return f"{self._tag}({self.key!r})"
+        return f"{self._tag}({self[1]!r})"
 
     def __str__(self) -> str:
-        return str(self.key)
+        return str(self[1])
 
 
 class NodeId(_Id):
@@ -82,6 +99,7 @@ class NodeId(_Id):
 
     __slots__ = ()
     _tag = "node"
+    _sort = object()
 
 
 class DirectedEdgeId(_Id):
@@ -89,6 +107,7 @@ class DirectedEdgeId(_Id):
 
     __slots__ = ()
     _tag = "dedge"
+    _sort = object()
 
 
 class UndirectedEdgeId(_Id):
@@ -96,6 +115,7 @@ class UndirectedEdgeId(_Id):
 
     __slots__ = ()
     _tag = "uedge"
+    _sort = object()
 
 
 #: Any edge identifier, directed or undirected.

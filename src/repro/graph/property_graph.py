@@ -51,6 +51,8 @@ __all__ = ["PropertyGraph"]
 #: any immutable Python scalar.
 Constant = Hashable
 
+_ID_SORTS = (NodeId, DirectedEdgeId, UndirectedEdgeId)
+
 
 def _check_constant(value: object) -> None:
     if value is None:
@@ -64,7 +66,8 @@ def _check_constant(value: object) -> None:
         raise GraphError(
             f"property values must be immutable constants, got {type(value).__name__}"
         )
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and not isinstance(value, _ID_SORTS):
+        # An id is a (sort tag, key) tuple and a constant as it stands.
         # Tuples are hashable only when their items are; a mutable value
         # smuggled inside (e.g. ("a", [1])) would break hashing downstream.
         for item in value:
@@ -98,6 +101,9 @@ class PropertyGraph:
         self._node_labels: dict[NodeId, frozenset[str]] = {}
         self._dedge_labels: dict[DirectedEdgeId, frozenset[str]] = {}
         self._uedge_labels: dict[UndirectedEdgeId, frozenset[str]] = {}
+        #: One object per distinct label set: a graph has few, and
+        #: every element of a set shares it (see :meth:`_interned`).
+        self._label_sets: dict[frozenset[str], frozenset[str]] = {}
         self._src: dict[DirectedEdgeId, NodeId] = {}
         self._tgt: dict[DirectedEdgeId, NodeId] = {}
         self._endpoints: dict[UndirectedEdgeId, frozenset[NodeId]] = {}
@@ -242,7 +248,7 @@ class PropertyGraph:
         node = key if isinstance(key, NodeId) else NodeId(key)
         if node in self._node_labels:
             raise DuplicateIdError(f"node {node!r} already exists")
-        self._node_labels[node] = frozenset(labels)
+        self._node_labels[node] = self._interned(labels)
         self._out[node] = set()
         self._in[node] = set()
         self._undirected_at[node] = set()
@@ -270,7 +276,7 @@ class PropertyGraph:
             raise DuplicateIdError(f"directed edge {edge!r} already exists")
         self._require_node(source)
         self._require_node(target)
-        self._dedge_labels[edge] = frozenset(labels)
+        self._dedge_labels[edge] = self._interned(labels)
         self._src[edge] = source
         self._tgt[edge] = target
         self._out[source].add(edge)
@@ -303,7 +309,7 @@ class PropertyGraph:
             raise DuplicateIdError(f"undirected edge {edge!r} already exists")
         self._require_node(endpoint_a)
         self._require_node(endpoint_b)
-        self._uedge_labels[edge] = frozenset(labels)
+        self._uedge_labels[edge] = self._interned(labels)
         self._endpoints[edge] = frozenset({endpoint_a, endpoint_b})
         self._undirected_at[endpoint_a].add(edge)
         self._undirected_at[endpoint_b].add(edge)
@@ -316,6 +322,12 @@ class PropertyGraph:
             )
         )
         return edge
+
+    def _interned(self, labels: Iterable[str]) -> frozenset[str]:
+        """``frozenset(labels)``, as the one object this graph holds for
+        that set."""
+        fresh = frozenset(labels)
+        return self._label_sets.setdefault(fresh, fresh)
 
     def set_property(self, element: GraphElementId, key: str, value: Constant) -> None:
         """Define ``delta(element, key) = value``."""
@@ -721,6 +733,7 @@ class PropertyGraph:
         new._node_labels = dict(self._node_labels)
         new._dedge_labels = dict(self._dedge_labels)
         new._uedge_labels = dict(self._uedge_labels)
+        new._label_sets = dict(self._label_sets)
         new._src = dict(self._src)
         new._tgt = dict(self._tgt)
         new._endpoints = dict(self._endpoints)

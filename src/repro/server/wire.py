@@ -73,7 +73,8 @@ def _checked_key(key: Any, direction: str) -> Any:
 
 
 def _encode_key(key: Any) -> Any:
-    if isinstance(key, tuple):
+    # An id is a tuple too; it is no key, and _checked_key refuses it.
+    if isinstance(key, tuple) and type(key) not in _ID_TAGS:
         return {"t": [_encode_key(item) for item in key]}
     return _checked_key(key, "encode")
 

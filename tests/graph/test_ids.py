@@ -15,10 +15,10 @@ class TestDisjointness:
 
     @pytest.mark.parametrize("key", ["x", 7, ("t", 1), None, 2.5])
     def test_same_key_different_sorts_coexist_in_sets_and_dicts(self, key):
-        # An id hashes its key alone, so the three sorts share a bucket;
-        # equality (sort and key) keeps them apart.
+        # An id is a (sort tag, key) pair hashed and compared in C;
+        # equality (sort and key) keeps the three sorts apart.
         ids = [NodeId(key), DirectedEdgeId(key), UndirectedEdgeId(key)]
-        assert len({hash(i) for i in ids}) == 1
+        assert all(type(i).__hash__ is tuple.__hash__ for i in ids)
         assert all(a != b for a in ids for b in ids if a is not b)
         assert len(set(ids)) == 3
         table = {element: i for i, element in enumerate(ids)}
