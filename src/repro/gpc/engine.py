@@ -746,8 +746,16 @@ class Evaluator:
         its minimum length: a superset of the pairs ``pattern`` matches
         and a lower bound on their minima — one search per seed
         (:meth:`_shortest_candidates`) over the lowered erasure, pruned
-        as :meth:`_eval_shortest` prunes its own."""
+        as :meth:`_eval_shortest` prunes its own, and by the nodes the
+        pattern's boundary factors admit (:meth:`_boundary_nodes`), so a
+        pair no match can have is never waited for."""
         starts, end_filter = self._shortest_candidates(pattern, restriction)
+        leading = self._boundary_nodes(pattern, leading=True)
+        if leading is not None:
+            starts = tuple(n for n in starts if n in leading)
+        trailing = self._boundary_nodes(pattern, leading=False)
+        if trailing is not None:
+            end_filter = trailing if end_filter is None else end_filter & trailing
         if not starts or end_filter == frozenset():
             return {}
         program = lower_program(
@@ -761,6 +769,23 @@ class Evaluator:
                 if end_filter is None or end in end_filter:
                     candidates[start, end] = length
         return candidates
+
+    def _boundary_nodes(
+        self, pattern: ast.Pattern, leading: bool
+    ) -> frozenset[NodeId] | None:
+        """The nodes a match of ``pattern`` can start (``leading``) or
+        end at, when the factor at that end always matches a single
+        node: that factor's own matches, which the erasure does not see
+        (a label expression erases to any node). ``None`` when the
+        factor may match an edge."""
+        while isinstance(pattern, (ast.Concat, ast.Conditioned)):
+            if isinstance(pattern, ast.Conditioned):
+                pattern = pattern.pattern  # its matches are a subset
+            else:
+                pattern = pattern.left if leading else pattern.right
+        if max_path_length(pattern) != 0:
+            return None
+        return frozenset(match[0].src for match in self._bounded.evaluate(pattern, 0))
 
     def _eval_deepening(
         self,

@@ -12,10 +12,11 @@ Why pairs: every id is a dict key or set member somewhere (adjacency,
 snapshot interning, answer sets, the wire), so hashing and ``==`` are
 the hottest operations on it. As a ``tuple`` subclass with no Python
 ``__hash__`` or ``__eq__``, both run in C. The tag is a private
-``object()`` sentinel per sort, never a string, so no value built
-outside this module, a plain tuple included, equals an id. A sentinel
-hashes by address: the iteration order of a set of ids is not fixed by
-``PYTHONHASHSEED`` across processes, and nothing may depend on it.
+``object()`` sentinel per sort, never a string, so a value equals an id
+only if it holds that sentinel: no plain tuple of a tag name and a key
+does, and no bare key does. A sentinel hashes by address, so the
+iteration order of a set of ids is not fixed by ``PYTHONHASHSEED``
+across processes; nothing may depend on it.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from pathlib import Path as _P
 sys.path.insert(0, str(_P(__file__).parent.parent / "properties"))
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import reference_answers
@@ -241,6 +241,15 @@ class TestDeepeningOnTheErasure:
 
     @settings(max_examples=25, deadline=None)
     @given(small_graphs(), st.sampled_from(sorted(_EXTENSION_PATTERNS)))
+    # One `A` node with eight self-loops: no node can bind `x:!A`, and
+    # deepening to length 8 used to build millions of walks first.
+    @example(
+        random_multigraph(
+            1, 6, 2, node_labels=("A", "B"), edge_labels=("a", "b"),
+            property_keys=("k", "m"), value_range=3, seed=465,
+        ),
+        "node-label-expr",
+    )
     def test_a_restricted_evaluation_is_the_restricted_answer_set(self, graph, name):
         query = ast.PatternQuery(ast.Restrictor.SHORTEST, _EXTENSION_PATTERNS[name])
         config = EngineConfig(shortest_deepening_limit=8, lenient_shortest=True)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DuplicateIdError, GraphError, UnknownIdError
+from repro.graph.builder import GraphBuilder
 from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
 from repro.graph.property_graph import PropertyGraph
 
@@ -283,3 +284,40 @@ class TestConstantChecking:
             graph.set_property(NodeId("u"), "p", None)
         with pytest.raises(GraphError):
             graph.add_node("bad", properties={"p": None})
+
+
+class TestSharedLabelSets:
+    """Equal label sets are one object per graph, however they are given."""
+
+    GIVEN = (["A", "B"], ("B", "A"), {"A", "B"}, frozenset({"B", "A"}))
+
+    def test_nodes(self):
+        g = PropertyGraph()
+        nodes = [g.add_node(i, labels=labels) for i, labels in enumerate(self.GIVEN)]
+        nodes.append(g.add_node("gen", labels=(l for l in "ABA")))
+        assert len({id(g.labels(n)) for n in nodes}) == 1
+        assert g.labels(nodes[0]) == frozenset({"A", "B"})
+
+    def test_both_edge_kinds(self):
+        g = PropertyGraph()
+        u, v = g.add_node("u", labels=["A", "B"]), g.add_node("v")
+        elements = [u]
+        for i, labels in enumerate(self.GIVEN):
+            elements.append(g.add_edge(f"d{i}", u, v, labels=labels))
+            elements.append(g.add_undirected_edge(f"u{i}", u, v, labels=labels))
+        assert len({id(g.labels(e)) for e in elements}) == 1
+        assert g.labels(v) is g.labels(g.add_edge("plain", v, u))
+
+    def test_builder_relabel(self):
+        b = GraphBuilder().node("a", "A").node("a", "B").node("b", "B", "A")
+        g = b.edge("a", "b", "A", "B").build()
+        (edge,) = g.directed_edges
+        assert g.labels(NodeId("a")) is g.labels(NodeId("b")) is g.labels(edge)
+
+    def test_copy(self):
+        g = PropertyGraph()
+        a = g.add_node("a", labels=["A", "B"])
+        h = g.copy()
+        b = h.add_node("b", labels=("B", "A"))
+        e = h.add_edge("e", a, b, labels={"A", "B"})
+        assert h.labels(a) is h.labels(b) is h.labels(e) is g.labels(a)
