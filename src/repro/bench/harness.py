@@ -58,10 +58,7 @@ def _plain(value: Any) -> Any:
     if isinstance(value, _ID_SORTS):
         return str(value)
     if isinstance(value, dict):
-        return {
-            str(k) if isinstance(k, _ID_SORTS) else k: _plain(v)
-            for k, v in value.items()
-        }
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
     return value

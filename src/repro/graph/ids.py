@@ -47,7 +47,7 @@ class _Id(tuple):
     #: ordering (overridden per sort).
     _tag = "id"
     #: The sort's sentinel, item 0 of every id of the sort.
-    _sort: object = object()
+    _sort: object
 
     def __new__(cls, key: Hashable):
         if isinstance(key, _Id):

@@ -51,8 +51,6 @@ __all__ = ["PropertyGraph"]
 #: any immutable Python scalar.
 Constant = Hashable
 
-_ID_SORTS = (NodeId, DirectedEdgeId, UndirectedEdgeId)
-
 
 def _check_constant(value: object) -> None:
     if value is None:
@@ -66,10 +64,10 @@ def _check_constant(value: object) -> None:
         raise GraphError(
             f"property values must be immutable constants, got {type(value).__name__}"
         )
-    if isinstance(value, tuple) and not isinstance(value, _ID_SORTS):
-        # An id is a (sort tag, key) tuple and a constant as it stands.
-        # Tuples are hashable only when their items are; a mutable value
-        # smuggled inside (e.g. ("a", [1])) would break hashing downstream.
+    if isinstance(value, tuple):
+        # Tuples, ids included, are hashable only when their items are; a
+        # mutable value smuggled inside (e.g. ("a", [1])) would break
+        # hashing downstream.
         for item in value:
             _check_constant(item)
 

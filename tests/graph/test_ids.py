@@ -152,9 +152,6 @@ class TestTupleRepresentation:
     def test_bench_json_writes_an_id_as_its_key(self, tmp_path, monkeypatch):
         monkeypatch.setenv(harness.JSON_ENV_VAR, str(tmp_path))
         path = harness.emit_json(
-            "ids", {"at": NodeId("x"), "path": [NodeId(1), DirectedEdgeId("e")],
-                    "by": {UndirectedEdgeId("u"): ("t", 2)}}
+            "ids", {"at": NodeId("x"), "path": (NodeId(1), UndirectedEdgeId("u"), ("t", 2))}
         )
-        assert json.loads(path.read_text()) == {
-            "at": "x", "path": ["1", "e"], "by": {"u": ["t", 2]}
-        }
+        assert json.loads(path.read_text()) == {"at": "x", "path": ["1", "u", ["t", 2]]}

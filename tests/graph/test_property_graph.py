@@ -279,6 +279,12 @@ class TestConstantChecking:
             "a", (1, 2), frozenset({3})
         )
 
+    def test_an_id_is_a_constant_when_its_key_is(self, graph):
+        graph.set_property(NodeId("u"), "p", DirectedEdgeId(("t", 1)))
+        assert graph.get_property(NodeId("u"), "p") == DirectedEdgeId(("t", 1))
+        with pytest.raises(GraphError):
+            graph.set_property(NodeId("u"), "q", NodeId(("a", [1])))
+
     def test_rejects_none(self, graph):
         with pytest.raises(GraphError):
             graph.set_property(NodeId("u"), "p", None)

@@ -129,6 +129,11 @@ class TestIdRoundTrip:
         with pytest.raises(WireError):  # ... in a table too
             wire.encode_answers({Answer((Path.node(NodeId(frozenset({1}))),), Assignment())})
 
+    def test_an_id_inside_a_key_is_refused_as_an_id(self):
+        # An id is a tuple too; it must not be sent as a tagged tuple.
+        with pytest.raises(WireError, match=r"node\('x'\) \(NodeId\)"):
+            wire.encode_id(DirectedEdgeId(("t", NodeId("x"))))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_float_keys_rejected_on_both_sides(self, bad):
         # json.dumps would write them as the non-JSON tokens NaN /
