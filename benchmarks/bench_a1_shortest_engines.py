@@ -3,8 +3,9 @@
 Design choice under study: the engine's register-NFA shortest engine
 (exact per-pair minima + witness enumeration) versus the naive
 bounded-denotation iterative deepening it replaced (still present as
-the route of extension patterns, towards the candidates their erasure
-gives). Expected shape: on patterns
+the route of patterns under an arithmetic condition, a nested
+restrictor or a witness marker, towards the candidates their
+over-approximating NFA gives). Expected shape: on patterns
 whose denotation grows with the length horizon, the register engine is
 dramatically cheaper and — crucially — its cost does not explode with
 the graph's walk count.

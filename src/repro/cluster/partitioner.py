@@ -98,7 +98,7 @@ class SeedPartitioner:
         Only the register-NFA route — ``shortest`` and the ``trail`` /
         ``simple`` walk — evaluates a start restriction natively
         (per-start searches outside the cell are skipped). A pattern
-        its compiler refuses runs the full bounded evaluation and then
+        its NFA cannot serve runs the full bounded evaluation and then
         filters, so K shards would each pay the whole cost — K× the CPU
         for zero division. Those queries run as a single unrestricted
         shard instead.

@@ -174,7 +174,3 @@ class ArithConditioned(ast.PatternExtension):
             right = evaluate_term(self.right, graph, mu)
             if left is not None and left == right:
                 yield (path, mu)
-
-    def erase_ext(self, erased_children) -> ast.Pattern:
-        # Arithmetic conditions are dropped like ordinary conditions.
-        return erased_children[0]

@@ -8,8 +8,12 @@ a Boolean combination of labels:
 - ``LabelAnd`` / ``LabelOr`` / ``LabelNot`` — Boolean combinations;
 - ``LabelWildcard()`` — any element (even label-less).
 
-:class:`NodeWithLabelExpr` and :class:`EdgeWithLabelExpr` mirror the
-core atomic patterns through the extension protocol.
+An expression is a test on one element's label set (calling it with the
+set runs :func:`satisfies_label_expr`). :class:`NodeWithLabelExpr` and
+:class:`EdgeWithLabelExpr` mirror the core atomic patterns through the
+extension protocol; in the register NFA each is a node test or a step
+whose label test is the expression, so the register route serves them
+exactly.
 """
 
 from __future__ import annotations
@@ -37,30 +41,36 @@ __all__ = [
 ]
 
 
+class _LabelTest:
+    def __call__(self, labels: frozenset[str]) -> bool:
+        """Whether an element with ``labels`` satisfies the expression."""
+        return satisfies_label_expr(labels, self)
+
+
 @dataclass(frozen=True)
-class LabelAtom:
+class LabelAtom(_LabelTest):
     label: str
 
 
 @dataclass(frozen=True)
-class LabelAnd:
+class LabelAnd(_LabelTest):
     left: "LabelExpr"
     right: "LabelExpr"
 
 
 @dataclass(frozen=True)
-class LabelOr:
+class LabelOr(_LabelTest):
     left: "LabelExpr"
     right: "LabelExpr"
 
 
 @dataclass(frozen=True)
-class LabelNot:
+class LabelNot(_LabelTest):
     inner: "LabelExpr"
 
 
 @dataclass(frozen=True)
-class LabelWildcard:
+class LabelWildcard(_LabelTest):
     pass
 
 
@@ -154,9 +164,8 @@ class NodeWithLabelExpr(ast.PatternExtension):
                 )
                 yield (Path.node(node), mu)
 
-    def erase_ext(self, erased_children) -> ast.Pattern:
-        # Over-approximate: label expressions are dropped like conditions.
-        return ast.NodePattern()
+    def compile_register_ext(self, builder, compile_child):
+        return builder.node(self.variable, self.expression)
 
 
 @dataclass(frozen=True)
@@ -217,5 +226,5 @@ class EdgeWithLabelExpr(ast.PatternExtension):
                     yield (Path.of(ends[0], edge, ends[1]), mu(edge))
                     yield (Path.of(ends[1], edge, ends[0]), mu(edge))
 
-    def erase_ext(self, erased_children) -> ast.Pattern:
-        return ast.EdgePattern(self.direction)
+    def compile_register_ext(self, builder, compile_child):
+        return builder.edge(self.direction, self.expression, self.variable)

@@ -76,10 +76,6 @@ class RestrictedSubpattern(ast.PatternExtension):
             self.restrictor, evaluator.evaluate(self.pattern, max_length)
         )
 
-    def erase_ext(self, erased_children) -> ast.Pattern:
-        # Restrictors only remove matches; the child over-approximates.
-        return erased_children[0]
-
 
 @dataclass(frozen=True)
 class WitnessMarked(ast.PatternExtension):
@@ -115,9 +111,6 @@ class WitnessMarked(ast.PatternExtension):
     def evaluate_ext(self, evaluator, max_length: int):
         for path, mu in evaluator.evaluate(self.pattern, max_length):
             yield (path, mu.bind(self.witness, path))
-
-    def erase_ext(self, erased_children) -> ast.Pattern:
-        return erased_children[0]
 
 
 def evaluate_gql_rationale(

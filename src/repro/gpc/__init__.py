@@ -82,7 +82,6 @@ from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.pretty import pretty
 from repro.gpc.typing import check_condition, infer_schema, is_well_typed
 from repro.gpc.types import (
-    BoolType,
     EdgeType,
     GroupType,
     MaybeType,
@@ -121,7 +120,6 @@ __all__ = [
     "PathType",
     "MaybeType",
     "GroupType",
-    "BoolType",
     "infer_schema",
     "is_well_typed",
     "check_condition",

@@ -576,14 +576,15 @@ def _rewrite_repeat(
 def _bind_sites_step(
     pattern: ast.Pattern, parts: tuple[frozenset[str], ...]
 ) -> frozenset[str]:
-    """Variables bound at a plain descriptor site — outside repetition
-    bodies (which rebind per iteration) and extension constructs
-    (opaque to the register compiler's push environment). A step for
-    ``ast.fold``."""
+    """Variables bound at a descriptor site outside repetition bodies
+    (which rebind per iteration): a core atom's, or an extension's own
+    (a label expression's). A step for ``ast.fold``."""
     if isinstance(pattern, (ast.NodePattern, ast.EdgePattern)):
         return frozenset((pattern.variable,)) - {None}
-    if isinstance(pattern, (ast.Repeat, ast.PatternExtension)):
+    if isinstance(pattern, ast.Repeat):
         return frozenset()
+    if isinstance(pattern, ast.PatternExtension):
+        return frozenset().union(*parts, pattern.own_variables())
     return frozenset().union(*parts)
 
 
@@ -629,10 +630,9 @@ def _pushdown_diagnostics(
                 Diagnostic(
                     ATOM_VARIABLE_REBINDS,
                     "info",
-                    f"`{atom.variable}` binds inside a repetition or "
-                    f"extension construct (it rebinds per iteration / "
-                    f"binds opaquely), so the atom cannot become a "
-                    f"bitmask probe",
+                    f"`{atom.variable}` binds inside a repetition (it "
+                    f"rebinds per iteration), so the atom cannot become "
+                    f"a bitmask probe",
                     _span(atom),
                 )
             )

@@ -67,7 +67,6 @@ __all__ = [
     "with_children",
     "fold",
     "variables",
-    "erase",
     "pattern_size",
     "iter_subpatterns",
     "iter_queries",
@@ -224,14 +223,15 @@ class PatternExtension:
     ``max_path_length_ext(maxes)``  ``minlength.max_path_length``'s step
     ``provably_empty_ext()``        ``analysis.analyze_query``'s step
     ``evaluate_ext(evaluator, L)``  ``semantics.BoundedEvaluator``
-    ``erase_ext(erased)``           :func:`erase`
+    ``compile_register_ext(b, c)``  ``register_nfa.compile_register_nfa``
     ==============================  ====================================
 
     The ``*_ext(child_results)`` hooks receive the fold's child results
     in ``children()`` order. Facts without a hook take their
     conservative value on an extension: footprint ``BOTTOM``, endpoints
-    unconstrained, a neutral cardinality guess, no register NFA (the
-    span matcher serves ``shortest``), ``repr`` for concrete syntax.
+    unconstrained, a neutral cardinality guess, ``repr`` for concrete
+    syntax. ``compile_register_ext`` has a default for a construct with
+    one child whose matches it only removes or annotates.
     """
 
     def children(self) -> tuple["Pattern", ...]:
@@ -276,11 +276,18 @@ class PatternExtension:
         :class:`~repro.gpc.semantics.BoundedEvaluator`."""
         raise NotImplementedError
 
-    def erase_ext(self, erased_children: Sequence["Pattern"]) -> "Pattern":
-        """A core pattern without variables or conditions that matches
-        every path this construct matches (see :func:`erase`), given
-        the children's erasures."""
-        raise NotImplementedError
+    def compile_register_ext(
+        self, builder, compile_child: Callable[["Pattern"], tuple[int, int]]
+    ) -> tuple[int, int]:
+        """This construct's ``(start, end)`` states in the register NFA
+        ``builder`` grows: an atom through ``builder.node`` /
+        ``builder.edge``, a child through ``compile_child``. The default
+        compiles the one child in its place and marks the NFA inexact —
+        sound for a construct that only removes or annotates its child's
+        matches, whose every path the NFA then still accepts."""
+        (child,) = self.children()
+        builder.approximated.append(type(self).__name__)
+        return compile_child(child)
 
 
 Pattern = TUnion[
@@ -592,27 +599,6 @@ def variables(expression: Expression) -> frozenset[str]:
             out.update(sub.own_variables())
     out.discard(None)
     return frozenset(out)
-
-
-def erase(pattern: Pattern) -> Pattern:
-    """``pattern`` without its conditions and variables, each extension
-    construct replaced by the core pattern its ``erase_ext`` supplies.
-    What is left — labels, directions, repetition counts — matches the
-    path of every match of ``pattern``: the endpoint pairs it connects
-    are a superset of the pattern's, its minimum lengths lower bounds
-    on theirs. ``shortest`` deepens towards them where the register
-    compiler refuses the pattern itself."""
-    return fold(pattern, _erase_step)
-
-
-def _erase_step(pattern: Pattern, erased: tuple[Pattern, ...]) -> Pattern:
-    if isinstance(pattern, (NodePattern, EdgePattern)):
-        return replace(pattern, descriptor=Descriptor(label=pattern.label))
-    if isinstance(pattern, Conditioned):
-        return erased[0]
-    if isinstance(pattern, PatternExtension):
-        return pattern.erase_ext(erased)
-    return with_children(pattern, erased)
 
 
 def pattern_size(expression: Expression) -> int:

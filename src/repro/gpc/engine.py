@@ -2,19 +2,18 @@
 
 :class:`Evaluator` ties everything together:
 
-- ``trail`` and ``simple`` walk the pattern's register automaton of
-  :mod:`repro.gpc.register_nfa`, never repeating an edge (a node); a
-  pattern its compiler refuses takes the bounded compositional
-  evaluator (:mod:`repro.gpc.semantics`) at the Lemma 16 bounds
-  ``|E_d| + |E_u|`` and ``|N|``, pruning as it builds;
-- ``shortest`` keeps, per endpoint pair, only the answers whose
-  witnessing path has minimum length, which the register automaton of
-  :mod:`repro.gpc.register_nfa` finds exactly. A pattern its compiler
-  refuses is, if its match length is unbounded, *iteratively deepened*
-  towards the pairs its erasure (:func:`repro.gpc.ast.erase`) connects:
-  they over-approximate the truly matchable pairs, so deepening stops
-  as soon as every candidate pair has been found (or refuted at the
-  configured cap);
+- every pattern compiles into one register automaton
+  (:mod:`repro.gpc.register_nfa`). An exact one serves the pattern:
+  ``trail`` and ``simple`` walk it, never repeating an edge (a node),
+  and ``shortest`` keeps, per endpoint pair, the answers whose path has
+  the minimum length its search finds;
+- an arithmetic condition, a nested restrictor or a witness marker
+  makes it over-approximate (exact ``shortest`` under counts is
+  undecidable, Proposition 14). Then ``trail`` and ``simple`` take the
+  bounded evaluator (:mod:`repro.gpc.semantics`) at the Lemma 16
+  bounds ``|E_d| + |E_u|`` and ``|N|``, pruning as it builds, and an
+  unbounded ``shortest`` is *iteratively deepened* until every pair the
+  automaton connects has been found (or refuted at the configured cap);
 - queries are restricted patterns, optionally named (``x = r p``), and
   joins combine answers by unifying assignments (the type system
   guarantees only singleton variables are shared).
@@ -61,7 +60,6 @@ from repro.gpc.typing import infer_schema
 from repro.gpc.values import Nothing
 from repro.gpc.register_nfa import (
     RegisterNFA,
-    UnsupportedPattern,
     collect_requirement,
     compile_register_nfa,
     coreachable,
@@ -91,8 +89,8 @@ class EngineConfig:
         rather than silently dropping potentially valid answers
         (set ``lenient_shortest=True`` to accept the approximation).
     ``automaton_state_limit``
-        Cap on the states of a compiled register automaton — the
-        pattern's, or its erasure's (repetition bounds unroll).
+        Cap on the states of a pattern's compiled register automaton
+        (repetition bounds unroll).
     ``max_intermediate_results`` / ``max_power_iterations``
         Resource fail-safes for the bounded evaluator.
     ``use_planner``
@@ -135,10 +133,10 @@ DEFAULT_CONFIG = EngineConfig()
 
 class PatternPlan:
     """What a :class:`QueryPlan` derives from one pattern, each part
-    computed on first use: the endpoint constraints, the :attr:`route`
-    its pattern queries take — decided once, executed by the evaluator
-    and printed by ``explain`` — where its witnesses get their
-    assignments, and the erasure's automaton."""
+    computed on first use: the endpoint constraints, the pattern's
+    register NFA, the :attr:`route` its pattern queries take — decided
+    once, executed by the evaluator and printed by ``explain`` — and
+    where its witnesses get their assignments."""
 
     def __init__(self, pattern: ast.Pattern, config: EngineConfig):
         self.pattern = pattern
@@ -150,20 +148,36 @@ class PatternPlan:
         return plan_shortest(self.pattern)
 
     @cached_property
+    def nfa(self) -> RegisterNFA:
+        """The pattern's register NFA: exact, or the over-approximation
+        the deepening route takes its candidate pairs from."""
+        return compile_register_nfa(
+            self.pattern,
+            self.config.automaton_state_limit,
+            self.config.use_pushdown,
+        )
+
+    @cached_property
     def route(self) -> tuple[str, RegisterNFA | None, str | None]:
         """How the pattern is served (a bare ``shortest``'s name, which
-        ``explain`` prints), the pattern's register NFA on the register
-        route and, off it, why the compiler refused the pattern."""
-        try:
-            nfa = compile_register_nfa(
-                self.pattern,
-                self.config.automaton_state_limit,
-                self.config.use_pushdown,
-            )
-        except UnsupportedPattern as refusal:
-            bounded = max_path_length(self.pattern) is not None
-            return BOUNDED_FILTER if bounded else DEEPENING, None, str(refusal)
-        return REGISTER, nfa, None
+        ``explain`` prints), its register NFA on the register route
+        and, off it, why the NFA cannot serve it: it over-approximates,
+        or the pattern needs the span matcher, which has no extension
+        case."""
+        nfa = self.nfa
+        requirement = collect_requirement(self.pattern, self.config.collect_mode)
+        if not nfa.exact:
+            names = " and ".join(dict.fromkeys(nfa.approximated))
+            why = f"the automaton runs the child of {names} in its place"
+        elif requirement is not None and any(
+            isinstance(sub, ast.PatternExtension)
+            for sub in ast.iter_subpatterns(self.pattern)
+        ):
+            why = f"{requirement}; the span matcher has no extension case"
+        else:
+            return REGISTER, nfa, None
+        bounded = max_path_length(self.pattern) is not None
+        return BOUNDED_FILTER if bounded else DEEPENING, None, why
 
     @cached_property
     def assignment_source(self) -> tuple[str | None, dict[str, object]]:
@@ -178,15 +192,6 @@ class PatternPlan:
         return (
             collect_requirement(self.pattern, self.config.collect_mode),
             {variable: Nothing for variable in infer_schema(self.pattern)},
-        )
-
-    @cached_property
-    def erased_nfa(self) -> RegisterNFA:
-        """The register NFA of the pattern's erasure
-        (:func:`repro.gpc.ast.erase`): it tracks nothing, and the pairs
-        it connects over-approximate the pattern's."""
-        return compile_register_nfa(
-            ast.erase(self.pattern), self.config.automaton_state_limit
         )
 
 
@@ -254,8 +259,8 @@ class QueryPlan:
         return found
 
     def register_nfa(self, pattern: ast.Pattern) -> RegisterNFA | None:
-        """The pattern's register NFA, or ``None`` if unsupported
-        (:attr:`PatternPlan.route` then says why)."""
+        """The pattern's register NFA on the register route, else
+        ``None`` (:attr:`PatternPlan.route` then says why)."""
         return self.pattern_plan(pattern).route[1]
 
     def shortest_plan(self, pattern: ast.Pattern) -> ShortestPlan:
@@ -310,9 +315,7 @@ class QueryPlan:
                 target = analysis.simplified
         for pattern_query in self._pattern_queries(target):
             record = self.pattern_plan(pattern_query.pattern)
-            _ = record.shortest_plan, record.assignment_source
-            if record.route[0] is DEEPENING and pattern_query.restrictor.mode is None:
-                _ = record.erased_nfa
+            _ = record.shortest_plan, record.assignment_source, record.route
 
     def _pattern_queries(self, query: ast.Query):
         for current in ast.iter_queries(query):
@@ -619,17 +622,15 @@ class Evaluator:
         answers: set[Match] = set()
         matched = 0
         counters = active_counters()
-        starts, end_filter = self._shortest_candidates(pattern, restriction)
-        if not starts or end_filter == frozenset():
-            return frozenset()  # proven by the planner: lower nothing
+        search = self._search(pattern, rnfa, restriction)
+        if search is None:
+            return frozenset()
+        starts, end_filter, program, reach = search
         view = self._view
-        # Lowered onto the snapshot once and shared across every seed.
         # Run-complete, the registers of a witness's runs *are* its
         # assignments, so the witness pass tracks every variable and
         # every group register; the search carries only the variables
         # that can constrain a run.
-        program = lower_program(rnfa, view, values=self.values)
-        reach = None if end_filter is None else coreachable(program, end_filter)
         walker = (
             program.retracked((*rnfa.sites, *rnfa.groups))
             if needs_collect is None
@@ -676,8 +677,6 @@ class Evaluator:
                     # fails collect unification. Probe upward until a
                     # witness with a defined assignment appears.
                     while True:
-                        if counters is not None:
-                            counters.deepening_rounds += 1
                         check_deadline()
                         found = False
                         for witness, runs in witnesses:
@@ -696,6 +695,8 @@ class Evaluator:
                                 f"raise EngineConfig.shortest_deepening_limit "
                                 f"or set lenient_shortest=True"
                             )
+                        if counters is not None:
+                            counters.deepening_rounds += 1
                         witnesses = walks_from(start, {end: length}).get(end, ())
         finally:
             if counters is not None:
@@ -737,31 +738,35 @@ class Evaluator:
             starts = tuple(n for n in starts if n in restriction)
         return starts, (None if ends is None else frozenset(ends))
 
-    def _erased_candidates(
+    def _search(
+        self,
+        pattern: ast.Pattern,
+        nfa: RegisterNFA,
+        restriction: frozenset[NodeId] | None = None,
+    ):
+        """The seeds and end filter of :meth:`_shortest_candidates`,
+        ``nfa`` lowered once for every seed and the states that reach
+        an end; ``None`` when the planner proves there is nothing."""
+        starts, end_filter = self._shortest_candidates(pattern, restriction)
+        if not starts or end_filter == frozenset():
+            return None
+        program = lower_program(nfa, self._view, values=self.values)
+        reach = None if end_filter is None else coreachable(program, end_filter)
+        return starts, end_filter, program, reach
+
+    def _deepening_candidates(
         self,
         pattern: ast.Pattern,
         restriction: frozenset[NodeId] | None = None,
     ) -> dict[tuple[NodeId, NodeId], int]:
-        """The endpoint pairs the pattern's erasure connects, each with
-        its minimum length: a superset of the pairs ``pattern`` matches
-        and a lower bound on their minima — one search per seed
-        (:meth:`_shortest_candidates`) over the lowered erasure, pruned
-        as :meth:`_eval_shortest` prunes its own, and by the nodes the
-        pattern's boundary factors admit (:meth:`_boundary_nodes`), so a
-        pair no match can have is never waited for."""
-        starts, end_filter = self._shortest_candidates(pattern, restriction)
-        leading = self._boundary_nodes(pattern, leading=True)
-        if leading is not None:
-            starts = tuple(n for n in starts if n in leading)
-        trailing = self._boundary_nodes(pattern, leading=False)
-        if trailing is not None:
-            end_filter = trailing if end_filter is None else end_filter & trailing
-        if not starts or end_filter == frozenset():
+        """The endpoint pairs the pattern's NFA connects, each at its
+        minimum length: when the NFA over-approximates, a superset of
+        the pattern's pairs and lower bounds on their minima. Found by
+        :meth:`_eval_shortest`'s search."""
+        search = self._search(pattern, self.plan.pattern_plan(pattern).nfa, restriction)
+        if search is None:
             return {}
-        program = lower_program(
-            self.plan.pattern_plan(pattern).erased_nfa, self._view
-        )
-        reach = None if end_filter is None else coreachable(program, end_filter)
+        starts, end_filter, program, reach = search
         candidates: dict[tuple[NodeId, NodeId], int] = {}
         for start in starts:
             check_deadline()
@@ -770,33 +775,15 @@ class Evaluator:
                     candidates[start, end] = length
         return candidates
 
-    def _boundary_nodes(
-        self, pattern: ast.Pattern, leading: bool
-    ) -> frozenset[NodeId] | None:
-        """The nodes a match of ``pattern`` can start (``leading``) or
-        end at, when the factor at that end always matches a single
-        node: that factor's own matches, which the erasure does not see
-        (a label expression erases to any node). ``None`` when the
-        factor may match an edge."""
-        while isinstance(pattern, (ast.Concat, ast.Conditioned)):
-            if isinstance(pattern, ast.Conditioned):
-                pattern = pattern.pattern  # its matches are a subset
-            else:
-                pattern = pattern.left if leading else pattern.right
-        if max_path_length(pattern) != 0:
-            return None
-        return frozenset(match[0].src for match in self._bounded.evaluate(pattern, 0))
-
     def _eval_deepening(
         self,
         pattern: ast.Pattern,
         restriction: frozenset[NodeId] | None = None,
     ) -> frozenset[Match]:
         """The bounded denotation of ``pattern`` at a length by which
-        every candidate pair has matched: the deepening route of
-        ``shortest``, for unbounded patterns the register compiler
-        refuses."""
-        candidates = self._erased_candidates(pattern, restriction)
+        every candidate pair (:meth:`_deepening_candidates`) has
+        matched: the deepening route of ``shortest``."""
+        candidates = self._deepening_candidates(pattern, restriction)
         if not candidates:
             return frozenset()
         limit = self.config.shortest_deepening_limit
@@ -822,8 +809,8 @@ class Evaluator:
                 raise EvaluationLimitError(
                     f"shortest: {len(remaining)} candidate endpoint pair(s) "
                     f"unresolved at deepening limit {limit}; they may be "
-                    f"unmatchable (conditions pruned the erasure) or "
-                    f"require longer paths. Raise "
+                    f"unmatchable (the automaton over-approximates the "
+                    f"pattern) or require longer paths. Raise "
                     f"EngineConfig.shortest_deepening_limit or set "
                     f"lenient_shortest=True."
                 )

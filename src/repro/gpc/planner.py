@@ -600,7 +600,7 @@ DEEPENING = "abstraction-guided deepening"
 
 def describe_route(restrictor: ast.Restrictor, route: str, why) -> str:
     """How a pattern query is served when its pattern takes ``route``,
-    and why the register compiler refused the pattern if it did."""
+    and why its register NFA cannot serve it if it cannot."""
     mode = restrictor.mode
     if mode is not None:
         bound = "|E|, pruned to trails" if mode == "trail" else "|N|, pruned to simple"

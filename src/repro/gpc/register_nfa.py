@@ -1,17 +1,11 @@
-"""Register automata for exact ``shortest`` evaluation.
+"""Register automata for ``shortest`` and the ``trail`` / ``simple`` walks.
 
-A pattern's *erasure* (:func:`repro.gpc.ast.erase`) over-approximates
-it: without property conditions *and* the implicit joins of repeated
-variables it may connect endpoint pairs no true match connects.
-Computing ``shortest`` by iterative deepening against such candidates
-explodes (the bounded denotation of a pattern grows exponentially with
-the length horizon — Theorem 13); the engine keeps that route only for
-the extension constructs this compiler refuses.
-
-This module compiles patterns into *register* NFAs:
+Every pattern compiles into one register NFA:
 
 - ``bind(x)`` transitions bind (or check) a register against the
   current node;
+- node tests and edge steps carry a *label test* — a label, or a test
+  on the element's whole label set (a Section 7 label expression);
 - edge steps optionally bind/check an edge register;
 - ``check(theta)`` transitions evaluate property conditions against
   the bound registers (well-typedness guarantees the variables are
@@ -21,6 +15,12 @@ This module compiles patterns into *register* NFAs:
   and, with the ``open``/``close`` transitions that bracket the
   repetition, mark where each iteration begins and ends — what
   ``collect`` needs to build the body variables' lists.
+
+An extension construct compiles through its
+:meth:`~repro.gpc.ast.PatternExtension.compile_register_ext` hook. A
+wrapper that only removes or annotates its child's matches compiles as
+its child and marks the NFA inexact (:attr:`RegisterNFA.exact`); the
+engine then takes from it only the pairs its deepening route waits for.
 
 The NFA is lowered once per evaluation onto the snapshot it runs on
 (:func:`lower_program`, one :class:`ShortestProgram`), keeping at run
@@ -82,7 +82,6 @@ from repro.obs.deadline import check_deadline
 
 __all__ = [
     "RegisterNFA",
-    "UnsupportedPattern",
     "compile_register_nfa",
     "collect_requirement",
     "ShortestProgram",
@@ -100,9 +99,17 @@ __all__ = [
 ]
 
 
-class UnsupportedPattern(Exception):
-    """The pattern uses a construct the register compiler cannot
-    handle (engine falls back to bounded deepening)."""
+#: What a node test or an edge step asks of an element's labels:
+#: ``None`` nothing, a string that label, anything else is a hashable
+#: predicate on the label set (a label expression).
+LabelTest = Union[None, str, Callable[[frozenset], bool]]
+
+
+def _admits(test: LabelTest, labels: frozenset) -> bool:
+    """Whether an element with ``labels`` passes ``test``."""
+    if test is None:
+        return True
+    return test in labels if isinstance(test, str) else test(labels)
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ class _Eps:
 
 @dataclass(frozen=True)
 class _NodeTest:
-    label: str
+    label: LabelTest
 
 
 #: Pushed ``x.key = const`` atoms attached to a bind/step site:
@@ -121,6 +128,7 @@ class _NodeTest:
 #: truth :func:`repro.gpc.conditions.satisfies` computes), or the
 #: transition is blocked.
 PushedProps = frozenset
+_NO_PROPS: PushedProps = frozenset()
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,7 @@ class _Close:
 @dataclass(frozen=True)
 class _EdgeStep:
     direction: Direction
-    label: Optional[str]
+    label: LabelTest
     variable: Optional[str]
     props: PushedProps = frozenset()
 
@@ -182,6 +190,16 @@ class RegisterNFA:
     #: unrolled copies of a repetition body counted once, each copy
     #: being cut off from the next by the body's reset
     sites: dict[str, int] = field(default_factory=dict)
+    #: the extension constructs compiled as their child alone
+    approximated: tuple[str, ...] = ()
+
+    @property
+    def exact(self) -> bool:
+        """Whether a run accepts exactly the pattern's paths, with its
+        registers. Otherwise the NFA over-approximates: it connects a
+        superset of the pattern's endpoint pairs, at lengths no greater
+        than their minima."""
+        return not self.approximated
 
     @cached_property
     def backward_distances(self) -> tuple[int, ...]:
@@ -243,8 +261,19 @@ class RegisterNFA:
         return out
 
 
+#: Compile-time environment: variable -> pushed (key, const) atoms the
+#: enclosing Conditioned wrappers want tested at that variable's
+#: bind/step sites.
+_PushEnv = dict
+
+
 @dataclass
 class _Builder:
+    """What :func:`compile_register_nfa` grows, and what an extension's
+    :meth:`~repro.gpc.ast.PatternExtension.compile_register_ext` hook
+    builds with: :meth:`node` and :meth:`edge` compile an atom, each
+    returning its ``(start, end)`` states."""
+
     state_limit: int = 100_000
     pushdown: bool = False
     zero: list[list[tuple[object, int]]] = field(default_factory=list)
@@ -261,6 +290,11 @@ class _Builder:
     counting: bool = True
     #: how many variable-binding repetitions enclose the current node
     depth: int = 0
+    #: :attr:`RegisterNFA.approximated`, one entry per compiled copy
+    approximated: list[str] = field(default_factory=list)
+    #: the atoms the enclosing Conditioned wrappers push to each
+    #: variable's sites (empty inside a repetition body)
+    pushed: _PushEnv = field(default_factory=dict)
 
     def new_state(self) -> int:
         if len(self.zero) >= self.state_limit:
@@ -275,20 +309,39 @@ class _Builder:
     def add_zero(self, source: int, op: object, target: int) -> None:
         self.zero[source].append((op, target))
 
-    def add_step(self, source: int, step: _EdgeStep, target: int) -> None:
-        self.steps[source].append((step, target))
-
-    def note_attached(self, variable: str) -> None:
-        self.attached[variable] = self.attached.get(variable, 0) + 1
-
-    def note_site(self, variable: str) -> None:
+    def _site(self, variable: Optional[str]) -> PushedProps:
+        """Note a site of ``variable``: the atoms it carries."""
+        if variable is None:
+            return _NO_PROPS
         self.sites[variable] = self.sites.get(variable, 0) + self.counting
+        props = self.pushed.get(variable)
+        if not props:
+            return _NO_PROPS
+        self.attached[variable] = self.attached.get(variable, 0) + 1
+        return props
 
+    def node(self, variable: Optional[str], test: LabelTest) -> tuple[int, int]:
+        """``(x:test)``: a node test, then a bind of ``variable``
+        carrying the atoms pushed to it."""
+        start = current = self.new_state()
+        end = self.new_state()
+        if test is not None:
+            current = self.new_state()
+            self.add_zero(start, _NodeTest(test), current)
+        if variable is None:
+            self.add_zero(current, _Eps(), end)
+        else:
+            self.add_zero(current, _Bind(variable, self._site(variable)), end)
+        return start, end
 
-#: Compile-time environment: variable -> pushed (key, const) atoms the
-#: enclosing Conditioned wrappers want tested at that variable's
-#: bind/step sites.
-_PushEnv = dict
+    def edge(
+        self, direction: Direction, test: LabelTest, variable: Optional[str]
+    ) -> tuple[int, int]:
+        """``-[x:test]->`` in ``direction``: one step."""
+        start, end = self.new_state(), self.new_state()
+        props = self._site(variable)
+        self.steps[start].append((_EdgeStep(direction, test, variable, props), end))
+        return start, end
 
 
 def compile_register_nfa(
@@ -304,15 +357,11 @@ def compile_register_nfa(
     candidates die at bind time) and elided from the residual CHECK.
     Elision only happens when compilation proves an in-subtree site
     took the atom; atoms whose variable binds only inside a repetition
-    body or an extension child fall back to the residual check, so the
-    rewrite is answer-preserving by construction.
-
-    Raises :class:`UnsupportedPattern` for extension constructs that do
-    not fit the register model (e.g. arithmetic conditions over group
-    counts).
+    body fall back to the residual check, so the rewrite is
+    answer-preserving by construction.
     """
     builder = _Builder(state_limit=state_limit, pushdown=pushdown)
-    start, end = _compile(pattern, builder, {})
+    start, end = _compile(pattern, builder)
     return RegisterNFA(
         num_states=len(builder.zero),
         initial=start,
@@ -321,103 +370,64 @@ def compile_register_nfa(
         steps=tuple(tuple(s) for s in builder.steps),
         pushed_atoms=builder.pushed_atoms,
         sites=builder.sites,
+        approximated=tuple(builder.approximated),
     )
 
 
-def _compile(
-    pattern: ast.Pattern, builder: _Builder, pushed: _PushEnv
-) -> tuple[int, int]:
+def _compile(pattern: ast.Pattern, builder: _Builder) -> tuple[int, int]:
     if isinstance(pattern, ast.NodePattern):
-        start = builder.new_state()
-        end = builder.new_state()
-        current = start
-        if pattern.label is not None:
-            mid = builder.new_state()
-            builder.add_zero(current, _NodeTest(pattern.label), mid)
-            current = mid
-        if pattern.variable is not None:
-            builder.note_site(pattern.variable)
-            props = pushed.get(pattern.variable)
-            if props:
-                builder.add_zero(
-                    current, _Bind(pattern.variable, props), end
-                )
-                builder.note_attached(pattern.variable)
-            else:
-                builder.add_zero(current, _Bind(pattern.variable), end)
-        else:
-            builder.add_zero(current, _Eps(), end)
-        return start, end
+        return builder.node(pattern.variable, pattern.label)
     if isinstance(pattern, ast.EdgePattern):
-        start = builder.new_state()
-        end = builder.new_state()
-        variable = pattern.variable
-        props = pushed.get(variable) if variable is not None else None
-        if variable is not None:
-            builder.note_site(variable)
-            if props:
-                builder.note_attached(variable)
-        builder.add_step(
-            start,
-            _EdgeStep(
-                pattern.direction,
-                pattern.label,
-                variable,
-                props or frozenset(),
-            ),
-            end,
-        )
-        return start, end
+        return builder.edge(pattern.direction, pattern.label, pattern.variable)
     if isinstance(pattern, ast.Concat):
-        left_start, left_end = _compile(pattern.left, builder, pushed)
-        right_start, right_end = _compile(pattern.right, builder, pushed)
+        left_start, left_end = _compile(pattern.left, builder)
+        right_start, right_end = _compile(pattern.right, builder)
         builder.add_zero(left_end, _Eps(), right_start)
         return left_start, right_end
     if isinstance(pattern, ast.Union):
         start = builder.new_state()
         end = builder.new_state()
         for branch in (pattern.left, pattern.right):
-            b_start, b_end = _compile(branch, builder, pushed)
+            b_start, b_end = _compile(branch, builder)
             builder.add_zero(start, _Eps(), b_start)
             builder.add_zero(b_end, _Eps(), end)
         return start, end
     if isinstance(pattern, ast.Conditioned):
-        return _compile_conditioned(pattern, builder, pushed)
+        return _compile_conditioned(pattern, builder)
     if isinstance(pattern, ast.Repeat):
         return _compile_repeat(pattern, builder)
     if isinstance(pattern, ast.PatternExtension):
-        raise UnsupportedPattern(
-            f"extension {type(pattern).__name__} has no register compilation"
+        return pattern.compile_register_ext(
+            builder, lambda child: _compile(child, builder)
         )
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
 def _compile_conditioned(
-    pattern: ast.Conditioned, builder: _Builder, pushed: _PushEnv
+    pattern: ast.Conditioned, builder: _Builder
 ) -> tuple[int, int]:
-    if not builder.pushdown:
-        inner_start, inner_end = _compile(pattern.pattern, builder, pushed)
-        end = builder.new_state()
-        builder.add_zero(inner_end, _Check(pattern.condition), end)
-        return inner_start, end
-    atoms, residue = split_pushdown(pattern.condition)
+    atoms, residue = (
+        split_pushdown(pattern.condition) if builder.pushdown else ({}, None)
+    )
     if not atoms:
-        inner_start, inner_end = _compile(pattern.pattern, builder, pushed)
+        inner_start, inner_end = _compile(pattern.pattern, builder)
         end = builder.new_state()
         builder.add_zero(inner_end, _Check(pattern.condition), end)
         return inner_start, end
-    child_env: _PushEnv = dict(pushed)
+    pushed = builder.pushed
+    builder.pushed = dict(pushed)
     for variable, var_atoms in atoms.items():
-        child_env[variable] = child_env.get(variable, frozenset()) | var_atoms
+        builder.pushed[variable] = pushed.get(variable, frozenset()) | var_atoms
     before = {v: builder.attached.get(v, 0) for v in atoms}
-    inner_start, inner_end = _compile(pattern.pattern, builder, child_env)
+    inner_start, inner_end = _compile(pattern.pattern, builder)
+    builder.pushed = pushed
     for variable in sorted(atoms):
         var_atoms = atoms[variable]
         if builder.attached.get(variable, 0) > before[variable]:
             # Some bind/step site of the variable inside the subtree
             # carries the test (and every accepting run traverses one:
             # the variable is in the inner schema, union branches share
-            # schemas, and repetition/extension sites never attach), so
+            # schemas, and repetition sites never attach), so
             # the residual check may drop the atom.
             builder.pushed_atoms += len(var_atoms)
         else:
@@ -459,7 +469,8 @@ def _compile_copies(
     loop, ``after_body`` closing each. Only the first copy's sites
     count: a run enters every later one through ``after_body``, the
     body's registers unbound."""
-    counting = builder.counting
+    counting, pushed = builder.counting, builder.pushed
+    builder.pushed = {}
 
     def body_copy(source: int) -> int:
         """One body iteration followed by a register reset.
@@ -470,7 +481,7 @@ def _compile_copies(
         the body binds afresh every iteration — attaching there would
         change which runs survive.
         """
-        b_start, b_end = _compile(pattern.pattern, builder, {})
+        b_start, b_end = _compile(pattern.pattern, builder)
         builder.counting = False
         builder.add_zero(source, _Eps(), b_start)
         after = builder.new_state()
@@ -491,7 +502,7 @@ def _compile_copies(
         for _ in range(pattern.upper - pattern.lower):
             current = body_copy(current)
             builder.add_zero(current, _Eps(), end)
-    builder.counting = counting
+    builder.counting, builder.pushed = counting, pushed
     return start, end
 
 
@@ -512,10 +523,8 @@ def collect_requirement(
     binds nothing it contributes nothing to the assignment, but outside
     ``GROUPING`` ``collect`` is undefined on an edgeless factor
     whatever it binds. ``pi{0,0}`` never iterates, so any body is fine
-    there. Extension constructs are opaque."""
+    there."""
     for sub in ast.iter_subpatterns(pattern):
-        if isinstance(sub, ast.PatternExtension):
-            return f"extension {type(sub).__name__}"
         if isinstance(sub, ast.Repeat) and iterates_edgeless_body(sub):
             bound = ast.variables(sub.pattern)
             if bound:
@@ -571,8 +580,6 @@ _CSR_KIND = {
 }
 #: The adjacency that walks a step over each one backwards.
 _REVERSED_KIND = {"out": "in", "in": "out", "und": "und"}
-
-_NO_PROPS: PushedProps = frozenset()
 
 #: Closure pairs per state beyond which a state stops folding — the
 #: backstop against 2^k mask lattices (a chain of k node-test unions).
@@ -790,13 +797,13 @@ class ShortestProgram:
 
 
 def _holds(
-    snapshot: GraphSnapshot, element: Any, label: Optional[str], props: PushedProps, values: tuple
+    snapshot: GraphSnapshot, element: Any, label: LabelTest, props: PushedProps, values: tuple
 ) -> bool:
-    """Whether ``element`` carries ``label`` and every pushed
-    ``key = const`` atom holds on it (defined and equal — the truth
-    :func:`repro.gpc.conditions.satisfies` computes), through the view
-    accessors."""
-    if label is not None and label not in snapshot.labels(element):
+    """Whether ``element`` passes the label test ``label`` and every
+    pushed ``key = const`` atom holds on it (defined and equal — the
+    truth :func:`repro.gpc.conditions.satisfies` computes), through the
+    view accessors."""
+    if label is not None and not _admits(label, snapshot.labels(element)):
         return False
     for key, const in props:
         value = snapshot.get_property(element, key)
@@ -816,10 +823,34 @@ def _pushed_prop_mask(
     return mask
 
 
-def _labelled_csr(core: Any, kind: str, label: Optional[str]) -> tuple:
+def _label_test_mask(snapshot: GraphSnapshot, test: LabelTest, memo: dict) -> Optional[bytes]:
+    """The dense-id bitmask of the core elements that pass ``test``
+    (``None`` when every element does): a label's own mask, or the test
+    evaluated once per interned label set and spread over
+    ``labelset_of`` in one pass, memoised in ``memo`` per test. Valid,
+    as a label's mask is, for every element whose labels the core
+    holds."""
+    if test is None:
+        return None
+    if isinstance(test, str):
+        return snapshot.label_mask(test)
+    mask = memo.get(test)
+    if mask is None:
+        core = snapshot._core
+        admitted = [test(labels) for labels in core.labelsets]
+        buf = bytearray((len(core.elements) + 7) >> 3)
+        for d, index in enumerate(core.labelset_of):
+            if admitted[index]:
+                buf[d >> 3] |= 1 << (d & 7)
+        mask = memo[test] = bytes(buf)
+    return mask
+
+
+def _labelled_csr(core: Any, kind: str, label: LabelTest) -> tuple:
     """The core's CSR triple of adjacency ``kind`` over the edges that
-    carry ``label`` (every edge when ``None``)."""
-    if label is None:
+    carry ``label``; every edge for any other test, whose mask the step
+    probes per edge instead."""
+    if not isinstance(label, str):
         return core.csr(kind)
     return core.filtered_csr(kind, core.label_index.get(label, -1))
 
@@ -836,6 +867,7 @@ def lower_program(
     stay: clean nodes read an all-zero mask or an empty row."""
     snapshot = view.snapshot()
     core = snapshot._core
+    masks: dict = {}
     arc: tuple
     ops: list[tuple] = []
     for transitions in nfa.zero:
@@ -845,7 +877,7 @@ def lower_program(
             if kind is _Eps:
                 arc = (_ARC_FREE, None, None, None, _NO_PROPS)
             elif kind is _NodeTest:
-                label_mask = snapshot.label_mask(op.label)
+                label_mask = _label_test_mask(snapshot, op.label, masks)
                 arc = (_ARC_FREE, None, label_mask, op.label, _NO_PROPS)
             elif kind is _Bind:
                 prop_mask = _pushed_prop_mask(snapshot, op.props, values)
@@ -868,6 +900,8 @@ def lower_program(
         for step, target in steps:
             triple = _labelled_csr(core, _CSR_KIND[step.direction], step.label)
             prop_mask = _pushed_prop_mask(snapshot, step.props, values)
+            if not isinstance(step.label, str):  # else filtered_csr tested it
+                prop_mask = and_masks(prop_mask, _label_test_mask(snapshot, step.label, masks))
             row.append(triple + (prop_mask, None, target, step))
         rows.append(tuple(row))
     lowered = (tuple(ops), tuple(rows))

@@ -4,9 +4,10 @@ The grammar of types is::
 
     tau ::= Node | Edge | Path | Maybe(tau) | Group(tau)
 
-plus ``Bool`` for typing conditions. Types are immutable and hashable.
-:func:`maybe_wrap` implements the paper's ``tau?`` operation, which
-never produces ``Maybe(Maybe(tau))`` (cf. Proposition 4).
+Conditions are checked, not typed: a well-typed condition has no type
+of its own. Types are immutable and hashable. :func:`maybe_wrap`
+implements the paper's ``tau?`` operation, which never produces
+``Maybe(Maybe(tau))`` (cf. Proposition 4).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "NodeType",
     "EdgeType",
     "PathType",
-    "BoolType",
     "MaybeType",
     "GroupType",
     "Type",
@@ -53,14 +53,6 @@ class PathType:
 
     def __str__(self) -> str:
         return "Path"
-
-
-@dataclass(frozen=True)
-class BoolType:
-    """The type of well-typed conditions."""
-
-    def __str__(self) -> str:
-        return "Bool"
 
 
 @dataclass(frozen=True)

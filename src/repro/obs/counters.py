@@ -332,9 +332,11 @@ class EvalCounters(Counters):
       cost register/check ops and cost-1 edge steps);
     - ``search_states_pruned`` — product states that search found and
       never queued, as no end candidate is reachable from them;
-    - ``deepening_rounds`` — iterative-deepening rounds: witness-length
-      probes on the NFA route, one per (endpoint pair, probed length),
-      plus bound-doubling rounds of the deepening route;
+    - ``deepening_rounds`` — iterative-deepening rounds: lengths probed
+      on the NFA route past a pair's register minimum (the ``collect``
+      corner), one per (endpoint pair, probed length), plus
+      bound-doubling rounds of the deepening route; 0 when every pair
+      resolved at its minimum;
     - ``witness_steps`` — edge expansions tried by the per-seed witness
       enumeration, which serves ``shortest`` and walks every ``trail`` /
       ``simple`` (distinct ``(edge, successor)`` moves some run can take

@@ -129,22 +129,33 @@ class TestNFABuilder:
 
 class TestGPCAbstraction:
     """The engine's over-approximation of a pattern's endpoint pairs is
-    the pattern's erasure (``ast.erase``) run on the register NFA."""
+    the pattern's own register NFA: a wrapper compiles as its child, so
+    the wrapper's condition is dropped and the child's kept."""
 
     @staticmethod
-    def _candidates(graph, text, config=None):
+    def _candidates(graph, pattern, config=None):
         from repro.gpc.engine import Evaluator
         from repro.gpc.parser import parse_pattern
 
-        return Evaluator(graph, config)._erased_candidates(parse_pattern(text))
+        if isinstance(pattern, str):
+            pattern = parse_pattern(pattern)
+        return Evaluator(graph, config)._deepening_candidates(pattern)
 
     def test_condition_dropped(self):
+        from repro.extensions.arithmetic import ArithConditioned, TermConst
+        from repro.gpc.parser import parse_pattern
+
         graph = (
             GraphBuilder().node("a", k=1).node("b", k=2).edge("a", "b", "e").build()
         )
-        # The erasure ignores the (unsatisfiable) condition.
-        candidates = self._candidates(graph, "[(x) -> (y)] << x.k = y.k >>")
-        assert candidates == {(N("a"), N("b")): 1}
+        # The NFA ignores the wrapper's (unsatisfiable) condition ...
+        never = ArithConditioned(parse_pattern("(x) -> (y)"), TermConst(0), TermConst(1))
+        assert self._candidates(graph, never) == {(N("a"), N("b")): 1}
+        # ... and keeps the child's.
+        kept = ArithConditioned(
+            parse_pattern("[(x) -> (y)] << x.k = y.k >>"), TermConst(1), TermConst(1)
+        )
+        assert self._candidates(graph, kept) == {}
 
     def test_repetition_unrolled_exactly(self):
         distances = self._candidates(chain_graph(5, edge_label="e"), "->{2,3}")

@@ -6,22 +6,33 @@ import pytest
 
 from repro.cluster import SeedPartitioner
 from repro.direction import Direction
-from repro.extensions.label_expressions import EdgeWithLabelExpr, LabelAtom
+from repro.extensions.arithmetic import ArithConditioned, TermConst
+from repro.extensions.label_expressions import EdgeWithLabelExpr, LabelAtom, LabelOr
 from repro.gpc import ast
 from repro.gpc.parser import parse_query
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import social_network
 from repro.service import PreparedQuery
 
-#: A ``trail`` over an extension atom: the register compiler refuses
-#: it, so it takes the bounded route.
-_REFUSED = ast.PatternQuery(
+#: A ``trail`` over a label expression: its register NFA is exact, so
+#: it walks the register route.
+_LABEL_EXPR = ast.PatternQuery(
     ast.Restrictor.TRAIL,
     ast.concat(
         ast.node("x", "Person"),
-        EdgeWithLabelExpr(Direction.FORWARD, LabelAtom("knows")),
+        EdgeWithLabelExpr(
+            Direction.FORWARD, LabelOr(LabelAtom("knows"), LabelAtom("lives_in"))
+        ),
         ast.node("y"),
     ),
+)
+
+#: The same under an arithmetic condition: its NFA runs the child in
+#: the condition's place and over-approximates, so the register route
+#: refuses it and it takes the bounded route.
+_REFUSED = ast.PatternQuery(
+    ast.Restrictor.TRAIL,
+    ArithConditioned(_LABEL_EXPR.pattern, TermConst(1), TermConst(1)),
 )
 
 
@@ -123,11 +134,12 @@ class TestShardability:
             ("SIMPLE (x) ->{1,2} (y)", True),
             ("SHORTEST TRAIL (x) -> () -> (y)", True),
             ("TRAIL (x) -> (y), SHORTEST (y) ->{1,} (z)", True),
+            (_LABEL_EXPR, True),
             (_REFUSED, False),
             (ast.Join(_REFUSED, parse_query("TRAIL (y) -> (z)")), False),
         ],
         ids=["shortest", "shortest-left-join", "trail", "simple",
-             "shortest-trail", "trail-left-join", "refused",
+             "shortest-trail", "trail-left-join", "label-expr", "refused",
              "refused-left-join"],
     )
     def test_shardable(self, snap, text, shardable):
@@ -144,3 +156,14 @@ class TestShardability:
         prepared = PreparedQuery(_REFUSED)
         text = SeedPartitioner(2).describe(snap, prepared)
         assert "unsharded" in text
+
+    def test_a_label_expression_shards_losslessly(self):
+        from repro.cluster import ClusterService
+        from repro.gpc.engine import Evaluator
+
+        graph = social_network(num_people=20, friend_degree=3, seed=11)
+        whole = Evaluator(graph).evaluate(_LABEL_EXPR)
+        assert whole
+        with ClusterService(graph, backend="serial", num_workers=3) as cluster:
+            assert cluster.evaluate(_LABEL_EXPR, use_cache=False) == whole
+            assert cluster.stats.scatters == 3  # one shard task per cell

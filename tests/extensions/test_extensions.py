@@ -347,17 +347,19 @@ class TestExtensionsRender:
 
 
 class TestExplainNamesTheRouteTaken:
-    """The register compiler refuses extensions, so ``shortest`` runs
-    the fallback; ``explain`` must say so, and why."""
+    """A wrapper compiles as its child, so its NFA over-approximates and
+    ``shortest`` runs the fallback; ``explain`` must say so, and why. A
+    label expression compiles exactly and keeps the register route."""
 
-    REASON = "(extension EdgeWithLabelExpr has no register compilation)"
+    REASON = "(the automaton runs the child of WitnessMarked in its place)"
 
-    def _query(self, upper):
+    def _query(self, upper, wrapped=True):
+        hops = ast.Repeat(_EXTENSIONS["edge-label-expr"], 1, upper)
         return ast.PatternQuery(
             ast.Restrictor.SHORTEST,
             ast.concat(
                 ast.node("x", "Hub"),
-                ast.Repeat(_EXTENSIONS["edge-label-expr"], 1, upper),
+                WitnessMarked(hops, "w") if wrapped else hops,
                 ast.node("y", "Station"),
             ),
         )
@@ -374,8 +376,22 @@ class TestExplainNamesTheRouteTaken:
             answers = service.prepare(self._query(None)).execute(service.snapshot())
         assert len(answers) == 8
         assert counters.deepening_rounds > 0
-        # No witness pass: the search ran on the erasure, for candidates.
+        # No witness pass: the search ran on the NFA, for candidates.
         assert counters.witnesses == 0
+
+    def test_a_label_expression_takes_the_register_route(self):
+        service = GraphService(transport_network(2, 3))
+        text = service.explain(self._query(None, wrapped=False))
+        assert "register-NFA shortest;" in text
+        assert "deepening" not in text.split("diagnostics:")[0]
+        counters = EvalCounters()
+        with use_counters(counters):
+            answers = service.prepare(self._query(None, wrapped=False)).execute(
+                service.snapshot()
+            )
+        assert len(answers) == 8
+        assert counters.deepening_rounds == 0
+        assert counters.witnesses == 8
 
     def test_static_explain_names_the_planned_route(self):
         # explain_query prints the route PatternPlan.route plans, not a
@@ -384,6 +400,8 @@ class TestExplainNamesTheRouteTaken:
             (strategy, _report), = explain_query(self._query(upper)).items
             assert strategy.startswith(route) and strategy.endswith(self.REASON)
             assert "register-NFA" not in strategy
+            (strategy, _report), = explain_query(self._query(upper, False)).items
+            assert strategy == "register-NFA shortest"
         plain = ast.concat(ast.node("x", "Hub"), ast.Repeat(_HOP, 1, None), ast.node("y"))
         (strategy, _report), = explain_query(
             ast.PatternQuery(ast.Restrictor.SHORTEST, plain)

@@ -33,6 +33,7 @@ from repro.gpc.collect import CollectMode
 from repro.gpc.conditions_ast import And, Not, Or, PropertyEqualsConst
 from repro.gpc.engine import EngineConfig, Evaluator, QueryPlan
 from repro.gpc.parser import parse_query
+from repro.gpc.register_nfa import compile_register_nfa
 from repro.graph import GraphBuilder
 from repro.obs import EvalCounters, use_counters
 from repro.service import GraphService
@@ -182,16 +183,17 @@ class TestDiagnosticCodes:
         )
         assert an.ATOM_NOT_ON_SPINE in codes
 
-    def test_atom_variable_rebinds(self):
-        # `x` binds inside an extension construct, opaque to the
-        # register compiler's push environment.
+    def test_an_atom_on_a_label_expression_variable_is_pushed(self):
+        # `x` binds at a label expression's node test, which takes the
+        # atom like a core node pattern's bind site.
         pattern = ast.Conditioned(
             NodeWithLabelExpr(LabelAtom("P"), "x"),
             PropertyEqualsConst("x", "k", 1),
         )
         query = ast.PatternQuery(ast.Restrictor.TRAIL, pattern)
         codes = {d.code for d in analyze_query(query).diagnostics}
-        assert an.ATOM_VARIABLE_REBINDS in codes
+        assert an.ATOM_VARIABLE_REBINDS not in codes
+        assert compile_register_nfa(pattern, pushdown=True).pushed_atoms == 1
 
     def test_clean_query_is_quiet(self):
         assert lint_query("TRAIL (x:P) -[:r]-> (y:Q)") == ()

@@ -26,7 +26,6 @@ from repro.gpc.collect import CollectMode
 from repro.gpc.engine import EngineConfig, Evaluator
 from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.register_nfa import (
-    UnsupportedPattern,
     compile_register_nfa,
     enumerate_exact_length_walks,
     enumerate_shortest_witnesses,
@@ -128,14 +127,19 @@ class TestPairLengths:
         with pytest.raises(UnknownIdError):
             pair_lengths(chain_graph(2), nfa, N("nowhere"))
 
-    def test_unsupported_extension_raises(self):
+    def test_an_arithmetic_condition_compiles_as_its_child_inexactly(
+        self, pair_lengths
+    ):
         from repro.extensions.arithmetic import ArithConditioned, Count, TermConst
 
-        pattern = ArithConditioned(
-            parse_pattern("-[e]->{1,}"), Count("e"), TermConst(2)
-        )
-        with pytest.raises(UnsupportedPattern):
-            compile_register_nfa(pattern)
+        child = parse_pattern("-[e]->{1,}")
+        nfa = compile_register_nfa(ArithConditioned(child, Count("e"), TermConst(2)))
+        assert not nfa.exact and nfa.approximated == ("ArithConditioned",)
+        assert compile_register_nfa(child).exact
+        # The child's runs: every pair it connects, at its lengths, the
+        # pair of a single edge included, which #(e) = 2 refuses.
+        graph = chain_graph(3)
+        assert pair_lengths(graph, nfa, N("n0")) == {N("n1"): 1, N("n2"): 2, N("n3"): 3}
 
 
 class TestWitnessEnumeration:
@@ -328,7 +332,7 @@ class TestPerSeedWitnessPass:
         # 8 edge expansions for 8 targets, not 1 + 2 + ... + 8.
         assert counters.witness_steps == 8
         assert counters.witnesses == 8
-        assert counters.deepening_rounds == 8
+        assert counters.deepening_rounds == 0  # each pair at its minimum
         # No repeat body binds a variable: the runs are the answers.
         assert counters.witnesses_matched == 0
         grouped = EvalCounters()
@@ -363,7 +367,7 @@ class TestPerSeedWitnessPass:
                 graph, EngineConfig(collect_mode=runtime)
             ).evaluate(parse_query("SHORTEST [(x) + ->]{2,2}"))
         assert [len(a.path) for a in answers] == [2]
-        assert counters.deepening_rounds == 3  # probed 0, 1, 2
+        assert counters.deepening_rounds == 2  # probed 1 and 2 past 0
         assert counters.witnesses_matched == 3
 
     @pytest.mark.parametrize(

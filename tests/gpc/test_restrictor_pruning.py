@@ -17,6 +17,7 @@ import pytest
 from reference import reference_answers
 
 from repro.direction import Direction
+from repro.extensions.arithmetic import ArithConditioned, TermConst
 from repro.extensions.label_expressions import EdgeWithLabelExpr, LabelAtom
 from repro.extensions.mixed_restrictors import RestrictedSubpattern
 from repro.gpc import ast
@@ -189,12 +190,17 @@ class TestExtensionsSeeTheUnprunedDenotation:
         assert answers
 
     def test_an_extension_atom_under_a_repetition_is_still_pruned(self):
+        # An identity condition on the end node keeps the pattern on the
+        # bounded route (its NFA over-approximates) and the repetition
+        # outside it, where the atom is evaluate_ext's.
         graph = transport_network(3, 4)
         link = EdgeWithLabelExpr(Direction.FORWARD, LabelAtom("link"))
         query = ast.PatternQuery(
             ast.Restrictor.SIMPLE,
             ast.concat(
-                ast.node("x", "Hub"), ast.Repeat(link, 1, None), ast.node("y")
+                ast.node("x", "Hub"),
+                ast.Repeat(link, 1, None),
+                ArithConditioned(ast.node("y"), TermConst(1), TermConst(1)),
             ),
         )
         with deadline_scope(5.0):

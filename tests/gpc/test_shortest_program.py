@@ -22,7 +22,7 @@ from repro.errors import (
     EvaluationLimitError,
     UnknownIdError,
 )
-from repro.extensions.label_expressions import LabelWildcard, NodeWithLabelExpr
+from repro.extensions.arithmetic import ArithConditioned, TermConst
 from repro.gpc import ast, register_nfa
 from repro.gpc.collect import CollectMode
 from repro.gpc.engine import EngineConfig, Evaluator
@@ -711,12 +711,12 @@ class TestTargetPruning:
         assert_equal_reference(
             reference, query, {"register": (view, EngineConfig())}, self.HORIZON
         )
-        # A node test that admits every node is the identity, and the
-        # register compiler refuses it: the deepening route, pruned by
-        # the erasure's backward pass, must find the same answers.
+        # An arithmetic condition that always holds is the identity,
+        # and its NFA over-approximates: the deepening route, pruned by
+        # the backward pass over that NFA, must find the same answers.
         deepened = ast.PatternQuery(
             query.restrictor,
-            ast.concat(NodeWithLabelExpr(LabelWildcard()), query.pattern),
+            ArithConditioned(query.pattern, TermConst(1), TermConst(1)),
         )
         config = EngineConfig(
             shortest_deepening_limit=self.HORIZON, lenient_shortest=True

@@ -345,9 +345,12 @@ def test_shortest_equals_the_bounded_reference_on_every_view():
         st.integers(min_value=0, max_value=10_000),
         st.booleans(),
     )
-    # Always drawn: nested lists off the run, and the refusal that stays.
+    # Always drawn: nested lists off the run, the refusal that stays,
+    # and a run-read assignment whose search carries registers — so the
+    # closing asserts never wait on the generator.
     @example(_a_graph(), _READ_OFF_SHAPES[1], CollectMode.SYNTACTIC, 1, False)
     @example(_a_graph(), _READ_OFF_SHAPES[-1], CollectMode.GROUPING, 2, True)
+    @example(_a_graph(), _SHORTEST_SHAPES[5], CollectMode.GROUPING, 3, False)
     def check(graph, pattern, mode, seed, restrict):
         verdict = _shortest_equals_reference(graph, pattern, mode, seed, restrict)
         run_complete.add(verdict)
@@ -527,6 +530,12 @@ def test_restrictors_over_repetitions_equal_the_bounded_reference():
         st.integers(min_value=0, max_value=10_000),
         st.booleans(),
     )
+    # Always drawn: each spelling over a repetition with answers, so the
+    # closing assert never waits on the generator.
+    @example(_a_graph(), _RESTRICTED_SHAPES[0], restrictors[0], 0, False)
+    @example(_a_graph(), _RESTRICTED_SHAPES[0], restrictors[1], 0, True)
+    @example(_a_graph(), _RESTRICTED_SHAPES[0], restrictors[2], 0, False)
+    @example(_a_graph(), _RESTRICTED_SHAPES[0], restrictors[3], 0, True)
     def check(graph, pattern, restrictor, seed, restrict):
         rng = random.Random(seed)
         derived = _derive_chain(rng, graph)

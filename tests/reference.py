@@ -275,7 +275,7 @@ def _apply_zero(
     if isinstance(op, (_Eps, _Open, _Close)):
         return registers
     if isinstance(op, _NodeTest):
-        return registers if op.label in graph.labels(node) else None
+        return registers if _admits(op.label, graph.labels(node)) else None
     if isinstance(op, _Bind):
         for key, const in op.props:
             value = graph.get_property(node, key)
@@ -301,6 +301,14 @@ def _apply_zero(
     raise TypeError(f"unknown op {op!r}")
 
 
+def _admits(test, labels) -> bool:
+    """A node test's or step's label test: none, one label, or a
+    predicate on the whole label set (a label expression)."""
+    if test is None:
+        return True
+    return test in labels if isinstance(test, str) else test(labels)
+
+
 def _props_hold(graph, element, props: PushedProps) -> bool:
     """Whether every pushed ``key = const`` atom holds on ``element``
     (defined and equal — the exact truth ``satisfies`` computes)."""
@@ -319,19 +327,19 @@ def _step_targets(
     props = step.props
     if step.direction is Direction.FORWARD:
         for edge in graph.out_edges(node):
-            if step.label is None or step.label in graph.labels(edge):
+            if _admits(step.label, graph.labels(edge)):
                 if props and not _props_hold(graph, edge, props):
                     continue
                 out.append((edge, graph.target(edge)))
     elif step.direction is Direction.BACKWARD:
         for edge in graph.in_edges(node):
-            if step.label is None or step.label in graph.labels(edge):
+            if _admits(step.label, graph.labels(edge)):
                 if props and not _props_hold(graph, edge, props):
                     continue
                 out.append((edge, graph.source(edge)))
     else:
         for edge in graph.undirected_edges_at(node):
-            if step.label is None or step.label in graph.labels(edge):
+            if _admits(step.label, graph.labels(edge)):
                 if props and not _props_hold(graph, edge, props):
                     continue
                 out.append((edge, graph.other_endpoint(edge, node)))

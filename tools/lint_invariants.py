@@ -59,7 +59,7 @@ that is checked here too because ruff is not in every build container:
   ``repro/gpc``, ``extensions``, ``service``, ``cluster``, ``server``
   or ``obs`` imports ``repro.automata``, at any nesting level. The
   engine and everything that serves it run on the register NFA of
-  ``gpc/register_nfa.py`` (a pattern's own, or its erasure's);
+  ``gpc/register_nfa.py``, one per pattern;
   ``repro.automata`` is the library of the RPQ / C2RPQ baselines and
   of ``translate/``.
 - **One serving core, in its caller's thread** (``INV010``): nothing
