@@ -18,6 +18,7 @@ from typing import Iterable
 from repro.direction import Direction
 from repro.graph.ids import NodeId
 from repro.graph.property_graph import PropertyGraph
+from repro.graph.snapshot import GraphSnapshot
 from repro.automata.nfa import NFA
 
 __all__ = [
@@ -28,28 +29,30 @@ __all__ = [
 
 
 def _edge_successors(
-    graph: PropertyGraph, node: NodeId, direction: Direction, label: str | None
+    view: GraphSnapshot, node: NodeId, direction: Direction, label: str | None
 ) -> Iterable[NodeId]:
     """Nodes reachable from ``node`` by one step in ``direction``."""
     if direction is Direction.FORWARD:
-        for edge in graph.out_edges(node):
-            if label is None or label in graph.labels(edge):
-                yield graph.target(edge)
+        for edge in view.out_edges(node):
+            if label is None or label in view.labels(edge):
+                yield view.target(edge)
     elif direction is Direction.BACKWARD:
-        for edge in graph.in_edges(node):
-            if label is None or label in graph.labels(edge):
-                yield graph.source(edge)
+        for edge in view.in_edges(node):
+            if label is None or label in view.labels(edge):
+                yield view.source(edge)
     else:
-        for edge in graph.undirected_edges_at(node):
-            if label is None or label in graph.labels(edge):
-                yield graph.other_endpoint(edge, node)
+        for edge in view.undirected_edges_at(node):
+            if label is None or label in view.labels(edge):
+                yield view.other_endpoint(edge, node)
 
 
 def min_accepting_lengths(
     graph: PropertyGraph, nfa: NFA, start: NodeId
 ) -> dict[NodeId, int]:
     """For one start node: min length of an accepted path to each end
-    node (missing keys mean unreachable)."""
+    node (missing keys mean unreachable), over the snapshot of
+    ``graph`` (a snapshot is its own)."""
+    view = graph.snapshot()
     # 0-1 BFS over (node, state).
     dist: dict[tuple[NodeId, int], int] = {(start, nfa.initial): 0}
     queue: deque[tuple[NodeId, int]] = deque([(start, nfa.initial)])
@@ -68,7 +71,7 @@ def min_accepting_lengths(
                 queue.appendleft(key)
         # Weight-1 moves: edge steps.
         for step, target in nfa.edge_transitions[state]:
-            for successor in _edge_successors(graph, node, step.direction, step.label):
+            for successor in _edge_successors(view, node, step.direction, step.label):
                 key = (successor, target)
                 if key not in dist or dist[key] > d + 1:
                     dist[key] = d + 1
@@ -80,9 +83,10 @@ def pairs_and_distances(
     graph: PropertyGraph, nfa: NFA
 ) -> dict[tuple[NodeId, NodeId], int]:
     """All-pairs version: ``{(start, end): min accepted length}``."""
+    view = graph.snapshot()
     result: dict[tuple[NodeId, NodeId], int] = {}
-    for start in graph.nodes:
-        for end, distance in min_accepting_lengths(graph, nfa, start).items():
+    for start in view.nodes:
+        for end, distance in min_accepting_lengths(view, nfa, start).items():
             result[(start, end)] = distance
     return result
 

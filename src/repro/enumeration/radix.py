@@ -20,15 +20,17 @@ __all__ = ["iter_paths_radix", "extend_by_one_edge"]
 
 def extend_by_one_edge(graph: PropertyGraph, path: Path) -> list[Path]:
     """All one-edge extensions of ``path`` (forward, backward and
-    undirected traversals from its target), deduplicated."""
+    undirected traversals from its target), deduplicated, read off the
+    snapshot of ``graph`` (a snapshot is its own)."""
+    view = graph.snapshot()
     node = path.tgt
     steps: set[tuple] = set()
-    for edge in graph.out_edges(node):
-        steps.add((edge, graph.target(edge)))
-    for edge in graph.in_edges(node):
-        steps.add((edge, graph.source(edge)))
-    for edge in graph.undirected_edges_at(node):
-        steps.add((edge, graph.other_endpoint(edge, node)))
+    for edge in view.out_edges(node):
+        steps.add((edge, view.target(edge)))
+    for edge in view.in_edges(node):
+        steps.add((edge, view.source(edge)))
+    for edge in view.undirected_edges_at(node):
+        steps.add((edge, view.other_endpoint(edge, node)))
     return [
         Path(path.elements + (edge, target))
         for edge, target in sorted(steps)
@@ -46,10 +48,11 @@ def iter_paths_radix(
     The number of walks grows exponentially with length — callers
     control the horizon via ``max_length``.
     """
+    view = graph.snapshot()
     if start is not None:
-        level = [Path.node(start)] if graph.has_node(start) else []
+        level = [Path.node(start)] if view.has_node(start) else []
     else:
-        level = [Path.node(node) for node in sorted(graph.nodes)]
+        level = [Path.node(node) for node in sorted(view.nodes)]
     length = 0
     while level and length <= max_length:
         yield from level
@@ -57,7 +60,7 @@ def iter_paths_radix(
             return
         next_level: list[Path] = []
         for path in level:
-            next_level.extend(extend_by_one_edge(graph, path))
+            next_level.extend(extend_by_one_edge(view, path))
         next_level.sort()
         level = next_level
         length += 1

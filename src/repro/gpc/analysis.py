@@ -84,7 +84,6 @@ __all__ = [
     "EDGELESS_REPEAT_BODY",
     "REPEAT_ONLY_ZERO",
     "ATOM_NOT_ON_SPINE",
-    "ATOM_VARIABLE_REBINDS",
 ]
 
 
@@ -107,7 +106,6 @@ UNBOUNDED_REPEAT = "GPC021"
 EDGELESS_REPEAT_BODY = "GPC022"
 REPEAT_ONLY_ZERO = "GPC023"
 ATOM_NOT_ON_SPINE = "GPC030"
-ATOM_VARIABLE_REBINDS = "GPC031"
 
 
 @dataclass(frozen=True)
@@ -537,7 +535,7 @@ def _rewrite_conditioned(
         stats.conditions_simplified += 1
         rebuilt = ast.Conditioned(inner, simplified)
     spine = split_pushdown(simplified)[0]
-    _pushdown_diagnostics(inner, simplified, spine, diagnostics)
+    _pushdown_diagnostics(simplified, spine, diagnostics)
     return rebuilt, _conjoin_facts(
         inner_facts, _Facts(required=spine), simplified, diagnostics
     )
@@ -573,29 +571,13 @@ def _rewrite_repeat(
 # ---------------------------------------------------------------------------
 
 
-def _bind_sites_step(
-    pattern: ast.Pattern, parts: tuple[frozenset[str], ...]
-) -> frozenset[str]:
-    """Variables bound at a descriptor site outside repetition bodies
-    (which rebind per iteration): a core atom's, or an extension's own
-    (a label expression's). A step for ``ast.fold``."""
-    if isinstance(pattern, (ast.NodePattern, ast.EdgePattern)):
-        return frozenset((pattern.variable,)) - {None}
-    if isinstance(pattern, ast.Repeat):
-        return frozenset()
-    if isinstance(pattern, ast.PatternExtension):
-        return frozenset().union(*parts, pattern.own_variables())
-    return frozenset().union(*parts)
-
-
 def _pushdown_diagnostics(
-    inner: ast.Pattern,
     condition: Condition,
     spine: dict[str, frozenset[tuple[str, object]]],
     diagnostics: list[Diagnostic],
 ) -> None:
     """Explain which constant-equality atoms of ``condition`` cannot
-    become bitmask probes, and why (``spine``: those
+    become bitmask probes: those under OR/NOT (``spine`` holds the ones
     :func:`~repro.gpc.planner.split_pushdown` can push)."""
     try:
         atoms = [
@@ -605,16 +587,14 @@ def _pushdown_diagnostics(
         ]
     except TypeError:  # extension condition nodes: nothing to say
         return
-    bindable = ast.fold(inner, _bind_sites_step)
     seen: set[PropertyEqualsConst] = set()
     for atom in atoms:
         if atom in seen:
             continue
         seen.add(atom)
-        on_spine = (atom.key, atom.constant) in spine.get(
+        if (atom.key, atom.constant) not in spine.get(
             atom.variable, frozenset()
-        )
-        if not on_spine:
+        ):
             diagnostics.append(
                 Diagnostic(
                     ATOM_NOT_ON_SPINE,
@@ -622,17 +602,6 @@ def _pushdown_diagnostics(
                     f"atom sits under OR/NOT, so it cannot be pushed "
                     f"to `{atom.variable}`'s bind site (it stays in "
                     f"the residual check)",
-                    _span(atom),
-                )
-            )
-        elif atom.variable not in bindable:
-            diagnostics.append(
-                Diagnostic(
-                    ATOM_VARIABLE_REBINDS,
-                    "info",
-                    f"`{atom.variable}` binds inside a repetition (it "
-                    f"rebinds per iteration), so the atom cannot become "
-                    f"a bitmask probe",
                     _span(atom),
                 )
             )
@@ -672,9 +641,11 @@ def _shape_diagnostics(
                     UNBOUNDED_REPEAT,
                     "warning" if plain_shortest else "info",
                     "unbounded repetition: under plain `shortest` the "
-                    "engine iteratively deepens up to the configured "
-                    "limit; under trail/simple the bound is the graph "
-                    "size",
+                    "register search finds the exact minimum, and only a "
+                    "pattern that holds ArithConditioned, "
+                    "RestrictedSubpattern or WitnessMarked deepens, up "
+                    "to `shortest_deepening_limit`; under trail/simple "
+                    "the bound is the graph size",
                     _span(sub),
                 )
             )

@@ -73,12 +73,13 @@ def _check_constant(value: object) -> None:
 
 
 class PropertyGraph:
-    """A mutable property graph with full adjacency indexing.
+    """A mutable property graph: the paper's tuple and nothing else.
 
     The class exposes the formal model's accessors (``labels``,
-    ``source``, ``target``, ``endpoints``, ``get_property``) together
-    with the adjacency indexes the evaluation engine needs
-    (``out_edges``, ``in_edges``, ``undirected_edges_at``).
+    ``source``, ``target``, ``endpoints``, ``get_property``). Adjacency
+    (``out_edges``, ``in_edges``, ``undirected_edges_at``, ``degree``,
+    ``neighbours``) is an index, and the index lives on the immutable
+    :meth:`snapshot`, memoised per version.
 
     Example
     -------
@@ -106,10 +107,6 @@ class PropertyGraph:
         self._tgt: dict[DirectedEdgeId, NodeId] = {}
         self._endpoints: dict[UndirectedEdgeId, frozenset[NodeId]] = {}
         self._properties: dict[GraphElementId, dict[str, Constant]] = {}
-        # Adjacency indexes.
-        self._out: dict[NodeId, set[DirectedEdgeId]] = {}
-        self._in: dict[NodeId, set[DirectedEdgeId]] = {}
-        self._undirected_at: dict[NodeId, set[UndirectedEdgeId]] = {}
         # Monotonic mutation counter; drives snapshot memoisation and
         # cache invalidation in the service layer. Every bump appends
         # one GraphDelta to the bounded log below.
@@ -247,9 +244,6 @@ class PropertyGraph:
         if node in self._node_labels:
             raise DuplicateIdError(f"node {node!r} already exists")
         self._node_labels[node] = self._interned(labels)
-        self._out[node] = set()
-        self._in[node] = set()
-        self._undirected_at[node] = set()
         if properties:
             self._set_properties(node, properties)
         self._bump(
@@ -277,8 +271,6 @@ class PropertyGraph:
         self._dedge_labels[edge] = self._interned(labels)
         self._src[edge] = source
         self._tgt[edge] = target
-        self._out[source].add(edge)
-        self._in[target].add(edge)
         if properties:
             self._set_properties(edge, properties)
         self._bump(
@@ -309,8 +301,6 @@ class PropertyGraph:
         self._require_node(endpoint_b)
         self._uedge_labels[edge] = self._interned(labels)
         self._endpoints[edge] = frozenset({endpoint_a, endpoint_b})
-        self._undirected_at[endpoint_a].add(edge)
-        self._undirected_at[endpoint_b].add(edge)
         if properties:
             self._set_properties(edge, properties)
         self._bump(
@@ -356,32 +346,19 @@ class PropertyGraph:
         )
 
     def remove_edge(self, edge: DirectedEdgeId) -> None:
-        """Remove a directed edge, its properties, and its adjacency
-        entries."""
+        """Remove a directed edge and its properties."""
         if edge not in self._dedge_labels:
             raise UnknownIdError(f"unknown directed edge {edge!r}")
-        record = self._dedge_record(edge)
-        self._out[self._src[edge]].discard(edge)
-        self._in[self._tgt[edge]].discard(edge)
-        del self._dedge_labels[edge]
-        del self._src[edge]
-        del self._tgt[edge]
-        self._properties.pop(edge, None)
+        record = self._drop_dedge(edge)
         self._bump(
             GraphDelta(version=self._version + 1, dedges_removed=(record,))
         )
 
     def remove_undirected_edge(self, edge: UndirectedEdgeId) -> None:
-        """Remove an undirected edge, its properties, and its adjacency
-        entries."""
+        """Remove an undirected edge and its properties."""
         if edge not in self._uedge_labels:
             raise UnknownIdError(f"unknown undirected edge {edge!r}")
-        record = self._uedge_record(edge)
-        for endpoint in self._endpoints[edge]:
-            self._undirected_at[endpoint].discard(edge)
-        del self._uedge_labels[edge]
-        del self._endpoints[edge]
-        self._properties.pop(edge, None)
+        record = self._drop_uedge(edge)
         self._bump(
             GraphDelta(version=self._version + 1, uedges_removed=(record,))
         )
@@ -389,43 +366,48 @@ class PropertyGraph:
     def remove_node(self, node: NodeId) -> None:
         """Remove a node together with every incident edge (cascade).
 
-        All adjacency and property indexes are kept consistent; the
-        version counter is bumped exactly once for the whole cascade,
-        recording one delta that lists the node and every removed edge.
+        The incident edges are the current :meth:`snapshot`'s rows of
+        ``node`` (memoised per version, so a cached or derived snapshot
+        answers in a row lookup). The version counter is bumped exactly
+        once for the whole cascade, recording one delta that lists the
+        node and every removed edge.
         """
         self._require_node(node)
+        view = self.snapshot()
         node_record = self._node_record(node)
-        dedge_records: list[DirectedEdgeRecord] = []
-        uedge_records: list[UndirectedEdgeRecord] = []
-        for edge in tuple(self._out[node]) + tuple(self._in[node]):
-            if edge in self._dedge_labels:  # self-loops appear in both
-                dedge_records.append(self._dedge_record(edge))
-                self._out[self._src[edge]].discard(edge)
-                self._in[self._tgt[edge]].discard(edge)
-                del self._dedge_labels[edge]
-                del self._src[edge]
-                del self._tgt[edge]
-                self._properties.pop(edge, None)
-        for edge in tuple(self._undirected_at[node]):
-            uedge_records.append(self._uedge_record(edge))
-            for endpoint in self._endpoints[edge]:
-                self._undirected_at[endpoint].discard(edge)
-            del self._uedge_labels[edge]
-            del self._endpoints[edge]
-            self._properties.pop(edge, None)
+        # A directed self-loop sits in both rows; dict.fromkeys keeps one.
+        dedges = dict.fromkeys(view.out_edges(node) + view.in_edges(node))
+        dedge_records = tuple(self._drop_dedge(edge) for edge in dedges)
+        uedge_records = tuple(
+            self._drop_uedge(edge) for edge in view.undirected_edges_at(node)
+        )
         del self._node_labels[node]
-        del self._out[node]
-        del self._in[node]
-        del self._undirected_at[node]
         self._properties.pop(node, None)
         self._bump(
             GraphDelta(
                 version=self._version + 1,
                 nodes_removed=(node_record,),
-                dedges_removed=tuple(dedge_records),
-                uedges_removed=tuple(uedge_records),
+                dedges_removed=dedge_records,
+                uedges_removed=uedge_records,
             )
         )
+
+    def _drop_dedge(self, edge: DirectedEdgeId) -> DirectedEdgeRecord:
+        """Delete a directed edge from the tuple; return its record."""
+        record = self._dedge_record(edge)
+        del self._dedge_labels[edge]
+        del self._src[edge]
+        del self._tgt[edge]
+        self._properties.pop(edge, None)
+        return record
+
+    def _drop_uedge(self, edge: UndirectedEdgeId) -> UndirectedEdgeRecord:
+        """Delete an undirected edge from the tuple; return its record."""
+        record = self._uedge_record(edge)
+        del self._uedge_labels[edge]
+        del self._endpoints[edge]
+        self._properties.pop(edge, None)
+        return record
 
     def _node_record(self, node: NodeId) -> NodeRecord:
         return NodeRecord(
@@ -590,51 +572,6 @@ class PropertyGraph:
             out.update(props)
         return frozenset(out)
 
-    # ------------------------------------------------------------------
-    # Adjacency
-    # ------------------------------------------------------------------
-
-    def out_edges(self, node: NodeId) -> frozenset[DirectedEdgeId]:
-        """Directed edges with ``src = node``."""
-        self._require_node(node)
-        return frozenset(self._out[node])
-
-    def in_edges(self, node: NodeId) -> frozenset[DirectedEdgeId]:
-        """Directed edges with ``tgt = node``."""
-        self._require_node(node)
-        return frozenset(self._in[node])
-
-    def undirected_edges_at(self, node: NodeId) -> frozenset[UndirectedEdgeId]:
-        """Undirected edges having ``node`` among their endpoints."""
-        self._require_node(node)
-        return frozenset(self._undirected_at[node])
-
-    def degree(self, node: NodeId) -> int:
-        """Total degree: out + in + undirected incidences."""
-        self._require_node(node)
-        return (
-            len(self._out[node])
-            + len(self._in[node])
-            + len(self._undirected_at[node])
-        )
-
-    def num_edges_at(self, node: NodeId) -> int:
-        """Alias of :meth:`degree` (snapshot API parity)."""
-        return self.degree(node)
-
-    def neighbours(self, node: NodeId) -> frozenset[NodeId]:
-        """Nodes reachable from ``node`` by traversing one edge in any
-        legal direction (forward, backward, or undirected)."""
-        self._require_node(node)
-        out: set[NodeId] = set()
-        for edge in self._out[node]:
-            out.add(self._tgt[edge])
-        for edge in self._in[node]:
-            out.add(self._src[edge])
-        for edge in self._undirected_at[node]:
-            out.add(self.other_endpoint(edge, node))
-        return frozenset(out)
-
     def other_endpoint(self, edge: UndirectedEdgeId, node: NodeId) -> NodeId:
         """The endpoint of ``edge`` other than ``node`` (or ``node`` for
         a self-loop)."""
@@ -736,7 +673,4 @@ class PropertyGraph:
         new._tgt = dict(self._tgt)
         new._endpoints = dict(self._endpoints)
         new._properties = {k: dict(v) for k, v in self._properties.items()}
-        new._out = {k: set(v) for k, v in self._out.items()}
-        new._in = {k: set(v) for k, v in self._in.items()}
-        new._undirected_at = {k: set(v) for k, v in self._undirected_at.items()}
         return new

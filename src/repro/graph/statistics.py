@@ -87,7 +87,8 @@ def compute_label_cardinalities(graph) -> LabelCardinalities:
 
 def compute_statistics(graph: PropertyGraph) -> GraphStatistics:
     """Compute a :class:`GraphStatistics` summary for ``graph``."""
-    degrees = [graph.degree(n) for n in graph.nodes] or [0]
+    view = graph.snapshot()
+    degrees = [view.degree(n) for n in view.nodes] or [0]
     directed_loops = sum(
         1 for e in graph.directed_edges if graph.source(e) == graph.target(e)
     )

@@ -152,6 +152,27 @@ class TestDiagnosticCodes:
         codes = self.lint("TRAIL (x:P) -[:r]->{1,} (y)")
         assert an.UNBOUNDED_REPEAT in codes
 
+    def test_unbounded_repeat_on_the_register_route_does_not_deepen(self):
+        text = "SHORTEST (x:Person) -[e:knows]->{1,} (y:Person)"
+        graph = GraphBuilder().node("a", "Person").build()
+        assert "register-NFA shortest" in GraphService(graph).explain(text)
+        (diagnostic,) = [
+            d
+            for d in analyze_query(parse_query(text)).diagnostics
+            if d.code == an.UNBOUNDED_REPEAT
+        ]
+        assert diagnostic.severity == "warning"
+        assert "iteratively deepens" not in diagnostic.message
+        assert "register search finds the exact minimum" in diagnostic.message
+        for wrapper in (
+            "ArithConditioned", "RestrictedSubpattern", "WitnessMarked",
+        ):
+            assert wrapper in diagnostic.message
+        assert "`shortest_deepening_limit`" in diagnostic.message
+        assert "under trail/simple the bound is the graph size" in (
+            diagnostic.message
+        )
+
     def test_edgeless_repeat_body(self):
         codes = self.lint("TRAIL [(x)]{1,2} (y)")
         assert an.EDGELESS_REPEAT_BODY in codes
@@ -190,9 +211,6 @@ class TestDiagnosticCodes:
             NodeWithLabelExpr(LabelAtom("P"), "x"),
             PropertyEqualsConst("x", "k", 1),
         )
-        query = ast.PatternQuery(ast.Restrictor.TRAIL, pattern)
-        codes = {d.code for d in analyze_query(query).diagnostics}
-        assert an.ATOM_VARIABLE_REBINDS not in codes
         assert compile_register_nfa(pattern, pushdown=True).pushed_atoms == 1
 
     def test_clean_query_is_quiet(self):

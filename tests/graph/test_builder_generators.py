@@ -79,7 +79,7 @@ class TestStructuredGenerators:
         assert g.num_nodes == 3
         assert g.num_directed_edges == 3
         for node in g.nodes:
-            assert len(g.out_edges(node)) == 1
+            assert len(g.snapshot().out_edges(node)) == 1
 
     def test_cycle_of_one_is_self_loop(self):
         g = G.cycle_graph(1)
@@ -147,7 +147,7 @@ class TestDomainGenerators:
         assert g.num_nodes == 2
         assert g.num_directed_edges == 4
         for node in g.nodes:
-            assert len(g.out_edges(node)) == 2
+            assert len(g.snapshot().out_edges(node)) == 2
 
     def test_section7_counterexample(self):
         g = G.section7_counterexample()

@@ -24,8 +24,17 @@ from reference import (
     mutate,
     random_graph,
     reference_answers,
+    reference_witnesses,
 )
+from repro.gpc import ast
+from repro.gpc.engine import Evaluator
 from repro.gpc.parser import parse_query
+from repro.gpc.register_nfa import (
+    compile_register_nfa,
+    lower_program,
+    shortest_pair_lengths,
+    shortest_witnesses,
+)
 from repro.graph import GraphSnapshot, PropertyGraph
 
 #: Covers the engine paths the columnar core accelerates: the dense
@@ -76,3 +85,38 @@ def test_derived_snapshot_matches_the_reference(seed):
     for _ in range(rng.randrange(1, 6)):
         mutate(rng, graph)
     assert_matches_reference(graph)
+
+
+def test_the_oracle_reads_the_tuple_not_a_snapshot(monkeypatch):
+    """``reference_answers`` and the witness oracle judge a plain graph
+    by its formal accessors alone: with ``PropertyGraph.snapshot``
+    raising, both still answer, and as the engine did on the snapshot
+    taken before."""
+    graph = random_graph(random.Random(10))
+    served = {query: Evaluator(graph).evaluate(query) for query in QUERIES}
+    witnesses = []
+    for query in QUERIES:
+        if not isinstance(query, ast.PatternQuery) or query.restrictor.mode:
+            continue
+        nfa = compile_register_nfa(query.pattern, pushdown=True)
+        program = lower_program(nfa, graph, tracked=nfa.sites)
+        for start in graph.nodes:
+            best = shortest_pair_lengths(program, start)
+            found = shortest_witnesses(program, start, best)
+            witnesses.append((nfa, start, best, {
+                end: set(walks) for end, walks in found.items()
+            }))
+
+    def no_snapshot(self):
+        raise AssertionError("the oracle asked a plain graph for a snapshot")
+
+    monkeypatch.setattr(PropertyGraph, "snapshot", no_snapshot)
+    for query in QUERIES:
+        within = {
+            answer for answer in served[query]
+            if all(len(path) <= HORIZON for path in answer.paths)
+        }
+        assert reference_answers(graph, query, HORIZON) == within, query
+    assert any(found for *_, found in witnesses)
+    for nfa, start, best, found in witnesses:
+        assert reference_witnesses(graph, nfa, start, best) == found

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import assert_adjacency_is_the_model
 from repro.errors import GraphError
 from repro.graph import (
     DeltaSummary,
@@ -47,8 +48,8 @@ def assert_snapshots_identical(
     equality is asserted accessor by accessor: carriers, adjacency
     rows, endpoints, labels, properties, label indexes, counts.
     ``graph`` — the mutable graph at the same version — is the third
-    party: both snapshots index it, neither is trusted on the other's
-    word."""
+    party: both snapshots index its tuple, neither is trusted on the
+    other's word."""
     assert_snapshot_matches_graph(left, graph)
     assert left.version == right.version
     assert left.nodes == right.nodes
@@ -88,7 +89,9 @@ def assert_snapshots_identical(
 
 def assert_snapshot_matches_graph(snapshot: GraphSnapshot, graph: PropertyGraph):
     """Set equality, accessor by accessor, between a snapshot's indexes
-    and the mutable graph they were built (or derived) from."""
+    and the formal model of the mutable graph they were built (or
+    derived) from: its carriers, ``src`` / ``tgt`` / ``endpoints``,
+    labels and properties, and the incidence read off those."""
     assert snapshot.version == graph.version
     carriers = (
         (snapshot.nodes, graph.nodes, snapshot.num_nodes),
@@ -106,13 +109,7 @@ def assert_snapshot_matches_graph(snapshot: GraphSnapshot, graph: PropertyGraph)
     for carrier, truth, count in carriers:
         assert set(carrier) == truth
         assert len(carrier) == count == len(truth)
-    for node in graph.nodes:
-        assert set(snapshot.out_edges(node)) == graph.out_edges(node), node
-        assert set(snapshot.in_edges(node)) == graph.in_edges(node), node
-        assert set(snapshot.undirected_edges_at(node)) == (
-            graph.undirected_edges_at(node)
-        ), node
-        assert snapshot.num_edges_at(node) == graph.num_edges_at(node), node
+    assert_adjacency_is_the_model(snapshot, graph)
     for edge in graph.directed_edges:
         assert snapshot.source(edge) == graph.source(edge), edge
         assert snapshot.target(edge) == graph.target(edge), edge
@@ -259,6 +256,62 @@ class TestRemovalCascade:
         assert cards.undirected_edges_with_label("married") == 0
         assert not derived.has_node(victim)
         assert base.has_node(victim)  # the base snapshot is untouched
+
+    @staticmethod
+    def _loops_and_parallels() -> PropertyGraph:
+        """Every incidence remove_node must cascade over: a directed and
+        an undirected self-loop, parallel directed edges both ways,
+        parallel undirected edges, and edges between the survivors."""
+        return (
+            GraphBuilder()
+            .node("a", "P")
+            .node("b", "P")
+            .node("c", "Q")
+            .edge("a", "a", "r", key="loop")
+            .edge("a", "b", "r", key="ab1")
+            .edge("a", "b", "r", key="ab2")
+            .edge("b", "a", "s", key="ba")
+            .edge("b", "c", "s", key="bc")
+            .undirected("a", "a", "m", key="uloop")
+            .undirected("a", "b", "m", key="uab1")
+            .undirected("a", "b", "m", key="uab2")
+            .undirected("c", "c", "m", key="ucc")
+            .build()
+        )
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_cascade_over_loops_and_parallel_edges(self, cached):
+        """With or without a snapshot memo (a stale one included: an
+        edge added after it is still found), each removal drops exactly
+        the incident edges, each once, and the snapshot derived next
+        equals a rebuild and the formal model."""
+        graph = self._loops_and_parallels()
+        if cached:
+            graph.snapshot()
+            graph.add_edge("late", NodeId("c"), NodeId("a"), ["r"])
+        for victim in ("a", "c", "b"):
+            node = NodeId(victim)
+            version = graph.version
+            incident_d = {
+                e for e in graph.directed_edges
+                if node in (graph.source(e), graph.target(e))
+            }
+            incident_u = {
+                e for e in graph.undirected_edges if node in graph.endpoints(e)
+            }
+            graph.remove_node(node)
+            (delta,) = graph.deltas_since(version)
+            removed_d = [r.id for r in delta.dedges_removed]
+            removed_u = [r.id for r in delta.uedges_removed]
+            assert len(removed_d) == len(set(removed_d))
+            assert len(removed_u) == len(set(removed_u))
+            assert set(removed_d) == incident_d
+            assert set(removed_u) == incident_u
+            assert not graph.has_node(node)
+            assert_snapshots_identical(
+                graph.snapshot(), GraphSnapshot(graph), graph
+            )
+        assert graph == PropertyGraph()
 
 
 class TestDerivation:

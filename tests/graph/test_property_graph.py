@@ -1,7 +1,10 @@
 """The property-graph data model (Section 2)."""
 
+import gc
+
 import pytest
 
+from reference import assert_adjacency_is_the_model
 from repro.errors import DuplicateIdError, GraphError, UnknownIdError
 from repro.graph.builder import GraphBuilder
 from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
@@ -124,24 +127,49 @@ class TestLabelIndexes:
 
 
 class TestAdjacency:
+    """Adjacency is an index, and the snapshot owns it: the graph keeps
+    the tuple only."""
+
     def test_out_in_edges(self, graph):
-        assert graph.out_edges(NodeId("u")) == frozenset({DirectedEdgeId("d1")})
-        assert graph.in_edges(NodeId("v")) == frozenset({DirectedEdgeId("d1")})
-        assert graph.out_edges(NodeId("v")) == frozenset()
+        snap = graph.snapshot()
+        assert snap.out_edges(NodeId("u")) == (DirectedEdgeId("d1"),)
+        assert snap.in_edges(NodeId("v")) == (DirectedEdgeId("d1"),)
+        assert snap.out_edges(NodeId("v")) == ()
+        assert_adjacency_is_the_model(snap, graph)
 
     def test_undirected_at(self, graph):
-        assert graph.undirected_edges_at(NodeId("v")) == frozenset(
-            {UndirectedEdgeId("u1")}
+        assert graph.snapshot().undirected_edges_at(NodeId("v")) == (
+            UndirectedEdgeId("u1"),
         )
 
     def test_degree(self, graph):
-        assert graph.degree(NodeId("u")) == 1
-        assert graph.degree(NodeId("v")) == 2  # in-edge + undirected
+        snap = graph.snapshot()
+        assert snap.degree(NodeId("u")) == 1
+        assert snap.degree(NodeId("v")) == 2  # in-edge + undirected
 
     def test_neighbours(self, graph):
-        assert graph.neighbours(NodeId("v")) == frozenset(
+        assert graph.snapshot().neighbours(NodeId("v")) == frozenset(
             {NodeId("u"), NodeId("w")}
         )
+
+    def test_the_graph_keeps_no_adjacency_index(self, graph):
+        for name in (
+            "out_edges", "in_edges", "undirected_edges_at",
+            "degree", "num_edges_at", "neighbours",
+            "_out", "_in", "_undirected_at",
+        ):
+            assert not hasattr(graph, name), name
+
+    def test_an_edge_free_graph_holds_no_container_per_node(self):
+        gc.collect()
+        before = sum(type(o) is set for o in gc.get_objects())
+        g = PropertyGraph()
+        for i in range(1_000):
+            g.add_node(i)
+        gc.collect()
+        after = sum(type(o) is set for o in gc.get_objects())
+        assert g.num_nodes == 1_000
+        assert after - before < 10
 
     def test_other_endpoint(self, graph):
         assert graph.other_endpoint(UndirectedEdgeId("u1"), NodeId("v")) == NodeId("w")
@@ -172,8 +200,10 @@ class TestRemoval:
     def test_remove_edge(self, graph):
         graph.remove_edge(DirectedEdgeId("d1"))
         assert not graph.has_edge(DirectedEdgeId("d1"))
-        assert graph.out_edges(NodeId("u")) == frozenset()
-        assert graph.in_edges(NodeId("v")) == frozenset()
+        snap = graph.snapshot()
+        assert snap.out_edges(NodeId("u")) == ()
+        assert snap.in_edges(NodeId("v")) == ()
+        assert_adjacency_is_the_model(snap, graph)
         with pytest.raises(UnknownIdError):
             graph.source(DirectedEdgeId("d1"))
         with pytest.raises(UnknownIdError):
@@ -182,8 +212,10 @@ class TestRemoval:
     def test_remove_undirected_edge(self, graph):
         graph.remove_undirected_edge(UndirectedEdgeId("u1"))
         assert not graph.has_edge(UndirectedEdgeId("u1"))
-        assert graph.undirected_edges_at(NodeId("v")) == frozenset()
-        assert graph.undirected_edges_at(NodeId("w")) == frozenset()
+        snap = graph.snapshot()
+        assert snap.undirected_edges_at(NodeId("v")) == ()
+        assert snap.undirected_edges_at(NodeId("w")) == ()
+        assert_adjacency_is_the_model(snap, graph)
         with pytest.raises(UnknownIdError):
             graph.endpoints(UndirectedEdgeId("u1"))
 
@@ -193,8 +225,10 @@ class TestRemoval:
         # Incident directed and undirected edges went with it.
         assert not graph.has_edge(DirectedEdgeId("d1"))
         assert not graph.has_edge(UndirectedEdgeId("u1"))
-        assert graph.out_edges(NodeId("u")) == frozenset()
-        assert graph.undirected_edges_at(NodeId("w")) == frozenset()
+        snap = graph.snapshot()
+        assert snap.out_edges(NodeId("u")) == ()
+        assert snap.undirected_edges_at(NodeId("w")) == ()
+        assert_adjacency_is_the_model(snap, graph)
         assert graph.num_nodes == 2 and graph.num_edges == 0
 
     def test_remove_node_with_self_loops(self):
@@ -255,8 +289,8 @@ class TestVersionCounter:
 
     def test_reads_do_not_bump(self, graph):
         version = graph.version
-        graph.nodes, graph.out_edges(NodeId("u")), graph.all_labels()
-        graph.snapshot()
+        graph.nodes, graph.all_labels()
+        graph.snapshot().out_edges(NodeId("u"))
         assert graph.version == version
 
 

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from reference import random_graph
+from reference import assert_adjacency_is_the_model, random_graph
 from repro.gpc.assignments import Assignment
 from repro.gpc.engine import Evaluator
 from repro.gpc.parser import parse_query
@@ -89,6 +89,7 @@ class TestSnapshotRoundTrip:
             assert restored.undirected_edges_at(node) == (
                 snap.undirected_edges_at(node)
             )
+        assert_adjacency_is_the_model(restored, mixed)
         for element in (
             list(snap.nodes) + list(snap.directed_edges)
             + list(snap.undirected_edges)

@@ -20,7 +20,7 @@ matcher, walk by walk.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.direction import Direction
 from repro.errors import (
@@ -319,31 +319,71 @@ def _props_hold(graph, element, props: PushedProps) -> bool:
     return True
 
 
+class Incident(NamedTuple):
+    """A node's incidence in the formal model."""
+
+    out: frozenset  # directed edges with src = node
+    into: frozenset  # directed edges with tgt = node
+    undirected: frozenset  # undirected edges with node among their endpoints
+
+
+def incidence(graph) -> dict[NodeId, Incident]:
+    """Every node's :class:`Incident`, read off the tuple alone —
+    ``directed_edges`` / ``source`` / ``target`` / ``undirected_edges``
+    / ``endpoints`` — and never off an adjacency index, so it can judge
+    one (a snapshot's rows)."""
+    rows = {node: (set(), set(), set()) for node in graph.nodes}
+    for edge in graph.directed_edges:
+        rows[graph.source(edge)][0].add(edge)
+        rows[graph.target(edge)][1].add(edge)
+    for edge in graph.undirected_edges:
+        for node in graph.endpoints(edge):
+            rows[node][2].add(edge)
+    return {node: Incident(*map(frozenset, sets)) for node, sets in rows.items()}
+
+
+def assert_adjacency_is_the_model(view, graph) -> None:
+    """Every adjacency read of the snapshot ``view`` — its three rows,
+    each without repeats, ``num_edges_at`` / ``degree`` and
+    ``neighbours`` — equals :func:`incidence` of ``graph``."""
+    for node, (out, into, undirected) in incidence(graph).items():
+        for row, edges in (
+            (view.out_edges(node), out),
+            (view.in_edges(node), into),
+            (view.undirected_edges_at(node), undirected),
+        ):
+            assert len(row) == len(edges) and set(row) == edges, node
+        degree = len(out) + len(into) + len(undirected)
+        assert view.num_edges_at(node) == view.degree(node) == degree, node
+        neighbours = {graph.target(edge) for edge in out}
+        neighbours |= {graph.source(edge) for edge in into}
+        for edge in undirected:
+            ends = graph.endpoints(edge)
+            neighbours |= (ends - {node}) or ends
+        assert view.neighbours(node) == neighbours, node
+
+
 def _step_targets(
-    step: _EdgeStep, node: NodeId, graph: PropertyGraph
+    step: _EdgeStep, node: NodeId, graph: PropertyGraph, rows: dict[NodeId, Incident]
 ) -> list[tuple[object, NodeId]]:
-    """Edges usable from ``node`` under ``step``: (edge, next node)."""
-    out = []
-    props = step.props
+    """Edges usable from ``node`` under ``step``: (edge, next node),
+    the edges taken from ``rows`` (:func:`incidence` of ``graph``)."""
+    incident = rows[node]
     if step.direction is Direction.FORWARD:
-        for edge in graph.out_edges(node):
-            if _admits(step.label, graph.labels(edge)):
-                if props and not _props_hold(graph, edge, props):
-                    continue
-                out.append((edge, graph.target(edge)))
+        moves = [(edge, graph.target(edge)) for edge in incident.out]
     elif step.direction is Direction.BACKWARD:
-        for edge in graph.in_edges(node):
-            if _admits(step.label, graph.labels(edge)):
-                if props and not _props_hold(graph, edge, props):
-                    continue
-                out.append((edge, graph.source(edge)))
+        moves = [(edge, graph.source(edge)) for edge in incident.into]
     else:
-        for edge in graph.undirected_edges_at(node):
-            if _admits(step.label, graph.labels(edge)):
-                if props and not _props_hold(graph, edge, props):
-                    continue
-                out.append((edge, graph.other_endpoint(edge, node)))
-    return out
+        moves = [
+            (edge, graph.other_endpoint(edge, node))
+            for edge in incident.undirected
+        ]
+    return [
+        (edge, end)
+        for edge, end in moves
+        if _admits(step.label, graph.labels(edge))
+        and (not step.props or _props_hold(graph, edge, step.props))
+    ]
 
 
 #: A run's position at a node: ``(state, registers)``.
@@ -391,6 +431,7 @@ def reference_witnesses(
     final = nfa.final
     steps = nfa.steps
     tried = accepted = 0
+    rows = incidence(graph)
     node = start
     configs = _closure(nfa, graph, start, ((nfa.initial, ()),))
     elements: list = [start]
@@ -415,7 +456,7 @@ def reference_witnesses(
                         takers.setdefault(step, []).append((target, registers))
                 for step, entering in takers.items():
                     variable = step.variable
-                    for move in _step_targets(step, node, graph):
+                    for move in _step_targets(step, node, graph, rows):
                         for target, registers in entering:
                             if variable is not None:
                                 registers = _bind_register(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from reference import assert_adjacency_is_the_model
 from repro.errors import GraphError, UnknownIdError
 from repro.gpc.engine import Evaluator
 from repro.gpc.parser import parse_query
@@ -35,15 +36,7 @@ class TestIndexAgreement:
         assert snap.num_edges == mixed.num_edges
 
     def test_adjacency(self, mixed):
-        snap = mixed.snapshot()
-        for node in mixed.nodes:
-            assert frozenset(snap.out_edges(node)) == mixed.out_edges(node)
-            assert frozenset(snap.in_edges(node)) == mixed.in_edges(node)
-            assert frozenset(snap.undirected_edges_at(node)) == (
-                mixed.undirected_edges_at(node)
-            )
-            assert snap.degree(node) == mixed.degree(node)
-            assert snap.neighbours(node) == mixed.neighbours(node)
+        assert_adjacency_is_the_model(mixed.snapshot(), mixed)
 
     def test_label_indexes(self, mixed):
         snap = mixed.snapshot()

@@ -370,6 +370,115 @@ class TestServingCoreInTheCallersThread:
             assert codes(self.SPELLINGS[0], module=module) == []
 
 
+class TestAnnotations:
+    """INV006: every ``def`` of a module mypy.ini checks with
+    ``disallow_untyped_defs`` annotates its parameters and return."""
+
+    def test_each_missing_annotation_is_named(self):
+        findings = lint_invariants.check_source(
+            "def f(a, b: int, *args, c, **kwargs):\n    return b\n",
+            "probe.py",
+            typed=True,
+        )
+        assert [(f.code, f.message.split(";")[0]) for f in findings] == [
+            ("INV006", "f() leaves a, c, *args, **kwargs, return unannotated")
+        ]
+
+    def test_a_fully_annotated_def_is_fine(self):
+        source = (
+            "def f(a: int, /, b: int = 1, *args: int, c: int,"
+            " **kwargs: int) -> int:\n"
+            "    return a\n"
+            "async def g() -> None:\n"
+            "    pass\n"
+        )
+        assert codes(source, typed=True) == []
+
+    def test_only_a_methods_first_parameter_is_exempt(self):
+        source = (
+            "class C:\n"
+            "    def m(self, x: int) -> int:\n"
+            "        return x\n"
+            "    @classmethod\n"
+            "    def k(cls) -> None:\n"
+            "        pass\n"
+            "    @staticmethod\n"
+            "    def s(x) -> None:\n"
+            "        pass\n"
+            "def top(self) -> None:\n"
+            "    pass\n"
+        )
+        assert codes(source, typed=True) == ["INV006", "INV006"]
+
+    def test_init_may_imply_its_return_once_a_parameter_is_annotated(self):
+        implied = (
+            "class C:\n"
+            "    def __init__(self, x: int):\n"
+            "        self.x = x\n"
+        )
+        assert codes(implied, typed=True) == []
+        bare = "class C:\n    def __init__(self):\n        pass\n"
+        assert codes(bare, typed=True) == ["INV006"]
+
+    def test_nested_and_async_defs_are_checked_and_lambdas_are_not(self):
+        source = (
+            "def outer() -> None:\n"
+            "    def inner(x):\n"
+            "        return x\n"
+            "    key = lambda y: y\n"
+            "    del key, inner\n"
+            "async def g(x: int):\n"
+            "    return x\n"
+        )
+        assert codes(source, typed=True) == ["INV006", "INV006"]
+
+    def test_only_strict_modules_are_in_scope(self):
+        assert codes("def f(x):\n    return x\n") == []
+
+    def test_the_strict_modules_are_read_from_mypy_ini(self, tmp_path):
+        config = tmp_path / "mypy.ini"
+        config.write_text(
+            "[mypy]\nmypy_path = src\n"
+            "[mypy-repro.*]\nignore_errors = True\n"
+            "[mypy-repro.a.b]\ndisallow_untyped_defs = True\n"
+            "[mypy-repro.c]\ndisallow_untyped_defs = False\n"
+            "[mypy-repro.d.*]\ndisallow_untyped_defs = True\n",
+            encoding="utf-8",
+        )
+        strict = lint_invariants.strict_modules(config)
+        assert strict == {"a/b.py", "a/b/__init__.py", "d/"}
+        is_strict = lint_invariants._is_strict
+        assert is_strict("a/b.py", strict) and is_strict("d/e/f.py", strict)
+        assert not is_strict("c.py", strict) and not is_strict(None, strict)
+        repo = lint_invariants.strict_modules(REPO_ROOT / "mypy.ini")
+        for module in (
+            "gpc/analysis.py", "lint.py", "gpc/register_nfa.py",
+            "server/wire.py",
+        ):
+            assert is_strict(module, repo), module
+
+    def test_main_reports_an_untyped_def_in_a_strict_module(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        library = tmp_path / "src" / "repro"
+        library.mkdir(parents=True)
+        (library / "typed.py").write_text(
+            "def f(x):\n    return x\n", encoding="utf-8"
+        )
+        (library / "loose.py").write_text(
+            "def f(x):\n    return x\n", encoding="utf-8"
+        )
+        (tmp_path / "mypy.ini").write_text(
+            "[mypy-repro.typed]\ndisallow_untyped_defs = True\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(lint_invariants, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(lint_invariants, "SRC_ROOT", library)
+        assert lint_invariants.main([str(library)]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("src/repro/typed.py:1: INV006 f() leaves x, return")
+
+
 class TestUnusedImports:
     def test_unused_import_flagged(self):
         assert codes("import os\nimport sys\nprint(sys.argv)\n") == ["INV004"]

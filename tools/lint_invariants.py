@@ -2,8 +2,9 @@
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
 Eight invariants that generic linters don't enforce the way this
-codebase needs them, and one that a generic linter does enforce but
-that is checked here too because ruff is not in every build container:
+codebase needs them, and two that generic tools do enforce but that are
+checked here too because ruff and mypy are not in every build
+container:
 
 - **No bare/broad ``except`` in the engine core or the serving layer**
   (``src/repro/gpc``, ``graph``, ``service`` and ``cluster``): a
@@ -33,16 +34,22 @@ that is checked here too because ruff is not in every build container:
   ``__init__.py`` files (re-exports) and names listed in ``__all__``
   are exempt; ``lint: allow-unused-import`` on the import's line waives
   one kept for its side effect or for importers of the module.
-- **One traversal of the pattern AST** (``INV007``; ``INV006`` is
-  reserved for annotations) anywhere in ``src/repro``: which fields of
-  a constructor hold sub-expressions is known to ``children`` /
-  ``with_children`` in ``gpc/ast.py``, and the recursion lives in
-  ``fold`` there. A function that tests ``isinstance`` against three
-  or more of the nine GPC constructors *and* recurses over them —
-  reaches itself through calls to functions of its own module, or
-  pushes ``.left`` / ``.right`` / ``.pattern`` / ``.children()`` onto a
-  work list — is a second walker: write it as a step function for
-  ``fold``. ``gpc/ast.py`` itself and the entries of
+- **Annotated defs in mypy's strict modules** (``INV006``): every
+  ``def`` in a module that ``mypy.ini`` checks with
+  ``disallow_untyped_defs = True`` (read from the file, never listed
+  here) annotates each parameter, ``*args`` and ``**kwargs`` included,
+  and its return. A method's first parameter is exempt, and
+  ``__init__`` may omit its return once a parameter is annotated, as
+  mypy allows.
+- **One traversal of the pattern AST** (``INV007``) anywhere in
+  ``src/repro``: which fields of a constructor hold sub-expressions is
+  known to ``children`` / ``with_children`` in ``gpc/ast.py``, and the
+  recursion lives in ``fold`` there. A function that tests
+  ``isinstance`` against three or more of the nine GPC constructors
+  *and* recurses over them — reaches itself through calls to functions
+  of its own module, or pushes ``.left`` / ``.right`` / ``.pattern`` /
+  ``.children()`` onto a work list — is a second walker: write it as a
+  step function for ``fold``. ``gpc/ast.py`` itself and the entries of
   :data:`WALKER_ALLOWED` (each with its reason) are exempt; an entry
   that no longer matches a walker is itself a finding.
 - **One metrics model** (``INV008``) anywhere in ``src/repro``: a stats
@@ -67,9 +74,9 @@ that is checked here too because ruff is not in every build container:
   nesting level. Under the GIL a pool gains the pipeline nothing; the
   parallelism lives in the cluster backends.
 
-The first four and the last four apply to ``src/repro`` (tests assert
+All but the import check apply to ``src/repro`` only (tests assert
 and poll, that is their job); with no arguments the tool lints
-``src/repro`` for all nine and the other three trees for the imports.
+``src/repro`` for all ten and the other three trees for the imports.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -78,6 +85,7 @@ Exit status 0 when clean, 1 with findings (one per line, parseable as
 from __future__ import annotations
 
 import ast
+import configparser
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -216,6 +224,62 @@ def _imported_modules(node: "ast.Import | ast.ImportFrom") -> list[str]:
     if not node.module or node.level:
         return []
     return [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+
+
+def strict_modules(config: Path) -> "frozenset[str]":
+    """The paths under ``src/repro`` of the modules ``config`` checks
+    with ``disallow_untyped_defs = True``: a ``[mypy-repro.a.b]``
+    section names ``a/b.py`` (or the package ``a/b/__init__.py``), a
+    ``[mypy-repro.a.*]`` section every module under ``a/``."""
+    parser = configparser.ConfigParser()
+    parser.read(config, encoding="utf-8")
+    found: set[str] = set()
+    for section in parser.sections():
+        if not section.startswith("mypy-repro.") or not parser.getboolean(
+            section, "disallow_untyped_defs", fallback=False
+        ):
+            continue
+        path = section[len("mypy-repro."):].replace(".", "/")
+        if path.endswith("/*"):
+            found.add(path[:-1])  # a prefix: "a/"
+        else:
+            found.update((f"{path}.py", f"{path}/__init__.py"))
+    return frozenset(found)
+
+
+def _is_strict(module: "str | None", strict: "frozenset[str]") -> bool:
+    return module is not None and any(
+        module == entry or (entry.endswith("/") and module.startswith(entry))
+        for entry in strict
+    )
+
+
+def _unannotated(
+    node: "ast.FunctionDef | ast.AsyncFunctionDef", method: bool
+) -> "list[str]":
+    """What INV006 finds missing on one ``def``: the names of its
+    unannotated parameters, then ``return``. A method's first
+    parameter (``self`` / ``cls``) needs none, and ``__init__`` may
+    omit its return once a parameter is annotated — what mypy allows
+    under ``disallow_untyped_defs``."""
+    arguments = node.args
+    params = [*arguments.posonlyargs, *arguments.args]
+    static = any(
+        "staticmethod" in _terminal_names(d) for d in node.decorator_list
+    )
+    if method and params and not static:
+        params = params[1:]
+    named = [(param.arg, param) for param in (*params, *arguments.kwonlyargs)]
+    named += [
+        (star + param.arg, param)
+        for star, param in (("*", arguments.vararg), ("**", arguments.kwarg))
+        if param is not None
+    ]
+    missing = [name for name, param in named if param.annotation is None]
+    implied = method and node.name == "__init__" and len(missing) < len(named)
+    if node.returns is None and not implied:
+        missing.append("return")
+    return missing
 
 
 def _is_mutable_default(node: "ast.expr | None") -> bool:
@@ -379,11 +443,16 @@ class _Checker(ast.NodeVisitor):
         library: bool,
         scope_sleep: bool,
         module: "str | None" = None,
+        typed: bool = False,
     ):
         self.path = path
         self.lines = lines
         self.scope_broad = scope_broad
         self.scope_sleep = scope_sleep
+        #: Whether INV006 applies (a strict module of mypy.ini).
+        self.typed = typed
+        #: ``id`` of every ``def`` that sits directly in a class body.
+        self.methods: set[int] = set()
         #: Whether INV001-003 and INV005 apply (``src/repro``, and files
         #: named explicitly); INV004 applies everywhere.
         self.library = library
@@ -461,14 +530,39 @@ class _Checker(ast.NodeVisitor):
                     "use None and construct inside the body",
                 )
 
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.methods.update(
+            id(item)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+        self.generic_visit(node)
+
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
         self._check_rendering(node)
+        self._check_annotations(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
+        self._check_annotations(node)
         self.generic_visit(node)
+
+    def _check_annotations(
+        self, node: "ast.FunctionDef | ast.AsyncFunctionDef"
+    ) -> None:
+        """INV006: every ``def`` of a strict module is annotated."""
+        if not self.typed:
+            return
+        missing = _unannotated(node, id(node) in self.methods)
+        if missing:
+            self._add(
+                node,
+                "INV006",
+                f"{node.name}() leaves {', '.join(missing)} unannotated; "
+                "mypy.ini checks this module with disallow_untyped_defs",
+            )
 
     def _check_rendering(self, node: ast.FunctionDef) -> None:
         """INV008 (i): a rendering that re-spells the record's fields."""
@@ -558,11 +652,13 @@ def check_source(
     scope_sleep: bool = True,
     module: "str | None" = None,
     allowed_walkers: "set[tuple[str, str]] | None" = None,
+    typed: bool = False,
 ) -> list[Finding]:
     """Lint one module's source text (the unit-testable core).
     ``library=False`` checks the imports only. ``module`` is the path
     under ``src/repro`` that INV007's allow-list knows the file by;
-    the entries it used are added to ``allowed_walkers``."""
+    the entries it used are added to ``allowed_walkers``. ``typed``
+    turns on INV006 (the module is strict in mypy.ini)."""
     tree = ast.parse(source, filename=path)
     checker = _Checker(
         str(path),
@@ -571,6 +667,7 @@ def check_source(
         library,
         scope_sleep,
         module,
+        typed,
     )
     checker.check(tree)
     if allowed_walkers is not None:
@@ -596,6 +693,7 @@ def main(argv: "list[str] | None" = None) -> int:
     findings: list[Finding] = []
     allowed_walkers: set[tuple[str, str]] = set()
     modules: set[str] = set()
+    strict = strict_modules(REPO_ROOT / "mypy.ini")
     for root in roots:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for file in files:
@@ -625,6 +723,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         or _in_scope(file, SLEEP_SCOPES),
                         module=module,
                         allowed_walkers=allowed_walkers,
+                        typed=_is_strict(module, strict),
                     )
                 )
             except SyntaxError as exc:
