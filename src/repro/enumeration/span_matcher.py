@@ -10,10 +10,10 @@ so it asks for start ``0`` and every sub-pattern is evaluated at the
 starts actually reached from there, not at all ``n + 1`` of them.
 :func:`span_matches` is the same matcher asked for every start.
 
-Besides powering the Theorem 12 enumerator and the engine's
-``shortest`` route, this is a *second, independent* implementation of
-the pattern semantics: the differential tests check it against the
-compositional engine on random inputs.
+Besides powering the Theorem 12 enumerator, this is a *second,
+independent* implementation of the pattern semantics: the differential
+tests check it against the compositional engine on random inputs, and
+the register runs' assignments against it walk by walk.
 """
 
 from __future__ import annotations

@@ -643,7 +643,8 @@ def _shape_diagnostics(
                     "unbounded repetition: under plain `shortest` the "
                     "register search finds the exact minimum, and only a "
                     "pattern that holds ArithConditioned, "
-                    "RestrictedSubpattern or WitnessMarked deepens, up "
+                    "RestrictedSubpattern or WitnessMarked, or has a "
+                    "GPC022 body that binds a variable, deepens, up "
                     "to `shortest_deepening_limit`; under trail/simple "
                     "the bound is the graph size",
                     _span(sub),
@@ -658,9 +659,9 @@ def _shape_diagnostics(
                     "rejected under Approach 1 (the GQL rule, "
                     "CollectMode.SYNTACTIC), a source of duplicate "
                     "single-node matches elsewhere, and under `shortest` "
-                    "a body that also binds a variable sends every "
-                    "witness through the span matcher (a register run "
-                    "cannot regroup edgeless iterations)",
+                    "a body that also binds a variable runs the "
+                    "specification, not the register search (a register "
+                    "run cannot regroup edgeless iterations)",
                     _span(sub),
                 )
             )

@@ -9,7 +9,9 @@
   the minimum length its search finds;
 - an arithmetic condition, a nested restrictor or a witness marker
   makes it over-approximate (exact ``shortest`` under counts is
-  undecidable, Proposition 14). Then ``trail`` and ``simple`` take the
+  undecidable, Proposition 14), and a repeat body that may match an
+  edgeless path can leave a run unable to give the assignment of its
+  walk (lint ``GPC022``). Then ``trail`` and ``simple`` take the
   bounded evaluator (:mod:`repro.gpc.semantics`) at the Lemma 16
   bounds ``|E_d| + |E_u|`` and ``|N|``, pruning as it builds, and an
   unbounded ``shortest`` is *iteratively deepened* until every pair the
@@ -78,14 +80,13 @@ class EngineConfig:
     ``collect_mode``
         Which of the paper's three ``collect`` approaches to use
         (Section 5); GROUPING (Approach 3) is the paper's default.
-    ``max_pattern_length``
-        Optional override for the length bound used when evaluating a
-        bare pattern without a restrictor (needed because unrestricted
-        denotations may be infinite).
     ``shortest_deepening_limit``
-        Hard ceiling for iterative deepening under ``shortest``. When
-        candidate endpoint pairs remain unresolved at this length, the
-        engine raises :class:`~repro.errors.EvaluationLimitError`
+        Hard ceiling for iterative deepening under ``shortest``, the
+        route of an unbounded pattern whose register NFA over-approximates
+        it or whose runs cannot give its assignments (a
+        :func:`~repro.gpc.register_nfa.collect_requirement`).
+        When candidate endpoint pairs remain unresolved at this length,
+        the engine raises :class:`~repro.errors.EvaluationLimitError`
         rather than silently dropping potentially valid answers
         (set ``lenient_shortest=True`` to accept the approximation).
     ``automaton_state_limit``
@@ -117,7 +118,6 @@ class EngineConfig:
     """
 
     collect_mode: CollectMode = CollectMode.GROUPING
-    max_pattern_length: int | None = None
     shortest_deepening_limit: int = 4096
     lenient_shortest: bool = False
     automaton_state_limit: int = 100_000
@@ -162,37 +162,29 @@ class PatternPlan:
         """How the pattern is served (a bare ``shortest``'s name, which
         ``explain`` prints), its register NFA on the register route
         and, off it, why the NFA cannot serve it: it over-approximates,
-        or the pattern needs the span matcher, which has no extension
-        case."""
+        or its accepting runs do not determine the assignments (the
+        pattern needs ``collect``, see
+        :func:`repro.gpc.register_nfa.collect_requirement`). Such a
+        pattern runs the specification: the bounded evaluator at its
+        length bound or, unbounded, deepened."""
         nfa = self.nfa
-        requirement = collect_requirement(self.pattern, self.config.collect_mode)
-        if not nfa.exact:
+        if nfa.exact:
+            why = collect_requirement(self.pattern, self.config.collect_mode)
+            if why is None:
+                return REGISTER, nfa, None
+        else:
             names = " and ".join(dict.fromkeys(nfa.approximated))
             why = f"the automaton runs the child of {names} in its place"
-        elif requirement is not None and any(
-            isinstance(sub, ast.PatternExtension)
-            for sub in ast.iter_subpatterns(self.pattern)
-        ):
-            why = f"{requirement}; the span matcher has no extension case"
-        else:
-            return REGISTER, nfa, None
         bounded = max_path_length(self.pattern) is not None
         return BOUNDED_FILTER if bounded else DEEPENING, None, why
 
     @cached_property
-    def assignment_source(self) -> tuple[str | None, dict[str, object]]:
-        """Where a ``shortest`` witness of the pattern gets its
-        assignments: ``(requirement, padding)``. ``requirement`` is
-        ``None`` when the registers of an accepting run are the
-        assignment once padded with ``padding`` (``Nothing`` for every
-        schema variable, which the run's union branches may not
-        mention); otherwise it says why the pattern needs ``collect``,
-        i.e. the span matcher (see
-        :func:`repro.gpc.register_nfa.collect_requirement`)."""
-        return (
-            collect_requirement(self.pattern, self.config.collect_mode),
-            {variable: Nothing for variable in infer_schema(self.pattern)},
-        )
+    def padding(self) -> dict[str, object]:
+        """``Nothing`` for every schema variable: padded with it, the
+        registers of an accepting run on the register route are the
+        assignment of the walk it accepts (the run's union branches
+        may not mention every variable)."""
+        return {variable: Nothing for variable in infer_schema(self.pattern)}
 
 
 class QueryPlan:
@@ -315,7 +307,7 @@ class QueryPlan:
                 target = analysis.simplified
         for pattern_query in self._pattern_queries(target):
             record = self.pattern_plan(pattern_query.pattern)
-            _ = record.shortest_plan, record.assignment_source, record.route
+            _ = record.shortest_plan, record.padding, record.route
 
     def _pattern_queries(self, query: ast.Query):
         for current in ast.iter_queries(query):
@@ -458,14 +450,11 @@ class Evaluator:
         """Bounded pattern denotation ``{(p, mu) : len(p) <= L}``.
 
         Patterns alone have no restrictor; a length bound must come
-        from the caller or :attr:`EngineConfig.max_pattern_length`.
-        When neither is given, the trail bound ``|E|`` is used (every
-        longer path repeats an edge).
+        from the caller. When none is given, the trail bound ``|E|`` is
+        used (every longer path repeats an edge).
         """
         self.plan.ensure_typechecked(pattern)
         self._validate_collect(pattern)
-        if max_length is None:
-            max_length = self.config.max_pattern_length
         if max_length is None:
             max_length = self._view.num_edges
         return self._bounded.evaluate(pattern, max_length)
@@ -608,60 +597,38 @@ class Evaluator:
         mode, every walk that repeats no edge (node) is one — one
         enumeration per seed serves all of the seed's pairs and runs
         the NFA exactly, so a witness arrives with the registers of its
-        accepting runs. Those are the assignments unless the pattern
-        needs ``collect`` (:attr:`PatternPlan.assignment_source`); only
-        then is the witness handed to the span matcher.
+        accepting runs, which, padded (:attr:`PatternPlan.padding`),
+        are its assignments.
         """
-        from repro.enumeration.span_matcher import match_on_path
-
         record = self.plan.pattern_plan(pattern)
         _route, rnfa, _why = record.route
-        limit = self.config.shortest_deepening_limit
-        collect_mode = self.config.collect_mode
-        needs_collect, padding = record.assignment_source
+        padding = record.padding
         answers: set[Match] = set()
-        matched = 0
-        counters = active_counters()
         search = self._search(pattern, rnfa, restriction)
         if search is None:
             return frozenset()
         starts, end_filter, program, reach = search
-        view = self._view
-        # Run-complete, the registers of a witness's runs *are* its
-        # assignments, so the witness pass tracks every variable and
-        # every group register; the search carries only the variables
-        # that can constrain a run.
-        walker = (
-            program.retracked((*rnfa.sites, *rnfa.groups))
-            if needs_collect is None
-            else program
-        )
+        counters = active_counters()
         if counters is not None:
             counters.conditions_pushed += rnfa.pushed_atoms
-        # Under ``shortest`` the targets are exact lengths: no reach test.
-        walks_from = witness_search(walker, mode, reach if mode else None)
-
-        def assignments(witness, runs) -> list[Assignment]:
-            nonlocal matched
-            if needs_collect is None:
-                return [Assignment(padding | dict(registers)) for registers in runs]
-            matched += 1
-            return match_on_path(pattern, witness, view, collect_mode, self.values)
-
-        try:
-            for start in starts:
-                # Checked once per seed here; the witness enumeration
-                # checks again every fixed number of edge expansions.
-                check_deadline()
-                if mode is not None:
-                    budget = self.config.max_intermediate_results - len(answers)
-                    for witnesses in walks_from(start, end_filter, budget).values():
-                        answers.update(
-                            (witness, mu)
-                            for witness, runs in witnesses
-                            for mu in assignments(witness, runs)
-                        )
-                    continue
+        # The registers of a witness's runs *are* its assignments, so
+        # the witness pass tracks every variable and every group
+        # register; the search carries only the variables that can
+        # constrain a run. Under ``shortest`` the targets are exact
+        # lengths: no reach test.
+        walks_from = witness_search(
+            program.retracked((*rnfa.sites, *rnfa.groups)),
+            mode,
+            reach if mode else None,
+        )
+        for start in starts:
+            # Checked once per seed here; the witness enumeration
+            # checks again every fixed number of edge expansions.
+            check_deadline()
+            if mode is not None:
+                budget = self.config.max_intermediate_results - len(answers)
+                walks = walks_from(start, end_filter, budget)
+            else:
                 best = shortest_pair_lengths(program, start, reach=reach)
                 targets = {
                     end: length
@@ -670,37 +637,12 @@ class Evaluator:
                 }
                 # One enumeration serves every target of the seed.
                 walks = walks_from(start, targets)
-                for end, length in targets.items():
-                    witnesses = walks.get(end, ())
-                    # The register search can under-estimate in one
-                    # corner: an accepted run whose every factorization
-                    # fails collect unification. Probe upward until a
-                    # witness with a defined assignment appears.
-                    while True:
-                        check_deadline()
-                        found = False
-                        for witness, runs in witnesses:
-                            for mu in assignments(witness, runs):
-                                answers.add((witness, mu))
-                                found = True
-                        if found:
-                            break
-                        length += 1
-                        if length > limit:
-                            if self.config.lenient_shortest:
-                                break
-                            raise EvaluationLimitError(
-                                f"shortest: no collectible witness for pair "
-                                f"({start!r}, {end!r}) up to length {limit}; "
-                                f"raise EngineConfig.shortest_deepening_limit "
-                                f"or set lenient_shortest=True"
-                            )
-                        if counters is not None:
-                            counters.deepening_rounds += 1
-                        witnesses = walks_from(start, {end: length}).get(end, ())
-        finally:
-            if counters is not None:
-                counters.witnesses_matched += matched
+            for witnesses in walks.values():
+                answers.update(
+                    (witness, Assignment(padding | dict(registers)))
+                    for witness, runs in witnesses
+                    for registers in runs
+                )
         return frozenset(answers)
 
     def _shortest_candidates(

@@ -650,7 +650,7 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
                 walk(side, depth + 1)
             return
         if plan is None:  # only the endpoints are known
-            record, shortest = None, plan_shortest(q.pattern)
+            shortest = plan_shortest(q.pattern)
             route, rnfa, why = REGISTER, None, None
         else:
             record = plan.pattern_plan(q.pattern)
@@ -663,23 +663,17 @@ def explain_plan(query: ast.Query, view=None, plan=None) -> str:
         )
         if rnfa is not None:
             line += "; search: " + _describe_registers(rnfa.constraining)
-            # Depends on the plan's collect mode.
-            requirement, _padding = record.assignment_source
-            if requirement is not None:
-                source = f"span matcher ({requirement})"
-            else:
-                grouped = sorted(
-                    {
-                        variable
-                        for sub in ast.iter_subpatterns(q.pattern)
-                        if isinstance(sub, ast.Repeat)
-                        for variable in ast.variables(sub.pattern)
-                    }
-                )
-                source = "register run" + (
-                    f" (groups {', '.join(grouped)})" if grouped else ""
-                )
-            line += "; assignments: " + source
+            grouped = sorted(
+                {
+                    variable
+                    for sub in ast.iter_subpatterns(q.pattern)
+                    if isinstance(sub, ast.Repeat)
+                    for variable in ast.variables(sub.pattern)
+                }
+            )
+            line += "; assignments: register run" + (
+                f" (groups {', '.join(grouped)})" if grouped else ""
+            )
         lines.append(line)
 
     walk(query, 1)

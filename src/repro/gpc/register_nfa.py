@@ -36,13 +36,10 @@ register files of its accepting runs — lists included, read off the
 iteration boundaries the run passed. Those are the assignments unless
 some repetition body may match an edgeless path
 (:func:`collect_requirement`): consecutive edgeless iterations regroup
-(Figure 3), which a run cannot know, so the span matcher factorises
-those witnesses and builds the group values.
-
-One caveat, handled by the engine: under the GROUPING collect mode an
-accepted run can exist while every factorization's ``collect`` is
-undefined (edgeless-run unification failure), so the minimum is a
-lower bound in that corner; the engine then probes longer lengths.
+(Figure 3), which a run cannot know, and an accepted run can exist
+while every factorization's ``collect`` is undefined, so the minimum
+is only a lower bound there. The engine serves such a pattern by the
+specification (:mod:`repro.gpc.semantics`), not by this automaton.
 """
 
 from __future__ import annotations
@@ -617,7 +614,7 @@ class ShortestProgram:
     register file, so a cycle of zero-weight arcs through one would
     never close: track a group register only for a pattern whose
     :func:`collect_requirement` is ``None`` — every iteration then
-    consumes an edge.
+    consumes an edge, and only such a pattern takes the register route.
     ``free`` holds what was folded, ``(mask, label, props, target)``
     per state, and ``closure`` its fixed point: per state a run can
     stand in (others hold ``None``) the pairs ``(mask, r)``, ``live``

@@ -565,13 +565,6 @@ class PropertyGraph:
                 out.update(labels)
         return frozenset(out)
 
-    def all_property_keys(self) -> frozenset[str]:
-        """Every property key used anywhere in the graph."""
-        out: set[str] = set()
-        for props in self._properties.values():
-            out.update(props)
-        return frozenset(out)
-
     def other_endpoint(self, edge: UndirectedEdgeId, node: NodeId) -> NodeId:
         """The endpoint of ``edge`` other than ``node`` (or ``node`` for
         a self-loop)."""

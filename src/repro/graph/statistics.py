@@ -1,17 +1,15 @@
 """Summary statistics over property graphs.
 
-Used by the benchmark harness to report workload characteristics next
-to measured results, by tests as a cheap structural fingerprint, and —
-via :class:`LabelCardinalities` — by the query planner
+Used by tests as a cheap structural fingerprint and — via
+:class:`LabelCardinalities` — by the query planner
 (:mod:`repro.gpc.planner`) as the basis for cardinality estimation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
-
-from repro.graph.property_graph import PropertyGraph
 
 __all__ = [
     "GraphStatistics",
@@ -85,33 +83,37 @@ def compute_label_cardinalities(graph) -> LabelCardinalities:
     return graph.snapshot().label_cardinalities()
 
 
-def compute_statistics(graph: PropertyGraph) -> GraphStatistics:
-    """Compute a :class:`GraphStatistics` summary for ``graph``."""
+def compute_statistics(graph) -> GraphStatistics:
+    """Compute a :class:`GraphStatistics` summary for a graph or
+    snapshot, read off its snapshot."""
     view = graph.snapshot()
     degrees = [view.degree(n) for n in view.nodes] or [0]
     directed_loops = sum(
-        1 for e in graph.directed_edges if graph.source(e) == graph.target(e)
+        1 for e in view.directed_edges if view.source(e) == view.target(e)
     )
     undirected_loops = sum(
-        1 for e in graph.undirected_edges if len(graph.endpoints(e)) == 1
+        1 for e in view.undirected_edges if len(view.endpoints(e)) == 1
     )
-    histogram: dict[str, int] = {}
-    for node in graph.nodes:
-        for label in graph.labels(node):
-            histogram[label] = histogram.get(label, 0) + 1
-    for edge in graph.directed_edges | graph.undirected_edges:
-        for label in graph.labels(edge):
-            histogram[label] = histogram.get(label, 0) + 1
+    keys = {
+        key
+        for elements in (view.nodes, view.directed_edges, view.undirected_edges)
+        for element in elements
+        for key in view.properties(element)
+    }
+    cards = view.label_cardinalities()
+    histogram: Counter[str] = Counter(cards.node_counts)
+    histogram.update(cards.directed_edge_counts)
+    histogram.update(cards.undirected_edge_counts)
     return GraphStatistics(
-        num_nodes=graph.num_nodes,
-        num_directed_edges=graph.num_directed_edges,
-        num_undirected_edges=graph.num_undirected_edges,
-        num_labels=len(graph.all_labels()),
-        num_property_keys=len(graph.all_property_keys()),
+        num_nodes=view.num_nodes,
+        num_directed_edges=view.num_directed_edges,
+        num_undirected_edges=view.num_undirected_edges,
+        num_labels=len(view.all_labels()),
+        num_property_keys=len(keys),
         max_degree=max(degrees),
         min_degree=min(degrees),
         mean_degree=sum(degrees) / len(degrees),
         num_directed_self_loops=directed_loops,
         num_undirected_self_loops=undirected_loops,
-        label_histogram=histogram,
+        label_histogram=dict(histogram),
     )

@@ -332,11 +332,10 @@ class EvalCounters(Counters):
       cost register/check ops and cost-1 edge steps);
     - ``search_states_pruned`` — product states that search found and
       never queued, as no end candidate is reachable from them;
-    - ``deepening_rounds`` — iterative-deepening rounds: lengths probed
-      on the NFA route past a pair's register minimum (the ``collect``
-      corner), one per (endpoint pair, probed length), plus
-      bound-doubling rounds of the deepening route; 0 when every pair
-      resolved at its minimum;
+    - ``deepening_rounds`` — bound-doubling rounds of the deepening
+      route (an unbounded ``shortest`` whose register NFA
+      over-approximates the pattern or whose runs cannot give its
+      assignments); 0 on the register route;
     - ``witness_steps`` — edge expansions tried by the per-seed witness
       enumeration, which serves ``shortest`` and walks every ``trail`` /
       ``simple`` (distinct ``(edge, successor)`` moves some run can take
@@ -344,9 +343,6 @@ class EvalCounters(Counters):
     - ``witnesses`` — walks that enumeration accepted (some run of the
       register NFA over the walk ends in the final state): under
       ``trail`` / ``simple`` one per answer path;
-    - ``witnesses_matched`` — accepted walks handed to the span matcher
-      because the pattern needs ``collect``; the others got their
-      assignments from the accepting runs' registers;
     - ``join_build_rows`` / ``join_probe_rows`` — rows hashed into /
       probed against join tables (nested-loop joins count both sides);
     - ``seeds_pruned`` — start nodes the planner's candidate analysis
@@ -380,7 +376,6 @@ class EvalCounters(Counters):
     deepening_rounds: int = 0
     witness_steps: int = 0
     witnesses: int = 0
-    witnesses_matched: int = 0
     join_build_rows: int = 0
     join_probe_rows: int = 0
     seeds_pruned: int = 0

@@ -176,16 +176,16 @@ class TestDiagnosticCodes:
     def test_edgeless_repeat_body(self):
         codes = self.lint("TRAIL [(x)]{1,2} (y)")
         assert an.EDGELESS_REPEAT_BODY in codes
-        # The code `explain` cites when it refuses the register read-off.
+        # The code `explain` cites when it refuses the register route.
         (message,) = {
             d.message
             for d in lint_query("SHORTEST (x:P) [(z)]{1,2} -> (y)")
             if d.code == an.EDGELESS_REPEAT_BODY
         }
         assert message.endswith(
-            "under `shortest` a body that also binds a variable sends every "
-            "witness through the span matcher (a register run cannot regroup "
-            "edgeless iterations)"
+            "under `shortest` a body that also binds a variable runs the "
+            "specification, not the register search (a register run cannot "
+            "regroup edgeless iterations)"
         )
         # It never iterates: no warning, and no refusal either.
         assert an.EDGELESS_REPEAT_BODY not in self.lint(

@@ -16,6 +16,10 @@ wrappers over the Section 7 patterns and over generated core patterns,
 and the checks have teeth: a label expression compiled as one of its
 labels, a wrapper's child compiled in the other direction and a wrapper
 marked exact each go red.
+
+One rule picks the route: a pattern takes the register route iff its
+NFA is exact and its accepting runs give its assignments
+(``collect_requirement`` is ``None``).
 """
 
 from __future__ import annotations
@@ -44,8 +48,11 @@ from repro.extensions.label_expressions import (
 )
 from repro.extensions.mixed_restrictors import RestrictedSubpattern, WitnessMarked
 from repro.gpc import ast
-from repro.gpc.engine import EngineConfig, Evaluator
-from repro.gpc.planner import BOUNDED_FILTER
+from repro.gpc.collect import CollectMode
+from repro.gpc.engine import EngineConfig, Evaluator, QueryPlan
+from repro.gpc.parser import parse_pattern
+from repro.gpc.planner import BOUNDED_FILTER, REGISTER
+from repro.gpc.register_nfa import collect_requirement
 from repro.gpc.semantics import _Limits
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import random_multigraph, transport_network
@@ -231,8 +238,11 @@ class TestLabelExpressionsTakeTheRegisterRoute:
         for graph in _graphs():
             evaluator = Evaluator(graph)
             route, nfa, why = evaluator.plan.pattern_plan(pattern).route
-            assert (route, nfa) == (BOUNDED_FILTER, None)
-            assert why.startswith("GPC022") and "no extension case" in why
+            assert (route, nfa, why) == (
+                BOUNDED_FILTER,
+                None,
+                "GPC022: repeat body binds x and may match an edgeless path",
+            )
             assert evaluator.evaluate(query) == reference_answers(graph, query, 8)
 
 
@@ -362,3 +372,27 @@ class TestShortestOfAnExtension:
         assert evaluator.evaluate(query, start_restriction=cell) == {
             a for a in everything if a.path.src in cell
         }
+
+
+class TestOneRouteRule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        well_typed_patterns(max_depth=3),
+        st.sampled_from(["", *sorted(_WRAPPERS)]),
+        st.sampled_from(list(CollectMode)),
+    )
+    @example(parse_pattern("(x) [(z)]{1,} -> (y)"), "", CollectMode.GROUPING)
+    @example(parse_pattern("(x) [()]{1,2} -> (y)"), "", CollectMode.RUNTIME)
+    @example(parse_pattern("(x) [()]{1,2} -> (y)"), "", CollectMode.GROUPING)
+    @example(parse_pattern("(x) [(z)]{1,} -> (y)"), "witness-marked", CollectMode.GROUPING)
+    def test_the_register_route_is_exact_and_run_complete(self, pattern, wrapper, mode):
+        if wrapper:
+            pattern = _WRAPPERS[wrapper](pattern)
+        record = QueryPlan(EngineConfig(collect_mode=mode)).pattern_plan(pattern)
+        route, nfa, why = record.route
+        register = record.nfa.exact and collect_requirement(pattern, mode) is None
+        assert (route is REGISTER) == register
+        if register:
+            assert (nfa, why) == (record.nfa, None)
+        else:
+            assert nfa is None and why

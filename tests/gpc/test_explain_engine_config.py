@@ -22,17 +22,12 @@ class TestEngineLimits:
         matches = Evaluator(cycle4).eval_pattern(parse_pattern("->{1,}"))
         assert max(len(p) for p, _ in matches) == cycle4.num_edges
 
-    def test_max_pattern_length_config(self, cycle4):
-        config = EngineConfig(max_pattern_length=2)
-        matches = Evaluator(cycle4, config).eval_pattern(parse_pattern("->{1,}"))
-        assert max(len(p) for p, _ in matches) == 2
-
-    def test_explicit_bound_overrides_config(self, cycle4):
-        config = EngineConfig(max_pattern_length=2)
-        matches = Evaluator(cycle4, config).eval_pattern(
-            parse_pattern("->{1,}"), max_length=3
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_explicit_bound(self, cycle4, bound):
+        matches = Evaluator(cycle4).eval_pattern(
+            parse_pattern("->{1,}"), max_length=bound
         )
-        assert max(len(p) for p, _ in matches) == 3
+        assert max(len(p) for p, _ in matches) == bound
 
     def test_automaton_state_limit(self):
         graph = chain_graph(2)
@@ -71,7 +66,7 @@ class TestConfigPlanMismatch:
     def test_matching_config_and_plan_are_fine(self, cycle4):
         from repro.gpc.engine import QueryPlan
 
-        config = EngineConfig(max_pattern_length=2)
+        config = EngineConfig(automaton_state_limit=10)
         evaluator = Evaluator(cycle4, config, plan=QueryPlan(config))
         assert evaluator.config == config
 
@@ -136,12 +131,8 @@ class TestExplainQuery:
 
 class TestLenientShortest:
     def test_lenient_mode_returns_partial(self):
-        # A pattern whose register search finds a pair but whose
-        # grouping-collect probe would exceed the limit cannot easily
-        # be constructed from well-typed core patterns; instead check
-        # the flag exists and default strictness raises on automaton
-        # blow-ups handled above. Here: lenient + tiny limit on a
-        # normal query still returns answers.
+        # Only the deepening route reads the flag; a register-route
+        # query under lenient + a tiny limit still returns answers.
         graph = chain_graph(3)
         config = EngineConfig(lenient_shortest=True, shortest_deepening_limit=8)
         answers = evaluate(parse_query("SHORTEST ->{1,}"), graph, config)

@@ -2,14 +2,17 @@
 
 import pytest
 
+from reference import reference_answers
 from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.planner import (
+    BOUNDED_FILTER,
     estimate_pattern_cardinality,
     estimate_query_cardinality,
     explain_plan,
     join_shared_variables,
     plan_shortest,
 )
+from repro.graph.builder import GraphBuilder
 from repro.graph.generators import social_network, two_cliques_bridge
 
 
@@ -252,7 +255,7 @@ class TestExplainPlan:
 
     def test_shortest_names_its_source_of_assignments(self):
         from repro.gpc.collect import CollectMode
-        from repro.gpc.engine import EngineConfig, QueryPlan
+        from repro.gpc.engine import EngineConfig, Evaluator, QueryPlan
 
         flat = parse_query("SHORTEST (x) ->{1,8} (y)")
         group = parse_query("SHORTEST (x) -[e]->{1,8} (y)")
@@ -260,29 +263,41 @@ class TestExplainPlan:
         binding_edgeless = parse_query("SHORTEST (x) [(z:A)]{1,} -> (y)")
         nested = parse_query("SHORTEST (x) [[-[e]->]{1,2} (z)]{1,2} (y)")
 
+        def line_of(query, plan):
+            return plan.explain(query).splitlines()[1]
+
         def source_of(query, plan):
-            line = plan.explain(query).splitlines()[1]
-            return line.partition("; assignments: ")[2]
+            return line_of(query, plan).partition("; assignments: ")[2]
 
         plan = QueryPlan()
         assert source_of(flat, plan) == "register run"
         assert source_of(group, plan) == "register run (groups e)"
         assert source_of(nested, plan) == "register run (groups e, z)"
-        # The one thing a run cannot know, by its lint code.
-        assert source_of(binding_edgeless, plan) == (
-            "span matcher (GPC022: repeat body binds z and may match an "
-            "edgeless path)"
+        # What a run cannot know leaves the register route, by its lint
+        # code: an edgeless body repeats without lengthening the path.
+        requirement = "GPC022: repeat body binds z and may match an edgeless path"
+        assert plan.pattern_plan(binding_edgeless.pattern).route == (
+            BOUNDED_FILTER, None, requirement
         )
-        # Depends on the plan's collect mode, so a bare explain_plan
-        # (no plan, no mode) does not say.
+        assert f": {BOUNDED_FILTER} ({requirement}); " in line_of(binding_edgeless, plan)
+        assert "assignments" not in line_of(binding_edgeless, plan)
+        # Depends on the plan's collect mode.
         assert "assignments: register run" in plan.explain(edgeless)
         runtime = QueryPlan(EngineConfig(collect_mode=CollectMode.RUNTIME))
-        assert (
-            "assignments: span matcher (repeat body may match an edgeless path)"
-            in runtime.explain(edgeless)
+        requirement = "repeat body may match an edgeless path"
+        assert runtime.pattern_plan(edgeless.pattern).route == (
+            BOUNDED_FILTER, None, requirement
         )
+        assert f": {BOUNDED_FILTER} ({requirement}); " in line_of(edgeless, runtime)
+        assert "assignments" not in runtime.explain(edgeless)
+        # A bare explain_plan (no plan, no mode) does not say.
         for query in (flat, group, binding_edgeless):
             assert "assignments" not in explain_plan(query)
+        graph = GraphBuilder().node("a", "A").edge("a", "b").edge("b", "a").edge("b", "b").build()
+        for query, served_by in ((binding_edgeless, plan), (edgeless, runtime)):
+            assert Evaluator(graph, plan=served_by).evaluate(query) == reference_answers(
+                graph, query, graph.num_nodes, served_by.config.collect_mode
+            )
 
     def test_shortest_names_the_registers_its_search_carries(self):
         from repro.gpc.engine import EngineConfig, QueryPlan

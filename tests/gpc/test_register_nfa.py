@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from reference import reference_answers
 from repro.enumeration.radix import iter_paths_radix
 from repro.enumeration.span_matcher import match_on_path
 from repro.errors import (
@@ -25,12 +26,14 @@ from repro.gpc import ast
 from repro.gpc.collect import CollectMode
 from repro.gpc.engine import EngineConfig, Evaluator
 from repro.gpc.parser import parse_pattern, parse_query
+from repro.gpc.planner import BOUNDED_FILTER, REGISTER
 from repro.gpc.register_nfa import (
     compile_register_nfa,
     enumerate_exact_length_walks,
     enumerate_shortest_witnesses,
+    lower_program,
+    shortest_pair_lengths,
 )
-from repro.gpc.semantics import BoundedEvaluator
 from repro.obs import EvalCounters, use_counters
 from repro.obs.deadline import deadline_scope
 
@@ -333,8 +336,6 @@ class TestPerSeedWitnessPass:
         assert counters.witness_steps == 8
         assert counters.witnesses == 8
         assert counters.deepening_rounds == 0  # each pair at its minimum
-        # No repeat body binds a variable: the runs are the answers.
-        assert counters.witnesses_matched == 0
         grouped = EvalCounters()
         with use_counters(grouped):
             Evaluator(graph).evaluate(
@@ -342,10 +343,10 @@ class TestPerSeedWitnessPass:
                 start_restriction={N("n0")},
             )
         # Every iteration consumes an edge: the lists come off the run.
-        assert (grouped.witnesses, grouped.witnesses_matched) == (8, 0)
+        assert grouped.witnesses == 8
         assert grouped.witness_steps == 8
 
-    def test_collect_failure_probes_upward(self, pair_lengths):
+    def test_collect_failure_runs_the_specification(self, view_of):
         # Under RUNTIME collect an edgeless factor is undefined, so the
         # NFA's length 0 for the pair has no collectible witness, nor
         # has length 1 (one edge factor, one edgeless); length 2 has.
@@ -353,7 +354,8 @@ class TestPerSeedWitnessPass:
         pattern = parse_pattern("[(x) + ->]{2,2}")
         nfa = compile_register_nfa(pattern)
         node = N("n0")
-        assert pair_lengths(graph, nfa, node) == {node: 0}
+        view = view_of(graph)
+        assert shortest_pair_lengths(lower_program(nfa, view), node) == {node: 0}
         runtime = CollectMode.RUNTIME
         collectible = []
         for length in range(3):
@@ -361,39 +363,44 @@ class TestPerSeedWitnessPass:
             assert len(walk) == length
             collectible.append(bool(match_on_path(pattern, walk, graph, runtime)))
         assert collectible == [False, False, True]
+        query = parse_query("SHORTEST [(x) + ->]{2,2}")
+        evaluator = Evaluator(view, EngineConfig(collect_mode=runtime))
+        assert evaluator.plan.pattern_plan(pattern).route == (
+            BOUNDED_FILTER,
+            None,
+            "GPC022: repeat body binds x and may match an edgeless path",
+        )
         counters = EvalCounters()
         with use_counters(counters):
-            answers = Evaluator(
-                graph, EngineConfig(collect_mode=runtime)
-            ).evaluate(parse_query("SHORTEST [(x) + ->]{2,2}"))
+            answers = evaluator.evaluate(query)
         assert [len(a.path) for a in answers] == [2]
-        assert counters.deepening_rounds == 2  # probed 1 and 2 past 0
-        assert counters.witnesses_matched == 3
+        assert answers == reference_answers(graph, query, 2, runtime)
+        assert counters.witnesses == counters.deepening_rounds == 0
 
     @pytest.mark.parametrize(
         "mode, edgeless_pairs", [(CollectMode.RUNTIME, 0), (CollectMode.GROUPING, 3)]
     )
-    def test_edgeless_body_needs_the_matcher_outside_grouping(
+    def test_edgeless_body_leaves_the_register_route_outside_grouping(
         self, mode, edgeless_pairs
     ):
         # The body binds nothing, yet RUNTIME collect is undefined on
-        # its edgeless factor: only the matcher can tell.
+        # its edgeless factor: a run cannot tell.
         graph = chain_graph(2)
         pattern = parse_pattern("(x) [() + ->]{1,1} (y)")
-        config = EngineConfig(collect_mode=mode, lenient_shortest=True)
-        counters = EvalCounters()
-        with use_counters(counters):
-            answers = Evaluator(graph, config).evaluate(
-                ast.PatternQuery(ast.Restrictor.SHORTEST, pattern)
+        query = ast.PatternQuery(ast.Restrictor.SHORTEST, pattern)
+        evaluator = Evaluator(graph, EngineConfig(collect_mode=mode))
+        route, _nfa, why = evaluator.plan.pattern_plan(pattern).route
+        if mode is CollectMode.GROUPING:
+            assert (route, why) == (REGISTER, None)
+        else:
+            assert (route, why) == (
+                BOUNDED_FILTER,
+                "repeat body may match an edgeless path",
             )
+        answers = evaluator.evaluate(query)
         lengths = sorted(len(a.path) for a in answers)
         assert lengths == [0] * edgeless_pairs + [1, 1]
-        assert (counters.witnesses_matched == 0) == (mode is CollectMode.GROUPING)
-        from reference import keep_shortest
-
-        assert {(a.path, a.assignment) for a in answers} == keep_shortest(
-            BoundedEvaluator(graph, mode).evaluate(pattern, 2)
-        )
+        assert answers == reference_answers(graph, query, 2, mode)
 
 
 class TestDeadlineInsideTheWitnessPass:

@@ -20,13 +20,16 @@ from repro.cluster import ClusterService
 from repro.errors import (
     DeadlineExceededError,
     EvaluationLimitError,
+    GPCError,
     UnknownIdError,
 )
 from repro.extensions.arithmetic import ArithConditioned, TermConst
+from repro.extensions.label_expressions import LabelAtom, LabelOr, NodeWithLabelExpr
 from repro.gpc import ast, register_nfa
 from repro.gpc.collect import CollectMode
 from repro.gpc.engine import EngineConfig, Evaluator
 from repro.gpc.parser import parse_pattern, parse_query
+from repro.gpc.planner import BOUNDED_FILTER, DEEPENING
 from repro.gpc.register_nfa import (
     collect_requirement,
     compile_register_nfa,
@@ -280,7 +283,6 @@ class TestGroupReadOff:
                 ).evaluate(query)
             assert expected and set(served) == expected
             assert counters.witnesses == len({a.path for a in served})
-            assert counters.witnesses_matched == 0
 
     def test_an_iteration_is_the_portion_of_the_walk_it_consumed(self):
         graph = chain_graph(3)
@@ -357,40 +359,48 @@ class TestGroupReadOff:
         counters = EvalCounters()
         with use_counters(counters):
             (answer,) = Evaluator(derived).evaluate(query)
-        assert counters.witnesses_matched == 0
+        assert counters.witnesses == 1
         assert [edge.key for edge in answer["e"].values] == ["next0", "fresh0"]
         assert {answer} == reference_answers(graph, query, graph.num_nodes)
 
-    def test_what_a_run_cannot_know_stays_with_the_matcher(self, view_of):
+    def test_what_a_run_cannot_know_runs_the_specification(self, view_of):
         graph = self._graph()
-        for text, mode, reason in (
+        for text, mode, expected, reason in (
             # Zero inner iterations make an outer one edgeless: Figure 3
             # regroups them, and a run could go round for ever.
             (
                 "SHORTEST (x:Probe) [[-[e:next]->]{0,2}]{1,} (y:Adj)",
                 CollectMode.GROUPING,
+                DEEPENING,
                 "GPC022: repeat body binds e and may match an edgeless path",
             ),
+            # An edgeless body repeats without lengthening the path.
             (
                 "SHORTEST (x:Probe) [(z)]{1,} -[:next]-> (y)",
                 CollectMode.RUNTIME,
+                BOUNDED_FILTER,
                 "GPC022: repeat body binds z and may match an edgeless path",
             ),
             (
                 "SHORTEST (x:Probe) [()]{1,} -[:next]-> (y)",
                 CollectMode.RUNTIME,
+                BOUNDED_FILTER,
                 "repeat body may match an edgeless path",
             ),
         ):
             query = parse_query(text)
             assert collect_requirement(query.pattern, mode) == reason
-            counters = EvalCounters()
             config = EngineConfig(
                 collect_mode=mode, shortest_deepening_limit=8, lenient_shortest=True
             )
+            evaluator = Evaluator(view_of(graph), config)
+            route = evaluator.plan.pattern_plan(query.pattern).route
+            assert route == (expected, None, reason)
+            counters = EvalCounters()
             with use_counters(counters):
-                served = Evaluator(view_of(graph), config).evaluate(query)
-            assert counters.witnesses_matched == counters.witnesses > 0
+                served = evaluator.evaluate(query)
+            assert counters.witnesses == 0
+            assert (counters.deepening_rounds > 0) == (expected is DEEPENING)
             assert set(served) == reference_answers(graph, query, 8, mode)
         # ... and what never iterates, or binds nothing, does not.
         for text, mode in (
@@ -435,6 +445,100 @@ class TestGroupReadOff:
             counted.append(counters)
         assert counted[0] == counted[1]
         assert counted[1].register_files == 0 < counted[1].dense_fast_lane
+
+
+def _collect_graph() -> PropertyGraph:
+    """Small enough for the specification under every restrictor: a
+    ``next`` chain closed by an unlabelled back edge, ``knows`` edges
+    with a self-loop, and the node labels the table's patterns read."""
+    return (
+        GraphBuilder()
+        .node("n0", "Probe", "Person", "A")
+        .node("n1", "Person", "B")
+        .node("n2", "A")
+        .node("n3", "Adj", "Person")
+        .edge("n0", "n1", "next")
+        .edge("n1", "n2", "next")
+        .edge("n2", "n3", "next")
+        .edge("n0", "n1", "knows")
+        .edge("n1", "n3", "knows")
+        .edge("n3", "n3", "knows")
+        .edge("n3", "n0")
+        .build()
+    )
+
+
+#: Every pattern whose runs cannot give its assignments under some
+#: collect mode, as the route tests use them.
+_COLLECT_PATTERNS = {
+    "label-expression body": ast.concat(
+        ast.Repeat(NodeWithLabelExpr(LabelOr(LabelAtom("A"), LabelAtom("B")), "x"), 1, 3),
+        ast.forward(),
+        ast.node("y"),
+    ),
+    **{
+        text: parse_pattern(text)
+        for text in (
+            "(x) [(z:Person)]{1,} -[:knows]-> (y)",
+            "(x) [(z:A)]{1,} -> (y)",
+            "(x) [() + ->]{1,1} (y)",
+            "[(x) + ->]{2,2}",
+            "(x:Probe) [[-[e:next]->]{0,2}]{1,} (y:Adj)",
+            "(x:Probe) [(z)]{1,} -[:next]-> (y)",
+            "(x:Probe) [()]{1,} -[:next]-> (y)",
+        )
+    },
+}
+
+
+class TestTheSpecificationServesWhatARunCannotKnow:
+    """A pattern with a :func:`collect_requirement` is served by the
+    bounded evaluator, never by the witness search, under every
+    restrictor and collect mode, on pristine and derived snapshots."""
+
+    @pytest.mark.parametrize(
+        "restrictor",
+        [
+            ast.Restrictor.SHORTEST,
+            ast.Restrictor.TRAIL,
+            ast.Restrictor.SIMPLE,
+            ast.Restrictor.SHORTEST_TRAIL,
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("name", sorted(_COLLECT_PATTERNS))
+    def test_against_the_reference(self, name, restrictor, view_of, monkeypatch):
+        from repro.gpc import engine
+
+        searches = []
+
+        def witness_search(*args):
+            searches.append(args)
+            return register_nfa.witness_search(*args)
+
+        monkeypatch.setattr(engine, "witness_search", witness_search)
+        graph = _collect_graph()
+        query = ast.PatternQuery(restrictor, _COLLECT_PATTERNS[name])
+        required = 0
+        for mode in CollectMode:
+            config = EngineConfig(
+                collect_mode=mode, shortest_deepening_limit=8, lenient_shortest=True
+            )
+            searches.clear()
+            served = _outcome(Evaluator(view_of(graph), config).evaluate, query)
+            assert served == _outcome(reference_answers, graph, query, 8, mode)
+            if collect_requirement(query.pattern, mode) is not None:
+                required += 1
+                assert not searches
+        assert required
+
+
+def _outcome(evaluate, *args):
+    """The answer set, or the type of the error raised instead."""
+    try:
+        return set(evaluate(*args))
+    except GPCError as error:
+        return type(error)
 
 
 class TestMaskAnd:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.graph.builder import GraphBuilder
-from repro.graph.ids import NodeId
+from repro.graph.ids import DirectedEdgeId, NodeId
 from repro.graph import generators as G
 from repro.graph.statistics import compute_statistics
 
@@ -172,6 +172,38 @@ class TestStatistics:
         assert stats.num_undirected_self_loops == 1
         assert stats.max_degree >= stats.min_degree
         assert stats.label_histogram["a"] == 2
+
+    def test_a_snapshot_has_the_statistics_of_its_graph(self):
+        # Self-loops both ways, properties on nodes and on edges; then
+        # writes, so the next snapshot is derived from the first.
+        g = (
+            GraphBuilder()
+            .node("u", "N", k=1)
+            .node("v", "N", w=2)
+            .edge("u", "v", "a", key="d1", since=3)
+            .edge("u", "u", "loop", key="d2")
+            .undirected("v", "v", "b", key="u1", weight=1)
+            .undirected("u", "v", "b", key="u2")
+            .build()
+        )
+        base = g.snapshot()
+        stats = compute_statistics(g)
+        assert stats == compute_statistics(base)
+        assert (stats.num_property_keys, stats.num_labels) == (4, 4)
+        assert (stats.num_directed_self_loops, stats.num_undirected_self_loops) == (1, 1)
+        assert stats.label_histogram == {"N": 2, "a": 1, "loop": 1, "b": 2}
+        g.add_node("x", ["N", "a"], {"z": 0})
+        g.add_undirected_edge("u3", NodeId("x"), NodeId("x"), ["b"])
+        g.remove_edge(DirectedEdgeId("d2"))
+        g.remove_property(DirectedEdgeId("d1"), "since")
+        derived = g.snapshot()
+        assert derived._core is base._core
+        stats = compute_statistics(g)
+        assert stats == compute_statistics(derived)
+        assert stats == compute_statistics(g.copy().snapshot())
+        assert (stats.num_property_keys, stats.num_labels) == (4, 3)
+        assert (stats.num_directed_self_loops, stats.num_undirected_self_loops) == (0, 2)
+        assert stats.label_histogram == {"N": 3, "a": 2, "b": 3}
 
     def test_statistics_on_empty_graph(self, empty_graph):
         stats = compute_statistics(empty_graph)

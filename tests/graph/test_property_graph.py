@@ -122,9 +122,6 @@ class TestLabelIndexes:
     def test_all_labels(self, graph):
         assert graph.all_labels() == frozenset({"A", "B", "a", "b"})
 
-    def test_all_property_keys(self, graph):
-        assert graph.all_property_keys() == frozenset({"k", "w"})
-
 
 class TestAdjacency:
     """Adjacency is an index, and the snapshot owns it: the graph keeps

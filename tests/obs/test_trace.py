@@ -360,7 +360,6 @@ class TestEvalCounters:
             "deepening_rounds",
             "witness_steps",
             "witnesses",
-            "witnesses_matched",
             "join_build_rows",
             "join_probe_rows",
             "seeds_pruned",

@@ -233,7 +233,7 @@ class TestResultCache:
         assert social.stats.result_cache.hits == 0
 
     def test_config_is_part_of_the_key(self, social):
-        loose = EngineConfig(max_pattern_length=2)
+        loose = EngineConfig(automaton_state_limit=50_000)
         social.evaluate(QUERIES[0])
         social.evaluate(QUERIES[0], config=loose)
         assert social.stats.result_cache.misses == 2
