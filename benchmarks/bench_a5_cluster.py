@@ -7,7 +7,7 @@ each query whole in one process (:class:`repro.service.GraphService`).
 Two measurements:
 
 - **equivalence**: on a mixed trail/simple/shortest/join workload,
-  every backend — serial, thread, process — returns answers
+  both backends — serial and process — return answers
   frozenset-identical to the single service. This is the soundness
   claim of the decomposition (disjoint seed cells union losslessly
   under GPC's set semantics) checked end to end.
@@ -16,9 +16,9 @@ Two measurements:
   backend must finish the warm repeated-query pass at least **2x**
   faster than the single service. Shard work conserves (the per-shard
   totals sum to the unsharded cost within noise), so the bound is
-  essentially parallel efficiency >= 50% — the GIL prevents the thread
-  backend from getting there, which is exactly why the process backend
-  exists. The speedup assertion needs real parallel hardware and is
+  essentially parallel efficiency >= 50% — the GIL keeps any
+  in-process pool from getting there, which is exactly why the process
+  backend is the one parallel lane. The speedup assertion needs real parallel hardware and is
   skipped below 4 usable CPUs (CI runners have 4).
 """
 
@@ -60,7 +60,7 @@ def _usable_cpus() -> int:
 
 
 def test_a5_backend_equivalence():
-    """Serial, thread and process backends all reproduce the single
+    """The serial and process backends both reproduce the single
     service's answers exactly, query by query."""
     graph = social_network(num_people=16, friend_degree=2, seed=3)
     single = GraphService(graph.copy())
@@ -72,10 +72,10 @@ def test_a5_backend_equivalence():
 
     table = Table(
         "A5: cross-backend answer equivalence (sharded vs single)",
-        ["query", "answers", "serial ms", "thread ms", "process ms"],
+        ["query", "answers", "serial ms", "process ms"],
     )
     timings: dict[str, dict[str, float]] = {t: {} for t in VARIETY_WORKLOAD}
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         with ClusterService(
             graph.copy(), backend=backend, num_workers=2
         ) as cluster:
@@ -91,7 +91,6 @@ def test_a5_backend_equivalence():
             text if len(text) <= 44 else text[:41] + "...",
             len(reference[text]),
             timings[text]["serial"],
-            timings[text]["thread"],
             timings[text]["process"],
         )
     table.show()

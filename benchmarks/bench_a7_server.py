@@ -203,7 +203,7 @@ def test_a7_http_serving_throughput():
     _run_facade("GraphService", GraphService(_graph()), expected, table)
     _run_facade(
         "ClusterService",
-        ClusterService(_graph(), backend="thread", num_workers=2),
+        ClusterService(_graph(), backend="serial", num_workers=2),
         expected,
         table,
     )

@@ -19,7 +19,7 @@ Reproduction of "GPC: A Pattern Calculus for Property Graphs"
 - :mod:`repro.service` — the query-service runtime (prepared queries,
   versioned snapshots, plan/result caching, concurrent batches);
 - :mod:`repro.cluster` — sharded scatter/gather serving (seed
-  partitioning, serial/thread/process executor backends, merged
+  partitioning, serial and process executor backends, merged
   cluster stats).
 
 Quickstart

@@ -12,14 +12,13 @@ same graph version.
 
 - :mod:`repro.cluster.service` — the :class:`ClusterService` façade
   (a :class:`~repro.service.GraphService` whose execute step is
-  scatter/gather);
+  scatter/gather: shard calls out, a shard-order union and per-shard
+  :class:`ShardFailure` surfacing back);
 - :mod:`repro.cluster.partitioner` — :class:`SeedPartitioner`
   (planner-pruned seed universe, degree-balanced LPT cells);
-- :mod:`repro.cluster.backends` — :class:`SerialBackend`,
-  :class:`ThreadBackend`, :class:`ProcessBackend` (version-keyed
-  warm-worker snapshot shipping);
-- :mod:`repro.cluster.router` — :class:`ScatterGatherRouter`
-  (deterministic merge, per-shard failure surfacing);
+- :mod:`repro.cluster.backends` — :class:`SerialBackend` (the
+  in-process reference) and :class:`ProcessBackend` (the parallel
+  lane, with version-keyed warm-worker snapshot shipping);
 - :mod:`repro.cluster.stats` — :class:`ClusterStats`
   (:class:`~repro.service.ServiceStats` plus per-worker latency
   percentiles and shard counters).
@@ -30,12 +29,11 @@ from repro.cluster.backends import (
     ProcessBackend,
     SerialBackend,
     ShardCall,
+    ShardFailure,
     ShardOutcome,
-    ThreadBackend,
     make_backend,
 )
 from repro.cluster.partitioner import SeedPartitioner
-from repro.cluster.router import ScatterGatherRouter, ShardFailure
 from repro.cluster.service import ClusterService
 from repro.cluster.stats import ClusterStats
 
@@ -43,11 +41,9 @@ __all__ = [
     "ClusterService",
     "ClusterStats",
     "SeedPartitioner",
-    "ScatterGatherRouter",
     "ShardFailure",
     "ExecutorBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "ShardCall",
     "ShardOutcome",

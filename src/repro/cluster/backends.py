@@ -2,18 +2,14 @@
 
 A backend turns a list of :class:`ShardCall`\\ s — (query, config,
 seed restriction) triples against one immutable snapshot — into a list
-of :class:`ShardOutcome`\\ s in the same order. Three implementations:
+of :class:`ShardOutcome`\\ s in the same order. Two implementations:
 
 - :class:`SerialBackend` — in-process, sequential. The reference
   implementation used by tests and differential checks: zero
   concurrency, identical results by construction.
-- :class:`ThreadBackend` — a :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Shares the snapshot and a thread-safe plan cache by reference. The
-  GIL caps its speedup for CPU-bound evaluation (see
-  ``bench_a3_service.py``), but it parallelises anything that releases
-  the GIL and keeps shipping costs at zero.
-- :class:`ProcessBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  for genuine CPU parallelism. Snapshots are immutable and picklable,
+- :class:`ProcessBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`,
+  the one parallel lane (evaluation holds the GIL, so a thread pool
+  would only add hops). Snapshots are immutable and picklable,
   so the backend ships one pickled snapshot into every worker via the
   pool initializer — a warm-worker snapshot cache: while the version
   is unchanged (the mutation-light serving case), queries ship only
@@ -32,18 +28,19 @@ of :class:`ShardOutcome`\\ s in the same order. Three implementations:
   once per worker, not per call.
 
 Backends never raise for a failing shard: the failure is captured in
-its outcome so sibling shards complete and the router can surface the
-error with full context (:class:`repro.errors.ClusterError`).
+its outcome so sibling shards complete and the cluster service can
+surface the error with full context (:class:`repro.errors.ClusterError`).
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -70,9 +67,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ShardCall",
     "ShardOutcome",
+    "ShardFailure",
     "ExecutorBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
 ]
@@ -104,10 +101,10 @@ class ShardOutcome:
     """What came back from one shard task.
 
     Exactly one of ``result`` / ``error`` is set. ``worker`` tags which
-    executor unit ran the task (``serial``, a thread name, or a worker
-    pid) and ``elapsed_s`` is in-worker evaluation time. ``span`` is
-    the shard's serialised span tree (``None`` when the call carried no
-    trace context) — the gatherer re-parents it into the request trace
+    executor unit ran the task (``serial`` or a worker pid) and
+    ``elapsed_s`` is in-worker evaluation time. ``span`` is the shard's
+    serialised span tree (``None`` when the call carried no trace
+    context) — the gatherer re-parents it into the request trace
     — and ``counters`` the shard's engine work
     (:meth:`EvalCounters.as_dict`), merged into the cluster aggregate.
     """
@@ -122,6 +119,21 @@ class ShardOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+@dataclass(frozen=True)
+class ShardFailure:
+    """One failed shard: which cell, which worker, what it raised."""
+
+    shard: int
+    worker: str
+    error: Exception
+
+    def describe(self) -> str:
+        return (
+            f"shard {self.shard} on worker {self.worker}: "
+            f"{type(self.error).__name__}: {self.error}"
+        )
 
 
 #: Bound on every worker-side prepared-plan cache (mirrors the
@@ -154,7 +166,7 @@ def _evaluate_shard(
                 result = prepared.execute(
                     snapshot, start_restriction=call.restriction
                 )
-        # Captured as ``ShardOutcome.error``; the router re-raises it.
+        # Captured as ``ShardOutcome.error``; the gather re-raises it.
         except Exception as exc:  # lint: allow-broad-except
             error = exc
             shard.record_error(exc)
@@ -228,47 +240,6 @@ class SerialBackend(ExecutorBackend):
         ]
 
 
-class ThreadBackend(ExecutorBackend):
-    """Thread-pool execution: shared snapshot, shared plan cache."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: int = 4):
-        self._max_workers = max_workers
-        self._plans = LRUCache(PLAN_CACHE_CAPACITY)
-        self._executor: Optional[ThreadPoolExecutor] = None
-        #: Guards executor lifecycle and submission against concurrent
-        #: run()/close() (duplicate pools, submit-after-shutdown).
-        self._lock = threading.RLock()
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="gpc-cluster",
-            )
-        return self._executor
-
-    def _call(self, snapshot, call: ShardCall) -> ShardOutcome:
-        return _evaluate_shard(
-            snapshot, self._plans, call, threading.current_thread().name
-        )
-
-    def run(self, snapshot, calls, delta_source=None):
-        with self._lock:
-            executor = self._ensure_executor()
-            futures = [
-                executor.submit(self._call, snapshot, call) for call in calls
-            ]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-
 # ---------------------------------------------------------------------------
 # Process pool: per-worker snapshot + plan caches
 # ---------------------------------------------------------------------------
@@ -330,10 +301,15 @@ def _run_process_shard(call: ShardCall, ship=None) -> ShardOutcome:
     worker = f"pid-{os.getpid()}"
     try:
         snapshot = _resolve_worker_snapshot(ship)
-    # Captured as ``ShardOutcome.error``; the router re-raises it.
+    # Captured as ``ShardOutcome.error``; the gather re-raises it.
     except Exception as exc:  # pragma: no cover - lint: allow-broad-except
         return ShardOutcome(None, exc, worker, 0.0)
-    return _evaluate_shard(snapshot, _WORKER_PLANS, call, worker)
+    # A forked worker starts in a copy of the context of the thread that
+    # spawned it: that request's deadline, span and counters. The shard
+    # runs in an empty context and sees only what its call carries.
+    return contextvars.Context().run(
+        _evaluate_shard, snapshot, _WORKER_PLANS, call, worker
+    )
 
 
 class ProcessBackend(ExecutorBackend):
@@ -492,19 +468,22 @@ def make_backend(
     stats: "Optional[ClusterStats]" = None,
 ) -> ExecutorBackend:
     """Resolve a backend spec: an instance passes through (adopting
-    ``stats`` if it has none yet); the strings ``"serial"``,
-    ``"thread"`` and ``"process"`` construct one."""
+    ``stats`` if it has none yet); the strings ``"serial"`` and
+    ``"process"`` construct one.
+
+    ``"thread"`` still resolves, to a :class:`SerialBackend`: there is
+    no thread lane (evaluation holds the GIL), but the cluster pass of
+    ``benchmarks/layers`` names that spec, and it goes when that pass
+    names ``"serial"``."""
     if isinstance(spec, ExecutorBackend):
         if stats is not None:
             spec.bind_stats(stats)
         return spec
-    if spec == "serial":
+    if spec in ("serial", "thread"):
         return SerialBackend()
-    if spec == "thread":
-        return ThreadBackend(max_workers)
     if spec == "process":
         return ProcessBackend(max_workers, stats)
     raise ValueError(
-        f"unknown backend {spec!r}; expected 'serial', 'thread', 'process' "
+        f"unknown backend {spec!r}; expected 'serial', 'process' "
         f"or an ExecutorBackend instance"
     )

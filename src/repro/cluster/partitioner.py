@@ -33,17 +33,18 @@ import heapq
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.gpc import ast
+from repro.gpc.planner import describe_route
 from repro.graph.ids import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.snapshot import GraphSnapshot
     from repro.service.prepared import PreparedQuery
 
-__all__ = ["SeedPartitioner", "leftmost_pattern"]
+__all__ = ["SeedPartitioner", "leftmost_query"]
 
 
-def leftmost_pattern(query: ast.Query) -> ast.Pattern:
-    """The pattern whose path becomes ``answer.paths[0]``.
+def leftmost_query(query: ast.Query) -> ast.PatternQuery:
+    """The pattern query whose path becomes ``answer.paths[0]``.
 
     Join path tuples concatenate left-to-right, so the leftmost pattern
     query — the one the start restriction is defined over — is reached
@@ -53,7 +54,7 @@ def leftmost_pattern(query: ast.Query) -> ast.Pattern:
         query = query.left
     if not isinstance(query, ast.PatternQuery):
         raise TypeError(f"not a query: {query!r}")
-    return query.pattern
+    return query
 
 
 class SeedPartitioner:
@@ -87,7 +88,7 @@ class SeedPartitioner:
         """
         if prepared is None:
             return view.nodes
-        pattern = leftmost_pattern(prepared.template)
+        pattern = leftmost_query(prepared.template).pattern
         constraint = prepared.plan.shortest_plan(pattern).start
         candidates = constraint.candidate_nodes(view, prepared.values)
         return view.nodes if candidates is None else candidates
@@ -103,7 +104,8 @@ class SeedPartitioner:
         for zero division. Those queries run as a single unrestricted
         shard instead.
         """
-        return prepared.plan.register_nfa(leftmost_pattern(prepared.template)) is not None
+        pattern = leftmost_query(prepared.template).pattern
+        return prepared.plan.register_nfa(pattern) is not None
 
     def partition(
         self,
@@ -154,9 +156,12 @@ class SeedPartitioner:
         """One-line summary used by :meth:`ClusterService.explain`."""
         cells = self.partition(view, prepared)
         if cells == (None,):
+            query = leftmost_query(prepared.template)
+            route, _nfa, why = prepared.plan.pattern_plan(query.pattern).route
             return (
-                "unsharded (the leftmost pattern takes the bounded route; "
-                "sharding would duplicate the bounded evaluation)"
+                f"unsharded (the leftmost pattern runs "
+                f"{describe_route(query.restrictor, route, why)}; "
+                f"sharding would repeat that evaluation in every shard)"
             )
         universe = self.seed_universe(view, prepared)
         sizes = ", ".join(str(len(cell)) for cell in cells)

@@ -5,22 +5,27 @@ one step of the serving pipeline replaced: where the base class
 *executes* each prepared query of a batch by running it whole, the
 cluster *partitions its seed space* across N workers:
 
-1. the :class:`~repro.cluster.partitioner.SeedPartitioner` splits the
-   query's viable start nodes (pruned by the planner's leading-endpoint
-   analysis) into degree-balanced cells;
-2. the :class:`~repro.cluster.router.ScatterGatherRouter` turns the
-   cells into shard calls against the current immutable snapshot;
-3. the executor backend (serial / thread / process) evaluates every
-   shard of every query of the batch in one run, with the engine's
-   native ``start_restriction`` seam;
-4. the router unions each query's shard answers — lossless by GPC's
-   set semantics: disjoint seed cells produce disjoint answer sets
-   whose union is exactly the unsharded answer set.
+1. **scatter**: the :class:`~repro.cluster.partitioner.SeedPartitioner`
+   splits the query's viable start nodes (pruned by the planner's
+   leading-endpoint analysis) into degree-balanced cells, and each
+   cell becomes one shard call against the current immutable snapshot,
+   carrying the caller's trace context and remaining deadline;
+2. the executor backend (serial or process) evaluates every shard of
+   every query of the batch in one run, with the engine's native
+   ``start_restriction`` seam;
+3. **gather**: each query's shard answers are unioned in shard order —
+   lossless by GPC's set semantics: disjoint seed cells produce
+   disjoint answer sets whose union is exactly the unsharded answer
+   set. A failing shard never aborts its siblings: every outcome is
+   gathered first, then one :class:`~repro.errors.ClusterError`
+   carries a :class:`~repro.cluster.backends.ShardFailure` per failed
+   shard (a deadline that expired in every failed shard stays a
+   :class:`~repro.errors.DeadlineExceededError`).
 
 Snapshots, mutations, both caches, failure accounting, insights,
 ``explain`` and ``lint`` are the inherited ones, so answers, cache
 behaviour and stats match ``GraphService`` on the same graph version
-whatever the backend. Every backend returns frozenset-identical
+whatever the backend. Both backends return frozenset-identical
 answers; the process backend adds true CPU parallelism, shipping each
 snapshot once per graph version into warm workers (see
 :class:`~repro.cluster.backends.ProcessBackend`).
@@ -28,16 +33,21 @@ snapshot once per graph version into warm workers (see
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from repro.cluster.backends import ExecutorBackend, ShardCall, make_backend
+from repro.cluster.backends import (
+    ExecutorBackend,
+    ShardCall,
+    ShardFailure,
+    make_backend,
+)
 from repro.cluster.partitioner import SeedPartitioner
-from repro.cluster.router import ScatterGatherRouter
 from repro.cluster.stats import ClusterStats
+from repro.errors import ClusterError, DeadlineExceededError
 from repro.gpc.engine import EngineConfig
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
-from repro.obs import InsightsRegistry, span
+from repro.obs import InsightsRegistry, current_carrier, remaining, span
 from repro.service.prepared import PreparedQuery
 from repro.service.service import GraphService
 
@@ -81,9 +91,8 @@ class ClusterService(GraphService):
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        # The inherited plan cache is the router's: it drives seed
-        # partitioning and ``explain`` without shipping anything;
-        # workers keep their own.
+        # The inherited plan cache drives seed partitioning and
+        # ``explain`` without shipping anything; workers keep their own.
         super().__init__(
             graph,
             config,
@@ -98,7 +107,6 @@ class ClusterService(GraphService):
             if partitioner is not None
             else SeedPartitioner(num_workers)
         )
-        self.router = ScatterGatherRouter()
 
     # ------------------------------------------------------------------
     # The execute step: one scatter → one run → a gather per query
@@ -138,7 +146,13 @@ class ClusterService(GraphService):
     def _scatter(self, job, snap: GraphSnapshot) -> list[ShardCall]:
         """One shard call per seed cell of the job's prepared query at
         ``snap`` — for an extend, one call over its seeds (none when it
-        has none: the kept answers are the job's)."""
+        has none: the kept answers are the job's).
+
+        Each call carries the caller's trace context (an explicit
+        carrier: contextvars stop at the executor boundary) and the
+        remaining request deadline, so shard evaluation is traced and
+        deadline-bounded wherever it runs.
+        """
         prepared = job.prepared
         seeds = job.extend[1]
         if seeds is None:
@@ -148,13 +162,23 @@ class ClusterService(GraphService):
         # Ship what the caller sent (text stays text): workers key
         # their own plan caches by it.
         query = prepared.text if prepared.text is not None else prepared.query
-        return self.router.scatter(query, prepared.config, cells)
+        carrier, deadline_s = current_carrier(), remaining()
+        return [
+            ShardCall(
+                query, prepared.config, cell, carrier=carrier, deadline_s=deadline_s
+            )
+            for cell in cells
+        ]
 
     def _gather(self, job, outcomes) -> None:
-        # Re-parent each shard's serialised span under the eval stage
-        # and account its work *before* gathering, so a failed gather
-        # still leaves the shard spans in the request trace, the
-        # partial work in counters and every shard that ran in stats.
+        """Union the job's shard answers in shard order; raise once
+        every shard is gathered if any failed.
+
+        Each shard's serialised span is re-parented under the eval
+        stage and its work accounted *before* the union, so a failed
+        gather still leaves the shard spans in the request trace, the
+        partial work in counters and every shard that ran in stats.
+        """
         counters = job.seen.counters
         with span(self._span_prefix + "eval", shards=len(outcomes)) as eval_span:
             for outcome in outcomes:
@@ -162,7 +186,14 @@ class ClusterService(GraphService):
                 counters.merge(outcome.counters)
             with self.stats.lock:
                 self.stats.record_shards(outcomes)
-            job.result = self.router.gather(outcomes)
+            failures = [
+                ShardFailure(index, outcome.worker, outcome.error)
+                for index, outcome in enumerate(outcomes)
+                if not outcome.ok
+            ]
+            if failures:
+                raise _failure_error(failures)
+            job.result = frozenset().union(*(outcome.result for outcome in outcomes))
             if job.extend[0]:
                 job.result |= job.extend[0]
 
@@ -191,3 +222,19 @@ class ClusterService(GraphService):
             f"backend={self.backend.name}, workers={self.num_workers}, "
             f"queries={self.stats.queries})"
         )
+
+
+def _failure_error(failures: Sequence[ShardFailure]) -> Exception:
+    """A :class:`ClusterError` summarising ``failures`` — or, when every
+    one of them is the request's deadline expiring inside its shard, a
+    :class:`DeadlineExceededError` (the request timed out; the cluster
+    did not fail) — chained to the first original exception."""
+    summary = f"{len(failures)} shard(s) failed: " + "; ".join(
+        f.describe() for f in failures
+    )
+    if all(isinstance(f.error, DeadlineExceededError) for f in failures):
+        error: Exception = DeadlineExceededError(summary)
+    else:
+        error = ClusterError(summary, failures=failures)
+    error.__cause__ = failures[0].error
+    return error

@@ -29,7 +29,7 @@ class ClusterStats(ServiceStats):
     (each evaluation's counters are the sum of its shards');
     ``shard_latency`` records in-worker evaluation time per shard task,
     with :attr:`per_worker` breaking the same samples down by worker
-    tag (thread name or worker pid).
+    tag (``serial`` or a worker pid).
     """
 
     metrics_prefix = "repro_cluster"

@@ -162,7 +162,7 @@ class WorkloadError(GPCError):
 class ClusterError(GPCError):
     """One or more shards of a scattered evaluation failed.
 
-    Raised by the cluster router after *all* shards have been gathered,
+    Raised by the cluster service after *all* shards have been gathered,
     so sibling shards complete (and their latencies are recorded) even
     when one worker raises. ``failures`` holds ``ShardFailure`` entries
     (shard index, worker tag, original exception); the first original

@@ -29,7 +29,7 @@ from functools import cached_property, partial
 from repro.errors import EvaluationLimitError
 from repro.obs.counters import active_counters
 from repro.obs.deadline import check_deadline
-from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
+from repro.graph.ids import NodeId
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.snapshot import GraphSnapshot
 from repro.gpc import ast
@@ -537,7 +537,7 @@ class Evaluator:
         shared = self.plan.join_variables(query)
         if not left_first:
             second = self._eval_query(query.left, restriction)
-            return _hash_join(second, first, shared, self._view)
+            return _hash_join(second, first, shared)
         # Typing makes a shared variable a node on both sides, so every
         # left answer binds it.
         bound = bind_variable(query, shared)
@@ -545,7 +545,7 @@ class Evaluator:
             answer.assignment[bound] for answer in first
         )
         second = self._eval_query(query.right, starts)
-        return _hash_join(first, second, shared, self._view)
+        return _hash_join(first, second, shared)
 
     # ------------------------------------------------------------------
     # Restrictors
@@ -748,11 +748,12 @@ class Evaluator:
             ):
                 return results
             if length >= limit:
+                why = self.plan.pattern_plan(pattern).route[2]
                 raise EvaluationLimitError(
                     f"shortest: {len(remaining)} candidate endpoint pair(s) "
-                    f"unresolved at deepening limit {limit}; they may be "
-                    f"unmatchable (the automaton over-approximates the "
-                    f"pattern) or require longer paths. Raise "
+                    f"unresolved at deepening limit {limit}; the pattern "
+                    f"deepens ({why}), so they may be unmatchable or "
+                    f"require longer paths. Raise "
                     f"EngineConfig.shortest_deepening_limit or set "
                     f"lenient_shortest=True."
                 )
@@ -780,41 +781,28 @@ def _nested_loop_join(
     return frozenset(out)
 
 
-_ELEMENT_IDS = (NodeId, DirectedEdgeId, UndirectedEdgeId)
-
-
 def _hash_join(
     left: frozenset[Answer],
     right: frozenset[Answer],
     shared: tuple[str, ...],
-    view: GraphSnapshot,
 ) -> frozenset[Answer]:
     """Combine two answer sets, bucketing on the shared variables.
 
     The hash table is built on the smaller side; path-tuple order in
     the combined answers always follows the query's left-to-right join
-    order, so the result is identical to the nested loop's. Element-id
-    key components are replaced by the snapshot's interned dense ints —
-    hashing a few small ints per row instead of ``_Id`` wrappers. The
-    mapping is deterministic per snapshot (equal elements always get
-    equal keys) and any accidental bucket collision is filtered by
-    ``combine()``'s full re-unification.
+    order, so the result is identical to the nested loop's. Rows are
+    keyed on the shared variables' values themselves (element ids are
+    tuples, hashed in C); ``combine()`` re-unifies every bucket mate.
     """
     if not left or not right:
         return frozenset()
     if not shared:
         # Disjoint schemas: the join is a plain cross product.
         return _nested_loop_join(left, right)
-    dense_key = view.dense_key
 
     def key_of(answer: Answer) -> tuple:
         get = answer.assignment.get
-        return tuple(
-            dense_key(value)
-            if isinstance(value, _ELEMENT_IDS)
-            else value
-            for value in (get(v) for v in shared)
-        )
+        return tuple(get(v) for v in shared)
 
     if len(left) <= len(right):
         build, probe, build_is_left = left, right, True

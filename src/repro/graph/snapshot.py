@@ -13,9 +13,9 @@ core (:class:`repro.graph.columns.SnapshotColumns`):
 - the public accessors are a **thin view** over that core — they
   rebuild id-typed tuples lazily and memoise them, so the engine, the
   footprint layer, and the cluster code see the same API as before;
-- the register-NFA ``shortest`` search and the hash join use the dense
-  ids directly (:meth:`dense_start_key` / :meth:`dense_key`), skipping
-  the view layer entirely on clean data.
+- the register-NFA ``shortest`` search uses the dense ids directly
+  (:meth:`dense_start_key`), skipping the view layer entirely on clean
+  data.
 
 **Derivation** (:meth:`derive`) is copy-on-write at the *overlay*
 level: a derived snapshot shares its base's immutable core and layers
@@ -509,22 +509,11 @@ class GraphSnapshot:
     # Dense-id fast-path hooks (engine-facing)
     # ------------------------------------------------------------------
 
-    def dense_key(self, element: GraphElementId):
-        """A hash/equality-stable compact key for ``element``.
-
-        Returns the interned dense int when the element is in the core
-        and not shadowed, else the element itself. Deterministic per
-        snapshot — equal elements always map to equal keys — which is
-        all the hash join and the register search need.
-        """
-        d = self._core.dense.get(element)
-        if d is None or (self._shadow and d in self._shadow):
-            return element
-        return d
-
     def dense_start_key(self, node: NodeId):
-        """Like :meth:`dense_key` but only for *valid current nodes*
-        (register-search seeds come from the carriers)."""
+        """The interned dense int of ``node`` when it is a valid current
+        node of the core and not shadowed, else ``node`` itself.
+        Deterministic per snapshot — equal nodes always map to equal
+        keys — which is all the register search needs for its seeds."""
         core = self._core
         d = core.dense.get(node)
         if (

@@ -3,19 +3,21 @@ shipping, plan-cache warmth."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cluster import (
     ProcessBackend,
     SerialBackend,
     ShardCall,
-    ThreadBackend,
     make_backend,
 )
 from repro.cluster.stats import ClusterStats
 from repro.gpc.engine import DEFAULT_CONFIG, EngineConfig, Evaluator
 from repro.gpc.parser import parse_query, query_shape
 from repro.graph.generators import cycle_graph, social_network
+from repro.obs import deadline_scope
 
 QUERY = "TRAIL (x:Person) -[e:knows]-> (y:Person)"
 
@@ -34,7 +36,7 @@ def _calls(snap, query=QUERY, config=DEFAULT_CONFIG, parts=3):
 
 
 @pytest.fixture(
-    params=["serial", "thread", "process"],
+    params=["serial", "process"],
 )
 def backend(request):
     made = make_backend(request.param, 2, ClusterStats())
@@ -186,6 +188,20 @@ class TestProcessShipping:
         finally:
             backend.close()
 
+    def test_a_pool_spawned_under_a_deadline_does_not_keep_it(self, snap):
+        # Workers fork from the thread that first submits, inside its
+        # request's deadline scope; a later call carries no deadline
+        # and must not time out on the spawning request's.
+        backend = ProcessBackend(max_workers=2)
+        try:
+            with deadline_scope(0.05):
+                backend.run(snap, _calls(snap, parts=2))
+            time.sleep(0.1)
+            outcomes = backend.run(snap, _calls(snap, parts=2))
+            assert [o.error for o in outcomes] == [None, None]
+        finally:
+            backend.close()
+
 
 class TestMakeBackend:
     def test_instance_passthrough(self):
@@ -205,10 +221,18 @@ class TestMakeBackend:
             assert cluster.stats.snapshots_shipped == 1
 
     def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(
+            ValueError,
+            match="unknown backend 'quantum'; expected 'serial', 'process' "
+            "or an ExecutorBackend instance",
+        ):
             make_backend("quantum", 4)
+
+    def test_thread_spec_resolves_to_the_serial_backend(self):
+        # No thread lane exists; the spec stays resolvable because the
+        # layers benchmark's cluster pass names it.
+        assert type(make_backend("thread", 4)) is SerialBackend
 
     def test_names(self):
         assert SerialBackend().name == "serial"
-        assert ThreadBackend(1).name == "thread"
         assert ProcessBackend(1).name == "process"

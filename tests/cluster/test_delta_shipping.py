@@ -193,7 +193,7 @@ class TestDeltaShipping:
 
 
 class TestClusterServiceMutationHeavy:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_mixed_mutation_query_stream_stays_exact(self, backend):
         """Interleaved mutations and queries: every answer matches a
         one-shot evaluation of the current graph, whatever mix of

@@ -152,10 +152,43 @@ class TestShardability:
         else:
             assert cells == (None,)
 
-    def test_unsharded_describe(self, snap):
-        prepared = PreparedQuery(_REFUSED)
-        text = SeedPartitioner(2).describe(snap, prepared)
-        assert "unsharded" in text
+    @pytest.mark.parametrize(
+        "query,route",
+        [
+            (
+                _REFUSED,
+                "bounded eval at |E|, pruned to trails while building, filtered"
+                " once (the automaton runs the child of ArithConditioned in its"
+                " place)",
+            ),
+            (
+                ast.PatternQuery(
+                    ast.Restrictor.SHORTEST,
+                    ArithConditioned(
+                        parse_query("SHORTEST (x:Person) -[:knows]->{1,} (y)").pattern,
+                        TermConst(1),
+                        TermConst(1),
+                    ),
+                ),
+                "abstraction-guided deepening (the automaton runs the child of"
+                " ArithConditioned in its place)",
+            ),
+            (
+                "TRAIL (x) [[-[e:knows]->]{0,1}]{1,} (y)",
+                "bounded eval at |E|, pruned to trails while building, filtered"
+                " once (GPC022: repeat body binds e and may match an edgeless path)",
+            ),
+        ],
+        ids=["refused", "deepening", "gpc022-trail"],
+    )
+    def test_unsharded_describe(self, snap, query, route):
+        prepared = PreparedQuery(query)
+        partitioner = SeedPartitioner(2)
+        assert partitioner.partition(snap, prepared) == (None,)
+        assert partitioner.describe(snap, prepared) == (
+            f"unsharded (the leftmost pattern runs {route}; "
+            "sharding would repeat that evaluation in every shard)"
+        )
 
     def test_a_label_expression_shards_losslessly(self):
         from repro.cluster import ClusterService

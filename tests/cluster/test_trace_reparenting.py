@@ -1,8 +1,8 @@
 """Trace propagation across the cluster's executor boundaries.
 
-Shard evaluation happens on pool threads or in worker *processes*,
-where the caller's contextvars are invisible. The router ships an
-explicit ``(trace_id, span_id)`` carrier in each ShardCall, the worker
+Shard evaluation may run in worker *processes*, where the caller's
+contextvars are invisible. The scatter puts an explicit
+``(trace_id, span_id)`` carrier in each ShardCall, the worker
 rebuilds a detached span around evaluation and returns it serialised
 in the ShardOutcome, and the gatherer re-parents every shard span
 under the request's ``cluster.eval`` span. These tests pin that whole
@@ -31,7 +31,7 @@ def _find(tree: dict, name: str) -> list[dict]:
     return found
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_shard_spans_reparent_under_the_request_trace(backend):
     tracer = Tracer(TraceStore())
     with ClusterService(
@@ -72,7 +72,7 @@ def test_process_workers_tag_spans_with_their_pid():
     assert all(worker.startswith("pid-") for worker in workers)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_engine_counters_aggregate_into_cluster_stats(backend):
     with ClusterService(
         _graph(), backend=backend, num_workers=2
@@ -96,23 +96,25 @@ def test_engine_counters_aggregate_into_cluster_stats(backend):
     assert grouped["register_files"] == 0
 
 
-def test_untraced_evaluation_ships_no_spans():
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_untraced_evaluation_ships_no_spans(backend):
     with ClusterService(
-        _graph(), backend="thread", num_workers=2
+        _graph(), backend=backend, num_workers=2
     ) as cluster:
         cluster.evaluate(QUERY, use_cache=False)
         # Counters still flow without a trace (always-on), spans don't.
         assert cluster.stats.as_dict()["engine"]["nfa_states_expanded"] > 0
 
 
-def test_batch_evaluations_keep_shard_spans_per_query():
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_batch_evaluations_keep_shard_spans_per_query(backend):
     tracer = Tracer(TraceStore())
     queries = [
         QUERY,
         "TRAIL (x:Person) -[:knows]-> (y:Person)",
     ]
     with ClusterService(
-        _graph(), backend="thread", num_workers=2
+        _graph(), backend=backend, num_workers=2
     ) as cluster:
         with tracer.trace("request"):
             cluster.evaluate_batch(queries, use_cache=False)

@@ -111,3 +111,26 @@ def test_a_restricted_join_equals_the_filtered_join():
     for restriction in (frozenset(), frozenset(sorted(graph.nodes)[:4])):
         restricted = Evaluator(graph).evaluate(query, start_restriction=restriction)
         assert restricted == {a for a in full if a.paths[0].src in restriction}
+
+
+def test_a_join_on_a_re_added_core_node_equals_the_nested_loop():
+    """A person removed and re-added under its old id is a shadowed row
+    of a derived snapshot; joining on it keys on the id itself, as the
+    nested loop does."""
+    graph = _social()
+    graph.snapshot()
+    query = parse_query(JOIN_CITY)
+    before = Evaluator(graph).evaluate(query)
+    y = sorted({answer.assignment["y"] for answer in before})[0]
+    city = next(a.assignment["c"] for a in before if a.assignment["y"] == y)
+    knower = next(a.assignment["x"] for a in before if a.assignment["y"] == y)
+    graph.remove_node(y)
+    graph.add_node(y, ["Person"])
+    graph.add_edge("k-again", knower, y, ["knows"])
+    graph.add_edge("l-again", y, city, ["lives_in"])
+    snap = graph.snapshot()
+    assert snap.derived and snap._shadow
+    answers = Evaluator(snap).evaluate(query)
+    assert answers == Evaluator(snap, NAIVE).evaluate(query)
+    assert answers == reference_answers(graph, query, horizon=4)
+    assert any(answer.assignment["y"] == y for answer in answers)

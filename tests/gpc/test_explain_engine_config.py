@@ -7,6 +7,7 @@ from repro.graph.generators import chain_graph, complete_graph, cycle_graph
 from repro.gpc.engine import EngineConfig, Evaluator, evaluate
 from repro.gpc.explain import explain, explain_pattern, explain_query
 from repro.gpc.parser import parse_pattern, parse_query
+from reference import reference_answers
 
 
 class TestEngineLimits:
@@ -137,3 +138,23 @@ class TestLenientShortest:
         config = EngineConfig(lenient_shortest=True, shortest_deepening_limit=8)
         answers = evaluate(parse_query("SHORTEST ->{1,}"), graph, config)
         assert answers
+
+    def test_the_deepening_limit_error_names_the_route_reason(self):
+        # A GPC022 body: the NFA is exact, so the unresolved pairs are
+        # real ones whose shortest match is longer than the limit.
+        graph = chain_graph(4)
+        query = parse_query("SHORTEST (x) [[-[e]->]{0,2}]{1,} (y)")
+        config = EngineConfig(shortest_deepening_limit=2)
+        plan = Evaluator(graph, config).plan.pattern_plan(query.pattern)
+        assert plan.nfa.exact
+        why = plan.route[2]
+        assert why == "GPC022: repeat body binds e and may match an edgeless path"
+        with pytest.raises(EvaluationLimitError) as raised:
+            evaluate(query, graph, config)
+        message = str(raised.value)
+        assert "3 candidate endpoint pair(s) unresolved at deepening limit 2" in message
+        assert f"the pattern deepens ({why})" in message
+        assert "over-approximates" not in message
+        answers = evaluate(query, graph)
+        assert answers == reference_answers(graph, query, horizon=4)
+        assert max(len(answer.path) for answer in answers) == 4

@@ -120,7 +120,7 @@ def test_every_shape_is_compared_somewhere(restrictor):
         assert _assert_walks_equal_reference(_graph(68), query, random.Random(68))
 
 
-@pytest.mark.parametrize("facade", ["graph", "serial", "thread"])
+@pytest.mark.parametrize("facade", ["graph", "serial", "process"])
 def test_served_walks_equal_the_reference_across_writes(facade):
     graph = _graph(68)
     service = (

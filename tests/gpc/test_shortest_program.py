@@ -864,7 +864,7 @@ class TestTargetPruning:
         assert counters.search_states_pruned == 1
         assert counters.nfa_states_expanded == 7
 
-    @pytest.mark.parametrize("facade", ["graph", "serial", "thread"])
+    @pytest.mark.parametrize("facade", ["graph", "serial", "process"])
     def test_writes_to_the_only_edge_into_an_end(self, facade):
         graph = _tailed_segment()
         texts = (

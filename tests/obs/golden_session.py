@@ -35,10 +35,10 @@ ILL_TYPED = "TRAIL [ -[e]->{1,3} ] << e.k = 1 >>"
 MALFORMED = "TRAIL (x:Person"
 TINY = EngineConfig(max_intermediate_results=1)
 
-FACADES = ("graph", "cluster-thread", "server")
+FACADES = ("graph", "cluster-serial", "server")
 
 #: Values that depend on the clock, on ids minted per run, or on which
-#: worker thread took which shard: kept as a shape, not a value.
+#: worker took which shard: kept as a shape, not a value.
 _MASKED_KEYS = {
     "latency", "shard_latency", "latency_histogram", "per_worker",
     "recent_trace_ids",
@@ -55,7 +55,7 @@ def _graph():
 def mask(value, key=None):
     """``value`` with every run-dependent part reduced to its shape."""
     if key == "per_worker":
-        # Which threads took shards varies: keep one worker's key set.
+        # Which workers took shards varies: keep one worker's key set.
         inner = next(iter(value.values()), {})
         return {"<keys>": sorted(inner)}
     if key in _MASKED_KEYS:
@@ -157,8 +157,8 @@ def run(facade: str) -> dict:
     if facade == "graph":
         with GraphService(_graph()) as service:
             return {"session": _in_process(service), **_surfaces(service)}
-    if facade == "cluster-thread":
-        with ClusterService(_graph(), backend="thread", num_workers=2) as service:
+    if facade == "cluster-serial":
+        with ClusterService(_graph(), backend="serial", num_workers=2) as service:
             return {"session": _in_process(service), **_surfaces(service)}
     service = GraphService(_graph())
     with serve_background(service) as handle:

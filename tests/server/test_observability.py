@@ -263,7 +263,7 @@ class TestDeadlines:
         graph = transport_network(4, 4)
         for service in (
             GraphService(graph),
-            ClusterService(graph, backend="thread", num_workers=2),
+            ClusterService(graph, backend="process", num_workers=2),
         ):
             with serve_background(service, max_in_flight=1) as handle:
                 with HttpServiceClient(*handle.address) as client:
@@ -336,7 +336,7 @@ class TestMetricsEndpoint:
 
     def test_cluster_exposition_with_worker_labels(self):
         with serve_background(
-            ClusterService(_graph(), backend="thread", num_workers=2)
+            ClusterService(_graph(), backend="process", num_workers=2)
         ) as handle:
             with HttpServiceClient(*handle.address) as client:
                 client.query(SLOW_QUERY)

@@ -356,7 +356,7 @@ class TestEncodeOnce:
     FACADES = {
         "graph": GraphService,
         "cluster": lambda graph: ClusterService(
-            graph, backend="thread", num_workers=2
+            graph, backend="serial", num_workers=2
         ),
     }
 

@@ -1,6 +1,6 @@
 """One serving pipeline, three façades: the same script must observe
 the same thing through ``GraphService`` and through ``ClusterService``
-on the serial and thread backends.
+on the serial and process backends.
 
 Each scenario drives a fresh service and returns what a caller can
 see — answers, error kinds, diagnostics. The test compares that, plus
@@ -45,8 +45,8 @@ FACADES = {
     "cluster-serial": lambda graph: ClusterService(
         graph, backend="serial", num_workers=2
     ),
-    "cluster-thread": lambda graph: ClusterService(
-        graph, backend="thread", num_workers=2
+    "cluster-process": lambda graph: ClusterService(
+        graph, backend="process", num_workers=2
     ),
 }
 
@@ -348,7 +348,7 @@ def _mirror(service, op) -> None:
         service.remove_edge(DirectedEdgeId(op["key"]))
 
 
-@pytest.mark.parametrize("facade", ["graph", "cluster-thread"])
+@pytest.mark.parametrize("facade", ["graph", "cluster-process"])
 def test_revalidated_reads_through_a_server_are_exact(facade):
     """A ``GraphServer`` in front of the façade, reads of the three
     texts between the steps of the write cycle: every read equals the

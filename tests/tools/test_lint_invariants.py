@@ -365,9 +365,34 @@ class TestServingCoreInTheCallersThread:
         for source in self.SPELLINGS:
             assert codes(source, module="service/service.py") == ["INV010"]
 
-    def test_the_cluster_backends_and_the_server_may_pool(self):
-        for module in ("cluster/backends.py", "server/app.py", "obs/trace.py"):
+    def test_the_server_may_pool(self):
+        for module in ("server/app.py", "obs/trace.py"):
             assert codes(self.SPELLINGS[0], module=module) == []
+
+    THREAD_POOLS = (
+        "from concurrent.futures import ThreadPoolExecutor\n_ = ThreadPoolExecutor\n",
+        "from concurrent.futures import Future, ThreadPoolExecutor\n"
+        "_ = Future, ThreadPoolExecutor\n",
+        "import concurrent.futures.thread\n_ = concurrent\n",
+        "from concurrent.futures import thread\n_ = thread\n",
+        "from concurrent.futures.thread import ThreadPoolExecutor\n"
+        "_ = ThreadPoolExecutor\n",
+        "def pool():\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+        "    return ThreadPoolExecutor\n",
+    )
+
+    def test_a_thread_pool_is_flagged_in_the_cluster_package(self):
+        for source in self.THREAD_POOLS:
+            assert codes(source, module="cluster/backends.py") == ["INV010"], source
+
+    def test_the_cluster_may_pool_processes(self):
+        for source in (
+            "from concurrent.futures import Future, ProcessPoolExecutor\n"
+            "_ = Future, ProcessPoolExecutor\n",
+            "import concurrent.futures\n_ = concurrent\n",
+        ):
+            assert codes(source, module="cluster/backends.py") == [], source
 
 
 class TestAnnotations:

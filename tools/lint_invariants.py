@@ -70,9 +70,12 @@ container:
   ``repro.automata`` is the library of the RPQ / C2RPQ baselines and
   of ``translate/``.
 - **One serving core, in its caller's thread** (``INV010``): nothing
-  under ``repro/service`` imports ``concurrent.futures``, at any
-  nesting level. Under the GIL a pool gains the pipeline nothing; the
-  parallelism lives in the cluster backends.
+  under ``repro/service`` imports ``concurrent.futures``, and nothing
+  under ``repro/cluster`` imports ``ThreadPoolExecutor`` (or
+  ``concurrent.futures.thread``), at any nesting level. Under the GIL a
+  thread pool gains the pipeline nothing; the parallelism lives in the
+  cluster's process backend (``ProcessPoolExecutor`` and ``Future``
+  stay legal there).
 
 All but the import check apply to ``src/repro`` only (tests assert
 and poll, that is their job); with no arguments the tool lints
@@ -131,6 +134,13 @@ IMPORT_BANS = (
         ("concurrent.futures",),
         "the serving core runs in its caller's thread; parallelism "
         "lives in the cluster backends",
+    ),
+    (
+        "INV010",
+        ("cluster",),
+        ("concurrent.futures.ThreadPoolExecutor", "concurrent.futures.thread"),
+        "under the GIL a thread pool gains the cluster nothing; its one "
+        "parallel lane is the process backend",
     ),
 )
 
