@@ -77,6 +77,31 @@ __all__ = [
 INFINITY: Optional[int] = None
 
 
+def _hash_once(cls: type) -> type:
+    """``cls`` (a frozen dataclass) with its field hash computed on first
+    use and kept: every memo keyed by a tree hashes it, and the
+    generated hash walks the whole tree each time. The kept value is
+    left out of pickles, since a ``str`` hashes differently in another
+    process."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Descriptor:
     """An optional variable and an optional label: ``x``, ``:l``, ``x:l``.
@@ -107,6 +132,7 @@ class Descriptor:
 _EMPTY_DESCRIPTOR = Descriptor()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class NodePattern:
     """``( d )`` — matches a single node."""
@@ -125,6 +151,7 @@ class NodePattern:
         return f"({self.descriptor})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class EdgePattern:
     """``-[d]->``, ``<-[d]-`` or ``~[d]~`` — matches a single edge
@@ -151,6 +178,7 @@ class EdgePattern:
         return f"~[{self.descriptor}]~"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Union:
     """``p1 + p2`` — disjunction of patterns."""
@@ -159,6 +187,7 @@ class Union:
     right: "Pattern"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Concat:
     """``p1 p2`` — concatenation (juxtaposition) of patterns."""
@@ -167,6 +196,7 @@ class Concat:
     right: "Pattern"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Conditioned:
     """``p <theta>`` — filter matches of ``p`` by a condition."""
@@ -175,6 +205,7 @@ class Conditioned:
     condition: Condition
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Repeat:
     """``p{n..m}`` — repetition between ``n`` and ``m`` times.
@@ -295,6 +326,7 @@ Pattern = TUnion[
 ]
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Restrictor:
     """A path restrictor: ``simple``, ``trail``, ``shortest``,
@@ -341,6 +373,7 @@ Restrictor.SHORTEST_SIMPLE = Restrictor(shortest=True, mode="simple")
 Restrictor.SHORTEST_TRAIL = Restrictor(shortest=True, mode="trail")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class PatternQuery:
     """``r p`` or ``x = r p`` — a restricted, optionally named pattern."""
@@ -350,6 +383,7 @@ class PatternQuery:
     name: Optional[str] = None
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Join:
     """``Q1, Q2`` — the join of two queries."""

@@ -678,22 +678,22 @@ class ShortestProgram:
             return elements[key]
         return self.overlay_nodes[key - len(elements)]
 
-    def group(self, triples: tuple, walk: Path) -> GroupValue:
-        """The list a register holds as ``(begin, end, key)`` triples,
-        built over ``walk``: one entry per iteration, a variable the
-        iteration took no branch with being ``Nothing`` there."""
-        return GroupValue(
-            tuple(
-                (
-                    walk.subpath(begin, end),
-                    Nothing
-                    if key is None
-                    else self.group(key, walk)
-                    if type(key) is tuple
-                    else self.element(key),
-                )
-                for begin, end, key in triples
-            )
+    def group(self, triples: tuple, walk: tuple) -> GroupValue:
+        """The list a register holds as ``(begin, end, key)`` triples
+        (node positions), as offsets over the walk's elements ``walk``:
+        one entry per iteration, a variable the iteration took no branch
+        with being ``Nothing`` there."""
+        return GroupValue.over(
+            walk,
+            tuple([(2 * begin, 2 * end + 1) for begin, end, _ in triples]),
+            tuple([
+                Nothing
+                if key is None
+                else self.group(key, walk)
+                if type(key) is tuple
+                else self.element(key)
+                for _, _, key in triples
+            ]),
         )
 
     def registers(self, file: tuple, walk: Optional[Path] = None) -> Registers:
@@ -705,7 +705,7 @@ class ShortestProgram:
         for variable, key in zip(self.tracked, file):
             if type(key) is tuple:
                 if walk is not None:
-                    pairs.append((variable, self.group(key, walk)))
+                    pairs.append((variable, self.group(key, walk.elements)))
             elif key is not None:
                 pairs.append((variable, self.element(key)))
         return tuple(pairs)
@@ -1295,9 +1295,10 @@ def witness_search(
     Pruned by the surviving runs, by the remaining-steps lower bound on
     their states and by ``reach`` (:func:`coreachable`, read at the
     initial state and step targets, which every tracking enters). The
-    walk is one key list that moves push onto and pop off; real ids, a
-    :class:`Path` and the lists over it are built per accepted walk
-    only. The ambient deadline is checked every
+    walk is one key list that moves push onto and pop off; real ids and
+    a :class:`Path` are built per accepted walk only, and the lists as
+    offsets into that path's elements (:meth:`ShortestProgram.group`),
+    no path per entry. The ambient deadline is checked every
     :data:`_DEADLINE_STRIDE` edge expansions; more than ``limit``
     accepted walks raise :class:`~repro.errors.EvaluationLimitError`.
     Returns ``(walk, register files)`` per end node.

@@ -21,6 +21,15 @@ value is drawn from the answer's own paths (Definition 7), so the payload
   to end. Any other group is ``[[[i, ...], value], ...]`` and a path is
   ``{"p": [i, ...]}``: index lists keep the codec total.
 
+A group is a list along one walk (Definition 7), and the witness pass
+builds it as offsets into that walk (:meth:`GroupValue.over`): the
+encoder reads the run off them through :meth:`GroupValue.chain`, with
+no path per entry, and :func:`decode_answers` builds each run as
+offsets into the payload's element list. ``begin`` is the *first*
+window position holding the run's first portion, wherever the list's
+own offsets put it, so a list built over offsets and one built from
+its entries give the same bytes.
+
 Indices follow each sort's sorted keys (a rank per distinct element) and
 answers the ranks of their paths, so equal frozensets give byte-identical
 payloads, and exact etags, whatever the hash seed. :func:`decode_answers`
@@ -149,19 +158,33 @@ def _encode_value(value: Value, window: tuple, index: Callable[[Any], int]) -> A
         return {"p": list(map(index, value.elements))}
     if not isinstance(value, GroupValue):
         raise WireError(f"cannot encode value {value!r} ({type(value).__name__})")
-    parts = [path.elements for path in value.paths]
-    if parts and len(parts[0]) == 3 and value[0][1] in parts[0]:
-        offset = parts[0].index(value[0][1])
-        begin = next((b for b in range(len(window) - 2) if window[b : b + 3] == parts[0]), -1)
-        end = begin + 2 * len(parts) + 1  # if the portions are window[begin:end]
-        values = window[begin + offset : end : 2][: len(parts)]  # one per portion
-        if begin >= 0 and end <= len(window) and value.values == values:
-            if parts == [window[i : i + 3] for i in range(begin, end - 1, 2)]:
+    values = value.values
+    joined = value.chain()  # the run's elements, read off the offsets the group has
+    if joined is not None and values[0] in joined[:3]:
+        offset = joined.index(values[0], 0, 3)
+        begin = _first(window, joined[:3])  # the first occurrence: bytes are a function of the set
+        end = begin + len(joined)
+        if begin >= 0 and window[begin:end] == joined:
+            if values == window[begin + offset : end : 2][: len(values)]:
                 return [begin, end, offset]
     return [
         [list(map(index, part)), _encode_value(inner, window, index)]
-        for part, inner in zip(parts, value.values)
+        for part, inner in zip(value.portions, values)
     ]
+
+
+def _first(window: tuple, portion: tuple) -> int:
+    """The first ``b`` with ``window[b:b + 3] == portion``, or -1: a scan
+    for the portion's edge, which no path holds first or last."""
+    source, edge, target = portion
+    at = 0
+    while True:
+        try:
+            at = window.index(edge, at + 1, len(window) - 1)
+        except ValueError:
+            return -1
+        if window[at - 1] == source and window[at + 1] == target:
+            return at - 1
 
 
 def encode_answers(answers: Iterable[Answer]) -> dict[str, Any]:
@@ -264,10 +287,11 @@ def decode_answers(data: Any) -> frozenset[Answer]:
             begin, end, offset = lo + item[0], lo + item[1], item[2]  # a run
             if lo <= begin < end <= hi and (end - begin) & 1 and 0 <= offset <= 2:
                 if kinds[begin:end] == alternation[: end - begin]:  # a path of the window
-                    return GroupValue(tuple([
-                        (Path._trusted(ids[i : i + 3]), ids[i + offset])
-                        for i in range(begin, end - 1, 2)
-                    ]))
+                    return GroupValue.over(
+                        ids,
+                        tuple([(i, i + 3) for i in range(begin, end - 1, 2)]),
+                        ids[begin + offset : end - 1 + offset : 2],
+                    )
         elif type(item) is list and all(type(each) is list and len(each) == 2 for each in item):
             return GroupValue(tuple([(listed(p), value(v, lo, hi)) for p, v in item]))
         raise WireError(f"malformed value: {item!r}")

@@ -1,8 +1,14 @@
 """Values (Definition 7) and assignments (unification algebra)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import EvaluationError
+from repro.gpc.answers import Answer
+from repro.gpc.engine import Evaluator
+from repro.gpc.parser import parse_query
+from repro.graph.builder import GraphBuilder
 from repro.graph.ids import DirectedEdgeId as E, NodeId as N, UndirectedEdgeId as U
 from repro.graph.paths import Path
 from repro.gpc.assignments import EMPTY_ASSIGNMENT, Assignment, unify_all
@@ -57,6 +63,112 @@ class TestGroupValue:
     def test_hashable(self):
         p = Path.node(N("u"))
         assert hash(GroupValue(((p, N("u")),))) == hash(GroupValue(((p, N("u")),)))
+
+
+def _eager(value):
+    """``value`` with every list, nested ones too, rebuilt from its
+    entries."""
+    if isinstance(value, GroupValue):
+        return GroupValue(tuple((p, _eager(v)) for p, v in value.entries))
+    return value
+
+
+#: Queries whose answers hold lists the witness pass builds as offsets:
+#: a run, Nothing from a union, empty lists and a list of lists.
+GROUP_QUERIES = {
+    "SHORTEST (x) -> -[e]->{1,2} (y)": {"e": GroupType(EDGE)},
+    "TRAIL (x) [-[e]-> (z) + <-[f]-]{1,2} (y)": {
+        "e": GroupType(MaybeType(EDGE)),
+        "z": GroupType(MaybeType(NODE)),
+        "f": GroupType(MaybeType(EDGE)),
+    },
+    "SHORTEST (x) [[-[e]->]{0,0} -[f]->]{2,2} (y)": {
+        "e": GroupType(GroupType(EDGE)),
+        "f": GroupType(EDGE),
+    },
+    "TRAIL (x) [[-[e]->]{1,2}]{1,2} (y)": {"e": GroupType(GroupType(EDGE))},
+}
+
+
+class TestGroupForms:
+    """A list built over a walk's offsets is the list built from its
+    entries: one value, whichever way it was made."""
+
+    @pytest.fixture(scope="class")
+    def engine_sets(self):
+        # A triangle with a self-loop on a: walks repeat elements.
+        graph = (
+            GraphBuilder()
+            .node("a").node("b").node("c")
+            .edge("a", "a", "r").edge("a", "b", "r").edge("b", "c", "r").edge("c", "a", "r")
+            .build()
+        )
+        evaluator = Evaluator(graph)
+        return {text: evaluator.evaluate(parse_query(text)) for text in GROUP_QUERIES}
+
+    def test_offsets_read_like_entries(self):
+        u, v, w, e1, e2 = N("u"), N("v"), N("w"), E("e1"), E("e2")
+        walk = (u, e1, v, e2, w)
+        lazy = GroupValue.over(walk, ((0, 3), (2, 5)), (e1, e2))
+        eager = GroupValue(((Path.of(u, e1, v), e1), (Path.of(v, e2, w), e2)))
+        assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+        assert repr(lazy) == repr(eager)
+        assert len(lazy) == 2 and lazy.values == (e1, e2)
+        assert lazy.paths == eager.paths and list(lazy) == list(eager)
+        assert lazy[1] == (Path.of(v, e2, w), e2)
+        assert lazy.portions == eager.portions == ((u, e1, v), (v, e2, w))
+        assert lazy.chain() == eager.chain() == walk
+        assert conforms(lazy, GroupType(EDGE)) and not conforms(lazy, GroupType(NODE))
+        assert GroupValue.over(walk, (), ()) == GroupValue()
+
+    def test_equality_compares_portions_not_offsets(self):
+        a, r = N("a"), E("r")
+        walk = (a, r, a, r, a)
+        first, second = GroupValue.over(walk, ((0, 3),), (r,)), GroupValue.over(walk, ((2, 5),), (r,))
+        assert first == second and hash(first) == hash(second)
+        assert first == GroupValue(((Path.of(a, r, a), r),))
+        assert first != GroupValue.over(walk, ((0, 5),), (r,))
+        assert first != GroupValue.over(walk, ((0, 3),), (a,))
+
+    def test_immutable(self):
+        lazy = GroupValue.over((N("u"),), ((0, 1),), (N("u"),))
+        with pytest.raises(AttributeError):
+            lazy._values = ()
+        assert lazy.entries == ((Path.node(N("u")), N("u")),)  # built on read all the same
+
+    def test_engine_lists_equal_their_eager_rebuild(self, engine_sets):
+        for text, schema in GROUP_QUERIES.items():
+            answers = engine_sets[text]
+            assert answers, text
+            rebuilt = frozenset(
+                Answer(a.paths, Assignment({k: _eager(v) for k, v in a.assignment.items()}))
+                for a in answers
+            )
+            assert rebuilt == answers
+            for answer in answers:
+                eager = Answer(
+                    answer.paths,
+                    Assignment({k: _eager(v) for k, v in answer.assignment.items()}),
+                )
+                assert eager == answer and hash(eager) == hash(answer)
+                assert eager.assignment == answer.assignment
+                assert hash(eager.assignment) == hash(answer.assignment)
+                assert repr(eager.assignment) == repr(answer.assignment)
+                for name, tau in schema.items():
+                    lazy, built = answer[name], eager[name]
+                    assert (len(lazy), lazy.values, lazy.paths) == (
+                        len(built), built.values, built.paths
+                    )
+                    assert conforms(lazy, tau) and conforms(built, tau)
+
+    def test_pickle_round_trips_flat_and_nested_lists(self, engine_sets):
+        for text in ("SHORTEST (x) -> -[e]->{1,2} (y)", "TRAIL (x) [[-[e]->]{1,2}]{1,2} (y)"):
+            for answer in engine_sets[text]:
+                group = answer["e"]
+                assert group.__reduce__()[0] == GroupValue.over  # built over offsets
+                back = pickle.loads(pickle.dumps(group))
+                assert back == group == _eager(back) and repr(back) == repr(group)
+                assert pickle.loads(pickle.dumps(answer)) == answer
 
 
 class TestConforms:

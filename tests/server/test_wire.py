@@ -54,6 +54,10 @@ QUERIES = [
 RING_GROUP = "SHORTEST (x:Probe) -[e:next]->{1,8} (y)"
 RING_FLAT = "SHORTEST (x:Probe) -[:next]->{1,8} (y)"
 
+#: On :func:`self_loop`, ``e``'s one entry is the walk's second step,
+#: which holds the same portion as its first.
+SELF_LOOP = "SHORTEST (x) -> -[e]->{1,2} (y)"
+
 
 def ring(segments: int = 10, segment: int = 50) -> PropertyGraph:
     """Disjoint ``next`` chains, each starting at a ``Probe``."""
@@ -66,6 +70,29 @@ def ring(segments: int = 10, segment: int = 50) -> PropertyGraph:
         if (i + 1) % segment:
             graph.add_edge(f"next{i}", nodes[i], nodes[i + 1], ["next"])
     return graph
+
+
+def self_loop() -> PropertyGraph:
+    """One node ``a`` with one edge ``r`` from ``a`` to itself."""
+    return GraphBuilder().node("a").edge("a", "a", "r").build()
+
+
+def exact_graph(text: str, social: PropertyGraph) -> PropertyGraph:
+    """The graph :data:`EXACT`'s query ``text`` is evaluated on."""
+    return ring(4, 12) if text == RING_GROUP else self_loop() if text == SELF_LOOP else social
+
+
+def _eager(answers):
+    """``answers`` with every list rebuilt from its entries."""
+    def value(item):
+        if isinstance(item, GroupValue):
+            return GroupValue(tuple((p, value(v)) for p, v in item.entries))
+        return item
+
+    return frozenset(
+        Answer(a.paths, Assignment({k: value(v) for k, v in a.assignment.items()}))
+        for a in answers
+    )
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +343,17 @@ class TestGroupRuns:
             assert run == [0, length, 1]
         assert wire.decode_answers(payload) == group
 
+    def test_a_run_starts_at_the_first_occurrence_of_its_portion(self):
+        # The witness pass stores e's entry at offsets (2, 5); the bytes
+        # must not depend on how a list was built, so the run names the
+        # first window position holding that portion, as for the eager
+        # rebuild, which has no offsets.
+        answers = Evaluator(self_loop()).evaluate(parse_query(SELF_LOOP))
+        payload = _through_json(answers)
+        assert payload["mu"]["e"] == [[0, 3, 1]]
+        assert wire.render_answers(answers) == wire.render_answers(_eager(answers))
+        assert wire.decode_answers(payload) == answers == _eager(answers)
+
     def test_group_payload_is_close_to_the_flat_one(self, ring_sets):
         group, flat = ring_sets[RING_GROUP], ring_sets[RING_FLAT]
         assert {a.paths for a in group} == {a.paths for a in flat}
@@ -330,16 +368,15 @@ class TestGroupRuns:
 
 #: The engine sets of the exactness property: joins, runs, nested and
 #: multi-edge groups, Nothing from a union, named path variables.
-EXACT = [QUERIES[i] for i in (2, 3, 4, 5, 9, 10)] + [RING_GROUP]
+EXACT = [QUERIES[i] for i in (2, 3, 4, 5, 9, 10)] + [RING_GROUP, SELF_LOOP]
 
 
 @pytest.fixture(scope="module")
 def exact_sets(social):
-    out = {}
-    for text in EXACT:
-        graph = ring(4, 12) if text == RING_GROUP else social
-        out[text] = Evaluator(graph).evaluate(parse_query(text))
-    return out
+    return {
+        text: Evaluator(exact_graph(text, social)).evaluate(parse_query(text))
+        for text in EXACT
+    }
 
 
 class TestExactness:
@@ -347,12 +384,14 @@ class TestExactness:
     @given(st.sampled_from(EXACT), st.randoms(use_true_random=False))
     def test_round_trip_and_bytes_of_any_subset(self, exact_sets, text, rng):
         # A subset of an expression's answers is an answer set of the
-        # same shape; any build order gives the same bytes.
+        # same shape; any build order, and either way of building its
+        # lists, gives the same bytes.
         answers = list(exact_sets[text])
         rng.shuffle(answers)
         subset = answers[: rng.randint(0, len(answers))]
         blob = wire.render_answers(frozenset(subset))
         assert wire.decode_answers(json.loads(blob)) == frozenset(subset)
+        assert wire.render_answers(_eager(subset)) == blob
         rng.shuffle(subset)
         assert wire.render_answers(frozenset(subset)) == blob
         assert wire.render_answers(reversed(subset)) == blob
@@ -361,12 +400,11 @@ class TestExactness:
         script = (
             "import hashlib, sys\n"
             "sys.path[:0] = sys.argv[1:3]\n"
-            "from test_wire import EXACT, RING_GROUP, Evaluator, parse_query, ring, wire\n"
+            "from test_wire import EXACT, Evaluator, exact_graph, parse_query, wire\n"
             "from test_wire import social_network\n"
             "social = social_network(num_people=12, friend_degree=2, seed=5)\n"
             "for text in EXACT:\n"
-            "    graph = ring(4, 12) if text == RING_GROUP else social\n"
-            "    answers = Evaluator(graph).evaluate(parse_query(text))\n"
+            "    answers = Evaluator(exact_graph(text, social)).evaluate(parse_query(text))\n"
             "    print(hashlib.sha256(wire.render_answers(answers)).hexdigest())\n"
         )
         src = str(FsPath(wire.__file__).resolve().parents[2])

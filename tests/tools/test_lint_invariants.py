@@ -567,6 +567,67 @@ class TestUnusedImports:
         assert codes(source, library=False) == ["INV004"]
 
 
+class TestUnusedLocals:
+    """INV011: pyflakes' F841 as ruff applies it by default."""
+
+    def test_each_binding_kind_ruff_reports_is_flagged(self):
+        red = (
+            "def f(y):\n"
+            "    a = 1\n"
+            "    b: int = 2\n"
+            "    if (c := y):\n"
+            "        pass\n"
+            "    with open(y) as d:\n"
+            "        pass\n"
+            "    try:\n"
+            "        pass\n"
+            "    except ValueError as e:\n"
+            "        pass\n"
+            "    g = h = 3\n"
+            "    return h\n"
+        )
+        findings = lint_invariants.check_source(red, Path("probe.py"), library=False)
+        assert [(f.code, f.line) for f in findings] == [
+            ("INV011", line) for line in (2, 3, 4, 6, 10, 12)
+        ]
+        assert "local 'a' is assigned to but never used" in findings[0].message
+
+    def test_methods_nested_and_async_defs_are_scopes(self):
+        assert codes("class A:\n    def m(self):\n        x = 1\n") == ["INV011"]
+        assert codes("def f():\n    def g():\n        x = 1\n    return g\n") == ["INV011"]
+        assert codes("async def f():\n    x = 1\n") == ["INV011"]
+
+    def test_what_ruff_leaves_alone_is_fine(self):
+        green = (
+            "from __future__ import annotations\n"
+            "X = 1\n"  # module and class scopes are not checked
+            "class A:\n"
+            "    y = 2\n"
+            "def f(z):\n"
+            "    a, b = z\n"  # tuple unpacking
+            "    for i in z:\n"  # loop targets
+            "        pass\n"
+            "    _ignored = 3\n"  # dummy names
+            "    count = 0\n"
+            "    count += 1\n"  # an update reads it
+            "    gone = 4\n"
+            "    del gone\n"
+            "    kind = int\n"
+            "    typed: kind = 5\n"  # read by an annotation only
+            "    cell = 6\n"
+            "    def g():\n"
+            "        return cell\n"  # read by a nested scope
+            "    __tracebackhide__ = True\n"
+            "    return typed, g\n"
+            "def h():\n"
+            "    global X\n"
+            "    X = 7\n"
+            "    seen = 8\n"
+            "    return locals()\n"  # reads every name
+        )
+        assert codes(green, library=False) == []
+
+
 class TestMain:
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "good.py"

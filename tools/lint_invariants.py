@@ -2,7 +2,7 @@
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
 Eight invariants that generic linters don't enforce the way this
-codebase needs them, and two that generic tools do enforce but that are
+codebase needs them, and three that generic tools do enforce but that are
 checked here too because ruff and mypy are not in every build
 container:
 
@@ -77,9 +77,18 @@ container:
   cluster's process backend (``ProcessPoolExecutor`` and ``Future``
   stay legal there).
 
-All but the import check apply to ``src/repro`` only (tests assert
-and poll, that is their job); with no arguments the tool lints
-``src/repro`` for all ten and the other three trees for the imports.
+- **No unused locals** (pyflakes' F841, ``INV011``) in every tree
+  ``ruff check`` reads: a name a function binds and nothing reads — in
+  the function or in a scope nested in it — is a left-over of an edit
+  or a value computed for nothing. As ruff does by default, only plain,
+  annotated, walrus and ``with ... as`` targets and ``except ... as``
+  names count, never a tuple-unpacking or loop target, and a
+  ``_``-prefixed name is exempt. Scopes are read with ``symtable``.
+
+All but the import and unused-local checks apply to ``src/repro`` only
+(tests assert and poll, that is their job); with no arguments the tool
+lints ``src/repro`` for all eleven and the other four trees for the
+imports and the locals.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -89,6 +98,7 @@ from __future__ import annotations
 
 import ast
 import configparser
+import symtable
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -102,8 +112,9 @@ BROAD_EXCEPT_SCOPES = ("gpc", "graph", "service", "cluster", "server")
 #: Packages where sleeping is banned (between a request and its answer).
 SLEEP_SCOPES = ("server", "service", "cluster")
 
-#: Trees linted for unused imports only (repo-relative).
-IMPORT_ONLY_ROOTS = ("tests", "benchmarks", "tools")
+#: Trees linted for unused imports and locals only (repo-relative):
+#: with ``src``, what ``ruff check`` reads.
+IMPORT_ONLY_ROOTS = ("tests", "benchmarks", "tools", "examples")
 
 #: Functions whose returned dict INV008 reads as a record's rendering.
 RENDERING_NAMES = ("as_dict", "counters", "metrics_summary")
@@ -148,6 +159,13 @@ BROAD_EXCEPT_WAIVER = "lint: allow-broad-except"
 ASSERT_WAIVER = "lint: allow-assert"
 UNUSED_IMPORT_WAIVER = "lint: allow-unused-import"
 SLEEP_WAIVER = "lint: allow-sleep"
+
+#: Locals a function may bind and never read: what debuggers and test
+#: runners look up in a frame (ruff's F841 exemptions).
+FRAME_NAMES = frozenset({
+    "__tracebackhide__", "__traceback_info__", "__traceback_supplement__",
+    "__debuggerskip__",
+})
 
 #: The nine constructors of the GPC grammar (``repro.gpc.ast``).
 GPC_CONSTRUCTORS = frozenset({
@@ -358,6 +376,112 @@ def _names_used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _function_tables(table: symtable.SymbolTable) -> "dict[tuple[str, int], symtable.SymbolTable]":
+    """Every function scope under ``table``, keyed by ``(name, line of
+    its def)`` as the ``ast`` node gives them."""
+    found = {}
+    for child in table.get_children():
+        if child.get_type() == "function":
+            found[(child.get_name(), child.get_lineno())] = child
+        found.update(_function_tables(child))
+    return found
+
+
+def _free_below(table: symtable.SymbolTable) -> set[str]:
+    """Names the scopes nested in ``table`` read from an enclosing one."""
+    names: set[str] = set()
+    for child in table.get_children():
+        names.update(s.get_name() for s in child.get_symbols() if s.is_free())
+        names |= _free_below(child)
+    return names
+
+
+def _bindings(function: "ast.FunctionDef | ast.AsyncFunctionDef") -> "tuple[list[tuple[ast.AST, str]], set[str]]":
+    """The F841-shaped binding sites of ``function``'s own scope as
+    ``(node, name)``, and the names it reads where ``symtable`` does not
+    look: ``del x`` and ``x += 1`` read ``x``, and so does an annotation
+    naming it (under ``from __future__ import annotations`` none is
+    compiled)."""
+    sites: list[tuple[ast.AST, str]] = []
+    touched: set[str] = set()
+    annotations: list[ast.AST] = []
+    pending: list[ast.AST] = list(function.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations += [a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+            annotations.append(node.returns)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            pending += node.decorator_list  # evaluated here; the body is not
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        if isinstance(node, ast.Assign):
+            sites += [(t, t.id) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            if isinstance(node.target, ast.Name):
+                sites.append((node.target, node.target.id))
+        elif isinstance(node, ast.NamedExpr):
+            sites.append((node.target, node.target.id))
+        elif isinstance(node, ast.withitem) and isinstance(node.optional_vars, ast.Name):
+            sites.append((node.optional_vars, node.optional_vars.id))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            sites.append((node, node.name))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            touched.add(node.target.id)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Del):
+            touched.add(node.id)
+        pending.extend(ast.iter_child_nodes(node))
+    for annotation in filter(None, annotations):
+        trees = [annotation]
+        for text in _string_constants(annotation):
+            try:
+                trees.append(ast.parse(text, mode="eval"))
+            except SyntaxError:
+                continue
+        touched.update(
+            sub.id for tree in trees for sub in ast.walk(tree) if isinstance(sub, ast.Name)
+        )
+    return sites, touched
+
+
+def _unused_locals(tree: ast.Module, table: symtable.SymbolTable) -> "list[tuple[ast.AST, str]]":
+    """``(binding node, name)`` of every local a function binds and
+    nothing reads (pyflakes' F841 as ruff applies it by default)."""
+    unread = {}
+    for key, scope in _function_tables(table).items():
+        if "locals" in scope.get_identifiers():
+            continue  # locals() reads every name
+        free = _free_below(scope)
+        names = {
+            s.get_name()
+            for s in scope.get_symbols()
+            if s.is_assigned()
+            and not s.is_referenced()
+            and not (s.is_parameter() or s.is_global() or s.is_nonlocal())
+            and s.get_name() not in free
+        }
+        if names:
+            unread[key] = names
+    found = []
+    for function in ast.walk(tree) if unread else ():
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = unread.get((function.name, function.lineno), ())
+            if names:
+                sites, touched = _bindings(function)
+                found += [
+                    (node, name)
+                    for node, name in sites
+                    if name in names
+                    and name not in touched
+                    and not name.startswith("_")
+                    and name not in FRAME_NAMES
+                ]
+    return sorted(found, key=lambda site: site[0].lineno)
+
+
 def _string_constants(node: "ast.AST | None") -> list[str]:
     if node is None:
         return []
@@ -472,10 +596,12 @@ class _Checker(ast.NodeVisitor):
         self.findings: list[Finding] = []
         self.allowed_walkers: set[tuple[str, str]] = set()
 
-    def check(self, tree: ast.Module) -> None:
+    def check(self, tree: ast.Module, table: symtable.SymbolTable) -> None:
         if self.library:
             self.visit(tree)
             self._check_walkers(tree)
+        for node, name in _unused_locals(tree, table):
+            self._add(node, "INV011", f"local '{name}' is assigned to but never used (F841)")
         if Path(self.path).name == "__init__.py":
             return
         used = _names_used(tree)
@@ -665,7 +791,7 @@ def check_source(
     typed: bool = False,
 ) -> list[Finding]:
     """Lint one module's source text (the unit-testable core).
-    ``library=False`` checks the imports only. ``module`` is the path
+    ``library=False`` checks the imports and the locals only. ``module`` is the path
     under ``src/repro`` that INV007's allow-list knows the file by;
     the entries it used are added to ``allowed_walkers``. ``typed``
     turns on INV006 (the module is strict in mypy.ini)."""
@@ -679,7 +805,7 @@ def check_source(
         module,
         typed,
     )
-    checker.check(tree)
+    checker.check(tree, symtable.symtable(source, path, "exec"))
     if allowed_walkers is not None:
         allowed_walkers |= checker.allowed_walkers
     return sorted(checker.findings)
