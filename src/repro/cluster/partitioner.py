@@ -98,11 +98,12 @@ class SeedPartitioner:
 
         Only the register-NFA route — ``shortest`` and the ``trail`` /
         ``simple`` walk — evaluates a start restriction natively
-        (per-start searches outside the cell are skipped). A pattern
-        its NFA cannot serve runs the full bounded evaluation and then
-        filters, so K shards would each pay the whole cost — K× the CPU
-        for zero division. Those queries run as a single unrestricted
-        shard instead.
+        (per-start searches outside the cell are skipped): every pattern
+        whose NFA is exact. A pattern with a Section 7 wrapper, whose
+        NFA over-approximates it, runs the full bounded evaluation and
+        then filters: K shards would each pay the whole cost — K× the
+        CPU for zero division. Those queries run as a single
+        unrestricted shard instead.
         """
         pattern = leftmost_query(prepared.template).pattern
         return prepared.plan.register_nfa(pattern) is not None

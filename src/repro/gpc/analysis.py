@@ -643,8 +643,7 @@ def _shape_diagnostics(
                     "unbounded repetition: under plain `shortest` the "
                     "register search finds the exact minimum, and only a "
                     "pattern that holds ArithConditioned, "
-                    "RestrictedSubpattern or WitnessMarked, or has a "
-                    "GPC022 body that binds a variable, deepens, up "
+                    "RestrictedSubpattern or WitnessMarked deepens, up "
                     "to `shortest_deepening_limit`; under trail/simple "
                     "the bound is the graph size",
                     _span(sub),
@@ -657,11 +656,10 @@ def _shape_diagnostics(
                     "warning",
                     "repetition body may match an edgeless path — "
                     "rejected under Approach 1 (the GQL rule, "
-                    "CollectMode.SYNTACTIC), a source of duplicate "
-                    "single-node matches elsewhere, and under `shortest` "
-                    "a body that also binds a variable runs the "
-                    "specification, not the register search (a register "
-                    "run cannot regroup edgeless iterations)",
+                    "CollectMode.SYNTACTIC), never iterated edgelessly "
+                    "under RUNTIME, and under GROUPING consecutive "
+                    "edgeless iterations regroup into one list entry "
+                    "(Figure 3)",
                     _span(sub),
                 )
             )

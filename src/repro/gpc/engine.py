@@ -2,16 +2,14 @@
 
 :class:`Evaluator` ties everything together:
 
-- every pattern compiles into one register automaton
-  (:mod:`repro.gpc.register_nfa`). An exact one serves the pattern:
-  ``trail`` and ``simple`` walk it, never repeating an edge (a node),
-  and ``shortest`` keeps, per endpoint pair, the answers whose path has
-  the minimum length its search finds;
+- every pattern compiles into one register automaton under the
+  configured ``collect`` mode (:mod:`repro.gpc.register_nfa`). An
+  exact one serves the pattern: ``trail`` and ``simple`` walk it, never
+  repeating an edge (a node), and ``shortest`` keeps, per endpoint
+  pair, the answers whose path has the minimum length its search finds;
 - an arithmetic condition, a nested restrictor or a witness marker
   makes it over-approximate (exact ``shortest`` under counts is
-  undecidable, Proposition 14), and a repeat body that may match an
-  edgeless path can leave a run unable to give the assignment of its
-  walk (lint ``GPC022``). Then ``trail`` and ``simple`` take the
+  undecidable, Proposition 14). Then ``trail`` and ``simple`` take the
   bounded evaluator (:mod:`repro.gpc.semantics`) at the Lemma 16
   bounds ``|E_d| + |E_u|`` and ``|N|``, pruning as it builds, and an
   unbounded ``shortest`` is *iteratively deepened* until every pair the
@@ -62,7 +60,6 @@ from repro.gpc.typing import infer_schema
 from repro.gpc.values import Nothing
 from repro.gpc.register_nfa import (
     RegisterNFA,
-    collect_requirement,
     compile_register_nfa,
     coreachable,
     lower_program,
@@ -83,12 +80,12 @@ class EngineConfig:
     ``shortest_deepening_limit``
         Hard ceiling for iterative deepening under ``shortest``, the
         route of an unbounded pattern whose register NFA over-approximates
-        it or whose runs cannot give its assignments (a
-        :func:`~repro.gpc.register_nfa.collect_requirement`).
-        When candidate endpoint pairs remain unresolved at this length,
+        it (a Section 7 wrapper). When candidate endpoint pairs remain unresolved at this length,
         the engine raises :class:`~repro.errors.EvaluationLimitError`
         rather than silently dropping potentially valid answers
-        (set ``lenient_shortest=True`` to accept the approximation).
+        (set ``lenient_shortest=True`` to accept the answers found by
+        then: a pair the automaton connects but the pattern never
+        matches cannot always be refuted, Proposition 14).
     ``automaton_state_limit``
         Cap on the states of a pattern's compiled register automaton
         (repetition bounds unroll).
@@ -155,26 +152,21 @@ class PatternPlan:
             self.pattern,
             self.config.automaton_state_limit,
             self.config.use_pushdown,
+            self.config.collect_mode,
         )
 
     @cached_property
     def route(self) -> tuple[str, RegisterNFA | None, str | None]:
         """How the pattern is served (a bare ``shortest``'s name, which
         ``explain`` prints), its register NFA on the register route
-        and, off it, why the NFA cannot serve it: it over-approximates,
-        or its accepting runs do not determine the assignments (the
-        pattern needs ``collect``, see
-        :func:`repro.gpc.register_nfa.collect_requirement`). Such a
-        pattern runs the specification: the bounded evaluator at its
-        length bound or, unbounded, deepened."""
+        and, off it, why the NFA cannot serve it: it over-approximates.
+        Such a pattern runs the specification: the bounded evaluator at
+        its length bound or, unbounded, deepened."""
         nfa = self.nfa
         if nfa.exact:
-            why = collect_requirement(self.pattern, self.config.collect_mode)
-            if why is None:
-                return REGISTER, nfa, None
-        else:
-            names = " and ".join(dict.fromkeys(nfa.approximated))
-            why = f"the automaton runs the child of {names} in its place"
+            return REGISTER, nfa, None
+        names = " and ".join(dict.fromkeys(nfa.approximated))
+        why = f"the automaton runs the child of {names} in its place"
         bounded = max_path_length(self.pattern) is not None
         return BOUNDED_FILTER if bounded else DEEPENING, None, why
 

@@ -98,9 +98,7 @@ def may_match_edgeless(pattern: ast.Pattern) -> bool:
 def iterates_edgeless_body(repeat: ast.Repeat) -> bool:
     """Whether the repetition can iterate over an edgeless body: its
     body may match a length-0 path and it is not ``pi{0,0}``, which
-    never iterates. This is what a register run cannot regroup
-    (:func:`repro.gpc.register_nfa.collect_requirement`) and what lint
-    ``GPC022`` reports."""
+    never iterates. This is what lint ``GPC022`` reports."""
     return repeat.upper != 0 and may_match_edgeless(repeat.pattern)
 
 

@@ -33,13 +33,11 @@ polynomial in the product size (registers stay few in practice —
 exact lengths are enumerated by one DFS per seed that runs the same
 program (:func:`shortest_witnesses`), so each witness comes with the
 register files of its accepting runs — lists included, read off the
-iteration boundaries the run passed. Those are the assignments unless
-some repetition body may match an edgeless path
-(:func:`collect_requirement`): consecutive edgeless iterations regroup
-(Figure 3), which a run cannot know, and an accepted run can exist
-while every factorization's ``collect`` is undefined, so the minimum
-is only a lower bound there. The engine serves such a pattern by the
-specification (:mod:`repro.gpc.semantics`), not by this automaton.
+iteration boundaries the run passed. Those are the assignments under
+every collect mode: outside ``GROUPING`` a body that may match an
+edgeless path compiles so that each iteration consumes an edge, and
+under it the run merges consecutive edgeless iterations as Figure 3
+regroups them.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ from repro.gpc.conditions_ast import (
     condition_variables,
     resolve,
 )
-from repro.gpc.minlength import iterates_edgeless_body
+from repro.gpc.minlength import may_match_edgeless
 from repro.gpc.planner import split_pushdown
 from repro.gpc.values import GroupValue, Nothing
 from repro.obs.counters import active_counters
@@ -80,7 +78,6 @@ from repro.obs.deadline import check_deadline
 __all__ = [
     "RegisterNFA",
     "compile_register_nfa",
-    "collect_requirement",
     "ShortestProgram",
     "lower_program",
     "coreachable",
@@ -224,8 +221,7 @@ class RegisterNFA:
         """The group registers, one per nesting depth of repetitions
         whose body binds variables (sibling repetitions are never open
         at once, so they share one). A program that tracks them beside
-        every variable of :attr:`sites` reads group values off its runs
-        — sound only when :func:`collect_requirement` is ``None``."""
+        every variable of :attr:`sites` reads group values off its runs."""
         return tuple(
             sorted(
                 {
@@ -273,6 +269,9 @@ class _Builder:
 
     state_limit: int = 100_000
     pushdown: bool = False
+    #: compile a body that may match an edgeless path so that each of
+    #: its iterations consumes an edge (``collect`` outside GROUPING)
+    layered: bool = False
     zero: list[list[tuple[object, int]]] = field(default_factory=list)
     steps: list[list[tuple[_EdgeStep, int]]] = field(default_factory=list)
     #: per-variable count of bind/step sites that *attached* pushed
@@ -345,8 +344,10 @@ def compile_register_nfa(
     pattern: ast.Pattern,
     state_limit: int = 100_000,
     pushdown: bool = False,
+    collect_mode: CollectMode = CollectMode.GROUPING,
 ) -> RegisterNFA:
-    """Compile a pattern into a register NFA.
+    """Compile a pattern into a register NFA whose runs, under
+    ``collect_mode``, accept exactly its matches.
 
     With ``pushdown=True``, single-variable ``x.key = const`` atoms on
     the positive ``And`` spine of each condition are attached to the
@@ -357,7 +358,7 @@ def compile_register_nfa(
     body fall back to the residual check, so the rewrite is
     answer-preserving by construction.
     """
-    builder = _Builder(state_limit=state_limit, pushdown=pushdown)
+    builder = _Builder(state_limit, pushdown, collect_mode is not CollectMode.GROUPING)
     start, end = _compile(pattern, builder)
     return RegisterNFA(
         num_states=len(builder.zero),
@@ -465,9 +466,15 @@ def _compile_copies(
     """``n`` copies of the body, then ``m - n`` optional ones or a
     loop, ``after_body`` closing each. Only the first copy's sites
     count: a run enters every later one through ``after_body``, the
-    body's registers unbound."""
+    body's registers unbound.
+
+    A ``layered`` builder compiles a body that may match an edgeless
+    path as two layers of its states, before and after the first edge
+    step: zero-weight ops stay in their layer, every step lands in the
+    second, and only the second layer's end leaves the iteration."""
     counting, pushed = builder.counting, builder.pushed
     builder.pushed = {}
+    layered = builder.layered and may_match_edgeless(pattern.pattern)
 
     def body_copy(source: int) -> int:
         """One body iteration followed by a register reset.
@@ -478,8 +485,18 @@ def _compile_copies(
         the body binds afresh every iteration — attaching there would
         change which runs survive.
         """
+        first = len(builder.zero)
         b_start, b_end = _compile(pattern.pattern, builder)
         builder.counting = False
+        if layered:
+            shift = len(builder.zero) - first
+            zero, steps = builder.zero, builder.steps
+            for q in range(first, first + shift):
+                builder.new_state()  # q + shift
+                zero[q + shift] = [(op, target + shift) for op, target in zero[q]]
+                steps[q] = [(step, target + shift) for step, target in steps[q]]
+                steps[q + shift] = list(steps[q])
+            b_end += shift
         builder.add_zero(source, _Eps(), b_start)
         after = builder.new_state()
         builder.add_zero(b_end, after_body, after)
@@ -501,37 +518,6 @@ def _compile_copies(
             builder.add_zero(current, _Eps(), end)
     builder.counting, builder.pushed = counting, pushed
     return start, end
-
-
-def collect_requirement(
-    pattern: ast.Pattern, collect_mode: CollectMode
-) -> Optional[str]:
-    """Why an accepting run does not determine the assignment of the
-    walk it accepts, or ``None`` when it does (the pattern is
-    *run-complete*).
-
-    A run records where each iteration of a repetition begins and ends,
-    and when every iteration consumes an edge ``collect`` is equation
-    (3) under all three modes: the list of what the iterations bound. A
-    body that may match an edgeless path is what the run cannot know.
-    If it binds variables (lint ``GPC022``), consecutive edgeless
-    iterations regroup (Figure 3), and a run could go round it for ever
-    without consuming an edge, appending a boundary each time. If it
-    binds nothing it contributes nothing to the assignment, but outside
-    ``GROUPING`` ``collect`` is undefined on an edgeless factor
-    whatever it binds. ``pi{0,0}`` never iterates, so any body is fine
-    there."""
-    for sub in ast.iter_subpatterns(pattern):
-        if isinstance(sub, ast.Repeat) and iterates_edgeless_body(sub):
-            bound = ast.variables(sub.pattern)
-            if bound:
-                return (
-                    f"GPC022: repeat body binds {', '.join(sorted(bound))} "
-                    f"and may match an edgeless path"
-                )
-            if collect_mode is not CollectMode.GROUPING:
-                return "repeat body may match an edgeless path"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +597,14 @@ class ShortestProgram:
     ops of tracked group registers, plus the free ops of any state
     whose closure would exceed :data:`_CLOSURE_LIMIT` (such a state's
     closure is itself alone). Boundary arcs note the run's depth in the
-    register file, so a cycle of zero-weight arcs through one would
-    never close: track a group register only for a pattern whose
-    :func:`collect_requirement` is ``None`` — every iteration then
-    consumes an edge, and only such a pattern takes the register route.
-    ``free`` holds what was folded, ``(mask, label, props, target)``
-    per state, and ``closure`` its fixed point: per state a run can
-    stand in (others hold ``None``) the pairs ``(mask, r)``, ``live``
-    state ``r`` being reachable through folded ops whose tests
-    AND-combine to ``mask``, unconditional pairs first. A state is
+    register file; an edgeless iteration after an edgeless one merges
+    into its entry (:func:`_fire`), so a zero-weight cycle through them
+    repeats its register file and closes. ``free`` holds what was
+    folded, ``(mask, label, props, target)`` per state, and ``closure``
+    its fixed point: per state a run can stand in (others hold
+    ``None``) the pairs ``(mask, r)``, ``live`` state ``r`` being
+    reachable through folded ops whose tests AND-combine to ``mask``,
+    unconditional pairs first. A state is
     ``live`` when it can do something — it has a step or a run-time
     arc, or is final; the rest are passed through. ``steps`` is
     ``rows`` with the ``slot`` of each tracked edge variable filled in.
@@ -678,36 +663,40 @@ class ShortestProgram:
             return elements[key]
         return self.overlay_nodes[key - len(elements)]
 
-    def group(self, triples: tuple, walk: tuple) -> GroupValue:
+    def group(self, triples: tuple, walk: tuple, element: Callable[[Any], Any]) -> GroupValue:
         """The list a register holds as ``(begin, end, key)`` triples
         (node positions), as offsets over the walk's elements ``walk``:
         one entry per iteration, a variable the iteration took no branch
-        with being ``Nothing`` there."""
+        with being ``Nothing`` there. ``element`` reads a key's element
+        (:meth:`readers`)."""
         return GroupValue.over(
             walk,
             tuple([(2 * begin, 2 * end + 1) for begin, end, _ in triples]),
             tuple([
                 Nothing
                 if key is None
-                else self.group(key, walk)
+                else self.group(key, walk, element)
                 if type(key) is tuple
-                else self.element(key)
+                else element(key)
                 for _, _, key in triples
             ]),
         )
 
-    def registers(self, file: tuple, walk: Optional[Path] = None) -> Registers:
-        """A register file as sorted ``(variable, value)`` pairs. A
-        register holding a list is built over ``walk``; without a walk
-        it is left out, as is an open group register — both are tuples,
-        which no element key is, and no condition can read either."""
+    def registers(
+        self, file: tuple, element: Callable[[Any], Any], walk: Optional[Path] = None
+    ) -> Registers:
+        """A register file as sorted ``(variable, value)`` pairs, each
+        key read by ``element``. A register holding a list is built over
+        ``walk``; without a walk it is left out, as is an open group
+        register — both are tuples, which no element key is, and no
+        condition can read either."""
         pairs = []
         for variable, key in zip(self.tracked, file):
             if type(key) is tuple:
                 if walk is not None:
-                    pairs.append((variable, self.group(key, walk.elements)))
+                    pairs.append((variable, self.group(key, walk.elements, element)))
             elif key is not None:
-                pairs.append((variable, self.element(key)))
+                pairs.append((variable, element(key)))
         return tuple(pairs)
 
     def readers(self) -> tuple[Callable[[int], tuple], Callable[[Any], Any]]:
@@ -1014,6 +1003,11 @@ def _masked_closure(q: int, free: list, live: list) -> Optional[tuple]:
     return tuple(plain + masked)
 
 
+#: Backward-pass pops, witness-pass edge expansions or register files
+#: interned per deadline check.
+_DEADLINE_STRIDE = 1024
+
+
 def _fire(
     program: ShortestProgram,
     files: list,
@@ -1033,9 +1027,14 @@ def _fire(
     An open group register holds ``(begin, (end, values), ...)``: the
     depth at which its repetition was entered, then per finished
     iteration the depth it ended at and what the body's registers held
-    there. On leaving, each body variable's register takes its list as
+    there. An edgeless iteration right after an edgeless one is
+    Figure 3's regrouping: it joins that entry if it bound the same
+    values (each body match binds exactly the body's variables, so
+    strict unification is equality) and is blocked otherwise. On
+    leaving, each body variable's register takes its list as
     ``(begin, end, value)`` triples — the next iteration end of an
-    enclosing repetition captures it like any other value."""
+    enclosing repetition captures it like any other value. The ambient
+    deadline is checked every :data:`_DEADLINE_STRIDE` files interned."""
     if kind == _ARC_FREE:
         return fid
     registers = files[fid]
@@ -1045,7 +1044,7 @@ def _fire(
             return fid if bound == value else -1
         updated = registers[:operand] + (value,) + registers[operand + 1 :]
     elif kind == _ARC_CHECK:
-        mu = Assignment(program.registers(registers))
+        mu = Assignment(program.registers(registers, program.element))
         try:
             return fid if satisfies(program.snapshot, mu, operand, program.values) else -1
         except (DeadlineExceededError, EvaluationLimitError):
@@ -1062,7 +1061,14 @@ def _fire(
         if kind == _ARC_RESET:
             if group is not None:
                 values = tuple(registers[slot] for slot in body)
-                changed[group] += ((depth, values),)
+                entries = registers[group]
+                if len(entries) > 1 and entries[-1][0] == depth == (
+                    entries[-2][0] if len(entries) > 2 else entries[0]
+                ):
+                    if entries[-1][1] != values:
+                        return -1
+                else:
+                    changed[group] += ((depth, values),)
             for slot in body:
                 changed[slot] = None
         else:  # _ARC_CLOSE
@@ -1080,16 +1086,14 @@ def _fire(
     if found is None:
         found = file_id[updated] = len(files)
         files.append(updated)
+        if not found % _DEADLINE_STRIDE:
+            check_deadline()
     return found
 
 
 # ---------------------------------------------------------------------------
 # Length search
 # ---------------------------------------------------------------------------
-
-#: Backward-pass pops or witness-pass edge expansions per deadline check.
-_DEADLINE_STRIDE = 1024
-
 
 def coreachable(program: ShortestProgram, ends: Iterable[NodeId]) -> Optional[bytearray]:
     """The ``(node, state)`` pairs, as a ``bytearray`` indexed by ``node
@@ -1351,7 +1355,7 @@ def witness_search(
             return 0
         # The walk alternates node and edge keys by construction.
         path = Path._trusted(tuple(map(element, (*walk, *last))))
-        runs = frozenset(program.registers(files[fid], path) for fid in accepting)
+        runs = frozenset(program.registers(files[fid], element, path) for fid in accepting)
         found.setdefault(end, []).append((path, runs))
         return 1
 

@@ -334,8 +334,8 @@ class EvalCounters(Counters):
       never queued, as no end candidate is reachable from them;
     - ``deepening_rounds`` — bound-doubling rounds of the deepening
       route (an unbounded ``shortest`` whose register NFA
-      over-approximates the pattern or whose runs cannot give its
-      assignments); 0 on the register route;
+      over-approximates the pattern, a Section 7 wrapper); 0 on the
+      register route;
     - ``witness_steps`` — edge expansions tried by the per-seed witness
       enumeration, which serves ``shortest`` and walks every ``trail`` /
       ``simple`` (distinct ``(edge, successor)`` moves some run can take

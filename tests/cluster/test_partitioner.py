@@ -135,11 +135,12 @@ class TestShardability:
             ("SHORTEST TRAIL (x) -> () -> (y)", True),
             ("TRAIL (x) -> (y), SHORTEST (y) ->{1,} (z)", True),
             (_LABEL_EXPR, True),
+            ("TRAIL (x) [[-[e:knows]->]{0,1}]{1,} (y)", True),
             (_REFUSED, False),
             (ast.Join(_REFUSED, parse_query("TRAIL (y) -> (z)")), False),
         ],
         ids=["shortest", "shortest-left-join", "trail", "simple",
-             "shortest-trail", "trail-left-join", "label-expr", "refused",
+             "shortest-trail", "trail-left-join", "label-expr", "gpc022-trail", "refused",
              "refused-left-join"],
     )
     def test_shardable(self, snap, text, shardable):
@@ -173,13 +174,8 @@ class TestShardability:
                 "abstraction-guided deepening (the automaton runs the child of"
                 " ArithConditioned in its place)",
             ),
-            (
-                "TRAIL (x) [[-[e:knows]->]{0,1}]{1,} (y)",
-                "bounded eval at |E|, pruned to trails while building, filtered"
-                " once (GPC022: repeat body binds e and may match an edgeless path)",
-            ),
         ],
-        ids=["refused", "deepening", "gpc022-trail"],
+        ids=["refused", "deepening"],
     )
     def test_unsharded_describe(self, snap, query, route):
         prepared = PreparedQuery(query)
@@ -190,13 +186,25 @@ class TestShardability:
             "sharding would repeat that evaluation in every shard)"
         )
 
-    def test_a_label_expression_shards_losslessly(self):
+    @pytest.mark.parametrize(
+        "query, people",
+        [
+            (_LABEL_EXPR, 20),
+            # Every walk has 2^(length + 1) answers: keep it small.
+            ("SHORTEST (x:Person) [[-[e:knows]->]{0,1}]{1,} (y:Person)", 8),
+        ],
+        ids=["label-expr", "gpc022-shortest"],
+    )
+    def test_a_register_route_pattern_shards_losslessly(self, query, people):
         from repro.cluster import ClusterService
         from repro.gpc.engine import Evaluator
+        from repro.gpc.parser import parse_query
 
-        graph = social_network(num_people=20, friend_degree=3, seed=11)
-        whole = Evaluator(graph).evaluate(_LABEL_EXPR)
+        graph = social_network(num_people=people, friend_degree=3, seed=11)
+        if isinstance(query, str):
+            query = parse_query(query)
+        whole = Evaluator(graph).evaluate(query)
         assert whole
         with ClusterService(graph, backend="serial", num_workers=3) as cluster:
-            assert cluster.evaluate(_LABEL_EXPR, use_cache=False) == whole
+            assert cluster.evaluate(query, use_cache=False) == whole
             assert cluster.stats.scatters == 3  # one shard task per cell

@@ -176,18 +176,18 @@ class TestDiagnosticCodes:
     def test_edgeless_repeat_body(self):
         codes = self.lint("TRAIL [(x)]{1,2} (y)")
         assert an.EDGELESS_REPEAT_BODY in codes
-        # The code `explain` cites when it refuses the register route.
+        # What each collect mode makes of the body.
         (message,) = {
             d.message
             for d in lint_query("SHORTEST (x:P) [(z)]{1,2} -> (y)")
             if d.code == an.EDGELESS_REPEAT_BODY
         }
         assert message.endswith(
-            "under `shortest` a body that also binds a variable runs the "
-            "specification, not the register search (a register run cannot "
-            "regroup edgeless iterations)"
+            "never iterated edgelessly under RUNTIME, and under GROUPING "
+            "consecutive edgeless iterations regroup into one list entry "
+            "(Figure 3)"
         )
-        # It never iterates: no warning, and no refusal either.
+        # It never iterates: no warning.
         assert an.EDGELESS_REPEAT_BODY not in self.lint(
             "SHORTEST (x:P) [(z)]{0,0} -> (y)"
         )

@@ -163,8 +163,8 @@ class TestApproach1Validation:
 
     def test_never_iterating_repetition_is_still_rejected(self):
         # The GQL rule is syntactic: `(x){0,0}` is refused although it
-        # never iterates — which is all that the run-completeness test
-        # and lint GPC022 ask (`iterates_edgeless_body`).
+        # never iterates — which is all that lint GPC022 asks
+        # (`iterates_edgeless_body`).
         never = parse_pattern("(x){0,0}")
         assert not iterates_edgeless_body(never)
         assert iterates_edgeless_body(parse_pattern("(x){0,1}"))

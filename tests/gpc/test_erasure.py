@@ -18,8 +18,7 @@ labels, a wrapper's child compiled in the other direction and a wrapper
 marked exact each go red.
 
 One rule picks the route: a pattern takes the register route iff its
-NFA is exact and its accepting runs give its assignments
-(``collect_requirement`` is ``None``).
+NFA is exact.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ from repro.gpc import ast
 from repro.gpc.collect import CollectMode
 from repro.gpc.engine import EngineConfig, Evaluator, QueryPlan
 from repro.gpc.parser import parse_pattern
-from repro.gpc.planner import BOUNDED_FILTER, REGISTER
-from repro.gpc.register_nfa import collect_requirement
+from repro.gpc.planner import REGISTER
 from repro.gpc.semantics import _Limits
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import random_multigraph, transport_network
@@ -228,7 +226,7 @@ class TestLabelExpressionsTakeTheRegisterRoute:
         assert {(a.path.src, a.path.tgt) for a in answers} == {(N("a"), N("a"))}
         assert counters.deepening_rounds == 0
 
-    def test_an_edgeless_body_that_binds_stays_off_the_register_route(self):
+    def test_an_edgeless_body_that_binds_takes_the_register_route(self):
         pattern = ast.concat(
             ast.Repeat(NodeWithLabelExpr(_NODE_A_OR_B, "x"), 1, 3),
             ast.forward(),
@@ -236,14 +234,12 @@ class TestLabelExpressionsTakeTheRegisterRoute:
         )
         query = ast.PatternQuery(ast.Restrictor.SHORTEST, pattern)
         for graph in _graphs():
-            evaluator = Evaluator(graph)
-            route, nfa, why = evaluator.plan.pattern_plan(pattern).route
-            assert (route, nfa, why) == (
-                BOUNDED_FILTER,
-                None,
-                "GPC022: repeat body binds x and may match an edgeless path",
-            )
-            assert evaluator.evaluate(query) == reference_answers(graph, query, 8)
+            for mode in (CollectMode.GROUPING, CollectMode.RUNTIME):
+                evaluator = Evaluator(graph, EngineConfig(collect_mode=mode))
+                record = evaluator.plan.pattern_plan(pattern)
+                assert record.route == (REGISTER, record.nfa, None)
+                expected = reference_answers(graph, query, 8, mode)
+                assert evaluator.evaluate(query) == expected
 
 
 
@@ -385,13 +381,13 @@ class TestOneRouteRule:
     @example(parse_pattern("(x) [()]{1,2} -> (y)"), "", CollectMode.RUNTIME)
     @example(parse_pattern("(x) [()]{1,2} -> (y)"), "", CollectMode.GROUPING)
     @example(parse_pattern("(x) [(z)]{1,} -> (y)"), "witness-marked", CollectMode.GROUPING)
-    def test_the_register_route_is_exact_and_run_complete(self, pattern, wrapper, mode):
+    def test_the_register_route_is_the_exact_automaton(self, pattern, wrapper, mode):
         if wrapper:
             pattern = _WRAPPERS[wrapper](pattern)
         record = QueryPlan(EngineConfig(collect_mode=mode)).pattern_plan(pattern)
         route, nfa, why = record.route
-        register = record.nfa.exact and collect_requirement(pattern, mode) is None
-        assert (route is REGISTER) == register
+        register = record.nfa.exact
+        assert (route is REGISTER) == register == (not wrapper)
         if register:
             assert (nfa, why) == (record.nfa, None)
         else:

@@ -5,7 +5,7 @@ import pytest
 from reference import reference_answers
 from repro.gpc.parser import parse_pattern, parse_query
 from repro.gpc.planner import (
-    BOUNDED_FILTER,
+    REGISTER,
     estimate_pattern_cardinality,
     estimate_query_cardinality,
     explain_plan,
@@ -270,26 +270,18 @@ class TestExplainPlan:
             return line_of(query, plan).partition("; assignments: ")[2]
 
         plan = QueryPlan()
-        assert source_of(flat, plan) == "register run"
-        assert source_of(group, plan) == "register run (groups e)"
-        assert source_of(nested, plan) == "register run (groups e, z)"
-        # What a run cannot know leaves the register route, by its lint
-        # code: an edgeless body repeats without lengthening the path.
-        requirement = "GPC022: repeat body binds z and may match an edgeless path"
-        assert plan.pattern_plan(binding_edgeless.pattern).route == (
-            BOUNDED_FILTER, None, requirement
-        )
-        assert f": {BOUNDED_FILTER} ({requirement}); " in line_of(binding_edgeless, plan)
-        assert "assignments" not in line_of(binding_edgeless, plan)
-        # Depends on the plan's collect mode.
-        assert "assignments: register run" in plan.explain(edgeless)
         runtime = QueryPlan(EngineConfig(collect_mode=CollectMode.RUNTIME))
-        requirement = "repeat body may match an edgeless path"
-        assert runtime.pattern_plan(edgeless.pattern).route == (
-            BOUNDED_FILTER, None, requirement
-        )
-        assert f": {BOUNDED_FILTER} ({requirement}); " in line_of(edgeless, runtime)
-        assert "assignments" not in runtime.explain(edgeless)
+        # One rule under every collect mode: the exact automaton serves
+        # the pattern, edgeless bodies (lint GPC022) included.
+        for served_by in (plan, runtime):
+            assert source_of(flat, served_by) == "register run"
+            assert source_of(group, served_by) == "register run (groups e)"
+            assert source_of(nested, served_by) == "register run (groups e, z)"
+            assert source_of(edgeless, served_by) == "register run"
+            assert source_of(binding_edgeless, served_by) == "register run (groups z)"
+            for query in (edgeless, binding_edgeless):
+                route = served_by.pattern_plan(query.pattern).route
+                assert route[::2] == (REGISTER, None)
         # A bare explain_plan (no plan, no mode) does not say.
         for query in (flat, group, binding_edgeless):
             assert "assignments" not in explain_plan(query)

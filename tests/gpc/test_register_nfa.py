@@ -9,6 +9,7 @@ from reference import reference_answers
 from repro.enumeration.radix import iter_paths_radix
 from repro.enumeration.span_matcher import match_on_path
 from repro.errors import (
+    CollectError,
     DeadlineExceededError,
     EvaluationError,
     EvaluationLimitError,
@@ -24,9 +25,9 @@ from repro.graph.generators import (
 from repro.graph.ids import NodeId as N
 from repro.gpc import ast
 from repro.gpc.collect import CollectMode
-from repro.gpc.engine import EngineConfig, Evaluator
+from repro.gpc.engine import EngineConfig, Evaluator, evaluate
 from repro.gpc.parser import parse_pattern, parse_query
-from repro.gpc.planner import BOUNDED_FILTER, REGISTER
+from repro.gpc.planner import REGISTER
 from repro.gpc.register_nfa import (
     compile_register_nfa,
     enumerate_exact_length_walks,
@@ -346,61 +347,116 @@ class TestPerSeedWitnessPass:
         assert grouped.witnesses == 8
         assert grouped.witness_steps == 8
 
-    def test_collect_failure_runs_the_specification(self, view_of):
+    def test_collect_failure_is_decided_on_the_run(self, view_of):
         # Under RUNTIME collect an edgeless factor is undefined, so the
-        # NFA's length 0 for the pair has no collectible witness, nor
-        # has length 1 (one edge factor, one edgeless); length 2 has.
+        # GROUPING automaton's length 0 for the pair has no collectible
+        # witness, nor has length 1 (one edge factor, one edgeless). The
+        # RUNTIME automaton, whose every iteration consumes an edge,
+        # finds length 2 first.
         graph = cycle_graph(1)
         pattern = parse_pattern("[(x) + ->]{2,2}")
-        nfa = compile_register_nfa(pattern)
         node = N("n0")
         view = view_of(graph)
-        assert shortest_pair_lengths(lower_program(nfa, view), node) == {node: 0}
         runtime = CollectMode.RUNTIME
+        lengths = {}
+        for mode in (CollectMode.GROUPING, runtime):
+            nfa = compile_register_nfa(pattern, collect_mode=mode)
+            lengths[mode] = shortest_pair_lengths(lower_program(nfa, view), node)
+        assert lengths == {CollectMode.GROUPING: {node: 0}, runtime: {node: 2}}
+        grouping = compile_register_nfa(pattern)
         collectible = []
         for length in range(3):
-            (walk,) = enumerate_exact_length_walks(graph, nfa, node, node, length)
+            (walk,) = enumerate_exact_length_walks(graph, grouping, node, node, length)
             assert len(walk) == length
             collectible.append(bool(match_on_path(pattern, walk, graph, runtime)))
         assert collectible == [False, False, True]
         query = parse_query("SHORTEST [(x) + ->]{2,2}")
         evaluator = Evaluator(view, EngineConfig(collect_mode=runtime))
-        assert evaluator.plan.pattern_plan(pattern).route == (
-            BOUNDED_FILTER,
-            None,
-            "GPC022: repeat body binds x and may match an edgeless path",
-        )
+        assert evaluator.plan.pattern_plan(pattern).route[::2] == (REGISTER, None)
         counters = EvalCounters()
         with use_counters(counters):
             answers = evaluator.evaluate(query)
         assert [len(a.path) for a in answers] == [2]
         assert answers == reference_answers(graph, query, 2, runtime)
-        assert counters.witnesses == counters.deepening_rounds == 0
+        assert counters.witnesses == 1 and counters.deepening_rounds == 0
 
     @pytest.mark.parametrize(
         "mode, edgeless_pairs", [(CollectMode.RUNTIME, 0), (CollectMode.GROUPING, 3)]
     )
-    def test_edgeless_body_leaves_the_register_route_outside_grouping(
+    def test_an_edgeless_body_takes_the_register_route_under_every_mode(
         self, mode, edgeless_pairs
     ):
         # The body binds nothing, yet RUNTIME collect is undefined on
-        # its edgeless factor: a run cannot tell.
+        # its edgeless factor: the RUNTIME automaton has no edgeless
+        # iteration to offer.
         graph = chain_graph(2)
         pattern = parse_pattern("(x) [() + ->]{1,1} (y)")
         query = ast.PatternQuery(ast.Restrictor.SHORTEST, pattern)
         evaluator = Evaluator(graph, EngineConfig(collect_mode=mode))
         route, _nfa, why = evaluator.plan.pattern_plan(pattern).route
-        if mode is CollectMode.GROUPING:
-            assert (route, why) == (REGISTER, None)
-        else:
-            assert (route, why) == (
-                BOUNDED_FILTER,
-                "repeat body may match an edgeless path",
-            )
-        answers = evaluator.evaluate(query)
+        assert (route, why) == (REGISTER, None)
+        counters = EvalCounters()
+        with use_counters(counters):
+            answers = evaluator.evaluate(query)
         lengths = sorted(len(a.path) for a in answers)
         assert lengths == [0] * edgeless_pairs + [1, 1]
         assert answers == reference_answers(graph, query, 2, mode)
+        assert counters.witnesses == len(answers)
+
+
+class TestEdgelessIterationsOnTheRun:
+    """A repetition body that may match an edgeless path (lint GPC022
+    where it binds) runs on the register route under every collect
+    mode: RUNTIME's automaton gives it no edgeless iteration, and a
+    GROUPING run merges consecutive edgeless iterations (Figure 3)."""
+
+    QUERY = "SHORTEST (x) [[-[e]->]{0,1}]{1,} (y)"
+
+    def test_runtime_answers_without_deepening(self):
+        graph = chain_graph(3)
+        query = parse_query(self.QUERY)
+        config = EngineConfig(collect_mode=CollectMode.RUNTIME)
+        counters = EvalCounters()
+        with use_counters(counters):
+            answers = evaluate(query, graph, config)
+        assert answers == reference_answers(graph, query, 3, CollectMode.RUNTIME)
+        assert len(answers) == 6 and counters.deepening_rounds == 0
+
+    def test_grouping_reads_the_regrouped_lists_off_the_run(self):
+        graph = chain_graph(3)
+        query = parse_query(self.QUERY)
+        counters = EvalCounters()
+        with use_counters(counters), deadline_scope(10.0):
+            answers = evaluate(query, graph)
+        assert answers == reference_answers(graph, query, 3, CollectMode.GROUPING)
+        assert counters.deepening_rounds == 0 and counters.witnesses > 0
+        # An edgeless iteration after an edge-consuming one is an entry
+        # of its own; consecutive edgeless ones are one.
+        one_edge = {
+            tuple(len(portion) for portion in a["e"].paths)
+            for a in answers
+            if len(a.path) == 1
+        }
+        assert one_edge == {(1,), (0, 1), (1, 0), (0, 1, 0)}
+
+    def test_syntactic_refuses_the_body(self):
+        config = EngineConfig(collect_mode=CollectMode.SYNTACTIC)
+        with pytest.raises(CollectError):
+            evaluate(parse_query(self.QUERY), chain_graph(3), config)
+
+    @pytest.mark.parametrize("mode", [CollectMode.GROUPING, CollectMode.RUNTIME])
+    def test_edgeless_iterations_on_a_cycle_terminate(self, mode):
+        # Every node has a zero-weight cycle through the body's edgeless
+        # branch. A run that appended an entry per edgeless iteration
+        # would never repeat its register file, so its closure would
+        # not close; the deadline turns that into a failure.
+        graph = cycle_graph(3)
+        query = parse_query("SHORTEST (x) [(z) + -[e]->]{1,} (y)")
+        with deadline_scope(2.0):
+            answers = evaluate(query, graph, EngineConfig(collect_mode=mode))
+        assert answers == reference_answers(graph, query, 3, mode)
+        if mode is CollectMode.GROUPING:
+            assert len(answers) > graph.num_nodes
 
 
 class TestDeadlineInsideTheWitnessPass:

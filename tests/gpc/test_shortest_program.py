@@ -18,6 +18,7 @@ from reference import (
 )
 from repro.cluster import ClusterService
 from repro.errors import (
+    CollectError,
     DeadlineExceededError,
     EvaluationLimitError,
     GPCError,
@@ -29,9 +30,8 @@ from repro.gpc import ast, register_nfa
 from repro.gpc.collect import CollectMode
 from repro.gpc.engine import EngineConfig, Evaluator
 from repro.gpc.parser import parse_pattern, parse_query
-from repro.gpc.planner import BOUNDED_FILTER, DEEPENING
+from repro.gpc.planner import REGISTER
 from repro.gpc.register_nfa import (
-    collect_requirement,
     compile_register_nfa,
     coreachable,
     lower_program,
@@ -270,9 +270,8 @@ class TestGroupReadOff:
         graph = self._graph()
         views = [view_of(graph), _derived(graph, _add_an_overlay_only_label)]
         horizon = graph.num_nodes
-        nfa = compile_register_nfa(query.pattern, pushdown=True)
         for view in views:
-            walks = assert_runs_equal_the_matcher(view, query.pattern, nfa, horizon)
+            walks = assert_runs_equal_the_matcher(view, query.pattern, horizon)
             assert set(walks) == set(CollectMode) and all(walks.values())
         for mode in CollectMode:
             expected = reference_answers(graph, query, horizon, mode)
@@ -363,52 +362,32 @@ class TestGroupReadOff:
         assert [edge.key for edge in answer["e"].values] == ["next0", "fresh0"]
         assert {answer} == reference_answers(graph, query, graph.num_nodes)
 
-    def test_what_a_run_cannot_know_runs_the_specification(self, view_of):
+    def test_what_collect_needs_is_decided_on_the_run(self, view_of):
         graph = self._graph()
-        for text, mode, expected, reason in (
-            # Zero inner iterations make an outer one edgeless: Figure 3
-            # regroups them, and a run could go round for ever.
-            (
-                "SHORTEST (x:Probe) [[-[e:next]->]{0,2}]{1,} (y:Adj)",
-                CollectMode.GROUPING,
-                DEEPENING,
-                "GPC022: repeat body binds e and may match an edgeless path",
-            ),
-            # An edgeless body repeats without lengthening the path.
-            (
-                "SHORTEST (x:Probe) [(z)]{1,} -[:next]-> (y)",
-                CollectMode.RUNTIME,
-                BOUNDED_FILTER,
-                "GPC022: repeat body binds z and may match an edgeless path",
-            ),
-            (
-                "SHORTEST (x:Probe) [()]{1,} -[:next]-> (y)",
-                CollectMode.RUNTIME,
-                BOUNDED_FILTER,
-                "repeat body may match an edgeless path",
-            ),
+        for text, mode in (
+            # Zero inner iterations make an outer one edgeless: the run
+            # regroups consecutive ones as Figure 3 does, and RUNTIME's
+            # automaton has no edgeless iteration.
+            ("SHORTEST (x:Probe) [[-[e:next]->]{0,2}]{1,} (y:Adj)", CollectMode.GROUPING),
+            ("SHORTEST (x:Probe) [[-[e:next]->]{0,2}]{1,} (y:Adj)", CollectMode.RUNTIME),
+            # A body that only matches edgeless paths: no answer under
+            # RUNTIME, the one-edge walks under GROUPING.
+            ("SHORTEST (x:Probe) [(z)]{1,} -[:next]-> (y)", CollectMode.RUNTIME),
+            ("SHORTEST (x:Probe) [()]{1,} -[:next]-> (y)", CollectMode.RUNTIME),
+            ("SHORTEST (x:Probe) [(z)]{1,} -[:next]-> (y)", CollectMode.GROUPING),
+            ("SHORTEST (x:Probe) [()]{1,} -[:next]-> (y)", CollectMode.GROUPING),
         ):
             query = parse_query(text)
-            assert collect_requirement(query.pattern, mode) == reason
-            config = EngineConfig(
-                collect_mode=mode, shortest_deepening_limit=8, lenient_shortest=True
-            )
-            evaluator = Evaluator(view_of(graph), config)
+            evaluator = Evaluator(view_of(graph), EngineConfig(collect_mode=mode))
             route = evaluator.plan.pattern_plan(query.pattern).route
-            assert route == (expected, None, reason)
+            assert route[::2] == (REGISTER, None)
             counters = EvalCounters()
             with use_counters(counters):
                 served = evaluator.evaluate(query)
-            assert counters.witnesses == 0
-            assert (counters.deepening_rounds > 0) == (expected is DEEPENING)
+            assert counters.witnesses == len({a.path for a in served})
+            assert counters.deepening_rounds == 0
+            assert (not served) == (mode is CollectMode.RUNTIME and "{0,2}" not in text)
             assert set(served) == reference_answers(graph, query, 8, mode)
-        # ... and what never iterates, or binds nothing, does not.
-        for text, mode in (
-            ("(x) [(z)]{0,0} (y)", CollectMode.RUNTIME),
-            ("(x) [()]{1,} -> (y)", CollectMode.GROUPING),
-            ("(x) [[(:A)]{0,} -[e]->]{1,} (y)", CollectMode.GROUPING),
-        ):
-            assert collect_requirement(parse_pattern(text), mode) is None
 
     def test_a_body_that_binds_nothing_compiles_no_boundary_op(self):
         def ops(text):
@@ -468,8 +447,8 @@ def _collect_graph() -> PropertyGraph:
     )
 
 
-#: Every pattern whose runs cannot give its assignments under some
-#: collect mode, as the route tests use them.
+#: Patterns whose repetition body may match an edgeless path (lint
+#: GPC022 where it binds), as the route tests use them.
 _COLLECT_PATTERNS = {
     "label-expression body": ast.concat(
         ast.Repeat(NodeWithLabelExpr(LabelOr(LabelAtom("A"), LabelAtom("B")), "x"), 1, 3),
@@ -491,10 +470,11 @@ _COLLECT_PATTERNS = {
 }
 
 
-class TestTheSpecificationServesWhatARunCannotKnow:
-    """A pattern with a :func:`collect_requirement` is served by the
-    bounded evaluator, never by the witness search, under every
-    restrictor and collect mode, on pristine and derived snapshots."""
+class TestTheRunDecidesCollect:
+    """A pattern whose repetition body may match an edgeless path is
+    served by the witness search under every restrictor and collect
+    mode, on pristine and derived snapshots, and equals the
+    specification; ``SYNTACTIC`` refuses it before either runs."""
 
     @pytest.mark.parametrize(
         "restrictor",
@@ -519,18 +499,18 @@ class TestTheSpecificationServesWhatARunCannotKnow:
         monkeypatch.setattr(engine, "witness_search", witness_search)
         graph = _collect_graph()
         query = ast.PatternQuery(restrictor, _COLLECT_PATTERNS[name])
-        required = 0
         for mode in CollectMode:
-            config = EngineConfig(
-                collect_mode=mode, shortest_deepening_limit=8, lenient_shortest=True
-            )
+            config = EngineConfig(collect_mode=mode)
             searches.clear()
-            served = _outcome(Evaluator(view_of(graph), config).evaluate, query)
+            counters = EvalCounters()
+            with use_counters(counters):
+                served = _outcome(Evaluator(view_of(graph), config).evaluate, query)
             assert served == _outcome(reference_answers, graph, query, 8, mode)
-            if collect_requirement(query.pattern, mode) is not None:
-                required += 1
-                assert not searches
-        assert required
+            assert counters.deepening_rounds == 0
+            if mode is CollectMode.SYNTACTIC:
+                assert served is CollectError and not searches
+            else:
+                assert len(searches) == 1
 
 
 def _outcome(evaluate, *args):

@@ -27,8 +27,8 @@ from repro.gpc import ast
 from repro.gpc.engine import EngineConfig, Evaluator, evaluate
 from repro.gpc.collect import CollectMode
 from repro.gpc.parser import parse_pattern
+from repro.gpc.minlength import iterates_edgeless_body
 from repro.gpc.register_nfa import (
-    collect_requirement,
     compile_register_nfa,
     lower_program,
     shortest_pair_lengths,
@@ -243,7 +243,7 @@ _SHORTEST_SHAPES = tuple(
 #: ``{0,0}`` alone and inside a body, zero iterations of ``{0,}``, a
 #: condition inside the body, an undirected step, a list inside a
 #: two-variable wrapper — and two bodies that bind a variable and may
-#: match an edgeless path, which stay with the span matcher.
+#: match an edgeless path, whose edgeless iterations the run regroups.
 _READ_OFF_SHAPES = tuple(
     parse_pattern(text)
     for text in (
@@ -275,7 +275,8 @@ def _a_graph():
 
 def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
     """One example of the test below; ``None`` when the example is
-    outside it, else whether the pattern was run-complete."""
+    outside it, else whether the pattern iterates a repetition body
+    that may match an edgeless path."""
     from repro.errors import CollectError, EvaluationLimitError
     from repro.gpc.minlength import validate_approach1
     from repro.gpc.semantics import _Limits
@@ -306,13 +307,7 @@ def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
         if restrict
         else None
     )
-    # Where collect is undefined on every witness the engine probes
-    # longer walks; past the horizon that is outside the reference.
-    config = EngineConfig(
-        collect_mode=mode,
-        shortest_deepening_limit=horizon,
-        lenient_shortest=True,
-    )
+    config = EngineConfig(collect_mode=mode)
     all_off = replace(
         config, use_planner=False, use_pushdown=False, use_analysis=False
     )
@@ -323,16 +318,19 @@ def _shortest_equals_reference(graph, pattern, mode, seed, restrict):
         "all-off": (pristine, all_off),
     }
     assert_equal_reference(reference, query, views, horizon, restriction)
-    return collect_requirement(pattern, mode) is None
+    return any(
+        isinstance(sub, ast.Repeat) and iterates_edgeless_body(sub)
+        for sub in ast.iter_subpatterns(pattern)
+    )
 
 
 def test_shortest_equals_the_bounded_reference_on_every_view():
     """``SHORTEST`` equals the specification on a plain graph, a
     pristine snapshot and a snapshot at the end of a derive chain, with
     and without a start restriction, under every collect mode — for
-    patterns whose assignments are read off the register run and for
-    patterns that need the span matcher."""
-    run_complete = set()
+    patterns with and without a repetition body that may match an
+    edgeless path, every one's assignments read off the register run."""
+    edgeless = set()
     tracked = set()
     unions = set()
     sources = set()
@@ -345,17 +343,17 @@ def test_shortest_equals_the_bounded_reference_on_every_view():
         st.integers(min_value=0, max_value=10_000),
         st.booleans(),
     )
-    # Always drawn: nested lists off the run, the refusal that stays,
-    # and a run-read assignment whose search carries registers — so the
-    # closing asserts never wait on the generator.
+    # Always drawn: nested lists off the run, a GPC022 body's lists off
+    # the run, and a run-read assignment whose search carries registers
+    # — so the closing asserts never wait on the generator.
     @example(_a_graph(), _READ_OFF_SHAPES[1], CollectMode.SYNTACTIC, 1, False)
     @example(_a_graph(), _READ_OFF_SHAPES[-1], CollectMode.GROUPING, 2, True)
     @example(_a_graph(), _SHORTEST_SHAPES[5], CollectMode.GROUPING, 3, False)
     def check(graph, pattern, mode, seed, restrict):
         verdict = _shortest_equals_reference(graph, pattern, mode, seed, restrict)
-        run_complete.add(verdict)
+        edgeless.add(verdict)
         if verdict is not None:
-            nfa = compile_register_nfa(pattern, pushdown=True)
+            nfa = compile_register_nfa(pattern, pushdown=True, collect_mode=mode)
             tracked.add(bool(nfa.constraining))
             unions.add(
                 any(
@@ -363,20 +361,18 @@ def test_shortest_equals_the_bounded_reference_on_every_view():
                     for sub in ast.iter_subpatterns(pattern)
                 )
             )
-            requirement = collect_requirement(pattern, mode)
-            if requirement is not None:
-                sources.add(requirement.partition(":")[0])
-            else:
-                sources.add("lists off the run" if nfa.groups else "run")
+            sources.add("lists off the run" if nfa.groups else "run")
+            if verdict and nfa.groups:
+                sources.add("GPC022 lists off the run")
 
     check()
-    assert {True, False} <= run_complete
+    assert {True, False} <= edgeless
     # Searches that carry registers and searches that carry none, and
     # closures that fold a union's branches.
     assert tracked == {True, False} and True in unions
-    # Group values read off a run, and a body that binds a variable and
-    # may match an edgeless path still refused.
-    assert {"run", "lists off the run", "GPC022"} <= sources
+    # Group values read off a run, a body that binds a variable and may
+    # match an edgeless path among them.
+    assert {"run", "lists off the run", "GPC022 lists off the run"} <= sources
 
 
 def test_lowered_search_and_witness_pass_equal_the_accessor_oracle(view_of):
@@ -453,27 +449,26 @@ def test_lowered_search_and_witness_pass_equal_the_accessor_oracle(view_of):
 def test_group_read_off_equals_the_span_matcher(view_of):
     """Walk by walk, what the witness pass reads off its runs — lists
     included — is what the span matcher finds on that walk, under every
-    collect mode in which the pattern is run-complete: on a pristine or
+    collect mode (``SYNTACTIC`` where the pattern is legal): on a pristine or
     overlay snapshot (the fixture) and on one at the end of a derive
     chain, with and without pushed atoms."""
     compared = {mode: 0 for mode in CollectMode}
     lists = set()
 
     def compare(graph, pattern, pushdown, seed):
-        nfa = compile_register_nfa(pattern, pushdown=pushdown)
+        groups = compile_register_nfa(pattern).groups
         views = [view_of(graph)]
         views.append(_derive_chain(random.Random(seed), graph))
         for view in views:
-            counts = assert_runs_equal_the_matcher(view, pattern, nfa, horizon=3)
+            counts = assert_runs_equal_the_matcher(view, pattern, 3, pushdown)
             for mode, walks in counts.items():
                 compared[mode] += walks
-                lists.add(bool(walks and nfa.groups))
+                lists.add(bool(walks and groups))
 
     for shape in _READ_OFF_SHAPES:
         before = sum(compared.values())
         compare(_a_graph(), shape, True, 7)
-        refused = collect_requirement(shape, CollectMode.GROUPING)
-        assert (sum(compared.values()) > before) == (refused is None), shape
+        assert sum(compared.values()) > before, shape
     assert all(compared.values()) and True in lists
     settings(max_examples=60, deadline=None)(
         given(

@@ -24,6 +24,7 @@ from typing import NamedTuple, Optional
 
 from repro.direction import Direction
 from repro.errors import (
+    CollectError,
     DeadlineExceededError,
     EvaluationError,
     EvaluationLimitError,
@@ -37,6 +38,7 @@ from repro.gpc.assignments import Assignment
 from repro.gpc.collect import CollectMode
 from repro.gpc.conditions import satisfies
 from repro.gpc.engine import Evaluator
+from repro.gpc.minlength import validate_approach1
 from repro.enumeration.span_matcher import match_on_path
 from repro.gpc.register_nfa import (
     PushedProps,
@@ -50,7 +52,7 @@ from repro.gpc.register_nfa import (
     _NodeTest,
     _Open,
     _Reset,
-    collect_requirement,
+    compile_register_nfa,
     lower_program,
     shortest_pair_lengths,
     shortest_witnesses,
@@ -494,38 +496,41 @@ def reference_witnesses(
 
 
 def assert_runs_equal_the_matcher(
-    view, pattern: ast.Pattern, nfa: RegisterNFA, horizon: int
+    view, pattern: ast.Pattern, horizon: int, pushdown: bool = True
 ) -> dict[CollectMode, int]:
     """Every walk the served witness pass accepts on ``view`` — from
     every seed, to every end at its minimum length and at one more, up
     to ``horizon`` — carries, with every variable and group register
     tracked, exactly the assignments :func:`match_on_path` (the
     independent Section 5 implementation) finds on it, under each
-    collect mode in which the pattern is run-complete. Returns the
-    walks compared per such mode."""
-    modes = [
-        mode for mode in CollectMode if collect_requirement(pattern, mode) is None
-    ]
+    collect mode, with the automaton compiled for that mode
+    (``SYNTACTIC`` only where the pattern is legal). Returns the walks
+    compared per mode."""
+    modes = [CollectMode.RUNTIME, CollectMode.GROUPING]
+    try:
+        validate_approach1(pattern)
+        modes.append(CollectMode.SYNTACTIC)
+    except CollectError:
+        pass
     compared = dict.fromkeys(modes, 0)
-    if not modes:
-        return compared
     padding = {variable: Nothing for variable in infer_schema(pattern)}
-    search = lower_program(nfa, view)
-    walker = search.retracked((*nfa.sites, *nfa.groups))
-    for start in view.nodes:
-        best = shortest_pair_lengths(search, start)
-        for extra in (0, 1):
-            targets = {
-                end: length + extra
-                for end, length in best.items()
-                if length + extra <= horizon
-            }
-            found = shortest_witnesses(walker, start, targets)
-            for walks in found.values():
-                for walk, runs in walks:
-                    read = {Assignment(padding | dict(run)) for run in runs}
-                    assert len(read) == len(runs)
-                    for mode in modes:
+    for mode in modes:
+        nfa = compile_register_nfa(pattern, pushdown=pushdown, collect_mode=mode)
+        search = lower_program(nfa, view)
+        walker = search.retracked((*nfa.sites, *nfa.groups))
+        for start in view.nodes:
+            best = shortest_pair_lengths(search, start)
+            for extra in (0, 1):
+                targets = {
+                    end: length + extra
+                    for end, length in best.items()
+                    if length + extra <= horizon
+                }
+                found = shortest_witnesses(walker, start, targets)
+                for walks in found.values():
+                    for walk, runs in walks:
+                        read = {Assignment(padding | dict(run)) for run in runs}
+                        assert len(read) == len(runs)
                         matched = match_on_path(pattern, walk, view, mode)
                         assert read == matched, (walk, mode)
                         compared[mode] += 1

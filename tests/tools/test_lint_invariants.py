@@ -57,15 +57,17 @@ class TestBroadExcept:
 
     def test_record_then_reraise_swallows_nothing(self):
         reraise = (
+            "from logging import exception as log\n"
             "try:\n    pass\n"
             "except Exception as exc:\n    log(exc)\n    raise\n"
         )
         assert codes(reraise) == []
         # Only a *bare* trailing raise counts: raising something else
         # (or raising early and falling through) can still swallow.
-        wrapped = reraise.replace("    raise\n", "    raise Other()\n")
+        wrapped = reraise.replace("    raise\n", "    raise ValueError()\n")
         assert codes(wrapped) == ["INV001"]
         early = (
+            "x = 0\n"
             "try:\n    pass\n"
             "except Exception:\n    if x:\n        raise\n    pass\n"
         )
@@ -269,6 +271,7 @@ class TestOneMetricsModel:
         "        }\n"
     )
     DERIVED = (
+        "from dataclasses import fields\n"
         "class Stats:\n"
         "    def as_dict(self):\n"
         "        return {f.name: getattr(self, f.name) for f in fields(self)}\n"
@@ -511,8 +514,9 @@ class TestUnusedImports:
 
     def test_each_binding_is_judged_by_the_name_it_binds(self):
         assert codes("import a.b\na.b.f()\n") == []
-        assert codes("import a.b as c\na.b.f()\n") == ["INV004"]
-        assert codes("from a import b as c\nb()\n") == ["INV004"]
+        # ``a`` (``b``) is bound by nothing there: F821 too.
+        assert codes("import a.b as c\na.b.f()\n") == ["INV004", "INV012"]
+        assert codes("from a import b as c\nb()\n") == ["INV004", "INV012"]
         assert codes("from a import b as c\nc()\n") == []
 
     def test_use_inside_a_function_counts(self):
@@ -626,6 +630,66 @@ class TestUnusedLocals:
             "    return locals()\n"  # reads every name
         )
         assert codes(green, library=False) == []
+
+
+class TestUndefinedNames:
+    """INV012: pyflakes' F821, the globals a module reads and nothing
+    binds."""
+
+    def test_each_scope_and_annotations_are_read(self):
+        red = (
+            "import os\n"
+            "def f(a):\n"
+            "    return a + missing\n"
+            "class A:\n"
+            "    x = nope\n"
+            "    def m(self) -> Undefined:\n"
+            "        return [y for y in gone], os\n"
+            "print(never_bound)\n"
+        )
+        findings = lint_invariants.check_source(red, Path("probe.py"), library=False)
+        assert [(f.code, f.line) for f in findings] == [
+            ("INV012", line) for line in (3, 5, 6, 7, 8)
+        ]
+        assert "undefined name 'missing' (F821)" in findings[0].message
+        # Annotations that are never compiled, a string one included.
+        lazy = (
+            "from __future__ import annotations\n"
+            "def f(a: Missing) -> 'AlsoMissing':\n"
+            "    return a\n"
+        )
+        assert [
+            (f.line, f.message)
+            for f in lint_invariants.check_source(lazy, Path("probe.py"), library=False)
+        ] == [
+            (2, "undefined name 'AlsoMissing' (F821)"),
+            (2, "undefined name 'Missing' (F821)"),
+        ]
+
+    def test_what_is_bound_somewhere_is_fine(self):
+        green = (
+            "from __future__ import annotations\n"
+            "import typing\n"
+            "if typing.TYPE_CHECKING:\n"
+            "    from collections import OrderedDict\n"
+            "def g():\n"
+            "    global G\n"  # bound by a global assignment
+            "    G = 1\n"
+            "def top(self, sort):\n"  # symtable's module-scope name
+            "    return self, sort, G, __file__, len\n"
+            "class A:\n"
+            "    q = __qualname__\n"
+            "    def m(self) -> OrderedDict:\n"
+            "        return __class__, later\n"  # bound after the def
+            "def h(x: 'A') -> None:\n"
+            "    def inner():\n"
+            "        return x\n"  # a cell of the enclosing scope
+            "    return inner\n"
+            "later = 1\n"
+        )
+        assert codes(green, library=False) == []
+        # A star import may bind anything: the module is not read.
+        assert codes("from os import *\nprint(path)\n", library=False) == []
 
 
 class TestMain:

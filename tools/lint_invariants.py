@@ -2,7 +2,7 @@
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
 Eight invariants that generic linters don't enforce the way this
-codebase needs them, and three that generic tools do enforce but that are
+codebase needs them, and four that generic tools do enforce but that are
 checked here too because ruff and mypy are not in every build
 container:
 
@@ -84,11 +84,17 @@ container:
   annotated, walrus and ``with ... as`` targets and ``except ... as``
   names count, never a tuple-unpacking or loop target, and a
   ``_``-prefixed name is exempt. Scopes are read with ``symtable``.
+- **No undefined names** (pyflakes' F821, ``INV012``) in the same
+  trees: a global some scope reads that no module-level binding or
+  import, no ``global`` assignment and no builtin defines, or a name an
+  annotation reads that nothing in the module binds, is a ``NameError``
+  waiting for its line to run. Read with ``symtable``; a module with a
+  ``from m import *`` is skipped.
 
-All but the import and unused-local checks apply to ``src/repro`` only
-(tests assert and poll, that is their job); with no arguments the tool
-lints ``src/repro`` for all eleven and the other four trees for the
-imports and the locals.
+All but the import, unused-local and undefined-name checks apply to
+``src/repro`` only (tests assert and poll, that is their job); with no
+arguments the tool lints ``src/repro`` for all twelve and the other
+four trees for the imports, the locals and the names.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -97,6 +103,7 @@ Exit status 0 when clean, 1 with findings (one per line, parseable as
 from __future__ import annotations
 
 import ast
+import builtins
 import configparser
 import symtable
 import sys
@@ -166,6 +173,15 @@ FRAME_NAMES = frozenset({
     "__tracebackhide__", "__traceback_info__", "__traceback_supplement__",
     "__debuggerskip__",
 })
+
+#: Names a module reads without binding them: the builtins and what
+#: the import system sets (F821's allowances); a class body also reads
+#: ``CLASS_NAMES``.
+IMPLICIT_NAMES = frozenset(dir(builtins)) | {
+    "__file__", "__name__", "__doc__", "__spec__", "__loader__", "__package__",
+    "__path__", "__builtins__", "__annotations__", "__cached__",
+}
+CLASS_NAMES = frozenset({"__module__", "__qualname__"})
 
 #: The nine constructors of the GPC grammar (``repro.gpc.ast``).
 GPC_CONSTRUCTORS = frozenset({
@@ -482,6 +498,74 @@ def _unused_locals(tree: ast.Module, table: symtable.SymbolTable) -> "list[tuple
     return sorted(found, key=lambda site: site[0].lineno)
 
 
+def _scopes(table: symtable.SymbolTable) -> "list[symtable.SymbolTable]":
+    """``table`` and every scope nested in it."""
+    return [table, *(scope for child in table.get_children() for scope in _scopes(child))]
+
+
+def _annotation_names(tree: ast.Module) -> "list[ast.Name]":
+    """The names the module's annotations read, a whole-string
+    annotation parsed (``from __future__ import annotations`` compiles
+    none of them, so ``symtable`` does not see them)."""
+    annotations: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = []
+    for annotation in annotations:
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            line = annotation.lineno
+            try:
+                annotation = ast.parse(annotation.value, mode="eval")
+            except SyntaxError:
+                continue
+            ast.increment_lineno(annotation, line - 1)
+        names += [sub for sub in ast.walk(annotation) if isinstance(sub, ast.Name)]
+    return names
+
+
+def _undefined_names(tree: ast.Module, table: symtable.SymbolTable) -> "list[tuple[int, str]]":
+    """``(line, name)`` of every name the module reads as a global that
+    no module-level binding or import, no ``global`` assignment in a
+    function and no builtin defines, and of every name an annotation
+    reads that nothing in the module binds (pyflakes' F821). A module
+    with a ``from m import *`` is skipped."""
+    if any(
+        isinstance(node, ast.ImportFrom) and node.names[0].name == "*"
+        for node in ast.walk(tree)
+    ):
+        return []
+    scopes = _scopes(table)
+    defined = set(IMPLICIT_NAMES)
+    bound = set()
+    for scope in scopes:
+        for symbol in scope.get_symbols():
+            if symbol.is_assigned() or symbol.is_imported() or symbol.is_parameter():
+                bound.add(symbol.get_name())
+                if scope is table or symbol.is_declared_global():
+                    defined.add(symbol.get_name())
+    unbound = {
+        symbol.get_name()
+        for scope in scopes
+        for symbol in scope.get_symbols()
+        if symbol.is_referenced()
+        and symbol.is_global()
+        and not symbol.is_local()  # symtable takes a function named "top" for the module
+        and not (scope.get_type() == "class" and symbol.get_name() in CLASS_NAMES)
+    } - defined
+    known = bound | defined
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in unbound]
+    reads += [node for node in _annotation_names(tree) if node.id not in known]
+    first: dict[str, int] = {}
+    for node in reads:
+        first[node.id] = min(first.get(node.id, node.lineno), node.lineno)
+    return sorted((line, name) for name, line in first.items())
+
+
 def _string_constants(node: "ast.AST | None") -> list[str]:
     if node is None:
         return []
@@ -602,6 +686,10 @@ class _Checker(ast.NodeVisitor):
             self._check_walkers(tree)
         for node, name in _unused_locals(tree, table):
             self._add(node, "INV011", f"local '{name}' is assigned to but never used (F841)")
+        for line, name in _undefined_names(tree, table):
+            self.findings.append(
+                Finding(self.path, line, "INV012", f"undefined name '{name}' (F821)")
+            )
         if Path(self.path).name == "__init__.py":
             return
         used = _names_used(tree)
@@ -791,10 +879,11 @@ def check_source(
     typed: bool = False,
 ) -> list[Finding]:
     """Lint one module's source text (the unit-testable core).
-    ``library=False`` checks the imports and the locals only. ``module`` is the path
-    under ``src/repro`` that INV007's allow-list knows the file by;
-    the entries it used are added to ``allowed_walkers``. ``typed``
-    turns on INV006 (the module is strict in mypy.ini)."""
+    ``library=False`` checks the imports, the locals and the names
+    only. ``module`` is the path under ``src/repro`` that INV007's
+    allow-list knows the file by; the entries it used are added to
+    ``allowed_walkers``. ``typed`` turns on INV006 (the module is
+    strict in mypy.ini)."""
     tree = ast.parse(source, filename=path)
     checker = _Checker(
         str(path),
