@@ -352,20 +352,12 @@ class Evaluator:
             max_intermediate_results=self.config.max_intermediate_results,
             max_power_iterations=self.config.max_power_iterations,
         )
-        bounded = partial(
+        self._new_bounded = partial(
             BoundedEvaluator, self._view, self.config.collect_mode, limits, values=values
         )
-        self._bounded = bounded()
-        #: Per restrictor mode: the Lemma 16 length bound and a bounded
-        #: evaluator that prunes by the mode's path predicate (with its
-        #: own memo: what it keeps is not the plain denotation).
-        self._modes = {
-            mode: (bound, bounded(keep=PATH_PREDICATES[mode]))
-            for mode, bound in (
-                ("trail", self._view.num_edges),
-                ("simple", self._view.num_nodes),
-            )
-        }
+        self._bounded = self._new_bounded()
+        #: Per restrictor mode, filled by :meth:`_mode` on first use.
+        self._modes: dict[str, tuple[int, BoundedEvaluator]] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -560,7 +552,7 @@ class Evaluator:
             # The evaluator drops the failing paths it builds; an atomic
             # match is built by no step (one self-loop edge is not
             # simple), so ``restrict`` still filters below.
-            bound, bounded = self._modes[restrictor.mode]
+            bound, bounded = self._mode(restrictor.mode)
             matches = bounded.evaluate(pattern, bound)
         elif route is DEEPENING:
             matches = self._eval_deepening(pattern, restriction)
@@ -573,6 +565,20 @@ class Evaluator:
             # minimum of a kept pair.
             matches = [m for m in matches if m[0].src in restriction]
         return restrict(restrictor, matches)
+
+    def _mode(self, mode: str) -> tuple[int, BoundedEvaluator]:
+        """The Lemma 16 length bound of a restrictor mode and a bounded
+        evaluator that prunes by the mode's path predicate (with its own
+        memo: what it keeps is not the plain denotation), built once."""
+        found = self._modes.get(mode)
+        if found is None:
+            view = self._view
+            bound = view.num_edges if mode == "trail" else view.num_nodes
+            found = self._modes[mode] = (
+                bound,
+                self._new_bounded(keep=PATH_PREDICATES[mode]),
+            )
+        return found
 
     def _eval_shortest(
         self,

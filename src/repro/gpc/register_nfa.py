@@ -538,8 +538,9 @@ def _compile_copies(
 # interned per search.
 #
 # Derived snapshots run in the same loops: a node that is overlay-only,
-# shadowed or has a patched adjacency row reads the same tables through
-# the view accessors (:meth:`ShortestProgram.at`). The key translation
+# shadowed or dirty (an overlay edge or a removed core edge ends there,
+# so its core row is stale) reads the same tables through the view
+# accessors (:meth:`ShortestProgram.at`). The key translation
 # is deterministic per snapshot — an element is keyed always by the
 # same int, or (an overlay-only edge) always by its id — so register
 # equality and state dedup behave exactly as on the real ids.

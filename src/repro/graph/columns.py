@@ -202,10 +202,11 @@ class SnapshotColumns:
         The index knows the immutable core only, so on a derived
         snapshot **only the row of a clean core node may be read from
         it** — a node that is neither shadowed nor in the snapshot's
-        ``_dirty`` set. Every edge a derive chain adds, removes or
-        relabels patches the rows of its endpoints, so a clean node's
-        row is exactly its current labelled adjacency; any other node's
-        row must come through the snapshot's accessors.
+        ``_dirty`` set. A node is dirty when an overlay edge or a
+        removed core edge ends there (a relabelled edge is both), so a
+        clean node's core row is exactly its current labelled
+        adjacency; any other node's row must come through the
+        snapshot's accessors.
         """
         cache = self._filtered_csr
         cache_key = (kind, label_int)

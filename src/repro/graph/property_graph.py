@@ -209,7 +209,7 @@ class PropertyGraph:
                 # The budget covers the *accumulated* overlay, not just
                 # this chain: a long run of tiny derives would otherwise
                 # grow the copy-on-write overlays (and the set of
-                # patched CSR rows the dense fast paths must detour
+                # stale CSR rows the dense fast paths must detour
                 # around) without bound. Once the cumulative overlay
                 # work crosses the budget, a rebuild re-interns
                 # everything into fresh columns.

@@ -17,13 +17,17 @@ core (:class:`repro.graph.columns.SnapshotColumns`):
   (:meth:`dense_start_key`), skipping the view layer entirely on clean
   data.
 
-**Derivation** (:meth:`derive`) is copy-on-write at the *overlay*
-level: a derived snapshot shares its base's immutable core and layers
-small dicts on top — patched adjacency rows, added/removed elements,
-replaced property dicts, patched per-label membership tuples. Cost is
-proportional to the delta, not the graph, which preserves the >=5x
-derive-vs-rebuild bench (``bench_a6_incremental.py``). The overlays
-also record which dense rows are *dirty* (adjacency patched) or
+**Derivation** (:meth:`derive`) records the delta's *facts* and
+nothing else: a derived snapshot shares its base's immutable core and
+layers small containers on top — added/removed elements with their
+labels, the ends of overlay edges, replaced property dicts. Everything
+indexed over those facts (carriers, adjacency rows, per-label members
+and counts, property masks) is a lazy per-snapshot view: the core's
+entry minus the removed ids plus the overlay's. Cost is proportional
+to the delta, not the graph, which preserves the >=5x derive-vs-rebuild
+bench (``bench_a6_incremental.py``). Derive also records which dense
+node rows are *dirty* (the core's row is not the node's current one:
+an overlay edge or a removed core edge ends there) and which are
 *shadowed* (a core id re-added with new labels), so the dense engine
 fast paths fall back to the view exactly where the core is stale.
 
@@ -53,7 +57,7 @@ are idempotent dict fills) and are memoised per graph version by
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import defaultdict
+from collections import Counter
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -92,13 +96,13 @@ class _Rows(NamedTuple):
     """One of a node's three adjacencies: where its rows live."""
 
     csr: str  #: which ``SnapshotColumns.csr`` triple holds the core rows
-    overlay: str  #: slot, node -> row patched by a derive chain
-    memo: str  #: slot, node -> core row rebuilt as an id-typed tuple
+    ends: str  #: slot, overlay edge -> its end(s) whose row lists it
+    memo: str  #: slot, node -> its current row as an id-typed tuple
 
 
-_OUT = _Rows(csr="out", overlay="_row_out", memo="_memo_out")
-_IN = _Rows(csr="in", overlay="_row_in", memo="_memo_in")
-_UND = _Rows(csr="und", overlay="_row_und", memo="_memo_und")
+_OUT = _Rows(csr="out", ends="_ovl_src", memo="_memo_out")
+_IN = _Rows(csr="in", ends="_ovl_tgt", memo="_memo_in")
+_UND = _Rows(csr="und", ends="_ovl_endpoints", memo="_memo_und")
 _ROWS = (_OUT, _IN, _UND)
 
 
@@ -113,16 +117,14 @@ class _Kind(NamedTuple):
     #: Slot, element -> label set, for elements the core does not hold
     #: (or holds stale): the overlay's carrier of this kind.
     ovl_labels: str
-    #: Slot, label -> patched sorted member tuple; ``()`` = emptied, so
-    #: the core column stays masked.
-    ovl_by_label: str
     memo_ids: str  #: slot, the carrier as a sorted tuple (or ``None``)
-    memo_by_label: str  #: slot, label -> core members as real ids
+    memo_by_label: str  #: slot, label -> current members as real ids
     added: str  #: ``GraphDelta`` group of added records
     removed: str  #: ``GraphDelta`` group of removed records
-    #: Edges only. Per record field naming the edge's end(s): the slot
-    #: that keeps it for an overlay edge, and the adjacency whose row at
-    #: that node (at each, for ``endpoints``) lists the edge.
+    #: Edges only. Per record field naming the edge's end(s), the
+    #: adjacency whose row at that node (at each, for ``endpoints``)
+    #: lists the edge; its ``ends`` slot keeps the field of an overlay
+    #: edge.
     ends: tuple = ()
 
 
@@ -132,7 +134,6 @@ _NODE = _Kind(
     core_count="n_nodes",
     core_by_label="nodes_by_label",
     ovl_labels="_ovl_node_labels",
-    ovl_by_label="_ovl_nodes_by_label",
     memo_ids="_nodes",
     memo_by_label="_memo_nbl",
     added="nodes_added",
@@ -144,12 +145,11 @@ _DEDGE = _Kind(
     core_count="n_dedges",
     core_by_label="dedges_by_label",
     ovl_labels="_ovl_dedge_labels",
-    ovl_by_label="_ovl_dedges_by_label",
     memo_ids="_dedges",
     memo_by_label="_memo_dbl",
     added="dedges_added",
     removed="dedges_removed",
-    ends=(("source", "_ovl_src", _OUT), ("target", "_ovl_tgt", _IN)),
+    ends=(("source", _OUT), ("target", _IN)),
 )
 _UEDGE = _Kind(
     id_type=UndirectedEdgeId,
@@ -157,15 +157,12 @@ _UEDGE = _Kind(
     core_count="n_uedges",
     core_by_label="uedges_by_label",
     ovl_labels="_ovl_uedge_labels",
-    ovl_by_label="_ovl_uedges_by_label",
     memo_ids="_uedges",
     memo_by_label="_memo_ubl",
     added="uedges_added",
     removed="uedges_removed",
-    ends=(("endpoints", "_ovl_endpoints", _UND),),
+    ends=(("endpoints", _UND),),
 )
-#: In the order a delta's additions are applied (nodes before edges);
-#: removals run it backwards.
 _KINDS = (_NODE, _DEDGE, _UEDGE)
 
 #: Overlay sets, empty on a rebuilt snapshot.
@@ -177,7 +174,9 @@ _OVERLAY_SETS = (
     # Dense *node* ids re-added with possibly new labels (their core
     # labelset is stale).
     "_shadow",
-    # Dense node ids whose adjacency rows were patched.
+    # Dense node ids whose core adjacency rows are stale: the shadowed
+    # ones and the core ends of every overlay edge and removed core
+    # edge. Recomputed from the facts above by each :meth:`derive`.
     "_dirty",
 )
 #: Overlay dicts, empty on a rebuilt snapshot: one of their own, the
@@ -187,9 +186,7 @@ _OVERLAY_DICTS = (
     # stale core columns).
     "_ovl_props",
     *(kind.ovl_labels for kind in _KINDS),
-    *(slot for kind in _KINDS for _, slot, _ in kind.ends),
-    *(rows.overlay for rows in _ROWS),
-    *(kind.ovl_by_label for kind in _KINDS),
+    *(rows.ends for rows in _ROWS),
 )
 #: Every copy-on-write overlay field, in pickle order.
 _OVERLAYS = _OVERLAY_SETS + _OVERLAY_DICTS
@@ -204,6 +201,8 @@ _MEMO_VALUES = (
 _MEMO_DICTS = (
     "_memo_endpoints",
     "_mask_cache",
+    # ``rows.csr`` -> node -> the overlay edges its row lists.
+    "_memo_ovl_rows",
     *(kind.memo_by_label for kind in _KINDS),
     *(rows.memo for rows in _ROWS),
 )
@@ -212,22 +211,8 @@ _MEMOS = _MEMO_VALUES + _MEMO_DICTS
 
 
 # ---------------------------------------------------------------------------
-# Incremental-derivation helpers
+# View helpers
 # ---------------------------------------------------------------------------
-
-
-def _tuple_insert(items: tuple, item) -> tuple:
-    """Insert into a sorted tuple (O(log n) compares + one slice copy)."""
-    index = bisect_left(items, item)
-    return items[:index] + (item,) + items[index:]
-
-
-def _tuple_discard(items: tuple, item) -> tuple:
-    """Remove from a sorted tuple if present (bisect, no re-sort)."""
-    index = bisect_left(items, item)
-    if index < len(items) and items[index] == item:
-        return items[:index] + items[index + 1 :]
-    return items
 
 
 def _tuple_patch(items: tuple, removed, added) -> tuple:
@@ -245,38 +230,8 @@ def _tuple_patch(items: tuple, removed, added) -> tuple:
 def _end_nodes(end) -> tuple:
     """The nodes named by one ``_Kind.ends`` field of an edge record:
     ``source`` / ``target`` are a node, ``endpoints`` is the set of
-    both (of one, for a self-loop — hence one row patch)."""
+    both (of one, for a self-loop — hence one row)."""
     return (end,) if type(end) is NodeId else tuple(end)
-
-
-class _NetChange:
-    """Net membership change of one sorted collection across a chain.
-
-    Re-adding an element the chain removed (or removing one it added)
-    cancels out, so big membership tuples are patched once with the
-    *net* effect instead of once per operation.
-    """
-
-    __slots__ = ("added", "removed")
-
-    def __init__(self) -> None:
-        self.added: set = set()
-        self.removed: set = set()
-
-    def add(self, item) -> None:
-        if item in self.removed:
-            self.removed.discard(item)
-        else:
-            self.added.add(item)
-
-    def remove(self, item) -> None:
-        if item in self.added:
-            self.added.discard(item)
-        else:
-            self.removed.add(item)
-
-    def __bool__(self) -> bool:
-        return bool(self.added or self.removed)
 
 
 class GraphSnapshot:
@@ -333,11 +288,11 @@ class GraphSnapshot:
         #: to fall back to a full rebuild (fresh core, empty overlays)
         #: once the overlays stop being "small".
         self.overlay_ops = 0
-        #: Seconds spent interning/building the CSR core (or patching
-        #: overlays when derived) — aggregated into ``ServiceStats``.
+        #: Seconds spent interning/building the CSR core (or applying
+        #: the chain when derived) — aggregated into ``ServiceStats``.
         self.build_s = 0.0
-        #: Adjacency rows rewritten copy-on-write by :meth:`derive`
-        #: (0 for a full rebuild).
+        #: Adjacency rows touched by the chain :meth:`derive` applied:
+        #: one per end node of each edge record (0 for a full rebuild).
         self.csr_rows_patched = 0
 
     # ------------------------------------------------------------------
@@ -353,10 +308,10 @@ class GraphSnapshot:
         Returns a snapshot semantically identical to a full rebuild at
         the chain's final version, but built by sharing ``base``'s
         immutable columnar core and copying only the (small) overlay
-        dicts. Adjacency rows touched by the chain are rewritten as
-        id-typed tuples in the row overlay; everything else stays in
-        the CSR columns. Cost is ``O(|delta| + |overlay|)`` rather than
-        the rebuild's ``O(n log n)`` — the win the mutation path needs.
+        containers, to which the chain's facts are applied; the indexes
+        over them are lazy views. Cost is ``O(|delta| + |overlay|)``
+        rather than the rebuild's ``O(n log n)`` — the win the mutation
+        path needs.
 
         The chain must start at ``base.version + 1`` and be
         consecutive; anything else raises :class:`GraphError` (callers
@@ -377,7 +332,6 @@ class GraphSnapshot:
 
         core = base._core
         dense = core.dense
-        n_nodes = core.n_nodes
         # The new snapshot owns a copy of each of the base's overlay
         # containers and the chain is applied to those, in place: the
         # base is never written to.
@@ -390,36 +344,15 @@ class GraphSnapshot:
             delta.size for delta in deltas
         )
         removed = snap._removed
-        dirty = snap._dirty
         props = snap._ovl_props
         rows_patched = 0
-        #: Per kind: its label overlay on ``snap`` and, label by label,
-        #: the net membership change over the whole chain.
-        per_kind = [
-            (kind, getattr(snap, kind.ovl_labels), defaultdict(_NetChange))
-            for kind in _KINDS
-        ]
-
-        def patch_row(rows: _Rows, node, edit, edge) -> None:
-            """Rewrite ``node``'s row copy-on-write: ``edit`` inserts
-            or discards ``edge`` in its current sorted tuple."""
-            nonlocal rows_patched
-            overlay = getattr(snap, rows.overlay)
-            row = overlay.get(node)
-            if row is None:
-                row = base._row(rows, node)
-            overlay[node] = edit(row, edge)
-            rows_patched += 1
-            d = dense.get(node)
-            if d is not None and d < n_nodes:
-                dirty.add(d)
+        #: Per kind: its label overlay on ``snap``.
+        per_kind = [(kind, getattr(snap, kind.ovl_labels)) for kind in _KINDS]
 
         for delta in deltas:
-            # Removals first (edge before node: a cascade's adjacency
-            # entries must be empty before its node entry is dropped),
-            # then additions (node before edge), then property edits —
-            # the same order the mutable graph applied them in.
-            for kind, labels_of, nets in reversed(per_kind):
+            # Removals first, then additions, then property edits — the
+            # order the mutable graph applied them in.
+            for kind, labels_of in per_kind:
                 for record in getattr(delta, kind.removed):
                     element = record.id
                     # An overlay element goes; a core one is masked. Its
@@ -428,37 +361,23 @@ class GraphSnapshot:
                     if labels_of.pop(element, None) is None:
                         removed.add(element)
                     props.pop(element, None)
-                    for field, slot, rows in kind.ends:
-                        getattr(snap, slot).pop(element, None)
-                        for node in _end_nodes(getattr(record, field)):
-                            patch_row(rows, node, _tuple_discard, element)
-                    if kind is _NODE:
-                        for rows in _ROWS:
-                            getattr(snap, rows.overlay).pop(element, None)
-                    for label in record.labels:
-                        nets[label].remove(element)
-            for kind, labels_of, nets in per_kind:
+                    for field, rows in kind.ends:
+                        getattr(snap, rows.ends).pop(element, None)
+                        rows_patched += len(_end_nodes(getattr(record, field)))
+            for kind, labels_of in per_kind:
                 for record in getattr(delta, kind.added):
                     element = record.id
                     labels_of[element] = record.labels
                     props[element] = dict(record.properties)
-                    for field, slot, rows in kind.ends:
+                    for field, rows in kind.ends:
                         end = getattr(record, field)
-                        getattr(snap, slot)[element] = end
-                        for node in _end_nodes(end):
-                            patch_row(rows, node, _tuple_insert, element)
-                    if kind is _NODE:
-                        for rows in _ROWS:
-                            getattr(snap, rows.overlay)[element] = _EMPTY
-                        d = dense.get(element)
-                        if d is not None:
-                            # Re-added core id: its core labelset/rows
-                            # are stale, so the dense fast paths must
-                            # treat it as an overlay element from now on.
-                            snap._shadow.add(d)
-                            dirty.add(d)
-                    for label in record.labels:
-                        nets[label].add(element)
+                        getattr(snap, rows.ends)[element] = end
+                        rows_patched += len(_end_nodes(end))
+                    if kind is _NODE and element in dense:
+                        # Re-added core id: its core labelset/rows are
+                        # stale, so the dense fast paths must treat it
+                        # as an overlay element from now on.
+                        snap._shadow.add(dense[element])
             # ``properties`` hands out a private copy of the element's
             # current map, which becomes its whole overlay entry.
             for element, key, value in delta.properties_set:
@@ -471,21 +390,34 @@ class GraphSnapshot:
                 # An empty dict entry still masks stale core columns.
                 props[element] = entry
 
-        # Per-label membership overlays: patch the base's *current*
-        # members with the chain's net change. A label emptied by the
-        # chain keeps a ``()`` sentinel so core columns stay masked —
-        # ``all_labels`` skips sentinels, so no ghost labels survive.
-        for kind, _, nets in per_kind:
-            by_label = getattr(snap, kind.ovl_by_label)
-            for label, net in nets.items():
-                if net:
-                    by_label[label] = _tuple_patch(
-                        base._members(kind, label), net.removed, net.added
-                    )
-
+        snap._dirty = snap._stale_rows()
         snap.csr_rows_patched = rows_patched
         snap.build_s = perf_counter() - started
         return snap
+
+    def _stale_rows(self) -> set:
+        """Dense ids of the core nodes whose core rows are not their
+        current ones: the shadowed nodes and the core ends of every
+        overlay edge and every removed core edge."""
+        core = self._core
+        dense = core.dense
+        stale = set(self._shadow)
+        for rows in _ROWS:
+            for end in getattr(self, rows.ends).values():
+                for node in _end_nodes(end):
+                    d = dense.get(node)
+                    if d is not None:
+                        stale.add(d)
+        first_uedge = core.n_nodes + core.n_dedges
+        for element in self._removed:
+            d = dense[element]  # only core ids are ever removed
+            if d >= first_uedge:
+                d -= first_uedge
+                stale.update((core.ua_col[d], core.ub_col[d]))
+            elif d >= core.n_nodes:
+                d -= core.n_nodes
+                stale.update((core.src_col[d], core.tgt_col[d]))
+        return stale
 
     # ------------------------------------------------------------------
     # Buffer pickling (ProcessBackend snapshot shipping)
@@ -757,22 +689,33 @@ class GraphSnapshot:
             return _EMPTY
         return getattr(core, kind.core_by_label).get(li, _EMPTY)
 
+    def _gone(self, kind: _Kind) -> Iterator[tuple]:
+        """``(element, core label set)`` of each removed core element
+        of one kind."""
+        core = self._core
+        for element in self._removed:
+            if type(element) is kind.id_type:
+                yield element, core.labelsets[
+                    core.labelset_of[core.dense[element]]
+                ]
+
     def _members(self, kind: _Kind, label: str) -> tuple:
-        """Sorted ids of one kind carrying ``label``. A label the
-        overlay names is the overlay's to decide (``()`` = emptied);
-        any other is the core column, rebuilt as ids once."""
-        ovl = getattr(self, kind.ovl_by_label)
-        if ovl:
-            hit = ovl.get(label)
-            if hit is not None:
-                return hit
+        """Sorted ids of one kind carrying ``label``, memoised: the core
+        column as ids, minus the removed ones, plus the overlay
+        elements that carry it."""
         memo = getattr(self, kind.memo_by_label)
         hit = memo.get(label)
         if hit is None:
             elements = self._core.elements
-            hit = memo[label] = tuple(
-                elements[d] for d in self._core_members(kind, label)
-            )
+            hit = tuple(elements[d] for d in self._core_members(kind, label))
+            overlay = getattr(self, kind.ovl_labels)
+            if self._removed or overlay:
+                hit = _tuple_patch(
+                    hit,
+                    [x for x, labels in self._gone(kind) if label in labels],
+                    [x for x, labels in overlay.items() if label in labels],
+                )
+            memo[label] = hit
         return hit
 
     def nodes_with_label(self, label: str) -> tuple[NodeId, ...]:
@@ -787,20 +730,20 @@ class GraphSnapshot:
         return self._members(_UEDGE, label)
 
     def _label_counts(self, kind: _Kind) -> dict[str, int]:
-        """Label -> number of live members of one kind, zero-free."""
+        """Label -> number of live members of one kind, zero-free: the
+        core's counts, minus the removed, plus the overlay's."""
         names = self._core.label_names
-        overlay = getattr(self, kind.ovl_by_label)
-        counts: dict[str, int] = {}
-        for li, arr in getattr(self._core, kind.core_by_label).items():
-            name = names[li]
-            # A label the overlay names is the overlay's to decide (it
-            # may have been emptied).
-            if arr and name not in overlay:
-                counts[name] = len(arr)
-        for name, members in overlay.items():
-            if members:
-                counts[name] = len(members)
-        return counts
+        counts = Counter(
+            {
+                names[li]: len(arr)
+                for li, arr in getattr(self._core, kind.core_by_label).items()
+            }
+        )
+        for _, labels in self._gone(kind):
+            counts.subtract(labels)
+        for labels in getattr(self, kind.ovl_labels).values():
+            counts.update(labels)
+        return {name: count for name, count in counts.items() if count}
 
     def all_labels(self) -> frozenset[str]:
         out = self._memo_all_labels
@@ -815,12 +758,15 @@ class GraphSnapshot:
     # ------------------------------------------------------------------
 
     def _num_members(self, kind: _Kind, label: str) -> int:
-        ovl = getattr(self, kind.ovl_by_label)
-        if ovl:
-            hit = ovl.get(label)
-            if hit is not None:
-                return len(hit)
-        return len(self._core_members(kind, label))
+        hit = getattr(self, kind.memo_by_label).get(label)
+        if hit is not None:
+            return len(hit)
+        overlay = getattr(self, kind.ovl_labels)
+        return (
+            len(self._core_members(kind, label))
+            - sum(label in labels for _, labels in self._gone(kind))
+            + sum(label in labels for labels in overlay.values())
+        )
 
     def num_nodes_with_label(self, label: str) -> int:
         return self._num_members(_NODE, label)
@@ -856,36 +802,44 @@ class GraphSnapshot:
     # Adjacency
     # ------------------------------------------------------------------
 
-    def _core_node_dense(self, node: NodeId) -> int:
-        core = self._core
-        d = core.dense.get(node)
-        if (
-            d is None
-            or d >= core.n_nodes
-            or (self._removed and node in self._removed)
-        ):
-            raise UnknownIdError(f"unknown node {node!r}")
-        return d
+    def _overlay_rows(self, rows: _Rows) -> dict:
+        """Node -> the overlay edges its ``rows`` adjacency lists, built
+        in one pass over the overlay's ends, memoised."""
+        index = self._memo_ovl_rows.get(rows.csr)
+        if index is None:
+            index = {}
+            for edge, end in getattr(self, rows.ends).items():
+                for node in _end_nodes(end):
+                    index.setdefault(node, []).append(edge)
+            self._memo_ovl_rows[rows.csr] = index
+        return index
 
     def _row(self, rows: _Rows, node: NodeId) -> tuple:
-        """One adjacency row of ``node`` as a sorted id-typed tuple:
-        the patched row if a derive chain touched it, else the core's
-        CSR row, rebuilt as ids once."""
-        ovl = getattr(self, rows.overlay)
-        if ovl:
-            hit = ovl.get(node)
-            if hit is not None:
-                return hit
+        """One adjacency row of ``node`` as a sorted id-typed tuple,
+        memoised: the core's CSR row as ids — for a dirty or overlay
+        node, minus the removed edges plus the overlay's at ``node``."""
         memo = getattr(self, rows.memo)
         hit = memo.get(node)
         if hit is None:
+            if not self.has_node(node):
+                raise UnknownIdError(f"unknown node {node!r}")
             core = self._core
-            d = self._core_node_dense(node)
-            off, col, _ = core.csr(rows.csr)
-            elements = core.elements
-            hit = memo[node] = tuple(
-                elements[col[i]] for i in range(off[d], off[d + 1])
-            )
+            d = core.dense.get(node)
+            hit = _EMPTY
+            if d is not None:
+                off, col, _ = core.csr(rows.csr)
+                elements = core.elements
+                hit = tuple(
+                    elements[col[i]] for i in range(off[d], off[d + 1])
+                )
+            if d is None or d in self._dirty:
+                removed = self._removed
+                hit = _tuple_patch(
+                    hit,
+                    [edge for edge in hit if edge in removed],
+                    self._overlay_rows(rows).get(node, _EMPTY),
+                )
+            memo[node] = hit
         return hit
 
     def out_edges(self, node: NodeId) -> tuple[DirectedEdgeId, ...]:

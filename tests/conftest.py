@@ -90,24 +90,39 @@ def graph_s7() -> PropertyGraph:
 
 
 def _overlay_snapshot(graph: PropertyGraph) -> GraphSnapshot:
-    """A snapshot of the same graph derived over patched CSR rows: after
-    a first ``snapshot()`` a scratch node every node points at is added
-    and removed again, so each row is an overlay row and the dense
-    search steps through the view accessors."""
+    """A snapshot of the same graph derived over stale CSR rows: after
+    a first ``snapshot()`` every edge is removed and re-added with its
+    id, ends, labels and properties, so the graph is unchanged but the
+    core row of every node with an edge is dirty and the dense search
+    steps through the view accessors. A scratch node is added and
+    removed first, so an edgeless graph derives too."""
     base = graph.snapshot()
-    scratch = graph.add_node(f"scratch{graph.version}")
-    for node in base.nodes:
-        graph.add_edge(f"scratch{graph.version}", node, scratch)
-    graph.remove_node(scratch)
+    graph.remove_node(graph.add_node(f"scratch{graph.version}"))
+    for edge in base.directed_edges:
+        graph.remove_edge(edge)
+        graph.add_edge(
+            edge.key,
+            base.source(edge),
+            base.target(edge),
+            base.labels(edge),
+            base.properties(edge),
+        )
+    for edge in base.undirected_edges:
+        ends = sorted(base.endpoints(edge))
+        graph.remove_undirected_edge(edge)
+        graph.add_undirected_edge(
+            edge.key, ends[0], ends[-1], base.labels(edge), base.properties(edge)
+        )
     derived = GraphSnapshot.derive(base, graph.deltas_since(base.version))
-    assert derived.overlay_ops
+    dense = base._core.dense
+    assert {dense[node] for node in base.nodes if base.degree(node)} <= derived._dirty
     return derived
 
 
 @pytest.fixture(params=["pristine", "overlay"])
 def view_of(request):
     """``view_of(graph)``: a pristine snapshot of ``graph``, or (second
-    parameter) one derived over patched CSR rows."""
+    parameter) one derived over stale CSR rows."""
     return GraphSnapshot if request.param == "pristine" else _overlay_snapshot
 
 

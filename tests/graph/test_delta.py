@@ -22,6 +22,9 @@ from repro.graph import (
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import social_network
 from repro.graph.ids import DirectedEdgeId, NodeId, UndirectedEdgeId
+from repro.gpc.engine import Evaluator
+from repro.gpc.parser import parse_pattern, parse_query
+from repro.gpc.register_nfa import compile_register_nfa, coreachable, lower_program
 from repro.graph.snapshot import _OVERLAYS
 
 
@@ -344,18 +347,13 @@ class TestDerivation:
         # The columnar core is shared wholesale — derive never copies
         # the interned columns, it overlays them copy-on-write.
         assert derived._core is base._core
-        # A node add touches its label set, property entry and three
-        # (empty) adjacency rows, and the member tuple of its label;
-        # structures it does not touch grow no overlay.
-        assert overlays(derived) == {
-            "_ovl_node_labels",
-            "_ovl_props",
-            "_row_out",
-            "_row_in",
-            "_row_und",
-            "_ovl_nodes_by_label",
-        }
+        # A node add records two facts, its label set and its property
+        # entry; its rows and label members are views, and facts it
+        # does not touch grow no overlay.
+        assert overlays(derived) == {"_ovl_node_labels", "_ovl_props"}
         assert derived.csr_rows_patched == 0
+        assert derived.nodes_with_label("P")[-1] == NodeId("d")
+        assert derived.out_edges(NodeId("d")) == ()
         # The base snapshot's own overlays stay empty (derive works on
         # the child's copies, never on the base's containers).
         assert overlays(base) == set()
@@ -363,16 +361,17 @@ class TestDerivation:
         graph.add_edge("enew", nodes[0], nodes[1], ["knows"])
         edged = graph.snapshot()
         assert edged._core is base._core
-        # One added edge patches exactly two CSR adjacency rows: the
-        # source's out-row and the target's in-row.
+        # One added edge touches two adjacency rows, the source's
+        # out-row and the target's in-row, and records its label set
+        # and its two ends; both core ends are dirty.
         assert edged.csr_rows_patched == 2
         assert overlays(edged) == overlays(derived) | {
             "_dirty",
             "_ovl_dedge_labels",
             "_ovl_src",
             "_ovl_tgt",
-            "_ovl_dedges_by_label",
         }
+        assert edged._dirty == {base._core.dense[node] for node in nodes[:2]}
         assert overlays(base) == set()
         assert len(base.directed_edges) + 1 == len(edged.directed_edges)
 
@@ -472,6 +471,53 @@ class TestDerivation:
             # All racers share the one snapshot built for this version.
             assert len({id(s) for s in results}) == 1
             results.clear()
+
+
+class TestDirtyRows:
+    """``_dirty`` is exact: the dense core nodes whose core rows are not
+    their current ones, recomputed from the overlay's facts."""
+
+    def test_an_edge_added_and_removed_leaves_no_row_dirty(self):
+        graph = social_network(40)
+        base = graph.snapshot()
+        a, b, c = sorted(graph.nodes_with_label("Person"))[:3]
+        edge = graph.add_edge("scratch", a, b, ["knows"])
+        graph.set_property(c, "age", 99)
+        graph.remove_edge(edge)
+        derived = GraphSnapshot.derive(base, graph.deltas_since(base.version))
+        assert derived._dirty == set()
+        people = derived.nodes_with_label("Person")
+        nfa = compile_register_nfa(
+            parse_pattern("(x:Person) -[:knows]->{1,} (y:Person)")
+        )
+        assert coreachable(lower_program(nfa, derived), people) is not None
+        query = parse_query(
+            "SHORTEST [(x:Person) -[:knows]->{1,} (y:Person)] << y.age = 99 >>"
+        )
+        answers = Evaluator(derived).evaluate(query)
+        assert answers and answers == Evaluator(GraphSnapshot(graph)).evaluate(query)
+
+    def test_a_removed_core_edge_dirties_exactly_its_ends(self):
+        graph = build_mixed()
+        base = graph.snapshot()
+        graph.remove_edge(DirectedEdgeId("e2"))
+        derived = graph.snapshot()
+        dense = base._core.dense
+        assert derived._dirty == {dense[NodeId("b")], dense[NodeId("c")]}
+        assert derived.out_edges(NodeId("b")) == ()
+        assert derived.in_edges(NodeId("c")) == ()
+
+    def test_a_re_added_core_node_dirties_itself(self):
+        graph = build_mixed()
+        graph.add_node("d", ["P"])
+        base = graph.snapshot()
+        graph.remove_node(NodeId("d"))
+        graph.add_node("d", ["Q"])
+        derived = GraphSnapshot.derive(base, graph.deltas_since(base.version))
+        d = base._core.dense[NodeId("d")]
+        assert derived._shadow == {d} and derived._dirty == {d}
+        assert derived.nodes_with_label("Q")[-1] == NodeId("d")
+        assert_snapshots_identical(derived, GraphSnapshot(graph), graph)
 
 
 class TestGhostLabels:

@@ -692,6 +692,58 @@ class TestUndefinedNames:
         assert codes("from os import *\nprint(path)\n", library=False) == []
 
 
+class TestRedefinitions:
+    """INV013: pyflakes' F811, a definition or an import rebound before
+    anything read it."""
+
+    def test_a_rebinding_nothing_read_before_is_flagged(self):
+        red = (
+            "import os\n"
+            "import os\n"
+            "def test_a():\n"
+            "    pass\n"
+            "def test_a():\n"
+            "    return test_a\n"  # a body runs later: no read yet
+            "class A:\n"
+            "    def m(self):\n"
+            "        pass\n"
+            "    def m(self):\n"
+            "        return os\n"
+        )
+        findings = lint_invariants.check_source(red, Path("probe.py"), library=False)
+        assert [(f.code, f.line) for f in findings] == [
+            ("INV013", line) for line in (2, 5, 10)
+        ]
+        assert "redefinition of unused 'os' from line 1 (F811)" in findings[0].message
+
+    def test_reads_alternatives_and_overloads_are_fine(self):
+        green = (
+            "from __future__ import annotations\n"
+            "import typing\n"
+            "from a import T\n"
+            "def f(x: 'T'):\n"  # a string annotation reads T
+            "    return x\n"
+            "from b import T\n"
+            "try:\n"
+            "    import json\n"
+            "except ImportError:\n"
+            "    json = None\n"  # the other arm of the try
+            "class A:\n"
+            "    @property\n"
+            "    def x(self):\n"
+            "        return 1\n"
+            "    @x.setter\n"  # the decorator reads the getter
+            "    def x(self, value):\n"
+            "        pass\n"
+            "@typing.overload\n"
+            "def g(a: int) -> int: ...\n"
+            "def g(a):\n"
+            "    return a\n"
+            "print(T, json, g)\n"
+        )
+        assert codes(green, library=False) == []
+
+
 class TestMain:
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "good.py"

@@ -2,7 +2,7 @@
 """Repo-specific invariant linter (stdlib ``ast`` only — runs anywhere).
 
 Eight invariants that generic linters don't enforce the way this
-codebase needs them, and four that generic tools do enforce but that are
+codebase needs them, and five that generic tools do enforce but that are
 checked here too because ruff and mypy are not in every build
 container:
 
@@ -90,11 +90,20 @@ container:
   annotation reads that nothing in the module binds, is a ``NameError``
   waiting for its line to run. Read with ``symtable``; a module with a
   ``from m import *`` is skipped.
+- **No redefinitions of unused names** (pyflakes' F811, ``INV013``) in
+  the same trees: a ``def``, a ``class``, an import or an assignment
+  that rebinds a ``def``, a ``class`` or an import nothing read since
+  leaves the first one dead — most often a test that never runs
+  because a later one took its name. Both bindings must sit in one
+  statement list (two arms of an ``if`` or a ``try`` are alternatives),
+  and a read anywhere in between counts, so the rule reports a subset
+  of what pyflakes does; ``typing.overload`` stubs are exempt.
 
-All but the import, unused-local and undefined-name checks apply to
-``src/repro`` only (tests assert and poll, that is their job); with no
-arguments the tool lints ``src/repro`` for all twelve and the other
-four trees for the imports, the locals and the names.
+All but the import, unused-local, undefined-name and redefinition
+checks apply to ``src/repro`` only (tests assert and poll, that is
+their job); with no arguments the tool lints ``src/repro`` for all
+thirteen and the other four trees for the imports, the locals, the
+names and the redefinitions.
 
 Exit status 0 when clean, 1 with findings (one per line, parseable as
 ``path:line: CODE message``), 2 on usage/syntax errors.
@@ -503,7 +512,7 @@ def _scopes(table: symtable.SymbolTable) -> "list[symtable.SymbolTable]":
     return [table, *(scope for child in table.get_children() for scope in _scopes(child))]
 
 
-def _annotation_names(tree: ast.Module) -> "list[ast.Name]":
+def _annotation_names(tree: ast.AST) -> "list[ast.Name]":
     """The names the module's annotations read, a whole-string
     annotation parsed (``from __future__ import annotations`` compiles
     none of them, so ``symtable`` does not see them)."""
@@ -564,6 +573,88 @@ def _undefined_names(tree: ast.Module, table: symtable.SymbolTable) -> "list[tup
     for node in reads:
         first[node.id] = min(first.get(node.id, node.lineno), node.lineno)
     return sorted((line, name) for name, line in first.items())
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """The names ``node`` reads (or deletes), those of its string
+    annotations included."""
+    names = {
+        sub.id
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)
+    }
+    return names | {sub.id for sub in _annotation_names(node)}
+
+
+def _binds(statement: ast.stmt) -> "list[tuple[str, int, str]]":
+    """``(name, line, how)`` of each name ``statement`` binds in its
+    block's scope. ``how`` is ``"def"`` for a definition F811 tracks (a
+    ``def`` or ``class`` that is not an ``overload``, an import that is
+    not of a submodule), ``"set"`` for a plain assignment, which
+    redefines one, and ``"nested"`` for a binding inside a compound
+    statement, which only hides one."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        overload = any("overload" in _terminal_names(d) for d in statement.decorator_list)
+        return [(statement.name, statement.lineno, "nested" if overload else "def")]
+    if isinstance(statement, (ast.Import, ast.ImportFrom)):
+        return [
+            (
+                alias.asname or alias.name.partition(".")[0],
+                alias.lineno,
+                "nested" if "." in alias.name and not alias.asname else "def",
+            )
+            for alias in statement.names
+            if alias.name != "*"
+        ]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)) and statement.value:
+        targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+        return [(t.id, t.lineno, "set") for t in targets if isinstance(t, ast.Name)]
+    found = []
+    for sub in ast.walk(statement):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            found.append((sub.id, sub.lineno, "nested"))
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((sub.name, sub.lineno, "nested"))
+        elif isinstance(sub, ast.alias):
+            found.append((sub.asname or sub.name.partition(".")[0], sub.lineno, "nested"))
+    return found
+
+
+def _redefinitions(tree: ast.Module) -> "list[tuple[int, str, int]]":
+    """``(line, name, line of the first)`` of every definition or
+    assignment that rebinds a ``def``, a ``class`` or an import nothing
+    read since (pyflakes' F811). Both bindings sit in one statement
+    list, so two arms of an ``if`` or a ``try`` never redefine each
+    other; a read anywhere in between counts, in a function body too,
+    and so does one by the second binding's decorators, defaults or
+    bases. ``_`` is exempt."""
+    found = []
+    for node in ast.walk(tree):
+        for _, block in ast.iter_fields(node):
+            if not (isinstance(block, list) and block and isinstance(block[0], ast.stmt)):
+                continue
+            unread: dict[str, int] = {}
+            for statement in block:
+                reads = _reads(statement)
+                if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    # Its body runs later, its head now.
+                    head = [
+                        *statement.decorator_list,
+                        *getattr(statement, "bases", ()),
+                        *getattr(statement, "keywords", ()),
+                        *([statement.args] if hasattr(statement, "args") else ()),
+                    ]
+                    if not any(statement.name in _reads(part) for part in head):
+                        reads.discard(statement.name)
+                for name in reads:
+                    unread.pop(name, None)
+                for name, line, how in _binds(statement):
+                    first = unread.pop(name, None)
+                    if first is not None and how != "nested" and name != "_":
+                        found.append((line, name, first))
+                    if how == "def":
+                        unread[name] = line
+    return sorted(found)
 
 
 def _string_constants(node: "ast.AST | None") -> list[str]:
@@ -689,6 +780,15 @@ class _Checker(ast.NodeVisitor):
         for line, name in _undefined_names(tree, table):
             self.findings.append(
                 Finding(self.path, line, "INV012", f"undefined name '{name}' (F821)")
+            )
+        for line, name, first in _redefinitions(tree):
+            self.findings.append(
+                Finding(
+                    self.path,
+                    line,
+                    "INV013",
+                    f"redefinition of unused '{name}' from line {first} (F811)",
+                )
             )
         if Path(self.path).name == "__init__.py":
             return
@@ -879,8 +979,8 @@ def check_source(
     typed: bool = False,
 ) -> list[Finding]:
     """Lint one module's source text (the unit-testable core).
-    ``library=False`` checks the imports, the locals and the names
-    only. ``module`` is the path under ``src/repro`` that INV007's
+    ``library=False`` checks the imports, the locals, the names and
+    the redefinitions only. ``module`` is the path under ``src/repro`` that INV007's
     allow-list knows the file by; the entries it used are added to
     ``allowed_walkers``. ``typed`` turns on INV006 (the module is
     strict in mypy.ini)."""
